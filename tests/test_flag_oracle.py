@@ -1,0 +1,154 @@
+"""The array flag check and sampler test against the scalar loops they replaced."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from confviz import (
+    POLYTOPE_NAMES,
+    Circle,
+    Layout,
+    PointCircleConfig,
+    build_family,
+    check_flags,
+    circles_from_layout,
+    fano_plane,
+    invert_pointline,
+    layout_gen_cuboctahedron,
+    layout_hypercube,
+    layout_polygon,
+    pappus_structure,
+    polytope_data,
+    realize_n3,
+    sphere_circles,
+    stereographic_project,
+    v_construct,
+)
+from confviz.pappus import derive_pappus_points
+from confviz.realization import _circle_arrays, _cluster, _generic_position, _meet_points
+
+import oracles
+
+
+def assert_same_as_oracle(cfg, compare_clusters=False):
+    """Equal flags and bit-equal meet points; optionally bit-equal cluster
+    centroids too, which costs a second scalar clustering."""
+    assert check_flags(cfg).flags == oracles.check_flags(cfg).flags
+    tol = cfg.tols.get("cluster", 1e-7)
+    x, y = _meet_points(*_circle_arrays(cfg.circles), tol)
+    meets = oracles.meet_points(cfg.circles, tol)
+    assert np.array_equal(np.column_stack([x, y]), np.array(meets).reshape(-1, 2))
+    if compare_clusters:
+        mx, my = _cluster(x, y, tol)
+        want = np.array(oracles._cluster(meets, tol)).reshape(-1, 2)
+        assert np.array_equal(np.column_stack([mx, my]), want)
+
+
+def _projection(name):
+    cfg, _ = stereographic_project(sphere_circles(polytope_data(name)), seed=0)
+    return cfg
+
+
+FIXTURES = {
+    **{f"hypercube({d})": lambda d=d: circles_from_layout(layout_hypercube(d, seed=0)) for d in range(3, 7)},
+    **{f"CO({n})": lambda n=n: circles_from_layout(layout_gen_cuboctahedron(n)) for n in range(5, 41)},
+    **{
+        f"polygon({n})": lambda n=n: circles_from_layout(layout_polygon(n), allow_degree_two=True)
+        for n in range(5, 65)
+    },
+    # the octahedron's antipodal vertices share a neighbourhood plane: no circles
+    **{
+        f"project({name})": lambda name=name: _projection(name)
+        for name in POLYTOPE_NAMES
+        if name != "octahedron"
+    },
+    "invert(pappus)": lambda: invert_pointline(
+        np.array(derive_pappus_points()), pappus_structure().blocks, center=(0.4, 0.37)
+    ),
+    **{
+        f"realize_n3({name}, seed={seed})": lambda c=c, seed=seed: realize_n3(c, seed=seed)
+        for name, c in (
+            ("fano", fano_plane()),
+            ("pappus", pappus_structure()),
+            ("v_construct(petersen)", v_construct(build_family("petersen"))),
+        )
+        for seed in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_flags_match_scalar_oracle(name):
+    assert_same_as_oracle(FIXTURES[name]())
+
+
+def _similar(layout, angle, scale, shift):
+    c, s = math.cos(angle), math.sin(angle)
+    pos = scale * layout.pos @ np.array([[c, -s], [s, c]]).T + np.asarray(shift)
+    return Layout(layout.graph, pos, {})
+
+
+@st.composite
+def perturbed_configs(draw):
+    """Hypercube, CO or polygon layouts under a random similarity, with
+    layout parameters and some circle radii moved by at least 1e-5, a
+    hundred times the cluster tolerance."""
+    kind = draw(st.sampled_from(["hypercube", "CO", "polygon"]))
+    nudge = st.floats(1e-5, 1e-2).flatmap(lambda v: st.sampled_from([v, -v]))
+    if kind == "hypercube":
+        d = draw(st.integers(3, 4))
+        base = layout_hypercube(d, seed=draw(st.integers(0, 50))).meta["angles"]
+        layout = layout_hypercube(d, angles=[a + draw(nudge) for a in base])
+    elif kind == "CO":
+        layout = layout_gen_cuboctahedron(draw(st.integers(5, 12)), 2.0 + draw(nudge), 1.0 + draw(nudge))
+    else:
+        layout = layout_polygon(draw(st.integers(5, 24)))
+    layout = _similar(
+        layout,
+        draw(st.floats(0.0, 2.0 * math.pi)),
+        draw(st.floats(0.1, 10.0)),
+        (draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))),
+    )
+    cfg = circles_from_layout(layout, allow_degree_two=kind == "polygon")
+    moved = draw(st.lists(st.integers(0, len(cfg.circles) - 1), max_size=3, unique=True))
+    circles = tuple(
+        Circle(c.cx, c.cy, c.r + draw(nudge)) if k in moved else c for k, c in enumerate(cfg.circles)
+    )
+    return PointCircleConfig(cfg.points, circles, cfg.incidence, {}, cfg.tols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbed_configs())
+def test_perturbed_layouts_match_scalar_oracle(cfg):
+    assert_same_as_oracle(cfg, compare_clusters=True)
+
+
+@st.composite
+def crowded_points(draw):
+    """Points in small bunches whose spread is comparable to tol, so that
+    merges happen at, just inside and just outside the tolerance."""
+    tol = draw(st.sampled_from([1e-7, 1e-3, 0.5]))
+    # at 1e9 the cells widen past tol, to keep cell numbers below 2**30
+    scale = draw(st.sampled_from([1.0, 1e3, 1e9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = rng.uniform(-scale, scale, size=(draw(st.integers(1, 20)), 2))
+    spread = draw(st.floats(0.2, 3.0)) * tol
+    pts = np.repeat(centers, draw(st.integers(1, 6)), axis=0)
+    return pts + rng.uniform(-spread, spread, size=pts.shape), tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(crowded_points())
+def test_grid_cluster_matches_scalar_cluster(data):
+    pts, tol = data
+    mx, my = _cluster(pts[:, 0], pts[:, 1], tol)
+    assert np.array_equal(np.column_stack([mx, my]), np.array(oracles._cluster(list(pts), tol)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 12), st.integers(0, 2**32 - 1), st.sampled_from([1e-4, 1e-3, 1e-2]))
+def test_generic_position_matches_scalar_oracle(n, seed, margin):
+    pts = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, 2))
+    assert _generic_position(pts, margin) == oracles.generic_position(pts, margin)

@@ -15,6 +15,8 @@ from confviz import (
     fano_plane,
     incidence_of,
     invert_pointline,
+    layout_gen_cuboctahedron,
+    layout_hypercube,
     pappus_structure,
     realize_n3,
     solve_unit_distance,
@@ -40,6 +42,18 @@ def test_petersen_config_is_perfect():
         "perfect": True,
         "degenerate": False,
     }
+
+
+def test_hypercube7_is_proper_and_determining():
+    flags = check_flags(circles_from_layout(layout_hypercube(7, seed=0))).flags
+    assert flags["proper"] and flags["determining"]
+
+
+def test_co6_is_not_determining():
+    # the six inner-vertex circles all pass through the centre, a meet
+    # point that is not a configuration point
+    flags = check_flags(circles_from_layout(layout_gen_cuboctahedron(6))).flags
+    assert flags["proper"] and not flags["determining"]
 
 
 def test_single_circle_is_improper():

@@ -281,7 +281,7 @@ def test_circles_from_layout_degree_two_override():
 def test_circles_from_layout_duplicate_circles_rejected():
     # K4 drawn on concyclic corners: every neighbourhood spans the same circle
     pos = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(DistinctnessError):
+    with pytest.raises(DistinctnessError, match="vertices 0 and 1 coincide"):
         circles_from_layout(Layout(complete_graph(4), pos, {}), TOL_INCIDENCE)
 
 
