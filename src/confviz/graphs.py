@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import Iterator
 
 from .errors import ParameterError
 
@@ -138,17 +139,6 @@ class VertexMap:
                 length += 1
             result = math.lcm(result, length)
         return result
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    regular_degree: int | None
-    bipartite: bool
-    bipartition: Bipartition | None
-    connected: bool
-    components: tuple[tuple[int, ...], ...]
-    girth: int | float
-    has_four_cycle: bool
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +357,6 @@ def kronecker_cover(g: Graph) -> tuple[Graph, Bipartition]:
     return cover, Bipartition((0,) * n + (1,) * n)
 
 
-def neighborhoods(g: Graph) -> list[frozenset[int]]:
-    """First neighbourhoods N(v) in vertex order."""
-    return list(g.neighbor_sets)
-
-
 def is_admissible(g: Graph) -> tuple[bool, tuple[int, int] | None]:
     """No two vertices may share a neighbourhood; returns the first clash."""
     seen: dict[frozenset[int], int] = {}
@@ -386,67 +371,105 @@ def is_admissible(g: Graph) -> tuple[bool, tuple[int, int] | None]:
 # structure report
 
 
-def _bfs_components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * g.order
-    comps = []
-    for root in range(g.order):
-        if seen[root]:
-            continue
-        stack = [root]
-        seen[root] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
+def bfs_layers(g: Graph, root: int, dist: list[int]) -> Iterator[list[int]]:
+    """Breadth-first layers of g from root, nearest first.
+
+    dist[v] < 0 marks v unseen; each vertex's depth is written into dist as
+    its layer is built. The next layer is built only when the caller asks
+    for it, so a caller that stops early does no further work. Passing one
+    dist across several roots walks one component per root.
+    """
+    dist[root] = 0
+    layer = [root]
+    while layer:
+        yield layer
+        nxt = []
+        for v in layer:
+            d = dist[v] + 1
             for w in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
+        layer = nxt
 
 
-def _two_coloring(g: Graph) -> Bipartition | None:
-    side = [-1] * g.order
-    for root in range(g.order):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w in g.adjacency[v]:
-                if side[w] == -1:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return None
-    return Bipartition(tuple(side))
+@dataclass(frozen=True)
+class StructureReport:
+    """Structure of a graph; each field is computed when first read."""
 
+    graph: Graph
 
-def _girth(g: Graph) -> int | float:
-    """Shortest cycle length via BFS from every vertex; inf for forests."""
-    best: int | float = math.inf
-    for root in range(g.order):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        while queue:
-            nxt = []
-            for v in queue:
-                for w in g.adjacency[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        parent[w] = v
-                        nxt.append(w)
-                    elif w != parent[v]:
-                        cand = dist[v] + dist[w] + 1
-                        if cand < best:
-                            best = cand
-            queue = nxt
-            if queue and 2 * dist[queue[0]] >= best:
-                break
-    return best
+    @cached_property
+    def regular_degree(self) -> int | None:
+        degrees = {len(a) for a in self.graph.adjacency}
+        return degrees.pop() if len(degrees) == 1 else None
+
+    @cached_property
+    def _component_walk(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+        # components in order of their least vertex, and every vertex's
+        # depth below that vertex
+        g = self.graph
+        depth = [-1] * g.order
+        comps = []
+        for root in range(g.order):
+            if depth[root] < 0:
+                layers = bfs_layers(g, root, depth)
+                comps.append(tuple(sorted(v for layer in layers for v in layer)))
+        return tuple(comps), depth
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return self._component_walk[0]
+
+    @cached_property
+    def connected(self) -> bool:
+        return len(self.components) <= 1
+
+    @cached_property
+    def bipartition(self) -> Bipartition | None:
+        """Depth parity below each component's least vertex, when every edge crosses it."""
+        depth = self._component_walk[1]
+        if any(depth[u] % 2 == depth[v] % 2 for u, v in self.graph.edges):
+            return None
+        return Bipartition(tuple(d % 2 for d in depth))
+
+    @cached_property
+    def bipartite(self) -> bool:
+        return self.bipartition is not None
+
+    @cached_property
+    def girth(self) -> int | float:
+        """Shortest cycle length via BFS from every vertex; inf for forests.
+
+        Layer d closes a (2d+1)-cycle at an edge inside it and a 2d-cycle at
+        a vertex with two neighbours in layer d-1. Each BFS stops at the
+        first layer that can only close cycles no shorter than the best.
+        """
+        g = self.graph
+        best: int | float = math.inf
+        for root in range(g.order):
+            dist = [-1] * g.order
+            for layer in bfs_layers(g, root, dist):
+                d = dist[layer[0]]
+                if 2 * d >= best:
+                    break
+                # layer d+1 is not built yet, so a seen neighbour of a
+                # layer-d vertex lies in layer d or d-1
+                for v in layer:
+                    up = 0
+                    for w in g.adjacency[v]:
+                        dw = dist[w]
+                        if dw == d:
+                            best = min(best, 2 * d + 1)
+                        elif dw >= 0:
+                            up += 1
+                    if up >= 2:
+                        best = min(best, 2 * d)
+        return best
+
+    @cached_property
+    def has_four_cycle(self) -> bool:
+        return has_four_cycle(self.graph)
 
 
 def has_four_cycle(g: Graph) -> bool:
@@ -458,19 +481,8 @@ def has_four_cycle(g: Graph) -> bool:
 
 
 def structure_report(g: Graph) -> StructureReport:
-    degrees = {len(a) for a in g.adjacency}
-    regular = degrees.pop() if len(degrees) == 1 else None
-    bip = _two_coloring(g)
-    comps = _bfs_components(g)
-    return StructureReport(
-        regular_degree=regular,
-        bipartite=bip is not None,
-        bipartition=bip,
-        connected=len(comps) <= 1,
-        components=comps,
-        girth=_girth(g),
-        has_four_cycle=has_four_cycle(g),
-    )
+    """Lazy structure report of g; fields cost nothing until read."""
+    return StructureReport(g)
 
 
 def bipartite_swap_involution(g: Graph, parts: Bipartition) -> VertexMap | None:

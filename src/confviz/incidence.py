@@ -3,7 +3,7 @@
 The key object is the structure N(G) = (V(G), S(G)) whose blocks are the
 first neighbourhoods of an admissible graph. Its Levi graph coincides with
 the canonical double cover of G, which is what verify_kronecker_theorem
-certifies with an explicit isomorphism witness.
+certifies with the isomorphism witness the construction gives.
 """
 
 from __future__ import annotations
@@ -137,8 +137,10 @@ def is_self_polar(c: IncidenceStructure) -> VertexMap | None:
     """Order-two Levi automorphism exchanging points and blocks, or None.
 
     The index-aligned candidate (point i <-> block i) is tested first; it
-    succeeds exactly when the incidence matrix is symmetric, which covers
-    structures fresh out of v_construct.
+    succeeds exactly when the incidence matrix is symmetric, as for
+    fano_plane(). It seldom fires on v_construct output (complete graphs
+    are an exception): its blocks are stored sorted, not as block i = N(i),
+    so those structures take the involution search.
     """
     n = c.points
     if n != c.block_count:
@@ -188,8 +190,7 @@ def decompose(c: IncidenceStructure) -> list[IncidenceStructure]:
     result records the original indices in its provenance string.
     """
     levi, _ = levi_graph(c)
-    report = structure_report(levi)
-    comps = sorted(report.components, key=min)
+    comps = structure_report(levi).components
     out = []
     for idx, comp in enumerate(comps):
         pts = [v for v in comp if v < c.points]
@@ -240,8 +241,10 @@ class KroneckerReport:
 def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
     """Certify Levi(N(g)) == kronecker_cover(g) for admissible g.
 
-    For non-admissible inputs the report instead documents how the collapsed
-    structure falls short of the cover.
+    The witness is the map the construction gives, point i -> (i,0) and
+    block N(v) -> (v,1), checked edge by edge in O(E); no isomorphism
+    search runs. For non-admissible inputs the report instead documents how
+    the collapsed structure falls short of the cover.
     """
     cover, _ = kronecker_cover(g)
     cover_components = len(structure_report(cover).components)
@@ -258,13 +261,17 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
             cover_components=cover_components,
             collapsed_block_count=c.block_count,
         )
-    levi, _ = levi_graph(v_construct(g))
-    witness = iso.isomorphic(levi, cover)
+    c = v_construct(g)
+    levi, _ = levi_graph(c)
+    owner = {tuple(sorted(ns)): v for v, ns in enumerate(g.neighbor_sets)}
+    n = g.order
+    witness = VertexMap(tuple(range(n)) + tuple(n + owner[blk] for blk in c.blocks))
+    verified = witness.is_isomorphism(levi, cover)
     return KroneckerReport(
         admissible=True,
         offending_pair=None,
-        verified=witness is not None,
-        witness=witness,
+        verified=verified,
+        witness=witness if verified else None,
         levi_order=levi.order,
         cover_order=cover.order,
         cover_components=cover_components,

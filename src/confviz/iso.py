@@ -3,53 +3,28 @@
 The engine is iterated color refinement (degree and distance-profile seeds,
 then neighbour-multiset rounds) with individualisation backtracking on the
 first non-singleton class. Candidates are tried in (color, index) order, so
-results are deterministic. Intended scale is a few hundred vertices; larger
-inputs raise CapacityError rather than running an open-ended search.
+results are deterministic. Graphs above MAX_VERTICES (enough for the
+924-vertex Levi graph of odd(6)) and searches past the node budget raise
+CapacityError rather than running open-ended. Callers: `confviz iso`,
+is_self_polar and the symmetric unit-distance ansatz. verify_kronecker_theorem
+checks the construction's witness instead, with `isomorphic` as test oracle.
 """
 
 from __future__ import annotations
 
 from .errors import CapacityError
-from .graphs import Graph, VertexMap
+from .graphs import Graph, VertexMap, bfs_layers
 
-MAX_VERTICES = 300
+MAX_VERTICES = 1024
 _NODE_BUDGET = 400_000
 
 
-def _distance_profile(adj: tuple[tuple[int, ...], ...], v: int) -> tuple[int, ...]:
-    # sizes of successive BFS shells; a cheap start invariant
-    dist = {v: 0}
-    queue = [v]
-    shells = []
-    while queue:
-        shells.append(len(queue))
-        nxt = []
-        for x in queue:
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        queue = nxt
-    return tuple(shells)
-
-
 def _seed_tokens(g: Graph) -> list[tuple]:
-    return [(len(g.adjacency[v]), _distance_profile(g.adjacency, v)) for v in range(g.order)]
-
-
-def _bfs_distances(g: Graph, v: int) -> list[int]:
-    dist = [-1] * g.order
-    dist[v] = 0
-    queue = [v]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y in g.adjacency[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        queue = nxt
-    return dist
+    # degree and the sizes of successive BFS shells; a cheap start invariant
+    return [
+        (len(g.adjacency[v]), tuple(len(layer) for layer in bfs_layers(g, v, [-1] * g.order)))
+        for v in range(g.order)
+    ]
 
 
 def _assign_ids(tokens_g: list, tokens_h: list) -> tuple[list[int], list[int]] | None:
@@ -194,7 +169,10 @@ def find_free_cyclic_action(g: Graph, k: int, limit: int = 1) -> list[VertexMap]
     universe = sorted(set(base))
     ids = {t: i for i, t in enumerate(universe)}
     color = [ids[t] for t in base]
-    dist = [_bfs_distances(g, v) for v in range(g.order)]
+    dist = [[-1] * g.order for _ in range(g.order)]
+    for v in range(g.order):
+        for _ in bfs_layers(g, v, dist[v]):
+            pass
     sigma: list[int] = [-1] * g.order
     assigned: list[int] = []
     found: list[VertexMap] = []

@@ -221,3 +221,11 @@ def test_criterion_10_property_suite():
     d1 = sorted_center_distances(circles_from_layout(layout_hypercube(3, seed=1), 1e-9))
     ok = ok and not np.allclose(d0, d1)
     report(10, "structural invariants and movability evidence hold", ok)
+
+
+def test_criterion_11_kronecker_witness_ladder():
+    ok = True
+    for g in [hypercube_graph(d) for d in range(3, 9)] + [odd_graph(m) for m in range(3, 7)]:
+        rep = verify_kronecker_theorem(g)
+        ok = ok and rep.admissible and rep.verified and rep.witness is not None
+    report(11, "Kronecker witness on hypercube 3..8 and odd 3..6", ok)

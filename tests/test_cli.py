@@ -75,6 +75,19 @@ def test_verify_kronecker_and_type(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_hypercube8_past_the_search_cap(tmp_path, capsys):
+    g = str(tmp_path / "q8.json")
+    c = str(tmp_path / "q8c.json")
+    assert run(["gen", "hypercube", "8", "-o", g], capsys)[0] == 0
+    code, out, _ = run(["verify", "kronecker", g], capsys)
+    assert code == 0
+    assert "isomorphism verified" in out
+    assert run(["vconstruct", g, "-o", c], capsys)[0] == 0
+    code, out, _ = run(["verify", "type", c], capsys)
+    assert code == 0
+    assert "(256_8)" in out
+
+
 def test_verify_decompose(tmp_path, capsys):
     g = str(tmp_path / "q3.json")
     c = str(tmp_path / "q3c.json")

@@ -13,7 +13,6 @@ from confviz import (
     is_admissible,
     kronecker_cover,
     line_graph,
-    neighborhoods,
     structure_report,
 )
 from confviz.graphs import (
@@ -182,7 +181,7 @@ def test_admissibility():
     ok, pair = is_admissible(pet)
     assert ok and pair is None
     # brute force: all neighborhood pairs distinct
-    nbhd = neighborhoods(pet)
+    nbhd = pet.neighbor_sets
     assert len(set(nbhd)) == len(nbhd)
     ok, pair = is_admissible(cycle_graph(4))
     assert not ok and pair == (0, 2)

@@ -157,6 +157,19 @@ def test_kronecker_theorem_verified_with_witness():
     assert "verified" in rep.describe()
 
 
+@pytest.mark.parametrize("build,param", [(hypercube_graph, 8), (odd_graph, 6)])
+def test_kronecker_theorem_verified_past_the_search_cap(build, param):
+    g = build(param)
+    rep = verify_kronecker_theorem(g)
+    assert rep.admissible and rep.verified
+    assert rep.levi_order == rep.cover_order == 2 * g.order
+
+
+def test_classify_hypercube8_with_self_polar():
+    cls = classify(v_construct(hypercube_graph(8)), with_self_polar=True)
+    assert cls.describe() == "(256_8), not lineal, disconnected, self-polar"
+
+
 def test_kronecker_theorem_non_admissible_diagnosis():
     rep = verify_kronecker_theorem(cycle_graph(4))
     assert not rep.admissible

@@ -13,7 +13,7 @@ from confviz.graphs import (
     petersen_graph,
     prism_graph,
 )
-from confviz.iso import find_free_cyclic_action, find_swap_involution, orbits_of
+from confviz.iso import MAX_VERTICES, find_free_cyclic_action, find_swap_involution, orbits_of
 
 
 def shuffled_copy(g: Graph, seed: int):
@@ -92,7 +92,7 @@ def test_refinement_hard_pair_needs_backtracking():
 
 
 def test_capacity_limit():
-    big = cycle_graph(301)
+    big = cycle_graph(MAX_VERTICES + 1)
     with pytest.raises(CapacityError):
         isomorphic(big, big)
     with pytest.raises(CapacityError):
