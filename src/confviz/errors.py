@@ -36,11 +36,13 @@ class ConcyclicityError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solve stopped above tolerance; carries the best residual."""
+    """Iterative solve stopped above tolerance; carries the best residual and,
+    for a restarted solve, the number of restarts run."""
 
-    def __init__(self, message: str, residual=None):
+    def __init__(self, message: str, residual=None, restarts=None):
         super().__init__(message)
         self.residual = residual
+        self.restarts = restarts
 
 
 class SamplingError(RuntimeError):

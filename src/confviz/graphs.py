@@ -83,9 +83,6 @@ class Bipartition:
             return False
         return all(self.sides[u] != self.sides[v] for u, v in g.edges)
 
-    def side(self, v: int) -> int:
-        return self.sides[v]
-
     def classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         zero = tuple(v for v, s in enumerate(self.sides) if s == 0)
         one = tuple(v for v, s in enumerate(self.sides) if s == 1)

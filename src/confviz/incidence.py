@@ -58,13 +58,6 @@ class IncidenceStructure:
                 deg[p] += 1
         return deg
 
-    def block_of_set(self, pts: frozenset[int]) -> int | None:
-        key = tuple(sorted(pts))
-        for j, blk in enumerate(self.blocks):
-            if blk == key:
-                return j
-        return None
-
 
 @dataclass(frozen=True)
 class ConfigClass:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -78,6 +79,18 @@ def load(path: str) -> Any:
 # converters
 
 
+@contextmanager
+def _malformed(kind: str):
+    """Report a missing key, a wrong type or an unparsable value in an
+    artifact as one ParameterError; one raised already passes unchanged."""
+    try:
+        yield
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise ParameterError(f"malformed {kind} object: {exc}") from exc
+
+
 def graph_to_obj(g: Graph) -> dict:
     obj: dict[str, Any] = {
         "order": g.order,
@@ -89,15 +102,13 @@ def graph_to_obj(g: Graph) -> dict:
 
 
 def graph_from_obj(obj: dict) -> Graph:
-    try:
+    with _malformed("graph"):
         labels = obj.get("labels")
         return Graph(
             order=int(obj["order"]),
             edges=tuple((int(u), int(v)) for u, v in obj["edges"]),
             labels=tuple(labels) if labels is not None else None,
         )
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed graph object: {exc}") from exc
 
 
 def incidence_to_obj(c: IncidenceStructure) -> dict:
@@ -109,14 +120,12 @@ def incidence_to_obj(c: IncidenceStructure) -> dict:
 
 
 def incidence_from_obj(obj: dict) -> IncidenceStructure:
-    try:
+    with _malformed("incidence"):
         return IncidenceStructure(
             points=int(obj["points"]),
             blocks=tuple(tuple(int(p) for p in b) for b in obj["blocks"]),
             provenance=str(obj.get("provenance", "")),
         )
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed incidence object: {exc}") from exc
 
 
 def layout_to_obj(layout) -> dict:
@@ -130,11 +139,9 @@ def layout_to_obj(layout) -> dict:
 def layout_from_obj(obj: dict):
     from .realization import Layout
 
-    try:
+    with _malformed("layout"):
         g = graph_from_obj(obj["graph"])
         pos = np.array([[float(x), float(y)] for x, y in obj["pos"]], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed layout object: {exc}") from exc
     if pos.shape != (g.order, 2):
         raise ParameterError("layout position table does not match graph order")
     return Layout(graph=g, pos=pos, meta=dict(obj.get("meta", {})))
@@ -153,14 +160,12 @@ def pcc_to_obj(cfg) -> dict:
 def pcc_from_obj(obj: dict):
     from .realization import Circle, PointCircleConfig
 
-    try:
+    with _malformed("point-circle"):
         points = np.array([[float(x), float(y)] for x, y in obj["points"]], dtype=float)
         circles = tuple(
             Circle(float(c["c"][0]), float(c["c"][1]), float(c["r"])) for c in obj["circles"]
         )
         incidence = tuple((int(p), int(k)) for p, k in obj["incidence"])
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ParameterError(f"malformed point-circle object: {exc}") from exc
     return PointCircleConfig(
         points=points,
         circles=circles,
@@ -181,12 +186,10 @@ def skeleton_to_obj(sk) -> dict:
 def skeleton_from_obj(obj: dict):
     from .spatial import PolytopeSkeleton
 
-    try:
+    with _malformed("skeleton"):
         g = graph_from_obj(obj["graph"])
         coords = np.array([[float(x) for x in row] for row in obj["coords"]], dtype=float)
         name = str(obj["name"])
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed skeleton object: {exc}") from exc
     if coords.shape != (g.order, 3):
         raise ParameterError("skeleton coordinates do not match graph order")
     return PolytopeSkeleton(name=name, graph=g, coords=coords)
@@ -221,7 +224,7 @@ def spherical_to_obj(cfg) -> dict:
 def spherical_from_obj(obj: dict):
     from .spatial import Plane, SphereCircle, SphericalCircleConfig
 
-    try:
+    with _malformed("spherical"):
         center = np.array([float(x) for x in obj["sphere"]["c"]], dtype=float)
         radius = float(obj["sphere"]["r"])
         points = np.array([[float(x) for x in row] for row in obj["points"]], dtype=float)
@@ -234,19 +237,15 @@ def spherical_from_obj(obj: dict):
             for c in obj["circles"]
         )
         incidence = tuple((int(p), int(j)) for p, j in obj["incidence"])
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ParameterError(f"malformed spherical object: {exc}") from exc
     return SphericalCircleConfig(
         center=center, radius=radius, points=points, circles=circles, incidence=incidence
     )
 
 
 def pointline_from_obj(obj: dict) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    try:
+    with _malformed("point-line"):
         points = np.array([[float(x), float(y)] for x, y in obj["points"]], dtype=float)
         lines = tuple(tuple(int(p) for p in line) for line in obj["lines"])
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed point-line object: {exc}") from exc
     return points, lines
 
 

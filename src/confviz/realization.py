@@ -400,46 +400,49 @@ def _solve_coordinates(g: Graph, pos0: np.ndarray, max_iter: int) -> np.ndarray:
     return x.reshape(-1, 2)
 
 
-def _orbit_positions(x: np.ndarray, orbits: list[list[int]], k: int, n: int) -> np.ndarray:
-    pos = np.zeros((n, 2))
-    for j, orbit in enumerate(orbits):
-        r, phi = x[2 * j], x[2 * j + 1]
-        for t, v in enumerate(orbit):
-            a = phi + 2.0 * math.pi * t / k
-            pos[v] = (r * math.cos(a), r * math.sin(a))
-    return pos
+def _ring_table(orbits: list[list[int]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's ring j and angular offset 2*pi*t/k, where it is orbits[j][t]."""
+    ring, t = np.divmod(np.argsort(np.array(orbits).ravel()), k)
+    return ring, 2.0 * math.pi * t / k
 
 
-def _solve_orbits(g: Graph, orbits: list[list[int]], k: int, x0: np.ndarray, max_iter: int) -> np.ndarray:
+def _ring_polar(x: np.ndarray, ring: np.ndarray, offset: np.ndarray):
+    """Each vertex's radius and the cosine and sine of its angle, from the
+    ring variables x = (r_0, phi_0, r_1, phi_1, ...)."""
+    a = x[1::2][ring] + offset
+    return x[0::2][ring], np.cos(a), np.sin(a)
+
+
+def _ring_positions(x: np.ndarray, ring: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    r, cos, sin = _ring_polar(x, ring, offset)
+    return np.column_stack([r * cos, r * sin])
+
+
+def _solve_orbits(
+    g: Graph, ring: np.ndarray, offset: np.ndarray, x0: np.ndarray, max_iter: int
+) -> np.ndarray:
     eu, ev = _edge_arrays(g)
-    slot = {}
-    for j, orbit in enumerate(orbits):
-        for t, v in enumerate(orbit):
-            slot[v] = (j, t)
-
-    def positions(x):
-        return _orbit_positions(x, orbits, k, g.order)
+    rows = np.arange(len(eu))
 
     def resid(x):
-        p = positions(x)
+        p = _ring_positions(x, ring, offset)
         d = p[eu] - p[ev]
         return np.hypot(d[:, 0], d[:, 1]) - 1.0
 
     def jacobian(x):
-        p = positions(x)
+        r, cos, sin = _ring_polar(x, ring, offset)
+        p = np.column_stack([r * cos, r * sin])
+        d = p[eu] - p[ev]
+        # math.hypot keeps the solve bit-equal to the per-edge loop it
+        # replaced: np.hypot differs from it in the last bit on some inputs
+        dist = np.fromiter(map(math.hypot, d[:, 0], d[:, 1]), dtype=float, count=len(d))
+        gx, gy = (d / np.where(dist < 1e-300, 1.0, dist)[:, None]).T
         j = np.zeros((len(eu), x.size))
-        for row, (u, v) in enumerate(zip(eu, ev)):
-            d = p[u] - p[v]
-            dist = math.hypot(d[0], d[1])
-            if dist < 1e-300:
-                dist = 1.0
-            gu = d / dist
-            for vertex, sign in ((u, 1.0), (v, -1.0)):
-                jj, t = slot[vertex]
-                r, phi = x[2 * jj], x[2 * jj + 1]
-                a = phi + 2.0 * math.pi * t / k
-                j[row, 2 * jj] += sign * (gu[0] * math.cos(a) + gu[1] * math.sin(a))
-                j[row, 2 * jj + 1] += sign * r * (-gu[0] * math.sin(a) + gu[1] * math.cos(a))
+        for ends, sign in ((eu, 1.0), (ev, -1.0)):
+            col = 2 * ring[ends]
+            c, s = cos[ends], sin[ends]
+            j[rows, col] += sign * (gx * c + gy * s)
+            j[rows, col + 1] += sign * r[ends] * (-gx * s + gy * c)
         return j
 
     return lm_least_squares(resid, jacobian, x0, max_iter=max_iter)
@@ -457,12 +460,17 @@ def solve_unit_distance(
 ) -> tuple[Layout, float]:
     """Minimize edge-length deviation from 1; returns (layout, max deviation).
 
-    With `init` the solve polishes the given positions. An integer `symmetry`
-    k asks for a rotational ansatz: a free order-k automorphism is searched,
-    its orbits become (radius, phase) ring variables, and seeded restarts run
-    until the residual clears tol. Explicit orbit lists are also accepted.
-    Raises ConvergenceError (carrying the best residual) when nothing clears
-    tol within the restart budget.
+    With `init` the solve polishes the given positions. Otherwise one loop
+    polishes seeded start layouts until the residual clears tol with no two
+    vertices collapsed. A plain solve draws `restarts` random starts. An
+    integer `symmetry` k asks for a rotational ansatz: up to six free
+    order-k automorphisms are searched, and each one's orbits become
+    (radius, phase) ring variables; explicit orbit lists are also accepted.
+    Each orbit set's ring table (every vertex's orbit and offset 2*pi*t/k)
+    gives positions, residual and Jacobian as array passes, and `restarts`
+    ring solves from random ring variables are the starts. Raises
+    ConvergenceError, carrying the best residual and the restarts run, when
+    no start clears tol.
     """
     from .graphs import structure_report
 
@@ -484,9 +492,12 @@ def solve_unit_distance(
         return layout, residual
 
     rng = np.random.default_rng(base_seed)
-    best = math.inf
 
-    if symmetry is not None:
+    if symmetry is None:
+        span = 1.0 + 0.25 * math.sqrt(g.order)
+        starts = (rng.uniform(-span, span, size=(g.order, 2)) for _ in range(restarts))
+        meta, what, over = {"method": "lm"}, "unit-distance solve", ""
+    else:
         if isinstance(symmetry, int):
             actions = iso.find_free_cyclic_action(g, symmetry, limit=6)
             if not actions:
@@ -502,41 +513,33 @@ def solve_unit_distance(
             covered = sorted(v for o in orbit_sets[0] for v in o)
             if covered != list(range(g.order)):
                 raise ParameterError("orbits must partition the vertex set")
-        for orbits in orbit_sets:
-            m = len(orbits)
-            for _ in range(restarts):
-                x0 = np.empty(2 * m)
-                x0[0::2] = rng.uniform(0.25, 2.2, size=m)
-                x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=m)
-                x = _solve_orbits(g, orbits, k, x0, max_iter)
-                pos = _orbit_positions(x, orbits, k, g.order)
-                pos = _solve_coordinates(g, pos, max_iter)  # polish off the ansatz
-                layout = Layout(g, pos, {})
-                residual = unit_edge_residual(layout)
-                best = min(best, residual)
-                if residual <= tol and _min_separation(pos) > TOL_SEPARATION:
-                    layout.meta.update(
-                        {
-                            "method": "orbit-lm",
-                            "symmetry": k,
-                            "seed": base_seed,
-                            "residual": residual,
-                        }
-                    )
-                    return layout, residual
-        raise ConvergenceError("symmetric solve exhausted restarts", residual=best)
 
-    span = 1.0 + 0.25 * math.sqrt(g.order)
-    for _ in range(restarts):
-        pos0 = rng.uniform(-span, span, size=(g.order, 2))
+        def ring_starts():
+            for orbits in orbit_sets:
+                ring, offset = _ring_table(orbits, k)
+                for _ in range(restarts):
+                    x0 = np.empty(2 * len(orbits))
+                    x0[0::2] = rng.uniform(0.25, 2.2, size=len(orbits))
+                    x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=len(orbits))
+                    yield _ring_positions(_solve_orbits(g, ring, offset, x0, max_iter), ring, offset)
+
+        starts = ring_starts()
+        meta, what = {"method": "orbit-lm", "symmetry": k}, "symmetric solve"
+        over = f" over {len(orbit_sets)} orbit set" + "s" * (len(orbit_sets) != 1)
+
+    best = math.inf
+    runs = 0
+    for runs, pos0 in enumerate(starts, 1):
         pos = _solve_coordinates(g, pos0, max_iter)
         layout = Layout(g, pos, {})
         residual = unit_edge_residual(layout)
         best = min(best, residual)
         if residual <= tol and _min_separation(pos) > TOL_SEPARATION:
-            layout.meta.update({"method": "lm", "seed": base_seed, "residual": residual})
+            layout.meta.update(meta, seed=base_seed, residual=residual)
             return layout, residual
-    raise ConvergenceError("unit-distance solve exhausted restarts", residual=best)
+    raise ConvergenceError(
+        f"{what} exhausted {runs} restarts{over} (best residual {best:.1e})", residual=best, restarts=runs
+    )
 
 
 # ---------------------------------------------------------------------------

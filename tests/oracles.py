@@ -2,9 +2,10 @@
 
 The graph helpers work on plain (order, edges) data and deliberately avoid
 the library's own algorithms, so tests compare two separately written
-computations instead of a function against itself. The flag check and the
-generic-position test at the end are the scalar loops that the library's
-array passes replaced; tests hold the two to the same answers.
+computations instead of a function against itself. The flag check, the
+generic-position test and the rotational-ansatz solve at the end are the
+scalar loops that the library's array passes replaced; tests hold the two
+to the same answers.
 """
 
 import math
@@ -12,13 +13,19 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from confviz.errors import ParameterError
+from confviz import iso
+from confviz.errors import ConvergenceError, ParameterError
 from confviz.realization import (
     TOL_CLUSTER,
     TOL_INCIDENCE,
     TOL_SEPARATION,
+    Layout,
     PointCircleConfig,
+    _edge_arrays,
+    _solve_coordinates,
     circle_pair_intersections,
+    lm_least_squares,
+    unit_edge_residual,
 )
 
 
@@ -247,3 +254,113 @@ def generic_position(pts: np.ndarray, margin: float = 1e-4) -> bool:
         if abs(np.linalg.det(m)) <= margin:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# rotational ansatz, per vertex and per edge, kept as the differential oracle
+# for the ring-table passes in confviz.realization
+
+
+def _orbit_positions(x: np.ndarray, orbits: list[list[int]], k: int, n: int) -> np.ndarray:
+    pos = np.zeros((n, 2))
+    for j, orbit in enumerate(orbits):
+        r, phi = x[2 * j], x[2 * j + 1]
+        for t, v in enumerate(orbit):
+            a = phi + 2.0 * math.pi * t / k
+            pos[v] = (r * math.cos(a), r * math.sin(a))
+    return pos
+
+
+def _solve_orbits(g, orbits: list[list[int]], k: int, x0: np.ndarray, max_iter: int) -> np.ndarray:
+    eu, ev = _edge_arrays(g)
+    slot = {}
+    for j, orbit in enumerate(orbits):
+        for t, v in enumerate(orbit):
+            slot[v] = (j, t)
+
+    def positions(x):
+        return _orbit_positions(x, orbits, k, g.order)
+
+    def resid(x):
+        p = positions(x)
+        d = p[eu] - p[ev]
+        return np.hypot(d[:, 0], d[:, 1]) - 1.0
+
+    def jacobian(x):
+        p = positions(x)
+        j = np.zeros((len(eu), x.size))
+        for row, (u, v) in enumerate(zip(eu, ev)):
+            d = p[u] - p[v]
+            dist = math.hypot(d[0], d[1])
+            if dist < 1e-300:
+                dist = 1.0
+            gu = d / dist
+            for vertex, sign in ((u, 1.0), (v, -1.0)):
+                jj, t = slot[vertex]
+                r, phi = x[2 * jj], x[2 * jj + 1]
+                a = phi + 2.0 * math.pi * t / k
+                j[row, 2 * jj] += sign * (gu[0] * math.cos(a) + gu[1] * math.sin(a))
+                j[row, 2 * jj + 1] += sign * r * (-gu[0] * math.sin(a) + gu[1] * math.cos(a))
+        return j
+
+    return lm_least_squares(resid, jacobian, x0, max_iter=max_iter)
+
+
+def solve_unit_distance(g, *, seed=None, symmetry=None, tol=TOL_INCIDENCE, max_iter=500, restarts=40):
+    """The seeded restart loops of solve_unit_distance (no polish path), the
+    symmetric one over the per-vertex ansatz above."""
+    base_seed = 0 if seed is None else int(seed)
+    rng = np.random.default_rng(base_seed)
+    best = math.inf
+
+    if symmetry is not None:
+        if isinstance(symmetry, int):
+            actions = iso.find_free_cyclic_action(g, symmetry, limit=6)
+            if not actions:
+                raise ParameterError(f"no free order-{symmetry} symmetry available")
+            orbit_sets = [iso.orbits_of(a) for a in actions]
+            k = symmetry
+        else:
+            orbit_sets = [[list(o) for o in symmetry]]
+            lengths = {len(o) for o in orbit_sets[0]}
+            if len(lengths) != 1:
+                raise ParameterError("explicit orbits must share one length")
+            k = lengths.pop()
+            covered = sorted(v for o in orbit_sets[0] for v in o)
+            if covered != list(range(g.order)):
+                raise ParameterError("orbits must partition the vertex set")
+        for orbits in orbit_sets:
+            m = len(orbits)
+            for _ in range(restarts):
+                x0 = np.empty(2 * m)
+                x0[0::2] = rng.uniform(0.25, 2.2, size=m)
+                x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=m)
+                x = _solve_orbits(g, orbits, k, x0, max_iter)
+                pos = _orbit_positions(x, orbits, k, g.order)
+                pos = _solve_coordinates(g, pos, max_iter)  # polish off the ansatz
+                layout = Layout(g, pos, {})
+                residual = unit_edge_residual(layout)
+                best = min(best, residual)
+                if residual <= tol and _min_separation(pos) > TOL_SEPARATION:
+                    layout.meta.update(
+                        {
+                            "method": "orbit-lm",
+                            "symmetry": k,
+                            "seed": base_seed,
+                            "residual": residual,
+                        }
+                    )
+                    return layout, residual
+        raise ConvergenceError("symmetric solve exhausted restarts", residual=best)
+
+    span = 1.0 + 0.25 * math.sqrt(g.order)
+    for _ in range(restarts):
+        pos0 = rng.uniform(-span, span, size=(g.order, 2))
+        pos = _solve_coordinates(g, pos0, max_iter)
+        layout = Layout(g, pos, {})
+        residual = unit_edge_residual(layout)
+        best = min(best, residual)
+        if residual <= tol and _min_separation(pos) > TOL_SEPARATION:
+            layout.meta.update({"method": "lm", "seed": base_seed, "residual": residual})
+            return layout, residual
+    raise ConvergenceError("unit-distance solve exhausted restarts", residual=best)

@@ -198,6 +198,14 @@ def test_missing_file_is_usage_error(capsys):
     assert run(["vconstruct", "/nonexistent/g.json"], capsys)[0] == 2
 
 
+def test_malformed_artifact_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"order": "ten", "edges": []}')
+    code, _, err = run(["vconstruct", str(bad)], capsys)
+    assert code == 2
+    assert "malformed graph object" in err
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     g = str(tmp_path / "g.json")
     assert run(["gen", "petersen", "-o", g], capsys)[0] == 0

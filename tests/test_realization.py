@@ -228,6 +228,14 @@ def test_solver_k4_cannot_embed():
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(complete_graph(4), seed=0, restarts=4)
     assert exc.value.residual > 1e-3
+    assert exc.value.restarts == 4
+    best = f"{exc.value.residual:.1e}"
+    assert str(exc.value) == f"unit-distance solve exhausted 4 restarts (best residual {best})"
+    # K4 has three fixed-point-free involutions, each an orbit set
+    with pytest.raises(ConvergenceError) as exc:
+        solve_unit_distance(complete_graph(4), seed=0, symmetry=2, restarts=2)
+    assert exc.value.restarts == 6
+    assert str(exc.value).startswith("symmetric solve exhausted 6 restarts over 3 orbit sets (best ")
 
 
 def test_solver_explicit_orbits():

@@ -136,6 +136,18 @@ def test_malformed_objects_rejected():
         jsonio.incidence_from_obj({"points": 3})
     with pytest.raises(ParameterError):
         jsonio.layout_from_obj({"graph": jsonio.graph_to_obj(layout_polygon(4).graph), "pos": [[0, 0]]})
+    # unparsable values are parameter errors too, wrapped once
+    graph = jsonio.graph_to_obj(layout_polygon(4).graph)
+    with pytest.raises(ParameterError, match="^malformed graph object: "):
+        jsonio.graph_from_obj({"order": "ten", "edges": []})
+    with pytest.raises(ParameterError, match="^malformed graph object: "):
+        jsonio.layout_from_obj({"graph": {"order": "ten", "edges": []}, "pos": []})
+    with pytest.raises(ParameterError, match="^malformed layout object: "):
+        jsonio.layout_from_obj({"graph": graph, "pos": [[0, 0, 0]] * 4})
+    with pytest.raises(ParameterError, match="^malformed point-circle object: "):
+        jsonio.pcc_from_obj({"points": [], "circles": [{"c": [0, 0], "r": "one"}], "incidence": []})
+    with pytest.raises(ParameterError, match="^malformed incidence object: "):
+        jsonio.incidence_from_obj({"points": "three", "blocks": []})
 
 
 def test_save_appends_newline(tmp_path):
