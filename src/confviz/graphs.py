@@ -245,8 +245,7 @@ def generalized_petersen_graph(n: int, r: int) -> Graph:
 
 def dodecahedron_graph() -> Graph:
     """Dodecahedral skeleton, constructed as GP(10,2)."""
-    g = generalized_petersen_graph(10, 2)
-    return Graph(g.order, g.edges, g.labels)
+    return generalized_petersen_graph(10, 2)
 
 
 def gen_cuboctahedron_graph(n: int) -> Graph:
@@ -257,19 +256,14 @@ def gen_cuboctahedron_graph(n: int) -> Graph:
 
 
 def pappus_graph() -> Graph:
-    """Levi graph of the frozen 9_3 hexagrammum-mysticum structure.
+    """Levi graph of the (9_3) hexagrammum-mysticum structure.
 
-    The block data is regenerated numerically by tools/make_data.py rather
-    than typed in by hand; here we only re-read the shipped file.
+    The blocks come from the numeric collinearity scan behind
+    incidence.pappus_structure(), not from a hand-typed table.
     """
-    from ._data import load_packaged_json
+    from .incidence import levi_graph, pappus_structure  # incidence imports this module
 
-    data = load_packaged_json("pappus_structure.json")
-    npts = int(data["points"])
-    blocks = [tuple(int(p) for p in b) for b in data["blocks"]]
-    edges = tuple((p, npts + j) for j, blk in enumerate(blocks) for p in blk)
-    labels = tuple(f"p{i}" for i in range(npts)) + tuple(f"b{j}" for j in range(len(blocks)))
-    return Graph(npts + len(blocks), edges, labels)
+    return levi_graph(pappus_structure())[0]
 
 
 _FAMILIES = {

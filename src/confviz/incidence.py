@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import iso
 from .errors import AdmissibilityError, ParameterError
 from .graphs import (
     Bipartition,
     Graph,
     VertexMap,
+    bipartite_swap_involution,
     is_admissible,
     kronecker_cover,
     structure_report,
@@ -129,22 +129,14 @@ def levi_graph(c: IncidenceStructure) -> tuple[Graph, Bipartition]:
 def is_self_polar(c: IncidenceStructure) -> VertexMap | None:
     """Order-two Levi automorphism exchanging points and blocks, or None.
 
-    The index-aligned candidate (point i <-> block i) is tested first; it
-    succeeds exactly when the incidence matrix is symmetric, as for
-    fano_plane(). It seldom fires on v_construct output (complete graphs
-    are an exception): its blocks are stored sorted, not as block i = N(i),
-    so those structures take the involution search.
+    This is bipartite_swap_involution on the Levi graph. Its fiber
+    candidate, point i <-> block i, succeeds exactly when the incidence
+    matrix is symmetric, as for fano_plane(). It seldom fires on
+    v_construct output (complete graphs are an exception): its blocks are
+    stored sorted, not as block i = N(i), so those structures take the
+    involution search.
     """
-    n = c.points
-    if n != c.block_count:
-        return None
-    symmetric = all(
-        (i in c.blocks[j]) == (j in c.blocks[i]) for i in range(n) for j in range(i, n)
-    )
-    if symmetric:
-        return VertexMap(tuple(range(n, 2 * n)) + tuple(range(n)))
-    g, sides = levi_graph(c)
-    return iso.find_swap_involution(g, sides.sides)
+    return bipartite_swap_involution(*levi_graph(c))
 
 
 def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClass:
@@ -284,12 +276,7 @@ def fano_plane() -> IncidenceStructure:
 
 
 def pappus_structure() -> IncidenceStructure:
-    """The frozen (9_3) structure derived numerically by tools/make_data.py."""
-    from ._data import load_packaged_json
+    """The (9_3) structure, read off its numeric construction in confviz.pappus."""
+    from .pappus import derive_pappus_structure  # pappus imports this module
 
-    data = load_packaged_json("pappus_structure.json")
-    return IncidenceStructure(
-        points=int(data["points"]),
-        blocks=tuple(tuple(int(p) for p in b) for b in data["blocks"]),
-        provenance=str(data.get("provenance", "pappus")),
-    )
+    return derive_pappus_structure()

@@ -5,9 +5,12 @@ then neighbour-multiset rounds) with individualisation backtracking on the
 first non-singleton class. Candidates are tried in (color, index) order, so
 results are deterministic. Graphs above MAX_VERTICES (enough for the
 924-vertex Levi graph of odd(6)) and searches past the node budget raise
-CapacityError rather than running open-ended. Callers: `confviz iso`,
-is_self_polar and the symmetric unit-distance ansatz. verify_kronecker_theorem
-checks the construction's witness instead, with `isomorphic` as test oracle.
+CapacityError rather than running open-ended. Callers: `confviz iso`
+(isomorphic), graphs.bipartite_swap_involution and through it
+incidence.is_self_polar (find_swap_involution), and the symmetric
+unit-distance ansatz of realization.solve_unit_distance
+(find_free_cyclic_action, orbits_of). verify_kronecker_theorem checks the
+construction's witness instead, with `isomorphic` as test oracle.
 """
 
 from __future__ import annotations
@@ -19,11 +22,15 @@ MAX_VERTICES = 1024
 _NODE_BUDGET = 400_000
 
 
-def _seed_tokens(g: Graph) -> list[tuple]:
-    # degree and the sizes of successive BFS shells; a cheap start invariant
+def _seed_tokens(g: Graph, dist: list[list[int]] | None = None) -> list[tuple]:
+    """Degree and the sizes of successive BFS shells, a cheap start invariant.
+
+    Given dist, the BFS from v also leaves its distances in the row dist[v].
+    """
+    rows = dist if dist is not None else ([-1] * g.order for _ in range(g.order))
     return [
-        (len(g.adjacency[v]), tuple(len(layer) for layer in bfs_layers(g, v, [-1] * g.order)))
-        for v in range(g.order)
+        (len(g.adjacency[v]), tuple(len(layer) for layer in bfs_layers(g, v, row)))
+        for v, row in enumerate(rows)
     ]
 
 
@@ -165,14 +172,10 @@ def find_free_cyclic_action(g: Graph, k: int, limit: int = 1) -> list[VertexMap]
         raise CapacityError(f"automorphism search limited to {MAX_VERTICES} vertices")
     if k < 2 or g.order % k != 0:
         return []
-    base = _seed_tokens(g)
-    universe = sorted(set(base))
-    ids = {t: i for i, t in enumerate(universe)}
-    color = [ids[t] for t in base]
     dist = [[-1] * g.order for _ in range(g.order)]
-    for v in range(g.order):
-        for _ in bfs_layers(g, v, dist[v]):
-            pass
+    base = _seed_tokens(g, dist)
+    ids = {t: i for i, t in enumerate(sorted(set(base)))}
+    color = [ids[t] for t in base]
     sigma: list[int] = [-1] * g.order
     assigned: list[int] = []
     found: list[VertexMap] = []

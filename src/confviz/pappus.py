@@ -2,8 +2,8 @@
 
 Two carrier lines with three marked points each are intersected crosswise;
 the nine collinear triples are then read off the coordinates, not written
-down by hand. tools/make_data.py freezes the result into the packaged JSON
-that pappus_structure() and the pappus graph family load.
+down by hand. incidence.pappus_structure() and the pappus graph family
+(its Levi graph) both take their blocks from this scan.
 """
 
 from __future__ import annotations

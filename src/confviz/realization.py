@@ -106,6 +106,11 @@ class PointCircleConfig:
         return float(np.max(np.abs(dist - r[k])))
 
 
+def tol_record(incidence: float = TOL_INCIDENCE) -> dict:
+    """The tolerances a constructed configuration records in its tols."""
+    return {"incidence": incidence, "separation": TOL_SEPARATION, "cluster": TOL_CLUSTER}
+
+
 def _circle_arrays(circles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centers and radii of the circles as three float arrays."""
     table = np.array([(c.cx, c.cy, c.r) for c in circles], dtype=float).reshape(-1, 3)
@@ -136,18 +141,23 @@ def lm_least_squares(
 
     The damping term keeps rank-deficient Jacobians (translation and rotation
     gauge freedom) solvable, so the routine never crashes on those inputs.
+    The Jacobian, gradient and J^T J are built only when x moves; a rejected
+    step only raises the damping.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = fun(x)
     cost = float(r @ r)
     lam = lam0
     eye = np.eye(len(x))
-    for _ in range(max_iter):
+
+    def linearize(x, r):
         j = jac(x)
-        grad = j.T @ r
+        return j.T @ r, j.T @ j
+
+    grad, a = linearize(x, r)
+    for _ in range(max_iter):
         if np.max(np.abs(grad)) < grad_tol:
             break
-        a = j.T @ j
         try:
             step = np.linalg.solve(a + lam * eye, -grad)
         except np.linalg.LinAlgError:
@@ -161,6 +171,7 @@ def lm_least_squares(
             x = x + step
             r, cost = r_new, cost_new
             lam = max(lam / 10.0, 1e-15)
+            grad, a = linearize(x, r)
         else:
             lam *= 10.0
             if lam > 1e18:
@@ -227,10 +238,12 @@ def fit_circle(pts) -> tuple[Circle, float]:
 
 
 def unit_edge_residual(layout: Layout) -> float:
-    worst = 0.0
-    for u, v in layout.graph.edges:
-        worst = max(worst, abs(float(np.linalg.norm(layout.pos[u] - layout.pos[v])) - 1.0))
-    return worst
+    """Largest deviation of an edge length from 1; 0.0 without edges."""
+    eu, ev = _edge_arrays(layout.graph)
+    d = layout.pos[eu] - layout.pos[ev]
+    # the per-row dot product rounds as per-vector np.linalg.norm does
+    length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    return float(np.max(np.abs(length - 1.0), initial=0.0))
 
 
 def _min_separation(pos: np.ndarray) -> float:
@@ -371,7 +384,7 @@ def layout_gen_cuboctahedron(n: int, r_outer: float = 2.0, r_inner: float = 1.0)
 
 
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    e = np.array(g.edges, dtype=int)
+    e = np.array(g.edges, dtype=int).reshape(-1, 2)
     return e[:, 0], e[:, 1]
 
 
@@ -592,7 +605,7 @@ def circles_from_layout(
         circles=tuple(circles),
         incidence=incidence,
         flags={},
-        tols={"incidence": tol, "separation": TOL_SEPARATION, "cluster": TOL_CLUSTER},
+        tols=tol_record(tol),
     )
 
 
@@ -641,7 +654,7 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
             circles=circles,
             incidence=incidence,
             flags={},
-            tols={"incidence": TOL_INCIDENCE, "separation": TOL_SEPARATION, "cluster": TOL_CLUSTER},
+            tols=tol_record(),
         )
     raise SamplingError("no generic point set found within budget", seed=seed)
 
@@ -687,39 +700,19 @@ def _generic_position(pts: np.ndarray, margin: float = 1e-4) -> bool:
 # flags
 
 
-def circle_pair_intersections(a: Circle, b: Circle, cluster_tol: float = TOL_CLUSTER) -> list[np.ndarray]:
-    """0, 1 (tangent within tolerance), or 2 intersection points."""
-    dx, dy = b.cx - a.cx, b.cy - a.cy
-    d = math.hypot(dx, dy)
-    if d <= 1e-15:
-        return []
-    alpha = (d * d + a.r * a.r - b.r * b.r) / (2.0 * d)
-    h2 = a.r * a.r - alpha * alpha
-    eps = cluster_tol * cluster_tol
-    if h2 < -eps:
-        return []
-    ux, uy = dx / d, dy / d
-    base = np.array([a.cx + alpha * ux, a.cy + alpha * uy])
-    if h2 <= eps:
-        return [base]
-    h = math.sqrt(h2)
-    off = np.array([-uy * h, ux * h])
-    return [base + off, base - off]
-
-
 def _meet_points(
     cx: np.ndarray, cy: np.ndarray, r: np.ndarray, cluster_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every pairwise circle intersection in one array pass.
 
-    Same formulas and order as circle_pair_intersections over
-    combinations(range(C), 2): per pair base+off, then base-off, and the
-    base alone for a tangent pair.
+    Pairs come in combinations(range(C), 2) order: per pair base+off, then
+    base-off, and the base alone for a pair tangent within cluster_tol; a
+    concentric or disjoint pair gives nothing.
     """
     i, j = np.triu_indices(len(cx), k=1)
     dx, dy = cx[j] - cx[i], cy[j] - cy[i]
-    # math.hypot as in circle_pair_intersections: np.hypot differs from it in
-    # the last bit on some inputs
+    # math.hypot as in the scalar per-pair oracle: np.hypot differs from it
+    # in the last bit on some inputs
     d = np.fromiter(map(math.hypot, dx, dy), dtype=float, count=len(dx))
     apart = d > 1e-15
     i, j, dx, dy, d = i[apart], j[apart], dx[apart], dy[apart], d[apart]
@@ -852,10 +845,9 @@ def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircle
     isometric = bool(r.max() - r.min() <= tol_rad)
 
     # proper: some point on every circle exists iff it lies on the first two
-    proper = len(cfg.circles) > 1 and not any(
-        np.all(np.abs(np.hypot(cand[0] - cx, cand[1] - cy) - r) <= tol_through)
-        for cand in circle_pair_intersections(cfg.circles[0], cfg.circles[1], tol_clu)
-    )
+    qx, qy = _meet_points(cx[:2], cy[:2], r[:2], tol_clu)
+    on_all = np.abs(np.hypot(qx[:, None] - cx, qy[:, None] - cy) - r) <= tol_through
+    proper = len(cfg.circles) > 1 and not np.any(np.all(on_all, axis=1))
 
     # geometric incidence of config points on circles
     on_circle = np.abs(np.hypot(pts[:, 0] - cx[:, None], pts[:, 1] - cy[:, None]) - r[:, None]) <= tol_inc
@@ -958,7 +950,7 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
         circles=tuple(circles),
         incidence=incidence,
         flags={},
-        tols={"incidence": TOL_INCIDENCE, "separation": TOL_SEPARATION, "cluster": TOL_CLUSTER},
+        tols=tol_record(),
     )
     worst = cfg.max_incidence_residual()
     if worst > 1e-9 * scale:

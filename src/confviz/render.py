@@ -81,6 +81,8 @@ def render_layout(layout, labels: bool = False) -> str:
 
 def render_config(cfg, labels: bool = False) -> str:
     """Point-circle drawing: stroked circles plus configuration points."""
+    if not cfg.circles:
+        raise ParameterError("nothing to render")
     pts = [(float(x), -float(y)) for x, y in cfg.points]
     ref = _scale_of(cfg.points)
     ref = max(ref, 2.0 * max(c.r for c in cfg.circles))

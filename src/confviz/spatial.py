@@ -1,10 +1,9 @@
 """Polytope skeletons, neighbourhood planes, sphere circles, stereography.
 
-Coordinates ship as versioned JSON (regenerated by tools/make_data.py from
-the closed-form constructions) and are re-validated on every load: vertex
-and edge counts, regularity, equal edge lengths, and a common circumsphere.
-Edges are derived from the coordinates by the minimum-distance rule rather
-than stored.
+Coordinates come from closed-form constructions and are validated on every
+call: vertex and edge counts, regularity, equal edge lengths, and a common
+circumsphere. Edges are derived from the coordinates by the minimum-distance
+rule rather than stored.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from itertools import combinations
 
 import numpy as np
 
-from ._data import load_packaged_json
 from .errors import (
     AdmissibilityError,
     DegeneracyError,
@@ -23,8 +21,8 @@ from .errors import (
     PolePlacementError,
 )
 from .graphs import Graph, structure_report
-from .realization import Circle, PointCircleConfig, circumcircle
-from .realization import TOL_CLUSTER, TOL_INCIDENCE, TOL_SEPARATION
+from .realization import PointCircleConfig, circumcircle, tol_record
+from .realization import TOL_INCIDENCE, TOL_SEPARATION
 
 POLYTOPE_NAMES = (
     "tetrahedron",
@@ -142,7 +140,7 @@ class AdmissibilityReport:
 
 
 # ---------------------------------------------------------------------------
-# packaged coordinate data
+# coordinates
 
 
 def reference_coordinates(name: str) -> np.ndarray:
@@ -186,15 +184,13 @@ def _edges_by_min_distance(coords: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 
 def polytope_data(name: str) -> PolytopeSkeleton:
-    """Load one packaged skeleton; validates counts, regularity, edge lengths
-    (within 1e-9 relative) and the common circumsphere before returning."""
-    if name not in _EXPECTED:
-        raise ParameterError(f"unknown polytope {name!r}; known: {', '.join(POLYTOPE_NAMES)}")
-    data = load_packaged_json("polytopes.json")
-    coords = np.array(data["polytopes"][name], dtype=float)
+    """One skeleton from reference_coordinates; validates counts, regularity,
+    edge lengths (within 1e-9 relative) and the common circumsphere before
+    returning."""
+    coords = reference_coordinates(name)
     nv, ne, degree = _EXPECTED[name]
     if coords.shape != (nv, 3):
-        raise DegeneracyError(f"{name}: packaged data has wrong vertex count")
+        raise DegeneracyError(f"{name}: construction has wrong vertex count")
     edges = _edges_by_min_distance(coords)
     if len(edges) != ne:
         raise DegeneracyError(f"{name}: expected {ne} edges, derived {len(edges)}")
@@ -235,8 +231,10 @@ def coplanarity(pts) -> tuple[Plane, float]:
     return plane, residual
 
 
-def admissible_polytope(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> AdmissibilityReport:
-    """Neighbourhoods must be coplanar and span pairwise distinct planes."""
+def _fit_neighbourhood_planes(
+    p: PolytopeSkeleton, tol: float
+) -> tuple[AdmissibilityReport, list[Plane]]:
+    """admissible_polytope's report, plus the neighbourhood planes it fitted."""
     planes = []
     worst = 0.0
     for v in range(p.graph.order):
@@ -246,7 +244,7 @@ def admissible_polytope(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> Admi
         plane, res = coplanarity(p.coords[nbrs])
         worst = max(worst, res)
         if res > tol:
-            return AdmissibilityReport(
+            report = AdmissibilityReport(
                 admissible=False,
                 coplanar=False,
                 max_residual=res,
@@ -254,35 +252,34 @@ def admissible_polytope(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> Admi
                 planes_distinct=True,
                 coincident_pair=None,
             )
+            return report, planes
         planes.append(plane)
-    for i, j in combinations(range(len(planes)), 2):
-        if planes[i].close_to(planes[j]):
-            return AdmissibilityReport(
-                admissible=False,
-                coplanar=True,
-                max_residual=worst,
-                failing_vertex=None,
-                planes_distinct=False,
-                coincident_pair=(i, j),
-            )
-    return AdmissibilityReport(
-        admissible=True,
+    pairs = combinations(range(len(planes)), 2)
+    pair = next(((i, j) for i, j in pairs if planes[i].close_to(planes[j])), None)
+    report = AdmissibilityReport(
+        admissible=pair is None,
         coplanar=True,
         max_residual=worst,
         failing_vertex=None,
-        planes_distinct=True,
-        coincident_pair=None,
+        planes_distinct=pair is None,
+        coincident_pair=pair,
     )
+    return report, planes
+
+
+def admissible_polytope(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> AdmissibilityReport:
+    """Neighbourhoods must be coplanar and span pairwise distinct planes."""
+    return _fit_neighbourhood_planes(p, tol)[0]
 
 
 def _neighbourhood_planes(p: PolytopeSkeleton, tol: float) -> list[Plane]:
-    report = admissible_polytope(p, tol)
+    report, planes = _fit_neighbourhood_planes(p, tol)
     if not report.admissible:
         raise AdmissibilityError(
             f"{p.name}: {report.describe()}",
             pair=report.coincident_pair,
         )
-    return [coplanarity(p.coords[list(p.graph.adjacency[v])])[0] for v in range(p.graph.order)]
+    return planes
 
 
 def point_plane_vconstruct(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> PointPlaneConfig:
@@ -445,7 +442,7 @@ def stereographic_project(
         circles=tuple(circles2),
         incidence=cfg.incidence,
         flags={},
-        tols={"incidence": tol, "separation": TOL_SEPARATION, "cluster": TOL_CLUSTER},
+        tols=tol_record(tol),
     )
     worst = out.max_incidence_residual()
     if worst > tol:

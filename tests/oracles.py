@@ -2,10 +2,11 @@
 
 The graph helpers work on plain (order, edges) data and deliberately avoid
 the library's own algorithms, so tests compare two separately written
-computations instead of a function against itself. The flag check, the
-generic-position test and the rotational-ansatz solve at the end are the
-scalar loops that the library's array passes replaced; tests hold the two
-to the same answers.
+computations instead of a function against itself. The scalar circle
+intersection and flag check, the generic-position test, the least-squares
+loop, the edge residual and the rotational-ansatz solve at the end are the
+loops that the library's array passes replaced; tests hold the two to the
+same answers.
 """
 
 import math
@@ -19,13 +20,11 @@ from confviz.realization import (
     TOL_CLUSTER,
     TOL_INCIDENCE,
     TOL_SEPARATION,
+    Circle,
     Layout,
     PointCircleConfig,
     _edge_arrays,
     _solve_coordinates,
-    circle_pair_intersections,
-    lm_least_squares,
-    unit_edge_residual,
 )
 
 
@@ -121,6 +120,26 @@ def _min_separation(pos: np.ndarray) -> float:
     diffs = pos[:, None, :] - pos[None, :, :]
     dist = np.hypot(diffs[..., 0], diffs[..., 1])
     return float(np.min(dist[np.triu_indices(len(pos), k=1)]))
+
+
+def circle_pair_intersections(a: Circle, b: Circle, cluster_tol: float = TOL_CLUSTER) -> list[np.ndarray]:
+    """0, 1 (tangent within tolerance), or 2 intersection points."""
+    dx, dy = b.cx - a.cx, b.cy - a.cy
+    d = math.hypot(dx, dy)
+    if d <= 1e-15:
+        return []
+    alpha = (d * d + a.r * a.r - b.r * b.r) / (2.0 * d)
+    h2 = a.r * a.r - alpha * alpha
+    eps = cluster_tol * cluster_tol
+    if h2 < -eps:
+        return []
+    ux, uy = dx / d, dy / d
+    base = np.array([a.cx + alpha * ux, a.cy + alpha * uy])
+    if h2 <= eps:
+        return [base]
+    h = math.sqrt(h2)
+    off = np.array([-uy * h, ux * h])
+    return [base + off, base - off]
 
 
 def meet_points(circles, cluster_tol=TOL_CLUSTER):
@@ -254,6 +273,51 @@ def generic_position(pts: np.ndarray, margin: float = 1e-4) -> bool:
         if abs(np.linalg.det(m)) <= margin:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Levenberg-Marquardt that rebuilds the Jacobian on every iteration, and the
+# per-edge residual loop: the versions that lm_least_squares and
+# unit_edge_residual in confviz.realization replaced
+
+
+def lm_least_squares(fun, jac, x0, *, max_iter=500, lam0=1e-3, grad_tol=1e-12, step_tol=1e-14):
+    x = np.asarray(x0, dtype=float).copy()
+    r = fun(x)
+    cost = float(r @ r)
+    lam = lam0
+    eye = np.eye(len(x))
+    for _ in range(max_iter):
+        j = jac(x)
+        grad = j.T @ r
+        if np.max(np.abs(grad)) < grad_tol:
+            break
+        a = j.T @ j
+        try:
+            step = np.linalg.solve(a + lam * eye, -grad)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            continue
+        if np.linalg.norm(step) < step_tol:
+            break
+        r_new = fun(x + step)
+        cost_new = float(r_new @ r_new)
+        if cost_new < cost:
+            x = x + step
+            r, cost = r_new, cost_new
+            lam = max(lam / 10.0, 1e-15)
+        else:
+            lam *= 10.0
+            if lam > 1e18:
+                break
+    return x
+
+
+def unit_edge_residual(layout: Layout) -> float:
+    worst = 0.0
+    for u, v in layout.graph.edges:
+        worst = max(worst, abs(float(np.linalg.norm(layout.pos[u] - layout.pos[v])) - 1.0))
+    return worst
 
 
 # ---------------------------------------------------------------------------

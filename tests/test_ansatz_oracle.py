@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confviz import ConvergenceError, build_family, iso, solve_unit_distance
+from confviz import (
+    ConvergenceError,
+    Layout,
+    build_family,
+    circles_from_layout,
+    iso,
+    realization,
+    solve_unit_distance,
+    unit_edge_residual,
+)
 from confviz.graphs import complete_graph, cycle_graph
 from confviz.realization import _ring_positions, _ring_table, _solve_orbits
 
@@ -92,3 +101,37 @@ def test_ring_solve_matches_per_edge_loop(problem):
     got = _solve_orbits(g, ring, offset, x0, max_iter)
     want = oracles._solve_orbits(g, orbits, k, x0, max_iter)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "family,params,symmetry",
+    [("petersen", (), None), ("prism", (5,), None), ("complete", (4,), None), ("petersen", (), 5)],
+)
+def test_lm_matches_rebuilding_oracle(monkeypatch, family, params, symmetry, seed):
+    """Keeping the Jacobian across rejected steps moves no bit of a solve or
+    of the circle fits on its layout."""
+    g = build_family(family, *params)
+
+    def run():
+        try:
+            lay, residual = solve_unit_distance(g, seed=seed, symmetry=symmetry, restarts=4)
+        except ConvergenceError as exc:
+            return exc.residual, exc.restarts
+        circles = [(c.cx, c.cy, c.r) for c in circles_from_layout(lay).circles]
+        return lay.pos.tobytes(), list(lay.meta.items()), residual, circles
+
+    new = run()
+    monkeypatch.setattr(realization, "lm_least_squares", oracles.lm_least_squares)
+    assert run() == new
+
+
+@pytest.mark.parametrize("family,params,k", SYMMETRIC)
+def test_edge_residual_matches_per_edge_loop(family, params, k):
+    g = build_family(family, *params)
+    rng = np.random.default_rng(k)
+    for scale in (1e-3, 0.5, 1.0, 30.0):
+        lay = Layout(g, scale * rng.normal(size=(g.order, 2)))
+        assert unit_edge_residual(lay) == oracles.unit_edge_residual(lay)
+    lay, _ = solve_unit_distance(g, seed=0, symmetry=k)
+    assert unit_edge_residual(lay) == oracles.unit_edge_residual(lay)

@@ -1,10 +1,13 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import confviz
 from confviz.cli import main
 
 
@@ -194,6 +197,15 @@ def test_render_deterministic_svg(tmp_path, capsys):
     assert open(svg, "rb").read() == first
 
 
+def test_render_config_without_circles_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text('{"points": [[0.0, 0.0]], "circles": [], "incidence": [], "flags": {}, "tols": {}}')
+    code, _, err = run(["render", str(cfg), "-o", str(tmp_path / "pic.svg")], capsys)
+    assert code == 2
+    assert "nothing to render" in err
+    assert not (tmp_path / "pic.svg").exists()
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(["vconstruct", "/nonexistent/g.json"], capsys)[0] == 2
 
@@ -224,10 +236,14 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same confviz as this test, installed or not
+    root = str(pathlib.Path(confviz.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "confviz", "gen", "hypercube", "5"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 32
@@ -236,6 +252,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "confviz", "gen", "kneser", "3", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2
     assert proc.stderr.strip() != ""
@@ -244,5 +261,6 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "confviz", "frobnicate"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2

@@ -24,7 +24,9 @@ from confviz import (
 from confviz.graphs import petersen_graph
 from confviz.incidence import IncidenceStructure
 from confviz.pappus import derive_pappus_points
-from confviz.realization import circle_pair_intersections, sorted_center_distances
+from confviz.realization import _meet_points, sorted_center_distances
+
+from oracles import circle_pair_intersections
 
 
 def petersen_config():
@@ -109,13 +111,24 @@ def test_degenerate_coincident_points():
     assert not out.flags["perfect"]
 
 
-def test_circle_pair_intersections():
+@pytest.mark.parametrize(
+    "b,count",
+    [
+        (Circle(1.0, 0.0, 1.0), 2),
+        (Circle(0.3, -0.7, 0.9), 2),
+        (Circle(2.0, 0.0, 1.0), 1),  # tangent
+        (Circle(5.0, 0.0, 1.0), 0),  # disjoint
+        (Circle(0.0, 0.0, 0.3), 0),  # concentric
+    ],
+)
+def test_meet_points_of_one_pair(b, count):
     a = Circle(0.0, 0.0, 1.0)
-    assert len(circle_pair_intersections(a, Circle(1.0, 0.0, 1.0), 1e-7)) == 2
-    tang = circle_pair_intersections(a, Circle(2.0, 0.0, 1.0), 1e-7)
-    assert len(tang) == 1 and np.allclose(tang[0], (1.0, 0.0))
-    assert circle_pair_intersections(a, Circle(5.0, 0.0, 1.0), 1e-7) == []
-    assert circle_pair_intersections(a, Circle(0.0, 0.0, 0.3), 1e-7) == []
+    x, y = _meet_points(np.array([a.cx, b.cx]), np.array([a.cy, b.cy]), np.array([a.r, b.r]), 1e-7)
+    assert len(x) == count
+    scalar = circle_pair_intersections(a, b, 1e-7)
+    assert np.column_stack([x, y]).tobytes() == np.array(scalar).reshape(-1, 2).tobytes()
+    if count == 1:
+        assert (x[0], y[0]) == (1.0, 0.0)
 
 
 def test_realize_n3_fano():

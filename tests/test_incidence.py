@@ -195,10 +195,14 @@ def test_pappus_structure_shape():
     assert cls.balanced_type == (9, 3) and cls.lineal and cls.self_polar
 
 
-def test_pappus_frozen_data_matches_rederivation():
-    from confviz.pappus import derive_pappus_structure
-
-    assert derive_pappus_structure().blocks == pappus_structure().blocks
+def test_pappus_structure_blocks():
+    # the collinearity scan must keep finding exactly these nine lines
+    c = pappus_structure()
+    assert c.points == 9 and c.provenance == "pappus"
+    assert [list(b) for b in c.blocks] == [
+        [0, 1, 2], [0, 4, 6], [0, 5, 7], [1, 3, 6], [1, 5, 8],
+        [2, 3, 7], [2, 4, 8], [3, 4, 5], [6, 7, 8],
+    ]
 
 
 def test_odd_graph_covers_match_bipartite_kneser():

@@ -140,6 +140,49 @@ def test_free_cyclic_actions_cycle():
     assert find_free_cyclic_action(c6, 4) == []
 
 
+# the search's first actions, in order; pinned here because the ansatz oracle
+# calls the same search and so cannot catch a change in it
+PINNED_ACTIONS = {
+    ("petersen", (), 5): [
+        [1, 7, 8, 4, 2, 3, 0, 9, 5, 6],
+        [1, 8, 4, 7, 3, 0, 2, 6, 9, 5],
+        [2, 9, 7, 5, 3, 1, 0, 8, 6, 4],
+        [2, 5, 9, 7, 0, 3, 1, 6, 4, 8],
+        [3, 9, 6, 8, 2, 0, 1, 5, 7, 4],
+        [3, 6, 8, 9, 0, 1, 2, 4, 5, 7],
+    ],
+    ("desargues", (), 10): [
+        [10, 13, 16, 11, 14, 17, 12, 19, 15, 18, 1, 4, 0, 7, 2, 5, 8, 3, 6, 9],
+        [10, 14, 12, 17, 13, 11, 16, 15, 19, 18, 1, 0, 4, 3, 8, 6, 2, 7, 5, 9],
+        [10, 17, 14, 12, 16, 13, 11, 19, 18, 15, 4, 1, 0, 8, 6, 3, 7, 5, 2, 9],
+        [10, 16, 11, 13, 17, 12, 14, 18, 19, 15, 4, 0, 1, 5, 7, 2, 6, 8, 3, 9],
+        [11, 16, 13, 10, 18, 15, 12, 19, 17, 14, 5, 2, 0, 7, 4, 1, 9, 6, 3, 8],
+        [11, 12, 15, 18, 10, 13, 16, 14, 17, 19, 0, 2, 5, 3, 6, 9, 1, 4, 7, 8],
+    ],
+    ("dodecahedron", (), 5): [
+        [1, 2, 12, 14, 16, 6, 7, 17, 19, 11, 0, 3, 10, 4, 18, 5, 8, 15, 9, 13],
+        [1, 11, 13, 15, 5, 6, 16, 18, 10, 0, 2, 19, 3, 17, 4, 7, 14, 8, 12, 9],
+        [2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 12, 13, 14, 15, 16, 17, 18, 19, 10, 11],
+        [2, 12, 10, 18, 8, 7, 17, 15, 13, 3, 1, 14, 0, 16, 9, 6, 19, 5, 11, 4],
+        [4, 5, 6, 7, 8, 9, 0, 1, 2, 3, 14, 15, 16, 17, 18, 19, 10, 11, 12, 13],
+        [4, 3, 13, 11, 19, 9, 8, 18, 16, 14, 5, 2, 15, 1, 17, 0, 7, 10, 6, 12],
+    ],
+    ("gen_petersen", (12, 2), 12): [
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 12],
+        [5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 17, 18, 19, 20, 21, 22, 23, 12, 13, 14, 15, 16],
+        [7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5, 6, 19, 20, 21, 22, 23, 12, 13, 14, 15, 16, 17, 18],
+        [11, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 23, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22],
+    ],
+}
+
+
+@pytest.mark.parametrize("family,params,k", list(PINNED_ACTIONS))
+def test_free_cyclic_actions_pinned(family, params, k):
+    g = build_family(family, *params)
+    got = [list(vm.image) for vm in find_free_cyclic_action(g, k, limit=6)]
+    assert got == PINNED_ACTIONS[family, params, k]
+
+
 def test_orbits_of_explicit():
     from confviz import VertexMap
 

@@ -117,6 +117,11 @@ def test_lm_recovers_circle_from_noisy_start():
     assert np.allclose(x, [3.0, -1.0, 2.0], atol=1e-10)
 
 
+def test_unit_edge_residual_edgeless():
+    assert unit_edge_residual(Layout(Graph(3, ()), np.zeros((3, 2)))) == 0.0
+    assert unit_edge_residual(Layout(Graph(1, ()), np.ones((1, 2)))) == 0.0
+
+
 def test_layout_polygon_radii_and_edges():
     for n, radius in ((5, 0.8506508083520399), (3, 1 / math.sqrt(3))):
         lay = layout_polygon(n)
