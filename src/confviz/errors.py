@@ -46,11 +46,15 @@ class ConvergenceError(RuntimeError):
 
 
 class SamplingError(RuntimeError):
-    """Rejection sampling exhausted its attempt budget; reports the seed."""
+    """Rejection sampling exhausted its attempt budget; reports the seed and,
+    where the sampler counts them, the attempts made and the rejections per
+    reason."""
 
-    def __init__(self, message: str, seed=None):
+    def __init__(self, message: str, seed=None, attempts=None, rejections=None):
         super().__init__(message)
         self.seed = seed
+        self.attempts = attempts
+        self.rejections = rejections
 
 
 class PolePlacementError(ValueError):

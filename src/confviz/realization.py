@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -30,10 +30,8 @@ TOL_SEPARATION = 1e-6
 TOL_CLUSTER = 1e-7
 
 _RESAMPLE_BUDGET = 64
-# index tuples per chunk in _generic_position: small first chunks refuse most
-# degenerate draws early, the cap bounds memory at C(100, 4) ~ 3.9M quads
-_FIRST_CHUNK = 64
-_MAX_CHUNK = 1 << 11
+# how far realize_n3 keeps a draw from each of its rejection reasons
+_SAMPLE_MARGIN = 1e-4
 # residual entries per block when testing many points against all circles
 _RESIDUAL_BLOCK = 1 << 14
 
@@ -101,9 +99,7 @@ class PointCircleConfig:
         if not self.incidence:
             return 0.0
         p, k = np.array(self.incidence).T
-        cx, cy, r = _circle_arrays(self.circles)
-        dist = np.hypot(self.points[p, 0] - cx[k], self.points[p, 1] - cy[k])
-        return float(np.max(np.abs(dist - r[k])))
+        return float(np.max(_circle_residuals(*_circle_arrays(self.circles), self.points)[k, p]))
 
 
 def tol_record(incidence: float = TOL_INCIDENCE) -> dict:
@@ -632,68 +628,56 @@ def sorted_center_distances(cfg: PointCircleConfig) -> np.ndarray:
 
 
 def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
-    """Realize a structure with 3-point blocks via generic points + circumcircles.
+    """Realize a structure with 3-point blocks as random points and the
+    blocks' circumcircles.
 
-    Points are drawn uniformly; a draw is rejected if any two points nearly
-    coincide, any three are nearly collinear, or any four nearly concyclic,
-    so each block's circumcircle meets exactly its own points.
+    Points are drawn uniformly in the unit square, up to _RESAMPLE_BUDGET
+    times. A draw is accepted when, with margin 1e-4:
+    1. every two points are more than the margin apart;
+    2. no block's three points are within the margin of collinear;
+    3. no point outside a block lies within the margin of its circle;
+    4. every point where three or more circles meet is a configuration
+       point (check_flags' determining test, at the tol_record() tolerances).
+    Each circle then passes through its own three points and no other, and
+    circles meet three at a time only at configuration points: check_flags
+    reads the blocks back, and finds the result determining when every
+    point lies on three blocks or more. Raises SamplingError, with the
+    attempts made and the rejections per condition, when no draw passes.
     """
     if any(len(b) != 3 for b in c.blocks):
         raise ParameterError("realize_n3 needs every block to have exactly 3 points")
     if c.points < 3:
         raise ParameterError("realize_n3 needs at least 3 points")
+    blocks = np.array(c.blocks, dtype=np.intp).reshape(-1, 3)
+    incidence = tuple((p, k) for k, blk in enumerate(c.blocks) for p in blk)
+    tols = tol_record()
+    rejections = dict.fromkeys(("separation", "collinear_block", "foreign_point", "stray_meet_point"), 0)
     rng = np.random.default_rng(seed)
     for _ in range(_RESAMPLE_BUDGET):
         pts = rng.uniform(0.0, 1.0, size=(c.points, 2))
-        if not _generic_position(pts):
+        if _min_separation(pts) <= _SAMPLE_MARGIN:
+            rejections["separation"] += 1
+            continue
+        p, q, s = pts[blocks].transpose(1, 0, 2)
+        cross = (q[:, 0] - p[:, 0]) * (s[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (s[:, 0] - p[:, 0])
+        if np.any(np.abs(cross) <= _SAMPLE_MARGIN):
+            rejections["collinear_block"] += 1
             continue
         circles = tuple(circumcircle(pts[b[0]], pts[b[1]], pts[b[2]]) for b in c.blocks)
-        incidence = tuple((p, k) for k, blk in enumerate(c.blocks) for p in blk)
-        return PointCircleConfig(
-            points=pts,
-            circles=circles,
-            incidence=incidence,
-            flags={},
-            tols=tol_record(),
-        )
-    raise SamplingError("no generic point set found within budget", seed=seed)
-
-
-def _index_chunks(n: int, k: int):
-    """combinations(range(n), k) as (m, k) index arrays, m doubling up to _MAX_CHUNK."""
-    tuples = combinations(range(n), k)
-    size = _FIRST_CHUNK
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(tuples, size)), dtype=np.intp)
-        if len(flat) == 0:
-            return
-        yield flat.reshape(-1, k)
-        size = min(2 * size, _MAX_CHUNK)
-
-
-def _generic_position(pts: np.ndarray, margin: float = 1e-4) -> bool:
-    """No two points within margin, no three nearly collinear, no four nearly concyclic.
-
-    Pairs, then triples, then quads are tested chunk by chunk, so most
-    degenerate draws are refused within the first small chunks, and memory
-    stays bounded where C(n, 4) runs into millions.
-    """
-    x, y = pts[:, 0], pts[:, 1]
-    # float_power and the per-row dot product round as the scalar ** 2 and
-    # np.linalg.norm of a per-tuple loop do, so every decision matches it
-    lifted = np.column_stack([np.float_power(x, 2) + np.float_power(y, 2), x, y, np.ones(len(pts))])
-    for i, j in map(np.transpose, _index_chunks(len(pts), 2)):
-        d = pts[i] - pts[j]
-        if np.any(np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()) <= margin):
-            return False
-    for i, j, k in map(np.transpose, _index_chunks(len(pts), 3)):
-        if np.any(np.abs((x[j] - x[i]) * (y[k] - y[i]) - (y[j] - y[i]) * (x[k] - x[i])) <= margin):
-            return False
-    # four concyclic iff the lifted 4x4 determinant vanishes
-    for quad in _index_chunks(len(pts), 4):
-        if np.any(np.abs(np.linalg.det(lifted[quad])) <= margin):
-            return False
-    return True
+        cx, cy, r = _circle_arrays(circles)
+        # each circle has its own three points on it, so a fourth is foreign
+        if np.any(np.count_nonzero(_circle_residuals(cx, cy, r, pts) <= _SAMPLE_MARGIN, axis=1) > 3):
+            rejections["foreign_point"] += 1
+            continue
+        if _triple_point_hits(cx, cy, r, pts, **tols) is None:
+            rejections["stray_meet_point"] += 1
+            continue
+        return PointCircleConfig(points=pts, circles=circles, incidence=incidence, flags={}, tols=tols)
+    counts = ", ".join(f"{k} {v}" for k, v in sorted(rejections.items(), key=lambda kv: -kv[1]) if v)
+    raise SamplingError(
+        f"no draw accepted in {_RESAMPLE_BUDGET} attempts ({counts})",
+        seed=seed, attempts=_RESAMPLE_BUDGET, rejections=rejections,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +792,37 @@ def _distance_blocks(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndar
         yield rows, np.hypot(dx[:m], dy[:m], out=dx[:m])
 
 
+def _circle_residuals(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(C, n) matrix of |distance from circle k's center to point p - r_k|."""
+    return np.abs(np.hypot(pts[:, 0] - cx[:, None], pts[:, 1] - cy[:, None]) - r[:, None])
+
+
+def _triple_point_hits(
+    cx: np.ndarray, cy: np.ndarray, r: np.ndarray, pts: np.ndarray,
+    *, incidence: float, separation: float, cluster: float,
+) -> np.ndarray | None:
+    """Mask of the points at which three or more circles meet, or None when
+    such a meet point lies off the points; the keywords are tol_record()'s.
+
+    Meet points are clustered within the cluster tolerance, and a cluster
+    counts when more than two circles pass within max(incidence, cluster).
+    """
+    tol_through = max(incidence, cluster)
+    mx, my = _cluster(*_meet_points(cx, cy, r, cluster), cluster)
+    through = np.empty(len(mx), dtype=np.int64)
+    for rows, dist in _distance_blocks(mx, my, cx, cy):
+        residual = np.abs(np.subtract(dist, r, out=dist), out=dist)
+        through[rows] = np.count_nonzero(residual <= tol_through, axis=1)
+    tx, ty = mx[through > 2], my[through > 2]
+    matched = np.zeros(len(pts), dtype=bool)
+    for rows, dist in _distance_blocks(tx, ty, pts[:, 0], pts[:, 1]):
+        hit = np.argmin(dist, axis=1)
+        if np.any(dist[np.arange(len(hit)), hit] > max(cluster, separation)):
+            return None  # a triple point off the configuration
+        matched[hit] = True
+    return matched
+
+
 def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircleConfig:
     """Evaluate proper / isometric / lineal / determining / perfect.
 
@@ -846,31 +861,19 @@ def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircle
 
     # proper: some point on every circle exists iff it lies on the first two
     qx, qy = _meet_points(cx[:2], cy[:2], r[:2], tol_clu)
-    on_all = np.abs(np.hypot(qx[:, None] - cx, qy[:, None] - cy) - r) <= tol_through
-    proper = len(cfg.circles) > 1 and not np.any(np.all(on_all, axis=1))
+    on_all = _circle_residuals(cx, cy, r, np.column_stack([qx, qy])) <= tol_through
+    proper = len(cfg.circles) > 1 and not np.any(np.all(on_all, axis=0))
 
     # geometric incidence of config points on circles
-    on_circle = np.abs(np.hypot(pts[:, 0] - cx[:, None], pts[:, 1] - cy[:, None]) - r[:, None]) <= tol_inc
+    on_circle = _circle_residuals(cx, cy, r, pts) <= tol_inc
     shared = on_circle.astype(np.int64) @ on_circle.T.astype(np.int64)
     np.fill_diagonal(shared, 0)
     lineal = bool(shared.max() <= 1)
 
-    determining = False
+    hits = None
     if not degenerate:
-        mx, my = _cluster(*_meet_points(cx, cy, r, tol_clu), tol_clu)
-        through = np.empty(len(mx), dtype=np.int64)
-        for rows, dist in _distance_blocks(mx, my, cx, cy):
-            residual = np.abs(np.subtract(dist, r, out=dist), out=dist)
-            through[rows] = np.count_nonzero(residual <= tol_through, axis=1)
-        tx, ty = mx[through > 2], my[through > 2]
-        matched = np.zeros(len(pts), dtype=bool)
-        for rows, dist in _distance_blocks(tx, ty, pts[:, 0], pts[:, 1]):
-            hit = np.argmin(dist, axis=1)
-            if np.any(dist[np.arange(len(hit)), hit] > max(tol_clu, tol_sep)):
-                break  # a triple point off the configuration
-            matched[hit] = True
-        else:
-            determining = bool(matched.all())
+        hits = _triple_point_hits(cx, cy, r, pts, incidence=tol_inc, separation=tol_sep, cluster=tol_clu)
+    determining = hits is not None and bool(hits.all())
 
     flags = {
         "proper": proper,
@@ -880,13 +883,7 @@ def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircle
         "perfect": bool(lineal and isometric and determining and not degenerate),
         "degenerate": degenerate,
     }
-    return PointCircleConfig(
-        points=cfg.points.copy(),
-        circles=cfg.circles,
-        incidence=cfg.incidence,
-        flags=flags,
-        tols=t,
-    )
+    return replace(cfg, points=cfg.points.copy(), flags=flags, tols=t)
 
 
 # ---------------------------------------------------------------------------

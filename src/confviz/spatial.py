@@ -347,14 +347,6 @@ def _orthobasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(u, e1)
 
 
-def _circle_samples(sc: SphereCircle, angles) -> np.ndarray:
-    n = np.asarray(sc.plane.normal)
-    f1, f2 = _orthobasis(n)
-    return np.array(
-        [sc.center + sc.radius * (math.cos(a) * f1 + math.sin(a) * f2) for a in angles]
-    )
-
-
 def _pole_clearance(cfg: SphericalCircleConfig, pole: np.ndarray) -> float:
     """Distance from the pole to the nearest configuration point or circle."""
     clearance = float(np.min(np.linalg.norm(cfg.points - pole, axis=1)))
@@ -424,13 +416,15 @@ def stereographic_project(
         return np.column_stack([rel @ e1, rel @ e2])
 
     points2 = project(cfg.points)
+    anchors = [2.0 * math.pi * j / 3.0 for j in range(3)]
+    angles = anchors + [math.pi / 6.0 + j * math.pi / 4.0 for j in range(8)]
     circles2 = []
     for v, sc in enumerate(cfg.circles):
-        tri = project(_circle_samples(sc, (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)))
+        f1, f2 = _orthobasis(np.asarray(sc.plane.normal))
+        samples = sc.center + sc.radius * np.array([math.cos(a) * f1 + math.sin(a) * f2 for a in angles])
+        tri = project(samples[:3])
         image = circumcircle(tri[0], tri[1], tri[2])
-        checks = project(
-            _circle_samples(sc, [math.pi / 6.0 + j * math.pi / 4.0 for j in range(8)])
-        )
+        checks = project(samples[3:])
         drift = float(np.max(np.abs(image.residual(checks))))
         if drift > tol:
             raise DegeneracyError(

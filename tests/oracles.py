@@ -3,10 +3,9 @@
 The graph helpers work on plain (order, edges) data and deliberately avoid
 the library's own algorithms, so tests compare two separately written
 computations instead of a function against itself. The scalar circle
-intersection and flag check, the generic-position test, the least-squares
-loop, the edge residual and the rotational-ansatz solve at the end are the
-loops that the library's array passes replaced; tests hold the two to the
-same answers.
+intersection and flag check, the least-squares loop, the edge residual and
+the rotational-ansatz solve at the end are the loops that the library's
+array passes replaced; tests hold the two to the same answers.
 """
 
 import math
@@ -110,8 +109,8 @@ def circle_residuals(cx, cy, r, pts):
 
 
 # ---------------------------------------------------------------------------
-# scalar flag check and sampler test, kept as differential oracles for the
-# array versions in confviz.realization
+# scalar flag check, kept as a differential oracle for the array version in
+# confviz.realization
 
 
 def _min_separation(pos: np.ndarray) -> float:
@@ -248,31 +247,6 @@ def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircle
         flags=flags,
         tols=t,
     )
-
-
-def generic_position(pts: np.ndarray, margin: float = 1e-4) -> bool:
-    n = len(pts)
-    for i, j in combinations(range(n), 2):
-        if np.linalg.norm(pts[i] - pts[j]) <= margin:
-            return False
-    for i, j, k in combinations(range(n), 3):
-        area2 = abs(
-            (pts[j][0] - pts[i][0]) * (pts[k][1] - pts[i][1])
-            - (pts[j][1] - pts[i][1]) * (pts[k][0] - pts[i][0])
-        )
-        if area2 <= margin:
-            return False
-    # four concyclic iff the lifted 4x4 determinant vanishes
-    for quad in combinations(range(n), 4):
-        m = np.array(
-            [
-                [pts[q][0] ** 2 + pts[q][1] ** 2, pts[q][0], pts[q][1], 1.0]
-                for q in quad
-            ]
-        )
-        if abs(np.linalg.det(m)) <= margin:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confviz import (
     Circle,
@@ -10,6 +11,7 @@ from confviz import (
     PointCircleConfig,
     SamplingError,
     TOL_INCIDENCE,
+    build_family,
     check_flags,
     circles_from_layout,
     fano_plane,
@@ -20,7 +22,9 @@ from confviz import (
     pappus_structure,
     realize_n3,
     solve_unit_distance,
+    v_construct,
 )
+from confviz import realization
 from confviz.graphs import petersen_graph
 from confviz.incidence import IncidenceStructure
 from confviz.pappus import derive_pappus_points
@@ -147,6 +151,70 @@ def test_realize_n3_seed_changes_points():
     a = realize_n3(fano_plane(), seed=0)
     b = realize_n3(fano_plane(), seed=1)
     assert not np.allclose(a.points, b.points)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "family",
+    [("pappus",), ("dodecahedron",), ("desargues",), ("gen_petersen", 25, 2)],
+    ids=["pappus", "dodecahedron", "desargues", "GP(25,2)"],
+)
+def test_realize_n3_v_constructions(family, seed):
+    c = v_construct(build_family(*family))
+    cfg = realize_n3(c, seed=seed)
+    assert incidence_of(cfg).blocks == c.blocks
+    flags = check_flags(cfg).flags
+    assert flags["lineal"] and flags["determining"]
+    assert cfg.max_incidence_residual() < 1e-9
+
+
+@st.composite
+def triple_systems(draw):
+    """Random sets of distinct 3-point blocks over 5-16 points."""
+    n = draw(st.integers(5, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(n, 3 * n))
+    blocks = {tuple(sorted(rng.choice(n, 3, replace=False).tolist())) for _ in range(count)}
+    return IncidenceStructure(n, tuple(blocks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(triple_systems(), st.integers(0, 2**16))
+def test_realize_n3_draws_read_back(c, seed):
+    try:
+        cfg = realize_n3(c, seed=seed)
+    except SamplingError:
+        return
+    assert incidence_of(cfg).blocks == c.blocks
+    # a point on fewer than three circles is no meet point of three, and no
+    # meet point of three lies off the configuration
+    assert check_flags(cfg).flags["determining"] == (min(c.point_degrees()) >= 3)
+
+
+def test_realize_n3_sampling_error_counts_rejections(monkeypatch):
+    monkeypatch.setattr(realization, "_RESAMPLE_BUDGET", 1)
+    with pytest.raises(SamplingError) as info:
+        realize_n3(v_construct(build_family("pappus")), seed=2)
+    err = info.value
+    assert (err.seed, err.attempts) == (2, 1)
+    assert err.rejections == {
+        "separation": 0,
+        "collinear_block": 0,
+        "foreign_point": 1,
+        "stray_meet_point": 0,
+    }
+    assert str(err) == "no draw accepted in 1 attempts (foreign_point 1)"
+
+
+def test_realize_n3_counts_stray_meet_points(monkeypatch):
+    # random draws put three circles through a point off the configuration
+    # with probability zero, so the meet-point test is made to report one
+    monkeypatch.setattr(realization, "_RESAMPLE_BUDGET", 1)
+    monkeypatch.setattr(realization, "_triple_point_hits", lambda *args, **tols: None)
+    with pytest.raises(SamplingError) as info:
+        realize_n3(fano_plane(), seed=0)
+    assert info.value.rejections["stray_meet_point"] == 1
+    assert str(info.value) == "no draw accepted in 1 attempts (stray_meet_point 1)"
 
 
 def test_realize_n3_rejects_other_block_sizes():
