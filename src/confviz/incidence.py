@@ -8,7 +8,8 @@ certifies with the isomorphism witness the construction gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import AdmissibilityError, ParameterError
 from .graphs import (
@@ -24,11 +25,17 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class IncidenceStructure:
-    """Points 0..points-1 plus a canonically sorted tuple of distinct blocks."""
+    """Points 0..points-1 plus a canonically sorted tuple of distinct blocks.
+
+    polarity, when set, claims that point v <-> block polarity[v] is a
+    polarity; is_self_polar checks the claim before it uses it. It takes no
+    part in equality, hashing, repr or the JSON form.
+    """
 
     points: int
     blocks: tuple[tuple[int, ...], ...]
     provenance: str = ""
+    polarity: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.points < 0:
@@ -93,11 +100,13 @@ class ConfigClass:
 
 
 def v_construct(g: Graph, collapse: bool = False) -> IncidenceStructure:
-    """Blocks are the neighbourhoods N(v).
+    """Blocks are the neighbourhoods N(v), stored sorted.
 
     Without collapse the graph must be admissible so that the block count
     equals the vertex count; with collapse duplicate neighbourhoods are
-    merged and the result may have fewer blocks than points.
+    merged and the result may have fewer blocks than points. Whenever no
+    block was merged, polarity[v] is the index of block N(v): v <-> N(v)
+    is a polarity, since u is in N(v) exactly when v is in N(u).
     """
     if any(len(ns) == 0 for ns in g.neighbor_sets):
         raise ParameterError("v_construct needs a graph without isolated vertices")
@@ -109,11 +118,17 @@ def v_construct(g: Graph, collapse: bool = False) -> IncidenceStructure:
                 "pass collapse=True to merge duplicate blocks",
                 pair=pair,
             )
-    blocks = sorted({tuple(sorted(ns)) for ns in g.neighbor_sets})
+    nbhds = [tuple(sorted(ns)) for ns in g.neighbor_sets]
+    blocks = sorted(set(nbhds))
+    polarity = None
+    if len(blocks) == g.order:
+        index = {blk: j for j, blk in enumerate(blocks)}
+        polarity = tuple(index[blk] for blk in nbhds)
     return IncidenceStructure(
         points=g.order,
         blocks=tuple(blocks),
         provenance=f"v_construct(order={g.order}, size={g.size}, collapse={collapse})",
+        polarity=polarity,
     )
 
 
@@ -129,14 +144,37 @@ def levi_graph(c: IncidenceStructure) -> tuple[Graph, Bipartition]:
 def is_self_polar(c: IncidenceStructure) -> VertexMap | None:
     """Order-two Levi automorphism exchanging points and blocks, or None.
 
-    This is bipartite_swap_involution on the Levi graph. Its fiber
-    candidate, point i <-> block i, succeeds exactly when the incidence
-    matrix is symmetric, as for fano_plane(). It seldom fires on
-    v_construct output (complete graphs are an exception): its blocks are
-    stored sorted, not as block i = N(i), so those structures take the
-    involution search.
+    When c carries a polarity (v_construct output does), the involution
+    point p <-> block polarity[p] is built and checked edge by edge in
+    O(E). A polarity that is missing, malformed or wrong costs only the
+    generic bipartite_swap_involution search, which runs for every other
+    structure; it tries point i <-> block i first, which succeeds exactly
+    when the incidence matrix is symmetric, as for fano_plane().
     """
-    return bipartite_swap_involution(*levi_graph(c))
+    return _self_polar(c, *levi_graph(c))
+
+
+def _self_polar(c: IncidenceStructure, levi: Graph, parts: Bipartition) -> VertexMap | None:
+    n, pol = c.points, c.polarity
+    if pol is not None and len(pol) == n == c.block_count and all(0 <= j < n for j in pol):
+        image = [0] * (2 * n)
+        for p, j in enumerate(pol):
+            image[p], image[n + j] = n + j, p
+        candidate = VertexMap(tuple(image))
+        if candidate.is_automorphism(levi):
+            return candidate
+    return bipartite_swap_involution(levi, parts)
+
+
+def _lineal(c: IncidenceStructure) -> bool:
+    """No two points lie together in two blocks (Levi girth at least 6)."""
+    seen = set()
+    for blk in c.blocks:
+        for pair in combinations(blk, 2):
+            if pair in seen:
+                return False
+            seen.add(pair)
+    return True
 
 
 def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClass:
@@ -144,16 +182,14 @@ def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClas
         raise ParameterError("classification needs at least one point and block")
     degrees = c.point_degrees()
     sizes = [len(b) for b in c.blocks]
-    levi, _ = levi_graph(c)
-    report = structure_report(levi)
+    levi, parts = levi_graph(c)
     balanced = None
     if c.points == c.block_count and len(set(degrees)) == 1 and len(set(sizes)) == 1:
         if degrees[0] == sizes[0]:
             balanced = (c.points, degrees[0])
-    lineal = report.girth >= 6
     self_polar = None
     if with_self_polar:
-        self_polar = is_self_polar(c) is not None
+        self_polar = _self_polar(c, levi, parts) is not None
     impossible = balanced is not None and balanced[1] == 4 and balanced[0] <= 17
     return ConfigClass(
         point_count=c.points,
@@ -161,8 +197,8 @@ def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClas
         point_degree_range=(min(degrees), max(degrees)),
         block_size_range=(min(sizes), max(sizes)),
         balanced_type=balanced,
-        lineal=lineal,
-        connected=report.connected,
+        lineal=_lineal(c),
+        connected=structure_report(levi).connected,
         self_polar=self_polar,
         pointline_impossible=impossible,
     )
@@ -248,9 +284,9 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
         )
     c = v_construct(g)
     levi, _ = levi_graph(c)
-    owner = {tuple(sorted(ns)): v for v, ns in enumerate(g.neighbor_sets)}
     n = g.order
-    witness = VertexMap(tuple(range(n)) + tuple(n + owner[blk] for blk in c.blocks))
+    owner = sorted(range(n), key=c.polarity.__getitem__)  # owner[j]: the v with N(v) = block j
+    witness = VertexMap(tuple(range(n)) + tuple(n + v for v in owner))
     verified = witness.is_isomorphism(levi, cover)
     return KroneckerReport(
         admissible=True,

@@ -6,11 +6,14 @@ first non-singleton class. Candidates are tried in (color, index) order, so
 results are deterministic. Graphs above MAX_VERTICES (enough for the
 924-vertex Levi graph of odd(6)) and searches past the node budget raise
 CapacityError rather than running open-ended. Callers: `confviz iso`
-(isomorphic), graphs.bipartite_swap_involution and through it
-incidence.is_self_polar (find_swap_involution), and the symmetric
-unit-distance ansatz of realization.solve_unit_distance
-(find_free_cyclic_action, orbits_of). verify_kronecker_theorem checks the
-construction's witness instead, with `isomorphic` as test oracle.
+(isomorphic); graphs.bipartite_swap_involution (find_swap_involution),
+which incidence.is_self_polar reaches only for structures without a
+checked polarity, such as those read from JSON, decompose parts and
+hand-built ones; and the symmetric unit-distance ansatz of
+realization.solve_unit_distance (find_free_cyclic_action, orbits_of).
+verify_kronecker_theorem and is_self_polar on v_construct output check
+the construction's maps instead, with `isomorphic` and
+find_swap_involution as test oracles.
 """
 
 from __future__ import annotations

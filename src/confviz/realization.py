@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -113,9 +114,25 @@ def _circle_arrays(circles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table[:, 0], table[:, 1], table[:, 2]
 
 
+@lru_cache(maxsize=None)
+def _small_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) over all pairs i < j of range(n), in combinations order.
+
+    Read-only arrays, kept per n up to 64, where np.triu_indices' fixed
+    cost (about 20 us) outweighs the work.
+    """
+    return _small_pair_indices(n) if n <= 64 else np.triu_indices(n, k=1)
+
+
 def _pair_distances(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, |xy[i] - xy[j]|) over all pairs i < j, in combinations order."""
-    i, j = np.triu_indices(len(xy), k=1)
+    i, j = _pair_indices(len(xy))
     return i, j, np.hypot(xy[j, 0] - xy[i, 0], xy[j, 1] - xy[i, 1])
 
 
@@ -693,7 +710,7 @@ def _meet_points(
     base-off, and the base alone for a pair tangent within cluster_tol; a
     concentric or disjoint pair gives nothing.
     """
-    i, j = np.triu_indices(len(cx), k=1)
+    i, j = _pair_indices(len(cx))
     dx, dy = cx[j] - cx[i], cy[j] - cy[i]
     # math.hypot as in the scalar per-pair oracle: np.hypot differs from it
     # in the last bit on some inputs
