@@ -10,12 +10,9 @@ seed when a command takes one and --seed is absent.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-
-import numpy as np
 
 from . import graphs, incidence, iso, jsonio, realization, render, spatial
 from .errors import ParameterError
@@ -44,27 +41,12 @@ def _parse_family_token(token: str):
     return name, tuple(params)
 
 
-def _load_obj(path: str):
-    try:
-        obj = jsonio.load(path)
-    except FileNotFoundError:
-        raise ParameterError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"{path} is not valid JSON: {exc}")
-    return obj
-
-
 def _graph_from(token: str) -> graphs.Graph:
     parsed = _parse_family_token(token)
     if parsed is not None:
         return graphs.build_family(parsed[0], *parsed[1])
-    obj = _load_obj(token)
-    kind = jsonio.detect_kind(obj)
-    if kind == "graph":
-        return jsonio.graph_from_obj(obj)
-    if kind == "layout":
-        return jsonio.layout_from_obj(obj).graph
-    raise ParameterError(f"{token}: expected a graph artifact, found {kind}")
+    g = jsonio.read(token, "graph", "layout")
+    return g if isinstance(g, graphs.Graph) else g.graph
 
 
 def _incidence_from(token: str) -> incidence.IncidenceStructure:
@@ -72,13 +54,8 @@ def _incidence_from(token: str) -> incidence.IncidenceStructure:
         return incidence.fano_plane()
     if token.strip() == "pappus":
         return incidence.pappus_structure()
-    obj = _load_obj(token)
-    kind = jsonio.detect_kind(obj)
-    if kind == "incidence":
-        return jsonio.incidence_from_obj(obj)
-    if kind == "pcc":
-        return realization.incidence_of(jsonio.pcc_from_obj(obj))
-    raise ParameterError(f"{token}: expected an incidence artifact, found {kind}")
+    c = jsonio.read(token, "incidence", "pcc")
+    return c if isinstance(c, incidence.IncidenceStructure) else realization.incidence_of(c)
 
 
 def _emit_artifact(obj: dict, out: str | None, report: str):
@@ -214,7 +191,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_circles(args) -> int:
-    lay = jsonio.layout_from_obj(_load_obj(args.layout))
+    lay = jsonio.read(args.layout, "layout")
     cfg = realization.circles_from_layout(
         lay, tol=args.tol, allow_degree_two=args.allow_degree_two
     )
@@ -228,10 +205,7 @@ def _cmd_circles(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    obj = _load_obj(args.config)
-    if jsonio.detect_kind(obj) != "pcc":
-        raise ParameterError(f"{args.config}: expected a point-circle artifact")
-    cfg = realization.check_flags(jsonio.pcc_from_obj(obj))
+    cfg = realization.check_flags(jsonio.read(args.config, "pcc"))
     for name in ("proper", "isometric", "lineal", "determining", "perfect", "degenerate"):
         print(f"{name}: {'yes' if cfg.flags[name] else 'no'}")
     if args.output:
@@ -256,13 +230,10 @@ def _cmd_invert(args) -> int:
     if args.pointline.strip() == "pappus":
         from .pappus import derive_pappus_points
 
-        points = np.array(derive_pappus_points())
+        points = derive_pappus_points()
         lines = incidence.pappus_structure().blocks
     else:
-        obj = _load_obj(args.pointline)
-        if jsonio.detect_kind(obj) != "pointline":
-            raise ParameterError(f"{args.pointline}: expected a point-line artifact")
-        points, lines = jsonio.pointline_from_obj(obj)
+        points, lines = jsonio.read(args.pointline, "pointline")
     cfg = realization.invert_pointline(points, lines, tuple(args.center), radius=args.radius)
     cfg = realization.check_flags(cfg)
     _emit_artifact(
@@ -292,10 +263,7 @@ def _cmd_spatial(args) -> int:
             f"{len(sc.circles)} sphere circles on radius {sc.radius:.6f}",
         )
         return 0
-    pole = None
-    if args.pole is not None:
-        pole = np.asarray(args.pole, dtype=float)
-    cfg, used = spatial.stereographic_project(sc, pole=pole, seed=_seed_of(args))
+    cfg, used = spatial.stereographic_project(sc, pole=args.pole, seed=_seed_of(args))
     cfg = realization.check_flags(cfg)
     _emit_artifact(
         jsonio.pcc_to_obj(cfg),
@@ -307,14 +275,11 @@ def _cmd_spatial(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    obj = _load_obj(args.artifact)
-    kind = jsonio.detect_kind(obj)
-    if kind == "layout":
-        text = render.render_layout(jsonio.layout_from_obj(obj), labels=args.labels)
-    elif kind == "pcc":
-        text = render.render_config(jsonio.pcc_from_obj(obj), labels=args.labels)
+    art = jsonio.read(args.artifact, "layout", "pcc")
+    if isinstance(art, realization.Layout):
+        text = render.render_layout(art, labels=args.labels)
     else:
-        raise ParameterError(f"{args.artifact}: cannot render artifact kind {kind}")
+        text = render.render_config(art, labels=args.labels)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote {args.output}")

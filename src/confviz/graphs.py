@@ -187,13 +187,17 @@ def _subset_label(s: tuple[int, ...]) -> str:
 
 
 def kneser_graph(n: int, k: int) -> Graph:
-    """K(n,k): k-subsets of an n-set, adjacent when disjoint."""
+    """K(n,k): k-subsets of an n-set, adjacent when disjoint. A subset's
+    neighbours are the k-subsets of its complement, so the cost is O(E)."""
     if k < 1 or n < 2 * k:
         raise ParameterError("kneser needs 1 <= k and n >= 2k")
     verts = list(combinations(range(n), k))
-    sets = [frozenset(s) for s in verts]
+    index = {s: i for i, s in enumerate(verts)}
     edges = tuple(
-        (i, j) for i, j in combinations(range(len(verts)), 2) if not (sets[i] & sets[j])
+        (i, index[t])
+        for i, s in enumerate(verts)
+        for t in combinations([x for x in range(n) if x not in s], k)
+        if index[t] > i
     )
     return Graph(len(verts), edges, tuple(_subset_label(s) for s in verts))
 

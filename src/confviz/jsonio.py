@@ -2,7 +2,9 @@
 
 Floats are emitted with 17 significant digits so a re-read reproduces the
 exact double, and construction order of keys is preserved verbatim; the same
-in-memory value therefore always serializes to the same bytes.
+in-memory value therefore always serializes to the same bytes. Writers hand
+numpy tables to the emitter as they are. `read` is the one entry point that
+loads an artifact file, checks its kind and converts it.
 """
 
 from __future__ import annotations
@@ -10,9 +12,8 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
-
-import numpy as np
 
 from .errors import ParameterError
 from .graphs import Graph
@@ -26,15 +27,15 @@ def _emit(value: Any, out: list[str]) -> None:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    elif isinstance(value, int):
         out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
+    elif isinstance(value, float):  # numpy float64 included
         v = float(value)
         if not math.isfinite(v):
             raise ParameterError("non-finite number in artifact")
         out.append(format(v, ".17g"))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(_quote(value))
     elif isinstance(value, dict):
         out.append("{")
         for i, (k, v) in enumerate(value.items()):
@@ -42,18 +43,18 @@ def _emit(value: Any, out: list[str]) -> None:
                 raise ParameterError("artifact keys must be strings")
             if i:
                 out.append(", ")
-            out.append(json.dumps(k))
-            out.append(": ")
+            out.append(_quote(k) + ": ")
             _emit(v, out)
         out.append("}")
-    elif isinstance(value, (list, tuple)) or isinstance(value, np.ndarray):
-        seq = value.tolist() if isinstance(value, np.ndarray) else value
+    elif isinstance(value, (list, tuple)):
         out.append("[")
-        for i, v in enumerate(seq):
+        for i, v in enumerate(value):
             if i:
                 out.append(", ")
             _emit(v, out)
         out.append("]")
+    elif hasattr(value, "tolist"):  # numpy arrays and scalars
+        _emit(value.tolist(), out)
     else:
         raise ParameterError(f"cannot serialize {type(value).__name__}")
 
@@ -81,23 +82,21 @@ def load(path: str) -> Any:
 
 @contextmanager
 def _malformed(kind: str):
-    """Report a missing key, a wrong type or an unparsable value in an
-    artifact as one ParameterError; one raised already passes unchanged."""
+    """Report a missing key, a wrong type, an unparsable value or a table the
+    artifact's dataclass rejects as one ParameterError naming the kind; the
+    report of a nested artifact (a layout's graph) passes unchanged."""
     try:
         yield
-    except ParameterError:
-        raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
+        if isinstance(exc, ParameterError) and str(exc).startswith("malformed "):
+            raise
         raise ParameterError(f"malformed {kind} object: {exc}") from exc
 
 
 def graph_to_obj(g: Graph) -> dict:
-    obj: dict[str, Any] = {
-        "order": g.order,
-        "edges": [[u, v] for u, v in g.edges],
-    }
+    obj: dict[str, Any] = {"order": g.order, "edges": g.edges}
     if g.labels is not None:
-        obj["labels"] = list(g.labels)
+        obj["labels"] = g.labels
     return obj
 
 
@@ -112,11 +111,7 @@ def graph_from_obj(obj: dict) -> Graph:
 
 
 def incidence_to_obj(c: IncidenceStructure) -> dict:
-    return {
-        "points": c.points,
-        "blocks": [list(b) for b in c.blocks],
-        "provenance": c.provenance,
-    }
+    return {"points": c.points, "blocks": c.blocks, "provenance": c.provenance}
 
 
 def incidence_from_obj(obj: dict) -> IncidenceStructure:
@@ -129,11 +124,7 @@ def incidence_from_obj(obj: dict) -> IncidenceStructure:
 
 
 def layout_to_obj(layout) -> dict:
-    return {
-        "graph": graph_to_obj(layout.graph),
-        "pos": [[float(x), float(y)] for x, y in layout.pos],
-        "meta": dict(layout.meta),
-    }
+    return {"graph": graph_to_obj(layout.graph), "pos": layout.pos, "meta": layout.meta}
 
 
 def layout_from_obj(obj: dict):
@@ -141,19 +132,16 @@ def layout_from_obj(obj: dict):
 
     with _malformed("layout"):
         g = graph_from_obj(obj["graph"])
-        pos = np.array([[float(x), float(y)] for x, y in obj["pos"]], dtype=float)
-    if pos.shape != (g.order, 2):
-        raise ParameterError("layout position table does not match graph order")
-    return Layout(graph=g, pos=pos, meta=dict(obj.get("meta", {})))
+        return Layout(graph=g, pos=obj["pos"], meta=dict(obj.get("meta", {})))
 
 
 def pcc_to_obj(cfg) -> dict:
     return {
-        "points": [[float(x), float(y)] for x, y in cfg.points],
+        "points": cfg.points,
         "circles": [{"c": [c.cx, c.cy], "r": c.r} for c in cfg.circles],
-        "incidence": [[p, k] for p, k in cfg.incidence],
-        "flags": dict(cfg.flags),
-        "tols": dict(cfg.tols),
+        "incidence": cfg.incidence,
+        "flags": cfg.flags,
+        "tols": cfg.tols,
     }
 
 
@@ -161,112 +149,119 @@ def pcc_from_obj(obj: dict):
     from .realization import Circle, PointCircleConfig
 
     with _malformed("point-circle"):
-        points = np.array([[float(x), float(y)] for x, y in obj["points"]], dtype=float)
-        circles = tuple(
-            Circle(float(c["c"][0]), float(c["c"][1]), float(c["r"])) for c in obj["circles"]
+        return PointCircleConfig(
+            points=obj["points"],
+            circles=tuple(
+                Circle(float(c["c"][0]), float(c["c"][1]), float(c["r"])) for c in obj["circles"]
+            ),
+            incidence=tuple((int(p), int(k)) for p, k in obj["incidence"]),
+            flags=dict(obj.get("flags", {})),
+            tols=dict(obj.get("tols", {})),
         )
-        incidence = tuple((int(p), int(k)) for p, k in obj["incidence"])
-    return PointCircleConfig(
-        points=points,
-        circles=circles,
-        incidence=incidence,
-        flags=dict(obj.get("flags", {})),
-        tols=dict(obj.get("tols", {})),
-    )
 
 
 def skeleton_to_obj(sk) -> dict:
-    return {
-        "name": sk.name,
-        "graph": graph_to_obj(sk.graph),
-        "coords": [[float(x) for x in row] for row in sk.coords],
-    }
+    return {"name": sk.name, "graph": graph_to_obj(sk.graph), "coords": sk.coords}
 
 
 def skeleton_from_obj(obj: dict):
     from .spatial import PolytopeSkeleton
 
     with _malformed("skeleton"):
-        g = graph_from_obj(obj["graph"])
-        coords = np.array([[float(x) for x in row] for row in obj["coords"]], dtype=float)
-        name = str(obj["name"])
-    if coords.shape != (g.order, 3):
-        raise ParameterError("skeleton coordinates do not match graph order")
-    return PolytopeSkeleton(name=name, graph=g, coords=coords)
+        return PolytopeSkeleton(
+            name=str(obj["name"]), graph=graph_from_obj(obj["graph"]), coords=obj["coords"]
+        )
 
 
 def pointplane_to_obj(cfg) -> dict:
     return {
-        "points": [[float(x) for x in row] for row in cfg.points],
-        "planes": [{"n": list(pl.normal), "d": pl.offset} for pl in cfg.planes],
-        "incidence": [[p, j] for p, j in cfg.incidence],
+        "points": cfg.points,
+        "planes": [{"n": pl.normal, "d": pl.offset} for pl in cfg.planes],
+        "incidence": cfg.incidence,
         "max_residual": cfg.max_residual,
     }
 
 
 def spherical_to_obj(cfg) -> dict:
     return {
-        "sphere": {"c": [float(x) for x in cfg.center], "r": cfg.radius},
-        "points": [[float(x) for x in row] for row in cfg.points],
+        "sphere": {"c": cfg.center, "r": cfg.radius},
+        "points": cfg.points,
         "circles": [
-            {
-                "n": list(sc.plane.normal),
-                "d": sc.plane.offset,
-                "center": [float(x) for x in sc.center],
-                "radius": sc.radius,
-            }
+            {"n": sc.plane.normal, "d": sc.plane.offset, "center": sc.center, "radius": sc.radius}
             for sc in cfg.circles
         ],
-        "incidence": [[p, j] for p, j in cfg.incidence],
+        "incidence": cfg.incidence,
     }
 
 
 def spherical_from_obj(obj: dict):
+    import numpy as np
+
     from .spatial import Plane, SphereCircle, SphericalCircleConfig
 
+    def vector(xs):
+        return np.array([float(x) for x in xs])
+
     with _malformed("spherical"):
-        center = np.array([float(x) for x in obj["sphere"]["c"]], dtype=float)
-        radius = float(obj["sphere"]["r"])
-        points = np.array([[float(x) for x in row] for row in obj["points"]], dtype=float)
-        circles = tuple(
-            SphereCircle(
-                plane=Plane(tuple(float(x) for x in c["n"]), float(c["d"])),
-                center=np.array([float(x) for x in c["center"]], dtype=float),
-                radius=float(c["radius"]),
-            )
-            for c in obj["circles"]
+        return SphericalCircleConfig(
+            center=vector(obj["sphere"]["c"]),
+            radius=float(obj["sphere"]["r"]),
+            points=np.array([vector(row) for row in obj["points"]]),
+            circles=tuple(
+                SphereCircle(
+                    Plane(tuple(vector(c["n"])), float(c["d"])), vector(c["center"]), float(c["radius"])
+                )
+                for c in obj["circles"]
+            ),
+            incidence=tuple((int(p), int(j)) for p, j in obj["incidence"]),
         )
-        incidence = tuple((int(p), int(j)) for p, j in obj["incidence"])
-    return SphericalCircleConfig(
-        center=center, radius=radius, points=points, circles=circles, incidence=incidence
-    )
 
 
-def pointline_from_obj(obj: dict) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+def pointline_from_obj(obj: dict):
+    import numpy as np
+
     with _malformed("point-line"):
         points = np.array([[float(x), float(y)] for x, y in obj["points"]], dtype=float)
         lines = tuple(tuple(int(p) for p in line) for line in obj["lines"])
     return points, lines
 
 
+# Each kind once: the keys that identify it, tried in this order, and the
+# reader that converts it. A point-plane artifact is written, never read.
+_KINDS = {
+    "graph": (("order", "edges"), graph_from_obj),
+    "incidence": (("blocks", "points"), incidence_from_obj),
+    "layout": (("pos", "graph"), layout_from_obj),
+    "spherical": (("sphere",), spherical_from_obj),
+    "pointplane": (("planes",), None),
+    "skeleton": (("coords", "graph"), skeleton_from_obj),
+    "pointline": (("lines", "points"), pointline_from_obj),
+    "pcc": (("circles", "points"), pcc_from_obj),
+}
+
+
 def detect_kind(obj: Any) -> str:
     """Classify a loaded artifact by its key shape."""
     if not isinstance(obj, dict):
         raise ParameterError("artifact must be a JSON object")
-    if "order" in obj and "edges" in obj:
-        return "graph"
-    if "blocks" in obj and "points" in obj:
-        return "incidence"
-    if "pos" in obj and "graph" in obj:
-        return "layout"
-    if "sphere" in obj:
-        return "spherical"
-    if "planes" in obj:
-        return "pointplane"
-    if "coords" in obj and "graph" in obj:
-        return "skeleton"
-    if "lines" in obj and "points" in obj:
-        return "pointline"
-    if "circles" in obj and "points" in obj:
-        return "pcc"
+    for kind, (keys, _) in _KINDS.items():
+        if all(k in obj for k in keys):
+            return kind
     raise ParameterError("unrecognized artifact shape")
+
+
+def read(path: str, *kinds: str):
+    """Load the artifact at path, which must be of one of the given kinds,
+    and convert it with that kind's reader. A missing file, invalid JSON, an
+    unrecognized shape or another kind is a ParameterError."""
+    try:
+        obj = load(path)
+    except FileNotFoundError:
+        raise ParameterError(f"no such file: {path}")
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"{path} is not valid JSON: {exc}")
+    kind = detect_kind(obj)
+    if kind not in kinds:
+        want = ("an " if kinds[0][0] in "aeiou" else "a ") + " or ".join(kinds)
+        raise ParameterError(f"{path}: expected {want} artifact, found {kind}")
+    return _KINDS[kind][1](obj)

@@ -314,12 +314,11 @@ def layout_hypercube(d: int, angles=None, seed: int | None = None) -> Layout:
 
 
 def _hypercube_positions(d: int, angles: np.ndarray) -> np.ndarray:
-    units = np.column_stack([np.cos(angles), np.sin(angles)])
-    pos = np.zeros((1 << d, 2))
-    for v in range(1 << d):
-        for b in range(d):
-            if v >> b & 1:
-                pos[v] += units[b]
+    """Vertex v at the sum of the unit vectors of its set bits, added in
+    bit order: each step appends a translate of the vertices so far."""
+    pos = np.zeros((1, 2))
+    for u in np.column_stack([np.cos(angles), np.sin(angles)]):
+        pos = np.vstack([pos, pos + u])
     return pos
 
 
@@ -840,7 +839,7 @@ def _triple_point_hits(
     return matched
 
 
-def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircleConfig:
+def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
     """Evaluate proper / isometric / lineal / determining / perfect.
 
     determining follows the meet-point definition: cluster all pairwise
@@ -862,8 +861,6 @@ def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircle
     if len(cfg.circles) == 0 or len(cfg.points) == 0:
         raise ParameterError("flag check needs a non-empty configuration")
     t = dict(cfg.tols)
-    if tols:
-        t.update(tols)
     tol_inc = float(t.get("incidence", TOL_INCIDENCE))
     tol_sep = float(t.get("separation", TOL_SEPARATION))
     tol_clu = float(t.get("cluster", TOL_CLUSTER))

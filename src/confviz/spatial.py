@@ -418,10 +418,12 @@ def stereographic_project(
     points2 = project(cfg.points)
     anchors = [2.0 * math.pi * j / 3.0 for j in range(3)]
     angles = anchors + [math.pi / 6.0 + j * math.pi / 4.0 for j in range(8)]
+    cos = np.array([math.cos(a) for a in angles])[:, None]
+    sin = np.array([math.sin(a) for a in angles])[:, None]
     circles2 = []
     for v, sc in enumerate(cfg.circles):
         f1, f2 = _orthobasis(np.asarray(sc.plane.normal))
-        samples = sc.center + sc.radius * np.array([math.cos(a) * f1 + math.sin(a) * f2 for a in angles])
+        samples = sc.center + sc.radius * (cos * f1 + sin * f2)
         tri = project(samples[:3])
         image = circumcircle(tri[0], tri[1], tri[2])
         checks = project(samples[3:])

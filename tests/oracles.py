@@ -3,13 +3,17 @@
 The graph helpers work on plain (order, edges) data and deliberately avoid
 the library's own algorithms, so tests compare two separately written
 computations instead of a function against itself. The scalar circle
-intersection and flag check, the least-squares loop, the edge residual and
-the rotational-ansatz solve at the end are the loops that the library's
-array passes replaced; tests hold the two to the same answers.
+intersection and flag check, the least-squares loop, the edge residual,
+the rotational-ansatz solve and the hypercube position loop are the loops
+that the library's array passes replaced; the JSON emitter at the end is
+the one that branched on numpy types. Tests hold each pair to the same
+answers.
 """
 
+import json
 import math
 from itertools import combinations, permutations
+from typing import Any
 
 import numpy as np
 
@@ -402,3 +406,63 @@ def solve_unit_distance(g, *, seed=None, symmetry=None, tol=TOL_INCIDENCE, max_i
             layout.meta.update({"method": "lm", "seed": base_seed, "residual": residual})
             return layout, residual
     raise ConvergenceError("unit-distance solve exhausted restarts", residual=best)
+
+
+def hypercube_positions(d: int, angles: np.ndarray) -> np.ndarray:
+    units = np.column_stack([np.cos(angles), np.sin(angles)])
+    pos = np.zeros((1 << d, 2))
+    for v in range(1 << d):
+        for b in range(d):
+            if v >> b & 1:
+                pos[v] += units[b]
+    return pos
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON emitter with numpy branches, kept as an oracle for
+# confviz.jsonio.dumps
+
+
+def _emit(value: Any, out: list[str]) -> None:
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        v = float(value)
+        if not math.isfinite(v):
+            raise ParameterError("non-finite number in artifact")
+        out.append(format(v, ".17g"))
+    elif isinstance(value, str):
+        out.append(json.dumps(value))
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(value.items()):
+            if not isinstance(k, str):
+                raise ParameterError("artifact keys must be strings")
+            if i:
+                out.append(", ")
+            out.append(json.dumps(k))
+            out.append(": ")
+            _emit(v, out)
+        out.append("}")
+    elif isinstance(value, (list, tuple)) or isinstance(value, np.ndarray):
+        seq = value.tolist() if isinstance(value, np.ndarray) else value
+        out.append("[")
+        for i, v in enumerate(seq):
+            if i:
+                out.append(", ")
+            _emit(v, out)
+        out.append("]")
+    else:
+        raise ParameterError(f"cannot serialize {type(value).__name__}")
+
+
+def dumps(obj: Any) -> str:
+    out: list[str] = []
+    _emit(obj, out)
+    return "".join(out)

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import confviz
+from confviz import jsonio
 from confviz.cli import main
 
 
@@ -216,6 +217,59 @@ def test_malformed_artifact_is_usage_error(tmp_path, capsys):
     code, _, err = run(["vconstruct", str(bad)], capsys)
     assert code == 2
     assert "malformed graph object" in err
+
+
+KINDS = ("graph", "incidence", "layout", "pcc", "skeleton", "spherical", "pointplane", "pointline")
+
+# each artifact-reading subcommand, the arguments around the artifact path,
+# and the kinds it accepts
+READERS = {
+    "vconstruct": (["vconstruct"], [], {"graph", "layout"}),
+    "verify kronecker": (["verify", "kronecker"], [], {"graph", "layout"}),
+    "verify type": (["verify", "type"], [], {"incidence", "pcc"}),
+    "realize": (["realize"], [], {"graph", "layout"}),
+    "circles": (["circles"], [], {"layout"}),
+    "check": (["check"], [], {"pcc"}),
+    "n3realize": (["n3realize"], [], {"incidence", "pcc"}),
+    "invert": (["invert"], ["--center", "0.4", "0.37"], {"pointline"}),
+    "render": (["render"], ["-o", "pic.svg"], {"layout", "pcc"}),
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    lay = confviz.layout_polygon(5)
+    sk = confviz.polytope_data("dodecahedron")
+    objs = {
+        "graph": jsonio.graph_to_obj(lay.graph),
+        "incidence": jsonio.incidence_to_obj(confviz.fano_plane()),
+        "layout": jsonio.layout_to_obj(lay),
+        "pcc": jsonio.pcc_to_obj(confviz.circles_from_layout(lay, 1e-9, allow_degree_two=True)),
+        "skeleton": jsonio.skeleton_to_obj(sk),
+        "spherical": jsonio.spherical_to_obj(confviz.sphere_circles(sk)),
+        "pointplane": jsonio.pointplane_to_obj(confviz.point_plane_vconstruct(sk)),
+        "pointline": {"points": [[0, 0], [1, 0], [2, 0]], "lines": [[0, 1, 2]]},
+    }
+    root = tmp_path_factory.mktemp("kinds")
+    paths = {}
+    for kind, obj in objs.items():
+        paths[kind] = str(root / f"{kind}.json")
+        jsonio.save(paths[kind], obj)
+        assert jsonio.detect_kind(obj) == kind
+    return paths
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [(c, k) for c, (_, _, accepts) in READERS.items() for k in KINDS if k not in accepts],
+)
+def test_subcommand_rejects_other_kinds(command, kind, artifacts, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    head, tail, _ = READERS[command]
+    code, _, err = run([*head, artifacts[kind], *tail], capsys)
+    assert code == 2
+    assert f"artifact, found {kind}" in err and "expected a" in err
+    assert not (tmp_path / "pic.svg").exists()
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):

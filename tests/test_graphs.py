@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -80,6 +81,18 @@ def test_kneser_graphs():
     assert all(k73.degree(v) == 4 for v in range(35))
     with pytest.raises(ParameterError):
         kneser_graph(3, 2)
+
+
+def test_kneser_edges_match_all_pairs_definition():
+    for n in range(2, 12):
+        for k in range(1, n // 2 + 1):
+            verts = list(combinations(range(n), k))
+            expected = tuple(
+                (i, j)
+                for i, j in combinations(range(len(verts)), 2)
+                if not set(verts[i]) & set(verts[j])
+            )
+            assert kneser_graph(n, k).edges == expected, (n, k)
 
 
 def test_bipartite_kneser():

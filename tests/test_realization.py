@@ -32,9 +32,9 @@ from confviz.graphs import (
     pappus_graph,
     petersen_graph,
 )
-from confviz.realization import lm_least_squares
+from confviz.realization import _hypercube_positions, lm_least_squares
 
-from oracles import circle_residuals
+from oracles import circle_residuals, hypercube_positions
 
 
 def test_circle_validation():
@@ -145,6 +145,14 @@ def test_layout_hypercube_generic():
         assert unit_edge_residual(lay) < 1e-12
         dists = [np.linalg.norm(a - b) for i, a in enumerate(lay.pos) for b in lay.pos[i + 1:]]
         assert min(dists) > 1e-6
+
+
+def test_hypercube_positions_bit_equal_to_loop():
+    rng = np.random.default_rng(11)
+    for d in range(0, 9):
+        for _ in range(40):
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=d)
+            assert np.array_equal(_hypercube_positions(d, angles), hypercube_positions(d, angles))
 
 
 def test_layout_hypercube_degenerate_angles():

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from confviz import ParameterError, jsonio, polytope_data, sphere_circles
 from confviz.graphs import hypercube_graph, petersen_graph
 from confviz.incidence import fano_plane
-from confviz.realization import circles_from_layout, layout_polygon, solve_unit_distance
+from confviz.realization import (
+    check_flags,
+    circles_from_layout,
+    layout_polygon,
+    solve_unit_distance,
+)
+from confviz.spatial import point_plane_vconstruct
 
 
 def test_dumps_float_is_exact():
@@ -156,3 +164,93 @@ def test_save_appends_newline(tmp_path):
     with open(path, "rb") as fh:
         data = fh.read()
     assert data == b'{"a": 1}\n'
+
+
+# ---------------------------------------------------------------------------
+# the emitter against the numpy-branching oracle it replaced
+
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1 + 0.2]),
+)
+_int64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_good_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _finite,
+    st.text(max_size=8),
+    _finite.map(np.float64),
+    _int64.map(np.int64),
+    st.lists(_finite, max_size=5).map(lambda xs: np.array(xs, dtype=float)),
+    st.lists(st.tuples(_finite, _finite), max_size=4).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, 2)
+    ),
+    st.lists(_int64, max_size=5).map(lambda xs: np.array(xs, dtype=np.int64)),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    )
+
+
+_good = st.recursive(_good_leaf, _containers, max_leaves=20)
+_bad_leaf = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.sampled_from([np.float64(math.inf), np.float64(math.nan), np.array([1.0, math.inf])]),
+    st.sampled_from([{1: 0}, {None: "x"}, {(1, 2): []}]),
+    st.sampled_from([object(), {1, 2}, b"bytes", 1 + 2j, range(3)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_good)
+def test_dumps_matches_oracle_emitter(value):
+    assert jsonio.dumps(value) == oracles.dumps(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_good, _bad_leaf, st.integers(0, 3), st.booleans())
+def test_dumps_raises_where_oracle_emitter_raises(good, bad, depth, keyed):
+    for _ in range(depth):
+        bad = [bad]
+    value = {"good": good, "bad": bad} if keyed else [good, bad]
+    with pytest.raises(ParameterError):
+        oracles.dumps(value)
+    with pytest.raises(ParameterError):
+        jsonio.dumps(value)
+
+
+def test_every_artifact_kind_matches_oracle_emitter():
+    lay, _ = solve_unit_distance(petersen_graph(), symmetry=5, seed=0)
+    sk = polytope_data("dodecahedron")
+    objs = {
+        "graph": jsonio.graph_to_obj(petersen_graph()),
+        "incidence": jsonio.incidence_to_obj(fano_plane()),
+        "layout": jsonio.layout_to_obj(lay),
+        "pcc": jsonio.pcc_to_obj(check_flags(circles_from_layout(lay, 1e-9))),
+        "skeleton": jsonio.skeleton_to_obj(sk),
+        "spherical": jsonio.spherical_to_obj(sphere_circles(sk)),
+        "pointplane": jsonio.pointplane_to_obj(point_plane_vconstruct(sk)),
+        "pointline": {"points": np.eye(2), "lines": ((0, 1),)},
+    }
+    for kind, obj in objs.items():
+        assert jsonio.detect_kind(obj) == kind
+        assert jsonio.dumps(obj) == oracles.dumps(obj), kind
+
+
+def test_read_checks_kind_and_converts(tmp_path):
+    path = tmp_path / "g.json"
+    jsonio.save(str(path), jsonio.graph_to_obj(petersen_graph()))
+    assert jsonio.read(str(path), "graph") == petersen_graph()
+    with pytest.raises(ParameterError, match="expected an incidence or pcc artifact, found graph$"):
+        jsonio.read(str(path), "incidence", "pcc")
+    with pytest.raises(ParameterError, match="no such file"):
+        jsonio.read(str(tmp_path / "missing.json"), "graph")
+    path.write_text("{not json")
+    with pytest.raises(ParameterError, match="is not valid JSON"):
+        jsonio.read(str(path), "graph")
