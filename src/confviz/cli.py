@@ -142,9 +142,8 @@ def _cmd_verify(args) -> int:
     for i, part in enumerate(parts):
         print(f"component {i}: {incidence.classify(part).describe()}")
         if args.output:
-            stem, dot, ext = args.output.rpartition(".")
-            path = f"{stem}.{i}{dot}{ext}" if dot else f"{args.output}.{i}"
-            jsonio.save(path, jsonio.incidence_to_obj(part))
+            stem, ext = os.path.splitext(args.output)
+            jsonio.save(f"{stem}.{i}{ext}", jsonio.incidence_to_obj(part))
     return 0 if len(parts) > 1 else 1
 
 
@@ -280,8 +279,11 @@ def _cmd_render(args) -> int:
         text = render.render_layout(art, labels=args.labels)
     else:
         text = render.render_config(art, labels=args.labels)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {args.output}: {exc.strerror or exc}")
     print(f"wrote {args.output}")
     return 0
 

@@ -196,17 +196,39 @@ def lm_least_squares(
 # circles through points
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] . b[k], one BLAS dot per row: rounds as `@` and np.linalg.norm do."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_row_dots(a, a))
+
+
+def _circumcircles(p, q, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cx, cy, r) of the circles through the stacked planar triples p[k],
+    q[k], s[k] (a lone point broadcasts), each row with the arithmetic of a
+    single one. Raises DegeneracyError when a triple is collinear within
+    1e-12 of its longest side squared."""
+    p, q, s = (v.reshape(-1, 2) for v in np.broadcast_arrays(*(np.asarray(v, float) for v in (p, q, s))))
+    qp, sp = q - p, s - p
+    scale = np.maximum(np.maximum(_row_norms(qp), _row_norms(sp)), _row_norms(s - q))
+    cross = qp[:, 0] * sp[:, 1] - qp[:, 1] * sp[:, 0]
+    if np.any((scale == 0.0) | (np.abs(cross) <= 1e-12 * scale * scale)):
+        raise DegeneracyError("circumcircle of (nearly) collinear points")
+    pp = _row_dots(p, p)
+    b = np.column_stack([_row_dots(q, q) - pp, _row_dots(s, s) - pp])
+    center = np.linalg.solve(2.0 * np.stack([qp, sp], axis=1), b[:, :, None])[:, :, 0]
+    return center[:, 0], center[:, 1], _row_norms(p - center)
+
+
+def _circles(cx: np.ndarray, cy: np.ndarray, r: np.ndarray) -> tuple[Circle, ...]:
+    return tuple(map(Circle, cx.tolist(), cy.tolist(), r.tolist()))
+
+
 def circumcircle(p, q, s) -> Circle:
     """Circle through three non-collinear points (exact linear solve)."""
-    p, q, s = (np.asarray(v, dtype=float) for v in (p, q, s))
-    scale = max(np.linalg.norm(q - p), np.linalg.norm(s - p), np.linalg.norm(s - q))
-    cross = (q[0] - p[0]) * (s[1] - p[1]) - (q[1] - p[1]) * (s[0] - p[0])
-    if scale == 0.0 or abs(cross) <= 1e-12 * scale * scale:
-        raise DegeneracyError("circumcircle of (nearly) collinear points")
-    a = 2.0 * np.array([[q[0] - p[0], q[1] - p[1]], [s[0] - p[0], s[1] - p[1]]])
-    b = np.array([q @ q - p @ p, s @ s - p @ p])
-    center = np.linalg.solve(a, b)
-    return Circle(float(center[0]), float(center[1]), float(np.linalg.norm(p - center)))
+    return _circles(*_circumcircles(p, q, s))[0]
 
 
 def fit_circle(pts) -> tuple[Circle, float]:
@@ -253,9 +275,7 @@ def fit_circle(pts) -> tuple[Circle, float]:
 def unit_edge_residual(layout: Layout) -> float:
     """Largest deviation of an edge length from 1; 0.0 without edges."""
     eu, ev = _edge_arrays(layout.graph)
-    d = layout.pos[eu] - layout.pos[ev]
-    # the per-row dot product rounds as per-vector np.linalg.norm does
-    length = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    length = _row_norms(layout.pos[eu] - layout.pos[ev])
     return float(np.max(np.abs(length - 1.0), initial=0.0))
 
 
@@ -679,8 +699,7 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
         if np.any(np.abs(cross) <= _SAMPLE_MARGIN):
             rejections["collinear_block"] += 1
             continue
-        circles = tuple(circumcircle(pts[b[0]], pts[b[1]], pts[b[2]]) for b in c.blocks)
-        cx, cy, r = _circle_arrays(circles)
+        cx, cy, r = _circumcircles(p, q, s)
         # each circle has its own three points on it, so a fourth is foreign
         if np.any(np.count_nonzero(_circle_residuals(cx, cy, r, pts) <= _SAMPLE_MARGIN, axis=1) > 3):
             rejections["foreign_point"] += 1
@@ -688,7 +707,7 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
         if _triple_point_hits(cx, cy, r, pts, **tols) is None:
             rejections["stray_meet_point"] += 1
             continue
-        return PointCircleConfig(points=pts, circles=circles, incidence=incidence, flags={}, tols=tols)
+        return PointCircleConfig(pts, _circles(cx, cy, r), incidence, flags={}, tols=tols)
     counts = ", ".join(f"{k} {v}" for k, v in sorted(rejections.items(), key=lambda kv: -kv[1]) if v)
     raise SamplingError(
         f"no draw accepted in {_RESAMPLE_BUDGET} attempts ({counts})",
@@ -864,14 +883,13 @@ def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
     tol_inc = float(t.get("incidence", TOL_INCIDENCE))
     tol_sep = float(t.get("separation", TOL_SEPARATION))
     tol_clu = float(t.get("cluster", TOL_CLUSTER))
-    tol_rad = float(t.get("radius_spread", tol_inc))
     tol_through = max(tol_inc, tol_clu)
     cx, cy, r = _circle_arrays(cfg.circles)
     pts = cfg.points
 
     degenerate = _min_separation(pts) <= tol_sep
 
-    isometric = bool(r.max() - r.min() <= tol_rad)
+    isometric = bool(r.max() - r.min() <= tol_inc)
 
     # proper: some point on every circle exists iff it lies on the first two
     qx, qy = _meet_points(cx[:2], cy[:2], r[:2], tol_clu)
@@ -943,26 +961,16 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
         if dist_line <= TOL_SEPARATION:
             raise ParameterError("inversion center lies on a configuration line")
         lines_norm.append(idx)
-    for i, p in enumerate(pts):
-        if np.linalg.norm(p - ctr) <= TOL_SEPARATION:
-            raise ParameterError(f"inversion center coincides with point {i}")
-
-    def invert(p: np.ndarray) -> np.ndarray:
-        d = p - ctr
-        return ctr + (radius * radius / float(d @ d)) * d
-
-    images = np.array([invert(p) for p in pts])
-    circles = []
-    for idx in lines_norm:
-        circles.append(circumcircle(images[idx[0]], images[idx[1]], ctr))
+    d = pts - ctr
+    dd = _row_dots(d, d)
+    near = np.flatnonzero(np.sqrt(dd) <= TOL_SEPARATION)
+    if len(near):
+        raise ParameterError(f"inversion center coincides with point {near[0]}")
+    images = ctr + (radius * radius / dd)[:, None] * d
+    anchors = np.array([idx[:2] for idx in lines_norm], dtype=np.intp).reshape(-1, 2)
+    circles = _circles(*_circumcircles(images[anchors[:, 0]], images[anchors[:, 1]], ctr))
     incidence = tuple((p, k) for k, idx in enumerate(lines_norm) for p in idx)
-    cfg = PointCircleConfig(
-        points=images,
-        circles=tuple(circles),
-        incidence=incidence,
-        flags={},
-        tols=tol_record(),
-    )
+    cfg = PointCircleConfig(images, circles, incidence, flags={}, tols=tol_record())
     worst = cfg.max_incidence_residual()
     if worst > 1e-9 * scale:
         raise DegeneracyError(f"inverted incidences drift ({worst:.3e}); input too degenerate")

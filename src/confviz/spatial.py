@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -21,8 +20,8 @@ from .errors import (
     PolePlacementError,
 )
 from .graphs import Graph, structure_report
-from .realization import PointCircleConfig, circumcircle, tol_record
-from .realization import TOL_INCIDENCE, TOL_SEPARATION
+from .realization import TOL_INCIDENCE, TOL_SEPARATION, PointCircleConfig, tol_record
+from .realization import _circles, _circumcircles, _pair_indices, _row_dots, _row_norms
 
 POLYTOPE_NAMES = (
     "tetrahedron",
@@ -174,13 +173,12 @@ def reference_coordinates(name: str) -> np.ndarray:
     return np.array(sorted(rows), dtype=float)
 
 
-def _edges_by_min_distance(coords: np.ndarray) -> tuple[tuple[int, int], ...]:
-    n = len(coords)
-    dists = {}
-    for i, j in combinations(range(n), 2):
-        dists[(i, j)] = float(np.linalg.norm(coords[i] - coords[j]))
-    shortest = min(dists.values())
-    return tuple(sorted(e for e, d in dists.items() if d <= shortest * (1.0 + 1e-9)))
+def _edges_by_min_distance(coords: np.ndarray) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """The vertex pairs within 1e-9 relative of the shortest distance, and their lengths."""
+    i, j = _pair_indices(len(coords))
+    dist = _row_norms(coords[i] - coords[j])
+    near = dist <= dist.min() * (1.0 + 1e-9)
+    return tuple(zip(i[near].tolist(), j[near].tolist())), dist[near]
 
 
 def polytope_data(name: str) -> PolytopeSkeleton:
@@ -191,15 +189,14 @@ def polytope_data(name: str) -> PolytopeSkeleton:
     nv, ne, degree = _EXPECTED[name]
     if coords.shape != (nv, 3):
         raise DegeneracyError(f"{name}: construction has wrong vertex count")
-    edges = _edges_by_min_distance(coords)
+    edges, lengths = _edges_by_min_distance(coords)
     if len(edges) != ne:
         raise DegeneracyError(f"{name}: expected {ne} edges, derived {len(edges)}")
     g = Graph(nv, edges)
     if any(len(a) != degree for a in g.adjacency):
         raise DegeneracyError(f"{name}: skeleton is not {degree}-regular")
-    lengths = [float(np.linalg.norm(coords[u] - coords[v])) for u, v in edges]
-    span = max(lengths)
-    if span - min(lengths) > 1e-9 * span:
+    span = float(lengths.max())
+    if span - float(lengths.min()) > 1e-9 * span:
         raise DegeneracyError(f"{name}: edge lengths not equal within tolerance")
     center = coords.mean(axis=0)
     radii = np.linalg.norm(coords - center, axis=1)
@@ -231,12 +228,11 @@ def coplanarity(pts) -> tuple[Plane, float]:
     return plane, residual
 
 
-def _fit_neighbourhood_planes(
-    p: PolytopeSkeleton, tol: float
-) -> tuple[AdmissibilityReport, list[Plane]]:
-    """admissible_polytope's report, plus the neighbourhood planes it fitted."""
-    planes = []
-    worst = 0.0
+def _neighbourhood_planes(p: PolytopeSkeleton, tol: float) -> tuple[AdmissibilityReport, list[Plane]]:
+    """admissible_polytope's report, and the planes fitted up to the first
+    non-coplanar neighbourhood; a loop over vertices, so that the first bad
+    vertex is the one named."""
+    planes, worst, failing, pair = [], 0.0, None, None
     for v in range(p.graph.order):
         nbrs = list(p.graph.adjacency[v])
         if len(nbrs) < 3:
@@ -244,58 +240,53 @@ def _fit_neighbourhood_planes(
         plane, res = coplanarity(p.coords[nbrs])
         worst = max(worst, res)
         if res > tol:
-            report = AdmissibilityReport(
-                admissible=False,
-                coplanar=False,
-                max_residual=res,
-                failing_vertex=v,
-                planes_distinct=True,
-                coincident_pair=None,
-            )
-            return report, planes
+            failing = v
+            break
         planes.append(plane)
-    pairs = combinations(range(len(planes)), 2)
-    pair = next(((i, j) for i, j in pairs if planes[i].close_to(planes[j])), None)
+    if failing is None:
+        normals, offsets = _plane_arrays(planes)
+        i, j = _pair_indices(len(planes))
+        close = np.flatnonzero(
+            (np.max(np.abs(normals[i] - normals[j]), axis=1, initial=0.0) <= _PLANE_MATCH_TOL)
+            & (np.abs(offsets[i] - offsets[j]) <= _PLANE_MATCH_TOL)
+        )
+        pair = (int(i[close[0]]), int(j[close[0]])) if len(close) else None
     report = AdmissibilityReport(
-        admissible=pair is None,
-        coplanar=True,
+        admissible=failing is None and pair is None,
+        coplanar=failing is None,
         max_residual=worst,
-        failing_vertex=None,
+        failing_vertex=failing,
         planes_distinct=pair is None,
         coincident_pair=pair,
     )
     return report, planes
 
 
+def _plane_arrays(planes) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals (k, 3) and offsets (k,) of the planes."""
+    normals = np.array([pl.normal for pl in planes], dtype=float).reshape(-1, 3)
+    return normals, np.array([pl.offset for pl in planes], dtype=float)
+
+
 def admissible_polytope(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> AdmissibilityReport:
     """Neighbourhoods must be coplanar and span pairwise distinct planes."""
-    return _fit_neighbourhood_planes(p, tol)[0]
-
-
-def _neighbourhood_planes(p: PolytopeSkeleton, tol: float) -> list[Plane]:
-    report, planes = _fit_neighbourhood_planes(p, tol)
-    if not report.admissible:
-        raise AdmissibilityError(
-            f"{p.name}: {report.describe()}",
-            pair=report.coincident_pair,
-        )
-    return planes
+    return _neighbourhood_planes(p, tol)[0]
 
 
 def point_plane_vconstruct(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> PointPlaneConfig:
     """Spatial V-construction: one neighbourhood plane per vertex."""
-    planes = _neighbourhood_planes(p, tol)
-    incidence = []
-    worst = 0.0
-    for v in range(p.graph.order):
-        for u in p.graph.adjacency[v]:
-            incidence.append((u, v))
-            worst = max(worst, abs(float(planes[v].signed_distance(p.coords[u])[0])))
+    report, planes = _neighbourhood_planes(p, tol)
+    if not report.admissible:
+        raise AdmissibilityError(f"{p.name}: {report.describe()}", pair=report.coincident_pair)
+    incidence = sorted((u, v) for v in range(p.graph.order) for u in p.graph.adjacency[v])
+    u, v = np.array(incidence, dtype=np.intp).reshape(-1, 2).T
+    normals, offsets = _plane_arrays(planes)
+    residual = np.abs(_row_dots(p.coords[u], normals[v]) - offsets[v])
     return PointPlaneConfig(
         points=p.coords.copy(),
         planes=tuple(planes),
-        incidence=tuple(sorted(incidence)),
-        max_residual=worst,
+        incidence=tuple(incidence),
+        max_residual=float(np.max(residual, initial=0.0)),
     )
 
 
@@ -305,33 +296,22 @@ def sphere_circles(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> Spherical
     Vertices sit on the sphere by the load-time validation, so each
     neighbourhood lies on the circle its plane cuts out of the sphere.
     """
-    planes = _neighbourhood_planes(p, tol)
+    ppc = point_plane_vconstruct(p, tol)
+    normals, offsets = _plane_arrays(ppc.planes)
     center = p.coords.mean(axis=0)
     radius = float(np.mean(np.linalg.norm(p.coords - center, axis=1)))
-    circles = []
-    for v, plane in enumerate(planes):
-        n = np.asarray(plane.normal)
-        gap = float(plane.offset - n @ center)
-        if abs(gap) >= radius:
-            raise DegeneracyError(
-                f"neighbourhood plane of vertex {v} misses the circumsphere"
-            )
-        circles.append(
-            SphereCircle(
-                plane=plane,
-                center=center + gap * n,
-                radius=math.sqrt(radius * radius - gap * gap),
-            )
-        )
-    incidence = tuple(
-        sorted((u, v) for v in range(p.graph.order) for u in p.graph.adjacency[v])
-    )
+    gap = offsets - _row_dots(normals, center)
+    missed = np.flatnonzero(np.abs(gap) >= radius)
+    if len(missed):
+        raise DegeneracyError(f"neighbourhood plane of vertex {missed[0]} misses the circumsphere")
+    centers = center + gap[:, None] * normals
+    radii = np.sqrt(radius * radius - gap * gap)
     return SphericalCircleConfig(
         center=center,
         radius=radius,
-        points=p.coords.copy(),
-        circles=tuple(circles),
-        incidence=incidence,
+        points=ppc.points,
+        circles=tuple(map(SphereCircle, ppc.planes, centers, radii.tolist())),
+        incidence=ppc.incidence,
     )
 
 
@@ -340,23 +320,32 @@ def sphere_circles(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> Spherical
 
 
 def _orthobasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(u)))] = 1.0
+    """Unit vectors e1, e2 completing each unit row of u to a right-handed frame."""
+    axis = np.zeros_like(u)
+    np.put_along_axis(axis, np.argmin(np.abs(u), axis=-1)[..., None], 1.0, axis=-1)
     e1 = np.cross(u, axis)
-    e1 = e1 / np.linalg.norm(e1)
+    e1 = e1 / _row_norms(e1)[..., None]
     return e1, np.cross(u, e1)
 
 
-def _pole_clearance(cfg: SphericalCircleConfig, pole: np.ndarray) -> float:
-    """Distance from the pole to the nearest configuration point or circle."""
-    clearance = float(np.min(np.linalg.norm(cfg.points - pole, axis=1)))
-    for sc in cfg.circles:
-        n = np.asarray(sc.plane.normal)
-        v = pole - sc.center
-        axial = float(n @ v)
-        planar = float(np.linalg.norm(v - axial * n))
-        clearance = min(clearance, math.hypot(planar - sc.radius, axial))
-    return clearance
+def _sphere_circle_arrays(cfg: SphericalCircleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plane normals (C, 3), centers (C, 3) and radii (C,) of the sphere circles."""
+    normals = np.array([sc.plane.normal for sc in cfg.circles], dtype=float).reshape(-1, 3)
+    centers = np.array([sc.center for sc in cfg.circles], dtype=float).reshape(-1, 3)
+    return normals, centers, np.array([sc.radius for sc in cfg.circles], dtype=float)
+
+
+def _pole_clearance(cfg: SphericalCircleConfig, circles, pole: np.ndarray) -> float:
+    """Distance from the pole to the nearest configuration point or circle;
+    circles are cfg's as _sphere_circle_arrays gives them."""
+    normals, centers, radii = circles
+    v = pole - centers
+    axial = _row_dots(normals, v)
+    planar = _row_norms(v - axial[:, None] * normals)
+    # math.hypot as in the per-circle loop: np.hypot differs from it in the
+    # last bit on some inputs
+    ring = min(map(math.hypot, (planar - radii).tolist(), axial.tolist()), default=math.inf)
+    return min(float(np.min(np.linalg.norm(cfg.points - pole, axis=1))), ring)
 
 
 def stereographic_project(
@@ -369,77 +358,75 @@ def stereographic_project(
 
     The image plane passes through the sphere center orthogonal to the pole
     direction. Each image circle is the circumcircle of three projected
-    samples, cross-checked on eight more samples within tol. With pole=None
+    samples, cross-checked on eight more samples within tol; all circles are
+    sampled, projected, fitted and checked in one array pass. With pole=None
     the antipode of the mean oriented plane pole is tried first, then up to
-    256 seeded random poles; explicit poles only need to clear points and
-    circles by the separation tolerance.
+    256 seeded random poles; an explicit pole must be a finite 3-vector on
+    the sphere that clears points and circles by the separation tolerance.
     """
     r = cfg.radius
+    circles = _sphere_circle_arrays(cfg)
+    normals, centers, radii = circles
     if pole is not None:
-        pole = np.asarray(pole, dtype=float)
+        try:
+            pole = np.asarray(pole, dtype=float)
+        except (TypeError, ValueError):
+            pole = None
+        if pole is None or pole.shape != (3,) or not np.all(np.isfinite(pole)):
+            raise ParameterError("explicit pole must be a finite 3-vector")
         if abs(float(np.linalg.norm(pole - cfg.center)) - r) > TOL_SEPARATION * r:
             raise ParameterError("explicit pole must lie on the sphere")
-        if _pole_clearance(cfg, pole) <= TOL_SEPARATION * r:
+        if _pole_clearance(cfg, circles, pole) <= TOL_SEPARATION * r:
             raise PolePlacementError("pole touches a configuration point or circle")
     else:
-        margin = 1e-3 * r
         candidates = []
-        oriented = np.array(
-            [cfg.center + r * np.asarray(sc.plane.normal) for sc in cfg.circles]
-        )
-        mean = oriented.mean(axis=0) - cfg.center
+        mean = (cfg.center + r * normals).mean(axis=0) - cfg.center
         if np.linalg.norm(mean) > 1e-9 * r:
             candidates.append(cfg.center - r * mean / np.linalg.norm(mean))
-        rng = np.random.default_rng(seed)
-        for _ in range(256):
-            v = rng.normal(size=3)
-            candidates.append(cfg.center + r * v / np.linalg.norm(v))
-        pole = None
-        for cand in candidates:
-            if _pole_clearance(cfg, cand) > margin:
-                pole = cand
-                break
+        draws = np.random.default_rng(seed).normal(size=(256, 3))
+        candidates.extend(cfg.center + r * draws / _row_norms(draws)[:, None])
+        # the search stops at the first clear candidate, so it stays a loop
+        pole = next((c for c in candidates if _pole_clearance(cfg, circles, c) > 1e-3 * r), None)
         if pole is None:
             raise PolePlacementError("no pole cleared all points and circles")
 
     u = (pole - cfg.center) / r
     e1, e2 = _orthobasis(u)
 
-    def project(pts: np.ndarray) -> np.ndarray:
+    def project(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Plane images of points (last axis) and which lie on the pole (their images are void)."""
         pts = np.atleast_2d(pts)
         denom = (pts - pole) @ u
-        if np.any(np.abs(denom) < 1e-12 * r):
-            raise DegeneracyError("projected point coincides with the pole")
-        t = -r / denom
-        images = pole + t[:, None] * (pts - pole)
-        rel = images - cfg.center
-        return np.column_stack([rel @ e1, rel @ e2])
+        hit = np.abs(denom) < 1e-12 * r
+        rel = pole + (-r / np.where(hit, 1.0, denom))[..., None] * (pts - pole) - cfg.center
+        return np.stack([rel @ e1, rel @ e2], axis=-1), hit
 
-    points2 = project(cfg.points)
+    points2, hit = project(cfg.points)
+    if np.any(hit):
+        raise DegeneracyError("projected point coincides with the pole")
     anchors = [2.0 * math.pi * j / 3.0 for j in range(3)]
     angles = anchors + [math.pi / 6.0 + j * math.pi / 4.0 for j in range(8)]
     cos = np.array([math.cos(a) for a in angles])[:, None]
     sin = np.array([math.sin(a) for a in angles])[:, None]
-    circles2 = []
-    for v, sc in enumerate(cfg.circles):
-        f1, f2 = _orthobasis(np.asarray(sc.plane.normal))
-        samples = sc.center + sc.radius * (cos * f1 + sin * f2)
-        tri = project(samples[:3])
-        image = circumcircle(tri[0], tri[1], tri[2])
-        checks = project(samples[3:])
-        drift = float(np.max(np.abs(image.residual(checks))))
-        if drift > tol:
-            raise DegeneracyError(
-                f"image of circle {v} fails the sample check (drift {drift:.3e})"
-            )
-        circles2.append(image)
-    out = PointCircleConfig(
-        points=points2,
-        circles=tuple(circles2),
-        incidence=cfg.incidence,
-        flags={},
-        tols=tol_record(tol),
-    )
+    f1, f2 = _orthobasis(normals)
+    samples = centers[:, None] + radii[:, None, None] * (cos * f1[:, None] + sin * f2[:, None])
+    # anchors and checks go in separate stacks: each row block is then the
+    # same matrix-vector product as a single circle's
+    tri, tri_hit = project(samples[:, :3])
+    checks, check_hit = project(samples[:, 3:])
+    hit = np.any(tri_hit, axis=1) | np.any(check_hit, axis=1)
+    cx, cy, rad = np.full((3, len(radii)), np.nan)
+    cx[~hit], cy[~hit], rad[~hit] = _circumcircles(*tri[~hit].transpose(1, 0, 2))
+    off = np.hypot(checks[..., 0] - cx[:, None], checks[..., 1] - cy[:, None]) - rad[:, None]
+    drift = np.max(np.abs(off), axis=1)
+    # the first circle that fails, in order, names the failure
+    failed = np.flatnonzero(hit | (drift > tol))
+    if len(failed) and hit[failed[0]]:
+        raise DegeneracyError("projected point coincides with the pole")
+    if len(failed):
+        v = failed[0]
+        raise DegeneracyError(f"image of circle {v} fails the sample check (drift {drift[v]:.3e})")
+    out = PointCircleConfig(points2, _circles(cx, cy, rad), cfg.incidence, flags={}, tols=tol_record(tol))
     worst = out.max_incidence_residual()
     if worst > tol:
         raise DegeneracyError(f"projected incidences drift ({worst:.3e})")

@@ -5,9 +5,10 @@ the library's own algorithms, so tests compare two separately written
 computations instead of a function against itself. The scalar circle
 intersection and flag check, the least-squares loop, the edge residual,
 the rotational-ansatz solve and the hypercube position loop are the loops
-that the library's array passes replaced; the JSON emitter at the end is
-the one that branched on numpy types. Tests hold each pair to the same
-answers.
+that the library's array passes replaced; so are, after the JSON emitter
+that branched on numpy types, the scalar circumcircle with its per-block,
+per-line and per-circle callers and spatial's per-pair, per-plane and
+per-circle loops. Tests hold each pair to the same answers.
 """
 
 import json
@@ -17,9 +18,19 @@ from typing import Any
 
 import numpy as np
 
-from confviz import iso
-from confviz.errors import ConvergenceError, ParameterError
+from confviz import iso, realization
+from confviz.errors import (
+    AdmissibilityError,
+    ConvergenceError,
+    DegeneracyError,
+    ParameterError,
+    PolePlacementError,
+    SamplingError,
+)
+from confviz.incidence import IncidenceStructure
 from confviz.realization import (
+    _RESAMPLE_BUDGET,
+    _SAMPLE_MARGIN,
     TOL_CLUSTER,
     TOL_INCIDENCE,
     TOL_SEPARATION,
@@ -28,6 +39,15 @@ from confviz.realization import (
     PointCircleConfig,
     _edge_arrays,
     _solve_coordinates,
+)
+from confviz.spatial import (
+    AdmissibilityReport,
+    Plane,
+    PointPlaneConfig,
+    PolytopeSkeleton,
+    SphereCircle,
+    SphericalCircleConfig,
+    coplanarity,
 )
 
 
@@ -466,3 +486,360 @@ def dumps(obj: Any) -> str:
     out: list[str] = []
     _emit(obj, out)
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# the scalar circumcircle and its per-block, per-line and per-circle callers,
+# and spatial's per-pair, per-plane and per-circle loops: the versions that
+# _circumcircles and the array passes in confviz.spatial replaced
+
+
+def circumcircle(p, q, s) -> Circle:
+    """Circle through three non-collinear points (exact linear solve)."""
+    p, q, s = (np.asarray(v, dtype=float) for v in (p, q, s))
+    scale = max(np.linalg.norm(q - p), np.linalg.norm(s - p), np.linalg.norm(s - q))
+    cross = (q[0] - p[0]) * (s[1] - p[1]) - (q[1] - p[1]) * (s[0] - p[0])
+    if scale == 0.0 or abs(cross) <= 1e-12 * scale * scale:
+        raise DegeneracyError("circumcircle of (nearly) collinear points")
+    a = 2.0 * np.array([[q[0] - p[0], q[1] - p[1]], [s[0] - p[0], s[1] - p[1]]])
+    b = np.array([q @ q - p @ p, s @ s - p @ p])
+    center = np.linalg.solve(a, b)
+    return Circle(float(center[0]), float(center[1]), float(np.linalg.norm(p - center)))
+
+
+def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
+    """Realize a structure with 3-point blocks as random points and the
+    blocks' circumcircles.
+
+    Points are drawn uniformly in the unit square, up to _RESAMPLE_BUDGET
+    times. A draw is accepted when, with margin 1e-4:
+    1. every two points are more than the margin apart;
+    2. no block's three points are within the margin of collinear;
+    3. no point outside a block lies within the margin of its circle;
+    4. every point where three or more circles meet is a configuration
+       point (check_flags' determining test, at the realization.tol_record() tolerances).
+    Each circle then passes through its own three points and no other, and
+    circles meet three at a time only at configuration points: check_flags
+    reads the blocks back, and finds the result determining when every
+    point lies on three blocks or more. Raises SamplingError, with the
+    attempts made and the rejections per condition, when no draw passes.
+    """
+    if any(len(b) != 3 for b in c.blocks):
+        raise ParameterError("realize_n3 needs every block to have exactly 3 points")
+    if c.points < 3:
+        raise ParameterError("realize_n3 needs at least 3 points")
+    blocks = np.array(c.blocks, dtype=np.intp).reshape(-1, 3)
+    incidence = tuple((p, k) for k, blk in enumerate(c.blocks) for p in blk)
+    tols = realization.tol_record()
+    rejections = dict.fromkeys(("separation", "collinear_block", "foreign_point", "stray_meet_point"), 0)
+    rng = np.random.default_rng(seed)
+    for _ in range(_RESAMPLE_BUDGET):
+        pts = rng.uniform(0.0, 1.0, size=(c.points, 2))
+        if realization._min_separation(pts) <= _SAMPLE_MARGIN:
+            rejections["separation"] += 1
+            continue
+        p, q, s = pts[blocks].transpose(1, 0, 2)
+        cross = (q[:, 0] - p[:, 0]) * (s[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (s[:, 0] - p[:, 0])
+        if np.any(np.abs(cross) <= _SAMPLE_MARGIN):
+            rejections["collinear_block"] += 1
+            continue
+        circles = tuple(circumcircle(pts[b[0]], pts[b[1]], pts[b[2]]) for b in c.blocks)
+        cx, cy, r = realization._circle_arrays(circles)
+        # each circle has its own three points on it, so a fourth is foreign
+        if np.any(np.count_nonzero(realization._circle_residuals(cx, cy, r, pts) <= _SAMPLE_MARGIN, axis=1) > 3):
+            rejections["foreign_point"] += 1
+            continue
+        if realization._triple_point_hits(cx, cy, r, pts, **tols) is None:
+            rejections["stray_meet_point"] += 1
+            continue
+        return PointCircleConfig(points=pts, circles=circles, incidence=incidence, flags={}, tols=tols)
+    counts = ", ".join(f"{k} {v}" for k, v in sorted(rejections.items(), key=lambda kv: -kv[1]) if v)
+    raise SamplingError(
+        f"no draw accepted in {_RESAMPLE_BUDGET} attempts ({counts})",
+        seed=seed, attempts=_RESAMPLE_BUDGET, rejections=rejections,
+    )
+
+
+def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleConfig:
+    """Circle inversion of a point-line configuration.
+
+    Every line misses the center, so its image is a circle through the
+    center; the output is therefore never proper, which is the point of the
+    construction. Incidences carry over verbatim.
+    """
+    pts = np.asarray(points, dtype=float)
+    ctr = np.asarray(center, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ParameterError("points must be an (n, 2) table")
+    if ctr.shape != (2,):
+        raise ParameterError("center must be a planar point")
+    if radius <= 0:
+        raise ParameterError("inversion radius must be positive")
+    scale = max(1.0, float(np.max(np.abs(pts))))
+    lines_norm: list[tuple[int, ...]] = []
+    for line in lines:
+        idx = tuple(int(p) for p in line)
+        if len(idx) < 2 or len(set(idx)) != len(idx):
+            raise ParameterError(f"line {idx} needs at least two distinct points")
+        if any(p < 0 or p >= len(pts) for p in idx):
+            raise ParameterError(f"line {idx} outside point range")
+        a, b = pts[idx[0]], pts[idx[1]]
+        direction = b - a
+        norm = np.linalg.norm(direction)
+        if norm <= TOL_SEPARATION:
+            raise DegeneracyError(f"line {idx} anchors coincide")
+        for p in idx[2:]:
+            off = pts[p] - a
+            area2 = abs(direction[0] * off[1] - direction[1] * off[0])
+            if area2 > 1e-9 * scale * scale:
+                raise DegeneracyError(f"points of line {idx} are not collinear")
+        # distance from the inversion center to the carrier line
+        off = ctr - a
+        dist_line = abs(direction[0] * off[1] - direction[1] * off[0]) / norm
+        if dist_line <= TOL_SEPARATION:
+            raise ParameterError("inversion center lies on a configuration line")
+        lines_norm.append(idx)
+    for i, p in enumerate(pts):
+        if np.linalg.norm(p - ctr) <= TOL_SEPARATION:
+            raise ParameterError(f"inversion center coincides with point {i}")
+
+    def invert(p: np.ndarray) -> np.ndarray:
+        d = p - ctr
+        return ctr + (radius * radius / float(d @ d)) * d
+
+    images = np.array([invert(p) for p in pts])
+    circles = []
+    for idx in lines_norm:
+        circles.append(circumcircle(images[idx[0]], images[idx[1]], ctr))
+    incidence = tuple((p, k) for k, idx in enumerate(lines_norm) for p in idx)
+    cfg = PointCircleConfig(
+        points=images,
+        circles=tuple(circles),
+        incidence=incidence,
+        flags={},
+        tols=realization.tol_record(),
+    )
+    worst = cfg.max_incidence_residual()
+    if worst > 1e-9 * scale:
+        raise DegeneracyError(f"inverted incidences drift ({worst:.3e}); input too degenerate")
+    return cfg
+
+
+def _edges_by_min_distance(coords: np.ndarray) -> tuple[tuple[int, int], ...]:
+    n = len(coords)
+    dists = {}
+    for i, j in combinations(range(n), 2):
+        dists[(i, j)] = float(np.linalg.norm(coords[i] - coords[j]))
+    shortest = min(dists.values())
+    return tuple(sorted(e for e, d in dists.items() if d <= shortest * (1.0 + 1e-9)))
+
+
+def _fit_neighbourhood_planes(
+    p: PolytopeSkeleton, tol: float
+) -> tuple[AdmissibilityReport, list[Plane]]:
+    """admissible_polytope's report, plus the neighbourhood planes it fitted."""
+    planes = []
+    worst = 0.0
+    for v in range(p.graph.order):
+        nbrs = list(p.graph.adjacency[v])
+        if len(nbrs) < 3:
+            raise ParameterError(f"vertex {v} has fewer than 3 neighbours")
+        plane, res = coplanarity(p.coords[nbrs])
+        worst = max(worst, res)
+        if res > tol:
+            report = AdmissibilityReport(
+                admissible=False,
+                coplanar=False,
+                max_residual=res,
+                failing_vertex=v,
+                planes_distinct=True,
+                coincident_pair=None,
+            )
+            return report, planes
+        planes.append(plane)
+    pairs = combinations(range(len(planes)), 2)
+    pair = next(((i, j) for i, j in pairs if planes[i].close_to(planes[j])), None)
+    report = AdmissibilityReport(
+        admissible=pair is None,
+        coplanar=True,
+        max_residual=worst,
+        failing_vertex=None,
+        planes_distinct=pair is None,
+        coincident_pair=pair,
+    )
+    return report, planes
+
+
+def admissible_polytope(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> AdmissibilityReport:
+    """Neighbourhoods must be coplanar and span pairwise distinct planes."""
+    return _fit_neighbourhood_planes(p, tol)[0]
+
+
+def _neighbourhood_planes(p: PolytopeSkeleton, tol: float) -> list[Plane]:
+    report, planes = _fit_neighbourhood_planes(p, tol)
+    if not report.admissible:
+        raise AdmissibilityError(
+            f"{p.name}: {report.describe()}",
+            pair=report.coincident_pair,
+        )
+    return planes
+
+
+def point_plane_vconstruct(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> PointPlaneConfig:
+    """Spatial V-construction: one neighbourhood plane per vertex."""
+    planes = _neighbourhood_planes(p, tol)
+    incidence = []
+    worst = 0.0
+    for v in range(p.graph.order):
+        for u in p.graph.adjacency[v]:
+            incidence.append((u, v))
+            worst = max(worst, abs(float(planes[v].signed_distance(p.coords[u])[0])))
+    return PointPlaneConfig(
+        points=p.coords.copy(),
+        planes=tuple(planes),
+        incidence=tuple(sorted(incidence)),
+        max_residual=worst,
+    )
+
+
+def sphere_circles(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> SphericalCircleConfig:
+    """Cut each neighbourhood plane with the circumsphere.
+
+    Vertices sit on the sphere by the load-time validation, so each
+    neighbourhood lies on the circle its plane cuts out of the sphere.
+    """
+    planes = _neighbourhood_planes(p, tol)
+    center = p.coords.mean(axis=0)
+    radius = float(np.mean(np.linalg.norm(p.coords - center, axis=1)))
+    circles = []
+    for v, plane in enumerate(planes):
+        n = np.asarray(plane.normal)
+        gap = float(plane.offset - n @ center)
+        if abs(gap) >= radius:
+            raise DegeneracyError(
+                f"neighbourhood plane of vertex {v} misses the circumsphere"
+            )
+        circles.append(
+            SphereCircle(
+                plane=plane,
+                center=center + gap * n,
+                radius=math.sqrt(radius * radius - gap * gap),
+            )
+        )
+    incidence = tuple(
+        sorted((u, v) for v in range(p.graph.order) for u in p.graph.adjacency[v])
+    )
+    return SphericalCircleConfig(
+        center=center,
+        radius=radius,
+        points=p.coords.copy(),
+        circles=tuple(circles),
+        incidence=incidence,
+    )
+
+
+def _orthobasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    axis = np.zeros(3)
+    axis[int(np.argmin(np.abs(u)))] = 1.0
+    e1 = np.cross(u, axis)
+    e1 = e1 / np.linalg.norm(e1)
+    return e1, np.cross(u, e1)
+
+
+def _pole_clearance(cfg: SphericalCircleConfig, pole: np.ndarray) -> float:
+    """Distance from the pole to the nearest configuration point or circle."""
+    clearance = float(np.min(np.linalg.norm(cfg.points - pole, axis=1)))
+    for sc in cfg.circles:
+        n = np.asarray(sc.plane.normal)
+        v = pole - sc.center
+        axial = float(n @ v)
+        planar = float(np.linalg.norm(v - axial * n))
+        clearance = min(clearance, math.hypot(planar - sc.radius, axial))
+    return clearance
+
+
+def stereographic_project(
+    cfg: SphericalCircleConfig,
+    pole=None,
+    seed: int = 0,
+    tol: float = TOL_INCIDENCE,
+) -> tuple[PointCircleConfig, np.ndarray]:
+    """Project sphere circles to plane circles through a clear pole.
+
+    The image plane passes through the sphere center orthogonal to the pole
+    direction. Each image circle is the circumcircle of three projected
+    samples, cross-checked on eight more samples within tol. With pole=None
+    the antipode of the mean oriented plane pole is tried first, then up to
+    256 seeded random poles; explicit poles only need to clear points and
+    circles by the separation tolerance.
+    """
+    r = cfg.radius
+    if pole is not None:
+        pole = np.asarray(pole, dtype=float)
+        if abs(float(np.linalg.norm(pole - cfg.center)) - r) > TOL_SEPARATION * r:
+            raise ParameterError("explicit pole must lie on the sphere")
+        if _pole_clearance(cfg, pole) <= TOL_SEPARATION * r:
+            raise PolePlacementError("pole touches a configuration point or circle")
+    else:
+        margin = 1e-3 * r
+        candidates = []
+        oriented = np.array(
+            [cfg.center + r * np.asarray(sc.plane.normal) for sc in cfg.circles]
+        )
+        mean = oriented.mean(axis=0) - cfg.center
+        if np.linalg.norm(mean) > 1e-9 * r:
+            candidates.append(cfg.center - r * mean / np.linalg.norm(mean))
+        rng = np.random.default_rng(seed)
+        for _ in range(256):
+            v = rng.normal(size=3)
+            candidates.append(cfg.center + r * v / np.linalg.norm(v))
+        pole = None
+        for cand in candidates:
+            if _pole_clearance(cfg, cand) > margin:
+                pole = cand
+                break
+        if pole is None:
+            raise PolePlacementError("no pole cleared all points and circles")
+
+    u = (pole - cfg.center) / r
+    e1, e2 = _orthobasis(u)
+
+    def project(pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(pts)
+        denom = (pts - pole) @ u
+        if np.any(np.abs(denom) < 1e-12 * r):
+            raise DegeneracyError("projected point coincides with the pole")
+        t = -r / denom
+        images = pole + t[:, None] * (pts - pole)
+        rel = images - cfg.center
+        return np.column_stack([rel @ e1, rel @ e2])
+
+    points2 = project(cfg.points)
+    anchors = [2.0 * math.pi * j / 3.0 for j in range(3)]
+    angles = anchors + [math.pi / 6.0 + j * math.pi / 4.0 for j in range(8)]
+    cos = np.array([math.cos(a) for a in angles])[:, None]
+    sin = np.array([math.sin(a) for a in angles])[:, None]
+    circles2 = []
+    for v, sc in enumerate(cfg.circles):
+        f1, f2 = _orthobasis(np.asarray(sc.plane.normal))
+        samples = sc.center + sc.radius * (cos * f1 + sin * f2)
+        tri = project(samples[:3])
+        image = circumcircle(tri[0], tri[1], tri[2])
+        checks = project(samples[3:])
+        drift = float(np.max(np.abs(image.residual(checks))))
+        if drift > tol:
+            raise DegeneracyError(
+                f"image of circle {v} fails the sample check (drift {drift:.3e})"
+            )
+        circles2.append(image)
+    out = PointCircleConfig(
+        points=points2,
+        circles=tuple(circles2),
+        incidence=cfg.incidence,
+        flags={},
+        tols=realization.tol_record(tol),
+    )
+    worst = out.max_incidence_residual()
+    if worst > tol:
+        raise DegeneracyError(f"projected incidences drift ({worst:.3e})")
+    return out, pole

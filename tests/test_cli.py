@@ -211,6 +211,38 @@ def test_missing_file_is_usage_error(capsys):
     assert run(["vconstruct", "/nonexistent/g.json"], capsys)[0] == 2
 
 
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code, _, err = run(["gen", "petersen", "-o", str(missing / "g.json")], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {missing / 'g.json'}: ")
+    lay = str(tmp_path / "lay.json")
+    assert run(["realize", "--layout", "polygon", "--n", "5", "-o", lay], capsys)[0] == 0
+    code, _, err = run(["render", lay, "-o", str(missing / "x.svg")], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {missing / 'x.svg'}: ")
+    assert not missing.exists()
+
+
+def test_unreadable_input_is_usage_error(tmp_path, capsys):
+    code, _, err = run(["check", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot read {tmp_path}: ")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(["check", str(binary)], capsys)
+    assert code == 2
+    assert "is not valid JSON" in err
+
+
+def test_decompose_parts_keep_a_dotted_directory(tmp_path, capsys):
+    c = str(tmp_path / "qc.json")
+    assert run(["vconstruct", "hypercube(3)", "-o", c], capsys)[0] == 0
+    (tmp_path / "run.d").mkdir()
+    assert run(["verify", "decompose", c, "-o", str(tmp_path / "run.d" / "parts")], capsys)[0] == 0
+    assert sorted(p.name for p in (tmp_path / "run.d").iterdir()) == ["parts.0", "parts.1"]
+
+
 def test_malformed_artifact_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"order": "ten", "edges": []}')

@@ -86,6 +86,21 @@ def test_isometric_spread():
     assert not check_flags(cfg).flags["isometric"]
 
 
+def test_isometric_reads_only_the_incidence_tolerance():
+    # radii 1 and 1 + 1e-6: equal within a loose incidence tolerance only;
+    # a radius_spread entry in tols is carried along but not read
+    pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [4.000001, 3.0], [3.0, 4.000001], [1.999999, 3.0]])
+    circles = (Circle(0, 0, 1.0), Circle(3.0, 3.0, 1.000001))
+    incidence = ((0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (5, 1))
+    for tols, isometric in (
+        ({"incidence": 1e-9, "radius_spread": 1.0}, False),
+        ({"incidence": 1e-5, "radius_spread": 1e-12}, True),
+    ):
+        cfg = check_flags(PointCircleConfig(pts, circles, incidence, flags={}, tols=tols))
+        assert cfg.flags["isometric"] is isometric
+        assert cfg.tols == tols
+
+
 def test_lineal_fails_when_circles_share_two_points():
     # two unit circles through both (0.5, +-h)
     h = math.sqrt(3) / 2

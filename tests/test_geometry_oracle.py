@@ -1,0 +1,324 @@
+"""The circumcircle kernel and spatial's array passes against the loops they
+replaced (tests/oracles.py), bit for bit: arrays, circles, planes, poles and
+residuals, and for a failure the same exception type and message."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from confviz import build_family, fano_plane, pappus_structure, v_construct
+from confviz.errors import DegeneracyError
+from confviz.graphs import generalized_petersen_graph
+from confviz.incidence import IncidenceStructure
+from confviz.pappus import derive_pappus_points
+from confviz.realization import _circumcircles, invert_pointline, realize_n3
+from confviz.spatial import (
+    POLYTOPE_NAMES,
+    PolytopeSkeleton,
+    _edges_by_min_distance,
+    _orthobasis,
+    _pole_clearance,
+    _sphere_circle_arrays,
+    admissible_polytope,
+    point_plane_vconstruct,
+    polytope_data,
+    reference_coordinates,
+    sphere_circles,
+    stereographic_project,
+)
+
+ADMISSIBLE = tuple(name for name in POLYTOPE_NAMES if name != "octahedron")
+
+
+def bits(values) -> bytes:
+    """The exact doubles, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def circle_bits(circles) -> bytes:
+    return bits([(c.cx, c.cy, c.r) for c in circles])
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type, message and counters of what it raised."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the failure itself is compared
+        return "raised", (type(exc), str(exc), getattr(exc, "rejections", None), getattr(exc, "pair", None))
+
+
+def assert_same_pcc(a, b):
+    assert bits(a.points) == bits(b.points)
+    assert circle_bits(a.circles) == circle_bits(b.circles)
+    assert a.incidence == b.incidence
+    assert a.flags == b.flags and a.tols == b.tols
+
+
+def assert_same_outcome(new, old, compare):
+    assert new[0] == old[0], (new, old)
+    if new[0] == "raised":
+        assert new[1] == old[1]
+    else:
+        compare(new[1], old[1])
+
+
+# ---------------------------------------------------------------------------
+# the kernel
+
+
+coordinate = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+point = st.tuples(coordinate, coordinate)
+
+
+@st.composite
+def triples(draw):
+    """A triple at scale 1e-3..1e3: general, or within about 1e-12 of
+    collinear (the refusal threshold), or with a repeated point."""
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    p, q = (np.array(draw(point)) * scale for _ in range(2))
+    kind = draw(st.sampled_from(["general", "near", "repeat"]))
+    if kind == "general":
+        s = np.array(draw(point)) * scale
+    elif kind == "near":
+        t = draw(st.floats(-2.0, 3.0))
+        off = draw(st.floats(-4e-12, 4e-12)) * scale
+        d = q - p
+        s = p + t * d + off * np.array([-d[1], d[0]])
+    else:
+        s = p.copy()
+    return p, q, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(triples(), min_size=1, max_size=12))
+def test_circumcircles_match_scalar_circumcircle(rows):
+    expected = [outcome(oracles.circumcircle, *row) for row in rows]
+    for row, (status, value) in zip(rows, expected):
+        got = outcome(_circumcircles, *row)
+        assert got[0] == status
+        if status == "raised":
+            assert got[1] == value
+    kept = [row for row, (status, _) in zip(rows, expected) if status == "ok"]
+    p, q, s = (np.array([row[k] for row in kept]).reshape(-1, 2) for k in range(3))
+    cx, cy, r = _circumcircles(p, q, s)
+    assert bits(np.column_stack([cx, cy, r])) == circle_bits([v for status, v in expected if status == "ok"])
+    if len(kept) < len(rows):
+        p, q, s = (np.array([row[k] for row in rows]) for k in range(3))
+        with pytest.raises(DegeneracyError, match=r"^circumcircle of \(nearly\) collinear points$"):
+            _circumcircles(p, q, s)
+
+
+def test_circumcircles_broadcast_a_shared_point():
+    rng = np.random.default_rng(0)
+    p, q = rng.uniform(-1.0, 1.0, size=(2, 50, 2))
+    s = np.array([0.3, -0.2])
+    cx, cy, r = _circumcircles(p, q, s)
+    assert bits(np.column_stack([cx, cy, r])) == circle_bits(map(oracles.circumcircle, p, q, [s] * 50))
+
+
+# ---------------------------------------------------------------------------
+# producers
+
+
+N3_STRUCTURES = {
+    "fano": fano_plane,
+    "pappus": pappus_structure,
+    "v_construct(petersen)": lambda: v_construct(build_family("petersen")),
+    "v_construct(desargues)": lambda: v_construct(build_family("desargues")),
+    "v_construct(pappus)": lambda: v_construct(build_family("pappus")),
+    "v_construct(dodecahedron)": lambda: v_construct(build_family("dodecahedron")),
+    "v_construct(GP(25,2))": lambda: v_construct(generalized_petersen_graph(25, 2)),
+}
+
+
+@pytest.mark.parametrize("name", N3_STRUCTURES)
+def test_realize_n3_matches_per_block_loop(name):
+    c = N3_STRUCTURES[name]()
+    for seed in range(8):
+        assert_same_outcome(
+            outcome(realize_n3, c, seed=seed), outcome(oracles.realize_n3, c, seed=seed), assert_same_pcc
+        )
+
+
+def test_realize_n3_edge_cases_match_per_block_loop():
+    # wrong block size, too few points, and no blocks at all
+    for c in (IncidenceStructure(4, ((0, 1, 2, 3),)), IncidenceStructure(2, ()), IncidenceStructure(5, ())):
+        assert_same_outcome(outcome(realize_n3, c), outcome(oracles.realize_n3, c), assert_same_pcc)
+
+
+PAPPUS_POINTS = np.array(derive_pappus_points())
+PAPPUS_LINES = pappus_structure().blocks
+CONCURRENT = (
+    np.array([[-1.0, 1.0], [1.0, 3.0], [1.0, 1.0], [-1.0, 3.0], [-2.0, 2.0], [2.0, 2.0]]),
+    ((0, 1), (2, 3), (4, 5)),
+)
+
+
+@pytest.mark.parametrize(
+    "points, lines, center, radius",
+    [
+        (PAPPUS_POINTS, PAPPUS_LINES, (0.4, 0.37), 1.0),
+        (PAPPUS_POINTS, PAPPUS_LINES, (0.4, 0.37), 2.5),
+        (PAPPUS_POINTS, PAPPUS_LINES, (-1.0, 2.0), 1.0),
+        (PAPPUS_POINTS, PAPPUS_LINES, (3.0, -0.5), 0.25),
+        (PAPPUS_POINTS, PAPPUS_LINES, (0.123, 0.987), 7.0),
+        (PAPPUS_POINTS, PAPPUS_LINES, (1e-3, 2e-3), 1.0),
+        (*CONCURRENT, (0.0, 0.0), 1.0),
+        # refusals: a center on a carrier line, on a point, bad lines and tables
+        (PAPPUS_POINTS, PAPPUS_LINES, (0.5, 0.0), 1.0),
+        (PAPPUS_POINTS, PAPPUS_LINES, tuple(PAPPUS_POINTS[4]), 1.0),
+        (PAPPUS_POINTS, PAPPUS_LINES, (0.4, 0.37), 0.0),
+        (PAPPUS_POINTS, ((0, 1, 2), (0, 0)), (0.4, 0.37), 1.0),
+        (PAPPUS_POINTS, ((0, 1, 2), (3, 99)), (0.4, 0.37), 1.0),
+        (PAPPUS_POINTS, ((0, 1, 5),), (0.4, 0.37), 1.0),
+        (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]), ((0, 1),), (3.0, 0.0), 1.0),
+        (PAPPUS_POINTS[:, :1], PAPPUS_LINES, (0.4, 0.37), 1.0),
+        (PAPPUS_POINTS, PAPPUS_LINES, (0.4, 0.37, 0.0), 1.0),
+    ],
+)
+def test_invert_pointline_matches_per_line_loop(points, lines, center, radius):
+    assert_same_outcome(
+        outcome(invert_pointline, points, lines, center, radius),
+        outcome(oracles.invert_pointline, points, lines, center, radius),
+        assert_same_pcc,
+    )
+
+
+# ---------------------------------------------------------------------------
+# spatial passes
+
+
+def test_edges_by_min_distance_matches_pair_loop():
+    rng = np.random.default_rng(1)
+    clouds = [reference_coordinates(name) for name in POLYTOPE_NAMES]
+    clouds += [rng.normal(size=(n, 3)) for n in (2, 3, 9, 30)]
+    clouds += [np.array([(x, y, 0.0) for x in range(4) for y in range(3)]) * 0.7]
+    for coords in clouds:
+        edges, lengths = _edges_by_min_distance(coords)
+        assert edges == oracles._edges_by_min_distance(coords)
+        assert bits(lengths) == bits([np.linalg.norm(coords[u] - coords[v]) for u, v in edges])
+
+
+def skeletons():
+    out = [polytope_data(name) for name in POLYTOPE_NAMES]
+    cube = polytope_data("cube")
+    for v, shift in ((0, 1e-3), (5, 1e-8), (7, -2e-12)):
+        coords = cube.coords.copy()
+        coords[v] += shift
+        out.append(PolytopeSkeleton(f"cube moved at {v}", cube.graph, coords))
+    return out
+
+
+def assert_same_planes(a, b):
+    assert bits([pl.normal for pl in a]) == bits([pl.normal for pl in b])
+    assert bits([pl.offset for pl in a]) == bits([pl.offset for pl in b])
+
+
+def test_admissibility_and_point_planes_match_per_plane_loops():
+    for sk in skeletons():
+        assert admissible_polytope(sk) == oracles.admissible_polytope(sk)
+
+        def same_ppc(a, b):
+            assert bits(a.points) == bits(b.points)
+            assert_same_planes(a.planes, b.planes)
+            assert a.incidence == b.incidence
+            assert bits(a.max_residual) == bits(b.max_residual)
+
+        assert_same_outcome(
+            outcome(point_plane_vconstruct, sk), outcome(oracles.point_plane_vconstruct, sk), same_ppc
+        )
+
+
+def assert_same_spherical(a, b):
+    assert bits(a.center) == bits(b.center) and bits(a.radius) == bits(b.radius)
+    assert bits(a.points) == bits(b.points)
+    assert_same_planes([sc.plane for sc in a.circles], [sc.plane for sc in b.circles])
+    assert bits([sc.center for sc in a.circles]) == bits([sc.center for sc in b.circles])
+    assert bits([sc.radius for sc in a.circles]) == bits([sc.radius for sc in b.circles])
+    assert a.incidence == b.incidence
+
+
+def test_sphere_circles_match_per_circle_loop():
+    for sk in skeletons():
+        assert_same_outcome(outcome(sphere_circles, sk), outcome(oracles.sphere_circles, sk), assert_same_spherical)
+
+
+def assert_same_projection(a, b):
+    assert_same_pcc(a[0], b[0])
+    assert bits(a[1]) == bits(b[1])
+
+
+@pytest.mark.parametrize("name", ADMISSIBLE)
+def test_stereographic_project_matches_per_circle_loop(name):
+    sc = sphere_circles(polytope_data(name))
+    for seed in range(32):
+        assert_same_outcome(
+            outcome(stereographic_project, sc, seed=seed),
+            outcome(oracles.stereographic_project, sc, seed=seed),
+            assert_same_projection,
+        )
+
+
+# the angles at which stereographic_project samples each circle
+SAMPLE_ANGLES = [2.0 * math.pi * j / 3.0 for j in range(3)] + [math.pi / 6.0 + j * math.pi / 4.0 for j in range(8)]
+
+
+def near_circle_poles(sc, count):
+    """Poles on the sphere tilted off a point of a circle by 1e-6..1e-4 of
+    the radius, or by 1.2e-6 off one of its sample points: they clear the
+    circle, but image circles are huge and a sample may project onto the
+    pole, so the projection refuses in each of its ways."""
+    rng = np.random.default_rng(len(sc.circles))
+    poles = []
+    for k in range(count):
+        circle = sc.circles[k % len(sc.circles)]
+        f1, f2 = oracles._orthobasis(np.asarray(circle.plane.normal))
+        if k % 2:
+            a, tilt = SAMPLE_ANGLES[k % 11], 1.2e-6
+        else:
+            a, tilt = rng.uniform(0.0, 2.0 * math.pi), 10.0 ** rng.uniform(-6.0, -4.0)
+        on = circle.center + circle.radius * (math.cos(a) * f1 + math.sin(a) * f2)
+        v = on + tilt * sc.radius * np.asarray(circle.plane.normal) - sc.center
+        poles.append(sc.center + sc.radius * v / np.linalg.norm(v))
+    return poles
+
+
+@pytest.mark.parametrize("name", ADMISSIBLE)
+def test_stereographic_explicit_poles_match_per_circle_loop(name):
+    sc = sphere_circles(polytope_data(name))
+    r = sc.radius
+    poles = [(r, 0.0, 0.0), (0.0, 0.0, -r), (2.0 * r, 0.0, 0.0), tuple(sc.points[0])]
+    poles += near_circle_poles(sc, 24)
+    seen = set()
+    for pole in poles:
+        # at 1e-15 most images fail the sample check, ahead of a later circle's pole hit
+        for tol in (1e-9, 1e-12, 1e-15):
+            new = outcome(stereographic_project, sc, pole=pole, tol=tol)
+            old = outcome(oracles.stereographic_project, sc, pole=pole, tol=tol)
+            assert_same_outcome(new, old, assert_same_projection)
+            seen.add("ok" if new[0] == "ok" else new[1][1].split(" (")[0])
+    assert {"ok", "explicit pole must lie on the sphere", "pole touches a configuration point or circle"} <= seen
+    if name != "dodecahedron":
+        assert "projected point coincides with the pole" in seen
+        assert any(text.startswith("image of circle") for text in seen)
+
+
+@pytest.mark.parametrize("name", ADMISSIBLE)
+def test_pole_clearance_and_frames_match_per_circle_loops(name):
+    sc = sphere_circles(polytope_data(name))
+    rng = np.random.default_rng(5)
+    draws = rng.normal(size=(64, 3))
+    poles = [sc.center + sc.radius * v / np.linalg.norm(v) for v in draws]
+    poles += near_circle_poles(sc, 16) + list(sc.points[:3])
+    arrays = _sphere_circle_arrays(sc)
+    for pole in poles:
+        assert bits(_pole_clearance(sc, arrays, pole)) == bits(oracles._pole_clearance(sc, pole))
+    e1, e2 = _orthobasis(arrays[0])
+    expected = [oracles._orthobasis(n) for n in arrays[0]]
+    assert bits(e1) == bits([f for f, _ in expected]) and bits(e2) == bits([f for _, f in expected])
+    f1, f2 = _orthobasis(draws[0] / np.linalg.norm(draws[0]))
+    g1, g2 = oracles._orthobasis(draws[0] / np.linalg.norm(draws[0]))
+    assert bits(f1) == bits(g1) and bits(f2) == bits(g2)

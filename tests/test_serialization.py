@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from confviz import ParameterError, jsonio, polytope_data, sphere_circles
+from confviz import ParameterError, jsonio, polytope_data, sphere_circles, stereographic_project
 from confviz.graphs import hypercube_graph, petersen_graph
 from confviz.incidence import fano_plane
 from confviz.realization import (
@@ -14,7 +14,9 @@ from confviz.realization import (
     layout_polygon,
     solve_unit_distance,
 )
-from confviz.spatial import point_plane_vconstruct
+from confviz.spatial import POLYTOPE_NAMES, point_plane_vconstruct
+
+ADMISSIBLE = tuple(name for name in POLYTOPE_NAMES if name != "octahedron")
 
 
 def test_dumps_float_is_exact():
@@ -92,14 +94,37 @@ def test_skeleton_round_trip_bytes():
     assert jsonio.dumps(jsonio.skeleton_to_obj(back)) == jsonio.dumps(obj)
 
 
-def test_spherical_round_trip_bytes():
-    sc = sphere_circles(polytope_data("cube"))
+@pytest.mark.parametrize("name", ADMISSIBLE)
+def test_spherical_round_trip_bytes(name, tmp_path):
+    # dodecahedron, icosahedron and cuboctahedron carry -0.0 coordinates
+    sc = sphere_circles(polytope_data(name))
     obj = jsonio.spherical_to_obj(sc)
-    back = jsonio.spherical_from_obj(obj)
+    path = str(tmp_path / "s.json")
+    jsonio.save(path, obj)
+    back = jsonio.read(path, "spherical")
     assert np.array_equal(back.points, sc.points)
     assert back.radius == sc.radius
     assert len(back.circles) == len(sc.circles)
     assert jsonio.dumps(jsonio.spherical_to_obj(back)) == jsonio.dumps(obj)
+
+
+@pytest.mark.parametrize("name", ADMISSIBLE)
+def test_projected_pcc_round_trip_bytes(name, tmp_path):
+    cfg, _ = stereographic_project(sphere_circles(polytope_data(name)), seed=0)
+    obj = jsonio.pcc_to_obj(check_flags(cfg))
+    path = str(tmp_path / "p.json")
+    jsonio.save(path, obj)
+    assert jsonio.dumps(jsonio.pcc_to_obj(jsonio.read(path, "pcc"))) == jsonio.dumps(obj)
+
+
+def test_load_reads_negative_zero_as_a_float(tmp_path):
+    path = tmp_path / "z.json"
+    path.write_text('{"a": [-0, 0, -0.0, -0e0, -0.5, -10], "b": -0}')
+    obj = jsonio.load(str(path))
+    assert [math.copysign(1.0, x) for x in obj["a"][:4]] == [-1.0, 1.0, -1.0, -1.0]
+    assert type(obj["a"][0]) is float and type(obj["a"][1]) is int
+    assert obj["a"][4:] == [-0.5, -10] and type(obj["a"][5]) is int
+    assert math.copysign(1.0, obj["b"]) == -1.0
 
 
 def test_pointplane_to_obj_shape():

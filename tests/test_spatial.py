@@ -179,3 +179,12 @@ def test_explicit_pole_validation():
     pcc, pole = stereographic_project(sc, pole=(r, 0.0, 0.0))
     assert pcc.max_incidence_residual() < 1e-9
     assert np.allclose(pole, (r, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "pole", [(1.0, 0.0), (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), ((1.0, 0.0, 0.0),), "pole", (1.0, "x", 0.0)]
+)
+def test_explicit_pole_must_be_a_finite_3_vector(pole):
+    sc = sphere_circles(polytope_data("cube"))
+    with pytest.raises(ParameterError, match=r"^explicit pole must be a finite 3-vector$"):
+        stereographic_project(sc, pole=pole)
