@@ -66,6 +66,21 @@ def _emit_artifact(obj: dict, out: str | None, report: str):
         sys.stdout.write(jsonio.dumps(obj) + "\n")
 
 
+def _emit_graph(g: graphs.Graph, out: str | None, kind: str, tail: str = "") -> int:
+    report = f"{kind} on {g.order} vertices, {g.size} edges{tail}"
+    _emit_artifact(jsonio.graph_to_obj(g), out, report)
+    return 0
+
+
+def _emit_config(cfg: realization.PointCircleConfig, out: str | None, head: str) -> int:
+    """Flag-check a point-circle configuration and emit it; head ends in its
+    own separator before the residual."""
+    cfg = realization.check_flags(cfg)
+    report = f"{head} max incidence residual {cfg.max_incidence_residual():.3e}"
+    _emit_artifact(jsonio.pcc_to_obj(cfg), out, report)
+    return 0
+
+
 def _seed_of(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -87,29 +102,16 @@ def _cmd_gen(args) -> int:
         g = graphs.build_family(args.family, *args.params)
     else:
         g = _graph_from(args.family)
-    rep = graphs.structure_report(g)
-    _emit_artifact(
-        jsonio.graph_to_obj(g),
-        args.output,
-        f"graph on {g.order} vertices, {g.size} edges, girth {rep.girth}",
-    )
-    return 0
+    return _emit_graph(g, args.output, "graph", f", girth {graphs.structure_report(g).girth}")
 
 
 def _cmd_product(args) -> int:
     g = graphs.cartesian_product(_graph_from(args.first), _graph_from(args.second))
-    _emit_artifact(
-        jsonio.graph_to_obj(g), args.output, f"product graph on {g.order} vertices, {g.size} edges"
-    )
-    return 0
+    return _emit_graph(g, args.output, "product graph")
 
 
 def _cmd_linegraph(args) -> int:
-    g = graphs.line_graph(_graph_from(args.graph))
-    _emit_artifact(
-        jsonio.graph_to_obj(g), args.output, f"line graph on {g.order} vertices, {g.size} edges"
-    )
-    return 0
+    return _emit_graph(graphs.line_graph(_graph_from(args.graph)), args.output, "line graph")
 
 
 def _cmd_vconstruct(args) -> int:
@@ -148,6 +150,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    if args.layout is None and args.graph is None:
+        raise ParameterError("realize needs a graph or --layout")
     seed = _seed_of(args)
     if args.layout is not None:
         g = _graph_from(args.graph) if args.graph else None
@@ -194,13 +198,7 @@ def _cmd_circles(args) -> int:
     cfg = realization.circles_from_layout(
         lay, tol=args.tol, allow_degree_two=args.allow_degree_two
     )
-    cfg = realization.check_flags(cfg)
-    _emit_artifact(
-        jsonio.pcc_to_obj(cfg),
-        args.output,
-        f"{len(cfg.circles)} circles, max incidence residual {cfg.max_incidence_residual():.3e}",
-    )
-    return 0
+    return _emit_config(cfg, args.output, f"{len(cfg.circles)} circles,")
 
 
 def _cmd_check(args) -> int:
@@ -215,14 +213,7 @@ def _cmd_check(args) -> int:
 def _cmd_n3realize(args) -> int:
     c = _incidence_from(args.structure)
     cfg = realization.realize_n3(c, seed=_seed_of(args))
-    cfg = realization.check_flags(cfg)
-    _emit_artifact(
-        jsonio.pcc_to_obj(cfg),
-        args.output,
-        f"{len(cfg.circles)} circumcircles, max incidence residual "
-        f"{cfg.max_incidence_residual():.3e}",
-    )
-    return 0
+    return _emit_config(cfg, args.output, f"{len(cfg.circles)} circumcircles,")
 
 
 def _cmd_invert(args) -> int:
@@ -234,14 +225,7 @@ def _cmd_invert(args) -> int:
     else:
         points, lines = jsonio.read(args.pointline, "pointline")
     cfg = realization.invert_pointline(points, lines, tuple(args.center), radius=args.radius)
-    cfg = realization.check_flags(cfg)
-    _emit_artifact(
-        jsonio.pcc_to_obj(cfg),
-        args.output,
-        f"inverted {len(lines)} lines into circles, max incidence residual "
-        f"{cfg.max_incidence_residual():.3e}",
-    )
-    return 0
+    return _emit_config(cfg, args.output, f"inverted {len(lines)} lines into circles,")
 
 
 def _cmd_spatial(args) -> int:
@@ -263,14 +247,8 @@ def _cmd_spatial(args) -> int:
         )
         return 0
     cfg, used = spatial.stereographic_project(sc, pole=args.pole, seed=_seed_of(args))
-    cfg = realization.check_flags(cfg)
-    _emit_artifact(
-        jsonio.pcc_to_obj(cfg),
-        args.output,
-        f"projected from pole ({used[0]:.6f}, {used[1]:.6f}, {used[2]:.6f}); "
-        f"max incidence residual {cfg.max_incidence_residual():.3e}",
-    )
-    return 0
+    head = f"projected from pole ({used[0]:.6f}, {used[1]:.6f}, {used[2]:.6f});"
+    return _emit_config(cfg, args.output, head)
 
 
 def _cmd_render(args) -> int:
@@ -342,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="unit-distance layout of a graph")
     p.add_argument("graph", nargs="?", help="graph artifact or family token (solver mode)")
-    p.add_argument("--solve", action="store_true", help="numerical solve (default)")
     p.add_argument("--symmetry", type=int, help="impose a free cyclic symmetry of this order")
     p.add_argument(
         "--layout",
@@ -405,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.fn is _cmd_realize and args.layout is None and args.graph is None:
-        print("error: realize needs a graph or --layout", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except ParameterError as exc:

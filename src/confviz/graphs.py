@@ -203,20 +203,25 @@ def kneser_graph(n: int, k: int) -> Graph:
 
 
 def bipartite_kneser_graph(n: int, k: int) -> Graph:
-    """H(n,k): k-subsets vs (n-k)-subsets, adjacent under containment."""
+    """H(n,k): k-subsets vs (n-k)-subsets, adjacent under containment.
+
+    The supersets of a k-subset are the complements of the k-subsets of its
+    complement, and complementing reverses lexicographic order, so the
+    (n-k)-subset large[j] is the complement of small[ns - 1 - j]. The cost
+    is O(E)."""
     if k < 1 or n <= 2 * k:
         raise ParameterError("bipartite kneser needs 1 <= k and n > 2k")
     small = list(combinations(range(n), k))
     large = list(combinations(range(n), n - k))
     ns = len(small)
-    edges = []
-    for i, s in enumerate(small):
-        ss = frozenset(s)
-        for j, t in enumerate(large):
-            if ss <= frozenset(t):
-                edges.append((i, ns + j))
+    index = {s: i for i, s in enumerate(small)}
+    edges = tuple(
+        (i, 2 * ns - 1 - index[u])
+        for i, s in enumerate(small)
+        for u in combinations([x for x in range(n) if x not in s], k)
+    )
     labels = tuple(_subset_label(s) for s in small) + tuple(_subset_label(t) for t in large)
-    return Graph(ns + len(large), tuple(edges), labels)
+    return Graph(ns + len(large), edges, labels)
 
 
 def odd_graph(m: int) -> Graph:
@@ -467,12 +472,22 @@ class StructureReport:
         return has_four_cycle(self.graph)
 
 
-def has_four_cycle(g: Graph) -> bool:
-    """True when some vertex pair has two common neighbours."""
-    for u, v in combinations(range(g.order), 2):
-        if len(g.neighbor_sets[u] & g.neighbor_sets[v]) >= 2:
-            return True
+def pair_in_two(sets) -> bool:
+    """True when some pair of elements lies together in two of the sorted
+    tuples of sets; stops at the first repeated pair."""
+    seen = set()
+    for s in sets:
+        for pair in combinations(s, 2):
+            if pair in seen:
+                return True
+            seen.add(pair)
     return False
+
+
+def has_four_cycle(g: Graph) -> bool:
+    """True when some vertex pair has two common neighbours, that is when
+    two neighbourhoods share a pair."""
+    return pair_in_two(g.adjacency)
 
 
 def structure_report(g: Graph) -> StructureReport:

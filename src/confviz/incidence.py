@@ -9,7 +9,6 @@ certifies with the isomorphism witness the construction gives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import AdmissibilityError, ParameterError
 from .graphs import (
@@ -19,6 +18,7 @@ from .graphs import (
     bipartite_swap_involution,
     is_admissible,
     kronecker_cover,
+    pair_in_two,
     structure_report,
 )
 
@@ -168,13 +168,7 @@ def _self_polar(c: IncidenceStructure, levi: Graph, parts: Bipartition) -> Verte
 
 def _lineal(c: IncidenceStructure) -> bool:
     """No two points lie together in two blocks (Levi girth at least 6)."""
-    seen = set()
-    for blk in c.blocks:
-        for pair in combinations(blk, 2):
-            if pair in seen:
-                return False
-            seen.add(pair)
-    return True
+    return not pair_in_two(c.blocks)
 
 
 def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClass:

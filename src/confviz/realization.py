@@ -31,6 +31,8 @@ TOL_SEPARATION = 1e-6
 TOL_CLUSTER = 1e-7
 
 _RESAMPLE_BUDGET = 64
+# Levenberg-Marquardt iterations per solve
+_LM_MAX_ITER = 500
 # how far realize_n3 keeps a draw from each of its rejection reasons
 _SAMPLE_MARGIN = 1e-4
 # residual entries per block when testing many points against all circles
@@ -140,17 +142,9 @@ def _pair_distances(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 # damped least squares
 
 
-def lm_least_squares(
-    fun,
-    jac,
-    x0,
-    *,
-    max_iter: int = 500,
-    lam0: float = 1e-3,
-    grad_tol: float = 1e-12,
-    step_tol: float = 1e-14,
-) -> np.ndarray:
-    """Levenberg-Marquardt with the fixed x10 / /10 damping schedule.
+def lm_least_squares(fun, jac, x0, *, max_iter: int = _LM_MAX_ITER) -> np.ndarray:
+    """Levenberg-Marquardt with the fixed x10 / /10 damping schedule from
+    1e-3; stops when the gradient falls below 1e-12 or the step below 1e-14.
 
     The damping term keeps rank-deficient Jacobians (translation and rotation
     gauge freedom) solvable, so the routine never crashes on those inputs.
@@ -160,7 +154,7 @@ def lm_least_squares(
     x = np.asarray(x0, dtype=float).copy()
     r = fun(x)
     cost = float(r @ r)
-    lam = lam0
+    lam = 1e-3
     eye = np.eye(len(x))
 
     def linearize(x, r):
@@ -169,14 +163,14 @@ def lm_least_squares(
 
     grad, a = linearize(x, r)
     for _ in range(max_iter):
-        if np.max(np.abs(grad)) < grad_tol:
+        if np.max(np.abs(grad)) < 1e-12:
             break
         try:
             step = np.linalg.solve(a + lam * eye, -grad)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
-        if np.linalg.norm(step) < step_tol:
+        if np.linalg.norm(step) < 1e-14:
             break
         r_new = fun(x + step)
         cost_new = float(r_new @ r_new)
@@ -499,23 +493,20 @@ def solve_unit_distance(
     *,
     seed: int | None = None,
     symmetry: int | list[list[int]] | None = None,
-    tol: float = TOL_INCIDENCE,
-    max_iter: int = 500,
     restarts: int = 40,
 ) -> tuple[Layout, float]:
     """Minimize edge-length deviation from 1; returns (layout, max deviation).
 
-    With `init` the solve polishes the given positions. Otherwise one loop
-    polishes seeded start layouts until the residual clears tol with no two
-    vertices collapsed. A plain solve draws `restarts` random starts. An
-    integer `symmetry` k asks for a rotational ansatz: up to six free
-    order-k automorphisms are searched, and each one's orbits become
-    (radius, phase) ring variables; explicit orbit lists are also accepted.
-    Each orbit set's ring table (every vertex's orbit and offset 2*pi*t/k)
-    gives positions, residual and Jacobian as array passes, and `restarts`
-    ring solves from random ring variables are the starts. Raises
-    ConvergenceError, carrying the best residual and the restarts run, when
-    no start clears tol.
+    One loop polishes start layouts until the residual clears TOL_INCIDENCE
+    with no two vertices collapsed. With `init` its positions are the only
+    start. A plain solve draws `restarts` seeded random starts. An integer
+    `symmetry` k asks for a rotational ansatz: up to six free order-k
+    automorphisms are searched, and each one's orbits become (radius, phase)
+    ring variables; explicit orbit lists are also accepted. Each orbit set's
+    ring table (every vertex's orbit and offset 2*pi*t/k) gives positions,
+    residual and Jacobian as array passes, and `restarts` ring solves from
+    random ring variables are the starts. Raises ConvergenceError, carrying
+    the best residual and the starts run, when no start passes.
     """
     from .graphs import structure_report
 
@@ -524,21 +515,14 @@ def solve_unit_distance(
     if not structure_report(g).connected:
         raise ParameterError("unit-distance solve expects a connected graph")
     base_seed = 0 if seed is None else int(seed)
+    rng = np.random.default_rng(base_seed)
 
     if init is not None:
         if init.graph.edges != g.edges or init.graph.order != g.order:
             raise ParameterError("init layout belongs to a different graph")
-        pos = _solve_coordinates(g, init.pos, max_iter)
-        layout = Layout(g, pos, {"method": "polish", "seed": base_seed})
-        residual = unit_edge_residual(layout)
-        if residual > tol:
-            raise ConvergenceError("polish stalled above tolerance", residual=residual)
-        layout.meta["residual"] = residual
-        return layout, residual
-
-    rng = np.random.default_rng(base_seed)
-
-    if symmetry is None:
+        starts = [init.pos]
+        meta, what, over = {"method": "polish"}, "polish", ""
+    elif symmetry is None:
         span = 1.0 + 0.25 * math.sqrt(g.order)
         starts = (rng.uniform(-span, span, size=(g.order, 2)) for _ in range(restarts))
         meta, what, over = {"method": "lm"}, "unit-distance solve", ""
@@ -566,7 +550,7 @@ def solve_unit_distance(
                     x0 = np.empty(2 * len(orbits))
                     x0[0::2] = rng.uniform(0.25, 2.2, size=len(orbits))
                     x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=len(orbits))
-                    yield _ring_positions(_solve_orbits(g, ring, offset, x0, max_iter), ring, offset)
+                    yield _ring_positions(_solve_orbits(g, ring, offset, x0, _LM_MAX_ITER), ring, offset)
 
         starts = ring_starts()
         meta, what = {"method": "orbit-lm", "symmetry": k}, "symmetric solve"
@@ -575,15 +559,16 @@ def solve_unit_distance(
     best = math.inf
     runs = 0
     for runs, pos0 in enumerate(starts, 1):
-        pos = _solve_coordinates(g, pos0, max_iter)
+        pos = _solve_coordinates(g, pos0, _LM_MAX_ITER)
         layout = Layout(g, pos, {})
         residual = unit_edge_residual(layout)
         best = min(best, residual)
-        if residual <= tol and _min_separation(pos) > TOL_SEPARATION:
+        if residual <= TOL_INCIDENCE and _min_separation(pos) > TOL_SEPARATION:
             layout.meta.update(meta, seed=base_seed, residual=residual)
             return layout, residual
     raise ConvergenceError(
-        f"{what} exhausted {runs} restarts{over} (best residual {best:.1e})", residual=best, restarts=runs
+        f"{what} exhausted {runs} restart{'s' * (runs != 1)}{over} (best residual {best:.1e})",
+        residual=best, restarts=runs,
     )
 
 
@@ -933,6 +918,9 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
     ctr = np.asarray(center, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ParameterError("points must be an (n, 2) table")
+    bad = np.flatnonzero(~np.all(np.isfinite(pts), axis=1))
+    if len(bad):
+        raise ParameterError(f"point {bad[0]} of the point-line input is not finite")
     if ctr.shape != (2,):
         raise ParameterError("center must be a planar point")
     if radius <= 0:

@@ -228,7 +228,7 @@ def coplanarity(pts) -> tuple[Plane, float]:
     return plane, residual
 
 
-def _neighbourhood_planes(p: PolytopeSkeleton, tol: float) -> tuple[AdmissibilityReport, list[Plane]]:
+def _neighbourhood_planes(p: PolytopeSkeleton) -> tuple[AdmissibilityReport, list[Plane]]:
     """admissible_polytope's report, and the planes fitted up to the first
     non-coplanar neighbourhood; a loop over vertices, so that the first bad
     vertex is the one named."""
@@ -239,7 +239,7 @@ def _neighbourhood_planes(p: PolytopeSkeleton, tol: float) -> tuple[Admissibilit
             raise ParameterError(f"vertex {v} has fewer than 3 neighbours")
         plane, res = coplanarity(p.coords[nbrs])
         worst = max(worst, res)
-        if res > tol:
+        if res > TOL_INCIDENCE:
             failing = v
             break
         planes.append(plane)
@@ -268,14 +268,15 @@ def _plane_arrays(planes) -> tuple[np.ndarray, np.ndarray]:
     return normals, np.array([pl.offset for pl in planes], dtype=float)
 
 
-def admissible_polytope(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> AdmissibilityReport:
-    """Neighbourhoods must be coplanar and span pairwise distinct planes."""
-    return _neighbourhood_planes(p, tol)[0]
+def admissible_polytope(p: PolytopeSkeleton) -> AdmissibilityReport:
+    """Neighbourhoods must be coplanar within TOL_INCIDENCE and span pairwise
+    distinct planes."""
+    return _neighbourhood_planes(p)[0]
 
 
-def point_plane_vconstruct(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> PointPlaneConfig:
+def point_plane_vconstruct(p: PolytopeSkeleton) -> PointPlaneConfig:
     """Spatial V-construction: one neighbourhood plane per vertex."""
-    report, planes = _neighbourhood_planes(p, tol)
+    report, planes = _neighbourhood_planes(p)
     if not report.admissible:
         raise AdmissibilityError(f"{p.name}: {report.describe()}", pair=report.coincident_pair)
     incidence = sorted((u, v) for v in range(p.graph.order) for u in p.graph.adjacency[v])
@@ -290,13 +291,13 @@ def point_plane_vconstruct(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> P
     )
 
 
-def sphere_circles(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> SphericalCircleConfig:
+def sphere_circles(p: PolytopeSkeleton) -> SphericalCircleConfig:
     """Cut each neighbourhood plane with the circumsphere.
 
     Vertices sit on the sphere by the load-time validation, so each
     neighbourhood lies on the circle its plane cuts out of the sphere.
     """
-    ppc = point_plane_vconstruct(p, tol)
+    ppc = point_plane_vconstruct(p)
     normals, offsets = _plane_arrays(ppc.planes)
     center = p.coords.mean(axis=0)
     radius = float(np.mean(np.linalg.norm(p.coords - center, axis=1)))

@@ -117,7 +117,7 @@ def test_realize_solve_circles_check(tmp_path, capsys):
     pcc = str(tmp_path / "pcc.json")
     assert run(["gen", "petersen", "-o", g], capsys)[0] == 0
     code, out, _ = run(
-        ["realize", g, "--solve", "--symmetry", "5", "--seed", "0", "-o", lay], capsys
+        ["realize", g, "--symmetry", "5", "--seed", "0", "-o", lay], capsys
     )
     assert code == 0
     assert run(["circles", lay, "-o", pcc], capsys)[0] == 0
@@ -144,7 +144,7 @@ def test_realize_layout_graph_mismatch(tmp_path, capsys):
 
 
 def test_realize_needs_graph_or_layout(capsys):
-    assert run(["realize"], capsys)[0] == 2
+    assert run(["realize"], capsys) == (2, "", "error: realize needs a graph or --layout\n")
 
 
 def test_spatial_paths(tmp_path, capsys):
@@ -173,6 +173,17 @@ def test_invert_paths(tmp_path, capsys):
     code, out, _ = run(["invert", "pappus", "--center", "0.4", "0.37", "-o", path], capsys)
     assert code == 0
     assert run(["invert", "pappus", "--center", "0.5", "0.0"], capsys)[0] == 2
+
+
+def test_invert_names_a_non_finite_point(tmp_path, capsys):
+    from confviz.pappus import derive_pappus_points
+
+    points = [list(p) for p in derive_pappus_points()]
+    points[3][1] = float("nan")
+    path = tmp_path / "pl.json"
+    path.write_text(json.dumps({"points": points, "lines": list(confviz.pappus_structure().blocks)}))
+    code, _, err = run(["invert", str(path), "--center", "0.4", "0.37"], capsys)
+    assert (code, err) == (2, "error: point 3 of the point-line input is not finite\n")
 
 
 def test_iso_exit_codes(tmp_path, capsys):

@@ -95,6 +95,24 @@ def test_kneser_edges_match_all_pairs_definition():
             assert kneser_graph(n, k).edges == expected, (n, k)
 
 
+def test_bipartite_kneser_matches_containment_definition():
+    for n in range(3, 12):
+        for k in range(1, (n - 1) // 2 + 1):
+            small = list(combinations(range(n), k))
+            large = list(combinations(range(n), n - k))
+            expected = tuple(
+                (i, len(small) + j)
+                for i, s in enumerate(small)
+                for j, t in enumerate(large)
+                if set(s) <= set(t)
+            )
+            h = bipartite_kneser_graph(n, k)
+            assert h.edges == expected, (n, k)
+            assert h.labels == tuple(
+                "{" + ",".join(map(str, s)) + "}" for s in small + large
+            ), (n, k)
+
+
 def test_bipartite_kneser():
     bk = bipartite_kneser_graph(5, 2)
     assert bk.order == 20 and bk.size == 30

@@ -227,6 +227,17 @@ def test_solver_polish_recovers_perturbed_pentagon():
     noisy = Layout(base.graph, base.pos + rng.uniform(-0.05, 0.05, base.pos.shape), {})
     lay, res = solve_unit_distance(base.graph, init=noisy)
     assert res < 1e-10
+    assert list(lay.meta) == ["method", "seed", "residual"] and lay.meta["method"] == "polish"
+
+
+def test_solver_polish_refuses_collapsed_start():
+    # the start has unit edges already, but vertices 0 and 2 coincide
+    g = Graph(3, ((0, 1), (1, 2)))
+    start = Layout(g, [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], {})
+    with pytest.raises(ConvergenceError) as exc:
+        solve_unit_distance(g, init=start)
+    assert exc.value.restarts == 1
+    assert str(exc.value) == "polish exhausted 1 restart (best residual 0.0e+00)"
 
 
 def test_solver_rejects_disconnected():
