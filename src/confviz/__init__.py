@@ -5,6 +5,8 @@ spatial realization -> verification and rendering. See README.md for the CLI
 walk-through.
 """
 
+from importlib import import_module
+
 from .errors import (
     AdmissibilityError,
     CapacityError,
@@ -19,6 +21,7 @@ from .errors import (
 from .graphs import (
     Bipartition,
     Graph,
+    POLYTOPE_NAMES,
     StructureReport,
     VertexMap,
     bipartite_swap_involution,
@@ -44,41 +47,55 @@ from .incidence import (
     verify_kronecker_theorem,
 )
 from .iso import find_free_cyclic_action, find_swap_involution, isomorphic
-from .realization import (
-    Circle,
-    Layout,
-    PointCircleConfig,
-    TOL_CLUSTER,
-    TOL_INCIDENCE,
-    TOL_SEPARATION,
-    check_flags,
-    circles_from_layout,
-    circumcircle,
-    fit_circle,
-    incidence_of,
-    invert_pointline,
-    layout_gen_cuboctahedron,
-    layout_hypercube,
-    layout_polygon,
-    layout_product,
-    realize_n3,
-    solve_unit_distance,
-    unit_edge_residual,
-)
-from .spatial import (
-    Plane,
-    PointPlaneConfig,
-    PolytopeSkeleton,
-    POLYTOPE_NAMES,
-    SphereCircle,
-    SphericalCircleConfig,
-    admissible_polytope,
-    coplanarity,
-    point_plane_vconstruct,
-    polytope_data,
-    sphere_circles,
-    stereographic_project,
-)
+
+# The numeric names load on first access (PEP 562), so importing the package,
+# and every CLI command that needs none of them, leaves numpy unloaded.
+_LAZY = {
+    "Circle": "realization",
+    "Layout": "realization",
+    "PointCircleConfig": "realization",
+    "TOL_CLUSTER": "realization",
+    "TOL_INCIDENCE": "realization",
+    "TOL_SEPARATION": "realization",
+    "check_flags": "realization",
+    "circles_from_layout": "realization",
+    "circumcircle": "realization",
+    "fit_circle": "realization",
+    "incidence_of": "realization",
+    "invert_pointline": "realization",
+    "layout_gen_cuboctahedron": "realization",
+    "layout_hypercube": "realization",
+    "layout_polygon": "realization",
+    "layout_product": "realization",
+    "realize_n3": "realization",
+    "solve_unit_distance": "realization",
+    "unit_edge_residual": "realization",
+    "Plane": "spatial",
+    "PointPlaneConfig": "spatial",
+    "PolytopeSkeleton": "spatial",
+    "SphereCircle": "spatial",
+    "SphericalCircleConfig": "spatial",
+    "admissible_polytope": "spatial",
+    "coplanarity": "spatial",
+    "point_plane_vconstruct": "spatial",
+    "polytope_data": "spatial",
+    "sphere_circles": "spatial",
+    "stereographic_project": "spatial",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups bypass this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -5,6 +5,9 @@ commands can be piped. Human-readable reports go to stdout, diagnostics to
 stderr. Exit codes: 0 success / property holds, 1 domain failure / property
 fails, 2 usage or parameter problems. CONFVIZ_SEED supplies the default
 seed when a command takes one and --seed is absent.
+
+Commands import realization, spatial and render (and with them numpy) only
+when they run, so the combinatorial commands start without numpy.
 """
 
 from __future__ import annotations
@@ -13,9 +16,13 @@ import argparse
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import graphs, incidence, iso, jsonio, realization, render, spatial
+from . import graphs, incidence, iso, jsonio
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    from . import realization
 
 _DOMAIN_ERRORS = (
     ValueError,
@@ -55,7 +62,11 @@ def _incidence_from(token: str) -> incidence.IncidenceStructure:
     if token.strip() == "pappus":
         return incidence.pappus_structure()
     c = jsonio.read(token, "incidence", "pcc")
-    return c if isinstance(c, incidence.IncidenceStructure) else realization.incidence_of(c)
+    if isinstance(c, incidence.IncidenceStructure):
+        return c
+    from . import realization
+
+    return realization.incidence_of(c)
 
 
 def _emit_artifact(obj: dict, out: str | None, report: str):
@@ -75,6 +86,8 @@ def _emit_graph(g: graphs.Graph, out: str | None, kind: str, tail: str = "") -> 
 def _emit_config(cfg: realization.PointCircleConfig, out: str | None, head: str) -> int:
     """Flag-check a point-circle configuration and emit it; head ends in its
     own separator before the residual."""
+    from . import realization
+
     cfg = realization.check_flags(cfg)
     report = f"{head} max incidence residual {cfg.max_incidence_residual():.3e}"
     _emit_artifact(jsonio.pcc_to_obj(cfg), out, report)
@@ -152,6 +165,8 @@ def _cmd_verify(args) -> int:
 def _cmd_realize(args) -> int:
     if args.layout is None and args.graph is None:
         raise ParameterError("realize needs a graph or --layout")
+    from . import realization
+
     seed = _seed_of(args)
     if args.layout is not None:
         g = _graph_from(args.graph) if args.graph else None
@@ -194,14 +209,17 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_circles(args) -> int:
+    from . import realization
+
     lay = jsonio.read(args.layout, "layout")
-    cfg = realization.circles_from_layout(
-        lay, tol=args.tol, allow_degree_two=args.allow_degree_two
-    )
+    tol = realization.TOL_INCIDENCE if args.tol is None else args.tol
+    cfg = realization.circles_from_layout(lay, tol=tol, allow_degree_two=args.allow_degree_two)
     return _emit_config(cfg, args.output, f"{len(cfg.circles)} circles,")
 
 
 def _cmd_check(args) -> int:
+    from . import realization
+
     cfg = realization.check_flags(jsonio.read(args.config, "pcc"))
     for name in ("proper", "isometric", "lineal", "determining", "perfect", "degenerate"):
         print(f"{name}: {'yes' if cfg.flags[name] else 'no'}")
@@ -211,12 +229,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_n3realize(args) -> int:
+    from . import realization
+
     c = _incidence_from(args.structure)
     cfg = realization.realize_n3(c, seed=_seed_of(args))
     return _emit_config(cfg, args.output, f"{len(cfg.circles)} circumcircles,")
 
 
 def _cmd_invert(args) -> int:
+    from . import realization
+
     if args.pointline.strip() == "pappus":
         from .pappus import derive_pappus_points
 
@@ -229,6 +251,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_spatial(args) -> int:
+    from . import spatial
+
     p = spatial.polytope_data(args.polytope)
     if args.what == "planes":
         cfg = spatial.point_plane_vconstruct(p)
@@ -252,6 +276,8 @@ def _cmd_spatial(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import realization, render
+
     art = jsonio.read(args.artifact, "layout", "pcc")
     if isinstance(art, realization.Layout):
         text = render.render_layout(art, labels=args.labels)
@@ -335,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("circles", help="neighbourhood circles of a unit-distance layout")
     p.add_argument("layout")
-    p.add_argument("--tol", type=float, default=realization.TOL_INCIDENCE)
+    p.add_argument("--tol", type=float)
     p.add_argument("--allow-degree-two", action="store_true")
     out(p)
     p.set_defaults(fn=_cmd_circles)
@@ -359,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_invert)
 
     p = sub.add_parser("spatial", help="polytope planes, sphere circles, projection")
-    p.add_argument("polytope", choices=list(spatial.POLYTOPE_NAMES))
+    p.add_argument("polytope", choices=list(graphs.POLYTOPE_NAMES))
     p.add_argument("what", choices=["planes", "sphere", "project"])
     p.add_argument("--pole", type=float, nargs=3, metavar=("X", "Y", "Z"))
     p.add_argument("--seed", type=int)

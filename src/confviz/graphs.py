@@ -275,6 +275,17 @@ def pappus_graph() -> Graph:
     return levi_graph(pappus_structure())[0]
 
 
+# The polytopes whose skeletons spatial.polytope_data builds from coordinates.
+# They are named here, away from numpy, so the CLI can offer them at start-up.
+POLYTOPE_NAMES = (
+    "tetrahedron",
+    "cube",
+    "octahedron",
+    "dodecahedron",
+    "icosahedron",
+    "cuboctahedron",
+)
+
 _FAMILIES = {
     "cycle": (cycle_graph, 1, "cycle(n)"),
     "path": (path_graph, 1, "path(n)"),

@@ -176,19 +176,6 @@ def pcc_from_obj(obj: dict):
         )
 
 
-def skeleton_to_obj(sk) -> dict:
-    return {"name": sk.name, "graph": graph_to_obj(sk.graph), "coords": sk.coords}
-
-
-def skeleton_from_obj(obj: dict):
-    from .spatial import PolytopeSkeleton
-
-    with _malformed("skeleton"):
-        return PolytopeSkeleton(
-            name=str(obj["name"]), graph=graph_from_obj(obj["graph"]), coords=obj["coords"]
-        )
-
-
 def pointplane_to_obj(cfg) -> dict:
     return {
         "points": cfg.points,
@@ -250,7 +237,6 @@ _KINDS = {
     "layout": (("pos", "graph"), layout_from_obj),
     "spherical": (("sphere",), spherical_from_obj),
     "pointplane": (("planes",), None),
-    "skeleton": (("coords", "graph"), skeleton_from_obj),
     "pointline": (("lines", "points"), pointline_from_obj),
     "pcc": (("circles", "points"), pcc_from_obj),
 }

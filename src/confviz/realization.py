@@ -638,12 +638,6 @@ def incidence_of(cfg: PointCircleConfig) -> IncidenceStructure:
     )
 
 
-def sorted_center_distances(cfg: PointCircleConfig) -> np.ndarray:
-    """Sorted multiset of circle-center distances; a similarity fingerprint."""
-    cx, cy, _ = _circle_arrays(cfg.circles)
-    return np.sort(_pair_distances(np.column_stack([cx, cy]))[2])
-
-
 # ---------------------------------------------------------------------------
 # (n_3) realization by sampling
 
@@ -923,6 +917,10 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
         raise ParameterError(f"point {bad[0]} of the point-line input is not finite")
     if ctr.shape != (2,):
         raise ParameterError("center must be a planar point")
+    if not np.all(np.isfinite(ctr)):
+        raise ParameterError("inversion center must be finite")
+    if not math.isfinite(radius):
+        raise ParameterError("inversion radius must be finite")
     if radius <= 0:
         raise ParameterError("inversion radius must be positive")
     scale = max(1.0, float(np.max(np.abs(pts))))

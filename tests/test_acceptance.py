@@ -48,7 +48,13 @@ from confviz.graphs import (
     pappus_graph,
     petersen_graph,
 )
-from confviz.realization import sorted_center_distances
+
+
+def sorted_center_distances(cfg):
+    """Sorted multiset of circle-center distances; a similarity fingerprint."""
+    centers = np.array([c.center for c in cfg.circles])
+    i, j = np.triu_indices(len(centers), 1)
+    return np.sort(np.linalg.norm(centers[i] - centers[j], axis=1))
 
 
 def report(num, label, ok):

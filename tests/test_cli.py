@@ -186,6 +186,19 @@ def test_invert_names_a_non_finite_point(tmp_path, capsys):
     assert (code, err) == (2, "error: point 3 of the point-line input is not finite\n")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--center", "nan", "0.37"], "inversion center must be finite"),
+        (["--center", "0.4", "0.37", "--radius", "inf"], "inversion radius must be finite"),
+        (["--center", "0.4", "0.37", "--radius", "nan"], "inversion radius must be finite"),
+    ],
+)
+def test_invert_names_a_non_finite_center_or_radius(flags, message, capsys):
+    code, out, err = run(["invert", "pappus", *flags], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_iso_exit_codes(tmp_path, capsys):
     g1 = str(tmp_path / "g1.json")
     g2 = str(tmp_path / "g2.json")
@@ -262,7 +275,7 @@ def test_malformed_artifact_is_usage_error(tmp_path, capsys):
     assert "malformed graph object" in err
 
 
-KINDS = ("graph", "incidence", "layout", "pcc", "skeleton", "spherical", "pointplane", "pointline")
+KINDS = ("graph", "incidence", "layout", "pcc", "spherical", "pointplane", "pointline")
 
 # each artifact-reading subcommand, the arguments around the artifact path,
 # and the kinds it accepts
@@ -288,7 +301,6 @@ def artifacts(tmp_path_factory):
         "incidence": jsonio.incidence_to_obj(confviz.fano_plane()),
         "layout": jsonio.layout_to_obj(lay),
         "pcc": jsonio.pcc_to_obj(confviz.circles_from_layout(lay, 1e-9, allow_degree_two=True)),
-        "skeleton": jsonio.skeleton_to_obj(sk),
         "spherical": jsonio.spherical_to_obj(confviz.sphere_circles(sk)),
         "pointplane": jsonio.pointplane_to_obj(confviz.point_plane_vconstruct(sk)),
         "pointline": {"points": [[0, 0], [1, 0], [2, 0]], "lines": [[0, 1, 2]]},
@@ -332,10 +344,14 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert open(a).read() != open(b).read()
 
 
-def test_module_entry_point(tmp_path):
+def child_env():
     # the child imports the same confviz as this test, installed or not
     root = str(pathlib.Path(confviz.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point(tmp_path):
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "confviz", "gen", "hypercube", "5"],
         capture_output=True,
@@ -361,3 +377,111 @@ def test_module_entry_point(tmp_path):
         env=env,
     )
     assert proc.returncode == 2
+
+
+def test_package_and_cli_import_leaves_numpy_unloaded():
+    probe = (
+        "import sys, confviz, confviz.cli; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith(('numpy.', 'confviz.'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = ["cli", "errors", "graphs", "incidence", "iso", "jsonio"]
+    assert proc.stdout.strip() == str([f"confviz.{m}" for m in loaded])
+
+
+# (argv, exit code, start of stdout) for each command that needs no numerics
+NUMPY_FREE_COMMANDS = [
+    ("gen petersen -o g.json", 0, "graph on 10 vertices, 15 edges, girth 5"),
+    ("gen hypercube 3 -o q.json", 0, "graph on 8 vertices, 12 edges, girth 4"),
+    ("product cycle(3) path(2)", 0, '{"order": 6,'),
+    ("linegraph petersen", 0, '{"order": 15,'),
+    ("vconstruct g.json -o c.json", 0, "incidence structure: 10 points, 10 blocks"),
+    ("vconstruct q.json -o qc.json", 0, "incidence structure: 8 points, 8 blocks"),
+    ("verify kronecker g.json", 0, "admissible; Levi graph on 20 vertices vs cover on 20"),
+    ("verify type c.json", 0, "(10_3), lineal, connected, self-polar"),
+    ("verify selfpolar c.json", 0, "self-polar"),
+    ("verify decompose qc.json -o p.json", 0, "component 0: (4_3), not lineal"),
+    ("verify decompose c.json", 1, "component 0: (10_3), lineal, connected"),
+    ("iso kneser(5,2) g.json", 0, "isomorphic"),
+    ("iso petersen q.json", 1, "not isomorphic"),
+]
+
+
+@pytest.fixture(scope="module")
+def walkthrough_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    g, q = confviz.build_family("petersen"), confviz.build_family("hypercube", 3)
+    jsonio.save(str(root / "g.json"), jsonio.graph_to_obj(g))
+    jsonio.save(str(root / "q.json"), jsonio.graph_to_obj(q))
+    jsonio.save(str(root / "c.json"), jsonio.incidence_to_obj(confviz.v_construct(g)))
+    jsonio.save(str(root / "qc.json"), jsonio.incidence_to_obj(confviz.v_construct(q)))
+    return root
+
+
+@pytest.mark.parametrize("argv, code, head", NUMPY_FREE_COMMANDS)
+def test_combinatorial_command_starts_without_numpy(argv, code, head, walkthrough_inputs, tmp_path):
+    for f in walkthrough_inputs.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "confviz", *argv.split()],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stdout[: len(head)]) == (code, head)
+    imported = {
+        line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert "confviz.cli" in imported
+    assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+
+# argparse words its help differently before 3.11 and from 3.13 on
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 11), (3, 12)), reason="argparse help layout")
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (
+            "circles",
+            """usage: confviz circles [-h] [--tol TOL] [--allow-degree-two] [-o OUTPUT]
+                       layout
+
+positional arguments:
+  layout
+
+options:
+  -h, --help            show this help message and exit
+  --tol TOL
+  --allow-degree-two
+  -o OUTPUT, --out OUTPUT
+                        write the artifact here instead of stdout
+""",
+        ),
+        (
+            "spatial",
+            """usage: confviz spatial [-h] [--pole X Y Z] [--seed SEED] [-o OUTPUT]
+                       {tetrahedron,cube,octahedron,dodecahedron,icosahedron,cuboctahedron}
+                       {planes,sphere,project}
+
+positional arguments:
+  {tetrahedron,cube,octahedron,dodecahedron,icosahedron,cuboctahedron}
+  {planes,sphere,project}
+
+options:
+  -h, --help            show this help message and exit
+  --pole X Y Z
+  --seed SEED
+  -o OUTPUT, --out OUTPUT
+                        write the artifact here instead of stdout
+""",
+        ),
+    ],
+)
+def test_help_of_lazily_imported_commands(command, text, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == text

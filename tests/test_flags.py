@@ -28,7 +28,7 @@ from confviz import realization
 from confviz.graphs import petersen_graph
 from confviz.incidence import IncidenceStructure
 from confviz.pappus import derive_pappus_points
-from confviz.realization import _meet_points, sorted_center_distances
+from confviz.realization import _meet_points
 
 from oracles import circle_pair_intersections
 
@@ -280,13 +280,6 @@ def test_invert_concurrent_lines_share_image_point():
     common = np.array([0.0, 2.0]) / 4.0  # image of the concurrence point
     for c in cfg.circles:
         assert abs(np.linalg.norm(np.asarray(c.center) - common) - c.r) < 1e-9
-
-
-def test_sorted_center_distances_shape():
-    cfg = petersen_config()
-    d = sorted_center_distances(cfg)
-    assert len(d) == 45
-    assert all(d[i] <= d[i + 1] for i in range(len(d) - 1))
 
 
 def test_incidence_residual_reflects_bad_record():

@@ -84,16 +84,6 @@ def test_pcc_round_trip_bytes():
     assert jsonio.dumps(jsonio.pcc_to_obj(back)) == jsonio.dumps(obj)
 
 
-def test_skeleton_round_trip_bytes():
-    sk = polytope_data("cube")
-    obj = jsonio.skeleton_to_obj(sk)
-    back = jsonio.skeleton_from_obj(obj)
-    assert back.name == "cube"
-    assert back.graph == sk.graph
-    assert np.array_equal(back.coords, sk.coords)
-    assert jsonio.dumps(jsonio.skeleton_to_obj(back)) == jsonio.dumps(obj)
-
-
 @pytest.mark.parametrize("name", ADMISSIBLE)
 def test_spherical_round_trip_bytes(name, tmp_path):
     # dodecahedron, icosahedron and cuboctahedron carry -0.0 coordinates
@@ -152,7 +142,6 @@ def test_detect_kind():
     assert jsonio.detect_kind(jsonio.incidence_to_obj(fano_plane())) == "incidence"
     assert jsonio.detect_kind(jsonio.layout_to_obj(layout_polygon(5))) == "layout"
     sk = polytope_data("cube")
-    assert jsonio.detect_kind(jsonio.skeleton_to_obj(sk)) == "skeleton"
     assert jsonio.detect_kind(jsonio.spherical_to_obj(sphere_circles(sk))) == "spherical"
     assert jsonio.detect_kind({"points": [], "lines": []}) == "pointline"
     assert jsonio.detect_kind({"points": [], "circles": [], "incidence": []}) == "pcc"
@@ -258,7 +247,6 @@ def test_every_artifact_kind_matches_oracle_emitter():
         "incidence": jsonio.incidence_to_obj(fano_plane()),
         "layout": jsonio.layout_to_obj(lay),
         "pcc": jsonio.pcc_to_obj(check_flags(circles_from_layout(lay, 1e-9))),
-        "skeleton": jsonio.skeleton_to_obj(sk),
         "spherical": jsonio.spherical_to_obj(sphere_circles(sk)),
         "pointplane": jsonio.pointplane_to_obj(point_plane_vconstruct(sk)),
         "pointline": {"points": np.eye(2), "lines": ((0, 1),)},
