@@ -60,7 +60,6 @@ _LAZY = {
     "check_flags": "realization",
     "circles_from_layout": "realization",
     "circumcircle": "realization",
-    "fit_circle": "realization",
     "incidence_of": "realization",
     "invert_pointline": "realization",
     "layout_gen_cuboctahedron": "realization",
@@ -142,7 +141,6 @@ __all__ = [
     "fano_plane",
     "find_free_cyclic_action",
     "find_swap_involution",
-    "fit_circle",
     "incidence_of",
     "invert_pointline",
     "is_admissible",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -91,12 +91,19 @@ class PointCircleConfig:
         if not np.all(np.isfinite(self.points)):
             raise ParameterError("points must be finite")
         self.circles = tuple(self.circles)
-        norm = []
-        for p, k in self.incidence:
-            if not (0 <= p < len(self.points) and 0 <= k < len(self.circles)):
-                raise ParameterError(f"incidence ({p},{k}) out of range")
-            norm.append((int(p), int(k)))
-        self.incidence = tuple(sorted(set(norm)))
+        try:
+            pk = np.fromiter(chain.from_iterable(self.incidence), dtype=np.intp)
+        except OverflowError:  # an index past intp is out of range; the check below names it
+            pk = np.array(list(chain.from_iterable(self.incidence)), dtype=object)
+        p, k = pk.reshape(-1, 2).T
+        c = len(self.circles)
+        out = np.flatnonzero((p < 0) | (p >= len(self.points)) | (k < 0) | (k >= c))
+        if len(out):
+            raise ParameterError(f"incidence ({p[out[0]]},{k[out[0]]}) out of range")
+        # sorted, distinct pairs as sorted, distinct keys p * c + k >= 0
+        key = np.sort(p * c + k)
+        p, k = np.divmod(key[np.diff(key, prepend=-1) != 0], c)
+        self.incidence = tuple(zip(p.tolist(), k.tolist()))
 
     def max_incidence_residual(self) -> float:
         if not self.incidence:
@@ -199,17 +206,23 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(a, a))
 
 
-def _circumcircles(p, q, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cx, cy, r) of the circles through the stacked planar triples p[k],
-    q[k], s[k] (a lone point broadcasts), each row with the arithmetic of a
-    single one. Raises DegeneracyError when a triple is collinear within
-    1e-12 of its longest side squared."""
-    p, q, s = (v.reshape(-1, 2) for v in np.broadcast_arrays(*(np.asarray(v, float) for v in (p, q, s))))
+def _collinear(p: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Mask of the stacked planar triples p[k], q[k], s[k] that are collinear
+    within 1e-12 of their longest side squared."""
     qp, sp = q - p, s - p
     scale = np.maximum(np.maximum(_row_norms(qp), _row_norms(sp)), _row_norms(s - q))
     cross = qp[:, 0] * sp[:, 1] - qp[:, 1] * sp[:, 0]
-    if np.any((scale == 0.0) | (np.abs(cross) <= 1e-12 * scale * scale)):
+    return (scale == 0.0) | (np.abs(cross) <= 1e-12 * scale * scale)
+
+
+def _circumcircles(p, q, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cx, cy, r) of the circles through the stacked planar triples p[k],
+    q[k], s[k] (a lone point broadcasts), each row with the arithmetic of a
+    single one. Raises DegeneracyError when _collinear flags a triple."""
+    p, q, s = (v.reshape(-1, 2) for v in np.broadcast_arrays(*(np.asarray(v, float) for v in (p, q, s))))
+    if np.any(_collinear(p, q, s)):
         raise DegeneracyError("circumcircle of (nearly) collinear points")
+    qp, sp = q - p, s - p
     pp = _row_dots(p, p)
     b = np.column_stack([_row_dots(q, q) - pp, _row_dots(s, s) - pp])
     center = np.linalg.solve(2.0 * np.stack([qp, sp], axis=1), b[:, :, None])[:, :, 0]
@@ -223,43 +236,6 @@ def _circles(cx: np.ndarray, cy: np.ndarray, r: np.ndarray) -> tuple[Circle, ...
 def circumcircle(p, q, s) -> Circle:
     """Circle through three non-collinear points (exact linear solve)."""
     return _circles(*_circumcircles(p, q, s))[0]
-
-
-def fit_circle(pts) -> tuple[Circle, float]:
-    """Least-squares circle: algebraic seed, then geometric refinement.
-
-    Returns the circle and the max absolute distance residual over pts.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
-        raise ParameterError("circle fit needs at least three planar points")
-    centered = pts - pts.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    if svals[1] <= 1e-12 * max(svals[0], 1.0):
-        raise DegeneracyError("circle fit of (nearly) collinear points")
-    # algebraic (Kasa) seed: minimize |x^2+y^2 + D x + E y + F|
-    a = np.column_stack([pts[:, 0], pts[:, 1], np.ones(len(pts))])
-    b = -(pts[:, 0] ** 2 + pts[:, 1] ** 2)
-    (d, e, f), *_ = np.linalg.lstsq(a, b, rcond=None)
-    cx, cy = -d / 2.0, -e / 2.0
-    r2 = cx * cx + cy * cy - f
-    if r2 <= 0:
-        raise DegeneracyError("algebraic circle fit collapsed")
-    x0 = np.array([cx, cy, math.sqrt(r2)])
-
-    def resid(x):
-        return np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1]) - x[2]
-
-    def jacobian(x):
-        dx = pts[:, 0] - x[0]
-        dy = pts[:, 1] - x[1]
-        dist = np.hypot(dx, dy)
-        dist = np.where(dist < 1e-300, 1.0, dist)
-        return np.column_stack([-dx / dist, -dy / dist, -np.ones(len(pts))])
-
-    x = lm_least_squares(resid, jacobian, x0)
-    circle = Circle(float(x[0]), float(x[1]), float(abs(x[2])))
-    return circle, float(np.max(np.abs(circle.residual(pts))))
 
 
 # ---------------------------------------------------------------------------
@@ -581,46 +557,68 @@ def circles_from_layout(
 ) -> PointCircleConfig:
     """One circle per vertex through its neighbours (geometric V-construction).
 
-    Neighbourhoods must be concyclic within tol; the offending vertex is
-    named otherwise. Coinciding circles are refused.
+    A vertex of degree three or more takes the circumcircle (one call for
+    all) of three spread neighbours: the first, the farthest from it, and
+    the one spanning the largest triangle with those two. One residual pass
+    then gives each vertex its neighbours' largest distance from its circle.
+    With allow_degree_two, a degree-two vertex takes the circle about itself,
+    and its residual is the difference of its neighbours' distances. The
+    first failing vertex raises: ParameterError for another degree,
+    DegeneracyError for collinear neighbours, ConcyclicityError (with vertex
+    and residual) above tol. Coinciding circles are refused.
     """
     g = layout.graph
-    circles: list[Circle] = []
-    for v in range(g.order):
-        nbrs = g.adjacency[v]
-        if len(nbrs) >= 3:
-            circle, res = fit_circle(layout.pos[list(nbrs)])
-            if res > tol:
-                raise ConcyclicityError(
-                    f"neighbourhood of vertex {v} not concyclic (residual {res:.3e})",
-                    vertex=v,
-                    residual=res,
-                )
-            circles.append(circle)
-        elif len(nbrs) == 2 and allow_degree_two:
-            d = [float(np.linalg.norm(layout.pos[w] - layout.pos[v])) for w in nbrs]
-            if abs(d[0] - d[1]) > tol:
-                raise ConcyclicityError(
-                    f"vertex {v} neighbours not equidistant; no canonical circle",
-                    vertex=v,
-                    residual=abs(d[0] - d[1]),
-                )
-            circles.append(Circle(float(layout.pos[v][0]), float(layout.pos[v][1]), sum(d) / 2.0))
-        else:
-            raise ParameterError(
-                f"vertex {v} has degree {len(nbrs)}; need >= 3 (or 2 with allow_degree_two)"
-            )
-    cx, cy, r = _circle_arrays(circles)
+    pos = layout.pos
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.order)
+    nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=int(deg.sum()))
+    owner = np.repeat(np.arange(g.order), deg)
+    start = np.cumsum(deg) - deg
+    # a circle about each vertex until it has its own, and its residual
+    cx, cy, r, residual = pos[:, 0].copy(), pos[:, 1].copy(), np.zeros(g.order), np.zeros(g.order)
+    two = np.flatnonzero((deg == 2) & allow_degree_two)
+    d = _row_norms(pos[nbr[start[two, None] + np.arange(2)]] - pos[two, None])
+    r[two] = (d[:, 0] + d[:, 1]) / 2.0
+    residual[two] = np.abs(d[:, 0] - d[:, 1])
+    fit = np.flatnonzero(deg >= 3)
+    triples = np.empty((len(fit), 3), dtype=np.intp)
+    for k in set(deg[fit].tolist()):
+        at = np.flatnonzero(deg[fit] == k)
+        ring = nbr[start[fit[at], None] + np.arange(k)]
+        off = pos[ring] - pos[ring[:, :1]]
+        rows = np.arange(len(at))
+        far = np.argmax(_row_dots(off, off), axis=1)
+        u = off[rows, far]
+        area = np.abs(u[:, None, 0] * off[:, :, 1] - u[:, None, 1] * off[:, :, 0])
+        triples[at] = np.column_stack([ring[:, 0], ring[rows, far], ring[rows, np.argmax(area, axis=1)]])
+    p, q, s = pos[triples].transpose(1, 0, 2)
+    flat = _collinear(p, q, s)
+    cx[fit[~flat]], cy[fit[~flat]], r[fit[~flat]] = _circumcircles(p[~flat], q[~flat], s[~flat])
+    on = deg[owner] >= 3  # a collinear vertex's residual is moot: it fails first
+    o, w = owner[on], nbr[on]
+    np.maximum.at(residual, o, np.abs(np.hypot(pos[w, 0] - cx[o], pos[w, 1] - cy[o]) - r[o]))
+
+    refused = (deg < 3) & ((deg != 2) | (not allow_degree_two))
+    failed = refused | (residual > tol)
+    failed[fit[flat]] = True
+    if failed.any():
+        v = int(np.argmax(failed))
+        if refused[v]:
+            raise ParameterError(f"vertex {v} has degree {deg[v]}; need >= 3 (or 2 with allow_degree_two)")
+        if v in fit[flat]:
+            raise DegeneracyError(f"neighbours of vertex {v} are (nearly) collinear")
+        res = float(residual[v])
+        why = f"neighbourhood of vertex {v} not concyclic (residual {res:.3e})"
+        if deg[v] == 2:
+            why = f"vertex {v} neighbours not equidistant; no canonical circle"
+        raise ConcyclicityError(why, vertex=v, residual=res)
     i, j, dist = _pair_distances(np.column_stack([cx, cy]))
     clash = np.flatnonzero((dist <= TOL_SEPARATION) & (np.abs(r[i] - r[j]) <= TOL_SEPARATION))
     if len(clash):
-        first = clash[0]
-        raise DistinctnessError(f"circles of vertices {i[first]} and {j[first]} coincide")
-    incidence = tuple((p, v) for v in range(g.order) for p in g.adjacency[v])
+        raise DistinctnessError(f"circles of vertices {i[clash[0]]} and {j[clash[0]]} coincide")
     return PointCircleConfig(
-        points=layout.pos.copy(),
-        circles=tuple(circles),
-        incidence=incidence,
+        points=pos.copy(),
+        circles=_circles(cx, cy, r),
+        incidence=tuple(zip(nbr.tolist(), owner.tolist())),
         flags={},
         tols=tol_record(tol),
     )

@@ -7,8 +7,10 @@ intersection and flag check, the least-squares loop, the edge residual,
 the rotational-ansatz solve and the hypercube position loop are the loops
 that the library's array passes replaced; so are, after the JSON emitter
 that branched on numpy types, the scalar circumcircle with its per-block,
-per-line and per-circle callers and spatial's per-pair, per-plane and
-per-circle loops. Tests hold each pair to the same answers.
+per-line and per-circle callers, spatial's per-pair, per-plane and
+per-circle loops, and the per-vertex least-squares circle fit that
+circles_from_layout ran before its circumcircle pass. Tests hold each pair
+to the same answers.
 """
 
 import json
@@ -21,8 +23,10 @@ import numpy as np
 from confviz import iso, realization
 from confviz.errors import (
     AdmissibilityError,
+    ConcyclicityError,
     ConvergenceError,
     DegeneracyError,
+    DistinctnessError,
     ParameterError,
     PolePlacementError,
     SamplingError,
@@ -436,6 +440,96 @@ def hypercube_positions(d: int, angles: np.ndarray) -> np.ndarray:
             if v >> b & 1:
                 pos[v] += units[b]
     return pos
+
+
+# ---------------------------------------------------------------------------
+# the least-squares circle fit and the per-vertex loop over it: the versions
+# that the circumcircle and residual passes of circles_from_layout replaced
+
+
+def fit_circle(pts) -> tuple[Circle, float]:
+    """Least-squares circle: algebraic seed, then geometric refinement.
+
+    Returns the circle and the max absolute distance residual over pts.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+        raise ParameterError("circle fit needs at least three planar points")
+    centered = pts - pts.mean(axis=0)
+    svals = np.linalg.svd(centered, compute_uv=False)
+    if svals[1] <= 1e-12 * max(svals[0], 1.0):
+        raise DegeneracyError("circle fit of (nearly) collinear points")
+    # algebraic (Kasa) seed: minimize |x^2+y^2 + D x + E y + F|
+    a = np.column_stack([pts[:, 0], pts[:, 1], np.ones(len(pts))])
+    b = -(pts[:, 0] ** 2 + pts[:, 1] ** 2)
+    (d, e, f), *_ = np.linalg.lstsq(a, b, rcond=None)
+    cx, cy = -d / 2.0, -e / 2.0
+    r2 = cx * cx + cy * cy - f
+    if r2 <= 0:
+        raise DegeneracyError("algebraic circle fit collapsed")
+    x0 = np.array([cx, cy, math.sqrt(r2)])
+
+    def resid(x):
+        return np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1]) - x[2]
+
+    def jacobian(x):
+        dx = pts[:, 0] - x[0]
+        dy = pts[:, 1] - x[1]
+        dist = np.hypot(dx, dy)
+        dist = np.where(dist < 1e-300, 1.0, dist)
+        return np.column_stack([-dx / dist, -dy / dist, -np.ones(len(pts))])
+
+    x = lm_least_squares(resid, jacobian, x0)
+    circle = Circle(float(x[0]), float(x[1]), float(abs(x[2])))
+    return circle, float(np.max(np.abs(circle.residual(pts))))
+
+
+def circles_from_layout(
+    layout: Layout, tol: float = TOL_INCIDENCE, allow_degree_two: bool = False
+) -> PointCircleConfig:
+    """One circle per vertex through its neighbours (geometric V-construction).
+
+    Neighbourhoods must be concyclic within tol; the offending vertex is
+    named otherwise. Coinciding circles are refused.
+    """
+    g = layout.graph
+    circles: list[Circle] = []
+    for v in range(g.order):
+        nbrs = g.adjacency[v]
+        if len(nbrs) >= 3:
+            circle, res = fit_circle(layout.pos[list(nbrs)])
+            if res > tol:
+                raise ConcyclicityError(
+                    f"neighbourhood of vertex {v} not concyclic (residual {res:.3e})",
+                    vertex=v,
+                    residual=res,
+                )
+            circles.append(circle)
+        elif len(nbrs) == 2 and allow_degree_two:
+            d = [float(np.linalg.norm(layout.pos[w] - layout.pos[v])) for w in nbrs]
+            if abs(d[0] - d[1]) > tol:
+                raise ConcyclicityError(
+                    f"vertex {v} neighbours not equidistant; no canonical circle",
+                    vertex=v,
+                    residual=abs(d[0] - d[1]),
+                )
+            circles.append(Circle(float(layout.pos[v][0]), float(layout.pos[v][1]), sum(d) / 2.0))
+        else:
+            raise ParameterError(
+                f"vertex {v} has degree {len(nbrs)}; need >= 3 (or 2 with allow_degree_two)"
+            )
+    for i, j in combinations(range(len(circles)), 2):
+        a, b = circles[i], circles[j]
+        if math.hypot(a.cx - b.cx, a.cy - b.cy) <= TOL_SEPARATION and abs(a.r - b.r) <= TOL_SEPARATION:
+            raise DistinctnessError(f"circles of vertices {i} and {j} coincide")
+    incidence = tuple((p, v) for v in range(g.order) for p in g.adjacency[v])
+    return PointCircleConfig(
+        points=layout.pos.copy(),
+        circles=tuple(circles),
+        incidence=incidence,
+        flags={},
+        tols=realization.tol_record(tol),
+    )
 
 
 # ---------------------------------------------------------------------------

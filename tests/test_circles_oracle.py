@@ -1,0 +1,207 @@
+"""circles_from_layout's circumcircle pass against the per-vertex
+least-squares fit it replaced (oracles.circles_from_layout)."""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import oracles
+from confviz import (
+    TOL_INCIDENCE,
+    ConcyclicityError,
+    DegeneracyError,
+    DistinctnessError,
+    Layout,
+    ParameterError,
+    check_flags,
+    circles_from_layout,
+    layout_gen_cuboctahedron,
+    layout_hypercube,
+    layout_polygon,
+    solve_unit_distance,
+)
+from confviz.graphs import Graph, petersen_graph
+from confviz.realization import _circle_arrays
+
+REFUSALS = (ConcyclicityError, DegeneracyError, DistinctnessError, ParameterError)
+
+
+@lru_cache(maxsize=None)
+def _petersen(seed):
+    return solve_unit_distance(petersen_graph(), symmetry=5, seed=seed)[0]
+
+
+@st.composite
+def similar_layouts(draw):
+    """(layout, scale, allow_degree_two): a hypercube(3..5), CO(5..16),
+    polygon or symmetric Petersen solve under a random similarity with
+    scale 0.1..10."""
+    kind = draw(st.sampled_from(["hypercube", "CO", "polygon", "petersen"]))
+    if kind == "hypercube":
+        layout = layout_hypercube(draw(st.integers(3, 5)), seed=draw(st.integers(0, 50)))
+    elif kind == "CO":
+        layout = layout_gen_cuboctahedron(draw(st.integers(5, 16)))
+    elif kind == "polygon":
+        layout = layout_polygon(draw(st.integers(5, 24)))
+    else:
+        layout = _petersen(draw(st.integers(0, 2)))
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    scale = draw(st.floats(0.1, 10.0))
+    shift = np.array([draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))])
+    c, s = math.cos(angle), math.sin(angle)
+    pos = scale * (layout.pos @ np.array([[c, -s], [s, c]]).T + shift)
+    return Layout(layout.graph, pos, {"generator": kind}), scale, kind == "polygon"
+
+
+def _table(cfg):
+    return np.column_stack(_circle_arrays(cfg.circles))
+
+
+def _gap(cfg, want):
+    """Largest centre or radius difference per circle, over want's radius."""
+    got, ref = _table(cfg), _table(want)
+    return np.max(np.abs(got - ref).max(axis=1) / ref[:, 2])
+
+
+LADDER = {
+    **{f"hypercube({d})": lambda d=d: layout_hypercube(d, seed=0) for d in range(3, 7)},
+    **{f"CO({n})": lambda n=n: layout_gen_cuboctahedron(n) for n in range(5, 41)},
+    **{f"polygon({n})": lambda n=n: layout_polygon(n) for n in range(5, 65)},
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_circles_match_least_squares_fit_on_ladder(name):
+    layout = LADDER[name]()
+    degree_two = name.startswith("polygon")
+    cfg = circles_from_layout(layout, allow_degree_two=degree_two)
+    want = oracles.circles_from_layout(layout, allow_degree_two=degree_two)
+    assert _gap(cfg, want) <= 1e-12
+    if degree_two:
+        assert np.array_equal(_table(cfg), _table(want))
+    assert cfg.incidence == want.incidence
+
+
+@settings(max_examples=60, deadline=None)
+@given(similar_layouts())
+def test_circles_match_least_squares_fit(case):
+    layout, scale, degree_two = case
+    cfg = circles_from_layout(layout, allow_degree_two=degree_two)
+    want = oracles.circles_from_layout(layout, allow_degree_two=degree_two)
+    # Moved off the origin, the fit's last iterate strays up to about
+    # 1.2e-12 of the radius from the exact circle, and the circumcircle up
+    # to 4e-13; the unit circles about hypercube vertices are known exactly.
+    assert _gap(cfg, want) <= 4e-12
+    if layout.meta.get("generator") == "hypercube":
+        exact = np.column_stack([layout.pos, np.full(layout.graph.order, scale)])
+        assert np.max(np.abs(_table(cfg) - exact)) <= 1e-12 * scale
+    if degree_two:
+        assert np.array_equal(_table(cfg), _table(want))
+    assert cfg.incidence == want.incidence
+    assert check_flags(cfg).flags == check_flags(want).flags
+
+
+def _fit_residuals(layout):
+    """Each vertex's residual under the least-squares fit (or, at degree
+    two, the difference of its neighbours' distances)."""
+    out = []
+    for v, nbrs in enumerate(layout.graph.adjacency):
+        pts = layout.pos[list(nbrs)]
+        if len(nbrs) == 2:
+            d = np.linalg.norm(pts - layout.pos[v], axis=1)
+            out.append(abs(d[0] - d[1]))
+        else:
+            out.append(oracles.fit_circle(pts)[1])
+    return out
+
+
+@st.composite
+def moved_layouts(draw):
+    """(layout, allow_degree_two) with one vertex w moved: either off the
+    circle of a neighbour v, along its radius, by 10 tol to 1e-4, or in
+    any direction by at most tol / 10."""
+    layout, _, degree_two = draw(similar_layouts())
+    g = layout.graph
+    v = draw(st.integers(0, g.order - 1))
+    w = draw(st.sampled_from(g.adjacency[v]))
+    pos = layout.pos.copy()
+    if draw(st.booleans()):
+        circle = oracles.circles_from_layout(layout, allow_degree_two=degree_two).circles[v]
+        radial = pos[w] - circle.center
+        step = draw(st.floats(10.0 * TOL_INCIDENCE, 1e-4)) * draw(st.sampled_from([1.0, -1.0]))
+        pos[w] += step * radial / np.linalg.norm(radial)
+    else:
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        pos[w] += draw(st.floats(0.0, TOL_INCIDENCE / 10.0)) * np.array([math.cos(angle), math.sin(angle)])
+    return Layout(g, pos, {}), degree_two
+
+
+def _outcome(build, layout, degree_two):
+    try:
+        build(layout, allow_degree_two=degree_two)
+    except REFUSALS as exc:
+        return type(exc), getattr(exc, "vertex", None)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(moved_layouts())
+def test_accept_and_refuse_as_least_squares_fit(case):
+    layout, degree_two = case
+    # a circumcircle's largest residual and the least-squares fit's differ by
+    # a factor set by how the neighbours spread, so the decision is compared
+    # only where no vertex's residual sits near the tolerance
+    assume(all(not TOL_INCIDENCE / 10.0 <= res <= 10.0 * TOL_INCIDENCE for res in _fit_residuals(layout)))
+    assert _outcome(circles_from_layout, layout, degree_two) == _outcome(
+        oracles.circles_from_layout, layout, degree_two
+    )
+
+
+# Two stars, centres 0 and 1 with their leaves listed after both, so each
+# case also has degree-one vertices after the failing centre; the leaves
+# are given as offsets from their centre.
+_CONCYCLIC = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+_SKEW = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.2, -1.3)]
+_COLLINEAR = [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)]
+
+
+def _two_stars(first, second):
+    edges = [(0, 2 + i) for i in range(len(first))]
+    edges += [(1, 2 + len(first) + i) for i in range(len(second))]
+    pos = np.array([(0.0, 0.0), (5.0, 5.0), *first, *(np.array(second) + 5.0)])
+    return Layout(Graph(len(pos), tuple(edges)), pos, {})
+
+
+@pytest.mark.parametrize(
+    "first, second, error, vertex",
+    [
+        (_COLLINEAR, _SKEW, DegeneracyError, 0),
+        (_SKEW, _COLLINEAR, ConcyclicityError, 0),
+        (_CONCYCLIC, _COLLINEAR, DegeneracyError, 1),
+        (_CONCYCLIC, _SKEW, ConcyclicityError, 1),
+        (_CONCYCLIC, _CONCYCLIC, ParameterError, 2),
+    ],
+)
+def test_first_failing_vertex_raises(first, second, error, vertex):
+    layout = _two_stars(first, second)
+    for build in (circles_from_layout, oracles.circles_from_layout):
+        with pytest.raises(error) as exc:
+            build(layout)
+        if error is ConcyclicityError:
+            assert exc.value.vertex == vertex
+    # the oracle's collinearity message names no vertex
+    with pytest.raises(error, match=f"vertex {vertex} "):
+        circles_from_layout(layout)
+
+
+def test_degree_one_vertex_before_a_bad_one():
+    layout = _two_stars(_SKEW, _COLLINEAR)
+    order = [2, 0, 1, *range(3, layout.graph.order)]  # a leaf becomes vertex 0
+    g = Graph(layout.graph.order, tuple((order.index(u), order.index(v)) for u, v in layout.graph.edges))
+    moved = Layout(g, layout.pos[order], {})
+    for build in (circles_from_layout, oracles.circles_from_layout):
+        with pytest.raises(ParameterError, match="vertex 0 has degree 1"):
+            build(moved)

@@ -17,6 +17,11 @@ def test_every_public_name_resolves_to_its_module():
         assert vars(confviz)[name] is value, name  # a lazy name is cached after its first lookup
 
 
+def test_lazy_table_names_are_public_once():
+    assert len(set(confviz.__all__)) == len(confviz.__all__)
+    assert set(confviz._LAZY) <= set(confviz.__all__)
+
+
 def test_dir_and_star_import_cover_the_public_names():
     listed = dir(confviz)
     assert "__all__" in listed

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from confviz import (
     DistinctnessError,
     Layout,
     ParameterError,
+    PointCircleConfig,
     TOL_INCIDENCE,
     circles_from_layout,
     circumcircle,
-    fit_circle,
     incidence_of,
     layout_gen_cuboctahedron,
     layout_hypercube,
@@ -34,7 +35,7 @@ from confviz.graphs import (
 )
 from confviz.realization import _hypercube_positions, lm_least_squares
 
-from oracles import circle_residuals, hypercube_positions
+from oracles import circle_residuals, fit_circle, hypercube_positions
 
 
 def test_circle_validation():
@@ -44,6 +45,22 @@ def test_circle_validation():
         Circle(0.0, math.nan, 1.0)
     c = Circle(1.0, 2.0, 3.0)
     assert np.allclose(c.center, (1.0, 2.0))
+
+
+def test_point_circle_incidence_sorted_and_range_checked():
+    circles, pts = (Circle(0.0, 0.0, 1.0), Circle(3.0, 0.0, 1.0)), np.zeros((3, 2))
+    cfg = PointCircleConfig(pts, circles, ((2, 1), (0, 0), (2, 1), (np.int64(1), 0)))
+    assert cfg.incidence == ((0, 0), (1, 0), (2, 1))
+    assert {type(x) for pair in cfg.incidence for x in pair} == {int}
+    # the first pair out of range in input order is named, past intp too
+    for incidence, named in [
+        (((0, 0), (5, 1), (10**20, 0)), "(5,1)"),
+        (((0, 0), (-(10**20), 1), (5, 1)), f"({-(10**20)},1)"),
+        (((1, -1),), "(1,-1)"),
+        (((0, 2),), "(0,2)"),
+    ]:
+        with pytest.raises(ParameterError, match=f"^incidence {re.escape(named)} out of range$"):
+            PointCircleConfig(pts, circles, incidence)
 
 
 def test_circumcircle_right_triangle():
@@ -75,6 +92,8 @@ def test_circumcircle_residual_bound():
         assert worst <= 1e-12 * (1.0 + c.r)
 
 
+# fit_circle is the least-squares fit circles_from_layout ran before its
+# circumcircle pass, kept in oracles as that pass's reference
 def test_fit_circle_exact_quarters():
     pts = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     c, res = fit_circle(pts)
