@@ -26,6 +26,7 @@ from .graphs import (
     VertexMap,
     bipartite_swap_involution,
     build_family,
+    cartesian_factors,
     cartesian_product,
     family_names,
     is_admissible,
@@ -130,6 +131,7 @@ __all__ = [
     "admissible_polytope",
     "bipartite_swap_involution",
     "build_family",
+    "cartesian_factors",
     "cartesian_product",
     "check_flags",
     "circles_from_layout",

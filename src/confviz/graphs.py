@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Iterator
 
@@ -338,6 +338,82 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         f"({g.label(a)},{h.label(x)})" for a in range(g.order) for x in range(h.order)
     )
     return Graph(g.order * h.order, tuple(edges), labels)
+
+
+def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
+    """Cartesian factors of g and a map from g onto their product.
+
+    Edges are related by the delta rule: opposite edges of a chordless
+    square, and adjacent edges that do not span exactly one square, or span
+    one with a chord. Both hold only within a factor, so the closure (taken
+    by union-find) gives one class per factor, or finer classes. Each
+    class's layer through vertex 0 is a factor on its vertices in increasing
+    order. A vertex's coordinate in that factor is the layer vertex it
+    reaches without the class's edges. The map sends a vertex to its index in
+    the product of the factors folded left with cartesian_product. It is kept
+    only when it is an isomorphism onto that product. Otherwise, and with
+    one class, g counts as prime and comes back alone with the identity map.
+    """
+    prime = ((g,), VertexMap(tuple(range(g.order))))
+    index = {e: i for i, e in enumerate(g.edges)}
+    index.update({(v, u): i for (u, v), i in list(index.items())})
+    parent = list(range(g.size))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(e: tuple[int, int], f: tuple[int, int]) -> None:
+        a, b = find(index[e]), find(index[f])
+        parent[max(a, b)] = min(a, b)
+
+    nbrs = g.neighbor_sets
+    for u in range(g.order):
+        for v, w in combinations(g.adjacency[u], 2):
+            corners = (nbrs[v] & nbrs[w]) - {u}
+            chordless = [] if w in nbrs[v] else [x for x in corners if x not in nbrs[u]]
+            if len(corners) != 1 or len(chordless) != 1:
+                union((u, v), (u, w))
+            # a square is related once, from its least corner
+            for x in chordless:
+                if u < v and u < x:
+                    union((u, v), (w, x))
+                    union((u, w), (v, x))
+    # classes in the order of their least edge, which is their root
+    roots = sorted({find(i) for i in range(g.size)})
+    if len(roots) < 2:
+        return prime
+    cls = {r: c for c, r in enumerate(roots)}
+    colour = [cls[find(i)] for i in range(g.size)]
+    coords = [[0] * len(roots) for _ in range(g.order)]
+    factors = []
+    for c in range(len(roots)):
+        mine = Graph(g.order, tuple(e for e, k in zip(g.edges, colour) if k == c))
+        rest = Graph(g.order, tuple(e for e, k in zip(g.edges, colour) if k != c))
+        layer = structure_report(mine).components[0]
+        at = {v: i for i, v in enumerate(layer)}
+        edges = tuple((at[u], at[v]) for u, v in mine.edges if u in at)
+        factors.append(Graph(len(layer), edges, tuple(g.label(v) for v in layer)))
+        # each component without class-c edges meets the layer once, there
+        # at the vertex's coordinate
+        for comp in structure_report(rest).components:
+            hits = [at[v] for v in comp if v in at]
+            if len(hits) != 1:
+                return prime
+            for v in comp:
+                coords[v][c] = hits[0]
+    image = []
+    for xs in coords:
+        i = 0
+        for f, x in zip(factors, xs):
+            i = i * f.order + x
+        image.append(i)
+    witness = VertexMap(tuple(image))
+    if not witness.is_isomorphism(g, reduce(cartesian_product, factors)):
+        return prime
+    return tuple(factors), witness
 
 
 def line_graph(g: Graph) -> Graph:

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     SamplingError,
 )
-from .graphs import Graph, build_family, cartesian_product
+from .graphs import Graph, build_family, cartesian_factors, cartesian_product
 from .incidence import IncidenceStructure
 
 TOL_INCIDENCE = 1e-9
@@ -215,12 +215,13 @@ def _collinear(p: np.ndarray, q: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (scale == 0.0) | (np.abs(cross) <= 1e-12 * scale * scale)
 
 
-def _circumcircles(p, q, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _circumcircles(p, q, s, screened: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cx, cy, r) of the circles through the stacked planar triples p[k],
     q[k], s[k] (a lone point broadcasts), each row with the arithmetic of a
-    single one. Raises DegeneracyError when _collinear flags a triple."""
+    single one. Raises DegeneracyError when _collinear flags a triple,
+    unless the caller has screened the triples with _collinear already."""
     p, q, s = (v.reshape(-1, 2) for v in np.broadcast_arrays(*(np.asarray(v, float) for v in (p, q, s))))
-    if np.any(_collinear(p, q, s)):
+    if not screened and np.any(_collinear(p, q, s)):
         raise DegeneracyError("circumcircle of (nearly) collinear points")
     qp, sp = q - p, s - p
     pp = _row_dots(p, p)
@@ -319,22 +320,15 @@ def layout_product(la: Layout, lb: Layout, angle: float | None = None, seed: int
     translate of a factor edge. Vertex (a, x) lands at index a * |H| + x.
     """
     g = cartesian_product(la.graph, lb.graph)
-
-    def build(theta: float) -> np.ndarray:
-        c, s = math.cos(theta), math.sin(theta)
-        rot = np.array([[c, -s], [s, c]])
-        rotated = lb.pos @ rot.T
-        return (la.pos[:, None, :] + rotated[None, :, :]).reshape(-1, 2)
-
     if angle is not None:
-        pos = build(float(angle))
+        pos = _product_positions(la.pos, lb.pos, float(angle))
         if _min_separation(pos) <= TOL_SEPARATION:
             raise DegeneracyError("product angle collapses two vertices")
         return Layout(g, pos, {"generator": "product", "angle": float(angle)})
     rng = np.random.default_rng(0 if seed is None else seed)
     for attempt in range(_RESAMPLE_BUDGET):
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        pos = build(theta)
+        pos = _product_positions(la.pos, lb.pos, theta)
         if _min_separation(pos) > TOL_SEPARATION:
             return Layout(
                 g,
@@ -347,6 +341,13 @@ def layout_product(la: Layout, lb: Layout, angle: float | None = None, seed: int
                 },
             )
     raise SamplingError("no generic product angle found within budget", seed=seed)
+
+
+def _product_positions(pa: np.ndarray, pb: np.ndarray, theta: float) -> np.ndarray:
+    """pb rotated by theta and translated to every point of pa, in pa-major order."""
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    return (pa[:, None, :] + (pb @ rot.T)[None, :, :]).reshape(-1, 2)
 
 
 def layout_gen_cuboctahedron(n: int, r_outer: float = 2.0, r_inner: float = 1.0) -> Layout:
@@ -463,6 +464,56 @@ def _solve_orbits(
     return lm_least_squares(resid, jacobian, x0, max_iter=max_iter)
 
 
+# Angles tried, in order, for the factor each product start composes in:
+# multiples of the golden angle, so no two are equal or opposite.
+_PRODUCT_ANGLES = tuple(math.pi * (3.0 - math.sqrt(5.0)) * t for t in range(1, 13))
+
+
+def _factor_layout(f: Graph, seed: int, restarts: int) -> Layout:
+    """Unit-distance drawing of a Cartesian factor: K_2 as a unit segment, a
+    cycle as the unit-sided polygon in its vertex order, and any other
+    factor by the plain solve."""
+    if f.order == 2:
+        return Layout(f, [[0.0, 0.0], [1.0, 0.0]])
+    if all(len(a) == 2 for a in f.adjacency):  # connected and 2-regular: a cycle
+        walk = [0, f.adjacency[0][0]]
+        while len(walk) < f.order:
+            a, b = f.adjacency[walk[-1]]
+            walk.append(b if a == walk[-2] else a)
+        pos = np.empty((f.order, 2))
+        pos[walk] = layout_polygon(f.order).pos
+        return Layout(f, pos)
+    return solve_unit_distance(f, seed=seed, restarts=restarts)[0]
+
+
+def _product_start(g: Graph, seed: int, restarts: int):
+    """Yield the drawing of g as the product of its factors' drawings, with
+    its meta, when g factors and the drawing is clean; else yield nothing.
+
+    Each factor joins at the first of _PRODUCT_ANGLES that keeps every two
+    vertices apart and puts no non-adjacent pair within 1e-6 of unit
+    distance, so that no circle of the drawing carries a foreign point.
+    """
+    factors, witness = cartesian_factors(g)
+    if len(factors) < 2:
+        return
+    try:
+        lay, *rest = (_factor_layout(f, seed, restarts) for f in factors)
+    except ConvergenceError:
+        return
+    for lb in rest:
+        size = lay.graph.size * lb.graph.order + lay.graph.order * lb.graph.size
+        for angle in _PRODUCT_ANGLES:
+            dist = _pair_distances(_product_positions(lay.pos, lb.pos, angle))[2]
+            # the edges alone at unit distance
+            if dist.min() > TOL_SEPARATION and np.count_nonzero(np.abs(dist - 1.0) <= 1e-6) == size:
+                break
+        else:
+            return
+        lay = layout_product(lay, lb, angle)
+    yield lay.pos[list(witness.image)], {"method": "product", "factors": [f.order for f in factors]}
+
+
 def solve_unit_distance(
     g: Graph,
     init: Layout | None = None,
@@ -475,7 +526,9 @@ def solve_unit_distance(
 
     One loop polishes start layouts until the residual clears TOL_INCIDENCE
     with no two vertices collapsed. With `init` its positions are the only
-    start. A plain solve draws `restarts` seeded random starts. An integer
+    start. A plain solve draws `restarts` seeded random starts; when g is a
+    Cartesian product (graphs.cartesian_factors), the product of its
+    factors' drawings goes first, as one more start. An integer
     `symmetry` k asks for a rotational ansatz: up to six free order-k
     automorphisms are searched, and each one's orbits become (radius, phase)
     ring variables; explicit orbit lists are also accepted. Each orbit set's
@@ -496,12 +549,13 @@ def solve_unit_distance(
     if init is not None:
         if init.graph.edges != g.edges or init.graph.order != g.order:
             raise ParameterError("init layout belongs to a different graph")
-        starts = [init.pos]
-        meta, what, over = {"method": "polish"}, "polish", ""
+        starts = [(init.pos, {"method": "polish"})]
+        what, over = "polish", ""
     elif symmetry is None:
         span = 1.0 + 0.25 * math.sqrt(g.order)
-        starts = (rng.uniform(-span, span, size=(g.order, 2)) for _ in range(restarts))
-        meta, what, over = {"method": "lm"}, "unit-distance solve", ""
+        drawn = ((rng.uniform(-span, span, size=(g.order, 2)), {"method": "lm"}) for _ in range(restarts))
+        starts = chain(_product_start(g, base_seed, restarts), drawn)
+        what, over = "unit-distance solve", ""
     else:
         if isinstance(symmetry, int):
             actions = iso.find_free_cyclic_action(g, symmetry, limit=6)
@@ -526,15 +580,16 @@ def solve_unit_distance(
                     x0 = np.empty(2 * len(orbits))
                     x0[0::2] = rng.uniform(0.25, 2.2, size=len(orbits))
                     x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=len(orbits))
-                    yield _ring_positions(_solve_orbits(g, ring, offset, x0, _LM_MAX_ITER), ring, offset)
+                    x = _solve_orbits(g, ring, offset, x0, _LM_MAX_ITER)
+                    yield _ring_positions(x, ring, offset), {"method": "orbit-lm", "symmetry": k}
 
         starts = ring_starts()
-        meta, what = {"method": "orbit-lm", "symmetry": k}, "symmetric solve"
+        what = "symmetric solve"
         over = f" over {len(orbit_sets)} orbit set" + "s" * (len(orbit_sets) != 1)
 
     best = math.inf
     runs = 0
-    for runs, pos0 in enumerate(starts, 1):
+    for runs, (pos0, meta) in enumerate(starts, 1):
         pos = _solve_coordinates(g, pos0, _LM_MAX_ITER)
         layout = Layout(g, pos, {})
         residual = unit_edge_residual(layout)
@@ -592,7 +647,7 @@ def circles_from_layout(
         triples[at] = np.column_stack([ring[:, 0], ring[rows, far], ring[rows, np.argmax(area, axis=1)]])
     p, q, s = pos[triples].transpose(1, 0, 2)
     flat = _collinear(p, q, s)
-    cx[fit[~flat]], cy[fit[~flat]], r[fit[~flat]] = _circumcircles(p[~flat], q[~flat], s[~flat])
+    cx[fit[~flat]], cy[fit[~flat]], r[fit[~flat]] = _circumcircles(p[~flat], q[~flat], s[~flat], screened=True)
     on = deg[owner] >= 3  # a collinear vertex's residual is moot: it fails first
     o, w = owner[on], nbr[on]
     np.maximum.at(residual, o, np.abs(np.hypot(pos[w, 0] - cx[o], pos[w, 1] - cy[o]) - r[o]))

@@ -11,6 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from confviz import (
+    TOL_INCIDENCE,
     check_flags,
     circles_from_layout,
     circumcircle,
@@ -47,6 +48,7 @@ from confviz.graphs import (
     odd_graph,
     pappus_graph,
     petersen_graph,
+    prism_graph,
 )
 
 
@@ -235,3 +237,24 @@ def test_criterion_11_kronecker_witness_ladder():
         rep = verify_kronecker_theorem(g)
         ok = ok and rep.admissible and rep.verified and rep.witness is not None
     report(11, "Kronecker witness on hypercube 3..8 and odd 3..6", ok)
+
+
+def test_criterion_12_plain_solve_on_product_ladders():
+    """Every point lies on exactly the circles of its neighbours: within
+    TOL_INCIDENCE of those, and 1e-6 or more off every other circle."""
+    ladder = [(prism_graph(n), seed) for n in range(3, 41) for seed in range(4)]
+    ladder += [(generalized_petersen_graph(n, 1), seed) for n in range(3, 41) for seed in range(4)]
+    ladder += [(hypercube_graph(d), 0) for d in range(3, 9)]
+    ok = True
+    for g, seed in ladder:
+        lay, res = solve_unit_distance(g, seed=seed)
+        cfg = circles_from_layout(lay)
+        centers = np.array([c.center for c in cfg.circles])
+        radii = np.array([c.r for c in cfg.circles])
+        off = np.abs(np.linalg.norm(lay.pos[None, :, :] - centers[:, None, :], axis=2) - radii[:, None])
+        near = np.zeros((g.order, g.order), dtype=bool)
+        for u, v in g.edges:
+            near[u, v] = near[v, u] = True
+        ok = ok and res <= TOL_INCIDENCE and lay.meta["method"] == "product"
+        ok = ok and bool(np.all(off[near] <= TOL_INCIDENCE) and np.all(off[~near] >= 1e-6))
+    report(12, "plain solve on product ladders", ok)

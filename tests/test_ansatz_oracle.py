@@ -59,7 +59,10 @@ def test_explicit_orbit_and_plain_solves_match_oracle(seed):
         lambda: solve_unit_distance(g, seed=seed, symmetry=C8_ORBITS),
         lambda: oracles.solve_unit_distance(g, seed=seed, symmetry=C8_ORBITS),
     )
-    for g, restarts in ((cycle_graph(5), 40), (complete_graph(4), 4)):
+    # prime graphs: no product start, so the random loop alone, as before
+    plain = [(cycle_graph(5), 40), (complete_graph(4), 4)]
+    plain += [(build_family(*f), 4) for f in (("petersen",), ("gen_petersen", 7, 2), ("dodecahedron",))]
+    for g, restarts in plain:
         assert_same_solve(
             lambda: solve_unit_distance(g, seed=seed, restarts=restarts),
             lambda: oracles.solve_unit_distance(g, seed=seed, restarts=restarts),

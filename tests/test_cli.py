@@ -127,6 +127,19 @@ def test_realize_solve_circles_check(tmp_path, capsys):
         assert line in out
 
 
+def test_plain_realize_of_products(tmp_path, capsys):
+    g, lay, pcc = (str(tmp_path / f"{name}.json") for name in ("g", "lay", "pcc"))
+    assert run(["gen", "prism", "12", "-o", g], capsys)[0] == 0
+    assert run(["realize", g, "-o", lay], capsys)[0] == 0
+    assert json.load(open(lay))["meta"]["factors"] == [12, 2]
+    assert run(["circles", lay, "-o", pcc], capsys)[0] == 0
+    code, out, _ = run(["check", pcc], capsys)
+    assert code == 0 and "degenerate: no" in out
+    assert run(["gen", "hypercube", "6", "-o", g], capsys)[0] == 0
+    assert run(["realize", g, "-o", lay], capsys)[0] == 0
+    assert json.load(open(lay))["meta"]["method"] == "product"
+
+
 def test_realize_parametric_layout(tmp_path, capsys):
     lay = str(tmp_path / "pent.json")
     code, out, _ = run(["realize", "--layout", "polygon", "--n", "5", "-o", lay], capsys)

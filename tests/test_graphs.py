@@ -1,7 +1,9 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confviz import (
     Graph,
@@ -9,9 +11,11 @@ from confviz import (
     VertexMap,
     bipartite_swap_involution,
     build_family,
+    cartesian_factors,
     cartesian_product,
     family_names,
     is_admissible,
+    isomorphic,
     kronecker_cover,
     line_graph,
     structure_report,
@@ -33,6 +37,7 @@ from confviz.graphs import (
     prism_graph,
 )
 
+import oracles
 from oracles import brute_girth, has_four_cycle_brute, tensor_double_cover
 
 
@@ -177,6 +182,84 @@ def test_product_labels():
     g = cartesian_product(path_graph(2), path_graph(2))
     assert g.order == 4 and g.size == 4
     assert "(" in g.label(0) and "," in g.label(0)
+
+
+# prime factors without a 4-cycle, so the delta rule splits their products
+# exactly along the factors
+SQUARE_FREE = [complete_graph(2), cycle_graph(3)] + [cycle_graph(n) for n in range(5, 9)]
+SQUARE_FREE += [path_graph(n) for n in range(3, 6)] + [complete_graph(4), petersen_graph()]
+
+
+def relabel(g, seed):
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.order, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SQUARE_FREE), min_size=2, max_size=3), st.integers(0, 2**32 - 1))
+def test_cartesian_factors_split_products_of_primes(primes, seed):
+    product = primes[0]
+    for f in primes[1:]:
+        product = cartesian_product(product, f)
+    g = relabel(product, seed)
+    factors, witness = cartesian_factors(g)
+    folded = factors[0]
+    for f in factors[1:]:
+        folded = cartesian_product(folded, f)
+    assert witness.is_isomorphism(g, folded)
+    unmatched = list(primes)
+    for f in factors:
+        match = next(i for i, p in enumerate(unmatched) if isomorphic(f, p) is not None)
+        unmatched.pop(match)
+    assert unmatched == []
+
+
+@pytest.mark.parametrize("g", [petersen_graph(), complete_graph(4), cycle_graph(5),
+                               generalized_petersen_graph(7, 2), dodecahedron_graph(),
+                               desargues_graph()])
+def test_cartesian_factors_leave_primes_whole(g):
+    factors, witness = cartesian_factors(g)
+    assert factors == (g,)
+    assert witness.image == tuple(range(g.order))
+
+
+def test_cartesian_factors_of_prism_and_hypercube():
+    factors, witness = cartesian_factors(prism_graph(7))
+    assert [(f.order, f.size) for f in factors] == [(7, 7), (2, 1)]
+    assert witness.is_isomorphism(prism_graph(7), cartesian_product(*factors))
+    assert [f.order for f in cartesian_factors(hypercube_graph(5))[0]] == [2] * 5
+    assert cartesian_factors(Graph(3, ()))[0] == (Graph(3, ()),)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_wrong_factor_map_falls_back_to_random_loop(monkeypatch, seed):
+    """A product the witness map does not fit counts as prime, and the plain
+    solve runs the random loop alone, bit-equal to the loop it came from."""
+    from confviz import ConvergenceError, graphs, solve_unit_distance
+
+    right = graphs.cartesian_product
+
+    def swapped(a, b):
+        # the product with its vertices 0 and 1 exchanged
+        swap = {0: 1, 1: 0}
+        h = right(a, b)
+        return Graph(h.order, tuple((swap.get(u, u), swap.get(v, v)) for u, v in h.edges))
+
+    monkeypatch.setattr(graphs, "cartesian_product", swapped)
+    g = prism_graph(5)
+    assert cartesian_factors(g) == ((g,), VertexMap(tuple(range(g.order))))
+    try:
+        want = oracles.solve_unit_distance(g, seed=seed, restarts=8)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError) as got:
+            solve_unit_distance(g, seed=seed, restarts=8)
+        assert (got.value.residual, got.value.restarts) == (exc.residual, 8)
+        return
+    lay, residual = solve_unit_distance(g, seed=seed, restarts=8)
+    assert lay.meta["method"] == "lm"
+    assert (lay.pos.tobytes(), list(lay.meta.items()), residual) == (
+        want[0].pos.tobytes(), list(want[0].meta.items()), want[1])
 
 
 def test_line_graph_k4():

@@ -25,13 +25,16 @@ from confviz import (
     unit_edge_residual,
     v_construct,
 )
+from confviz import realization
 from confviz.graphs import (
     Graph,
+    cartesian_product,
     complete_graph,
     cycle_graph,
     desargues_graph,
     pappus_graph,
     petersen_graph,
+    prism_graph,
 )
 from confviz.realization import _hypercube_positions, lm_least_squares
 
@@ -293,6 +296,57 @@ def test_solver_random_restarts_mode():
     lay, res = solve_unit_distance(cycle_graph(5), seed=3)
     assert res < 1e-9
     assert lay.meta["method"] == "lm"
+
+
+def test_solver_product_start():
+    lay, res = solve_unit_distance(prism_graph(14), seed=2)
+    assert list(lay.meta.items()) == [("method", "product"), ("factors", [14, 2]), ("seed", 2),
+                                      ("residual", res)]
+    assert res <= TOL_INCIDENCE
+    # a cycle is drawn in its walk order, whatever the vertex numbering
+    perm = np.random.default_rng(0).permutation(7)
+    c7 = Graph(7, tuple((perm[u], perm[v]) for u, v in cycle_graph(7).edges))
+    assert unit_edge_residual(realization._factor_layout(c7, 0, 1)) < 1e-15
+    perm = np.random.default_rng(0).permutation(18)
+    g = Graph(18, tuple((perm[u], perm[v]) for u, v in prism_graph(9).edges))
+    lay, res = solve_unit_distance(g, seed=0)
+    assert lay.meta["method"] == "product" and res <= 1e-14
+    assert incidence_of(circles_from_layout(lay)).blocks == v_construct(g).blocks
+    # a prime factor other than a cycle is drawn by the plain solve
+    lay, res = solve_unit_distance(cartesian_product(complete_graph(2), petersen_graph()), seed=0)
+    assert lay.meta["factors"] == [10, 2] and res <= TOL_INCIDENCE
+
+
+def test_solver_product_start_skips_bad_angles(monkeypatch):
+    # at angle pi the square K_2 x K_2 folds onto a segment
+    monkeypatch.setattr(realization, "_PRODUCT_ANGLES", (math.pi, 1.0))
+    lay, _ = solve_unit_distance(cycle_graph(4), seed=0)
+    assert lay.meta == {"method": "product", "factors": [2, 2], "seed": 0, "residual": 0.0}
+    # at this angle the rung at pentagon vertex 0 ends at unit distance
+    # from pentagon vertex 1, so the circle of vertex 1 would carry it
+    q = layout_polygon(5).pos
+    d = q[1] - q[0]
+    bad = math.atan2(d[1], d[0]) + math.pi / 3.0
+    g = prism_graph(5)
+    monkeypatch.setattr(realization, "_PRODUCT_ANGLES", (bad, 1.0))
+    lay, _ = solve_unit_distance(g, seed=0)
+    assert lay.meta["method"] == "product"
+    assert np.allclose(lay.pos[5] - lay.pos[0], [math.cos(1.0), math.sin(1.0)])
+    monkeypatch.setattr(realization, "_PRODUCT_ANGLES", (bad,))
+    with pytest.raises(ConvergenceError) as exc:
+        solve_unit_distance(g, seed=1, restarts=1)
+    assert exc.value.restarts == 1  # no product start, one random one
+
+
+def test_solver_counts_the_product_start(monkeypatch):
+    monkeypatch.setattr(realization, "TOL_INCIDENCE", -1.0)  # no start passes
+    with pytest.raises(ConvergenceError) as exc:
+        solve_unit_distance(prism_graph(5), seed=0, restarts=2)
+    assert exc.value.restarts == 3
+    assert str(exc.value).startswith("unit-distance solve exhausted 3 restarts (best residual ")
+    with pytest.raises(ConvergenceError) as exc:
+        solve_unit_distance(cycle_graph(5), seed=0, restarts=2)
+    assert exc.value.restarts == 2
 
 
 def test_circles_from_layout_unit_identity():
