@@ -36,13 +36,15 @@ class ConcyclicityError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solve stopped above tolerance; carries the best residual and,
-    for a restarted solve, the number of restarts run."""
+    """Iterative solve stopped above tolerance; carries the best residual (None
+    when no start ran), for a restarted solve the number of restarts run,
+    and for a symmetric solve the number of orbit sets ruled out unsolved."""
 
-    def __init__(self, message: str, residual=None, restarts=None):
+    def __init__(self, message: str, residual=None, restarts=None, skipped=None):
         super().__init__(message)
         self.residual = residual
         self.restarts = restarts
+        self.skipped = skipped
 
 
 class SamplingError(RuntimeError):

@@ -340,6 +340,25 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     return Graph(g.order * h.order, tuple(edges), labels)
 
 
+def _class_roots(n: int, pairs) -> list[int]:
+    """Each of 0..n-1's class, named by its least member, once every pair
+    is joined (union-find with path halving)."""
+    parent = list(range(n))
+    for a, b in pairs:
+        while (p := parent[a]) != a:
+            parent[a] = a = parent[p]
+        while (p := parent[b]) != b:
+            parent[b] = b = parent[p]
+        if a < b:
+            parent[b] = a
+        else:
+            parent[a] = b
+    # parent[i] <= i throughout, so one pass upwards reaches every root
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+    return parent
+
+
 def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
     """Cartesian factors of g and a map from g onto their product.
 
@@ -357,53 +376,45 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
     prime = ((g,), VertexMap(tuple(range(g.order))))
     index = {e: i for i, e in enumerate(g.edges)}
     index.update({(v, u): i for (u, v), i in list(index.items())})
-    parent = list(range(g.size))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(e: tuple[int, int], f: tuple[int, int]) -> None:
-        a, b = find(index[e]), find(index[f])
-        parent[max(a, b)] = min(a, b)
-
     nbrs = g.neighbor_sets
-    for u in range(g.order):
-        for v, w in combinations(g.adjacency[u], 2):
-            corners = (nbrs[v] & nbrs[w]) - {u}
-            chordless = [] if w in nbrs[v] else [x for x in corners if x not in nbrs[u]]
-            if len(corners) != 1 or len(chordless) != 1:
-                union((u, v), (u, w))
-            # a square is related once, from its least corner
-            for x in chordless:
-                if u < v and u < x:
-                    union((u, v), (w, x))
-                    union((u, w), (v, x))
+
+    def related() -> Iterator[tuple[int, int]]:
+        for u in range(g.order):
+            for v, w in combinations(g.adjacency[u], 2):
+                corners = (nbrs[v] & nbrs[w]) - {u}
+                chordless = [] if w in nbrs[v] else [x for x in corners if x not in nbrs[u]]
+                if len(corners) != 1 or len(chordless) != 1:
+                    yield index[u, v], index[u, w]
+                # a square is related once, from its least corner
+                for x in chordless:
+                    if u < v and u < x:
+                        yield index[u, v], index[w, x]
+                        yield index[u, w], index[v, x]
+
+    edge_roots = _class_roots(g.size, related())
     # classes in the order of their least edge, which is their root
-    roots = sorted({find(i) for i in range(g.size)})
+    roots = sorted(set(edge_roots))
     if len(roots) < 2:
         return prime
     cls = {r: c for c, r in enumerate(roots)}
-    colour = [cls[find(i)] for i in range(g.size)]
+    colour = [cls[r] for r in edge_roots]
     coords = [[0] * len(roots) for _ in range(g.order)]
     factors = []
     for c in range(len(roots)):
-        mine = Graph(g.order, tuple(e for e, k in zip(g.edges, colour) if k == c))
-        rest = Graph(g.order, tuple(e for e, k in zip(g.edges, colour) if k != c))
-        layer = structure_report(mine).components[0]
+        mine = [e for e, k in zip(g.edges, colour) if k == c]
+        along = _class_roots(g.order, mine)
+        layer = [v for v in range(g.order) if along[v] == 0]
         at = {v: i for i, v in enumerate(layer)}
-        edges = tuple((at[u], at[v]) for u, v in mine.edges if u in at)
+        edges = tuple((at[u], at[v]) for u, v in mine if u in at)
         factors.append(Graph(len(layer), edges, tuple(g.label(v) for v in layer)))
         # each component without class-c edges meets the layer once, there
         # at the vertex's coordinate
-        for comp in structure_report(rest).components:
-            hits = [at[v] for v in comp if v in at]
-            if len(hits) != 1:
-                return prime
-            for v in comp:
-                coords[v][c] = hits[0]
+        across = _class_roots(g.order, (e for e, k in zip(g.edges, colour) if k != c))
+        hit = {across[v]: i for i, v in enumerate(layer)}
+        if len(hit) < len(layer) or any(r not in hit for r in across):
+            return prime
+        for xs, r in zip(coords, across):
+            xs[c] = hit[r]
     image = []
     for xs in coords:
         i = 0

@@ -37,6 +37,8 @@ _LM_MAX_ITER = 500
 _SAMPLE_MARGIN = 1e-4
 # residual entries per block when testing many points against all circles
 _RESIDUAL_BLOCK = 1 << 14
+# relative slack when _rings_rule_out compares ring radii
+_RADIUS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -434,6 +436,34 @@ def _ring_positions(x: np.ndarray, ring: np.ndarray, offset: np.ndarray) -> np.n
     return np.column_stack([r * cos, r * sin])
 
 
+def _rings_rule_out(g: Graph, orbits: list[list[int]], k: int) -> bool:
+    """True when no unit-distance drawing puts each orbit on a ring, vertex
+    orbit[t] at angle phase + 2*pi*t/k.
+
+    An edge between two vertices of one orbit, s steps apart, is a chord of
+    that ring and forces its radius to 1 / (2 sin(pi s / k)), at least 1/2.
+    The orbits are ruled out when one orbit's chords force two radii, or
+    when an edge joins rings of forced radii r_a and r_b that no unit
+    segment joins: |r_a - r_b| > 1 (r_a + r_b < 1 cannot happen).
+    Comparisons allow _RADIUS_SLACK relative, so boundary cases such as
+    GP(10,3), whose rings differ by exactly 1, are kept. A necessary
+    condition only: orbits that pass may still have no drawing.
+    """
+    where = {v: (j, t) for j, orbit in enumerate(orbits) for t, v in enumerate(orbit)}
+    forced = {}
+    for u, v in g.edges:
+        (a, s), (b, t) = where[u], where[v]
+        if a == b:
+            r = 0.5 / math.sin(math.pi * ((t - s) % k) / k)
+            if abs(forced.setdefault(a, r) - r) > _RADIUS_SLACK * r:
+                return True
+    for u, v in g.edges:
+        ra, rb = forced.get(where[u][0]), forced.get(where[v][0])
+        if ra is not None and rb is not None and abs(ra - rb) > 1.0 + _RADIUS_SLACK * (ra + rb):
+            return True
+    return False
+
+
 def _solve_orbits(
     g: Graph, ring: np.ndarray, offset: np.ndarray, x0: np.ndarray, max_iter: int
 ) -> np.ndarray:
@@ -534,8 +564,14 @@ def solve_unit_distance(
     ring variables; explicit orbit lists are also accepted. Each orbit set's
     ring table (every vertex's orbit and offset 2*pi*t/k) gives positions,
     residual and Jacobian as array passes, and `restarts` ring solves from
-    random ring variables are the starts. Raises ConvergenceError, carrying
-    the best residual and the starts run, when no start passes.
+    random ring variables are the starts. An orbit set whose ring radii,
+    forced by edges within an orbit, rule out unit edges
+    (_rings_rule_out) runs no solve: its starts are drawn and dropped, so
+    later sets keep theirs. Only a ring solution within TOL_INCIDENCE goes
+    on to the polish, so a symmetric result is a rotational drawing. Raises
+    ConvergenceError, carrying the best residual, the starts run and the
+    orbit sets ruled out, when no start passes; at once, with no start run,
+    when every orbit set is ruled out.
     """
     from .graphs import structure_report
 
@@ -545,6 +581,7 @@ def solve_unit_distance(
         raise ParameterError("unit-distance solve expects a connected graph")
     base_seed = 0 if seed is None else int(seed)
     rng = np.random.default_rng(base_seed)
+    skipped = None
 
     if init is not None:
         if init.graph.edges != g.edges or init.graph.order != g.order:
@@ -573,24 +610,40 @@ def solve_unit_distance(
             if covered != list(range(g.order)):
                 raise ParameterError("orbits must partition the vertex set")
 
+        ruled_out = [_rings_rule_out(g, orbits, k) for orbits in orbit_sets]
+        skipped = sum(ruled_out)
+        sets = f"{len(orbit_sets)} orbit set" + "s" * (len(orbit_sets) != 1)
+        if skipped == len(orbit_sets):
+            raise ConvergenceError(
+                f"symmetric solve ran 0 restarts: ring radii rule out {skipped} of {sets}",
+                restarts=0, skipped=skipped,
+            )
+
         def ring_starts():
-            for orbits in orbit_sets:
+            for orbits, out in zip(orbit_sets, ruled_out):
                 ring, offset = _ring_table(orbits, k)
                 for _ in range(restarts):
                     x0 = np.empty(2 * len(orbits))
                     x0[0::2] = rng.uniform(0.25, 2.2, size=len(orbits))
                     x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=len(orbits))
-                    x = _solve_orbits(g, ring, offset, x0, _LM_MAX_ITER)
-                    yield _ring_positions(x, ring, offset), {"method": "orbit-lm", "symmetry": k}
+                    if out:  # drawn all the same, so later sets keep their starts
+                        continue
+                    pos = _ring_positions(_solve_orbits(g, ring, offset, x0, _LM_MAX_ITER), ring, offset)
+                    # a ring solution above tolerance fails here: a polish
+                    # from it would leave the rotational drawing
+                    ok = unit_edge_residual(Layout(g, pos)) <= TOL_INCIDENCE
+                    yield pos, {"method": "orbit-lm", "symmetry": k} if ok else None
 
         starts = ring_starts()
         what = "symmetric solve"
-        over = f" over {len(orbit_sets)} orbit set" + "s" * (len(orbit_sets) != 1)
+        over = f" over {sets}" + f", {skipped} ruled out by ring radii" * (skipped > 0)
 
     best = math.inf
     runs = 0
-    for runs, (pos0, meta) in enumerate(starts, 1):
-        pos = _solve_coordinates(g, pos0, _LM_MAX_ITER)
+    # a start with meta None has failed already and is counted as it stands
+    for runs, (pos, meta) in enumerate(starts, 1):
+        if meta is not None:
+            pos = _solve_coordinates(g, pos, _LM_MAX_ITER)
         layout = Layout(g, pos, {})
         residual = unit_edge_residual(layout)
         best = min(best, residual)
@@ -599,7 +652,7 @@ def solve_unit_distance(
             return layout, residual
     raise ConvergenceError(
         f"{what} exhausted {runs} restart{'s' * (runs != 1)}{over} (best residual {best:.1e})",
-        residual=best, restarts=runs,
+        residual=best, restarts=runs, skipped=skipped,
     )
 
 

@@ -9,12 +9,14 @@ that the library's array passes replaced; so are, after the JSON emitter
 that branched on numpy types, the scalar circumcircle with its per-block,
 per-line and per-circle callers, spatial's per-pair, per-plane and
 per-circle loops, and the per-vertex least-squares circle fit that
-circles_from_layout ran before its circumcircle pass. Tests hold each pair
-to the same answers.
+circles_from_layout ran before its circumcircle pass. The Cartesian factor
+split with a component walk per edge class is the version that its vertex
+union-find replaced. Tests hold each pair to the same answers.
 """
 
 import json
 import math
+from functools import reduce
 from itertools import combinations, permutations
 from typing import Any
 
@@ -31,6 +33,7 @@ from confviz.errors import (
     PolePlacementError,
     SamplingError,
 )
+from confviz.graphs import Graph, VertexMap, cartesian_product, structure_report
 from confviz.incidence import IncidenceStructure
 from confviz.realization import (
     _RESAMPLE_BUDGET,
@@ -320,6 +323,70 @@ def unit_edge_residual(layout: Layout) -> float:
     for u, v in layout.graph.edges:
         worst = max(worst, abs(float(np.linalg.norm(layout.pos[u] - layout.pos[v])) - 1.0))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Cartesian factors with one Graph and one component walk per edge class and
+# side, kept as the oracle for the vertex union-find of graphs.cartesian_factors
+
+
+def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
+    prime = ((g,), VertexMap(tuple(range(g.order))))
+    index = {e: i for i, e in enumerate(g.edges)}
+    index.update({(v, u): i for (u, v), i in list(index.items())})
+    parent = list(range(g.size))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(e: tuple[int, int], f: tuple[int, int]) -> None:
+        a, b = find(index[e]), find(index[f])
+        parent[max(a, b)] = min(a, b)
+
+    nbrs = g.neighbor_sets
+    for u in range(g.order):
+        for v, w in combinations(g.adjacency[u], 2):
+            corners = (nbrs[v] & nbrs[w]) - {u}
+            chordless = [] if w in nbrs[v] else [x for x in corners if x not in nbrs[u]]
+            if len(corners) != 1 or len(chordless) != 1:
+                union((u, v), (u, w))
+            for x in chordless:
+                if u < v and u < x:
+                    union((u, v), (w, x))
+                    union((u, w), (v, x))
+    roots = sorted({find(i) for i in range(g.size)})
+    if len(roots) < 2:
+        return prime
+    cls = {r: c for c, r in enumerate(roots)}
+    colour = [cls[find(i)] for i in range(g.size)]
+    coords = [[0] * len(roots) for _ in range(g.order)]
+    factors = []
+    for c in range(len(roots)):
+        mine = Graph(g.order, tuple(e for e, k in zip(g.edges, colour) if k == c))
+        rest = Graph(g.order, tuple(e for e, k in zip(g.edges, colour) if k != c))
+        layer = structure_report(mine).components[0]
+        at = {v: i for i, v in enumerate(layer)}
+        edges = tuple((at[u], at[v]) for u, v in mine.edges if u in at)
+        factors.append(Graph(len(layer), edges, tuple(g.label(v) for v in layer)))
+        for comp in structure_report(rest).components:
+            hits = [at[v] for v in comp if v in at]
+            if len(hits) != 1:
+                return prime
+            for v in comp:
+                coords[v][c] = hits[0]
+    image = []
+    for xs in coords:
+        i = 0
+        for f, x in zip(factors, xs):
+            i = i * f.order + x
+        image.append(i)
+    witness = VertexMap(tuple(image))
+    if not witness.is_isomorphism(g, reduce(cartesian_product, factors)):
+        return prime
+    return tuple(factors), witness
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from confviz.realization import _ring_positions, _ring_table, _solve_orbits
 import oracles
 
 SYMMETRIC = [("petersen", (), 5), ("desargues", (), 10), ("pappus", (), 3), ("dodecahedron", (), 5)]
-SYMMETRIC += [("gen_petersen", (n, 2), n) for n in (10, 11, 12)]
+# GP(14,2): its first and last orbit sets are ruled out by their ring radii
+SYMMETRIC += [("gen_petersen", (n, 2), n) for n in (10, 11, 12, 14)]
 C8_ORBITS = [[0, 2, 4, 6], [1, 3, 5, 7]]
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import confviz
@@ -125,6 +126,19 @@ def test_realize_solve_circles_check(tmp_path, capsys):
     assert code == 0
     for line in ("proper: yes", "isometric: yes", "lineal: yes", "perfect: yes", "degenerate: no"):
         assert line in out
+
+
+def test_symmetric_realize_of_gp13_2_is_rotational(tmp_path, capsys):
+    # the first two free order-13 orbit sets of GP(13,2) are ruled out by
+    # their ring radii; the solve lands on a two-ring drawing
+    g, lay = str(tmp_path / "g.json"), str(tmp_path / "lay.json")
+    assert run(["gen", "gen_petersen", "13", "2", "-o", g], capsys)[0] == 0
+    assert run(["realize", g, "--symmetry", "13", "--seed", "0", "-o", lay], capsys)[0] == 0
+    layout = jsonio.read(lay, "layout")
+    centred = layout.pos - layout.pos.mean(axis=0)
+    radii = np.sort(np.hypot(centred[:, 0], centred[:, 1]))
+    assert np.count_nonzero(np.diff(radii) > 1e-9) + 1 == 2
+    assert confviz.unit_edge_residual(layout) <= confviz.TOL_INCIDENCE
 
 
 def test_plain_realize_of_products(tmp_path, capsys):

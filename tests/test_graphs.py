@@ -1,5 +1,6 @@
 import math
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -213,6 +214,26 @@ def test_cartesian_factors_split_products_of_primes(primes, seed):
         match = next(i for i, p in enumerate(unmatched) if isomorphic(f, p) is not None)
         unmatched.pop(match)
     assert unmatched == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(SQUARE_FREE), min_size=1, max_size=3), st.integers(0, 2**32 - 1),
+       st.integers(-1, 40))
+def test_cartesian_factors_match_component_walk_oracle(primes, seed, cut):
+    """The vertex union-find gives the factors, labels and witness of the
+    per-class component walks it replaced, also on products missing an edge."""
+    g = relabel(reduce(cartesian_product, primes), seed)
+    if 0 <= cut < g.size:
+        g = Graph(g.order, g.edges[:cut] + g.edges[cut + 1:])
+    assert cartesian_factors(g) == oracles.cartesian_factors(g)
+
+
+FACTOR_CASES = [("hypercube", 6), ("prism", 12), ("gen_petersen", 9, 1), ("pappus",), ("gen_cuboctahedron", 9)]
+
+
+@pytest.mark.parametrize("g", [build_family(*f) for f in FACTOR_CASES])
+def test_cartesian_factors_of_families_match_oracle(g):
+    assert cartesian_factors(g) == oracles.cartesian_factors(g)
 
 
 @pytest.mark.parametrize("g", [petersen_graph(), complete_graph(4), cycle_graph(5),

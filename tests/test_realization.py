@@ -25,13 +25,14 @@ from confviz import (
     unit_edge_residual,
     v_construct,
 )
-from confviz import realization
+from confviz import iso, realization
 from confviz.graphs import (
     Graph,
     cartesian_product,
     complete_graph,
     cycle_graph,
     desargues_graph,
+    generalized_petersen_graph,
     pappus_graph,
     petersen_graph,
     prism_graph,
@@ -280,8 +281,97 @@ def test_solver_k4_cannot_embed():
     # K4 has three fixed-point-free involutions, each an orbit set
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(complete_graph(4), seed=0, symmetry=2, restarts=2)
-    assert exc.value.restarts == 6
+    assert exc.value.restarts == 6 and exc.value.skipped == 0
     assert str(exc.value).startswith("symmetric solve exhausted 6 restarts over 3 orbit sets (best ")
+
+
+def test_solver_reports_orbit_sets_ruled_out():
+    # each 4-cycle of K4 as one orbit has chords of one and two steps,
+    # which force two radii on its ring
+    with pytest.raises(ConvergenceError) as exc:
+        solve_unit_distance(complete_graph(4), seed=0, symmetry=4)
+    assert (exc.value.restarts, exc.value.skipped, exc.value.residual) == (0, 6, None)
+    assert str(exc.value) == "symmetric solve ran 0 restarts: ring radii rule out 6 of 6 orbit sets"
+    with pytest.raises(ConvergenceError) as exc:
+        solve_unit_distance(complete_graph(4), seed=0, symmetry=[[0, 1, 2, 3]])
+    assert str(exc.value) == "symmetric solve ran 0 restarts: ring radii rule out 1 of 1 orbit set"
+    # K4 x K2 under order 4: the two sets left run their starts and fail
+    g = cartesian_product(complete_graph(4), complete_graph(2))
+    with pytest.raises(ConvergenceError) as exc:
+        solve_unit_distance(g, seed=0, symmetry=4, restarts=2)
+    assert (exc.value.restarts, exc.value.skipped) == (4, 4)
+    assert str(exc.value).startswith(
+        "symmetric solve exhausted 4 restarts over 6 orbit sets, 4 ruled out by ring radii (best "
+    )
+
+
+def test_symmetric_solve_polishes_only_ring_solutions(monkeypatch):
+    """A ring start above TOL_INCIDENCE fails as it stands: a polish from it
+    may reach a unit-distance drawing that is not rotational."""
+    monkeypatch.setattr(realization, "_solve_orbits", lambda g, ring, offset, x0, max_iter: x0)
+    with pytest.raises(ConvergenceError) as exc:
+        solve_unit_distance(petersen_graph(), seed=0, symmetry=5, restarts=4)
+    assert (exc.value.restarts, exc.value.skipped) == (24, 0)
+
+
+def _distinct_radii(pos: np.ndarray) -> int:
+    centred = pos - pos.mean(axis=0)
+    radii = np.sort(np.hypot(centred[:, 0], centred[:, 1]))
+    return 1 + int(np.count_nonzero(np.diff(radii) > 1e-9))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("n,m", [(13, 3)] + [(n, 2) for n in range(13, 26)])
+def test_symmetric_solve_is_rotational(n, m, seed):
+    """A symmetry=n solve of GP(n,m) puts each of its two orbits on one
+    ring about the centroid: no polish leaves the rotational drawing."""
+    lay, residual = solve_unit_distance(generalized_petersen_graph(n, m), seed=seed, symmetry=n)
+    assert residual <= TOL_INCIDENCE
+    assert lay.meta["method"] == "orbit-lm"
+    assert _distinct_radii(lay.pos) == 2
+
+
+def _rotational_under(pos: np.ndarray, orbits, k: int) -> bool:
+    """True when rotating pos by 2*pi/k about its centroid sends each
+    orbit[t] to orbit[t + 1]."""
+    centred = pos - pos.mean(axis=0)
+    c, s = math.cos(2 * math.pi / k), math.sin(2 * math.pi / k)
+    turned = centred @ np.array([[c, s], [-s, c]])
+    nxt = [o[(t + 1) % k] for o in orbits for t in range(k)]
+    return np.allclose(turned[[v for o in orbits for v in o]], centred[nxt], atol=1e-6)
+
+
+def _ruled_out_in_closed_form(g, orbits, k: int) -> bool:
+    """An orbit whose chords force two radii 1 / (2 sin(pi s / k)), or an
+    edge between forced rings r_a, r_b whose cosine law
+    cos = (r_a^2 + r_b^2 - 1) / (2 r_a r_b) has no angle."""
+    where = {v: (j, t) for j, o in enumerate(orbits) for t, v in enumerate(o)}
+    forced = [[] for _ in orbits]
+    for u, v in g.edges:
+        (a, s), (b, t) = where[u], where[v]
+        if a == b:
+            forced[a].append(1.0 / (2.0 * math.sin(math.pi * abs(t - s) / k)))
+    if any(r and max(r) - min(r) > 1e-9 * max(r) for r in forced):
+        return True
+    for u, v in g.edges:
+        ra, rb = forced[where[u][0]], forced[where[v][0]]
+        # GP(10,3) sits on the boundary: its rings 1.618 and 0.618 differ by 1
+        if ra and rb and abs((ra[0] ** 2 + rb[0] ** 2 - 1.0) / (2.0 * ra[0] * rb[0])) > 1.0 + 1e-9:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(7, 26) for m in (2, 3, 4) if 2 * m < n])
+def test_ring_radius_check_is_sound(n, m):
+    """The check rules out exactly the orbit sets that the cosine law shows
+    infeasible, and the set a seed-0 solve lands on is never ruled out."""
+    g = generalized_petersen_graph(n, m)
+    orbit_sets = [iso.orbits_of(a) for a in iso.find_free_cyclic_action(g, n, limit=6)]
+    ruled_out = [realization._rings_rule_out(g, orbits, n) for orbits in orbit_sets]
+    assert ruled_out == [_ruled_out_in_closed_form(g, orbits, n) for orbits in orbit_sets]
+    lay, _ = solve_unit_distance(g, seed=0, symmetry=n)
+    landed = [out for orbits, out in zip(orbit_sets, ruled_out) if _rotational_under(lay.pos, orbits, n)]
+    assert landed and not any(landed)
 
 
 def test_solver_explicit_orbits():
