@@ -37,15 +37,11 @@ def _parse_family_token(token: str):
     m = _TOKEN_RE.match(token.strip())
     if not m or m.group(1) not in graphs.family_names():
         return None
-    name = m.group(1)
-    raw = m.group(2)
-    params = []
-    if raw:
-        for piece in raw.split(","):
-            piece = piece.strip()
-            if piece:
-                params.append(int(piece))
-    return name, tuple(params)
+    pieces = (m.group(2) or "").split(",")
+    try:
+        return m.group(1), tuple(int(p) for p in pieces if p.strip())
+    except ValueError:
+        raise ParameterError(f"malformed family token {token!r}: parameters must be integers") from None
 
 
 def _graph_from(token: str) -> graphs.Graph:

@@ -10,13 +10,17 @@ CapacityError rather than running open-ended. Callers: `confviz iso`
 which incidence.is_self_polar reaches only for structures without a
 checked polarity, such as those read from JSON, decompose parts and
 hand-built ones; and the symmetric unit-distance ansatz of
-realization.solve_unit_distance (find_free_cyclic_action, orbits_of).
+realization.solve_unit_distance (orbits_of, and find_free_cyclic_action,
+whose actions are yielded one at a time, so the search goes only as far
+as the solve reads).
 verify_kronecker_theorem and is_self_polar on v_construct output check
 the construction's maps instead, with `isomorphic` and
 find_swap_involution as test oracles.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .errors import CapacityError
 from .graphs import Graph, VertexMap, bfs_layers
@@ -165,24 +169,31 @@ def find_swap_involution(g: Graph, sides: tuple[int, ...]) -> VertexMap | None:
     return VertexMap(tuple(image)) if image is not None else None
 
 
-def find_free_cyclic_action(g: Graph, k: int, limit: int = 1) -> list[VertexMap]:
+def find_free_cyclic_action(g: Graph, k: int) -> Iterator[VertexMap]:
     """Automorphisms of order k whose cycles all have length exactly k.
 
-    Returns up to `limit` distinct witnesses in deterministic order; empty
-    list when none exist. Used to impose rotational symmetry on layouts.
+    Yields distinct witnesses in a deterministic depth-first order, nothing
+    when none exist. The search runs only as far as the caller reads, and
+    its node budget covers everything searched so far: a read that would
+    pass it raises CapacityError. More than MAX_VERTICES vertices raise
+    CapacityError at the call. Used to impose rotational symmetry on
+    layouts.
     """
     if g.order > MAX_VERTICES:
         raise CapacityError(f"automorphism search limited to {MAX_VERTICES} vertices")
     if k < 2 or g.order % k != 0:
-        return []
+        return iter(())
+    return _free_cyclic_actions(g, k)
+
+
+def _free_cyclic_actions(g: Graph, k: int) -> Iterator[VertexMap]:
     dist = [[-1] * g.order for _ in range(g.order)]
     base = _seed_tokens(g, dist)
     ids = {t: i for i, t in enumerate(sorted(set(base)))}
     color = [ids[t] for t in base]
     sigma: list[int] = [-1] * g.order
     assigned: list[int] = []
-    found: list[VertexMap] = []
-    budget = [_NODE_BUDGET]
+    nodes = 0
 
     def consistent(a: int, b: int) -> bool:
         # distance preservation prunes far harder than adjacency alone
@@ -194,29 +205,28 @@ def find_free_cyclic_action(g: Graph, k: int, limit: int = 1) -> list[VertexMap]
                 return False
         return True
 
-    def extend() -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
+    def extend():
+        nonlocal nodes
+        nodes += 1
+        if nodes > _NODE_BUDGET:
             raise CapacityError("cyclic action search budget exceeded")
         if len(assigned) == g.order:
-            found.append(VertexMap(tuple(sigma)))
-            return len(found) >= limit
+            yield VertexMap(tuple(sigma))
+            return
         start = next(v for v in range(g.order) if sigma[v] == -1)
-        orbit = [start]
-        return place(start, orbit)
+        yield from place(start, [start])
 
-    def place(start: int, orbit: list[int]) -> bool:
+    def place(start: int, orbit: list[int]):
         cur = orbit[-1]
         if len(orbit) == k:
             # close the cycle
             if consistent(cur, start):
                 sigma[cur] = start
                 assigned.append(cur)
-                if extend():
-                    return True
+                yield from extend()
                 assigned.pop()
                 sigma[cur] = -1
-            return False
+            return
         for cand in range(g.order):
             if sigma[cand] != -1 or cand in orbit or cand == start:
                 continue
@@ -225,19 +235,14 @@ def find_free_cyclic_action(g: Graph, k: int, limit: int = 1) -> list[VertexMap]
             sigma[cur] = cand
             assigned.append(cur)
             orbit.append(cand)
-            if place(start, orbit):
-                return True
+            yield from place(start, orbit)
             orbit.pop()
             assigned.pop()
             sigma[cur] = -1
-        return False
 
-    extend()
-    out = []
-    for vm in found[:limit]:
+    for vm in extend():
         if vm.is_automorphism(g) and vm.permutation_order() == k:
-            out.append(vm)
-    return out
+            yield vm
 
 
 def orbits_of(vm: VertexMap) -> list[list[int]]:

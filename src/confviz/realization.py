@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -269,28 +269,23 @@ def layout_polygon(n: int) -> Layout:
     return Layout(g, pos, {"generator": "polygon", "n": n})
 
 
-def layout_hypercube(d: int, angles=None, seed: int | None = None) -> Layout:
+def layout_hypercube(d: int, seed: int | None = None) -> Layout:
     """Unit-vector sum drawing of the d-cube.
 
-    Vertex S (a bitmask) sits at sum of the unit vectors of the angles whose
-    bit is set; every edge then has length exactly 1. Explicit angles that
-    collapse two vertices raise; seeded draws resample up to the budget.
+    Vertex S (a bitmask) sits at the sum of the unit vectors of the angles
+    whose bit is set; every edge then has length exactly 1. The positions
+    fold _product_positions, one unit segment per bit as the major factor.
+    Seeded angle draws resample up to the budget while two vertices collapse.
     """
     if d < 1:
         raise ParameterError("hypercube layout needs d >= 1")
     g = build_family("hypercube", d)
-    if angles is not None:
-        table = np.asarray(angles, dtype=float)
-        if table.shape != (d,):
-            raise ParameterError("need one angle per coordinate direction")
-        pos = _hypercube_positions(d, table)
-        if _min_separation(pos) <= TOL_SEPARATION:
-            raise DegeneracyError("angle choice collapses two vertices")
-        return Layout(g, pos, {"generator": "hypercube", "d": d, "angles": table.tolist()})
     rng = np.random.default_rng(0 if seed is None else seed)
     for attempt in range(_RESAMPLE_BUDGET):
         table = rng.uniform(0.0, 2.0 * math.pi, size=d)
-        pos = _hypercube_positions(d, table)
+        pos = np.zeros((1, 2))
+        for u in np.column_stack([np.cos(table), np.sin(table)]):
+            pos = _product_positions(np.stack([np.zeros(2), u]), pos)
         if _min_separation(pos) > TOL_SEPARATION:
             return Layout(
                 g,
@@ -306,50 +301,27 @@ def layout_hypercube(d: int, angles=None, seed: int | None = None) -> Layout:
     raise SamplingError("no generic angle set found within budget", seed=seed)
 
 
-def _hypercube_positions(d: int, angles: np.ndarray) -> np.ndarray:
-    """Vertex v at the sum of the unit vectors of its set bits, added in
-    bit order: each step appends a translate of the vertices so far."""
-    pos = np.zeros((1, 2))
-    for u in np.column_stack([np.cos(angles), np.sin(angles)]):
-        pos = np.vstack([pos, pos + u])
-    return pos
-
-
-def layout_product(la: Layout, lb: Layout, angle: float | None = None, seed: int | None = None) -> Layout:
+def layout_product(la: Layout, lb: Layout, angle: float) -> Layout:
     """Cartesian-product layout: copy of lb rotated by angle at every la vertex.
 
     Unit distances in both factors survive, since each product edge is a
     translate of a factor edge. Vertex (a, x) lands at index a * |H| + x.
+    An angle that collapses two vertices raises DegeneracyError.
     """
-    g = cartesian_product(la.graph, lb.graph)
-    if angle is not None:
-        pos = _product_positions(la.pos, lb.pos, float(angle))
-        if _min_separation(pos) <= TOL_SEPARATION:
-            raise DegeneracyError("product angle collapses two vertices")
-        return Layout(g, pos, {"generator": "product", "angle": float(angle)})
-    rng = np.random.default_rng(0 if seed is None else seed)
-    for attempt in range(_RESAMPLE_BUDGET):
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        pos = _product_positions(la.pos, lb.pos, theta)
-        if _min_separation(pos) > TOL_SEPARATION:
-            return Layout(
-                g,
-                pos,
-                {
-                    "generator": "product",
-                    "angle": theta,
-                    "seed": 0 if seed is None else seed,
-                    "attempt": attempt,
-                },
-            )
-    raise SamplingError("no generic product angle found within budget", seed=seed)
+    pos = _product_positions(la.pos, _rotated(lb.pos, float(angle)))
+    if _min_separation(pos) <= TOL_SEPARATION:
+        raise DegeneracyError("product angle collapses two vertices")
+    return Layout(cartesian_product(la.graph, lb.graph), pos, {"generator": "product", "angle": float(angle)})
 
 
-def _product_positions(pa: np.ndarray, pb: np.ndarray, theta: float) -> np.ndarray:
-    """pb rotated by theta and translated to every point of pa, in pa-major order."""
+def _rotated(p: np.ndarray, theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    return (pa[:, None, :] + (pb @ rot.T)[None, :, :]).reshape(-1, 2)
+    return p @ np.array([[c, -s], [s, c]]).T
+
+
+def _product_positions(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """pb translated to every point of pa, in pa-major order."""
+    return (pa[:, None, :] + pb[None, :, :]).reshape(-1, 2)
 
 
 def layout_gen_cuboctahedron(n: int, r_outer: float = 2.0, r_inner: float = 1.0) -> Layout:
@@ -528,20 +500,23 @@ def _product_start(g: Graph, seed: int, restarts: int):
     if len(factors) < 2:
         return
     try:
-        lay, *rest = (_factor_layout(f, seed, restarts) for f in factors)
+        first, *rest = (_factor_layout(f, seed, restarts) for f in factors)
     except ConvergenceError:
         return
+    pos, order, size = first.pos, first.graph.order, first.graph.size
     for lb in rest:
-        size = lay.graph.size * lb.graph.order + lay.graph.order * lb.graph.size
+        size = size * lb.graph.order + order * lb.graph.size
+        order *= lb.graph.order
         for angle in _PRODUCT_ANGLES:
-            dist = _pair_distances(_product_positions(lay.pos, lb.pos, angle))[2]
+            folded = _product_positions(pos, _rotated(lb.pos, angle))
+            dist = _pair_distances(folded)[2]
             # the edges alone at unit distance
             if dist.min() > TOL_SEPARATION and np.count_nonzero(np.abs(dist - 1.0) <= 1e-6) == size:
                 break
         else:
             return
-        lay = layout_product(lay, lb, angle)
-    yield lay.pos[list(witness.image)], {"method": "product", "factors": [f.order for f in factors]}
+        pos = folded
+    yield pos[list(witness.image)], {"method": "product", "factors": [f.order for f in factors]}
 
 
 def solve_unit_distance(
@@ -559,19 +534,20 @@ def solve_unit_distance(
     start. A plain solve draws `restarts` seeded random starts; when g is a
     Cartesian product (graphs.cartesian_factors), the product of its
     factors' drawings goes first, as one more start. An integer
-    `symmetry` k asks for a rotational ansatz: up to six free order-k
-    automorphisms are searched, and each one's orbits become (radius, phase)
-    ring variables; explicit orbit lists are also accepted. Each orbit set's
-    ring table (every vertex's orbit and offset 2*pi*t/k) gives positions,
-    residual and Jacobian as array passes, and `restarts` ring solves from
-    random ring variables are the starts. An orbit set whose ring radii,
-    forced by edges within an orbit, rule out unit edges
-    (_rings_rule_out) runs no solve: its starts are drawn and dropped, so
-    later sets keep theirs. Only a ring solution within TOL_INCIDENCE goes
-    on to the polish, so a symmetric result is a rotational drawing. Raises
-    ConvergenceError, carrying the best residual, the starts run and the
-    orbit sets ruled out, when no start passes; at once, with no start run,
-    when every orbit set is ruled out.
+    `symmetry` k asks for a rotational ansatz: free order-k automorphisms
+    are taken from the search one at a time, up to six, and each one's
+    orbits become (radius, phase) ring variables; explicit orbit lists are
+    also accepted. Each orbit set's ring table (every vertex's orbit and
+    offset 2*pi*t/k) gives positions, residual and Jacobian as array passes,
+    and `restarts` ring solves from random ring variables are the starts.
+    An orbit set whose ring radii, forced by edges within an orbit, rule
+    out unit edges (_rings_rule_out) runs no solve: its starts are drawn
+    and dropped, so later sets keep theirs. Only a ring solution within
+    TOL_INCIDENCE goes on to the polish, so a symmetric result is a
+    rotational drawing. Raises ConvergenceError, carrying the best
+    residual, the starts run and the orbit sets ruled out, when no start
+    passes; with no start run and no residual when every orbit set is
+    ruled out.
     """
     from .graphs import structure_report
 
@@ -581,25 +557,23 @@ def solve_unit_distance(
         raise ParameterError("unit-distance solve expects a connected graph")
     base_seed = 0 if seed is None else int(seed)
     rng = np.random.default_rng(base_seed)
-    skipped = None
+    # a symmetric solve counts its orbit sets, and those ruled out, as they pass
+    sets = skipped = None
 
     if init is not None:
         if init.graph.edges != g.edges or init.graph.order != g.order:
             raise ParameterError("init layout belongs to a different graph")
         starts = [(init.pos, {"method": "polish"})]
-        what, over = "polish", ""
+        what = "polish"
     elif symmetry is None:
         span = 1.0 + 0.25 * math.sqrt(g.order)
         drawn = ((rng.uniform(-span, span, size=(g.order, 2)), {"method": "lm"}) for _ in range(restarts))
         starts = chain(_product_start(g, base_seed, restarts), drawn)
-        what, over = "unit-distance solve", ""
+        what = "unit-distance solve"
     else:
         if isinstance(symmetry, int):
-            actions = iso.find_free_cyclic_action(g, symmetry, limit=6)
-            if not actions:
-                raise ParameterError(f"no free order-{symmetry} symmetry available")
-            orbit_sets = [iso.orbits_of(a) for a in actions]
             k = symmetry
+            orbit_sets = map(iso.orbits_of, islice(iso.find_free_cyclic_action(g, k), 6))
         else:
             orbit_sets = [[list(o) for o in symmetry]]
             lengths = {len(o) for o in orbit_sets[0]}
@@ -609,18 +583,14 @@ def solve_unit_distance(
             covered = sorted(v for o in orbit_sets[0] for v in o)
             if covered != list(range(g.order)):
                 raise ParameterError("orbits must partition the vertex set")
-
-        ruled_out = [_rings_rule_out(g, orbits, k) for orbits in orbit_sets]
-        skipped = sum(ruled_out)
-        sets = f"{len(orbit_sets)} orbit set" + "s" * (len(orbit_sets) != 1)
-        if skipped == len(orbit_sets):
-            raise ConvergenceError(
-                f"symmetric solve ran 0 restarts: ring radii rule out {skipped} of {sets}",
-                restarts=0, skipped=skipped,
-            )
+        sets = skipped = 0
 
         def ring_starts():
-            for orbits, out in zip(orbit_sets, ruled_out):
+            nonlocal sets, skipped
+            for orbits in orbit_sets:
+                out = _rings_rule_out(g, orbits, k)
+                sets += 1
+                skipped += out
                 ring, offset = _ring_table(orbits, k)
                 for _ in range(restarts):
                     x0 = np.empty(2 * len(orbits))
@@ -636,7 +606,6 @@ def solve_unit_distance(
 
         starts = ring_starts()
         what = "symmetric solve"
-        over = f" over {sets}" + f", {skipped} ruled out by ring radii" * (skipped > 0)
 
     best = math.inf
     runs = 0
@@ -650,10 +619,18 @@ def solve_unit_distance(
         if residual <= TOL_INCIDENCE and _min_separation(pos) > TOL_SEPARATION:
             layout.meta.update(meta, seed=base_seed, residual=residual)
             return layout, residual
-    raise ConvergenceError(
-        f"{what} exhausted {runs} restart{'s' * (runs != 1)}{over} (best residual {best:.1e})",
-        residual=best, restarts=runs, skipped=skipped,
-    )
+    summary = f"exhausted {runs} restart{'s' * (runs != 1)}"
+    if sets is not None:
+        if not sets:
+            raise ParameterError(f"no free order-{k} symmetry available")
+        over = f"{sets} orbit set" + "s" * (sets != 1)
+        if skipped == sets:  # no start ran, so there is no residual
+            summary, best = f"ran 0 restarts: ring radii rule out {skipped} of {over}", None
+        else:
+            summary += f" over {over}" + f", {skipped} ruled out by ring radii" * (skipped > 0)
+    if best is not None:
+        summary += f" (best residual {best:.1e})"
+    raise ConvergenceError(f"{what} {summary}", residual=best, restarts=runs, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ union-find replaced. Tests hold each pair to the same answers.
 import json
 import math
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Any
 
 import numpy as np
@@ -448,7 +448,7 @@ def solve_unit_distance(g, *, seed=None, symmetry=None, tol=TOL_INCIDENCE, max_i
 
     if symmetry is not None:
         if isinstance(symmetry, int):
-            actions = iso.find_free_cyclic_action(g, symmetry, limit=6)
+            actions = list(islice(iso.find_free_cyclic_action(g, symmetry), 6))
             if not actions:
                 raise ParameterError(f"no free order-{symmetry} symmetry available")
             orbit_sets = [iso.orbits_of(a) for a in actions]

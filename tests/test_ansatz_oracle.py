@@ -71,7 +71,7 @@ def test_explicit_orbit_and_plain_solves_match_oracle(seed):
 
 
 def _orbits(family, params, k):
-    return iso.orbits_of(iso.find_free_cyclic_action(build_family(family, *params), k)[0])
+    return iso.orbits_of(next(iso.find_free_cyclic_action(build_family(family, *params), k)))
 
 
 ORBIT_GRAPHS = [

@@ -52,6 +52,13 @@ def test_gen_unknown_family(capsys):
     assert run(["gen", "moebius"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["gen", "kneser(7-3)"], ["gen", "kneser(-)"], ["iso", "kneser(7-3)", "petersen"]])
+def test_malformed_family_token_is_usage_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed family token {argv[1]!r}: parameters must be integers\n"
+
+
 def test_vconstruct_inadmissible_graph_fails(tmp_path, capsys):
     g = str(tmp_path / "c4.json")
     assert run(["gen", "cycle", "4", "-o", g], capsys)[0] == 0

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,7 @@ def test_swap_involution_absent():
 
 def test_free_cyclic_actions_petersen():
     g = petersen_graph()
-    actions = find_free_cyclic_action(g, 5, limit=3)
+    actions = list(islice(find_free_cyclic_action(g, 5), 3))
     assert actions
     for vm in actions:
         assert vm.is_automorphism(g)
@@ -126,18 +128,16 @@ def test_free_cyclic_actions_petersen():
         assert sorted(len(o) for o in orbs) == [5, 5]
     # the Petersen graph has no free involution (every order-2 element
     # of S5 fixes a 2-subset)
-    assert find_free_cyclic_action(g, 2) == []
+    assert list(find_free_cyclic_action(g, 2)) == []
     # 3 does not divide 10
-    assert find_free_cyclic_action(g, 3) == []
+    assert list(find_free_cyclic_action(g, 3)) == []
 
 
 def test_free_cyclic_actions_cycle():
     c6 = cycle_graph(6)
     for k in (2, 3, 6):
-        actions = find_free_cyclic_action(c6, k, limit=1)
-        assert len(actions) == 1
-        assert actions[0].permutation_order() == k
-    assert find_free_cyclic_action(c6, 4) == []
+        assert next(find_free_cyclic_action(c6, k)).permutation_order() == k
+    assert list(find_free_cyclic_action(c6, 4)) == []
 
 
 # the search's first actions, in order; pinned here because the ansatz oracle
@@ -179,8 +179,41 @@ PINNED_ACTIONS = {
 @pytest.mark.parametrize("family,params,k", list(PINNED_ACTIONS))
 def test_free_cyclic_actions_pinned(family, params, k):
     g = build_family(family, *params)
-    got = [list(vm.image) for vm in find_free_cyclic_action(g, k, limit=6)]
+    got = [list(vm.image) for vm in islice(find_free_cyclic_action(g, k), 6)]
     assert got == PINNED_ACTIONS[family, params, k]
+
+
+# every free order-k action: the 5-cycles of S5 for the Petersen graph, 24
+# also for the Desargues graph (k = 10) and the dodecahedron (k = 5), and
+# the rotations by 1, 5, 7 and 11 steps for GP(12,2)
+@pytest.mark.parametrize(
+    "g,k,count",
+    [
+        (petersen_graph(), 5, 24),
+        (desargues_graph(), 10, 24),
+        (build_family("dodecahedron"), 5, 24),
+        (cycle_graph(6), 3, 2),
+        (generalized_petersen_graph(12, 2), 12, 4),
+    ],
+)
+def test_free_cyclic_actions_run_dry(g, k, count):
+    actions = list(find_free_cyclic_action(g, k))
+    assert len(actions) == count
+    assert len({vm.image for vm in actions}) == count
+    assert all(vm.is_automorphism(g) and vm.permutation_order() == k for vm in actions)
+
+
+def test_free_cyclic_action_search_is_lazy(monkeypatch):
+    """The search starts at the first read, not at the call."""
+    import confviz.iso as iso_module
+
+    calls = []
+    seed_tokens = iso_module._seed_tokens
+    monkeypatch.setattr(iso_module, "_seed_tokens", lambda *a: calls.append(1) or seed_tokens(*a))
+    actions = find_free_cyclic_action(petersen_graph(), 5)
+    assert calls == []
+    assert next(actions).image == tuple(PINNED_ACTIONS["petersen", (), 5][0])
+    assert calls == [1]
 
 
 def test_orbits_of_explicit():
@@ -192,7 +225,7 @@ def test_orbits_of_explicit():
 
 def test_desargues_free_action_of_order_ten():
     g = desargues_graph()
-    actions = find_free_cyclic_action(g, 10, limit=2)
+    actions = list(islice(find_free_cyclic_action(g, 10), 2))
     assert actions
     for vm in actions:
         assert vm.permutation_order() == 10
@@ -201,5 +234,4 @@ def test_desargues_free_action_of_order_ten():
 
 def test_complete_graph_everything_is_automorphic():
     k5 = complete_graph(5)
-    actions = find_free_cyclic_action(k5, 5, limit=1)
-    assert len(actions) == 1
+    assert next(find_free_cyclic_action(k5, 5)).permutation_order() == 5

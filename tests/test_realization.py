@@ -1,5 +1,6 @@
 import math
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -33,11 +34,12 @@ from confviz.graphs import (
     cycle_graph,
     desargues_graph,
     generalized_petersen_graph,
+    hypercube_graph,
     pappus_graph,
     petersen_graph,
     prism_graph,
 )
-from confviz.realization import _hypercube_positions, lm_least_squares
+from confviz.realization import _product_positions, lm_least_squares
 
 from oracles import circle_residuals, fit_circle, hypercube_positions
 
@@ -154,10 +156,19 @@ def test_layout_polygon_radii_and_edges():
         layout_polygon(2)
 
 
+def _hypercube_fold(angles) -> np.ndarray:
+    """layout_hypercube's positions: _product_positions folded over one
+    unit segment per angle, each as the major factor."""
+    pos = np.zeros((1, 2))
+    for u in np.column_stack([np.cos(angles), np.sin(angles)]):
+        pos = _product_positions(np.stack([np.zeros(2), u]), pos)
+    return pos
+
+
 def test_layout_hypercube_square():
-    lay = layout_hypercube(2, angles=[0.0, math.pi / 2])
-    assert unit_edge_residual(lay) < 1e-12
-    got = sorted(map(tuple, np.round(lay.pos, 9).tolist()))
+    pos = _hypercube_fold([0.0, math.pi / 2])
+    assert unit_edge_residual(Layout(hypercube_graph(2), pos, {})) < 1e-12
+    got = sorted(map(tuple, np.round(pos, 9).tolist()))
     assert got == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
 
@@ -175,12 +186,11 @@ def test_hypercube_positions_bit_equal_to_loop():
     for d in range(0, 9):
         for _ in range(40):
             angles = rng.uniform(0.0, 2.0 * math.pi, size=d)
-            assert np.array_equal(_hypercube_positions(d, angles), hypercube_positions(d, angles))
-
-
-def test_layout_hypercube_degenerate_angles():
-    with pytest.raises(DegeneracyError):
-        layout_hypercube(2, angles=[0.3, 0.3])
+            assert np.array_equal(_hypercube_fold(angles), hypercube_positions(d, angles))
+    for d in range(1, 9):
+        for seed in range(5):
+            lay = layout_hypercube(d, seed=seed)
+            assert np.array_equal(lay.pos, hypercube_positions(d, np.array(lay.meta["angles"])))
 
 
 def test_layout_hypercube_seed_reproducible():
@@ -193,9 +203,14 @@ def test_layout_hypercube_seed_reproducible():
 
 def test_layout_product_c7_k2():
     seg = Layout(Graph(2, ((0, 1),)), np.array([[0.0, 0.0], [1.0, 0.0]]), {})
-    lay = layout_product(layout_polygon(7), seg, seed=0)
+    lay = layout_product(layout_polygon(7), seg, 0.5)
     assert lay.graph.order == 14 and lay.graph.size == 21
     assert unit_edge_residual(lay) < 1e-12
+    assert lay.meta == {"generator": "product", "angle": 0.5}
+    side = layout_polygon(7).pos[1] - layout_polygon(7).pos[0]
+    with pytest.raises(DegeneracyError):
+        # the segment turned onto a side of the heptagon puts vertex (0, 1) on (1, 0)
+        layout_product(layout_polygon(7), seg, math.atan2(side[1], side[0]))
 
 
 def test_layout_gen_cuboctahedron_shape():
@@ -366,12 +381,56 @@ def test_ring_radius_check_is_sound(n, m):
     """The check rules out exactly the orbit sets that the cosine law shows
     infeasible, and the set a seed-0 solve lands on is never ruled out."""
     g = generalized_petersen_graph(n, m)
-    orbit_sets = [iso.orbits_of(a) for a in iso.find_free_cyclic_action(g, n, limit=6)]
+    orbit_sets = [iso.orbits_of(a) for a in islice(iso.find_free_cyclic_action(g, n), 6)]
     ruled_out = [realization._rings_rule_out(g, orbits, n) for orbits in orbit_sets]
     assert ruled_out == [_ruled_out_in_closed_form(g, orbits, n) for orbits in orbit_sets]
     lay, _ = solve_unit_distance(g, seed=0, symmetry=n)
     landed = [out for orbits, out in zip(orbit_sets, ruled_out) if _rotational_under(lay.pos, orbits, n)]
     assert landed and not any(landed)
+
+
+def _count_pulls(monkeypatch) -> list:
+    """Wrap the free-action search so that each action read is recorded."""
+    pulled = []
+    search = iso.find_free_cyclic_action
+
+    def counted(g, k):
+        for vm in search(g, k):
+            pulled.append(vm)
+            yield vm
+
+    monkeypatch.setattr(iso, "find_free_cyclic_action", counted)
+    return pulled
+
+
+@pytest.mark.parametrize("g,k", [(petersen_graph(), 5), (generalized_petersen_graph(14, 2), 14)])
+def test_symmetric_solve_pulls_actions_on_demand(g, k, monkeypatch):
+    """A solve that ends on orbit set j reads exactly j actions."""
+    orbit_sets = [iso.orbits_of(a) for a in islice(iso.find_free_cyclic_action(g, k), 6)]
+    pulled = _count_pulls(monkeypatch)
+    lay, _ = solve_unit_distance(g, seed=0, symmetry=k)
+    j = next(j for j, orbits in enumerate(orbit_sets, 1) if _rotational_under(lay.pos, orbits, k))
+    assert len(pulled) == j
+    assert [iso.orbits_of(a) for a in pulled] == orbit_sets[:j]
+    if k == 14:  # the plain rotation of GP(14,2) comes first and is ruled out
+        assert j > 1 and realization._rings_rule_out(g, orbit_sets[0], k)
+
+
+def test_symmetric_solve_counts_sets_of_a_short_stream(monkeypatch):
+    """Prism(5) has four free order-5 actions: a failed solve reads the
+    stream dry and names all four."""
+    pulled = _count_pulls(monkeypatch)
+    with pytest.raises(ConvergenceError) as exc:
+        solve_unit_distance(prism_graph(5), seed=0, symmetry=5, restarts=1)
+    assert str(exc.value) == "symmetric solve exhausted 4 restarts over 4 orbit sets (best residual 2.2e-16)"
+    assert (exc.value.restarts, exc.value.skipped, len(pulled)) == (4, 0, 4)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_symmetric_solve_without_free_action(k):
+    # every involution of S5 fixes a 2-subset, and 3 does not divide 10
+    with pytest.raises(ParameterError, match=f"^no free order-{k} symmetry available$"):
+        solve_unit_distance(petersen_graph(), seed=0, symmetry=k)
 
 
 def test_solver_explicit_orbits():
