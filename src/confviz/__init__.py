@@ -66,7 +66,6 @@ _LAZY = {
     "layout_gen_cuboctahedron": "realization",
     "layout_hypercube": "realization",
     "layout_polygon": "realization",
-    "layout_product": "realization",
     "realize_n3": "realization",
     "solve_unit_distance": "realization",
     "unit_edge_residual": "realization",
@@ -152,7 +151,6 @@ __all__ = [
     "layout_gen_cuboctahedron",
     "layout_hypercube",
     "layout_polygon",
-    "layout_product",
     "levi_graph",
     "line_graph",
     "pappus_structure",

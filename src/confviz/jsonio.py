@@ -1,20 +1,16 @@
 """Canonical JSON for every artifact the pipeline reads or writes.
 
-Floats are emitted with 17 significant digits and keys in construction
-order, so the same in-memory value always serializes to the same bytes. An
-integral float prints as an int (-0.0 as `-0`), which the readers turn back
-with float(); `load` reads `-0` as -0.0, where json would lose the sign.
-Writers hand numpy tables to the emitter as they are. `read` is the one
+json's own encoder writes each float as its shortest round-trip repr and
+keys in construction order, so the same in-memory value always serializes
+to the same bytes, and every value reads back bit for bit. Writers hand
+numpy tables and scalars to the encoder as they are. `read` is the one
 entry point that loads an artifact file, checks its kind and converts it.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import re
 from contextlib import contextmanager
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .errors import ParameterError
@@ -22,49 +18,20 @@ from .graphs import Graph
 from .incidence import IncidenceStructure
 
 
-def _emit(value: Any, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(int(value)))
-    elif isinstance(value, float):  # numpy float64 included
-        v = float(value)
-        if not math.isfinite(v):
-            raise ParameterError("non-finite number in artifact")
-        out.append(format(v, ".17g"))
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if not isinstance(k, str):
-                raise ParameterError("artifact keys must be strings")
-            if i:
-                out.append(", ")
-            out.append(_quote(k) + ": ")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    elif hasattr(value, "tolist"):  # numpy arrays and scalars
-        _emit(value.tolist(), out)
-    else:
-        raise ParameterError(f"cannot serialize {type(value).__name__}")
+def _tolist(value: Any) -> Any:
+    """numpy arrays and scalars as lists and Python numbers."""
+    if not hasattr(value, "tolist"):
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    return value.tolist()
 
 
 def dumps(obj: Any) -> str:
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    try:
+        return json.dumps(obj, allow_nan=False, default=_tolist)
+    except ValueError as exc:
+        raise ParameterError("non-finite number in artifact") from exc
+    except TypeError as exc:
+        raise ParameterError(str(exc)) from exc
 
 
 def save(path: str, obj: Any) -> None:
@@ -76,20 +43,9 @@ def save(path: str, obj: Any) -> None:
         raise ParameterError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-# the number -0: no fraction, no exponent
-_NEGATIVE_ZERO = re.compile(r"-0(?![.eE\d])")
-
-
-def _int_or_negative_zero(token: str):
-    return -0.0 if token == "-0" else int(token)
-
-
 def load(path: str) -> Any:
-    """Parse a JSON file, reading -0 as -0.0; a file without -0 skips the
-    per-integer hook, which slows json down 2-4x on integer tables."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return json.loads(text, parse_int=_int_or_negative_zero if _NEGATIVE_ZERO.search(text) else None)
+        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------

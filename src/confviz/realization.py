@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     SamplingError,
 )
-from .graphs import Graph, build_family, cartesian_factors, cartesian_product
+from .graphs import Graph, build_family, cartesian_factors
 from .incidence import IncidenceStructure
 
 TOL_INCIDENCE = 1e-9
@@ -299,19 +299,6 @@ def layout_hypercube(d: int, seed: int | None = None) -> Layout:
                 },
             )
     raise SamplingError("no generic angle set found within budget", seed=seed)
-
-
-def layout_product(la: Layout, lb: Layout, angle: float) -> Layout:
-    """Cartesian-product layout: copy of lb rotated by angle at every la vertex.
-
-    Unit distances in both factors survive, since each product edge is a
-    translate of a factor edge. Vertex (a, x) lands at index a * |H| + x.
-    An angle that collapses two vertices raises DegeneracyError.
-    """
-    pos = _product_positions(la.pos, _rotated(lb.pos, float(angle)))
-    if _min_separation(pos) <= TOL_SEPARATION:
-        raise DegeneracyError("product angle collapses two vertices")
-    return Layout(cartesian_product(la.graph, lb.graph), pos, {"generator": "product", "angle": float(angle)})
 
 
 def _rotated(p: np.ndarray, theta: float) -> np.ndarray:

@@ -600,8 +600,9 @@ def circles_from_layout(
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON emitter with numpy branches, kept as an oracle for
-# confviz.jsonio.dumps
+# canonical JSON emitter with numpy branches, kept as the reference for the
+# format confviz.jsonio wrote before it used json's own encoder: floats with
+# 17 significant digits, integral floats as ints and -0.0 as -0
 
 
 def _emit(value: Any, out: list[str]) -> None:

@@ -21,7 +21,6 @@ from confviz import (
     layout_gen_cuboctahedron,
     layout_hypercube,
     layout_polygon,
-    layout_product,
     solve_unit_distance,
     unit_edge_residual,
     v_construct,
@@ -199,18 +198,6 @@ def test_layout_hypercube_seed_reproducible():
     assert np.array_equal(a.pos, b.pos)
     c = layout_hypercube(3, seed=5)
     assert not np.allclose(a.pos, c.pos)
-
-
-def test_layout_product_c7_k2():
-    seg = Layout(Graph(2, ((0, 1),)), np.array([[0.0, 0.0], [1.0, 0.0]]), {})
-    lay = layout_product(layout_polygon(7), seg, 0.5)
-    assert lay.graph.order == 14 and lay.graph.size == 21
-    assert unit_edge_residual(lay) < 1e-12
-    assert lay.meta == {"generator": "product", "angle": 0.5}
-    side = layout_polygon(7).pos[1] - layout_polygon(7).pos[0]
-    with pytest.raises(DegeneracyError):
-        # the segment turned onto a side of the heptagon puts vertex (0, 1) on (1, 0)
-        layout_product(layout_polygon(7), seg, math.atan2(side[1], side[0]))
 
 
 def test_layout_gen_cuboctahedron_shape():

@@ -1,8 +1,10 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from confviz import ParameterError, jsonio, polytope_data, sphere_circles, stereographic_project
@@ -11,6 +13,7 @@ from confviz.incidence import fano_plane
 from confviz.realization import (
     check_flags,
     circles_from_layout,
+    layout_gen_cuboctahedron,
     layout_polygon,
     solve_unit_distance,
 )
@@ -27,10 +30,14 @@ def test_dumps_float_is_exact():
 
 
 def test_dumps_rejects_non_finite():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^non-finite number in artifact$"):
         jsonio.dumps({"v": math.inf})
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^non-finite number in artifact$"):
         jsonio.dumps([float("nan")])
+    with pytest.raises(ParameterError, match="^non-finite number in artifact$"):
+        jsonio.dumps([np.array([1.0, math.inf])])
+    with pytest.raises(ParameterError, match="^cannot serialize complex$"):
+        jsonio.dumps({"v": [1 + 2j]})
 
 
 def test_dumps_preserves_key_order():
@@ -107,14 +114,31 @@ def test_projected_pcc_round_trip_bytes(name, tmp_path):
     assert jsonio.dumps(jsonio.pcc_to_obj(jsonio.read(path, "pcc"))) == jsonio.dumps(obj)
 
 
-def test_load_reads_negative_zero_as_a_float(tmp_path):
-    path = tmp_path / "z.json"
-    path.write_text('{"a": [-0, 0, -0.0, -0e0, -0.5, -10], "b": -0}')
-    obj = jsonio.load(str(path))
-    assert [math.copysign(1.0, x) for x in obj["a"][:4]] == [-1.0, 1.0, -1.0, -1.0]
-    assert type(obj["a"][0]) is float and type(obj["a"][1]) is int
-    assert obj["a"][4:] == [-0.5, -10] and type(obj["a"][5]) is int
+def test_negative_zero_keeps_its_sign(tmp_path):
+    path = str(tmp_path / "z.json")
+    jsonio.save(path, {"a": [-0.0, 0.0, -0.5, -10], "b": np.float64(-0.0)})
+    obj = jsonio.load(path)
+    assert [math.copysign(1.0, x) for x in obj["a"][:2]] == [-1.0, 1.0]
+    assert type(obj["a"][0]) is float and type(obj["a"][3]) is int
     assert math.copysign(1.0, obj["b"]) == -1.0
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda: layout_gen_cuboctahedron(5),  # r_outer, r_inner = 2.0, 1.0
+        lambda: solve_unit_distance(hypercube_graph(3), seed=0)[0],  # residual 0.0
+        lambda: solve_unit_distance(petersen_graph(), symmetry=5, seed=3)[0],
+    ],
+    ids=["cuboctahedron", "product-solve", "orbit-solve"],
+)
+def test_layout_meta_keeps_its_types(layout, tmp_path):
+    lay = layout()
+    path = str(tmp_path / "lay.json")
+    jsonio.save(path, jsonio.layout_to_obj(lay))
+    back = jsonio.read(path, "layout")
+    assert back.meta == lay.meta
+    assert {k: type(v) for k, v in back.meta.items()} == {k: type(v) for k, v in lay.meta.items()}
 
 
 def test_pointplane_to_obj_shape():
@@ -181,7 +205,8 @@ def test_save_appends_newline(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the emitter against the numpy-branching oracle it replaced
+# json's encoder against the numpy-branching emitter it replaced, which
+# tests/oracles.py keeps as the reference for the old format
 
 _finite = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -216,15 +241,37 @@ _good = st.recursive(_good_leaf, _containers, max_leaves=20)
 _bad_leaf = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan]),
     st.sampled_from([np.float64(math.inf), np.float64(math.nan), np.array([1.0, math.inf])]),
-    st.sampled_from([{1: 0}, {None: "x"}, {(1, 2): []}]),
+    st.sampled_from([{(1, 2): []}]),
     st.sampled_from([object(), {1, 2}, b"bytes", 1 + 2j, range(3)]),
 )
 
 
+def _exact(value):
+    """value as plain JSON data: numpy as lists and Python numbers, tuples as
+    lists, dicts as their items in order, and each number tagged with its
+    type, each float by its bits."""
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return ("dict", [(k, _exact(v)) for k, v in value.items()])
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_good)
-def test_dumps_matches_oracle_emitter(value):
-    assert jsonio.dumps(value) == oracles.dumps(value)
+@example([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, np.float64(-0.0), np.array([-0.0, 2.0])])
+def test_dumps_round_trips_bit_for_bit(value):
+    assert _exact(json.loads(jsonio.dumps(value))) == _exact(value)
+
+
+def test_dumps_turns_scalar_keys_into_strings():
+    # json's own behaviour; every writer keys its dicts by string literals
+    assert jsonio.dumps({1: 0}) == '{"1": 0}'
+    assert jsonio.dumps({None: "x"}) == '{"null": "x"}'
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,10 +286,10 @@ def test_dumps_raises_where_oracle_emitter_raises(good, bad, depth, keyed):
         jsonio.dumps(value)
 
 
-def test_every_artifact_kind_matches_oracle_emitter():
+def _artifacts():
     lay, _ = solve_unit_distance(petersen_graph(), symmetry=5, seed=0)
-    sk = polytope_data("dodecahedron")
-    objs = {
+    sk = polytope_data("dodecahedron")  # its sphere circles carry -0.0
+    return {
         "graph": jsonio.graph_to_obj(petersen_graph()),
         "incidence": jsonio.incidence_to_obj(fano_plane()),
         "layout": jsonio.layout_to_obj(lay),
@@ -251,9 +298,46 @@ def test_every_artifact_kind_matches_oracle_emitter():
         "pointplane": jsonio.pointplane_to_obj(point_plane_vconstruct(sk)),
         "pointline": {"points": np.eye(2), "lines": ((0, 1),)},
     }
-    for kind, obj in objs.items():
+
+
+def test_every_artifact_kind_matches_oracle_emitter():
+    for kind, obj in _artifacts().items():
         assert jsonio.detect_kind(obj) == kind
-        assert jsonio.dumps(obj) == oracles.dumps(obj), kind
+        if kind in ("graph", "incidence"):
+            assert jsonio.dumps(obj) == oracles.dumps(obj), kind
+        else:
+            # the text differs from the 17-digit emitter's, the values do not
+            assert _exact(json.loads(jsonio.dumps(obj))) == _exact(obj), kind
+            assert json.loads(jsonio.dumps(obj)) == json.loads(oracles.dumps(obj)), kind
+
+
+_TO_OBJ = {
+    "graph": jsonio.graph_to_obj,
+    "incidence": jsonio.incidence_to_obj,
+    "layout": jsonio.layout_to_obj,
+    "pcc": jsonio.pcc_to_obj,
+    "spherical": jsonio.spherical_to_obj,
+    "pointline": lambda pl: {"points": pl[0], "lines": pl[1]},
+}
+
+
+def test_old_format_files_still_read(tmp_path):
+    """Files from the 17-digit writer, which printed integral floats as ints
+    and -0.0 as -0, read as the same values as files from dumps. The one
+    loss: a -0 in an old file reads as 0.0."""
+    artifacts = _artifacts()
+    artifacts["layout"] = jsonio.layout_to_obj(layout_gen_cuboctahedron(5))  # meta 2.0 and 1.0
+    for kind, to_obj in _TO_OBJ.items():
+        old, new = tmp_path / f"{kind}.old.json", tmp_path / f"{kind}.new.json"
+        old.write_text(oracles.dumps(artifacts[kind]) + "\n")
+        jsonio.save(str(new), artifacts[kind])
+        from_old, from_new = (json.loads(jsonio.dumps(to_obj(jsonio.read(str(p), kind)))) for p in (old, new))
+        assert from_old == from_new, kind
+    old_n, new_n = (
+        np.array([c.plane.normal for c in jsonio.read(str(tmp_path / f"spherical.{v}.json"), "spherical").circles])
+        for v in ("old", "new")
+    )
+    assert np.signbit(new_n[new_n == 0.0]).any() and not np.signbit(old_n[old_n == 0.0]).any()
 
 
 def test_read_checks_kind_and_converts(tmp_path):
