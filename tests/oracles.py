@@ -200,6 +200,29 @@ def _cluster(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
     return [np.array([r[0] / r[2], r[1] / r[2]]) for r in reps]
 
 
+def through_counts(mx, my, cx, cy, r, t):
+    """How many circles pass within t of each point, from the whole
+    (points, circles) residual matrix."""
+    return np.count_nonzero(np.abs(np.hypot(mx[:, None] - cx, my[:, None] - cy) - r) <= t, axis=1)
+
+
+def triple_point_hits(cx, cy, r, pts, *, incidence, separation, cluster):
+    """realization._triple_point_hits with every cluster's through-count
+    taken against every circle in one (clusters, C) matrix: the plain
+    all-pairs count."""
+    circles = [Circle(*c) for c in zip(cx.tolist(), cy.tolist(), r.tolist())]
+    reps = np.array(_cluster(meet_points(circles, cluster), cluster)).reshape(-1, 2)
+    through = through_counts(reps[:, 0], reps[:, 1], cx, cy, r, max(incidence, cluster))
+    matched = np.zeros(len(pts), dtype=bool)
+    for x, y in reps[through > 2]:
+        dist = np.hypot(pts[:, 0] - x, pts[:, 1] - y)
+        hit = int(np.argmin(dist))
+        if dist[hit] > max(cluster, separation):
+            return None
+        matched[hit] = True
+    return matched
+
+
 def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircleConfig:
     """Evaluate proper / isometric / lineal / determining / perfect.
 

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from confviz import (
     TOL_INCIDENCE,
+    TOL_SEPARATION,
     ConcyclicityError,
     DegeneracyError,
     DistinctnessError,
@@ -205,3 +206,41 @@ def test_degree_one_vertex_before_a_bad_one():
     for build in (circles_from_layout, oracles.circles_from_layout):
         with pytest.raises(ParameterError, match="vertex 0 has degree 1"):
             build(moved)
+
+
+def _shifted_copies(shifts, seed):
+    """Copies of a seeded cube drawing, one per shift, as one layout whose
+    vertex numbers interleave the copies in a seeded order; circle k of a
+    copy moves with its shift, so two copies' circles coincide when their
+    shifts differ by at most TOL_SEPARATION."""
+    cube = layout_hypercube(3, seed=seed)
+    n = cube.graph.order
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(n * len(shifts))
+    edges = tuple((label[c * n + u], label[c * n + v]) for c in range(len(shifts)) for u, v in cube.graph.edges)
+    pos = np.empty((n * len(shifts), 2))
+    for c, shift in enumerate(shifts):
+        pos[label[c * n:(c + 1) * n]] = cube.pos + shift
+    return Layout(Graph(len(pos), edges), pos + rng.uniform(-3.0, 3.0, size=2), {})
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("apart", [0.0, 0.3, 0.9, 1.1, 3.0])
+def test_coinciding_circles_named_as_by_all_pairs(apart, seed):
+    angle = 2.0 * math.pi * (seed + 0.5) / 7.0
+    step = apart * TOL_SEPARATION * np.array([math.cos(angle), math.sin(angle)])
+    layout = _shifted_copies([np.zeros(2), step, 2.5 * step], seed)
+    outcome = []
+    for build in (circles_from_layout, oracles.circles_from_layout):
+        try:
+            build(layout)
+            outcome.append(None)
+        except DistinctnessError as exc:
+            outcome.append(str(exc))
+    assert outcome[0] == outcome[1]
+    assert (outcome[0] is None) == (apart > 1.0)
+
+
+def test_empty_layout_has_no_circles():
+    cfg = circles_from_layout(Layout(Graph(0, ()), np.zeros((0, 2)), {}))
+    assert cfg.circles == () and cfg.incidence == ()

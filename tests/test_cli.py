@@ -135,6 +135,39 @@ def test_realize_solve_circles_check(tmp_path, capsys):
         assert line in out
 
 
+@pytest.mark.parametrize("tol, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf")])
+def test_circles_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol, shown, tmp_path, capsys):
+    lay = str(tmp_path / "pent.json")
+    pcc = tmp_path / "pcc.json"
+    assert run(["realize", "--layout", "polygon", "--n", "5", "-o", lay], capsys)[0] == 0
+    code, out, err = run(["circles", lay, "--allow-degree-two", f"--tol={tol}", "-o", str(pcc)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: incidence tolerance must be a finite number >= 0, got {shown}\n"
+    assert not pcc.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("incidence", float("nan")),
+        ("separation", -1),
+        ("cluster", float("inf")),
+        ("incidence", "1e-9"),
+        ("cluster", "abc"),
+        ("separation", True),
+    ],
+)
+def test_check_refuses_a_tolerance_that_is_not_finite_and_non_negative(key, value, tmp_path, capsys):
+    pcc = tmp_path / "fano.json"
+    assert run(["n3realize", "fano", "--seed", "0", "-o", str(pcc)], capsys)[0] == 0
+    obj = json.loads(pcc.read_text())
+    obj["tols"][key] = value
+    pcc.write_text(json.dumps(obj))
+    code, out, err = run(["check", str(pcc)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {key} tolerance must be a finite number >= 0, got {value!r}\n"
+
+
 def test_symmetric_realize_of_gp13_2_is_rotational(tmp_path, capsys):
     # the first two free order-13 orbit sets of GP(13,2) are ruled out by
     # their ring radii; the solve lands on a two-ring drawing

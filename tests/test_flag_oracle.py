@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +28,17 @@ from confviz import (
     stereographic_project,
     v_construct,
 )
+from confviz import realization
 from confviz.pappus import derive_pappus_points
-from confviz.realization import _circle_arrays, _cluster, _meet_points
+from confviz.realization import (
+    _circle_arrays,
+    _cell_width,
+    _cluster,
+    _meet_points,
+    _through_counts,
+    _triple_point_hits,
+    tol_record,
+)
 
 import oracles
 
@@ -52,6 +62,16 @@ def _projection(name):
     return cfg
 
 
+def _near_tangent():
+    """Unit circles A and B cross at the origin P at angle 0.1. C, centred
+    at (0, -1.1) with radius 1.1 + 5e-8, holds A inside it and passes 5e-8
+    above P, within max(incidence, cluster) = 1e-7. C crosses B about 5e-7
+    from P, outside P's cluster, so no meet point of C lies in that cluster:
+    only a count over every circle makes P a triple point."""
+    circles = (Circle(0.0, -1.0, 1.0), Circle(math.sin(0.1), -math.cos(0.1), 1.0), Circle(0.0, -1.1, 1.1 + 5e-8))
+    return PointCircleConfig(np.zeros((1, 2)), circles, ((0, 0), (0, 1)), {}, tol_record())
+
+
 FIXTURES = {
     **{f"hypercube({d})": lambda d=d: circles_from_layout(layout_hypercube(d, seed=0)) for d in range(3, 7)},
     **{f"CO({n})": lambda n=n: circles_from_layout(layout_gen_cuboctahedron(n)) for n in range(5, 41)},
@@ -65,6 +85,7 @@ FIXTURES = {
         for name in POLYTOPE_NAMES
         if name != "octahedron"
     },
+    "near_tangent": _near_tangent,
     "invert(pappus)": lambda: invert_pointline(
         np.array(derive_pappus_points()), pappus_structure().blocks, center=(0.4, 0.37)
     ),
@@ -89,26 +110,87 @@ _CUBE_FLAGS = {
     "degenerate": False,
 }
 _CO_FLAGS = {**_CUBE_FLAGS, "isometric": False}
-# The scalar oracle's flags and the SHA-256 of its meet-point bytes on the
-# largest fixtures, captured from oracles.check_flags and oracles.meet_points:
-# the live oracle takes 1-3 s on each of these, and the array path matched it
-# bit for bit on them before they were frozen.
+# The scalar oracle's flags and the SHA-256 of its meet-point bytes and of
+# its cluster centroids' bytes on the largest fixtures, captured from
+# oracles.check_flags, oracles.meet_points and oracles._cluster: the live
+# oracle takes 1-3 s on each of these, and the array path matched it bit for
+# bit on them before they were frozen.
 FROZEN = {
-    "hypercube(6)": (_CUBE_FLAGS, "5fa3aab6dda283768648bf9f2b6f115fee4a97167a0a521e1b0b145f82994017"),
-    "CO(27)": (_CO_FLAGS, "08b7b9ea3e22cbc5bc72b5f5cf37b94c5408fafd484010c85974ba960e4bf7c8"),
-    "CO(28)": (_CO_FLAGS, "c37a9c7bb1371550f4498fc87e193aec4d448d6b18a0c69bbfa227a2b78706d8"),
-    "CO(29)": (_CO_FLAGS, "2d33474988769c4ed42f21b7057727d93370e280c59aae4667244a88574aa07c"),
-    "CO(30)": (_CO_FLAGS, "9cec8e9dbaf34da6f3f2383ed9048493bd378ba32216958a511ef299eeaba04e"),
-    "CO(31)": (_CO_FLAGS, "a14bb00b4940d674b054cb6a2196b43e3ad22ba22e07a6867cb180b54791122f"),
-    "CO(32)": (_CO_FLAGS, "826ff748f275e947037cb892327e12018bc46c04c876bed4ea6810e5b0e67021"),
-    "CO(33)": (_CO_FLAGS, "5bd6951772bb68d1d694ae0dfa3288a0d5a8c9dda19e8245d93c465949df608d"),
-    "CO(34)": (_CO_FLAGS, "d4892a3e84e16985d267b68ce6acbea1a0ba9c349f56f5f3934bc5354661fe6c"),
-    "CO(35)": (_CO_FLAGS, "8b6fea7a4b8754d3bad74679cfc00430692b2e935c6d21903de0e93cd5d7ea74"),
-    "CO(36)": (_CO_FLAGS, "5e3be3cf6760e053c85e7e65d1b231b55438a827be0bd806c8f4140b4a81a259"),
-    "CO(37)": (_CO_FLAGS, "61c42aa4b3ec6913ece0de6ac67c4b15460460ef9a128e13711d5c2d4d17e547"),
-    "CO(38)": (_CO_FLAGS, "71b97cc66f90bd907074babcd983cb0532085022d11ca5ac04d277a199267b6e"),
-    "CO(39)": (_CO_FLAGS, "16b3f318c2544474840b4c2ddd3668f239438ac014cf07f96a709058a34f99ac"),
-    "CO(40)": (_CO_FLAGS, "03aa6dfd8cf6e989c80bd2efbfff6d5f22cbdb3b9bf2505ef73fbc37457b56f0"),
+    "hypercube(6)": (
+        _CUBE_FLAGS,
+        "5fa3aab6dda283768648bf9f2b6f115fee4a97167a0a521e1b0b145f82994017",
+        "6286e0be914a384960695275d02b8c8405c551cc943f84d7c7a33e5c054bf463",
+    ),
+    "CO(27)": (
+        _CO_FLAGS,
+        "08b7b9ea3e22cbc5bc72b5f5cf37b94c5408fafd484010c85974ba960e4bf7c8",
+        "2e39a55b4404838aff86141096a98742229e65cd95acdab4e1466d89ef03fed6",
+    ),
+    "CO(28)": (
+        _CO_FLAGS,
+        "c37a9c7bb1371550f4498fc87e193aec4d448d6b18a0c69bbfa227a2b78706d8",
+        "f0d6afc95af153d427e0f2ad303925b9da7af97bb7aa37bce2296add99fec56c",
+    ),
+    "CO(29)": (
+        _CO_FLAGS,
+        "2d33474988769c4ed42f21b7057727d93370e280c59aae4667244a88574aa07c",
+        "d3b477c47c90b754b817743b2ed4e2a3f49e97b44738d5fde2100567c8b9b7d2",
+    ),
+    "CO(30)": (
+        _CO_FLAGS,
+        "9cec8e9dbaf34da6f3f2383ed9048493bd378ba32216958a511ef299eeaba04e",
+        "017f3840644dfcbc7d9e5a4c26e15380424bf7c9459d9742936a1a80667a6ae3",
+    ),
+    "CO(31)": (
+        _CO_FLAGS,
+        "a14bb00b4940d674b054cb6a2196b43e3ad22ba22e07a6867cb180b54791122f",
+        "f8e009cac461faa47450721620f8d63e0e2aeb2d37f62eff5d70fb505b0ed049",
+    ),
+    "CO(32)": (
+        _CO_FLAGS,
+        "826ff748f275e947037cb892327e12018bc46c04c876bed4ea6810e5b0e67021",
+        "90a4a9013b93b4f90b90c34d48cdd8ef71b3eb7ea0e374f7a4c630253adbfe14",
+    ),
+    "CO(33)": (
+        _CO_FLAGS,
+        "5bd6951772bb68d1d694ae0dfa3288a0d5a8c9dda19e8245d93c465949df608d",
+        "297e9e1c8279288ec2fe73c56d7045489cf89d5c1e1cd5d2fd61587deea26389",
+    ),
+    "CO(34)": (
+        _CO_FLAGS,
+        "d4892a3e84e16985d267b68ce6acbea1a0ba9c349f56f5f3934bc5354661fe6c",
+        "5a932e061cc162b1edbbda1f18ce59f4cc1b4f427e65562093f63e2f97767066",
+    ),
+    "CO(35)": (
+        _CO_FLAGS,
+        "8b6fea7a4b8754d3bad74679cfc00430692b2e935c6d21903de0e93cd5d7ea74",
+        "3f7c21a127fca642b5398ad2d308ef8b2f41c51a75d6921d0d4c396dc4ea3226",
+    ),
+    "CO(36)": (
+        _CO_FLAGS,
+        "5e3be3cf6760e053c85e7e65d1b231b55438a827be0bd806c8f4140b4a81a259",
+        "172e06dff4f7790c83d85534693e6509edb3052db607347db41b4dc72b932e18",
+    ),
+    "CO(37)": (
+        _CO_FLAGS,
+        "61c42aa4b3ec6913ece0de6ac67c4b15460460ef9a128e13711d5c2d4d17e547",
+        "afea0c6e4a6bd6b4cf6d8d562de3212002aec6bb42af60672beb5089c8ecfee2",
+    ),
+    "CO(38)": (
+        _CO_FLAGS,
+        "71b97cc66f90bd907074babcd983cb0532085022d11ca5ac04d277a199267b6e",
+        "f1e38c939da0091e6b58589f2a78cca7ab85c905d8dcd0dcde89028a87c0aa7b",
+    ),
+    "CO(39)": (
+        _CO_FLAGS,
+        "16b3f318c2544474840b4c2ddd3668f239438ac014cf07f96a709058a34f99ac",
+        "d001e887f39692c0e30ff185a262372f9616d2d9e8ee34fc1315c022774e4cf5",
+    ),
+    "CO(40)": (
+        _CO_FLAGS,
+        "03aa6dfd8cf6e989c80bd2efbfff6d5f22cbdb3b9bf2505ef73fbc37457b56f0",
+        "094436a1bf72e39e3d4b1d935b286a65ae974ef74560a19a054112bb95068199",
+    ),
 }
 
 
@@ -121,17 +203,40 @@ FROZEN_LAYOUTS = {
 }
 
 
+def _sha256(x, y):
+    return hashlib.sha256(np.column_stack([x, y]).tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name", list(FIXTURES))
 def test_flags_match_scalar_oracle(name):
     if name not in FROZEN:
-        assert_same_as_oracle(FIXTURES[name]())
+        assert_same_as_oracle(FIXTURES[name](), compare_clusters=True)
         return
-    flags, digest = FROZEN[name]
+    flags, meet_digest, cluster_digest = FROZEN[name]
     cfg = oracles.circles_from_layout(FROZEN_LAYOUTS[name]())
     assert check_flags(cfg).flags == flags
-    x, y = _meet_points(*_circle_arrays(cfg.circles), cfg.tols.get("cluster", 1e-7))
-    assert hashlib.sha256(np.column_stack([x, y]).tobytes()).hexdigest() == digest
+    tol = cfg.tols.get("cluster", 1e-7)
+    x, y = _meet_points(*_circle_arrays(cfg.circles), tol)
+    assert _sha256(x, y) == meet_digest
+    assert _sha256(*_cluster(x, y, tol)) == cluster_digest
     assert check_flags(FIXTURES[name]()).flags == flags
+
+
+def test_near_tangent_circle_counts_through_a_meet_point():
+    cfg = _near_tangent()
+    cx, cy, r = _circle_arrays(cfg.circles)
+    tols = tol_record()
+    t = max(tols["incidence"], tols["cluster"])
+    # C passes within t of P but meets neither A nor B within the cluster
+    # tolerance of it
+    assert abs(math.hypot(cx[2], cy[2]) - r[2]) <= t
+    for other in cfg.circles[:2]:
+        for meet in oracles.circle_pair_intersections(cfg.circles[2], other):
+            assert math.hypot(*meet) > 4.0 * tols["cluster"]
+    got = _triple_point_hits(cx, cy, r, cfg.points, **tols)
+    assert got is not None and got.tolist() == [True]
+    assert np.array_equal(got, oracles.triple_point_hits(cx, cy, r, cfg.points, **tols))
+    assert check_flags(cfg).flags["determining"]
 
 
 def _similar(layout, angle, scale, shift):
@@ -175,21 +280,82 @@ def test_perturbed_layouts_match_scalar_oracle(cfg):
 
 @st.composite
 def crowded_points(draw):
-    """Points in small bunches whose spread is comparable to tol, so that
-    merges happen at, just inside and just outside the tolerance."""
+    """Bunches of points with a spread from 1e-9 tol to 3 tol, so that
+    merges happen at, just inside and just outside the tolerance; with lone
+    points, and points just inside and just outside R of a bunch, R being
+    the reach within which _cluster looks for other points before it settles
+    a bunch by array passes."""
     tol = draw(st.sampled_from([1e-7, 1e-3, 0.5]))
     # at 1e9 the cells widen past tol, to keep cell numbers below 2**30
     scale = draw(st.sampled_from([1.0, 1e3, 1e9]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     centers = rng.uniform(-scale, scale, size=(draw(st.integers(1, 20)), 2))
-    spread = draw(st.floats(0.2, 3.0)) * tol
+    spread = tol * draw(st.one_of(st.floats(0.2, 3.0), st.floats(-9.0, 0.0).map(lambda e: 10.0**e)))
     pts = np.repeat(centers, draw(st.integers(1, 6)), axis=0)
-    return pts + rng.uniform(-spread, spread, size=pts.shape), tol
+    pts = pts + rng.uniform(-spread, spread, size=pts.shape)
+    lone = rng.uniform(-scale, scale, size=(draw(st.integers(0, 8)), 2))
+    near = draw(st.integers(0, 8))
+    m = len(pts) + len(lone) + near
+    reach = scale * 1.01  # an upper bound, as R grows with it
+    R = 2.0 * max(_cell_width(tol, reach), tol * (2.0 + math.log(m)))
+    angle = rng.uniform(0.0, 2.0 * math.pi, size=near)
+    rim = R * (1.0 + rng.choice([-1e-3, 1e-3], size=near))
+    beside = centers[rng.integers(0, len(centers), size=near)] + rim[:, None] * np.column_stack(
+        [np.cos(angle), np.sin(angle)]
+    )
+    return rng.permutation(np.concatenate([pts, lone, beside])), tol
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(crowded_points())
 def test_grid_cluster_matches_scalar_cluster(data):
     pts, tol = data
     mx, my = _cluster(pts[:, 0], pts[:, 1], tol)
     assert np.array_equal(np.column_stack([mx, my]), np.array(oracles._cluster(list(pts), tol)))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-7])
+def test_copies_at_large_scale_cluster_as_the_loop(tol):
+    """At 1e9 the last bit of a coordinate is about 1.2e-7, so the running
+    sum of a few copies of one point rounds: the centroid can move by more
+    than tol, and the next copy then starts a cluster of its own."""
+    rng = np.random.default_rng(0)
+    pts = np.repeat(rng.uniform(-1e9, 1e9, size=(40, 2)), rng.integers(1, 7, size=40), axis=0)
+    want = np.array(oracles._cluster(list(pts), tol))
+    assert len(want) > 40
+    mx, my = _cluster(pts[:, 0], pts[:, 1], tol)
+    assert np.array_equal(np.column_stack([mx, my]), want)
+
+
+@st.composite
+def points_by_circles(draw):
+    """(points, circles, t, block): circles with radii from 1e-8 to 2 times
+    the scale, some below t, and points r + u t from a circle's centre with
+    u at, or a relative 1e-12 to 1e-6 off, -1, 0 and 1, where the exact test
+    decides; block is the residual block size to count them in."""
+    t = draw(st.sampled_from([0.0, 1e-9, 1e-7, 1e-3, 0.5]))
+    # squared distances of 1e-157 fall to subnormal numbers
+    scale = draw(st.sampled_from([1e-157, 1e-6, 1.0, 1e3, 1e9]))
+    t *= min(scale, 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.integers(1, 30))
+    cx, cy = rng.uniform(-scale, scale, size=(2, c))
+    r = scale * 10.0 ** rng.uniform(-8.0, 0.3, size=c)
+    n = draw(st.integers(1, 60))
+    k = rng.integers(0, c, size=n)
+    off = rng.choice([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6], size=n)
+    u = rng.choice([-1.0, 0.0, 1.0], size=n) + off
+    angle = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    rim = r[k] + u * t
+    px = cx[k] + rim * np.cos(angle)
+    py = cy[k] + rim * np.sin(angle)
+    return (px, py), (cx, cy, r), t, draw(st.sampled_from([7, 64, realization._RESIDUAL_BLOCK]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(points_by_circles())
+def test_through_counts_match_all_pairs(case):
+    (px, py), (cx, cy, r), t, block = case
+    with mock.patch.object(realization, "_RESIDUAL_BLOCK", block):
+        got = _through_counts(px, py, cx, cy, r, t)
+    assert np.array_equal(got, oracles.through_counts(px, py, cx, cy, r, t))
