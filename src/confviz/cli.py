@@ -279,11 +279,7 @@ def _cmd_render(args) -> int:
         text = render.render_layout(art, labels=args.labels)
     else:
         text = render.render_config(art, labels=args.labels)
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ParameterError(f"cannot write {args.output}: {exc.strerror or exc}")
+    jsonio.write_text(args.output, text)
     print(f"wrote {args.output}")
     return 0
 

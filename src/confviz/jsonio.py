@@ -5,11 +5,20 @@ keys in construction order, so the same in-memory value always serializes
 to the same bytes, and every value reads back bit for bit. Writers hand
 numpy tables and scalars to the encoder as they are. `read` is the one
 entry point that loads an artifact file, checks its kind and converts it.
+
+Every output file, JSON or SVG, goes through `write_text`. It encodes the
+whole text first, so an encoding error leaves an existing file as it was.
+It then overwrites the file in place and cuts it to the new length, instead
+of opening it with O_TRUNC as open(path, "w") does: on ext4, truncating an
+existing file to zero starts writeback of its blocks at close (the
+auto_da_alloc rule), which makes a small rewrite 20 to 40 times slower.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from contextlib import contextmanager
 from typing import Any
 
@@ -34,13 +43,37 @@ def dumps(obj: Any) -> str:
         raise ParameterError(str(exc)) from exc
 
 
-def save(path: str, obj: Any) -> None:
+def write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8, leaving exactly its bytes there.
+
+    Gives the bytes and the file mode of open(path, "w"), writes through a
+    symlink and keeps the inode, but opens without O_TRUNC: the bytes go
+    over the old ones in place and a regular file is then cut to their
+    length, which spares ext4 the flush it starts when a truncated file is
+    closed. Unlinking first would replace a symlink and reset the mode;
+    writing a temporary file and renaming it over is flushed the same way.
+    Pipes, FIFOs and devices such as /dev/null take the bytes and are not
+    cut. As with open(path, "w") nothing is synced, so a crash before
+    writeback can leave old bytes under the new length instead of an empty
+    file; `read` reports either as invalid JSON when it does not parse.
+    """
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps(obj))
-            fh.write("\n")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def save(path: str, obj: Any) -> None:
+    write_text(path, dumps(obj) + "\n")
 
 
 def load(path: str) -> Any:

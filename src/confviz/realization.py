@@ -797,16 +797,27 @@ def _meet_points(
     Pairs come in combinations(range(C), 2) order: per pair base+off, then
     base-off, and the base alone for a pair tangent within cluster_tol; a
     concentric or disjoint pair gives nothing.
+
+    The exact test below keeps a pair when h2 >= -cluster_tol**2, and
+    -h2 >= (d - r_i - r_j)**2 / 4 once d > r_i + r_j, so no pair farther
+    apart than r_i + r_j + 2*cluster_tol meets. Rounding in h2 is worth a
+    few ulps of d**2, which moves that edge by well under 1e-6 d, so a
+    squared-distance screen with a relative margin of 1e-6 keeps every pair
+    the exact test keeps; the survivors give the same bits.
     """
     i, j = _pair_indices(len(cx))
     dx, dy = cx[j] - cx[i], cy[j] - cy[i]
+    ri, rj = r[i], r[j]
+    reach = (ri + rj + 2.0 * cluster_tol) * (1.0 + 1e-6)
+    near = dx * dx + dy * dy <= reach * reach
+    i, dx, dy, ri, rj = i[near], dx[near], dy[near], ri[near], rj[near]
     # math.hypot as in the scalar per-pair oracle: np.hypot differs from it
     # in the last bit on some inputs
     d = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=float, count=len(dx))
     apart = d > 1e-15
     d = np.where(apart, d, 1.0)  # no division by zero; the pair is dropped below
-    ri2 = r[i] * r[i]
-    alpha = (d * d + ri2 - r[j] * r[j]) / (2.0 * d)
+    ri2 = ri * ri
+    alpha = (d * d + ri2 - rj * rj) / (2.0 * d)
     h2 = ri2 - alpha * alpha
     eps = cluster_tol * cluster_tol
     meet = apart & (h2 >= -eps)

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -313,6 +314,51 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith(f"error: cannot write {missing / 'x.svg'}: ")
     assert not missing.exists()
+
+
+def _gen_and_render(tmp_path, capsys, out):
+    """Run gen petersen and render of a pentagon layout into out; returns
+    the regular-file bytes each command writes and its report line."""
+    lay = str(tmp_path / "lay.json")
+    assert run(["realize", "--layout", "polygon", "--n", "5", "-o", lay], capsys)[0] == 0
+    cases = []
+    for argv in (["gen", "petersen"], ["render", lay]):
+        ref = str(tmp_path / "ref")
+        code, report, _ = run([*argv, "-o", ref], capsys)
+        assert code == 0
+        cases.append((argv, pathlib.Path(ref).read_bytes(), report.replace(ref, out)))
+    return cases
+
+
+def test_output_to_dev_null(tmp_path, capsys):
+    for argv, _, report in _gen_and_render(tmp_path, capsys, os.devnull):
+        assert run([*argv, "-o", os.devnull], capsys) == (0, report, "")
+
+
+def test_output_to_dev_stdout_through_a_pipe(tmp_path, capsys):
+    for argv, data, report in _gen_and_render(tmp_path, capsys, "/dev/stdout"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "confviz", *argv, "-o", "/dev/stdout"],
+            capture_output=True,
+            env=child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == data + report.encode()
+
+
+def test_output_to_a_fifo(tmp_path, capsys):
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+    for argv, data, report in _gen_and_render(tmp_path, capsys, fifo):
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pathlib.Path(fifo).read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code, out, _ = run([*argv, "-o", fifo], capsys)
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert (code, out, got) == (0, report, [data])
 
 
 def test_unreadable_input_is_usage_error(tmp_path, capsys):

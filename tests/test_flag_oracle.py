@@ -359,3 +359,52 @@ def test_through_counts_match_all_pairs(case):
     with mock.patch.object(realization, "_RESIDUAL_BLOCK", block):
         got = _through_counts(px, py, cx, cy, r, t)
     assert np.array_equal(got, oracles.through_counts(px, py, cx, cy, r, t))
+
+
+def _meets(a, b, tol):
+    return bool(oracles.circle_pair_intersections(a, b, tol))
+
+
+@st.composite
+def pairs_at_the_meeting_edge(draw):
+    """(circles, tol): circle A and copies of circle B moved along one
+    direction to the last float distance at which the scalar test still
+    finds a meet point, the first at which it finds none, one ulp beyond
+    each and a relative 1e-9 on either side. Radii run from 1e-4 to 2 times
+    the scale and tol from 0 to 10 times it, so the edge lies anywhere from
+    a few ulps past r_A + r_B (radii far above tol) to about 2 tol past it
+    (radii far below tol)."""
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e3, 1e9]))
+    tol = scale * draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-3, 1.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ra, rb = scale * 10.0 ** rng.uniform(-4.0, 0.3, size=2)
+    x0, y0 = rng.uniform(-scale, scale, size=2)
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    a = Circle(x0, y0, ra)
+
+    def at(d):
+        return Circle(x0 + d * math.cos(angle), y0 + d * math.sin(angle), rb)
+
+    s = ra + rb
+    lo, hi = 0.5 * (abs(ra - rb) + s), (s + 4.0 * tol) * 1.001
+    assert not _meets(a, at(hi), tol)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if _meets(a, at(mid), tol):
+            lo = mid
+        else:
+            hi = mid
+    ds = [lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), lo * (1 - 1e-9), hi * (1 + 1e-9)]
+    order = rng.permutation(len(ds))
+    return (a, *(at(ds[k]) for k in order)), tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs_at_the_meeting_edge())
+def test_meet_points_keep_every_pair_at_the_meeting_edge(case):
+    circles, tol = case
+    x, y = _meet_points(*_circle_arrays(circles), tol)
+    meets = oracles.meet_points(circles, tol)
+    assert np.array_equal(np.column_stack([x, y]), np.array(meets).reshape(-1, 2))

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -351,3 +353,71 @@ def test_read_checks_kind_and_converts(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ParameterError, match="is not valid JSON"):
         jsonio.read(str(path), "graph")
+
+
+# ---------------------------------------------------------------------------
+# the one writer every artifact and SVG goes through
+
+
+@pytest.mark.parametrize("bad", [{"a": math.inf}, {"a": complex(1, 2)}])
+def test_failed_save_keeps_the_old_file(tmp_path, bad):
+    path = tmp_path / "x.json"
+    jsonio.save(str(path), {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises(ParameterError):
+        jsonio.save(str(path), bad)
+    assert path.read_bytes() == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(), st.one_of(st.none(), st.binary(max_size=600)))
+def test_write_text_leaves_exactly_the_new_bytes(tmp_path_factory, text, old):
+    # old is what the path held before: nothing, or bytes longer or shorter
+    path = tmp_path_factory.mktemp("w") / "x.json"
+    if old is not None:
+        path.write_bytes(old)
+    jsonio.write_text(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_write_text_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("a much longer old artifact\n")
+    inode = target.stat().st_ino
+    link.symlink_to(target.name)
+    jsonio.write_text(str(link), "new\n")
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == b"new\n"
+    assert target.stat().st_ino == inode
+
+
+def test_write_text_gives_a_new_file_the_mode_of_open(tmp_path):
+    old = os.umask(0o027)
+    try:
+        jsonio.write_text(str(tmp_path / "a.json"), "{}\n")
+        with open(tmp_path / "b.json", "w", encoding="utf-8") as fh:
+            fh.write("{}\n")
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "a.json").stat().st_mode
+    assert mode == (tmp_path / "b.json").stat().st_mode
+    assert stat.S_IMODE(mode) == 0o640
+
+
+def test_write_text_never_truncates_on_open(tmp_path, monkeypatch):
+    # opening with O_TRUNC makes ext4 flush the old blocks at close
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    path = tmp_path / "x.json"
+    path.write_text("[" * 100)
+    jsonio.save(str(path), [1, 2])
+    jsonio.write_text(str(path), "<svg/>\n")
+    assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
+    assert path.read_bytes() == b"<svg/>\n"
+
