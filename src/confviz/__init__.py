@@ -69,10 +69,8 @@ _LAZY = {
     "realize_n3": "realization",
     "solve_unit_distance": "realization",
     "unit_edge_residual": "realization",
-    "Plane": "spatial",
     "PointPlaneConfig": "spatial",
     "PolytopeSkeleton": "spatial",
-    "SphereCircle": "spatial",
     "SphericalCircleConfig": "spatial",
     "admissible_polytope": "spatial",
     "coplanarity": "spatial",
@@ -114,13 +112,11 @@ __all__ = [
     "Layout",
     "POLYTOPE_NAMES",
     "ParameterError",
-    "Plane",
     "PointCircleConfig",
     "PointPlaneConfig",
     "PolePlacementError",
     "PolytopeSkeleton",
     "SamplingError",
-    "SphereCircle",
     "SphericalCircleConfig",
     "StructureReport",
     "TOL_CLUSTER",

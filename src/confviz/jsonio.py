@@ -20,6 +20,7 @@ import json
 import os
 import stat
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import Any
 
 from .errors import ParameterError
@@ -168,43 +169,47 @@ def pcc_from_obj(obj: dict):
 def pointplane_to_obj(cfg) -> dict:
     return {
         "points": cfg.points,
-        "planes": [{"n": pl.normal, "d": pl.offset} for pl in cfg.planes],
+        "planes": [{"n": row[:3], "d": row[3]} for row in cfg.planes.tolist()],
         "incidence": cfg.incidence,
         "max_residual": cfg.max_residual,
     }
 
 
 def spherical_to_obj(cfg) -> dict:
+    from .spatial import _circle_cuts
+
+    centers, radii = _circle_cuts(cfg)
     return {
         "sphere": {"c": cfg.center, "r": cfg.radius},
         "points": cfg.points,
         "circles": [
-            {"n": sc.plane.normal, "d": sc.plane.offset, "center": sc.center, "radius": sc.radius}
-            for sc in cfg.circles
+            {"n": row[:3], "d": row[3], "center": c, "radius": r}
+            for row, c, r in zip(cfg.circles.tolist(), centers.tolist(), radii.tolist())
         ],
         "incidence": cfg.incidence,
     }
 
 
 def spherical_from_obj(obj: dict):
+    """The plane rows of the circles, normalised and oriented as the writer's;
+    each circle's centre and radius follow from its row and the sphere, but
+    are still required keys."""
     import numpy as np
 
-    from .spatial import Plane, SphereCircle, SphericalCircleConfig
+    from .spatial import SphericalCircleConfig, _plane_rows
 
     def vector(xs):
         return np.array([float(x) for x in xs])
 
     with _malformed("spherical"):
+        circles = obj["circles"]
+        fields = map(itemgetter("n", "d", "center", "radius"), circles)
+        table = np.array([[*map(float, n), float(d)] for n, d, _, _ in fields], dtype=float).reshape(len(circles), 4)
         return SphericalCircleConfig(
             center=vector(obj["sphere"]["c"]),
             radius=float(obj["sphere"]["r"]),
             points=np.array([vector(row) for row in obj["points"]]),
-            circles=tuple(
-                SphereCircle(
-                    Plane(tuple(vector(c["n"])), float(c["d"])), vector(c["center"]), float(c["radius"])
-                )
-                for c in obj["circles"]
-            ),
+            circles=_plane_rows(table[:, :3], table[:, 3]),
             incidence=tuple((int(p), int(j)) for p, j in obj["incidence"]),
         )
 

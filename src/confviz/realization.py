@@ -113,7 +113,9 @@ class PointCircleConfig:
         if not self.incidence:
             return 0.0
         p, k = np.array(self.incidence).T
-        return float(np.max(_circle_residuals(*_circle_arrays(self.circles), self.points)[k, p]))
+        cx, cy, r = _circle_arrays(self.circles)
+        # the incident pairs' entries of _circle_residuals, element for element
+        return float(np.max(np.abs(np.hypot(self.points[p, 0] - cx[k], self.points[p, 1] - cy[k]) - r[k])))
 
 
 def _tolerance(name: str, value) -> float:

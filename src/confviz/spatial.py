@@ -3,7 +3,10 @@
 Coordinates come from closed-form constructions and are validated on every
 call: vertex and edge counts, regularity, equal edge lengths, and a common
 circumsphere. Edges are derived from the coordinates by the minimum-distance
-rule rather than stored.
+rule rather than stored. A set of planes is one (k, 4) table of rows
+(nx, ny, nz, d), the plane n . x = d with unit n oriented by _plane_rows;
+all neighbourhood planes are fitted in one pass per vertex degree, and the
+sphere circles are such rows too, their centres and radii derived on use.
 """
 
 from __future__ import annotations
@@ -11,12 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    AdmissibilityError,
-    DegeneracyError,
-    ParameterError,
-    PolePlacementError,
-)
+from .errors import AdmissibilityError, DegeneracyError, ParameterError, PolePlacementError
 from .graphs import POLYTOPE_NAMES, Graph, structure_report
 
 # realization before numpy, which it imports itself: compiling realization.py
@@ -39,42 +37,7 @@ _EXPECTED = {
 }
 
 _PLANE_MATCH_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class Plane:
-    """Oriented plane normal . x = offset with unit normal.
-
-    Orientation is canonical: the first component of the normal that exceeds
-    1e-12 in magnitude is positive, so equal planes compare equal.
-    """
-
-    normal: tuple[float, float, float]
-    offset: float
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        length = float(np.linalg.norm(n))
-        if not math.isfinite(length) or length < 1e-12:
-            raise ParameterError("plane normal must be a nonzero vector")
-        n = n / length
-        d = float(self.offset) / length
-        for comp in n:
-            if abs(comp) > 1e-12:
-                if comp < 0:
-                    n = -n
-                    d = -d
-                break
-        object.__setattr__(self, "normal", (float(n[0]), float(n[1]), float(n[2])))
-        object.__setattr__(self, "offset", d)
-
-    def signed_distance(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return pts @ np.asarray(self.normal) - self.offset
-
-    def close_to(self, other: "Plane", tol: float = _PLANE_MATCH_TOL) -> bool:
-        dn = max(abs(a - b) for a, b in zip(self.normal, other.normal))
-        return dn <= tol and abs(self.offset - other.offset) <= tol
+_COLLINEAR_FIT = "plane fit of (nearly) collinear points"
 
 
 @dataclass(eq=False)
@@ -85,31 +48,32 @@ class PolytopeSkeleton:
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
-        if self.coords.shape != (self.graph.order, 3):
-            raise ParameterError("coordinate table must be (order, 3)")
+        if self.coords.shape != (self.graph.order, 3) or not np.all(np.isfinite(self.coords)):
+            raise ParameterError("coordinate table must be a finite (order, 3) array")
 
 
 @dataclass(eq=False)
 class PointPlaneConfig:
+    """Points and one plane per vertex neighbourhood: planes is a (k, 4)
+    table of rows (nx, ny, nz, d), the plane n . x = d, as _plane_rows
+    gives them; incidence holds (point, plane) pairs."""
+
     points: np.ndarray
-    planes: tuple[Plane, ...]
+    planes: np.ndarray
     incidence: tuple[tuple[int, int], ...]
     max_residual: float
 
 
 @dataclass(eq=False)
-class SphereCircle:
-    plane: Plane
-    center: np.ndarray
-    radius: float
-
-
-@dataclass(eq=False)
 class SphericalCircleConfig:
+    """Points on the sphere (center, radius) and the circles the plane rows
+    of circles, a (C, 4) table as in PointPlaneConfig, cut out of it;
+    _circle_cuts gives their centres and radii."""
+
     center: np.ndarray
     radius: float
     points: np.ndarray
-    circles: tuple[SphereCircle, ...]
+    circles: np.ndarray
     incidence: tuple[tuple[int, int], ...]
 
 
@@ -207,61 +171,67 @@ def polytope_data(name: str) -> PolytopeSkeleton:
 # planes
 
 
-def coplanarity(pts) -> tuple[Plane, float]:
-    """Best-fit plane via the smallest singular direction + max residual."""
+def _plane_rows(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(k, 4) rows (nx, ny, nz, d) of the planes normals[k] . x = offsets[k],
+    scaled to unit normals and oriented so that the first normal component
+    beyond 1e-12 in magnitude is positive: equal planes give equal rows."""
+    length = _row_norms(normals)
+    if not np.all(np.isfinite(length) & (length >= 1e-12)):
+        raise ParameterError("plane normal must be a nonzero vector")
+    rows = np.column_stack([normals / length[:, None], offsets / length])
+    lead = np.take_along_axis(rows, np.argmax(np.abs(rows[:, :3]) > 1e-12, axis=1)[:, None], axis=1)
+    return np.where(lead < 0, -rows, rows)
+
+
+def _fit_planes(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best-fit plane rows (m, 4) of the stacked point sets pts (m, deg, 3)
+    along their smallest singular directions, each set's largest distance
+    from its plane (m,), and which sets are (nearly) collinear (m,)."""
+    centroids = pts.mean(axis=1)
+    _, svals, vt = np.linalg.svd(pts - centroids[:, None])
+    collinear = svals[:, 1] <= 1e-12 * np.maximum(svals[:, 0], 1e-30)
+    rows = _plane_rows(vt[:, -1], _row_dots(vt[:, -1], centroids))
+    # one matrix-vector product per set, as a single set's pts @ normal
+    residual = np.max(np.abs((pts @ rows[:, :3, None])[..., 0] - rows[:, 3:]), axis=1)
+    return rows, residual, collinear
+
+
+def coplanarity(pts) -> tuple[np.ndarray, float]:
+    """Best-fit plane row (nx, ny, nz, d) via the smallest singular direction,
+    and the largest distance of a point from it."""
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 3:
         raise ParameterError("plane fit needs at least three spatial points")
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    _, svals, vt = np.linalg.svd(centered)
-    scale = max(float(svals[0]), 1e-30)
-    if svals[1] <= 1e-12 * scale:
-        raise DegeneracyError("plane fit of (nearly) collinear points")
-    normal = vt[-1]
-    plane = Plane(tuple(normal), float(normal @ centroid))
-    residual = float(np.max(np.abs(plane.signed_distance(pts))))
-    return plane, residual
+    rows, residual, collinear = _fit_planes(pts[None])
+    if collinear[0]:
+        raise DegeneracyError(_COLLINEAR_FIT)
+    return rows[0], float(residual[0])
 
 
-def _neighbourhood_planes(p: PolytopeSkeleton) -> tuple[AdmissibilityReport, list[Plane]]:
-    """admissible_polytope's report, and the planes fitted up to the first
-    non-coplanar neighbourhood; a loop over vertices, so that the first bad
-    vertex is the one named."""
-    planes, worst, failing, pair = [], 0.0, None, None
-    for v in range(p.graph.order):
-        nbrs = list(p.graph.adjacency[v])
-        if len(nbrs) < 3:
-            raise ParameterError(f"vertex {v} has fewer than 3 neighbours")
-        plane, res = coplanarity(p.coords[nbrs])
-        worst = max(worst, res)
-        if res > TOL_INCIDENCE:
-            failing = v
-            break
-        planes.append(plane)
-    if failing is None:
-        normals, offsets = _plane_arrays(planes)
-        i, j = _pair_indices(len(planes))
-        close = np.flatnonzero(
-            (np.max(np.abs(normals[i] - normals[j]), axis=1, initial=0.0) <= _PLANE_MATCH_TOL)
-            & (np.abs(offsets[i] - offsets[j]) <= _PLANE_MATCH_TOL)
-        )
+def _neighbourhood_planes(p: PolytopeSkeleton) -> tuple[AdmissibilityReport, np.ndarray]:
+    """admissible_polytope's report and all neighbourhood plane rows, fitted in
+    one pass per degree. The first vertex that fails names the outcome: too
+    few or collinear neighbours raise, a non-coplanar neighbourhood fails."""
+    adjacency, n = p.graph.adjacency, p.graph.order
+    degree = np.array([len(a) for a in adjacency], dtype=np.intp)
+    rows, residual, collinear = np.zeros((n, 4)), np.zeros(n), np.zeros(n, dtype=bool)
+    for d in sorted(set(degree[degree >= 3].tolist())):
+        vs = np.flatnonzero(degree == d)
+        nbrs = np.array([adjacency[v] for v in vs.tolist()], dtype=np.intp)
+        rows[vs], residual[vs], collinear[vs] = _fit_planes(p.coords[nbrs])
+    bad = np.flatnonzero((degree < 3) | collinear | (residual > TOL_INCIDENCE)).tolist()
+    failing, pair = (bad[0] if bad else None), None
+    if bad and degree[failing] < 3:
+        raise ParameterError(f"vertex {failing} has fewer than 3 neighbours")
+    if bad and collinear[failing]:
+        raise DegeneracyError(_COLLINEAR_FIT)
+    if not bad:
+        i, j = _pair_indices(n)
+        close = np.flatnonzero(np.max(np.abs(rows[i] - rows[j]), axis=1, initial=0.0) <= _PLANE_MATCH_TOL)
         pair = (int(i[close[0]]), int(j[close[0]])) if len(close) else None
-    report = AdmissibilityReport(
-        admissible=failing is None and pair is None,
-        coplanar=failing is None,
-        max_residual=worst,
-        failing_vertex=failing,
-        planes_distinct=pair is None,
-        coincident_pair=pair,
-    )
-    return report, planes
-
-
-def _plane_arrays(planes) -> tuple[np.ndarray, np.ndarray]:
-    """Unit normals (k, 3) and offsets (k,) of the planes."""
-    normals = np.array([pl.normal for pl in planes], dtype=float).reshape(-1, 3)
-    return normals, np.array([pl.offset for pl in planes], dtype=float)
+    worst = float(np.max(residual[: failing + 1 if bad else n], initial=0.0))
+    report = AdmissibilityReport(not bad and pair is None, not bad, worst, failing, pair is None, pair)
+    return report, rows
 
 
 def admissible_polytope(p: PolytopeSkeleton) -> AdmissibilityReport:
@@ -271,45 +241,51 @@ def admissible_polytope(p: PolytopeSkeleton) -> AdmissibilityReport:
 
 
 def point_plane_vconstruct(p: PolytopeSkeleton) -> PointPlaneConfig:
-    """Spatial V-construction: one neighbourhood plane per vertex."""
+    """Spatial V-construction: one neighbourhood plane row per vertex."""
     report, planes = _neighbourhood_planes(p)
     if not report.admissible:
         raise AdmissibilityError(f"{p.name}: {report.describe()}", pair=report.coincident_pair)
     incidence = sorted((u, v) for v in range(p.graph.order) for u in p.graph.adjacency[v])
     u, v = np.array(incidence, dtype=np.intp).reshape(-1, 2).T
-    normals, offsets = _plane_arrays(planes)
-    residual = np.abs(_row_dots(p.coords[u], normals[v]) - offsets[v])
+    residual = np.abs(_row_dots(p.coords[u], planes[v, :3]) - planes[v, 3])
     return PointPlaneConfig(
         points=p.coords.copy(),
-        planes=tuple(planes),
+        planes=planes,
         incidence=tuple(incidence),
         max_residual=float(np.max(residual, initial=0.0)),
     )
 
 
 def sphere_circles(p: PolytopeSkeleton) -> SphericalCircleConfig:
-    """Cut each neighbourhood plane with the circumsphere.
+    """Cut each neighbourhood plane with the circumsphere, whose centre is
+    the vertex mean and whose radius is the mean vertex distance from it.
 
-    Vertices sit on the sphere by the load-time validation, so each
-    neighbourhood lies on the circle its plane cuts out of the sphere.
+    The circles are point_plane_vconstruct's plane rows. A vertex off that
+    radius by more than 1e-9 relative, polytope_data's bound, is refused:
+    a hand-built skeleton skips that check. Each neighbourhood then lies on
+    the circle its plane cuts out of the sphere.
     """
     ppc = point_plane_vconstruct(p)
-    normals, offsets = _plane_arrays(ppc.planes)
     center = p.coords.mean(axis=0)
-    radius = float(np.mean(np.linalg.norm(p.coords - center, axis=1)))
-    gap = offsets - _row_dots(normals, center)
-    missed = np.flatnonzero(np.abs(gap) >= radius)
+    dist = np.linalg.norm(p.coords - center, axis=1)
+    radius = float(np.mean(dist))
+    off = np.flatnonzero(np.abs(dist - radius) > 1e-9 * radius).tolist()
+    if off:
+        v, d = off[0], dist[off[0]]
+        raise DegeneracyError(f"vertex {v} misses the circumsphere ({d:.6g} from the centre, radius {radius:.6g})")
+    cfg = SphericalCircleConfig(center, radius, ppc.points, ppc.planes, ppc.incidence)
+    _circle_cuts(cfg)  # refuses a plane that misses the sphere
+    return cfg
+
+
+def _circle_cuts(cfg: SphericalCircleConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Centres (C, 3) and radii (C,) of the circles cfg's plane rows cut out of its sphere."""
+    normals = cfg.circles[:, :3]
+    gap = cfg.circles[:, 3] - _row_dots(normals, cfg.center)
+    missed = np.flatnonzero(np.abs(gap) >= cfg.radius)
     if len(missed):
         raise DegeneracyError(f"neighbourhood plane of vertex {missed[0]} misses the circumsphere")
-    centers = center + gap[:, None] * normals
-    radii = np.sqrt(radius * radius - gap * gap)
-    return SphericalCircleConfig(
-        center=center,
-        radius=radius,
-        points=ppc.points,
-        circles=tuple(map(SphereCircle, ppc.planes, centers, radii.tolist())),
-        incidence=ppc.incidence,
-    )
+    return cfg.center + gap[:, None] * normals, np.sqrt(cfg.radius * cfg.radius - gap * gap)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +301,9 @@ def _orthobasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(u, e1)
 
 
-def _sphere_circle_arrays(cfg: SphericalCircleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plane normals (C, 3), centers (C, 3) and radii (C,) of the sphere circles."""
-    normals = np.array([sc.plane.normal for sc in cfg.circles], dtype=float).reshape(-1, 3)
-    centers = np.array([sc.center for sc in cfg.circles], dtype=float).reshape(-1, 3)
-    return normals, centers, np.array([sc.radius for sc in cfg.circles], dtype=float)
-
-
 def _pole_clearance(cfg: SphericalCircleConfig, circles, pole: np.ndarray) -> float:
     """Distance from the pole to the nearest configuration point or circle;
-    circles are cfg's as _sphere_circle_arrays gives them."""
+    circles are cfg's normals, centres and radii."""
     normals, centers, radii = circles
     v = pole - centers
     axial = _row_dots(normals, v)
@@ -346,23 +315,21 @@ def _pole_clearance(cfg: SphericalCircleConfig, circles, pole: np.ndarray) -> fl
 
 
 def stereographic_project(
-    cfg: SphericalCircleConfig,
-    pole=None,
-    seed: int = 0,
-    tol: float = TOL_INCIDENCE,
+    cfg: SphericalCircleConfig, pole=None, seed: int = 0, tol: float = TOL_INCIDENCE
 ) -> tuple[PointCircleConfig, np.ndarray]:
     """Project sphere circles to plane circles through a clear pole.
 
     The image plane passes through the sphere center orthogonal to the pole
     direction. Each image circle is the circumcircle of three projected
-    samples, cross-checked on eight more samples within tol; all circles are
+    samples, cross-checked on eight more samples within tol; all circles,
+    cfg's plane rows with the centres and radii of _circle_cuts, are
     sampled, projected, fitted and checked in one array pass. With pole=None
     the antipode of the mean oriented plane pole is tried first, then up to
     256 seeded random poles; an explicit pole must be a finite 3-vector on
     the sphere that clears points and circles by the separation tolerance.
     """
     r = cfg.radius
-    circles = _sphere_circle_arrays(cfg)
+    circles = (cfg.circles[:, :3], *_circle_cuts(cfg))
     normals, centers, radii = circles
     if pole is not None:
         try:
@@ -401,8 +368,7 @@ def stereographic_project(
     points2, hit = project(cfg.points)
     if np.any(hit):
         raise DegeneracyError("projected point coincides with the pole")
-    anchors = [2.0 * math.pi * j / 3.0 for j in range(3)]
-    angles = anchors + [math.pi / 6.0 + j * math.pi / 4.0 for j in range(8)]
+    angles = [2.0 * math.pi * j / 3.0 for j in range(3)] + [math.pi / 6.0 + j * math.pi / 4.0 for j in range(8)]
     cos = np.array([math.cos(a) for a in angles])[:, None]
     sin = np.array([math.sin(a) for a in angles])[:, None]
     f1, f2 = _orthobasis(normals)
@@ -421,8 +387,7 @@ def stereographic_project(
     if len(failed) and hit[failed[0]]:
         raise DegeneracyError("projected point coincides with the pole")
     if len(failed):
-        v = failed[0]
-        raise DegeneracyError(f"image of circle {v} fails the sample check (drift {drift[v]:.3e})")
+        raise DegeneracyError(f"image of circle {failed[0]} fails the sample check (drift {drift[failed[0]]:.3e})")
     out = PointCircleConfig(points2, _circles(cx, cy, rad), cfg.incidence, flags={}, tols=tol_record(tol))
     worst = out.max_incidence_residual()
     if worst > tol:

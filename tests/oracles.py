@@ -8,14 +8,16 @@ the rotational-ansatz solve and the hypercube position loop are the loops
 that the library's array passes replaced; so are, after the JSON emitter
 that branched on numpy types, the scalar circumcircle with its per-block,
 per-line and per-circle callers, spatial's per-pair, per-plane and
-per-circle loops, and the per-vertex least-squares circle fit that
-circles_from_layout ran before its circumcircle pass. The Cartesian factor
+per-circle loops with the per-vertex coplanarity fit and the Plane and
+SphereCircle objects they built, and the per-vertex least-squares circle
+fit that circles_from_layout ran before its circumcircle pass. The Cartesian factor
 split with a component walk per edge class is the version that its vertex
 union-find replaced. Tests hold each pair to the same answers.
 """
 
 import json
 import math
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, islice, permutations
 from typing import Any
@@ -47,15 +49,7 @@ from confviz.realization import (
     _edge_arrays,
     _solve_coordinates,
 )
-from confviz.spatial import (
-    AdmissibilityReport,
-    Plane,
-    PointPlaneConfig,
-    PolytopeSkeleton,
-    SphereCircle,
-    SphericalCircleConfig,
-    coplanarity,
-)
+from confviz.spatial import AdmissibilityReport, PointPlaneConfig, PolytopeSkeleton, SphericalCircleConfig
 
 
 def adjacency(order, edges):
@@ -808,6 +802,66 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
     if worst > 1e-9 * scale:
         raise DegeneracyError(f"inverted incidences drift ({worst:.3e}); input too degenerate")
     return cfg
+
+
+@dataclass(frozen=True)
+class Plane:
+    """Oriented plane normal . x = offset with unit normal.
+
+    Orientation is canonical: the first component of the normal that exceeds
+    1e-12 in magnitude is positive, so equal planes compare equal.
+    """
+
+    normal: tuple[float, float, float]
+    offset: float
+
+    def __post_init__(self):
+        n = np.asarray(self.normal, dtype=float)
+        length = float(np.linalg.norm(n))
+        if not math.isfinite(length) or length < 1e-12:
+            raise ParameterError("plane normal must be a nonzero vector")
+        n = n / length
+        d = float(self.offset) / length
+        for comp in n:
+            if abs(comp) > 1e-12:
+                if comp < 0:
+                    n = -n
+                    d = -d
+                break
+        object.__setattr__(self, "normal", (float(n[0]), float(n[1]), float(n[2])))
+        object.__setattr__(self, "offset", d)
+
+    def signed_distance(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return pts @ np.asarray(self.normal) - self.offset
+
+    def close_to(self, other: "Plane", tol: float = 1e-7) -> bool:
+        dn = max(abs(a - b) for a, b in zip(self.normal, other.normal))
+        return dn <= tol and abs(self.offset - other.offset) <= tol
+
+
+@dataclass(eq=False)
+class SphereCircle:
+    plane: Plane
+    center: np.ndarray
+    radius: float
+
+
+def coplanarity(pts) -> tuple[Plane, float]:
+    """Best-fit plane via the smallest singular direction + max residual."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 3:
+        raise ParameterError("plane fit needs at least three spatial points")
+    centroid = pts.mean(axis=0)
+    centered = pts - centroid
+    _, svals, vt = np.linalg.svd(centered)
+    scale = max(float(svals[0]), 1e-30)
+    if svals[1] <= 1e-12 * scale:
+        raise DegeneracyError("plane fit of (nearly) collinear points")
+    normal = vt[-1]
+    plane = Plane(tuple(normal), float(normal @ centroid))
+    residual = float(np.max(np.abs(plane.signed_distance(pts))))
+    return plane, residual
 
 
 def _edges_by_min_distance(coords: np.ndarray) -> tuple[tuple[int, int], ...]:

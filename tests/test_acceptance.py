@@ -157,7 +157,7 @@ def test_criterion_08_spatial_pipeline():
     ppc = point_plane_vconstruct(p)
     ok = len(ppc.planes) == 20 and ppc.max_residual < 1e-9
     for i, j in combinations(range(len(ppc.planes)), 2):
-        ok = ok and not ppc.planes[i].close_to(ppc.planes[j], 1e-7)
+        ok = ok and float(np.max(np.abs(ppc.planes[i] - ppc.planes[j]))) > 1e-7
     ok = ok and classify(incidence_of_planes(ppc)).balanced_type == (20, 3)
     try:
         point_plane_vconstruct(polytope_data("octahedron"))

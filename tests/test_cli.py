@@ -518,6 +518,11 @@ NUMPY_FREE_COMMANDS = [
     ("verify decompose c.json", 1, "component 0: (10_3), lineal, connected"),
     ("iso kneser(5,2) g.json", 0, "isomorphic"),
     ("iso petersen q.json", 1, "not isomorphic"),
+    ("gen pappus -o pp.json", 0, "graph on 18 vertices, 27 edges, girth 6"),
+    ("verify type pappus", 0, "(9_3), lineal, connected, self-polar"),
+    ("verify selfpolar pappus", 0, "self-polar"),
+    ("verify decompose pappus", 1, "component 0: (9_3), lineal, connected"),
+    ("iso pappus g.json", 1, "not isomorphic"),
 ]
 
 

@@ -408,3 +408,13 @@ def test_meet_points_keep_every_pair_at_the_meeting_edge(case):
     x, y = _meet_points(*_circle_arrays(circles), tol)
     meets = oracles.meet_points(circles, tol)
     assert np.array_equal(np.column_stack([x, y]), np.array(meets).reshape(-1, 2))
+
+
+def test_incidence_residual_reads_the_matrix_entries():
+    """max_incidence_residual computes only the incident pairs, with the
+    element-wise arithmetic of the full (C, n) residual matrix."""
+    for name, make in FIXTURES.items():
+        cfg = make()
+        p, k = np.array(cfg.incidence).T
+        full = realization._circle_residuals(*_circle_arrays(cfg.circles), cfg.points)
+        assert np.float64(cfg.max_incidence_residual()).tobytes() == np.max(full[k, p]).tobytes(), name

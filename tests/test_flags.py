@@ -247,6 +247,21 @@ def test_invert_pappus_pointline():
     assert cfg.flags["lineal"]
 
 
+def test_pappus_points_keep_their_bits():
+    # the construction's exact doubles, which `confviz invert pappus` writes
+    assert [list(p) for p in derive_pappus_points()] == [
+        [0.0, 0.0],
+        [1.0, 0.0],
+        [2.7, 0.0],
+        [0.15, 1.0],
+        [1.3499999999999999, 1.264],
+        [2.25, 1.462],
+        [0.556838805477644, 0.5213661112027719],
+        [1.01620916344658, 0.6603101319817334],
+        [1.755831949798801, 0.8840210484846778],
+    ]
+
+
 def test_invert_center_on_line_rejected():
     pts = np.array(derive_pappus_points())
     lines = pappus_structure().blocks

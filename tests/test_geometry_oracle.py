@@ -11,18 +11,21 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from confviz import build_family, fano_plane, pappus_structure, v_construct
 from confviz.errors import DegeneracyError
-from confviz.graphs import generalized_petersen_graph
+from confviz.graphs import Graph, generalized_petersen_graph
 from confviz.incidence import IncidenceStructure
 from confviz.pappus import derive_pappus_points
-from confviz.realization import _circumcircles, invert_pointline, realize_n3
+from confviz.realization import TOL_INCIDENCE, _circumcircles, invert_pointline, realize_n3
 from confviz.spatial import (
     POLYTOPE_NAMES,
     PolytopeSkeleton,
+    _circle_cuts,
     _edges_by_min_distance,
+    _fit_planes,
+    _neighbourhood_planes,
     _orthobasis,
     _pole_clearance,
-    _sphere_circle_arrays,
     admissible_polytope,
+    coplanarity,
     point_plane_vconstruct,
     polytope_data,
     reference_coordinates,
@@ -202,6 +205,34 @@ def test_edges_by_min_distance_matches_pair_loop():
         assert bits(lengths) == bits([np.linalg.norm(coords[u] - coords[v]) for u, v in edges])
 
 
+def star(centres, coords):
+    """A hand-built skeleton whose vertices 0..k-1 are joined to the given
+    leaves; the leaves themselves have too few neighbours, so only a failure
+    at a centre can come first."""
+    edges = tuple((v, leaf) for v, leaves in enumerate(centres) for leaf in leaves)
+    return PolytopeSkeleton("star", Graph(len(coords), edges), coords)
+
+
+def star_coords(rng, kinds):
+    """Coordinates for star centres with leaf sets of the given kinds:
+    "general" (4 points off any plane), "flat" (4 coplanar), "line" (3
+    collinear), "near" (3 points within about 1e-12 of collinear, the
+    refusal threshold), "pair" (2 points) or "three" (3 points)."""
+    size = {"general": 4, "flat": 4, "line": 3, "near": 3, "pair": 2, "three": 3}
+    rows, centres = list(rng.normal(size=(len(kinds), 3))), []
+    for kind in kinds:
+        base, u, v = rng.normal(size=(3, 3))
+        t = rng.normal(size=(size[kind], 2))
+        if kind in ("line", "near"):
+            t[:, 1] = 0.0 if kind == "line" else 10.0 ** rng.uniform(-12.5, -11.0, size=3)
+        pts = base + t[:, :1] * u + t[:, 1:] * v
+        if kind == "general":
+            pts[0] += np.cross(u, v)
+        centres.append(range(len(rows), len(rows) + len(pts)))
+        rows.extend(pts)
+    return centres, np.array(rows)
+
+
 def skeletons():
     out = [polytope_data(name) for name in POLYTOPE_NAMES]
     cube = polytope_data("cube")
@@ -209,41 +240,131 @@ def skeletons():
         coords = cube.coords.copy()
         coords[v] += shift
         out.append(PolytopeSkeleton(f"cube moved at {v}", cube.graph, coords))
+    # an admissible pentagonal pyramid (degrees 3 and 5), then stars with
+    # mixed degrees and each failure behind the others in vertex order
+    ring = [(math.cos(0.4 * math.pi * k), math.sin(0.4 * math.pi * k), 0.0) for k in range(5)]
+    edges = [(k, (k + 1) % 5) for k in range(5)] + [(k, 5) for k in range(5)]
+    out.append(PolytopeSkeleton("pyramid", Graph(6, tuple(edges)), np.array(ring + [(0.1, 0.2, 1.0)])))
+    rng = np.random.default_rng(7)
+    for kinds in (
+        ("flat", "three", "flat"),
+        ("general", "line", "pair"),
+        ("general", "pair"),
+        ("line", "general"),
+        ("pair", "general"),
+        ("three", "flat", "general", "line"),
+        ("three",) + ("near",) * 12,
+    ):
+        out.append(star(*star_coords(rng, kinds)))
     return out
 
 
-def assert_same_planes(a, b):
-    assert bits([pl.normal for pl in a]) == bits([pl.normal for pl in b])
-    assert bits([pl.offset for pl in a]) == bits([pl.offset for pl in b])
+def rotation(q) -> np.ndarray:
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
 
 
-def test_admissibility_and_point_planes_match_per_plane_loops():
-    for sk in skeletons():
-        assert admissible_polytope(sk) == oracles.admissible_polytope(sk)
+@st.composite
+def moved_skeletons(draw):
+    """A polytope rotated, scaled, shifted and with one vertex perturbed by
+    1e-15..1e-2 of the scale, or a star with mixed degrees and failures."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        kind = st.sampled_from(["general", "flat", "line", "near", "pair", "three"])
+        return star(*star_coords(rng, draw(st.lists(kind, min_size=1, max_size=5))))
+    sk = polytope_data(draw(st.sampled_from(POLYTOPE_NAMES)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    coords = scale * sk.coords @ rotation(rng.normal(size=4)).T + rng.normal(size=3) * scale
+    if draw(st.booleans()):
+        coords[rng.integers(len(coords))] += 10.0 ** draw(st.integers(-15, -2)) * scale * rng.normal(size=3)
+    return PolytopeSkeleton(sk.name, sk.graph, coords)
 
-        def same_ppc(a, b):
-            assert bits(a.points) == bits(b.points)
-            assert_same_planes(a.planes, b.planes)
-            assert a.incidence == b.incidence
-            assert bits(a.max_residual) == bits(b.max_residual)
 
-        assert_same_outcome(
-            outcome(point_plane_vconstruct, sk), outcome(oracles.point_plane_vconstruct, sk), same_ppc
-        )
+def assert_same_planes(rows, planes):
+    """Plane rows against the oracle's Plane objects."""
+    assert bits(rows[:, :3]) == bits(np.array([pl.normal for pl in planes]).reshape(-1, 3))
+    assert bits(rows[:, 3]) == bits([pl.offset for pl in planes])
+
+
+def assert_planes_match_per_vertex_fits(sk):
+    """_fit_planes over each degree's stacked neighbourhoods, and
+    _neighbourhood_planes, against the per-vertex coplanarity loop."""
+    adj = sk.graph.adjacency
+    for d in {len(a) for a in adj if len(a) >= 3}:
+        vs = [v for v in range(sk.graph.order) if len(adj[v]) == d]
+        rows, residual, collinear = _fit_planes(sk.coords[np.array([adj[v] for v in vs])])
+        for k, v in enumerate(vs):
+            status, value = outcome(oracles.coplanarity, sk.coords[list(adj[v])])
+            assert collinear[k] == (status == "raised")
+            if status == "ok":
+                assert_same_planes(rows[k : k + 1], [value[0]])
+                assert bits(residual[k]) == bits(value[1])
+                assert bits(coplanarity(sk.coords[list(adj[v])])[0]) == bits(rows[k])
+    new = outcome(_neighbourhood_planes, sk)
+    old = outcome(oracles._fit_neighbourhood_planes, sk, TOL_INCIDENCE)
+    assert new[0] == old[0], (new, old)
+    if new[0] == "raised":
+        assert new[1] == old[1]
+    else:
+        assert new[1][0] == old[1][0]
+        assert_same_planes(new[1][1][: len(old[1][1])], old[1][1])
+
+
+def same_ppc(a, b):
+    assert bits(a.points) == bits(b.points)
+    assert_same_planes(a.planes, b.planes)
+    assert a.incidence == b.incidence
+    assert bits(a.max_residual) == bits(b.max_residual)
 
 
 def assert_same_spherical(a, b):
     assert bits(a.center) == bits(b.center) and bits(a.radius) == bits(b.radius)
     assert bits(a.points) == bits(b.points)
-    assert_same_planes([sc.plane for sc in a.circles], [sc.plane for sc in b.circles])
-    assert bits([sc.center for sc in a.circles]) == bits([sc.center for sc in b.circles])
-    assert bits([sc.radius for sc in a.circles]) == bits([sc.radius for sc in b.circles])
+    assert_same_planes(a.circles, [sc.plane for sc in b.circles])
+    centers, radii = _circle_cuts(a)
+    assert bits(centers) == bits(np.array([sc.center for sc in b.circles]).reshape(-1, 3))
+    assert bits(radii) == bits([sc.radius for sc in b.circles])
     assert a.incidence == b.incidence
+
+
+def assert_same_plane_outcomes(sk):
+    assert_planes_match_per_vertex_fits(sk)
+    assert outcome(admissible_polytope, sk) == outcome(oracles.admissible_polytope, sk)
+    assert_same_outcome(outcome(point_plane_vconstruct, sk), outcome(oracles.point_plane_vconstruct, sk), same_ppc)
+
+
+def assert_same_sphere_outcome(sk):
+    new = outcome(sphere_circles, sk)
+    if new[0] == "raised" and "misses the circumsphere (" in new[1][1]:
+        # the common-sphere check the per-circle loop lacked
+        dist = np.linalg.norm(sk.coords - sk.coords.mean(axis=0), axis=1)
+        assert np.ptp(dist) > 1e-9 * np.mean(dist)
+    else:
+        assert_same_outcome(new, outcome(oracles.sphere_circles, sk), assert_same_spherical)
+
+
+def test_admissibility_and_point_planes_match_per_plane_loops():
+    for sk in skeletons():
+        assert_same_plane_outcomes(sk)
 
 
 def test_sphere_circles_match_per_circle_loop():
     for sk in skeletons():
-        assert_same_outcome(outcome(sphere_circles, sk), outcome(oracles.sphere_circles, sk), assert_same_spherical)
+        assert_same_sphere_outcome(sk)
+
+
+@settings(max_examples=150, deadline=None)
+@given(moved_skeletons())
+def test_moved_skeletons_match_per_vertex_loops(sk):
+    assert_same_plane_outcomes(sk)
+    assert_same_sphere_outcome(sk)
 
 
 def assert_same_projection(a, b):
@@ -253,11 +374,12 @@ def assert_same_projection(a, b):
 
 @pytest.mark.parametrize("name", ADMISSIBLE)
 def test_stereographic_project_matches_per_circle_loop(name):
-    sc = sphere_circles(polytope_data(name))
+    sk = polytope_data(name)
+    sc, old_sc = sphere_circles(sk), oracles.sphere_circles(sk)
     for seed in range(32):
         assert_same_outcome(
             outcome(stereographic_project, sc, seed=seed),
-            outcome(oracles.stereographic_project, sc, seed=seed),
+            outcome(oracles.stereographic_project, old_sc, seed=seed),
             assert_same_projection,
         )
 
@@ -267,10 +389,11 @@ SAMPLE_ANGLES = [2.0 * math.pi * j / 3.0 for j in range(3)] + [math.pi / 6.0 + j
 
 
 def near_circle_poles(sc, count):
-    """Poles on the sphere tilted off a point of a circle by 1e-6..1e-4 of
-    the radius, or by 1.2e-6 off one of its sample points: they clear the
-    circle, but image circles are huge and a sample may project onto the
-    pole, so the projection refuses in each of its ways."""
+    """Poles on the sphere tilted off a point of a circle of the oracle's
+    configuration sc by 1e-6..1e-4 of the radius, or by 1.2e-6 off one of
+    its sample points: they clear the circle, but image circles are huge and
+    a sample may project onto the pole, so the projection refuses in each of
+    its ways."""
     rng = np.random.default_rng(len(sc.circles))
     poles = []
     for k in range(count):
@@ -288,16 +411,17 @@ def near_circle_poles(sc, count):
 
 @pytest.mark.parametrize("name", ADMISSIBLE)
 def test_stereographic_explicit_poles_match_per_circle_loop(name):
-    sc = sphere_circles(polytope_data(name))
+    sk = polytope_data(name)
+    sc, old_sc = sphere_circles(sk), oracles.sphere_circles(sk)
     r = sc.radius
     poles = [(r, 0.0, 0.0), (0.0, 0.0, -r), (2.0 * r, 0.0, 0.0), tuple(sc.points[0])]
-    poles += near_circle_poles(sc, 24)
+    poles += near_circle_poles(old_sc, 24)
     seen = set()
     for pole in poles:
         # at 1e-15 most images fail the sample check, ahead of a later circle's pole hit
         for tol in (1e-9, 1e-12, 1e-15):
             new = outcome(stereographic_project, sc, pole=pole, tol=tol)
-            old = outcome(oracles.stereographic_project, sc, pole=pole, tol=tol)
+            old = outcome(oracles.stereographic_project, old_sc, pole=pole, tol=tol)
             assert_same_outcome(new, old, assert_same_projection)
             seen.add("ok" if new[0] == "ok" else new[1][1].split(" (")[0])
     assert {"ok", "explicit pole must lie on the sphere", "pole touches a configuration point or circle"} <= seen
@@ -308,14 +432,15 @@ def test_stereographic_explicit_poles_match_per_circle_loop(name):
 
 @pytest.mark.parametrize("name", ADMISSIBLE)
 def test_pole_clearance_and_frames_match_per_circle_loops(name):
-    sc = sphere_circles(polytope_data(name))
+    sk = polytope_data(name)
+    sc, old_sc = sphere_circles(sk), oracles.sphere_circles(sk)
     rng = np.random.default_rng(5)
     draws = rng.normal(size=(64, 3))
     poles = [sc.center + sc.radius * v / np.linalg.norm(v) for v in draws]
-    poles += near_circle_poles(sc, 16) + list(sc.points[:3])
-    arrays = _sphere_circle_arrays(sc)
+    poles += near_circle_poles(old_sc, 16) + list(sc.points[:3])
+    arrays = (sc.circles[:, :3], *_circle_cuts(sc))
     for pole in poles:
-        assert bits(_pole_clearance(sc, arrays, pole)) == bits(oracles._pole_clearance(sc, pole))
+        assert bits(_pole_clearance(sc, arrays, pole)) == bits(oracles._pole_clearance(old_sc, pole))
     e1, e2 = _orthobasis(arrays[0])
     expected = [oracles._orthobasis(n) for n in arrays[0]]
     assert bits(e1) == bits([f for f, _ in expected]) and bits(e2) == bits([f for _, f in expected])

@@ -107,6 +107,32 @@ def test_spherical_round_trip_bytes(name, tmp_path):
     assert jsonio.dumps(jsonio.spherical_to_obj(back)) == jsonio.dumps(obj)
 
 
+def test_spherical_reader_normalises_rows_and_refuses_bad_normals(tmp_path):
+    sc = sphere_circles(polytope_data("cube"))
+    obj = json.loads(jsonio.dumps(jsonio.spherical_to_obj(sc)))
+    path = str(tmp_path / "s.json")
+    jsonio.save(path, obj)
+    assert jsonio.read(path, "spherical").circles.tobytes() == sc.circles.tobytes()
+    # a scaled, flipped row reads as the writer's; centre and radius are derived
+    first = obj["circles"][0]
+    first.update(n=[-2.0 * x for x in first["n"]], d=-2.0 * first["d"], center=None, radius=None)
+    jsonio.save(path, obj)
+    assert np.allclose(jsonio.read(path, "spherical").circles, sc.circles, rtol=0.0, atol=1e-15)
+    for bad in ({"n": [0, 0, 0]}, {"n": [float("nan"), 0, 1]}, {"n": [1, 0]}, {"n": [1, 0, 0, 0]}, {"d": "x"}):
+        broken = json.loads(jsonio.dumps(obj))
+        broken["circles"][1].update(bad)
+        with open(path, "w") as fh:
+            json.dump(broken, fh)
+        with pytest.raises(ParameterError, match="^malformed spherical object: "):
+            jsonio.read(path, "spherical")
+    for key in ("center", "radius", "n", "d"):
+        del obj["circles"][2][key]
+        jsonio.save(path, obj)
+        with pytest.raises(ParameterError, match=f"^malformed spherical object: '{key}'$"):
+            jsonio.read(path, "spherical")
+        obj["circles"][2][key] = 0.0
+
+
 @pytest.mark.parametrize("name", ADMISSIBLE)
 def test_projected_pcc_round_trip_bytes(name, tmp_path):
     cfg, _ = stereographic_project(sphere_circles(polytope_data(name)), seed=0)
@@ -336,7 +362,7 @@ def test_old_format_files_still_read(tmp_path):
         from_old, from_new = (json.loads(jsonio.dumps(to_obj(jsonio.read(str(p), kind)))) for p in (old, new))
         assert from_old == from_new, kind
     old_n, new_n = (
-        np.array([c.plane.normal for c in jsonio.read(str(tmp_path / f"spherical.{v}.json"), "spherical").circles])
+        jsonio.read(str(tmp_path / f"spherical.{v}.json"), "spherical").circles[:, :3]
         for v in ("old", "new")
     )
     assert np.signbit(new_n[new_n == 0.0]).any() and not np.signbit(old_n[old_n == 0.0]).any()

@@ -1,19 +1,24 @@
+import hashlib
+
 import numpy as np
 import pytest
+
+import oracles
 
 from confviz import (
     AdmissibilityError,
     DegeneracyError,
     POLYTOPE_NAMES,
     ParameterError,
-    Plane,
     PolePlacementError,
     admissible_polytope,
+    check_flags,
     classify,
     coplanarity,
     decompose,
     incidence_of,
     isomorphic,
+    jsonio,
     line_graph,
     point_plane_vconstruct,
     polytope_data,
@@ -22,7 +27,7 @@ from confviz import (
     v_construct,
 )
 from confviz.graphs import complete_graph, gen_cuboctahedron_graph, generalized_petersen_graph
-from confviz.spatial import reference_coordinates
+from confviz.spatial import PolytopeSkeleton, _circle_cuts, _plane_rows, reference_coordinates
 
 SHAPES = {
     "tetrahedron": (4, 6),
@@ -73,18 +78,25 @@ def test_octahedron_skeleton_is_line_graph_of_k4():
 
 
 def test_plane_orientation_normalized():
-    a = Plane((0.0, 0.0, 2.0), 4.0)
-    b = Plane((0.0, 0.0, -1.0), -2.0)
-    assert a.close_to(b, 1e-12)
-    assert np.allclose(a.normal, (0.0, 0.0, 1.0))
-    assert a.offset == pytest.approx(2.0)
+    rows = _plane_rows(np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -1.0], [1e-13, -3.0, 4.0]]), np.array([4.0, -2.0, 5.0]))
+    assert rows[0].tolist() == rows[1].tolist() == [0.0, 0.0, 1.0, 2.0]
+    assert rows[2].tolist() == [-2e-14, 0.6, -0.8, -1.0]
+    # the leading component decides from 1e-12 on, as for the scalar Plane
+    normals = np.array([[lead, -0.6, 0.8] for lead in (-1e-12, -1.0000001e-12, 1e-11, -1e-11, -0.0, 1e-300)])
+    rows = _plane_rows(normals, np.full(len(normals), -1.5))
+    planes = [oracles.Plane(tuple(n), -1.5) for n in normals]
+    assert rows.tobytes() == np.array([(*pl.normal, pl.offset) for pl in planes]).tobytes()
+    assert (rows[:2, 1] > 0).all() and (rows[2:4, 0] > 0).all()
+    for normal in ([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ParameterError, match="^plane normal must be a nonzero vector$"):
+            _plane_rows(np.array([normal]), np.array([1.0]))
 
 
 def test_coplanarity_square():
     pts = np.array([[0, 0, 1.0], [1, 0, 1.0], [1, 1, 1.0], [0, 1, 1.0]])
-    plane, resid = coplanarity(pts)
+    row, resid = coplanarity(pts)
     assert resid < 1e-12
-    assert np.allclose(np.abs(plane.normal), (0, 0, 1))
+    assert np.allclose(row, (0, 0, 1, 1))
 
 
 def test_coplanarity_tetrahedron_vertices_far_from_flat():
@@ -124,7 +136,7 @@ def test_point_plane_vconstruct_dodecahedron():
     assert sorted(blocks) == sorted(v_construct(p.graph).blocks)
     for i in range(len(ppc.planes)):
         for j in range(i + 1, len(ppc.planes)):
-            assert not ppc.planes[i].close_to(ppc.planes[j], 1e-7)
+            assert np.max(np.abs(ppc.planes[i] - ppc.planes[j])) > 1e-7
 
 
 def test_point_plane_vconstruct_octahedron_rejected():
@@ -137,11 +149,39 @@ def test_sphere_circles_cube():
     sc = sphere_circles(polytope_data("cube"))
     assert len(sc.circles) == 8
     assert sc.radius == pytest.approx(np.sqrt(3.0))
+    assert sc.circles.shape == (8, 4)
+    centers, radii = _circle_cuts(sc)
     for (u, j) in sc.incidence:
         pt = sc.points[u]
-        circ = sc.circles[j]
-        assert abs(circ.plane.signed_distance(pt[None, :])[0]) < 1e-12
-        assert abs(np.linalg.norm(pt - np.asarray(circ.center)) - circ.radius) < 1e-12
+        assert abs(pt @ sc.circles[j, :3] - sc.circles[j, 3]) < 1e-12
+        assert abs(np.linalg.norm(pt - centers[j]) - radii[j]) < 1e-12
+
+
+def test_sphere_circles_refuse_a_vertex_off_the_sphere():
+    # every neighbourhood of the dodecahedron is three points, so moving a
+    # vertex outward keeps the planes and leaves only the sphere to catch it
+    p = polytope_data("dodecahedron")
+    coords = p.coords.copy()
+    coords[0] *= 1.05
+    moved = PolytopeSkeleton("dodecahedron", p.graph, coords)
+    assert point_plane_vconstruct(moved).max_residual < 1e-12
+    text = r"^vertex 0 misses the circumsphere \(1.81\d* from the centre, radius 1.7"
+    with pytest.raises(DegeneracyError, match=text):
+        sphere_circles(moved)
+    # polytope_data's bound: 1e-9 of the radius
+    coords[0] = p.coords[0] * (1 + 2e-9)
+    with pytest.raises(DegeneracyError, match="^vertex 0 misses the circumsphere"):
+        sphere_circles(PolytopeSkeleton("dodecahedron", p.graph, coords))
+    coords[0] = p.coords[0] * (1 + 5e-10)
+    assert sphere_circles(PolytopeSkeleton("dodecahedron", p.graph, coords)).radius > 1.7
+
+
+def test_skeleton_coordinates_must_be_finite():
+    p = polytope_data("cube")
+    coords = p.coords.copy()
+    coords[3, 1] = np.nan
+    with pytest.raises(ParameterError, match=r"^coordinate table must be a finite \(order, 3\) array$"):
+        PolytopeSkeleton("cube", p.graph, coords)
 
 
 def test_projection_preserves_cube_incidences():
@@ -188,3 +228,55 @@ def test_explicit_pole_must_be_a_finite_3_vector(pole):
     sc = sphere_circles(polytope_data("cube"))
     with pytest.raises(ParameterError, match=r"^explicit pole must be a finite 3-vector$"):
         stereographic_project(sc, pole=pole)
+
+
+# SHA-256 of the canonical JSON of each polytope's point-plane artifact, its
+# spherical artifact and its flag-checked projections at seeds 0, 1 and 2; the
+# octahedron's neighbourhood planes coincide, so its refusal text is pinned
+SPATIAL_DIGESTS = {
+    "tetrahedron": (
+        "6b26f44c985f79197b8b0ed031e8e746d72bce87a15166098446ee5491ebf7ba",
+        "999bcd6e0a1ec2fc227b01705a8ea4a57c6f7fd05b335e4dd49f40ce2a771979",
+        ("562a5575af1af656cf6d2cd66eafc25bb0005e6bcf7efca74d1884435cbe9a0b",) * 3,
+    ),
+    "cube": (
+        "ec6e3fd2082729f8618c5263d55403541deae5200b2e7e1f2b5ab07a11e5d3b7",
+        "75aef7a3f84070ad7b5f293abaa287d7c31a6d77d58557c040ecfaf1d85d8d24",
+        ("32895898bd9aba71f07d1a323fa7c1a9fe7db6112d9d1941fa1e044732f87135",) * 3,
+    ),
+    "octahedron": "octahedron: not admissible: vertices 0 and 5 span the same plane",
+    "dodecahedron": (
+        "df6f3994dee0e893eed43d349f05a4df40e9cb6179259414998e09e8b14e74f6",
+        "16e9ed1c74f149b07b652f02894575ec07c7f7d446e92de3b9e1f3be4c4dd841",
+        ("795e7afd98a13cd9a1ae7c7fbaa22c6c6c460ef792cf79b9d0ff1aba98f256dd",) * 3,
+    ),
+    "icosahedron": (
+        "2ecdb2fc802aec208ba447d4bc0b649a24167d0629ce8e7d63066f2c432ce02c",
+        "5e5ba636b79d00fc4deed50333074b77d4ec05ba8f1e4bc88b02f9852f076a49",
+        ("fbe3c6e097cd8345d7822542b61c5911e409285e2b522b425d3d41e25f993069",) * 3,
+    ),
+    "cuboctahedron": (
+        "d32e55d18e4ac94ab7a9cfcc10918831f0369bd57069d18739f53a33e1cacee4",
+        "980a0ef92f9c0912a53f4b12887c8f41bab633319a367b3da7e8f2f0c762a603",
+        ("362462307bf1f15ea9603800b662ad3d948cefea6fe15117576274bdcec136d1",) * 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", POLYTOPE_NAMES)
+def test_spatial_artifact_bytes_pinned(name):
+    def digest(obj):
+        return hashlib.sha256(jsonio.dumps(obj).encode()).hexdigest()
+
+    p = polytope_data(name)
+    if isinstance(SPATIAL_DIGESTS[name], str):
+        with pytest.raises(AdmissibilityError) as exc:
+            point_plane_vconstruct(p)
+        assert str(exc.value) == SPATIAL_DIGESTS[name]
+        return
+    sc = sphere_circles(p)
+    projections = tuple(
+        digest(jsonio.pcc_to_obj(check_flags(stereographic_project(sc, seed=seed)[0]))) for seed in range(3)
+    )
+    planes = digest(jsonio.pointplane_to_obj(point_plane_vconstruct(p)))
+    assert (planes, digest(jsonio.spherical_to_obj(sc)), projections) == SPATIAL_DIGESTS[name]
