@@ -15,11 +15,11 @@ from .graphs import (
     Bipartition,
     Graph,
     VertexMap,
+    _class_roots,
     bipartite_swap_involution,
     is_admissible,
     kronecker_cover,
     pair_in_two,
-    structure_report,
 )
 
 
@@ -42,7 +42,7 @@ class IncidenceStructure:
             raise ParameterError("point count must be non-negative")
         norm = []
         for blk in self.blocks:
-            b = tuple(sorted(int(p) for p in blk))
+            b = tuple(sorted(map(int, blk)))
             if len(b) == 0:
                 raise ParameterError("empty block")
             if len(set(b)) != len(b):
@@ -132,38 +132,53 @@ def v_construct(g: Graph, collapse: bool = False) -> IncidenceStructure:
     )
 
 
+def levi_edges(c: IncidenceStructure) -> list[tuple[int, int]]:
+    """Levi graph edges (p, n + j), block by block: point p lies in block j."""
+    n = c.points
+    return [(p, n + j) for j, blk in enumerate(c.blocks) for p in blk]
+
+
 def levi_graph(c: IncidenceStructure) -> tuple[Graph, Bipartition]:
     """Bipartite incidence graph: points 0..n-1, block j at index n + j."""
     n = c.points
-    edges = tuple((p, n + j) for j, blk in enumerate(c.blocks) for p in blk)
     labels = tuple(f"p{i}" for i in range(n)) + tuple(f"b{j}" for j in range(c.block_count))
-    g = Graph(n + c.block_count, edges, labels)
+    g = Graph(n + c.block_count, tuple(levi_edges(c)), labels)
     return g, Bipartition((0,) * n + (1,) * c.block_count)
+
+
+def _levi_components(c: IncidenceStructure) -> tuple[tuple[int, ...], ...]:
+    """Components of the Levi graph, each sorted, in order of least vertex,
+    by union-find over its edges; no Levi graph is built."""
+    comps: dict[int, list[int]] = {}
+    # a class is named by its least member, which comes first in this loop
+    for v, root in enumerate(_class_roots(c.points + c.block_count, levi_edges(c))):
+        comps.setdefault(root, []).append(v)
+    return tuple(map(tuple, comps.values()))
 
 
 def is_self_polar(c: IncidenceStructure) -> VertexMap | None:
     """Order-two Levi automorphism exchanging points and blocks, or None.
 
-    When c carries a polarity (v_construct output does), the involution
-    point p <-> block polarity[p] is built and checked edge by edge in
-    O(E). A polarity that is missing, malformed or wrong costs only the
-    generic bipartite_swap_involution search, which runs for every other
-    structure; it tries point i <-> block i first, which succeeds exactly
-    when the incidence matrix is symmetric, as for fano_plane().
+    When c carries a polarity (v_construct output does), it is checked on
+    the blocks in O(E): it must be a permutation of the blocks, and with
+    owner its inverse, owner[j] must lie in block polarity[p] for every
+    point p of every block j. That is the condition for the involution
+    point p <-> block polarity[p] to be a Levi automorphism, and then that
+    involution is returned. Only a polarity that is missing, malformed or
+    wrong builds the Levi graph, for the generic bipartite_swap_involution
+    search, which runs for every other structure; it tries point
+    i <-> block i first, which succeeds exactly when the incidence matrix is
+    symmetric, as for fano_plane().
     """
-    return _self_polar(c, *levi_graph(c))
-
-
-def _self_polar(c: IncidenceStructure, levi: Graph, parts: Bipartition) -> VertexMap | None:
     n, pol = c.points, c.polarity
-    if pol is not None and len(pol) == n == c.block_count and all(0 <= j < n for j in pol):
-        image = [0] * (2 * n)
+    if pol is not None and len(pol) == n == c.block_count and sorted(pol) == list(range(n)):
+        owner = [0] * n
         for p, j in enumerate(pol):
-            image[p], image[n + j] = n + j, p
-        candidate = VertexMap(tuple(image))
-        if candidate.is_automorphism(levi):
-            return candidate
-    return bipartite_swap_involution(levi, parts)
+            owner[j] = p
+        members = [set(blk) for blk in c.blocks]
+        if all(owner[j] in members[pol[p]] for j, blk in enumerate(c.blocks) for p in blk):
+            return VertexMap(tuple(n + j for j in pol) + tuple(owner))
+    return bipartite_swap_involution(*levi_graph(c))
 
 
 def _lineal(c: IncidenceStructure) -> bool:
@@ -172,18 +187,23 @@ def _lineal(c: IncidenceStructure) -> bool:
 
 
 def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClass:
+    """Type, lineality, connectedness and, when asked, self-polarity of c.
+
+    Connectedness comes from union-find over the incidences (_levi_components)
+    and self-polarity from is_self_polar, so a structure that carries a
+    correct polarity is classified without building its Levi graph.
+    """
     if c.points == 0 or c.block_count == 0:
         raise ParameterError("classification needs at least one point and block")
     degrees = c.point_degrees()
     sizes = [len(b) for b in c.blocks]
-    levi, parts = levi_graph(c)
     balanced = None
     if c.points == c.block_count and len(set(degrees)) == 1 and len(set(sizes)) == 1:
         if degrees[0] == sizes[0]:
             balanced = (c.points, degrees[0])
     self_polar = None
     if with_self_polar:
-        self_polar = _self_polar(c, levi, parts) is not None
+        self_polar = is_self_polar(c) is not None
     impossible = balanced is not None and balanced[1] == 4 and balanced[0] <= 17
     return ConfigClass(
         point_count=c.points,
@@ -192,7 +212,7 @@ def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClas
         block_size_range=(min(sizes), max(sizes)),
         balanced_type=balanced,
         lineal=_lineal(c),
-        connected=structure_report(levi).connected,
+        connected=len(_levi_components(c)) == 1,
         self_polar=self_polar,
         pointline_impossible=impossible,
     )
@@ -201,13 +221,13 @@ def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClas
 def decompose(c: IncidenceStructure) -> list[IncidenceStructure]:
     """Connected components of the Levi graph as re-indexed structures.
 
-    Components are ordered by their smallest original point index, and each
-    result records the original indices in its provenance string.
+    The components come from union-find over the incidences
+    (_levi_components); no Levi graph is built. Components are ordered by
+    their smallest original point index, and each result records the
+    original indices in its provenance string.
     """
-    levi, _ = levi_graph(c)
-    comps = structure_report(levi).components
     out = []
-    for idx, comp in enumerate(comps):
+    for idx, comp in enumerate(_levi_components(c)):
         pts = [v for v in comp if v < c.points]
         blks = [v - c.points for v in comp if v >= c.points]
         remap = {p: i for i, p in enumerate(pts)}
@@ -257,12 +277,15 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
     """Certify Levi(N(g)) == kronecker_cover(g) for admissible g.
 
     The witness is the map the construction gives, point i -> (i,0) and
-    block N(v) -> (v,1), checked edge by edge in O(E); no isomorphism
-    search runs. For non-admissible inputs the report instead documents how
-    the collapsed structure falls short of the cover.
+    block N(v) -> (v,1), checked edge by edge in O(E): it must be a
+    bijection, and the images of the Levi edges, each put in order and then
+    sorted, must be exactly the cover's edges. No Levi graph is built and no
+    isomorphism search runs; the cover's components come from union-find
+    over its edges. For non-admissible inputs the report instead documents
+    how the collapsed structure falls short of the cover.
     """
     cover, _ = kronecker_cover(g)
-    cover_components = len(structure_report(cover).components)
+    cover_components = len(set(_class_roots(cover.order, cover.edges)))
     ok, pair = is_admissible(g)
     if not ok:
         c = v_construct(g, collapse=True)
@@ -277,17 +300,20 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
             collapsed_block_count=c.block_count,
         )
     c = v_construct(g)
-    levi, _ = levi_graph(c)
     n = g.order
     owner = sorted(range(n), key=c.polarity.__getitem__)  # owner[j]: the v with N(v) = block j
     witness = VertexMap(tuple(range(n)) + tuple(n + v for v in owner))
-    verified = witness.is_isomorphism(levi, cover)
+    image = witness.image
+    images = sorted(
+        (a, b) if a < b else (b, a) for a, b in ((image[p], image[q]) for p, q in levi_edges(c))
+    )
+    verified = witness.is_bijection() and images == list(cover.edges)
     return KroneckerReport(
         admissible=True,
         offending_pair=None,
         verified=verified,
         witness=witness if verified else None,
-        levi_order=levi.order,
+        levi_order=c.points + c.block_count,
         cover_order=cover.order,
         cover_components=cover_components,
         collapsed_block_count=None,

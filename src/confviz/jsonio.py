@@ -17,6 +17,7 @@ auto_da_alloc rule), which makes a small rewrite 20 to 40 times slower.
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 from contextlib import contextmanager
@@ -193,24 +194,37 @@ def spherical_to_obj(cfg) -> dict:
 def spherical_from_obj(obj: dict):
     """The plane rows of the circles, normalised and oriented as the writer's;
     each circle's centre and radius follow from its row and the sphere, but
-    are still required keys."""
+    are still required keys. Points must be a finite (n, 3) table, the
+    sphere a finite 3-vector centre with a finite positive radius, and each
+    incidence (point, circle) must name a point and a circle that exist."""
     import numpy as np
 
     from .spatial import SphericalCircleConfig, _plane_rows
-
-    def vector(xs):
-        return np.array([float(x) for x in xs])
 
     with _malformed("spherical"):
         circles = obj["circles"]
         fields = map(itemgetter("n", "d", "center", "radius"), circles)
         table = np.array([[*map(float, n), float(d)] for n, d, _, _ in fields], dtype=float).reshape(len(circles), 4)
+        rows = [[float(x) for x in row] for row in obj["points"]]
+        points = np.array(rows, dtype=float) if rows else np.empty((0, 3))
+        center = np.array([float(x) for x in obj["sphere"]["c"]])
+        radius = float(obj["sphere"]["r"])
+        incidence = tuple((int(p), int(j)) for p, j in obj["incidence"])
+        if points.shape != (len(rows), 3) or not np.all(np.isfinite(points)):
+            raise ValueError("points must be a finite (n, 3) table")
+        if center.shape != (3,) or not np.all(np.isfinite(center)):
+            raise ValueError("sphere centre must be a finite 3-vector")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"sphere radius must be finite and positive, not {radius!r}")
+        for p, j in incidence:
+            if not (0 <= p < len(points) and 0 <= j < len(circles)):
+                raise ValueError(f"incidence ({p}, {j}) outside {len(points)} points and {len(circles)} circles")
         return SphericalCircleConfig(
-            center=vector(obj["sphere"]["c"]),
-            radius=float(obj["sphere"]["r"]),
-            points=np.array([vector(row) for row in obj["points"]]),
+            center=center,
+            radius=radius,
+            points=points,
             circles=_plane_rows(table[:, :3], table[:, 3]),
-            incidence=tuple((int(p), int(j)) for p, j in obj["incidence"]),
+            incidence=incidence,
         )
 
 

@@ -12,7 +12,11 @@ per-circle loops with the per-vertex coplanarity fit and the Plane and
 SphereCircle objects they built, and the per-vertex least-squares circle
 fit that circles_from_layout ran before its circumcircle pass. The Cartesian factor
 split with a component walk per edge class is the version that its vertex
-union-find replaced. Tests hold each pair to the same answers.
+union-find replaced. The incidence stages that built the Levi graph are kept
+as they were: its components by breadth-first walk, the polarity checked as a
+Levi automorphism before the involution search, and the Kronecker witness
+checked as an isomorphism onto the cover. Tests hold each pair to the same
+answers.
 """
 
 import json
@@ -35,8 +39,17 @@ from confviz.errors import (
     PolePlacementError,
     SamplingError,
 )
-from confviz.graphs import Graph, VertexMap, cartesian_product, structure_report
-from confviz.incidence import IncidenceStructure
+from confviz.graphs import (
+    Bipartition,
+    Graph,
+    VertexMap,
+    bipartite_swap_involution,
+    cartesian_product,
+    is_admissible,
+    kronecker_cover,
+    structure_report,
+)
+from confviz.incidence import IncidenceStructure, KroneckerReport, levi_graph, v_construct
 from confviz.realization import (
     _RESAMPLE_BUDGET,
     _SAMPLE_MARGIN,
@@ -1082,3 +1095,82 @@ def stereographic_project(
     if worst > tol:
         raise DegeneracyError(f"projected incidences drift ({worst:.3e})")
     return out, pole
+
+
+# ---------------------------------------------------------------------------
+# incidence stages on the Levi graph, before union-find and the block checks
+
+
+def levi_components(c: IncidenceStructure) -> tuple[tuple[int, ...], ...]:
+    return structure_report(levi_graph(c)[0]).components
+
+
+def decompose(c: IncidenceStructure) -> list[IncidenceStructure]:
+    out = []
+    for idx, comp in enumerate(levi_components(c)):
+        pts = [v for v in comp if v < c.points]
+        blks = [v - c.points for v in comp if v >= c.points]
+        remap = {p: i for i, p in enumerate(pts)}
+        blocks = tuple(tuple(remap[p] for p in c.blocks[j]) for j in blks)
+        out.append(
+            IncidenceStructure(
+                points=len(pts),
+                blocks=blocks,
+                provenance=(
+                    f"{c.provenance} | component {idx}: points {pts}, "
+                    f"blocks {sorted(blks)}"
+                ),
+            )
+        )
+    return out
+
+
+def self_polar(c: IncidenceStructure) -> VertexMap | None:
+    levi, parts = levi_graph(c)
+    return _self_polar(c, levi, parts)
+
+
+def _self_polar(c: IncidenceStructure, levi: Graph, parts: Bipartition) -> VertexMap | None:
+    n, pol = c.points, c.polarity
+    if pol is not None and len(pol) == n == c.block_count and all(0 <= j < n for j in pol):
+        image = [0] * (2 * n)
+        for p, j in enumerate(pol):
+            image[p], image[n + j] = n + j, p
+        candidate = VertexMap(tuple(image))
+        if candidate.is_automorphism(levi):
+            return candidate
+    return bipartite_swap_involution(levi, parts)
+
+
+def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
+    cover, _ = kronecker_cover(g)
+    cover_components = len(structure_report(cover).components)
+    ok, pair = is_admissible(g)
+    if not ok:
+        c = v_construct(g, collapse=True)
+        return KroneckerReport(
+            admissible=False,
+            offending_pair=pair,
+            verified=False,
+            witness=None,
+            levi_order=c.points + c.block_count,
+            cover_order=cover.order,
+            cover_components=cover_components,
+            collapsed_block_count=c.block_count,
+        )
+    c = v_construct(g)
+    levi, _ = levi_graph(c)
+    n = g.order
+    owner = sorted(range(n), key=c.polarity.__getitem__)  # owner[j]: the v with N(v) = block j
+    witness = VertexMap(tuple(range(n)) + tuple(n + v for v in owner))
+    verified = witness.is_isomorphism(levi, cover)
+    return KroneckerReport(
+        admissible=True,
+        offending_pair=None,
+        verified=verified,
+        witness=witness if verified else None,
+        levi_order=levi.order,
+        cover_order=cover.order,
+        cover_components=cover_components,
+        collapsed_block_count=None,
+    )

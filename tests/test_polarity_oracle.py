@@ -1,7 +1,9 @@
 """The construction's polarity v <-> N(v) tested against the generic involution
-search, and block-pair lineality against the Levi girth."""
+search, block-pair lineality against the Levi girth, and the incidence stages
+that use neither the Levi graph nor its walk against the ones that did."""
 
 from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,9 +19,13 @@ from confviz import (
     levi_graph,
     structure_report,
     v_construct,
+    verify_kronecker_theorem,
 )
-from confviz import iso, jsonio
+from confviz import incidence, iso, jsonio
+from confviz.graphs import StructureReport
 from confviz.iso import MAX_VERTICES
+
+import oracles
 
 from test_kronecker_oracle import FIXTURES
 from test_properties import graphs
@@ -42,6 +48,19 @@ def girth_lineal(c) -> bool:
     return structure_report(levi_graph(c)[0]).girth >= 6
 
 
+def assert_matches_oracles(c):
+    """Components, parts, the self-polarity witness and the classification
+    equal those of the Levi-graph paths in tests/oracles.py."""
+    comps = oracles.levi_components(c)
+    assert incidence._levi_components(c) == comps
+    assert decompose(c) == oracles.decompose(c)
+    witness = oracles.self_polar(c)
+    assert is_self_polar(c) == witness
+    if c.points and c.block_count:
+        cls = classify(c, with_self_polar=True)
+        assert (cls.connected, cls.self_polar) == (len(comps) <= 1, witness is not None)
+
+
 @pytest.fixture
 def no_search(monkeypatch):
     def refuse(*args, **kwargs):
@@ -59,6 +78,7 @@ def test_construction_polarity_is_a_levi_involution(family, params, no_search):
     vm = is_self_polar(c)
     assert vm is not None and side_swapping_involution(vm, c)
     assert vm.image[:n] == tuple(n + j for j in c.polarity)
+    assert_matches_oracles(c)
 
 
 @pytest.mark.parametrize("family,params", ALL_FIXTURES, ids=lambda x: str(x))
@@ -121,6 +141,7 @@ def test_corrupted_polarity_returns_the_search_answer(family, params):
     assert answer is not None
     for name, bad in corruptions(c.polarity).items():
         assert is_self_polar(replace(c, polarity=bad)) == answer, name
+        assert_matches_oracles(replace(c, polarity=bad))
 
 
 def test_polarity_on_a_structure_that_is_not_self_polar():
@@ -157,16 +178,159 @@ def test_large_v_constructions_never_enter_the_search(family, params, no_search)
     assert cls.describe().endswith(", self-polar")
 
 
+# the admissible families of the combinatorics benchmark's ladder
+LADDER = (
+    [("hypercube", (d,)) for d in range(3, 9)]
+    + [("odd", (m,)) for m in range(3, 7)]
+    + [("gen_petersen", (n, 2)) for n in [10, 14, 18, 22, *range(26, 43, 2), 46, 50]]
+    + [("gen_cuboctahedron", (n,)) for n in [5, 9, 13, *range(17, 30, 2), *range(30, 41)]]
+    + [("kneser", (7, 3)), ("petersen", ()), ("desargues", ()), ("dodecahedron", ()),
+       ("pappus", ())]
+)
+
+
+@pytest.fixture
+def no_levi_graph(monkeypatch):
+    """Call to make building a Levi graph, walking a graph's components and
+    the involution search raise from then on."""
+
+    def refuse(what):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{what} ran")
+
+        return fail
+
+    def forbid():
+        monkeypatch.setattr(incidence, "levi_graph", refuse("levi_graph"))
+        monkeypatch.setattr(StructureReport, "_component_walk", property(refuse("the component walk")))
+        monkeypatch.setattr(iso, "find_swap_involution", refuse("the involution search"))
+
+    return forbid
+
+
+@pytest.mark.parametrize("family,params", LADDER, ids=lambda x: str(x))
+def test_ladder_stages_build_no_levi_graph(family, params, no_levi_graph):
+    g = build_family(family, *params)  # the Pappus graph is itself a Levi graph
+    no_levi_graph()
+    rep = verify_kronecker_theorem(g)
+    assert rep.admissible and rep.verified and rep.levi_order == 2 * g.order
+    c = v_construct(g)
+    cls = classify(c, with_self_polar=True)
+    parts = decompose(c)
+    assert cls.self_polar and cls.connected == (len(parts) == 1)
+    assert len(parts) in (1, 2) and sum(part.points for part in parts) == c.points
+    assert is_self_polar(c).image[: g.order] == tuple(g.order + j for j in c.polarity)
+
+
+def test_non_admissible_report_builds_no_levi_graph(no_levi_graph):
+    g = build_family("cycle", 4)
+    no_levi_graph()
+    rep = verify_kronecker_theorem(g)
+    assert not rep.admissible and rep.cover_components == 2 and rep.collapsed_block_count == 2
+    parts = decompose(v_construct(g, collapse=True))
+    assert [(part.points, part.blocks) for part in parts] == [(2, ((0, 1),)), (2, ((0, 1),))]
+
+
 # ---------------------------------------------------------------------------
-# lineality
+# random structures, held to the Levi-graph oracles
 
 
 @st.composite
 def structures(draw, max_points=9):
+    """Structures on up to max_points points, some in no block and often with
+    several Levi components. Half are random blocks; half come from a random
+    symmetric relation, block p holding the points related to p, so that
+    p <-> block p is a polarity whenever those blocks are nonempty and
+    distinct. The base polarity is that one, else a random permutation of
+    the points; each structure carries no polarity, the base, a permutation
+    of it or one of corruptions() of it."""
     n = draw(st.integers(min_value=1, max_value=max_points))
-    subsets = st.frozensets(st.integers(min_value=0, max_value=n - 1), min_size=1)
-    blocks = draw(st.lists(subsets, min_size=1, max_size=12, unique=True))
-    return IncidenceStructure(n, tuple(tuple(b) for b in blocks))
+    points = st.integers(min_value=0, max_value=n - 1)
+    known = None
+    if draw(st.booleans()):
+        blocks = draw(st.lists(st.frozensets(points, min_size=1), min_size=1, max_size=12, unique=True))
+        c = IncidenceStructure(n, tuple(tuple(b) for b in blocks))
+    else:
+        rows = [set() for _ in range(n)]
+        for a, b in draw(st.sets(st.tuples(points, points), min_size=1)):
+            rows[a].add(b)
+            rows[b].add(a)
+        rows = [tuple(sorted(row)) for row in rows]
+        c = IncidenceStructure(n, tuple({row for row in rows if row}))
+        if c.block_count == n:
+            known = tuple(c.blocks.index(row) for row in rows)
+    base = known if known is not None else tuple(draw(st.permutations(range(n))))
+    kind = draw(st.sampled_from(["none", "base", "permuted"] + (sorted(corruptions(base)) if n >= 2 else [])))
+    if kind == "none":
+        polarity = None
+    elif kind == "base":
+        polarity = base
+    elif kind == "permuted":
+        polarity = tuple(draw(st.permutations(base)))
+    else:
+        polarity = corruptions(base)[kind]
+    return replace(c, polarity=polarity)
+
+
+def _polarity_is_automorphism(c):
+    """Whether c's polarity is a permutation of the blocks whose involution
+    is a Levi automorphism; None when it is missing or not a permutation."""
+    pol, n = c.polarity, c.points
+    if pol is None or len(pol) != n or n != c.block_count or sorted(pol) != list(range(n)):
+        return None
+    image = [0] * (2 * n)
+    for p, j in enumerate(pol):
+        image[p], image[n + j] = n + j, p
+    return VertexMap(tuple(image)).is_automorphism(levi_graph(c)[0])
+
+
+def _not_a_permutation(c):
+    pol = c.polarity
+    return (pol is not None and len(pol) == c.points == c.block_count
+            and all(0 <= j < c.points for j in pol) and len(set(pol)) < len(pol))
+
+
+REACH = {
+    "point in no block": lambda c: c.points > len({p for blk in c.blocks for p in blk}),
+    "disconnected": lambda c: len(oracles.levi_components(c)) > 1,
+    "correct polarity": lambda c: _polarity_is_automorphism(c) is True,
+    "wrong polarity": lambda c: _polarity_is_automorphism(c) is False,
+    "wrong length": lambda c: c.polarity is not None and len(c.polarity) != c.block_count,
+    "out of range": lambda c: c.polarity is not None and any(not 0 <= j < c.points for j in c.polarity),
+    "not a permutation": _not_a_permutation,
+}
+
+
+def test_every_polarity_on_up_to_three_points():
+    # each polarity of the right length with values in range, permutation or not
+    for n in (1, 2, 3):
+        subsets = [b for k in range(1, n + 1) for b in combinations(range(n), k)]
+        for blocks in combinations(subsets, n):
+            c = IncidenceStructure(n, blocks)
+            for pol in product(range(n), repeat=n):
+                assert is_self_polar(replace(c, polarity=pol)) == oracles.self_polar(replace(c, polarity=pol))
+
+
+def test_structures_reach_every_case():
+    seen = set()
+
+    @settings(max_examples=300, database=None, derandomize=True)
+    @given(structures())
+    def collect(c):
+        seen.update(case for case, hit in REACH.items() if hit(c))
+
+    collect()
+    assert seen == set(REACH)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structures())
+def test_incidence_stages_match_the_levi_graph_oracles(c):
+    assert_matches_oracles(c)
+
+
+# ---------------------------------------------------------------------------
+# lineality
 
 
 @settings(max_examples=200, deadline=None)

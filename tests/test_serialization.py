@@ -133,6 +133,51 @@ def test_spherical_reader_normalises_rows_and_refuses_bad_normals(tmp_path):
         obj["circles"][2][key] = 0.0
 
 
+def _with_first(rows, row):
+    return [row] + rows[1:]
+
+
+# case: (the key it replaces, its new value from the cube's object, the message read gives)
+SPHERICAL_BREAKS = {
+    "planar points": ("points", lambda o: [row[:2] for row in o["points"]],
+                      r"points must be a finite \(n, 3\) table"),
+    "4-d points": ("points", lambda o: [row + [0.0] for row in o["points"]], "points must be a finite"),
+    "ragged points": ("points", lambda o: _with_first(o["points"], [0.0, 1.0]), "inhomogeneous"),
+    "nan point": ("points", lambda o: _with_first(o["points"], [math.nan, 0.0, 0.0]), "points must be a finite"),
+    "2-d centre": ("sphere", lambda o: {"c": [0.0, 0.0], "r": 1.0}, "centre must be a finite 3-vector"),
+    "infinite centre": ("sphere", lambda o: {"c": [0.0, math.inf, 0.0], "r": 1.0}, "centre must be a finite"),
+    "zero radius": ("sphere", lambda o: {"c": o["sphere"]["c"], "r": 0.0},
+                    "radius must be finite and positive, not 0.0"),
+    "negative radius": ("sphere", lambda o: {"c": o["sphere"]["c"], "r": -1.5}, "radius must be finite and positive"),
+    "nan radius": ("sphere", lambda o: {"c": o["sphere"]["c"], "r": math.nan}, "radius must be finite and positive"),
+    "point out of range": ("incidence", lambda o: o["incidence"] + [[8, 0]],
+                           r"incidence \(8, 0\) outside 8 points and 8 circles"),
+    "negative point": ("incidence", lambda o: o["incidence"] + [[-1, 0]], r"incidence \(-1, 0\) outside"),
+    "circle out of range": ("incidence", lambda o: o["incidence"] + [[0, 8]], r"incidence \(0, 8\) outside"),
+}
+
+
+@pytest.mark.parametrize("case", SPHERICAL_BREAKS)
+def test_spherical_reader_refuses_malformed_tables(case, tmp_path):
+    # once read, such a file would make stereographic_project raise numpy's errors
+    obj = json.loads(jsonio.dumps(jsonio.spherical_to_obj(sphere_circles(polytope_data("cube")))))
+    key, change, message = SPHERICAL_BREAKS[case]
+    obj[key] = change(obj)
+    path = str(tmp_path / "s.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    with pytest.raises(ParameterError, match=f"^malformed spherical object: .*{message}"):
+        jsonio.read(path, "spherical")
+
+
+def test_spherical_reader_takes_an_empty_point_table(tmp_path):
+    obj = jsonio.spherical_to_obj(sphere_circles(polytope_data("cube")))
+    obj.update(points=[], incidence=[])
+    path = str(tmp_path / "s.json")
+    jsonio.save(path, obj)
+    assert jsonio.read(path, "spherical").points.shape == (0, 3)
+
+
 @pytest.mark.parametrize("name", ADMISSIBLE)
 def test_projected_pcc_round_trip_bytes(name, tmp_path):
     cfg, _ = stereographic_project(sphere_circles(polytope_data(name)), seed=0)
