@@ -47,12 +47,11 @@ from .incidence import (
     v_construct,
     verify_kronecker_theorem,
 )
-from .iso import find_free_cyclic_action, find_swap_involution, isomorphic
 
-# The numeric names load on first access (PEP 562), so importing the package,
-# and every CLI command that needs none of them, leaves numpy unloaded.
+# The numeric names, and the isomorphism search, load on first access
+# (PEP 562), so importing the package, and every CLI command that needs none
+# of them, leaves numpy and the search unloaded.
 _LAZY = {
-    "Circle": "realization",
     "Layout": "realization",
     "PointCircleConfig": "realization",
     "TOL_CLUSTER": "realization",
@@ -60,7 +59,6 @@ _LAZY = {
     "TOL_SEPARATION": "realization",
     "check_flags": "realization",
     "circles_from_layout": "realization",
-    "circumcircle": "realization",
     "incidence_of": "realization",
     "invert_pointline": "realization",
     "layout_gen_cuboctahedron": "realization",
@@ -69,6 +67,9 @@ _LAZY = {
     "realize_n3": "realization",
     "solve_unit_distance": "realization",
     "unit_edge_residual": "realization",
+    "find_free_cyclic_action": "iso",
+    "find_swap_involution": "iso",
+    "isomorphic": "iso",
     "PointPlaneConfig": "spatial",
     "PolytopeSkeleton": "spatial",
     "SphericalCircleConfig": "spatial",
@@ -100,7 +101,6 @@ __all__ = [
     "AdmissibilityError",
     "Bipartition",
     "CapacityError",
-    "Circle",
     "ConcyclicityError",
     "ConfigClass",
     "ConvergenceError",
@@ -130,7 +130,6 @@ __all__ = [
     "cartesian_product",
     "check_flags",
     "circles_from_layout",
-    "circumcircle",
     "classify",
     "coplanarity",
     "decompose",

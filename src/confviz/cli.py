@@ -18,7 +18,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from . import graphs, incidence, iso, jsonio
+from . import graphs, incidence, jsonio
 from .errors import ParameterError
 
 if TYPE_CHECKING:
@@ -285,6 +285,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from . import iso
+
     a = _graph_from(args.first)
     b = _graph_from(args.second)
     witness = iso.isomorphic(a, b)

@@ -286,12 +286,13 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
     """
     cover, _ = kronecker_cover(g)
     cover_components = len(set(_class_roots(cover.order, cover.edges)))
-    ok, pair = is_admissible(g)
-    if not ok:
+    try:
+        c = v_construct(g)
+    except AdmissibilityError as exc:
         c = v_construct(g, collapse=True)
         return KroneckerReport(
             admissible=False,
-            offending_pair=pair,
+            offending_pair=exc.pair,
             verified=False,
             witness=None,
             levi_order=c.points + c.block_count,
@@ -299,7 +300,6 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
             cover_components=cover_components,
             collapsed_block_count=c.block_count,
         )
-    c = v_construct(g)
     n = g.order
     owner = sorted(range(n), key=c.polarity.__getitem__)  # owner[j]: the v with N(v) = block j
     witness = VertexMap(tuple(range(n)) + tuple(n + v for v in owner))

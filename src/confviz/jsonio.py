@@ -145,7 +145,7 @@ def layout_from_obj(obj: dict):
 def pcc_to_obj(cfg) -> dict:
     return {
         "points": cfg.points,
-        "circles": [{"c": [c.cx, c.cy], "r": c.r} for c in cfg.circles],
+        "circles": [{"c": [cx, cy], "r": r} for cx, cy, r in cfg.circles.view(float).reshape(-1, 3).tolist()],
         "incidence": cfg.incidence,
         "flags": cfg.flags,
         "tols": cfg.tols,
@@ -153,14 +153,12 @@ def pcc_to_obj(cfg) -> dict:
 
 
 def pcc_from_obj(obj: dict):
-    from .realization import Circle, PointCircleConfig
+    from .realization import PointCircleConfig
 
     with _malformed("point-circle"):
         return PointCircleConfig(
             points=obj["points"],
-            circles=tuple(
-                Circle(float(c["c"][0]), float(c["c"][1]), float(c["r"])) for c in obj["circles"]
-            ),
+            circles=[(float(c["c"][0]), float(c["c"][1]), float(c["r"])) for c in obj["circles"]],
             incidence=tuple((int(p), int(k)) for p, k in obj["incidence"]),
             flags=dict(obj.get("flags", {})),
             tols=dict(obj.get("tols", {})),

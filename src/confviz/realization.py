@@ -1,8 +1,9 @@
 """Planar realizations: unit-distance layouts and point-circle configurations.
 
-Distances are Euclidean, circles live as (center, radius) records, and all
-randomness flows through numpy Generators seeded by the caller, so every
-construction replays byte-identically from its recorded parameters.
+Distances are Euclidean, a configuration's circles are one read-only table
+of (cx, cy, r) rows, and all randomness flows through numpy Generators
+seeded by the caller, so every construction replays byte-identically from
+its recorded parameters.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from itertools import chain, combinations, islice, product
 
 import numpy as np
 
-from . import iso
 from .errors import (
     ConcyclicityError,
     ConvergenceError,
@@ -41,27 +41,8 @@ _SAMPLE_MARGIN = 1e-4
 _RESIDUAL_BLOCK = 1 << 14
 # relative slack when _rings_rule_out compares ring radii
 _RADIUS_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class Circle:
-    cx: float
-    cy: float
-    r: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy) and math.isfinite(self.r)):
-            raise ParameterError("circle parameters must be finite")
-        if self.r <= 0:
-            raise ParameterError("circle radius must be positive")
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.cx, self.cy])
-
-    def residual(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.hypot(pts[:, 0] - self.cx, pts[:, 1] - self.cy) - self.r
+# one circle of a configuration's table
+_CIRCLE_ROW = np.dtype((np.record, [("cx", float), ("cy", float), ("r", float)]))
 
 
 @dataclass(eq=False)
@@ -82,19 +63,45 @@ class Layout:
 
 @dataclass(eq=False)
 class PointCircleConfig:
+    """Points, circles and the (point, circle) incidences between them.
+
+    circles is one read-only (C,) table of (cx, cy, r) rows:
+    circles["r"] is a column, circles[k].cx a field of one row, and
+    circles.view(float).reshape(-1, 3) the (C, 3) float table. It is built
+    from such a table or from a sequence of (cx, cy, r) rows; every value
+    must be finite and every radius positive.
+    """
+
     points: np.ndarray
-    circles: tuple[Circle, ...]
+    circles: np.ndarray
     incidence: tuple[tuple[int, int], ...]
     flags: dict = field(default_factory=dict)
     tols: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        rows = self.circles
+        try:
+            if not isinstance(rows, np.ndarray):
+                rows = np.array([tuple(row) for row in rows], dtype=_CIRCLE_ROW)
+            # numpy would copy each float of a plain float table into every field
+            table = np.array(rows, dtype=_CIRCLE_ROW) if rows.dtype.names else None
+        except (TypeError, ValueError):
+            table = None
+        if table is None or table.ndim != 1:
+            raise ParameterError("circles must be (cx, cy, r) rows")
+        finite = np.all(np.isfinite(table.view(float).reshape(-1, 3)), axis=1)
+        ok = finite & (table["r"] > 0)
+        if not ok.all():  # the first bad circle names the failure
+            raise ParameterError(
+                "circle radius must be positive" if finite[np.argmin(ok)] else "circle parameters must be finite"
+            )
+        table.flags.writeable = False  # shared by the copies check_flags makes
+        self.circles = table
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ParameterError("points must be an (n, 2) table")
         if not np.all(np.isfinite(self.points)):
             raise ParameterError("points must be finite")
-        self.circles = tuple(self.circles)
         try:
             pk = np.fromiter(chain.from_iterable(self.incidence), dtype=np.intp)
         except OverflowError:  # an index past intp is out of range; the check below names it
@@ -113,7 +120,7 @@ class PointCircleConfig:
         if not self.incidence:
             return 0.0
         p, k = np.array(self.incidence).T
-        cx, cy, r = _circle_arrays(self.circles)
+        cx, cy, r = self.circles["cx"], self.circles["cy"], self.circles["r"]
         # the incident pairs' entries of _circle_residuals, element for element
         return float(np.max(np.abs(np.hypot(self.points[p, 0] - cx[k], self.points[p, 1] - cy[k]) - r[k])))
 
@@ -128,12 +135,6 @@ def _tolerance(name: str, value) -> float:
 def tol_record(incidence: float = TOL_INCIDENCE) -> dict:
     """The tolerances a constructed configuration records in its tols."""
     return {"incidence": incidence, "separation": TOL_SEPARATION, "cluster": TOL_CLUSTER}
-
-
-def _circle_arrays(circles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Centers and radii of the circles as three float arrays."""
-    table = np.array([(c.cx, c.cy, c.r) for c in circles], dtype=float).reshape(-1, 3)
-    return table[:, 0], table[:, 1], table[:, 2]
 
 
 @lru_cache(maxsize=None)
@@ -243,13 +244,11 @@ def _circumcircles(p, q, s, screened: bool = False) -> tuple[np.ndarray, np.ndar
     return center[:, 0], center[:, 1], _row_norms(p - center)
 
 
-def _circles(cx: np.ndarray, cy: np.ndarray, r: np.ndarray) -> tuple[Circle, ...]:
-    return tuple(map(Circle, cx.tolist(), cy.tolist(), r.tolist()))
-
-
-def circumcircle(p, q, s) -> Circle:
-    """Circle through three non-collinear points (exact linear solve)."""
-    return _circles(*_circumcircles(p, q, s))[0]
+def _circle_table(cx: np.ndarray, cy: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (C,) circle table of PointCircleConfig from its three columns."""
+    table = np.empty(len(r), _CIRCLE_ROW)
+    table["cx"], table["cy"], table["r"] = cx, cy, r
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +569,8 @@ def solve_unit_distance(
         what = "unit-distance solve"
     else:
         if isinstance(symmetry, int):
+            from . import iso
+
             k = symmetry
             orbit_sets = map(iso.orbits_of, islice(iso.find_free_cyclic_action(g, k), 6))
         else:
@@ -712,7 +713,7 @@ def circles_from_layout(
             raise DistinctnessError(f"circles of vertices {v} and {w} coincide")
     return PointCircleConfig(
         points=pos.copy(),
-        circles=_circles(cx, cy, r),
+        circles=_circle_table(cx, cy, r),
         incidence=tuple(zip(nbr.tolist(), owner.tolist())),
         flags={},
         tols=tol_record(tol),
@@ -779,7 +780,7 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
         if _triple_point_hits(cx, cy, r, pts, **tols) is None:
             rejections["stray_meet_point"] += 1
             continue
-        return PointCircleConfig(pts, _circles(cx, cy, r), incidence, flags={}, tols=tols)
+        return PointCircleConfig(pts, _circle_table(cx, cy, r), incidence, flags={}, tols=tols)
     counts = ", ".join(f"{k} {v}" for k, v in sorted(rejections.items(), key=lambda kv: -kv[1]) if v)
     raise SamplingError(
         f"no draw accepted in {_RESAMPLE_BUDGET} attempts ({counts})",
@@ -1094,7 +1095,7 @@ def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
     tol_sep = _tolerance("separation", t.get("separation", TOL_SEPARATION))
     tol_clu = _tolerance("cluster", t.get("cluster", TOL_CLUSTER))
     tol_through = max(tol_inc, tol_clu)
-    cx, cy, r = _circle_arrays(cfg.circles)
+    cx, cy, r = cfg.circles["cx"], cfg.circles["cy"], cfg.circles["r"]
     pts = cfg.points
 
     degenerate = _min_separation(pts) <= tol_sep
@@ -1189,7 +1190,7 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
         raise ParameterError(f"inversion center coincides with point {near[0]}")
     images = ctr + (radius * radius / dd)[:, None] * d
     anchors = np.array([idx[:2] for idx in lines_norm], dtype=np.intp).reshape(-1, 2)
-    circles = _circles(*_circumcircles(images[anchors[:, 0]], images[anchors[:, 1]], ctr))
+    circles = _circle_table(*_circumcircles(images[anchors[:, 0]], images[anchors[:, 1]], ctr))
     incidence = tuple((p, k) for k, idx in enumerate(lines_norm) for p in idx)
     cfg = PointCircleConfig(images, circles, incidence, flags={}, tols=tol_record())
     worst = cfg.max_incidence_residual()

@@ -81,18 +81,19 @@ def render_layout(layout, labels: bool = False) -> str:
 
 def render_config(cfg, labels: bool = False) -> str:
     """Point-circle drawing: stroked circles plus configuration points."""
-    if not cfg.circles:
+    if len(cfg.circles) == 0:
         raise ParameterError("nothing to render")
+    circles = cfg.circles.view(float).reshape(-1, 3).tolist()
     pts = [(float(x), -float(y)) for x, y in cfg.points]
     ref = _scale_of(cfg.points)
-    ref = max(ref, 2.0 * max(c.r for c in cfg.circles))
+    ref = max(ref, 2.0 * max(r for _, _, r in circles))
     lw = 0.004 * ref
     dot = 0.012 * ref
     cv = _Canvas()
     cv.parts.append(f'<g fill="none" stroke="{_CIRCLE_COLOR}" stroke-width="{_fmt(lw)}">')
-    for c in cfg.circles:
-        cv.parts.append(f'<circle cx="{_fmt(c.cx)}" cy="{_fmt(-c.cy)}" r="{_fmt(c.r)}" />')
-        cv.grow(c.cx, -c.cy, c.r + lw)
+    for cx, cy, r in circles:
+        cv.parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(r)}" />')
+        cv.grow(cx, -cy, r + lw)
     cv.parts.append("</g>")
     _draw_points(cv, pts, dot)
     if labels:

@@ -22,7 +22,7 @@ from .graphs import POLYTOPE_NAMES, Graph, structure_report
 # RSS, as numpy's import no longer reuses the compiler's freed memory. With
 # cached bytecode the order makes no difference.
 from .realization import TOL_INCIDENCE, TOL_SEPARATION, PointCircleConfig, tol_record
-from .realization import _circles, _circumcircles, _pair_indices, _row_dots, _row_norms
+from .realization import _circle_table, _circumcircles, _pair_indices, _row_dots, _row_norms
 
 import numpy as np
 
@@ -388,7 +388,7 @@ def stereographic_project(
         raise DegeneracyError("projected point coincides with the pole")
     if len(failed):
         raise DegeneracyError(f"image of circle {failed[0]} fails the sample check (drift {drift[failed[0]]:.3e})")
-    out = PointCircleConfig(points2, _circles(cx, cy, rad), cfg.incidence, flags={}, tols=tol_record(tol))
+    out = PointCircleConfig(points2, _circle_table(cx, cy, rad), cfg.incidence, flags={}, tols=tol_record(tol))
     worst = out.max_incidence_residual()
     if worst > tol:
         raise DegeneracyError(f"projected incidences drift ({worst:.3e})")

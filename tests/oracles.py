@@ -7,7 +7,8 @@ intersection and flag check, the least-squares loop, the edge residual,
 the rotational-ansatz solve and the hypercube position loop are the loops
 that the library's array passes replaced; so are, after the JSON emitter
 that branched on numpy types, the scalar circumcircle with its per-block,
-per-line and per-circle callers, spatial's per-pair, per-plane and
+per-line and per-circle callers and the Circle objects that every circle
+set was held as, spatial's per-pair, per-plane and
 per-circle loops with the per-vertex coplanarity fit and the Plane and
 SphereCircle objects they built, and the per-vertex least-squares circle
 fit that circles_from_layout ran before its circumcircle pass. The Cartesian factor
@@ -56,13 +57,50 @@ from confviz.realization import (
     TOL_CLUSTER,
     TOL_INCIDENCE,
     TOL_SEPARATION,
-    Circle,
     Layout,
     PointCircleConfig,
     _edge_arrays,
     _solve_coordinates,
 )
 from confviz.spatial import AdmissibilityReport, PointPlaneConfig, PolytopeSkeleton, SphericalCircleConfig
+
+
+@dataclass(frozen=True)
+class Circle:
+    """One circle, as the scalar loops below read it. It iterates as the
+    (cx, cy, r) row that PointCircleConfig takes."""
+
+    cx: float
+    cy: float
+    r: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy) and math.isfinite(self.r)):
+            raise ParameterError("circle parameters must be finite")
+        if self.r <= 0:
+            raise ParameterError("circle radius must be positive")
+
+    def __iter__(self):
+        return iter((self.cx, self.cy, self.r))
+
+    @property
+    def center(self) -> np.ndarray:
+        return np.array([self.cx, self.cy])
+
+    def residual(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(pts)
+        return np.hypot(pts[:, 0] - self.cx, pts[:, 1] - self.cy) - self.r
+
+
+def circles_of(cfg: PointCircleConfig) -> list[Circle]:
+    """A configuration's circle table as Circle objects."""
+    return [Circle(*row) for row in cfg.circles.view(float).reshape(-1, 3).tolist()]
+
+
+def circle_arrays(circles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cx, cy and r of Circle objects or circle-table rows, as three float arrays."""
+    table = np.array([tuple(c) for c in circles], dtype=float).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2]
 
 
 def adjacency(order, edges):
@@ -246,38 +284,39 @@ def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircle
     tol_sep = float(t.get("separation", TOL_SEPARATION))
     tol_clu = float(t.get("cluster", TOL_CLUSTER))
     tol_rad = float(t.get("radius_spread", tol_inc))
+    circles = circles_of(cfg)
 
     degenerate = _min_separation(cfg.points) <= tol_sep
 
-    radii = [c.r for c in cfg.circles]
+    radii = [c.r for c in circles]
     isometric = (max(radii) - min(radii)) <= tol_rad
 
     # proper: some point on every circle exists iff it lies on the first two
-    if len(cfg.circles) == 1:
+    if len(circles) == 1:
         proper = False
     else:
         proper = True
-        for cand in circle_pair_intersections(cfg.circles[0], cfg.circles[1], tol_clu):
-            if all(abs(float(c.residual(cand)[0])) <= max(tol_inc, tol_clu) for c in cfg.circles):
+        for cand in circle_pair_intersections(circles[0], circles[1], tol_clu):
+            if all(abs(float(c.residual(cand)[0])) <= max(tol_inc, tol_clu) for c in circles):
                 proper = False
                 break
 
     # geometric incidence of config points on circles
-    on_circle = np.abs(np.array([c.residual(cfg.points) for c in cfg.circles])) <= tol_inc
+    on_circle = np.abs(np.array([c.residual(cfg.points) for c in circles])) <= tol_inc
 
     lineal = True
-    for i, j in combinations(range(len(cfg.circles)), 2):
+    for i, j in combinations(range(len(circles)), 2):
         if int(np.sum(on_circle[i] & on_circle[j])) > 1:
             lineal = False
             break
 
-    meets = meet_points(cfg.circles, tol_clu)
+    meets = meet_points(circles, tol_clu)
     determining = False
     if not degenerate:
         triple_points = []
         for rep in _cluster(meets, tol_clu):
             through = sum(
-                1 for c in cfg.circles if abs(float(c.residual(rep)[0])) <= max(tol_inc, tol_clu)
+                1 for c in circles if abs(float(c.residual(rep)[0])) <= max(tol_inc, tol_clu)
             )
             if through > 2:
                 triple_points.append(rep)
@@ -736,7 +775,7 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
             rejections["collinear_block"] += 1
             continue
         circles = tuple(circumcircle(pts[b[0]], pts[b[1]], pts[b[2]]) for b in c.blocks)
-        cx, cy, r = realization._circle_arrays(circles)
+        cx, cy, r = circle_arrays(circles)
         # each circle has its own three points on it, so a fourth is foreign
         if np.any(np.count_nonzero(realization._circle_residuals(cx, cy, r, pts) <= _SAMPLE_MARGIN, axis=1) > 3):
             rejections["foreign_point"] += 1

@@ -14,7 +14,6 @@ from confviz import (
     TOL_INCIDENCE,
     check_flags,
     circles_from_layout,
-    circumcircle,
     classify,
     decompose,
     fano_plane,
@@ -51,10 +50,12 @@ from confviz.graphs import (
     prism_graph,
 )
 
+from oracles import circumcircle
+
 
 def sorted_center_distances(cfg):
     """Sorted multiset of circle-center distances; a similarity fingerprint."""
-    centers = np.array([c.center for c in cfg.circles])
+    centers = np.column_stack([cfg.circles["cx"], cfg.circles["cy"]])
     i, j = np.triu_indices(len(centers), 1)
     return np.sort(np.linalg.norm(centers[i] - centers[j], axis=1))
 
@@ -249,8 +250,8 @@ def test_criterion_12_plain_solve_on_product_ladders():
     for g, seed in ladder:
         lay, res = solve_unit_distance(g, seed=seed)
         cfg = circles_from_layout(lay)
-        centers = np.array([c.center for c in cfg.circles])
-        radii = np.array([c.r for c in cfg.circles])
+        centers = np.column_stack([cfg.circles["cx"], cfg.circles["cy"]])
+        radii = cfg.circles["r"]
         off = np.abs(np.linalg.norm(lay.pos[None, :, :] - centers[:, None, :], axis=2) - radii[:, None])
         near = np.zeros((g.order, g.order), dtype=bool)
         for u, v in g.edges:

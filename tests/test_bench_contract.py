@@ -1,0 +1,37 @@
+"""The benchmark's untimed checks still accept what the library builds.
+
+perfbench/ reads configurations through their public fields (for instance
+cfg.circles[k].cx and c.r over cfg.circles), so a change to how confviz
+holds a circle set must keep those reads working. This runs one repeat of a
+few flags and solver items and asks each item's own check for problems.
+perfbench/ is only read, never changed.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+import harness  # noqa: E402
+import workloads  # noqa: E402
+
+SEED = 3
+ITEMS = [
+    ("flags", "hypercube(3)"),
+    ("flags", "project(cube)"),
+    ("flags", "realize_n3(fano)"),
+    ("flags", "invert(pappus)"),
+    ("solver", "petersen() symmetry=5"),
+]
+
+
+@pytest.mark.parametrize("workload, key", ITEMS)
+def test_benchmark_check_accepts_the_output(workload, key, tmp_path):
+    items = {item.key: item for item in getattr(workloads, workload)(SEED, tmp_path)}
+    item = items[key]
+    out = item.run(harness.Tracer(False))
+    assert item.check(out) == []

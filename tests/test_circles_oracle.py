@@ -25,7 +25,6 @@ from confviz import (
     solve_unit_distance,
 )
 from confviz.graphs import Graph, petersen_graph
-from confviz.realization import _circle_arrays
 
 REFUSALS = (ConcyclicityError, DegeneracyError, DistinctnessError, ParameterError)
 
@@ -58,7 +57,7 @@ def similar_layouts(draw):
 
 
 def _table(cfg):
-    return np.column_stack(_circle_arrays(cfg.circles))
+    return cfg.circles.view(float).reshape(-1, 3)
 
 
 def _gap(cfg, want):
@@ -131,7 +130,7 @@ def moved_layouts(draw):
     pos = layout.pos.copy()
     if draw(st.booleans()):
         circle = oracles.circles_from_layout(layout, allow_degree_two=degree_two).circles[v]
-        radial = pos[w] - circle.center
+        radial = pos[w] - (circle.cx, circle.cy)
         step = draw(st.floats(10.0 * TOL_INCIDENCE, 1e-4)) * draw(st.sampled_from([1.0, -1.0]))
         pos[w] += step * radial / np.linalg.norm(radial)
     else:
@@ -243,4 +242,4 @@ def test_coinciding_circles_named_as_by_all_pairs(apart, seed):
 
 def test_empty_layout_has_no_circles():
     cfg = circles_from_layout(Layout(Graph(0, ()), np.zeros((0, 2)), {}))
-    assert cfg.circles == () and cfg.incidence == ()
+    assert cfg.circles.shape == (0,) and cfg.incidence == ()

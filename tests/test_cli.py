@@ -499,8 +499,14 @@ def test_package_and_cli_import_leaves_numpy_unloaded():
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    loaded = ["cli", "errors", "graphs", "incidence", "iso", "jsonio"]
+    loaded = ["cli", "errors", "graphs", "incidence", "jsonio"]
     assert proc.stdout.strip() == str([f"confviz.{m}" for m in loaded])
+
+
+def test_realization_import_leaves_the_isomorphism_search_unloaded():
+    probe = "import sys, confviz.realization; print('confviz.iso' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
 
 
 # (argv, exit code, start of stdout) for each command that needs no numerics

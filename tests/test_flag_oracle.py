@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from confviz import (
     POLYTOPE_NAMES,
-    Circle,
     Layout,
     PointCircleConfig,
     build_family,
@@ -31,7 +30,6 @@ from confviz import (
 from confviz import realization
 from confviz.pappus import derive_pappus_points
 from confviz.realization import (
-    _circle_arrays,
     _cell_width,
     _cluster,
     _meet_points,
@@ -43,13 +41,18 @@ from confviz.realization import (
 import oracles
 
 
+def columns(cfg):
+    """cx, cy and r of cfg's circle table, as the strided views check_flags reads."""
+    return cfg.circles["cx"], cfg.circles["cy"], cfg.circles["r"]
+
+
 def assert_same_as_oracle(cfg, compare_clusters=False):
     """Equal flags and bit-equal meet points; optionally bit-equal cluster
     centroids too, which costs a second scalar clustering."""
     assert check_flags(cfg).flags == oracles.check_flags(cfg).flags
     tol = cfg.tols.get("cluster", 1e-7)
-    x, y = _meet_points(*_circle_arrays(cfg.circles), tol)
-    meets = oracles.meet_points(cfg.circles, tol)
+    x, y = _meet_points(*columns(cfg), tol)
+    meets = oracles.meet_points(oracles.circles_of(cfg), tol)
     assert np.array_equal(np.column_stack([x, y]), np.array(meets).reshape(-1, 2))
     if compare_clusters:
         mx, my = _cluster(x, y, tol)
@@ -68,7 +71,7 @@ def _near_tangent():
     above P, within max(incidence, cluster) = 1e-7. C crosses B about 5e-7
     from P, outside P's cluster, so no meet point of C lies in that cluster:
     only a count over every circle makes P a triple point."""
-    circles = (Circle(0.0, -1.0, 1.0), Circle(math.sin(0.1), -math.cos(0.1), 1.0), Circle(0.0, -1.1, 1.1 + 5e-8))
+    circles = ((0.0, -1.0, 1.0), (math.sin(0.1), -math.cos(0.1), 1.0), (0.0, -1.1, 1.1 + 5e-8))
     return PointCircleConfig(np.zeros((1, 2)), circles, ((0, 0), (0, 1)), {}, tol_record())
 
 
@@ -216,7 +219,7 @@ def test_flags_match_scalar_oracle(name):
     cfg = oracles.circles_from_layout(FROZEN_LAYOUTS[name]())
     assert check_flags(cfg).flags == flags
     tol = cfg.tols.get("cluster", 1e-7)
-    x, y = _meet_points(*_circle_arrays(cfg.circles), tol)
+    x, y = _meet_points(*columns(cfg), tol)
     assert _sha256(x, y) == meet_digest
     assert _sha256(*_cluster(x, y, tol)) == cluster_digest
     assert check_flags(FIXTURES[name]()).flags == flags
@@ -224,14 +227,15 @@ def test_flags_match_scalar_oracle(name):
 
 def test_near_tangent_circle_counts_through_a_meet_point():
     cfg = _near_tangent()
-    cx, cy, r = _circle_arrays(cfg.circles)
+    cx, cy, r = columns(cfg)
+    circles = oracles.circles_of(cfg)
     tols = tol_record()
     t = max(tols["incidence"], tols["cluster"])
     # C passes within t of P but meets neither A nor B within the cluster
     # tolerance of it
     assert abs(math.hypot(cx[2], cy[2]) - r[2]) <= t
-    for other in cfg.circles[:2]:
-        for meet in oracles.circle_pair_intersections(cfg.circles[2], other):
+    for other in circles[:2]:
+        for meet in oracles.circle_pair_intersections(circles[2], other):
             assert math.hypot(*meet) > 4.0 * tols["cluster"]
     got = _triple_point_hits(cx, cy, r, cfg.points, **tols)
     assert got is not None and got.tolist() == [True]
@@ -267,7 +271,7 @@ def perturbed_configs(draw):
     cfg = circles_from_layout(layout, allow_degree_two=kind == "polygon")
     moved = draw(st.lists(st.integers(0, len(cfg.circles) - 1), max_size=3, unique=True))
     circles = tuple(
-        Circle(c.cx, c.cy, c.r + draw(nudge)) if k in moved else c for k, c in enumerate(cfg.circles)
+        (c.cx, c.cy, c.r + draw(nudge)) if k in moved else c for k, c in enumerate(cfg.circles)
     )
     return PointCircleConfig(cfg.points, circles, cfg.incidence, {}, cfg.tols)
 
@@ -380,10 +384,10 @@ def pairs_at_the_meeting_edge(draw):
     ra, rb = scale * 10.0 ** rng.uniform(-4.0, 0.3, size=2)
     x0, y0 = rng.uniform(-scale, scale, size=2)
     angle = rng.uniform(0.0, 2.0 * math.pi)
-    a = Circle(x0, y0, ra)
+    a = oracles.Circle(x0, y0, ra)
 
     def at(d):
-        return Circle(x0 + d * math.cos(angle), y0 + d * math.sin(angle), rb)
+        return oracles.Circle(x0 + d * math.cos(angle), y0 + d * math.sin(angle), rb)
 
     s = ra + rb
     lo, hi = 0.5 * (abs(ra - rb) + s), (s + 4.0 * tol) * 1.001
@@ -405,7 +409,7 @@ def pairs_at_the_meeting_edge(draw):
 @given(pairs_at_the_meeting_edge())
 def test_meet_points_keep_every_pair_at_the_meeting_edge(case):
     circles, tol = case
-    x, y = _meet_points(*_circle_arrays(circles), tol)
+    x, y = _meet_points(*oracles.circle_arrays(circles), tol)
     meets = oracles.meet_points(circles, tol)
     assert np.array_equal(np.column_stack([x, y]), np.array(meets).reshape(-1, 2))
 
@@ -416,5 +420,5 @@ def test_incidence_residual_reads_the_matrix_entries():
     for name, make in FIXTURES.items():
         cfg = make()
         p, k = np.array(cfg.incidence).T
-        full = realization._circle_residuals(*_circle_arrays(cfg.circles), cfg.points)
+        full = realization._circle_residuals(*columns(cfg), cfg.points)
         assert np.float64(cfg.max_incidence_residual()).tobytes() == np.max(full[k, p]).tobytes(), name

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confviz import (
-    Circle,
     DegeneracyError,
     ParameterError,
     PointCircleConfig,
@@ -30,7 +29,7 @@ from confviz.incidence import IncidenceStructure
 from confviz.pappus import derive_pappus_points
 from confviz.realization import _meet_points
 
-from oracles import circle_pair_intersections
+from oracles import Circle, circle_pair_intersections
 
 
 def petersen_config():
@@ -66,7 +65,7 @@ def test_single_circle_is_improper():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     cfg = PointCircleConfig(
         points=pts,
-        circles=(Circle(0.0, 0.0, 1.0),),
+        circles=((0.0, 0.0, 1.0),),
         incidence=((0, 0), (1, 0), (2, 0)),
         flags={},
         tols={},
@@ -78,7 +77,7 @@ def test_isometric_spread():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [4.5, 3.0], [3.0, 4.5], [1.5, 3.0]])
     cfg = PointCircleConfig(
         points=pts,
-        circles=(Circle(0, 0, 1.0), Circle(3.0, 3.0, 1.5)),
+        circles=((0, 0, 1.0), (3.0, 3.0, 1.5)),
         incidence=((0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (5, 1)),
         flags={},
         tols={},
@@ -90,7 +89,7 @@ def test_isometric_reads_only_the_incidence_tolerance():
     # radii 1 and 1 + 1e-6: equal within a loose incidence tolerance only;
     # a radius_spread entry in tols is carried along but not read
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [4.000001, 3.0], [3.0, 4.000001], [1.999999, 3.0]])
-    circles = (Circle(0, 0, 1.0), Circle(3.0, 3.0, 1.000001))
+    circles = ((0, 0, 1.0), (3.0, 3.0, 1.000001))
     incidence = ((0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (5, 1))
     for tols, isometric in (
         ({"incidence": 1e-9, "radius_spread": 1.0}, False),
@@ -107,7 +106,7 @@ def test_lineal_fails_when_circles_share_two_points():
     pts = np.array([[0.5, h], [0.5, -h], [-1.0, 0.0], [2.0, 0.0]])
     cfg = PointCircleConfig(
         points=pts,
-        circles=(Circle(0, 0, 1.0), Circle(1.0, 0.0, 1.0)),
+        circles=((0, 0, 1.0), (1.0, 0.0, 1.0)),
         incidence=((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (3, 1)),
         flags={},
         tols={},
@@ -119,7 +118,7 @@ def test_degenerate_coincident_points():
     pts = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
     cfg = PointCircleConfig(
         points=pts,
-        circles=(Circle(0.0, 0.0, 1.0),),
+        circles=((0.0, 0.0, 1.0),),
         incidence=((0, 0), (1, 0), (2, 0)),
         flags={},
         tols={},
@@ -294,14 +293,14 @@ def test_invert_concurrent_lines_share_image_point():
     assert not cfg.flags["proper"]
     common = np.array([0.0, 2.0]) / 4.0  # image of the concurrence point
     for c in cfg.circles:
-        assert abs(np.linalg.norm(np.asarray(c.center) - common) - c.r) < 1e-9
+        assert abs(np.linalg.norm((c.cx - common[0], c.cy - common[1])) - c.r) < 1e-9
 
 
 def test_incidence_residual_reflects_bad_record():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     cfg = PointCircleConfig(
         points=pts,
-        circles=(Circle(0.0, 0.0, 1.0),),
+        circles=((0.0, 0.0, 1.0),),
         incidence=((0, 0), (1, 0), (2, 0)),
         flags={},
         tols={},

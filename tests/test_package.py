@@ -4,7 +4,7 @@ import pytest
 
 import confviz
 
-EAGER = ("errors", "graphs", "incidence", "iso")
+EAGER = ("errors", "graphs", "incidence")
 
 
 def test_every_public_name_resolves_to_its_module():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from confviz import (
-    Circle,
     ConcyclicityError,
     ConvergenceError,
     DegeneracyError,
@@ -16,7 +15,6 @@ from confviz import (
     PointCircleConfig,
     TOL_INCIDENCE,
     circles_from_layout,
-    circumcircle,
     incidence_of,
     layout_gen_cuboctahedron,
     layout_hypercube,
@@ -38,22 +36,61 @@ from confviz.graphs import (
     petersen_graph,
     prism_graph,
 )
-from confviz.realization import _product_positions, lm_least_squares
+from confviz.realization import _circumcircles, _product_positions, lm_least_squares
 
 from oracles import circle_residuals, fit_circle, hypercube_positions
 
 
 def test_circle_validation():
-    with pytest.raises(ParameterError):
-        Circle(0.0, 0.0, -1.0)
-    with pytest.raises(ParameterError):
-        Circle(0.0, math.nan, 1.0)
-    c = Circle(1.0, 2.0, 3.0)
-    assert np.allclose(c.center, (1.0, 2.0))
+    pts = np.zeros((1, 2))
+    for bad in [(0.0, 0.0, -1.0), (0.0, 0.0, 0.0)]:
+        with pytest.raises(ParameterError, match="^circle radius must be positive$"):
+            PointCircleConfig(pts, [(1.0, 2.0, 3.0), bad], ())
+    for bad in [(0.0, math.nan, 1.0), (0.0, 0.0, math.inf), (0.0, 0.0, math.nan)]:
+        with pytest.raises(ParameterError, match="^circle parameters must be finite$"):
+            PointCircleConfig(pts, [(1.0, 2.0, 3.0), bad], ())
+    # the first bad circle names the failure
+    with pytest.raises(ParameterError, match="^circle radius must be positive$"):
+        PointCircleConfig(pts, [(0.0, 0.0, -1.0), (0.0, math.nan, 1.0)], ())
+    cfg = PointCircleConfig(pts, [(1.0, 2.0, 3.0)], ())
+    assert (cfg.circles[0].cx, cfg.circles[0].cy, cfg.circles[0].r) == (1.0, 2.0, 3.0)
+    assert cfg.circles["r"].tolist() == [3.0]
+    assert cfg.circles.view(float).reshape(-1, 3).tolist() == [[1.0, 2.0, 3.0]]
+
+
+def test_circle_table_refuses_what_is_not_rows():
+    pts = np.zeros((1, 2))
+    # numpy would copy each float of a plain table into all three fields
+    plain = [np.array([[0.0, 0.0, 1.0]]), np.array([1.0, 2.0]), [1.0, 2.0]]
+    for bad in [*plain, [(0.0, 1.0)], [(0.0, 0.0, 1.0, 2.0)], [(0.0, "one", 1.0)]]:
+        with pytest.raises(ParameterError, match=re.escape("circles must be (cx, cy, r) rows")):
+            PointCircleConfig(pts, bad, ())
+    table = PointCircleConfig(pts, [(0.0, 0.0, 1.0), (1.0, 0.0, 2.0)], ()).circles
+    with pytest.raises(ParameterError, match=re.escape("circles must be (cx, cy, r) rows")):
+        PointCircleConfig(pts, np.stack([table, table]), ())
+    # a table, a tuple of its rows and an empty sequence are all circle sets
+    assert PointCircleConfig(pts, table[::-1], ()).circles.tolist() == [(1.0, 0.0, 2.0), (0.0, 0.0, 1.0)]
+    assert PointCircleConfig(pts, tuple(table), ()).circles.tobytes() == table.tobytes()
+    assert len(PointCircleConfig(pts, (), ()).circles) == 0
+
+
+def test_circle_table_is_read_only_and_owned():
+    pts = np.zeros((1, 2))
+    table = PointCircleConfig(pts, [(0.0, 0.0, 1.0)], ()).circles.copy()
+    cfg = PointCircleConfig(pts, table, ())
+    assert table.flags.writeable and cfg.circles is not table  # the caller's table stays its own
+    for write in (
+        lambda: cfg.circles.__setitem__(0, (1.0, 1.0, 1.0)),
+        lambda: cfg.circles["r"].__setitem__(0, 5.0),
+        lambda: setattr(cfg.circles[0], "r", 5.0),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    assert cfg.circles.tolist() == [(0.0, 0.0, 1.0)]
 
 
 def test_point_circle_incidence_sorted_and_range_checked():
-    circles, pts = (Circle(0.0, 0.0, 1.0), Circle(3.0, 0.0, 1.0)), np.zeros((3, 2))
+    circles, pts = ((0.0, 0.0, 1.0), (3.0, 0.0, 1.0)), np.zeros((3, 2))
     cfg = PointCircleConfig(pts, circles, ((2, 1), (0, 0), (2, 1), (np.int64(1), 0)))
     assert cfg.incidence == ((0, 0), (1, 0), (2, 1))
     assert {type(x) for pair in cfg.incidence for x in pair} == {int}
@@ -69,20 +106,20 @@ def test_point_circle_incidence_sorted_and_range_checked():
 
 
 def test_circumcircle_right_triangle():
-    c = circumcircle((0, 0), (1, 0), (0, 1))
-    assert np.allclose(c.center, (0.5, 0.5))
-    assert math.isclose(c.r, math.sqrt(2) / 2, rel_tol=1e-14)
+    (cx,), (cy,), (r,) = _circumcircles((0, 0), (1, 0), (0, 1))
+    assert np.allclose((cx, cy), (0.5, 0.5))
+    assert math.isclose(r, math.sqrt(2) / 2, rel_tol=1e-14)
 
 
 def test_circumcircle_unit():
-    c = circumcircle((1, 0), (-1, 0), (0, 1))
-    assert np.allclose(c.center, (0, 0), atol=1e-14)
-    assert math.isclose(c.r, 1.0, rel_tol=1e-14)
+    (cx,), (cy,), (r,) = _circumcircles((1, 0), (-1, 0), (0, 1))
+    assert np.allclose((cx, cy), (0, 0), atol=1e-14)
+    assert math.isclose(r, 1.0, rel_tol=1e-14)
 
 
 def test_circumcircle_collinear_raises():
     with pytest.raises(DegeneracyError):
-        circumcircle((0, 0), (1, 0), (2, 0))
+        _circumcircles((0, 0), (1, 0), (2, 0))
 
 
 def test_circumcircle_residual_bound():
@@ -90,11 +127,11 @@ def test_circumcircle_residual_bound():
     for _ in range(50):
         pts = rng.uniform(-3, 3, size=(3, 2))
         try:
-            c = circumcircle(*pts)
+            (cx,), (cy,), (r,) = _circumcircles(*pts)
         except DegeneracyError:
             continue
-        worst = max(circle_residuals(c.cx, c.cy, c.r, pts))
-        assert worst <= 1e-12 * (1.0 + c.r)
+        worst = max(circle_residuals(cx, cy, r, pts))
+        assert worst <= 1e-12 * (1.0 + r)
 
 
 # fit_circle is the least-squares fit circles_from_layout ran before its
@@ -491,7 +528,7 @@ def test_circles_from_layout_unit_identity():
     assert len(cfg.circles) == 10
     for v, c in enumerate(cfg.circles):
         assert abs(c.r - 1.0) < 1e-9
-        assert np.linalg.norm(np.asarray(c.center) - lay.pos[v]) < 1e-9
+        assert np.linalg.norm((c.cx - lay.pos[v, 0], c.cy - lay.pos[v, 1])) < 1e-9
 
 
 def test_circles_incidence_matches_vconstruct():

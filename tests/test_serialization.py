@@ -88,9 +88,17 @@ def test_pcc_round_trip_bytes():
     obj = jsonio.pcc_to_obj(cfg)
     back = jsonio.pcc_from_obj(obj)
     assert np.array_equal(back.points, cfg.points)
-    assert back.circles == cfg.circles
+    assert back.circles.tobytes() == cfg.circles.tobytes()
     assert back.incidence == cfg.incidence
     assert jsonio.dumps(jsonio.pcc_to_obj(back)) == jsonio.dumps(obj)
+
+
+def test_pcc_reader_refuses_a_circle_the_table_refuses():
+    for circle, why in [({"c": [0, 0], "r": -1}, "circle radius must be positive"),
+                        ({"c": [0, float("nan")], "r": 1}, "circle parameters must be finite")]:
+        obj = {"points": [[0.0, 0.0]], "circles": [circle], "incidence": []}
+        with pytest.raises(ParameterError, match=f"^malformed point-circle object: {why}$"):
+            jsonio.pcc_from_obj(obj)
 
 
 @pytest.mark.parametrize("name", ADMISSIBLE)
