@@ -48,9 +48,8 @@ from .incidence import (
     verify_kronecker_theorem,
 )
 
-# The numeric names, and the isomorphism search, load on first access
-# (PEP 562), so importing the package, and every CLI command that needs none
-# of them, leaves numpy and the search unloaded.
+# The numeric names and `iso` load on first access (PEP 562): importing the
+# package, or a CLI command that needs none of them, loads neither.
 _LAZY = {
     "Layout": "realization",
     "PointCircleConfig": "realization",

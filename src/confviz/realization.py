@@ -41,7 +41,7 @@ _SAMPLE_MARGIN = 1e-4
 _RESIDUAL_BLOCK = 1 << 14
 # relative slack when _rings_rule_out compares ring radii
 _RADIUS_SLACK = 1e-9
-# one circle of a configuration's table
+# one row of PointCircleConfig.circles
 _CIRCLE_ROW = np.dtype((np.record, [("cx", float), ("cy", float), ("r", float)]))
 
 
@@ -65,11 +65,10 @@ class Layout:
 class PointCircleConfig:
     """Points, circles and the (point, circle) incidences between them.
 
-    circles is one read-only (C,) table of (cx, cy, r) rows:
-    circles["r"] is a column, circles[k].cx a field of one row, and
+    circles is one read-only (C,) table of finite (cx, cy, r) rows, r > 0:
+    circles["r"] is a column, circles[k].cx a field of one row and
     circles.view(float).reshape(-1, 3) the (C, 3) float table. It is built
-    from such a table or from a sequence of (cx, cy, r) rows; every value
-    must be finite and every radius positive.
+    from such a table or from a sequence of rows.
     """
 
     points: np.ndarray
