@@ -3,12 +3,17 @@
 The key object is the structure N(G) = (V(G), S(G)) whose blocks are the
 first neighbourhoods of an admissible graph. Its Levi graph coincides with
 the canonical double cover of G, which is what verify_kronecker_theorem
-certifies with the isomorphism witness the construction gives.
+certifies with the isomorphism witness the construction gives. It checks
+that witness on G's own neighbourhoods and counts the cover's components
+by union-find over its arithmetic edges, so neither the Levi graph nor
+the cover is built. A structure's Levi components are found once, by
+union-find over its incidences, and shared by classify and decompose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import AdmissibilityError, ParameterError
 from .graphs import (
@@ -18,7 +23,6 @@ from .graphs import (
     _class_roots,
     bipartite_swap_involution,
     is_admissible,
-    kronecker_cover,
     pair_in_two,
 )
 
@@ -29,7 +33,8 @@ class IncidenceStructure:
 
     polarity, when set, claims that point v <-> block polarity[v] is a
     polarity; is_self_polar checks the claim before it uses it. It takes no
-    part in equality, hashing, repr or the JSON form.
+    part in equality, hashing, repr or the JSON form, and neither does the
+    cached levi_components.
     """
 
     points: int
@@ -64,6 +69,17 @@ class IncidenceStructure:
             for p in blk:
                 deg[p] += 1
         return deg
+
+    @cached_property
+    def levi_components(self) -> tuple[tuple[int, ...], ...]:
+        """Components of the Levi graph, each sorted, in order of least vertex,
+        by union-find over the incidences; no Levi graph is built. Computed
+        once per structure and kept outside the dataclass fields."""
+        comps: dict[int, list[int]] = {}
+        # a class is named by its least member, which comes first in this loop
+        for v, root in enumerate(_class_roots(self.points + self.block_count, levi_edges(self))):
+            comps.setdefault(root, []).append(v)
+        return tuple(map(tuple, comps.values()))
 
 
 @dataclass(frozen=True)
@@ -118,7 +134,7 @@ def v_construct(g: Graph, collapse: bool = False) -> IncidenceStructure:
                 "pass collapse=True to merge duplicate blocks",
                 pair=pair,
             )
-    nbhds = [tuple(sorted(ns)) for ns in g.neighbor_sets]
+    nbhds = g.adjacency
     blocks = sorted(set(nbhds))
     polarity = None
     if len(blocks) == g.order:
@@ -144,16 +160,6 @@ def levi_graph(c: IncidenceStructure) -> tuple[Graph, Bipartition]:
     labels = tuple(f"p{i}" for i in range(n)) + tuple(f"b{j}" for j in range(c.block_count))
     g = Graph(n + c.block_count, tuple(levi_edges(c)), labels)
     return g, Bipartition((0,) * n + (1,) * c.block_count)
-
-
-def _levi_components(c: IncidenceStructure) -> tuple[tuple[int, ...], ...]:
-    """Components of the Levi graph, each sorted, in order of least vertex,
-    by union-find over its edges; no Levi graph is built."""
-    comps: dict[int, list[int]] = {}
-    # a class is named by its least member, which comes first in this loop
-    for v, root in enumerate(_class_roots(c.points + c.block_count, levi_edges(c))):
-        comps.setdefault(root, []).append(v)
-    return tuple(map(tuple, comps.values()))
 
 
 def is_self_polar(c: IncidenceStructure) -> VertexMap | None:
@@ -189,9 +195,9 @@ def _lineal(c: IncidenceStructure) -> bool:
 def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClass:
     """Type, lineality, connectedness and, when asked, self-polarity of c.
 
-    Connectedness comes from union-find over the incidences (_levi_components)
-    and self-polarity from is_self_polar, so a structure that carries a
-    correct polarity is classified without building its Levi graph.
+    Connectedness comes from c.levi_components and self-polarity from
+    is_self_polar, so a structure that carries a correct polarity is
+    classified without building its Levi graph.
     """
     if c.points == 0 or c.block_count == 0:
         raise ParameterError("classification needs at least one point and block")
@@ -212,7 +218,7 @@ def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClas
         block_size_range=(min(sizes), max(sizes)),
         balanced_type=balanced,
         lineal=_lineal(c),
-        connected=len(_levi_components(c)) == 1,
+        connected=len(c.levi_components) == 1,
         self_polar=self_polar,
         pointline_impossible=impossible,
     )
@@ -221,13 +227,13 @@ def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClas
 def decompose(c: IncidenceStructure) -> list[IncidenceStructure]:
     """Connected components of the Levi graph as re-indexed structures.
 
-    The components come from union-find over the incidences
-    (_levi_components); no Levi graph is built. Components are ordered by
+    The components are c.levi_components, which classify shares; no Levi
+    graph is built. Components are ordered by
     their smallest original point index, and each result records the
     original indices in its provenance string.
     """
     out = []
-    for idx, comp in enumerate(_levi_components(c)):
+    for idx, comp in enumerate(c.levi_components):
         pts = [v for v in comp if v < c.points]
         blks = [v - c.points for v in comp if v >= c.points]
         remap = {p: i for i, p in enumerate(pts)}
@@ -274,18 +280,22 @@ class KroneckerReport:
 
 
 def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
-    """Certify Levi(N(g)) == kronecker_cover(g) for admissible g.
+    """Certify Levi(N(g)) == kronecker_cover(g) for admissible g, on g itself.
 
-    The witness is the map the construction gives, point i -> (i,0) and
-    block N(v) -> (v,1), checked edge by edge in O(E): it must be a
-    bijection, and the images of the Levi edges, each put in order and then
-    sorted, must be exactly the cover's edges. No Levi graph is built and no
-    isomorphism search runs; the cover's components come from union-find
-    over its edges. For non-admissible inputs the report instead documents
-    how the collapsed structure falls short of the cover.
+    The cover has vertices (v,0) -> v and (v,1) -> order + v and an edge
+    (u,0)(v,1) for each ordered pair of adjacent u, v. The witness is the
+    map the construction gives, point i -> (i,0) and block N(v) -> (v,1).
+    It is checked in O(E) without building either graph: it must be a
+    bijection, the blocks must hold exactly 2 * g.size incidences, and
+    each block must lie inside the neighbourhood of its vertex. A bijection
+    that sends every Levi edge onto a cover edge, with equal edge counts, is
+    an isomorphism. The cover's components come from union-find over its
+    edges. For non-admissible inputs the report instead documents how the
+    collapsed structure falls short of the cover.
     """
-    cover, _ = kronecker_cover(g)
-    cover_components = len(set(_class_roots(cover.order, cover.edges)))
+    n = g.order
+    cover_edges = [(u, n + v) for u, v in g.edges] + [(v, n + u) for u, v in g.edges]
+    cover_components = len(set(_class_roots(2 * n, cover_edges)))
     try:
         c = v_construct(g)
     except AdmissibilityError as exc:
@@ -296,25 +306,26 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
             verified=False,
             witness=None,
             levi_order=c.points + c.block_count,
-            cover_order=cover.order,
+            cover_order=2 * n,
             cover_components=cover_components,
             collapsed_block_count=c.block_count,
         )
-    n = g.order
     owner = sorted(range(n), key=c.polarity.__getitem__)  # owner[j]: the v with N(v) = block j
     witness = VertexMap(tuple(range(n)) + tuple(n + v for v in owner))
-    image = witness.image
-    images = sorted(
-        (a, b) if a < b else (b, a) for a, b in ((image[p], image[q]) for p, q in levi_edges(c))
+    nbrs = g.neighbor_sets
+    verified = (
+        c.points == c.block_count == n
+        and witness.is_bijection()
+        and sum(map(len, c.blocks)) == 2 * g.size
+        and all(nbrs[v].issuperset(blk) for v, blk in zip(owner, c.blocks))
     )
-    verified = witness.is_bijection() and images == list(cover.edges)
     return KroneckerReport(
         admissible=True,
         offending_pair=None,
         verified=verified,
         witness=witness if verified else None,
         levi_order=c.points + c.block_count,
-        cover_order=cover.order,
+        cover_order=2 * n,
         cover_components=cover_components,
         collapsed_block_count=None,
     )

@@ -14,8 +14,8 @@ realization.solve_unit_distance (orbits_of, and find_free_cyclic_action,
 whose actions are yielded one at a time, so the search goes only as far
 as the solve reads).
 verify_kronecker_theorem and is_self_polar on v_construct output check
-the construction's maps instead, with `isomorphic` and
-find_swap_involution as test oracles.
+the construction's maps instead, in O(E) on the graph's neighbourhoods and
+the blocks, with `isomorphic` and find_swap_involution as test oracles.
 """
 
 from __future__ import annotations

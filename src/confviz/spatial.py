@@ -256,20 +256,36 @@ def point_plane_vconstruct(p: PolytopeSkeleton) -> PointPlaneConfig:
     )
 
 
-def sphere_circles(p: PolytopeSkeleton) -> SphericalCircleConfig:
-    """Cut each neighbourhood plane with the circumsphere, whose centre is
-    the vertex mean and whose radius is the mean vertex distance from it.
+def _sphere_about(coords: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, float, list[int]]:
+    """Distances of coords from center, their mean, and the vertices off
+    that mean by more than 1e-9 relative, polytope_data's bound."""
+    dist = np.linalg.norm(coords - center, axis=1)
+    radius = float(np.mean(dist))
+    return dist, radius, np.flatnonzero(np.abs(dist - radius) > 1e-9 * radius).tolist()
 
-    The circles are point_plane_vconstruct's plane rows. A vertex off that
-    radius by more than 1e-9 relative, polytope_data's bound, is refused:
-    a hand-built skeleton skips that check. Each neighbourhood then lies on
-    the circle its plane cuts out of the sphere.
+
+def sphere_circles(p: PolytopeSkeleton) -> SphericalCircleConfig:
+    """Cut each neighbourhood plane with the circumsphere.
+
+    Its centre is the vertex mean when every vertex lies within 1e-9
+    relative of the mean distance from it, polytope_data's bound; otherwise
+    the least-squares solution c of |x|^2 = 2 c . x + (rho^2 - |c|^2), held
+    to the same bound. The radius is the mean vertex distance from the
+    centre. A hand-built skeleton skips polytope_data's check, so one that
+    fits neither sphere is refused here, with its figures about the vertex
+    mean. The circles are point_plane_vconstruct's plane rows, and each
+    neighbourhood lies on the circle its plane cuts out of the sphere.
     """
     ppc = point_plane_vconstruct(p)
-    center = p.coords.mean(axis=0)
-    dist = np.linalg.norm(p.coords - center, axis=1)
-    radius = float(np.mean(dist))
-    off = np.flatnonzero(np.abs(dist - radius) > 1e-9 * radius).tolist()
+    coords = p.coords
+    center = coords.mean(axis=0)
+    dist, radius, off = _sphere_about(coords, center)
+    if off:
+        design = np.column_stack([2.0 * coords, np.ones(len(coords))])
+        fit = np.linalg.lstsq(design, _row_dots(coords, coords), rcond=None)[0][:3]
+        fit_dist, fit_radius, fit_off = _sphere_about(coords, fit)
+        if not fit_off:
+            center, dist, radius, off = fit, fit_dist, fit_radius, fit_off
     if off:
         v, d = off[0], dist[off[0]]
         raise DegeneracyError(f"vertex {v} misses the circumsphere ({d:.6g} from the centre, radius {radius:.6g})")

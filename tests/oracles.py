@@ -993,14 +993,15 @@ def point_plane_vconstruct(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> P
     )
 
 
-def sphere_circles(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> SphericalCircleConfig:
-    """Cut each neighbourhood plane with the circumsphere.
+def sphere_circles(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE, center=None) -> SphericalCircleConfig:
+    """Cut each neighbourhood plane with the circumsphere about center, the
+    vertex mean unless given.
 
     Vertices sit on the sphere by the load-time validation, so each
     neighbourhood lies on the circle its plane cuts out of the sphere.
     """
     planes = _neighbourhood_planes(p, tol)
-    center = p.coords.mean(axis=0)
+    center = p.coords.mean(axis=0) if center is None else center
     radius = float(np.mean(np.linalg.norm(p.coords - center, axis=1)))
     circles = []
     for v, plane in enumerate(planes):

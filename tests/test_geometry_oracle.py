@@ -346,6 +346,13 @@ def assert_same_sphere_outcome(sk):
         # the common-sphere check the per-circle loop lacked
         dist = np.linalg.norm(sk.coords - sk.coords.mean(axis=0), axis=1)
         assert np.ptp(dist) > 1e-9 * np.mean(dist)
+    elif new[0] == "ok" and bits(new[1].center) != bits(sk.coords.mean(axis=0)):
+        # a sphere not centred at the vertex mean must hold every vertex,
+        # and the per-circle loop about its centre must give the same circles
+        sc = new[1]
+        dist = np.linalg.norm(sk.coords - sc.center, axis=1)
+        assert np.max(np.abs(dist - sc.radius)) <= 1e-9 * sc.radius
+        assert_same_outcome(new, outcome(oracles.sphere_circles, sk, center=sc.center), assert_same_spherical)
     else:
         assert_same_outcome(new, outcome(oracles.sphere_circles, sk), assert_same_spherical)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from confviz import (
+    IncidenceStructure,
     VertexMap,
     build_family,
     is_admissible,
@@ -152,3 +153,68 @@ def test_witness_from_a_wrong_polarity_is_rejected(family, params, monkeypatch):
     rep = verify_kronecker_theorem(g)
     assert rep.admissible and not rep.verified and rep.witness is None
     assert rep == oracles.verify_kronecker_theorem(g)
+
+
+def construction_with(mutate):
+    """v_construct whose neighbourhood N(0) is first changed by mutate(g, block);
+    the polarity still names each vertex's (changed) block."""
+
+    def construct(g, collapse=False):
+        c = v_construct(g, collapse)
+        nbhds = [list(a) for a in g.adjacency]
+        mutate(g, nbhds[0])
+        nbhds = [tuple(sorted(b)) for b in nbhds]
+        blocks = sorted(nbhds)
+        index = {blk: j for j, blk in enumerate(blocks)}
+        return IncidenceStructure(c.points, tuple(blocks), c.provenance,
+                                  polarity=tuple(index[blk] for blk in nbhds))
+
+    return construct
+
+
+def drop_a_point(g, block):
+    # still inside N(0), but one incidence short of 2 * g.size
+    block.pop()
+
+
+def swap_in_a_non_neighbour(g, block):
+    # as many incidences as the cover has edges, one of them off the cover
+    taken = set(g.adjacency)
+    for w in range(g.order):
+        if w not in g.neighbor_sets[0] and tuple(sorted(block[1:] + [w])) not in taken:
+            block[0] = w
+            return
+    raise AssertionError("no free non-neighbour")
+
+
+@pytest.mark.parametrize("mutate", [drop_a_point, swap_in_a_non_neighbour])
+@pytest.mark.parametrize("family,params", [("petersen", ()), ("hypercube", (4,)), ("odd", (4,))])
+def test_a_construction_off_the_cover_is_rejected(family, params, mutate, monkeypatch):
+    construct = construction_with(mutate)
+    monkeypatch.setattr(incidence, "v_construct", construct)
+    monkeypatch.setattr(oracles, "v_construct", construct)
+    g = build_family(family, *params)
+    c = construct(g)
+    assert c.points == c.block_count == g.order
+    assert sum(map(len, c.blocks)) == 2 * g.size - (mutate is drop_a_point)
+    rep = verify_kronecker_theorem(g)
+    assert rep.admissible and not rep.verified and rep.witness is None
+    assert rep == oracles.verify_kronecker_theorem(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kronecker_inputs())
+def test_cover_components_follow_weichsel(g):
+    # the cover of a connected graph is connected when the graph is not
+    # bipartite and splits in two when it is; counted here by BFS on each
+    # component, apart from the union-find the report uses
+    rep = outcome(verify_kronecker_theorem, g)
+    assume(not isinstance(rep, str))
+    comps = structure_report(g).components
+    bipartite = 0
+    for comp in comps:
+        index = {v: i for i, v in enumerate(comp)}
+        sub = Graph(len(comp), tuple((index[u], index[v]) for u, v in g.edges if u in index))
+        bipartite += structure_report(sub).bipartite
+    assert rep.cover_order == 2 * g.order
+    assert rep.cover_components == len(comps) + bipartite

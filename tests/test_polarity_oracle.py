@@ -22,7 +22,7 @@ from confviz import (
     verify_kronecker_theorem,
 )
 from confviz import incidence, iso, jsonio
-from confviz.graphs import StructureReport
+from confviz.graphs import StructureReport, _class_roots
 from confviz.iso import MAX_VERTICES
 
 import oracles
@@ -52,7 +52,7 @@ def assert_matches_oracles(c):
     """Components, parts, the self-polarity witness and the classification
     equal those of the Levi-graph paths in tests/oracles.py."""
     comps = oracles.levi_components(c)
-    assert incidence._levi_components(c) == comps
+    assert c.levi_components == comps
     assert decompose(c) == oracles.decompose(c)
     witness = oracles.self_polar(c)
     assert is_self_polar(c) == witness
@@ -191,8 +191,8 @@ LADDER = (
 
 @pytest.fixture
 def no_levi_graph(monkeypatch):
-    """Call to make building a Levi graph, walking a graph's components and
-    the involution search raise from then on."""
+    """Call to make building a Levi graph or a Kronecker cover, walking a
+    graph's components and the involution search raise from then on."""
 
     def refuse(what):
         def fail(*args, **kwargs):
@@ -202,6 +202,9 @@ def no_levi_graph(monkeypatch):
 
     def forbid():
         monkeypatch.setattr(incidence, "levi_graph", refuse("levi_graph"))
+        monkeypatch.setattr("confviz.graphs.kronecker_cover", refuse("kronecker_cover"))
+        # and under that name in incidence, should it be imported there again
+        monkeypatch.setattr(incidence, "kronecker_cover", refuse("kronecker_cover"), raising=False)
         monkeypatch.setattr(StructureReport, "_component_walk", property(refuse("the component walk")))
         monkeypatch.setattr(iso, "find_swap_involution", refuse("the involution search"))
 
@@ -209,14 +212,24 @@ def no_levi_graph(monkeypatch):
 
 
 @pytest.mark.parametrize("family,params", LADDER, ids=lambda x: str(x))
-def test_ladder_stages_build_no_levi_graph(family, params, no_levi_graph):
+def test_ladder_stages_build_no_levi_graph(family, params, no_levi_graph, monkeypatch):
     g = build_family(family, *params)  # the Pappus graph is itself a Levi graph
     no_levi_graph()
+    union_finds = []
+
+    def counted(n, pairs):
+        union_finds.append(n)
+        return _class_roots(n, pairs)
+
+    monkeypatch.setattr(incidence, "_class_roots", counted)
     rep = verify_kronecker_theorem(g)
     assert rep.admissible and rep.verified and rep.levi_order == 2 * g.order
+    assert union_finds == [2 * g.order]  # the cover's components
     c = v_construct(g)
+    union_finds.clear()
     cls = classify(c, with_self_polar=True)
     parts = decompose(c)
+    assert union_finds == [c.points + c.block_count]  # one per structure, shared
     assert cls.self_polar and cls.connected == (len(parts) == 1)
     assert len(parts) in (1, 2) and sum(part.points for part in parts) == c.points
     assert is_self_polar(c).image[: g.order] == tuple(g.order + j for j in c.polarity)

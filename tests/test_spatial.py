@@ -26,7 +26,7 @@ from confviz import (
     stereographic_project,
     v_construct,
 )
-from confviz.graphs import complete_graph, gen_cuboctahedron_graph, generalized_petersen_graph
+from confviz.graphs import Graph, complete_graph, gen_cuboctahedron_graph, generalized_petersen_graph
 from confviz.spatial import PolytopeSkeleton, _circle_cuts, _plane_rows, reference_coordinates
 
 SHAPES = {
@@ -174,6 +174,31 @@ def test_sphere_circles_refuse_a_vertex_off_the_sphere():
         sphere_circles(PolytopeSkeleton("dodecahedron", p.graph, coords))
     coords[0] = p.coords[0] * (1 + 5e-10)
     assert sphere_circles(PolytopeSkeleton("dodecahedron", p.graph, coords)).radius > 1.7
+
+
+def test_sphere_circles_on_a_sphere_not_centred_at_the_vertex_mean():
+    # a pentagonal pyramid on the unit sphere: its apex pulls the vertex mean
+    # off the centre, so only the least-squares sphere holds every vertex
+    h = -0.3
+    ring = [(np.sqrt(1 - h * h) * np.cos(0.4 * np.pi * k), np.sqrt(1 - h * h) * np.sin(0.4 * np.pi * k), h)
+            for k in range(5)]
+    edges = [(k, (k + 1) % 5) for k in range(5)] + [(k, 5) for k in range(5)]
+    sk = PolytopeSkeleton("pyramid", Graph(6, tuple(edges)), np.array(ring + [(0.0, 0.0, 1.0)]))
+    assert np.allclose(np.linalg.norm(sk.coords, axis=1), 1.0)
+    assert np.linalg.norm(sk.coords.mean(axis=0)) > 0.05
+    sc = sphere_circles(sk)
+    assert np.linalg.norm(sc.center) < 1e-12 and sc.radius == pytest.approx(1.0, abs=1e-12)
+    centers, radii = _circle_cuts(sc)
+    assert len(sc.incidence) == 2 * sk.graph.size
+    for u, j in sc.incidence:
+        pt = sc.points[u]
+        assert abs(pt @ sc.circles[j, :3] - sc.circles[j, 3]) < 1e-12
+        assert abs(np.linalg.norm(pt - centers[j]) - radii[j]) < 1e-12
+    # a base vertex moved outward in the base plane fits no sphere and is refused
+    coords = sk.coords.copy()
+    coords[0, :2] *= 1 + 1e-6
+    with pytest.raises(DegeneracyError, match="^vertex 0 misses the circumsphere"):
+        sphere_circles(PolytopeSkeleton("pyramid", sk.graph, coords))
 
 
 def test_skeleton_coordinates_must_be_finite():
