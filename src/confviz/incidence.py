@@ -1,18 +1,18 @@
 """Incidence structures built from graph neighbourhoods.
 
-The key object is the structure N(G) = (V(G), S(G)) whose blocks are the
-first neighbourhoods of an admissible graph. Its Levi graph coincides with
-the canonical double cover of G, which is what verify_kronecker_theorem
-certifies with the isomorphism witness the construction gives. It checks
-that witness on G's own neighbourhoods and counts the cover's components
-by union-find over its arithmetic edges, so neither the Levi graph nor
-the cover is built. A structure's Levi components are found once, by
-union-find over its incidences, and shared by classify and decompose.
+The key object is the structure N(G) = (V(G), S(G)) whose block v is the
+neighbourhood N(v) of an admissible graph. The identity, point v -> (v,0)
+and block v -> (v,1), maps its Levi graph onto the canonical double cover
+of G, and point v <-> block v is a polarity; verify_kronecker_theorem and
+is_self_polar check these maps on the blocks and G's neighbourhoods, so
+neither the Levi graph nor the cover is built. A structure's Levi
+components are found once, by union-find over its incidences, and shared
+by classify and decompose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AdmissibilityError, ParameterError
@@ -29,18 +29,16 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class IncidenceStructure:
-    """Points 0..points-1 plus a canonically sorted tuple of distinct blocks.
+    """Points 0..points-1 plus a tuple of distinct blocks, each sorted.
 
-    polarity, when set, claims that point v <-> block polarity[v] is a
-    polarity; is_self_polar checks the claim before it uses it. It takes no
-    part in equality, hashing, repr or the JSON form, and neither does the
-    cached levi_components.
+    Blocks keep the order they are given in, so block j of a V-construction
+    is N(j). The cached levi_components takes no part in equality, hashing,
+    repr or the JSON form.
     """
 
     points: int
     blocks: tuple[tuple[int, ...], ...]
     provenance: str = ""
-    polarity: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.points < 0:
@@ -57,7 +55,7 @@ class IncidenceStructure:
             norm.append(b)
         if len(set(norm)) != len(norm):
             raise ParameterError("blocks must be pairwise distinct as sets")
-        object.__setattr__(self, "blocks", tuple(sorted(norm)))
+        object.__setattr__(self, "blocks", tuple(norm))
 
     @property
     def block_count(self) -> int:
@@ -116,13 +114,12 @@ class ConfigClass:
 
 
 def v_construct(g: Graph, collapse: bool = False) -> IncidenceStructure:
-    """Blocks are the neighbourhoods N(v), stored sorted.
+    """Block v is the neighbourhood N(v).
 
     Without collapse the graph must be admissible so that the block count
     equals the vertex count; with collapse duplicate neighbourhoods are
-    merged and the result may have fewer blocks than points. Whenever no
-    block was merged, polarity[v] is the index of block N(v): v <-> N(v)
-    is a polarity, since u is in N(v) exactly when v is in N(u).
+    merged, each kept where it first occurs, and the result may have fewer
+    blocks than points.
     """
     if any(len(ns) == 0 for ns in g.neighbor_sets):
         raise ParameterError("v_construct needs a graph without isolated vertices")
@@ -134,17 +131,10 @@ def v_construct(g: Graph, collapse: bool = False) -> IncidenceStructure:
                 "pass collapse=True to merge duplicate blocks",
                 pair=pair,
             )
-    nbhds = g.adjacency
-    blocks = sorted(set(nbhds))
-    polarity = None
-    if len(blocks) == g.order:
-        index = {blk: j for j, blk in enumerate(blocks)}
-        polarity = tuple(index[blk] for blk in nbhds)
     return IncidenceStructure(
         points=g.order,
-        blocks=tuple(blocks),
+        blocks=tuple(dict.fromkeys(g.adjacency)),
         provenance=f"v_construct(order={g.order}, size={g.size}, collapse={collapse})",
-        polarity=polarity,
     )
 
 
@@ -165,25 +155,18 @@ def levi_graph(c: IncidenceStructure) -> tuple[Graph, Bipartition]:
 def is_self_polar(c: IncidenceStructure) -> VertexMap | None:
     """Order-two Levi automorphism exchanging points and blocks, or None.
 
-    When c carries a polarity (v_construct output does), it is checked on
-    the blocks in O(E): it must be a permutation of the blocks, and with
-    owner its inverse, owner[j] must lie in block polarity[p] for every
-    point p of every block j. That is the condition for the involution
-    point p <-> block polarity[p] to be a Levi automorphism, and then that
-    involution is returned. Only a polarity that is missing, malformed or
-    wrong builds the Levi graph, for the generic bipartite_swap_involution
-    search, which runs for every other structure; it tries point
-    i <-> block i first, which succeeds exactly when the incidence matrix is
-    symmetric, as for fano_plane().
+    When there are as many points as blocks, the pairing point i <-> block i
+    is checked on the blocks in O(E): it is a Levi automorphism exactly when
+    i lies in block j whenever j lies in block i, and then it is returned.
+    Every V-construction and fano_plane() pass this check, whether built in
+    process or read from a file. Any other structure builds the Levi graph
+    for the generic bipartite_swap_involution search.
     """
-    n, pol = c.points, c.polarity
-    if pol is not None and len(pol) == n == c.block_count and sorted(pol) == list(range(n)):
-        owner = [0] * n
-        for p, j in enumerate(pol):
-            owner[j] = p
+    n = c.points
+    if n == c.block_count:
         members = [set(blk) for blk in c.blocks]
-        if all(owner[j] in members[pol[p]] for j, blk in enumerate(c.blocks) for p in blk):
-            return VertexMap(tuple(n + j for j in pol) + tuple(owner))
+        if all(i in members[j] for i, blk in enumerate(c.blocks) for j in blk):
+            return VertexMap(tuple(range(n, 2 * n)) + tuple(range(n)))
     return bipartite_swap_involution(*levi_graph(c))
 
 
@@ -196,8 +179,8 @@ def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClas
     """Type, lineality, connectedness and, when asked, self-polarity of c.
 
     Connectedness comes from c.levi_components and self-polarity from
-    is_self_polar, so a structure that carries a correct polarity is
-    classified without building its Levi graph.
+    is_self_polar, so a V-construction is classified without building its
+    Levi graph.
     """
     if c.points == 0 or c.block_count == 0:
         raise ParameterError("classification needs at least one point and block")
@@ -283,15 +266,15 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
     """Certify Levi(N(g)) == kronecker_cover(g) for admissible g, on g itself.
 
     The cover has vertices (v,0) -> v and (v,1) -> order + v and an edge
-    (u,0)(v,1) for each ordered pair of adjacent u, v. The witness is the
-    map the construction gives, point i -> (i,0) and block N(v) -> (v,1).
-    It is checked in O(E) without building either graph: it must be a
-    bijection, the blocks must hold exactly 2 * g.size incidences, and
-    each block must lie inside the neighbourhood of its vertex. A bijection
-    that sends every Levi edge onto a cover edge, with equal edge counts, is
-    an isomorphism. The cover's components come from union-find over its
-    edges. For non-admissible inputs the report instead documents how the
-    collapsed structure falls short of the cover.
+    (u,0)(v,1) for each ordered pair of adjacent u, v. Block v is N(v), so
+    the witness is the identity, point i -> (i,0) and block j -> (j,1). It
+    is checked in O(E) without building either graph: there must be order
+    points and blocks, holding exactly 2 * g.size incidences, and block j
+    must lie inside N(j). A bijection that sends every Levi edge onto a
+    cover edge, with equal edge counts, is an isomorphism. The cover's
+    components come from union-find over its edges. For non-admissible
+    inputs the report instead documents how the collapsed structure falls
+    short of the cover.
     """
     n = g.order
     cover_edges = [(u, n + v) for u, v in g.edges] + [(v, n + u) for u, v in g.edges]
@@ -310,20 +293,16 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
             cover_components=cover_components,
             collapsed_block_count=c.block_count,
         )
-    owner = sorted(range(n), key=c.polarity.__getitem__)  # owner[j]: the v with N(v) = block j
-    witness = VertexMap(tuple(range(n)) + tuple(n + v for v in owner))
-    nbrs = g.neighbor_sets
     verified = (
         c.points == c.block_count == n
-        and witness.is_bijection()
         and sum(map(len, c.blocks)) == 2 * g.size
-        and all(nbrs[v].issuperset(blk) for v, blk in zip(owner, c.blocks))
+        and all(map(frozenset.issuperset, g.neighbor_sets, c.blocks))
     )
     return KroneckerReport(
         admissible=True,
         offending_pair=None,
         verified=verified,
-        witness=witness if verified else None,
+        witness=VertexMap(tuple(range(2 * n))) if verified else None,
         levi_order=c.points + c.block_count,
         cover_order=2 * n,
         cover_components=cover_components,

@@ -7,15 +7,15 @@ results are deterministic. Graphs above MAX_VERTICES (enough for the
 924-vertex Levi graph of odd(6)) and searches past the node budget raise
 CapacityError rather than running open-ended. Callers: `confviz iso`
 (isomorphic); graphs.bipartite_swap_involution (find_swap_involution),
-which incidence.is_self_polar reaches only for structures without a
-checked polarity, such as those read from JSON, decompose parts and
-hand-built ones; and the symmetric unit-distance ansatz of
+which incidence.is_self_polar reaches only when point i <-> block i is
+not a polarity, as for decompose parts and many hand-built structures;
+and the symmetric unit-distance ansatz of
 realization.solve_unit_distance (orbits_of, and find_free_cyclic_action,
 whose actions are yielded one at a time, so the search goes only as far
 as the solve reads).
-verify_kronecker_theorem and is_self_polar on v_construct output check
-the construction's maps instead, in O(E) on the graph's neighbourhoods and
-the blocks, with `isomorphic` and find_swap_involution as test oracles.
+Block v of a V-construction is N(v), so verify_kronecker_theorem and
+is_self_polar check identity maps on it instead, in O(E), in process or
+read from a file, with `isomorphic` and find_swap_involution as oracles.
 """
 
 from __future__ import annotations

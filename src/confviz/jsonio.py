@@ -5,6 +5,8 @@ keys in construction order, so the same in-memory value always serializes
 to the same bytes, and every value reads back bit for bit. Writers hand
 numpy tables and scalars to the encoder as they are. `read` is the one
 entry point that loads an artifact file, checks its kind and converts it.
+Readers take an index or a count only as a JSON integer (not 1.0, true or
+"1"), and a coordinate or a radius only as a JSON number (not true or "1").
 
 Every output file, JSON or SVG, goes through `write_text`. It encodes the
 whole text first, so an encoding error leaves an existing file as it was.
@@ -100,6 +102,20 @@ def _malformed(kind: str):
         raise ParameterError(f"malformed {kind} object: {exc}") from exc
 
 
+def _int(x: Any) -> int:
+    """x when it is a JSON integer; a float, a bool or a string is malformed."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, found {x!r}")
+    return x
+
+
+def _num(x: Any) -> float:
+    """x as a float when it is a JSON number; a bool or a string is malformed."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a number, found {x!r}")
+    return float(x)
+
+
 def graph_to_obj(g: Graph) -> dict:
     obj: dict[str, Any] = {"order": g.order, "edges": g.edges}
     if g.labels is not None:
@@ -111,8 +127,8 @@ def graph_from_obj(obj: dict) -> Graph:
     with _malformed("graph"):
         labels = obj.get("labels")
         return Graph(
-            order=int(obj["order"]),
-            edges=tuple((int(u), int(v)) for u, v in obj["edges"]),
+            order=_int(obj["order"]),
+            edges=tuple((_int(u), _int(v)) for u, v in obj["edges"]),
             labels=tuple(labels) if labels is not None else None,
         )
 
@@ -124,8 +140,8 @@ def incidence_to_obj(c: IncidenceStructure) -> dict:
 def incidence_from_obj(obj: dict) -> IncidenceStructure:
     with _malformed("incidence"):
         return IncidenceStructure(
-            points=int(obj["points"]),
-            blocks=tuple(tuple(int(p) for p in b) for b in obj["blocks"]),
+            points=_int(obj["points"]),
+            blocks=tuple(tuple(map(_int, b)) for b in obj["blocks"]),
             provenance=str(obj.get("provenance", "")),
         )
 
@@ -139,7 +155,8 @@ def layout_from_obj(obj: dict):
 
     with _malformed("layout"):
         g = graph_from_obj(obj["graph"])
-        return Layout(graph=g, pos=obj["pos"], meta=dict(obj.get("meta", {})))
+        pos = [[_num(x) for x in row] for row in obj["pos"]]
+        return Layout(graph=g, pos=pos, meta=dict(obj.get("meta", {})))
 
 
 def pcc_to_obj(cfg) -> dict:
@@ -157,9 +174,9 @@ def pcc_from_obj(obj: dict):
 
     with _malformed("point-circle"):
         return PointCircleConfig(
-            points=obj["points"],
-            circles=[(float(c["c"][0]), float(c["c"][1]), float(c["r"])) for c in obj["circles"]],
-            incidence=tuple((int(p), int(k)) for p, k in obj["incidence"]),
+            points=[[_num(x) for x in row] for row in obj["points"]],
+            circles=[(_num(c["c"][0]), _num(c["c"][1]), _num(c["r"])) for c in obj["circles"]],
+            incidence=tuple((_int(p), _int(k)) for p, k in obj["incidence"]),
             flags=dict(obj.get("flags", {})),
             tols=dict(obj.get("tols", {})),
         )
@@ -202,12 +219,12 @@ def spherical_from_obj(obj: dict):
     with _malformed("spherical"):
         circles = obj["circles"]
         fields = map(itemgetter("n", "d", "center", "radius"), circles)
-        table = np.array([[*map(float, n), float(d)] for n, d, _, _ in fields], dtype=float).reshape(len(circles), 4)
-        rows = [[float(x) for x in row] for row in obj["points"]]
+        table = np.array([[*map(_num, n), _num(d)] for n, d, _, _ in fields], dtype=float).reshape(len(circles), 4)
+        rows = [[_num(x) for x in row] for row in obj["points"]]
         points = np.array(rows, dtype=float) if rows else np.empty((0, 3))
-        center = np.array([float(x) for x in obj["sphere"]["c"]])
-        radius = float(obj["sphere"]["r"])
-        incidence = tuple((int(p), int(j)) for p, j in obj["incidence"])
+        center = np.array([_num(x) for x in obj["sphere"]["c"]])
+        radius = _num(obj["sphere"]["r"])
+        incidence = tuple((_int(p), _int(j)) for p, j in obj["incidence"])
         if points.shape != (len(rows), 3) or not np.all(np.isfinite(points)):
             raise ValueError("points must be a finite (n, 3) table")
         if center.shape != (3,) or not np.all(np.isfinite(center)):
@@ -230,8 +247,8 @@ def pointline_from_obj(obj: dict):
     import numpy as np
 
     with _malformed("point-line"):
-        points = np.array([[float(x), float(y)] for x, y in obj["points"]], dtype=float)
-        lines = tuple(tuple(int(p) for p in line) for line in obj["lines"])
+        points = np.array([[_num(x), _num(y)] for x, y in obj["points"]], dtype=float)
+        lines = tuple(tuple(map(_int, line)) for line in obj["lines"])
     return points, lines
 
 

@@ -14,9 +14,9 @@ SphereCircle objects they built, and the per-vertex least-squares circle
 fit that circles_from_layout ran before its circumcircle pass. The Cartesian factor
 split with a component walk per edge class is the version that its vertex
 union-find replaced. The incidence stages that built the Levi graph are kept
-as they were: its components by breadth-first walk, the polarity checked as a
-Levi automorphism before the involution search, and the Kronecker witness
-checked as an isomorphism onto the cover. Tests hold each pair to the same
+as they were: its components by breadth-first walk, the pairing point i <->
+block i checked as a Levi automorphism before the involution search, and the
+identity witness checked as an isomorphism onto the cover. Tests hold each pair to the same
 answers.
 """
 
@@ -41,7 +41,6 @@ from confviz.errors import (
     SamplingError,
 )
 from confviz.graphs import (
-    Bipartition,
     Graph,
     VertexMap,
     bipartite_swap_involution,
@@ -1167,16 +1166,9 @@ def decompose(c: IncidenceStructure) -> list[IncidenceStructure]:
 
 def self_polar(c: IncidenceStructure) -> VertexMap | None:
     levi, parts = levi_graph(c)
-    return _self_polar(c, levi, parts)
-
-
-def _self_polar(c: IncidenceStructure, levi: Graph, parts: Bipartition) -> VertexMap | None:
-    n, pol = c.points, c.polarity
-    if pol is not None and len(pol) == n == c.block_count and all(0 <= j < n for j in pol):
-        image = [0] * (2 * n)
-        for p, j in enumerate(pol):
-            image[p], image[n + j] = n + j, p
-        candidate = VertexMap(tuple(image))
+    n = c.points
+    if n == c.block_count:
+        candidate = VertexMap(tuple(range(n, 2 * n)) + tuple(range(n)))
         if candidate.is_automorphism(levi):
             return candidate
     return bipartite_swap_involution(levi, parts)
@@ -1200,9 +1192,7 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
         )
     c = v_construct(g)
     levi, _ = levi_graph(c)
-    n = g.order
-    owner = sorted(range(n), key=c.polarity.__getitem__)  # owner[j]: the v with N(v) = block j
-    witness = VertexMap(tuple(range(n)) + tuple(n + v for v in owner))
+    witness = VertexMap(tuple(range(2 * g.order)))
     verified = witness.is_isomorphism(levi, cover)
     return KroneckerReport(
         admissible=True,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import confviz
-from confviz import jsonio
+from confviz import iso, jsonio
 from confviz.cli import main
 
 
@@ -99,6 +99,47 @@ def test_verify_hypercube8_past_the_search_cap(tmp_path, capsys):
     code, out, _ = run(["verify", "type", c], capsys)
     assert code == 0
     assert "(256_8)" in out
+
+
+@pytest.mark.parametrize("family, param", [("hypercube", d) for d in range(3, 11)] + [("odd", m) for m in range(3, 7)])
+def test_verify_files_pair_point_v_with_block_v(family, param, tmp_path, monkeypatch, capsys):
+    # block v of a vconstruct file is N(v), so point v <-> block v is checked
+    # in O(E) and the search, capped at iso.MAX_VERTICES, never runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the involution search ran")
+
+    monkeypatch.setattr(iso, "find_swap_involution", refuse)
+    g, c = str(tmp_path / "g.json"), str(tmp_path / "c.json")
+    assert run(["gen", family, str(param), "-o", g], capsys)[0] == 0
+    assert run(["vconstruct", g, "-o", c], capsys)[0] == 0
+    code, out, _ = run(["verify", "type", c], capsys)
+    assert code == 0 and ", self-polar" in out
+    if (family, param) == ("hypercube", 10):
+        assert out == "(1024_10), not lineal, disconnected, self-polar\n"
+    assert run(["verify", "selfpolar", c], capsys) == (0, "self-polar\n", "")
+
+
+# Petersen's vconstruct file as it was written when blocks were stored sorted
+SORTED_PETERSEN = (
+    '{"points": 10, "blocks": [[0, 1, 4], [0, 2, 5], [0, 3, 6], [1, 2, 7], [1, 3, 8], [2, 3, 9], '
+    '[4, 5, 7], [4, 6, 8], [5, 6, 9], [7, 8, 9]], "provenance": "v_construct(order=10, size=15, collapse=False)"}\n'
+)
+
+
+def test_verify_a_file_with_sorted_blocks_takes_the_search(tmp_path, monkeypatch, capsys):
+    searches = []
+    search = iso.find_swap_involution
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(iso, "find_swap_involution", counted)
+    path = tmp_path / "c.json"
+    path.write_text(SORTED_PETERSEN)
+    assert run(["verify", "type", str(path)], capsys) == (0, "(10_3), lineal, connected, self-polar\n", "")
+    assert run(["verify", "selfpolar", str(path)], capsys) == (0, "self-polar\n", "")
+    assert len(searches) == 2
 
 
 def test_verify_decompose(tmp_path, capsys):
@@ -386,6 +427,36 @@ def test_malformed_artifact_is_usage_error(tmp_path, capsys):
     code, _, err = run(["vconstruct", str(bad)], capsys)
     assert code == 2
     assert "malformed graph object" in err
+
+
+def _bad_layout():
+    lay = json.loads(jsonio.dumps(jsonio.layout_to_obj(confviz.layout_hypercube(3))))
+    lay["pos"][0][0], lay["pos"][1][1] = "0.5", True
+    return lay
+
+
+def _bad_pcc():
+    pcc = confviz.circles_from_layout(confviz.layout_polygon(5), 1e-9, allow_degree_two=True)
+    obj = json.loads(jsonio.dumps(jsonio.pcc_to_obj(pcc)))
+    obj["circles"][0]["r"], obj["incidence"][0][0] = "2.5", 0.9
+    return obj
+
+
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        ("vconstruct", {"order": 3, "edges": [[0, 1.5], [1, 2]]}, "malformed graph object: expected an integer, found 1.5"),
+        ("verify type", {"points": 3, "blocks": [[0, 1.7], [1, 2]]}, "malformed incidence object: expected an integer, found 1.7"),
+        ("verify type", {"points": 3.9, "blocks": [[0, 1], [1, 2]]}, "malformed incidence object: expected an integer, found 3.9"),
+        ("circles", _bad_layout(), "malformed layout object: expected a number, found '0.5'"),
+        ("check", _bad_pcc(), "malformed point-circle object: expected a number, found '2.5'"),
+    ],
+)
+def test_non_integer_index_or_non_number_coordinate_is_usage_error(command, obj, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run([*command.split(), str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 KINDS = ("graph", "incidence", "layout", "pcc", "spherical", "pointplane", "pointline")

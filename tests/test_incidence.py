@@ -36,6 +36,13 @@ def test_structure_canonical_form():
     assert c.block_count == 2
 
 
+def test_structure_keeps_block_order():
+    # each block is sorted, but the blocks stay where they were given
+    c = IncidenceStructure(4, ((3, 1), (2, 0, 1)))
+    assert c.blocks == ((1, 3), (0, 1, 2))
+    assert c != IncidenceStructure(4, ((0, 1, 2), (1, 3)))
+
+
 def test_structure_validation():
     with pytest.raises(ParameterError):
         IncidenceStructure(3, ((0, 1), (1, 0)))  # duplicate block
@@ -61,8 +68,16 @@ def test_v_construct_rejects_duplicate_neighborhoods():
 
 
 def test_v_construct_collapse_merges():
+    # merged blocks keep the order in which they first occur: N(0), then N(1)
     c = v_construct(cycle_graph(4), collapse=True)
-    assert c.blocks == ((0, 2), (1, 3))
+    assert c.blocks == ((1, 3), (0, 2))
+    path = v_construct(Graph(4, ((0, 3), (1, 3), (2, 3))), collapse=True)
+    assert path.blocks == ((3,), (0, 1, 2))
+
+
+def test_v_construct_block_v_is_n_of_v():
+    g = petersen_graph()
+    assert v_construct(g).blocks == g.adjacency
 
 
 def test_v_construct_rejects_isolated_vertices():

@@ -1,4 +1,4 @@
-"""The construction's Kronecker witness tested against the generic isomorphism search,
+"""The construction's Kronecker witness, the identity, tested against the generic isomorphism search,
 and the whole report against the one that checked the witness on the Levi graph."""
 
 from dataclasses import replace
@@ -57,6 +57,7 @@ def assert_witness_matches_search(g):
     assert rep.admissible
     assert rep.verified == (isomorphic(levi, cover) is not None)
     assert rep.verified and maps_edges_onto(rep.witness, levi, cover)
+    assert rep.witness == VertexMap(tuple(range(2 * g.order)))
 
 
 @pytest.mark.parametrize("family,params", FIXTURES, ids=lambda x: str(x))
@@ -138,17 +139,16 @@ def test_kronecker_inputs_reach_every_case():
 
 
 @pytest.mark.parametrize("family,params", [("petersen", ()), ("hypercube", (4,)), ("odd", (4,))])
-def test_witness_from_a_wrong_polarity_is_rejected(family, params, monkeypatch):
-    # the construction's polarity always gives a true witness; a wrong one
-    # must fail the edge-list check as it fails the isomorphism check
-    def swapped_polarity(g, collapse=False):
+def test_construction_with_two_blocks_swapped_is_rejected(family, params, monkeypatch):
+    # block v = N(v) always makes the identity a true witness; with blocks 0
+    # and 1 swapped it must fail the edge-list check as it fails the
+    # isomorphism check
+    def swapped_blocks(g, collapse=False):
         c = v_construct(g, collapse)
-        pol = list(c.polarity)
-        pol[0], pol[1] = pol[1], pol[0]
-        return replace(c, polarity=tuple(pol))
+        return replace(c, blocks=(c.blocks[1], c.blocks[0]) + c.blocks[2:])
 
-    monkeypatch.setattr(incidence, "v_construct", swapped_polarity)
-    monkeypatch.setattr(oracles, "v_construct", swapped_polarity)
+    monkeypatch.setattr(incidence, "v_construct", swapped_blocks)
+    monkeypatch.setattr(oracles, "v_construct", swapped_blocks)
     g = build_family(family, *params)
     rep = verify_kronecker_theorem(g)
     assert rep.admissible and not rep.verified and rep.witness is None
@@ -156,18 +156,13 @@ def test_witness_from_a_wrong_polarity_is_rejected(family, params, monkeypatch):
 
 
 def construction_with(mutate):
-    """v_construct whose neighbourhood N(0) is first changed by mutate(g, block);
-    the polarity still names each vertex's (changed) block."""
+    """v_construct whose neighbourhood N(0) is first changed by mutate(g, block)."""
 
     def construct(g, collapse=False):
         c = v_construct(g, collapse)
         nbhds = [list(a) for a in g.adjacency]
         mutate(g, nbhds[0])
-        nbhds = [tuple(sorted(b)) for b in nbhds]
-        blocks = sorted(nbhds)
-        index = {blk: j for j, blk in enumerate(blocks)}
-        return IncidenceStructure(c.points, tuple(blocks), c.provenance,
-                                  polarity=tuple(index[blk] for blk in nbhds))
+        return IncidenceStructure(c.points, tuple(map(tuple, nbhds)), c.provenance)
 
     return construct
 

@@ -1,4 +1,5 @@
 import importlib
+import pathlib
 
 import pytest
 
@@ -35,3 +36,10 @@ def test_dir_and_star_import_cover_the_public_names():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         confviz.no_such_name
+
+
+def test_readme_library_block_runs(capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "(10_3), lineal, connected, self-polar"

@@ -1,9 +1,10 @@
-"""The construction's polarity v <-> N(v) tested against the generic involution
-search, block-pair lineality against the Levi girth, and the incidence stages
-that use neither the Levi graph nor its walk against the ones that did."""
+"""The pairing point i <-> block i, which block v = N(v) makes a polarity of
+every V-construction, tested against the generic involution search,
+block-pair lineality against the Levi girth, and the incidence stages that
+use neither the Levi graph nor its walk against the ones that did."""
 
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +22,7 @@ from confviz import (
     v_construct,
     verify_kronecker_theorem,
 )
-from confviz import incidence, iso, jsonio
+from confviz import incidence, iso
 from confviz.graphs import StructureReport, _class_roots
 from confviz.iso import MAX_VERTICES
 
@@ -69,28 +70,44 @@ def no_search(monkeypatch):
     monkeypatch.setattr(iso, "find_swap_involution", refuse)
 
 
+def identity_pairing(n):
+    """Point i <-> block i as a map on the Levi graph's 2n vertices."""
+    return VertexMap(tuple(range(n, 2 * n)) + tuple(range(n)))
+
+
+def search(c):
+    """The generic involution search on c's Levi graph, with no shortcut."""
+    levi, parts = levi_graph(c)
+    return iso.find_swap_involution(levi, parts.sides)
+
+
+def with_blocks_swapped(c):
+    blocks = list(c.blocks)
+    blocks[0], blocks[1] = blocks[1], blocks[0]
+    return replace(c, blocks=tuple(blocks))
+
+
 @pytest.mark.parametrize("family,params", ALL_FIXTURES, ids=lambda x: str(x))
 def test_construction_polarity_is_a_levi_involution(family, params, no_search):
     g = build_family(family, *params)
     c = v_construct(g)
-    n = g.order
-    assert all(c.blocks[c.polarity[v]] == g.adjacency[v] for v in range(n))
+    assert c.blocks == g.adjacency
     vm = is_self_polar(c)
     assert vm is not None and side_swapping_involution(vm, c)
-    assert vm.image[:n] == tuple(n + j for j in c.polarity)
+    assert vm == identity_pairing(g.order)
     assert_matches_oracles(c)
 
 
 @pytest.mark.parametrize("family,params", ALL_FIXTURES, ids=lambda x: str(x))
 def test_classify_matches_the_search_and_the_girth(family, params):
     c = v_construct(build_family(family, *params))
-    bare = replace(c, polarity=None)
-    assert bare.polarity is None and bare == c
     assert c.points + c.block_count <= MAX_VERTICES
-    searched = is_self_polar(bare)
+    searched = search(c)
     assert searched is not None and side_swapping_involution(searched, c)
     cls = classify(c, with_self_polar=True)
-    assert cls.describe() == classify(bare, with_self_polar=True).describe()
+    # the order the blocks were stored in before, which the search classifies
+    old = replace(c, blocks=tuple(sorted(c.blocks)))
+    assert cls.describe() == classify(old, with_self_polar=True).describe()
     assert cls.lineal == girth_lineal(c)
 
 
@@ -99,27 +116,11 @@ def test_classify_matches_the_search_and_the_girth(family, params):
 def test_polarity_matches_search_on_random_admissible_graphs(g):
     assume(all(g.neighbor_sets) and is_admissible(g)[0])
     c = v_construct(g)
-    searched = is_self_polar(replace(c, polarity=None))
+    searched = search(c)
     assert searched is not None and side_swapping_involution(searched, c)
     vm = is_self_polar(c)
     assert side_swapping_involution(vm, c)
-    assert vm.image[: g.order] == tuple(g.order + j for j in c.polarity)
-
-
-def corruptions(pol):
-    n = len(pol)
-    swapped = list(pol)
-    swapped[0], swapped[1] = swapped[1], swapped[0]
-    high, low = list(pol), list(pol)
-    high[-1], low[0] = n, -1
-    return {
-        "swapped": tuple(swapped),
-        "short": pol[:-1],
-        "long": pol + (pol[0],),
-        "high": tuple(high),
-        "negative": tuple(low),
-        "repeated": (pol[0],) * n,
-    }
+    assert vm == identity_pairing(g.order)
 
 
 @pytest.mark.parametrize(
@@ -128,47 +129,29 @@ def corruptions(pol):
      ("gen_cuboctahedron", (5,))],
     ids=lambda x: str(x),
 )
-def test_corrupted_polarity_returns_the_search_answer(family, params):
-    c = v_construct(build_family(family, *params))
-    levi, _ = levi_graph(c)
-    n = c.points
-    swapped = corruptions(c.polarity)["swapped"]
-    image = [0] * (2 * n)
-    for p, j in enumerate(swapped):
-        image[p], image[n + j] = n + j, p
-    assert not VertexMap(tuple(image)).is_automorphism(levi)  # a bijection that fails the check
-    answer = is_self_polar(replace(c, polarity=None))
+def test_swapped_blocks_return_the_search_answer(family, params):
+    c = with_blocks_swapped(v_construct(build_family(family, *params)))
+    assert not identity_pairing(c.points).is_automorphism(levi_graph(c)[0])  # a bijection that fails the check
+    answer = search(c)
     assert answer is not None
-    for name, bad in corruptions(c.polarity).items():
-        assert is_self_polar(replace(c, polarity=bad)) == answer, name
-        assert_matches_oracles(replace(c, polarity=bad))
+    assert is_self_polar(c) == answer
+    assert_matches_oracles(c)
 
 
 def test_polarity_on_a_structure_that_is_not_self_polar():
-    lopsided = IncidenceStructure(4, ((0, 1), (0, 2), (0, 3), (1, 2)), polarity=(0, 1, 2, 3))
+    lopsided = IncidenceStructure(4, ((0, 1), (0, 2), (0, 3), (1, 2)))
     assert is_self_polar(lopsided) is None
     assert classify(lopsided, with_self_polar=True).self_polar is False
 
 
-def test_polarity_set_only_without_merged_blocks():
+def test_collapse_keeps_blocks_in_first_occurrence_order():
     for g in (build_family("cycle", 4), build_family("path", 3)):
         assert not is_admissible(g)[0]
-        assert v_construct(g, collapse=True).polarity is None
+        c = v_construct(g, collapse=True)
+        assert c.blocks == tuple(dict.fromkeys(g.adjacency))
+        assert is_self_polar(c) == oracles.self_polar(c)
     g = build_family("petersen")
-    assert v_construct(g, collapse=True).polarity == v_construct(g).polarity
-
-
-def test_polarity_leaves_equality_repr_and_bytes_alone(tmp_path):
-    c = v_construct(build_family("petersen"))
-    bare = replace(c, polarity=None)
-    assert c == bare and hash(c) == hash(bare) and repr(c) == repr(bare)
-    assert "polarity" not in repr(c)
-    assert jsonio.incidence_to_obj(c) == jsonio.incidence_to_obj(bare)
-    path = tmp_path / "c.json"
-    jsonio.save(str(path), jsonio.incidence_to_obj(c))
-    back = jsonio.incidence_from_obj(jsonio.load(str(path)))
-    assert back == c and back.polarity is None
-    assert all(part.polarity is None for part in decompose(v_construct(build_family("hypercube", 3))))
+    assert v_construct(g, collapse=True).blocks == v_construct(g).blocks == g.adjacency
 
 
 @pytest.mark.parametrize("family,params",
@@ -232,7 +215,7 @@ def test_ladder_stages_build_no_levi_graph(family, params, no_levi_graph, monkey
     assert union_finds == [c.points + c.block_count]  # one per structure, shared
     assert cls.self_polar and cls.connected == (len(parts) == 1)
     assert len(parts) in (1, 2) and sum(part.points for part in parts) == c.points
-    assert is_self_polar(c).image[: g.order] == tuple(g.order + j for j in c.polarity)
+    assert is_self_polar(c) == identity_pairing(g.order)
 
 
 def test_non_admissible_report_builds_no_levi_graph(no_levi_graph):
@@ -253,75 +236,50 @@ def structures(draw, max_points=9):
     """Structures on up to max_points points, some in no block and often with
     several Levi components. Half are random blocks; half come from a random
     symmetric relation, block p holding the points related to p, so that
-    p <-> block p is a polarity whenever those blocks are nonempty and
-    distinct. The base polarity is that one, else a random permutation of
-    the points; each structure carries no polarity, the base, a permutation
-    of it or one of corruptions() of it."""
+    point p <-> block p is a polarity whenever those blocks are nonempty and
+    distinct. Those keep their blocks in point order or in a random one."""
     n = draw(st.integers(min_value=1, max_value=max_points))
     points = st.integers(min_value=0, max_value=n - 1)
-    known = None
     if draw(st.booleans()):
         blocks = draw(st.lists(st.frozensets(points, min_size=1), min_size=1, max_size=12, unique=True))
-        c = IncidenceStructure(n, tuple(tuple(b) for b in blocks))
-    else:
-        rows = [set() for _ in range(n)]
-        for a, b in draw(st.sets(st.tuples(points, points), min_size=1)):
-            rows[a].add(b)
-            rows[b].add(a)
-        rows = [tuple(sorted(row)) for row in rows]
-        c = IncidenceStructure(n, tuple({row for row in rows if row}))
-        if c.block_count == n:
-            known = tuple(c.blocks.index(row) for row in rows)
-    base = known if known is not None else tuple(draw(st.permutations(range(n))))
-    kind = draw(st.sampled_from(["none", "base", "permuted"] + (sorted(corruptions(base)) if n >= 2 else [])))
-    if kind == "none":
-        polarity = None
-    elif kind == "base":
-        polarity = base
-    elif kind == "permuted":
-        polarity = tuple(draw(st.permutations(base)))
-    else:
-        polarity = corruptions(base)[kind]
-    return replace(c, polarity=polarity)
+        return IncidenceStructure(n, tuple(tuple(b) for b in blocks))
+    rows = [set() for _ in range(n)]
+    for a, b in draw(st.sets(st.tuples(points, points), min_size=1)):
+        rows[a].add(b)
+        rows[b].add(a)
+    blocks = tuple(dict.fromkeys(tuple(sorted(row)) for row in rows if row))
+    if draw(st.booleans()):
+        blocks = tuple(draw(st.permutations(blocks)))
+    return IncidenceStructure(n, blocks)
 
 
-def _polarity_is_automorphism(c):
-    """Whether c's polarity is a permutation of the blocks whose involution
-    is a Levi automorphism; None when it is missing or not a permutation."""
-    pol, n = c.polarity, c.points
-    if pol is None or len(pol) != n or n != c.block_count or sorted(pol) != list(range(n)):
+def _pairing_is_automorphism(c):
+    """Whether point i <-> block i is a Levi automorphism; None when the
+    point and block counts differ."""
+    if c.points != c.block_count:
         return None
-    image = [0] * (2 * n)
-    for p, j in enumerate(pol):
-        image[p], image[n + j] = n + j, p
-    return VertexMap(tuple(image)).is_automorphism(levi_graph(c)[0])
-
-
-def _not_a_permutation(c):
-    pol = c.polarity
-    return (pol is not None and len(pol) == c.points == c.block_count
-            and all(0 <= j < c.points for j in pol) and len(set(pol)) < len(pol))
+    return identity_pairing(c.points).is_automorphism(levi_graph(c)[0])
 
 
 REACH = {
     "point in no block": lambda c: c.points > len({p for blk in c.blocks for p in blk}),
     "disconnected": lambda c: len(oracles.levi_components(c)) > 1,
-    "correct polarity": lambda c: _polarity_is_automorphism(c) is True,
-    "wrong polarity": lambda c: _polarity_is_automorphism(c) is False,
-    "wrong length": lambda c: c.polarity is not None and len(c.polarity) != c.block_count,
-    "out of range": lambda c: c.polarity is not None and any(not 0 <= j < c.points for j in c.polarity),
-    "not a permutation": _not_a_permutation,
+    "pairing is a polarity": lambda c: _pairing_is_automorphism(c) is True,
+    "pairing is not a polarity": lambda c: _pairing_is_automorphism(c) is False,
+    "self-polar by search only": lambda c: _pairing_is_automorphism(c) is False and search(c) is not None,
+    "more points than blocks": lambda c: c.points > c.block_count,
+    "more blocks than points": lambda c: c.points < c.block_count,
 }
 
 
-def test_every_polarity_on_up_to_three_points():
-    # each polarity of the right length with values in range, permutation or not
+def test_every_block_order_on_up_to_three_points():
+    # each order of each set of n distinct blocks on n points
     for n in (1, 2, 3):
         subsets = [b for k in range(1, n + 1) for b in combinations(range(n), k)]
         for blocks in combinations(subsets, n):
-            c = IncidenceStructure(n, blocks)
-            for pol in product(range(n), repeat=n):
-                assert is_self_polar(replace(c, polarity=pol)) == oracles.self_polar(replace(c, polarity=pol))
+            for order in permutations(blocks):
+                c = IncidenceStructure(n, order)
+                assert is_self_polar(c) == oracles.self_polar(c)
 
 
 def test_structures_reach_every_case():

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -535,6 +536,23 @@ def test_circles_incidence_matches_vconstruct():
     lay, _ = solve_unit_distance(petersen_graph(), symmetry=5, seed=0)
     cfg = circles_from_layout(lay, TOL_INCIDENCE)
     assert incidence_of(cfg).blocks == v_construct(lay.graph).blocks
+
+
+LADDER_LAYOUTS = {
+    **{f"hypercube({d})": lambda d=d: layout_hypercube(d, seed=d) for d in range(3, 9)},
+    **{f"CO({n})": lambda n=n: layout_gen_cuboctahedron(n) for n in (5, 9, 13, 17, 20, 24, 40)},
+    **{f"GP({n},2)": lambda n=n: solve_unit_distance(generalized_petersen_graph(n, 2), symmetry=n, seed=0)[0]
+       for n in (10, 14, 18)},
+}
+
+
+@pytest.mark.parametrize("name", LADDER_LAYOUTS)
+def test_circles_of_a_ladder_layout_read_back_as_its_v_construction(name):
+    # circle v is the circle of N(v), so block order survives the round trip
+    lay = LADDER_LAYOUTS[name]()
+    c = v_construct(lay.graph)
+    back = incidence_of(circles_from_layout(lay))
+    assert back == replace(c, provenance=back.provenance)
 
 
 def test_circles_from_layout_names_bad_vertex():

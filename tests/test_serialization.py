@@ -277,6 +277,77 @@ def test_malformed_objects_rejected():
         jsonio.incidence_from_obj({"points": "three", "blocks": []})
 
 
+def _artifact(kind):
+    """A small valid artifact of each readable kind, as json.load gives it."""
+    lay = layout_polygon(4)
+    obj = {
+        "graph": {"order": 3, "edges": [[0, 1], [1, 2]]},
+        "incidence": {"points": 3, "blocks": [[0, 1], [1, 2]]},
+        "layout": jsonio.layout_to_obj(lay),
+        "pcc": jsonio.pcc_to_obj(circles_from_layout(lay, 1e-9, allow_degree_two=True)),
+        "spherical": jsonio.spherical_to_obj(sphere_circles(polytope_data("cube"))),
+        "pointline": {"points": [[0, 0], [1, 0], [2, 0]], "lines": [[0, 1, 2]]},
+    }[kind]
+    return json.loads(jsonio.dumps(obj))
+
+
+_READERS = {
+    "graph": (jsonio.graph_from_obj, "graph"),
+    "incidence": (jsonio.incidence_from_obj, "incidence"),
+    "layout": (jsonio.layout_from_obj, "layout"),
+    "pcc": (jsonio.pcc_from_obj, "point-circle"),
+    "spherical": (jsonio.spherical_from_obj, "spherical"),
+    "pointline": (jsonio.pointline_from_obj, "point-line"),
+}
+
+
+def _with(obj, path, value):
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    target = obj
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return obj
+
+
+# each index and count a reader takes: kind and the path to it
+INDICES = [
+    ("graph", ("order",)), ("graph", ("edges", 0, 1)),
+    ("incidence", ("points",)), ("incidence", ("blocks", 0, 1)),
+    ("pcc", ("incidence", 0, 0)), ("pcc", ("incidence", 0, 1)),
+    ("spherical", ("incidence", 0, 0)), ("spherical", ("incidence", 0, 1)),
+    ("pointline", ("lines", 0, 1)),
+]
+
+
+@pytest.mark.parametrize("kind, path", INDICES, ids=lambda x: "/".join(map(str, x)) if isinstance(x, tuple) else x)
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, "1"], ids=repr)
+def test_readers_take_only_integers_as_indices(kind, path, bad):
+    read, name = _READERS[kind]
+    read(_artifact(kind))
+    with pytest.raises(ParameterError, match=f"^malformed {name} object: expected an integer, found {bad!r}$"):
+        read(_with(_artifact(kind), path, bad))
+
+
+# each coordinate and radius a reader takes: kind and the path to it
+COORDINATES = [
+    ("layout", ("pos", 0, 1)),
+    ("pcc", ("points", 1, 0)), ("pcc", ("circles", 0, "c", 1)), ("pcc", ("circles", 0, "r")),
+    ("spherical", ("points", 0, 2)), ("spherical", ("sphere", "c", 0)), ("spherical", ("sphere", "r")),
+    ("spherical", ("circles", 0, "n", 0)), ("spherical", ("circles", 0, "d")),
+    ("pointline", ("points", 1, 0)),
+]
+
+
+@pytest.mark.parametrize("kind, path", COORDINATES, ids=lambda x: "/".join(map(str, x)) if isinstance(x, tuple) else x)
+@pytest.mark.parametrize("bad", [True, "2.5"], ids=repr)
+def test_readers_take_only_numbers_as_coordinates(kind, path, bad):
+    read, name = _READERS[kind]
+    with pytest.raises(ParameterError, match=f"^malformed {name} object: expected a number, found {bad!r}$"):
+        read(_with(_artifact(kind), path, bad))
+
+
 def test_save_appends_newline(tmp_path):
     path = str(tmp_path / "x.json")
     jsonio.save(path, {"a": 1})
