@@ -6,7 +6,8 @@ to the same bytes, and every value reads back bit for bit. Writers hand
 numpy tables and scalars to the encoder as they are. `read` is the one
 entry point that loads an artifact file, checks its kind and converts it.
 Readers take an index or a count only as a JSON integer (not 1.0, true or
-"1"), and a coordinate or a radius only as a JSON number (not true or "1").
+"1"), a coordinate or a radius only as a JSON number (not true or "1"), a
+label or provenance only as a string, and flags, tols or meta as an object.
 
 Every output file, JSON or SVG, goes through `write_text`. It encodes the
 whole text first, so an encoding error leaves an existing file as it was.
@@ -116,6 +117,13 @@ def _num(x: Any) -> float:
     return float(x)
 
 
+def _json(x: Any, kind: type | tuple, what: str) -> Any:
+    """x when it has the type json.load gives `what`; anything else is malformed."""
+    if not isinstance(x, kind):
+        raise ValueError(f"expected {what}, found {x!r}")
+    return x
+
+
 def graph_to_obj(g: Graph) -> dict:
     obj: dict[str, Any] = {"order": g.order, "edges": g.edges}
     if g.labels is not None:
@@ -126,10 +134,12 @@ def graph_to_obj(g: Graph) -> dict:
 def graph_from_obj(obj: dict) -> Graph:
     with _malformed("graph"):
         labels = obj.get("labels")
+        if labels is not None:
+            labels = tuple(_json(s, str, "a string") for s in _json(labels, (list, tuple), "a list of strings"))
         return Graph(
             order=_int(obj["order"]),
             edges=tuple((_int(u), _int(v)) for u, v in obj["edges"]),
-            labels=tuple(labels) if labels is not None else None,
+            labels=labels,
         )
 
 
@@ -142,7 +152,7 @@ def incidence_from_obj(obj: dict) -> IncidenceStructure:
         return IncidenceStructure(
             points=_int(obj["points"]),
             blocks=tuple(tuple(map(_int, b)) for b in obj["blocks"]),
-            provenance=str(obj.get("provenance", "")),
+            provenance=_json(obj.get("provenance", ""), str, "a string"),
         )
 
 
@@ -156,7 +166,7 @@ def layout_from_obj(obj: dict):
     with _malformed("layout"):
         g = graph_from_obj(obj["graph"])
         pos = [[_num(x) for x in row] for row in obj["pos"]]
-        return Layout(graph=g, pos=pos, meta=dict(obj.get("meta", {})))
+        return Layout(graph=g, pos=pos, meta=dict(_json(obj.get("meta", {}), dict, "an object")))
 
 
 def pcc_to_obj(cfg) -> dict:
@@ -175,10 +185,11 @@ def pcc_from_obj(obj: dict):
     with _malformed("point-circle"):
         return PointCircleConfig(
             points=[[_num(x) for x in row] for row in obj["points"]],
-            circles=[(_num(c["c"][0]), _num(c["c"][1]), _num(c["r"])) for c in obj["circles"]],
+            # a centre of other than two numbers makes a row the table refuses
+            circles=[(*map(_num, c["c"]), _num(c["r"])) for c in obj["circles"]],
             incidence=tuple((_int(p), _int(k)) for p, k in obj["incidence"]),
-            flags=dict(obj.get("flags", {})),
-            tols=dict(obj.get("tols", {})),
+            flags=dict(_json(obj.get("flags", {}), dict, "an object")),
+            tols=dict(_json(obj.get("tols", {}), dict, "an object")),
         )
 
 

@@ -841,15 +841,14 @@ def _meet_points(
 
 # grid cell (a, b) hashes to a * _GRID_STRIDE + b; cell numbers stay within 2**30 + 1
 _GRID_STRIDE = 1 << 32
-_AROUND = [a * _GRID_STRIDE + b for a in (-1, 0, 1) for b in (-1, 0, 1)]
 # the neighbours of a cell that hash above it: (0, 1), (1, -1), (1, 0), (1, 1)
-_AHEAD = np.array([k for k in _AROUND if k > 0])
+_AHEAD = np.array([a * _GRID_STRIDE + b for a, b in ((0, 1), (1, -1), (1, 0), (1, 1))])
 
 
 def _cell_width(width: float, reach: float) -> float:
     """A grid cell a hair wider than width, against rounding in the division,
-    and wide enough that points within reach of the origin get cell numbers
-    below 2**30."""
+    and wide enough that points within reach of the lowest corner get cell
+    numbers below 2**30: cells widen on pictures past 2**30 widths across."""
     return max(width * (1.0 + 2.0**-20), reach * 2.0**-30) or 1.0
 
 
@@ -880,115 +879,23 @@ def _grid_cells(x: np.ndarray, y: np.ndarray, width: float):
     return members, bounds, a, at[a, k]
 
 
-def _greedy_cluster(xs: np.ndarray, ys: np.ndarray, tol: float, cell: float):
-    """The greedy union of _cluster on points already in lexicographic
-    order: centroids in creation order, and the index of each cluster's
-    first point. Clusters are hashed by the grid cell of their centroid and
-    move cell when it moves, so a point only looks at the 3x3 cells around
-    its own."""
-    gx = np.floor(xs / cell).astype(np.int64).tolist()
-    gy = np.floor(ys / cell).astype(np.int64).tolist()
-    grid: dict[int, list[int]] = {}
-    sx: list[float] = []
-    sy: list[float] = []
-    count: list[int] = []
-    mx: list[float] = []
-    my: list[float] = []
-    key: list[int] = []
-    first: list[int] = []
-    for i, (px, py, ax, ay) in enumerate(zip(xs.tolist(), ys.tolist(), gx, gy)):
-        home = ax * _GRID_STRIDE + ay
-        best = -1
-        for off in _AROUND:
-            for k in grid.get(home + off, ()):
-                if (best < 0 or k < best) and math.hypot(px - mx[k], py - my[k]) <= tol:
-                    best = k
-        if best < 0:
-            grid.setdefault(home, []).append(len(sx))
-            sx.append(px)
-            sy.append(py)
-            count.append(1)
-            mx.append(px)
-            my.append(py)
-            key.append(home)
-            first.append(i)
-            continue
-        sx[best] += px
-        sy[best] += py
-        count[best] += 1
-        mx[best] = sx[best] / count[best]
-        my[best] = sy[best] / count[best]
-        moved = math.floor(mx[best] / cell) * _GRID_STRIDE + math.floor(my[best] / cell)
-        if moved != key[best]:
-            grid[key[best]].remove(best)
-            grid.setdefault(moved, []).append(best)
-            key[best] = moved
-    return np.array(mx), np.array(my), np.array(first, dtype=np.intp)
-
-
-def _cluster(x: np.ndarray, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy union of the points (x, y) within tol; returns cluster centroids.
-
-    Points are taken in lexicographic order. Each joins the earliest-created
-    cluster whose running centroid lies within tol of it, or else starts a
-    new cluster; centroids come back in creation order.
-
-    Most points are settled by array passes instead of that loop. Each new
-    member of a cluster lies within tol of the running centroid, which it
-    moves by at most tol/k as the k-th member; so every member and every
-    running centroid of an m-point cluster stays within tol*(1 + ln m) of
-    its first member. Points are binned into cells of side
-    R = 2 * max(cell, tol * (2 + ln M)) for M points, cell being the loop's
-    grid width from _cell_width. R/2 exceeds tol*(1 + ln M) by at least
-    reach * 2**-30 / (2 + ln M), more than the rounding of a running
-    centroid, about m * 2**-53 * reach, while m * (2 + ln M) < 2**23. So
-    the points of a cell whose 3x3 block holds no other point lie more than
-    R from every other point, no cluster reaches into or out of that cell,
-    and the loop run on that cell alone makes the same clusters. Such a
-    cell is one cluster when its bounding box, widened by a bound on the
-    rounding of its running centroid, is at most tol/2 across: every member
-    then lies within tol of every running centroid. Its centroid is the
-    running sum in lexicographic order over the count, as the loop computes
-    it. The points of the other cells go through the loop, and the clusters
-    of both kinds are put back in creation order.
-    """
-    if len(x) == 0:
-        return np.empty(0), np.empty(0)
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    reach = float(max(-xs[0], xs[-1], np.abs(ys).max()))
-    cell = _cell_width(tol, reach)
-    members, bounds, a, b = _grid_cells(xs, ys, 2.0 * max(cell, tol * (2.0 + math.log(len(xs)))))
-    # the points cell by cell, in lexicographic order within a cell, so that
-    # x never falls along a cell's run
-    xm, ym = xs[members], ys[members]
-    starts, ends = bounds[:-1], bounds[1:]
-    size = ends - starts
-    spread = np.hypot(
-        xm[ends - 1] - xm[starts], np.maximum.reduceat(ym, starts) - np.minimum.reduceat(ym, starts)
+def _thin(x: np.ndarray, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points (x, y), in their order, with each tight grid cell taken
+    once: a cell of _grid_cells(x, y, tol) whose points span at most tol/2
+    in x and in y keeps only its first point, and any other cell keeps all
+    of its points."""
+    members, bounds, _, _ = _grid_cells(x, y, tol)
+    starts = bounds[:-1]
+    xm, ym = x[members], y[members]
+    span = np.maximum(
+        np.maximum.reduceat(xm, starts) - np.minimum.reduceat(xm, starts),
+        np.maximum.reduceat(ym, starts) - np.minimum.reduceat(ym, starts),
     )
-    one = spread + (size - 1) * (4.0 * 2.0**-52 * reach) <= tol / 2.0
-    one[a] = False
-    one[b] = False
-    # running sums over the one-cluster cells, largest first, so that the
-    # cells still summing at step k are a prefix
-    g = one.nonzero()[0]
-    g = g[size[g].argsort()[::-1]]
-    count, at = size[g], starts[g]
-    sx, sy = xm[at], ym[at]
-    alive = len(g) - np.bincount(count).cumsum()
-    for k, m in enumerate(alive[1:-1].tolist(), 1):
-        step = at[:m] + k
-        sx[:m] += xm[step]
-        sy[:m] += ym[step]
-    mx, my, rank = sx / count, sy / count, members[at]
-    if len(g) < len(one):
-        rest = np.sort(members[(~one).repeat(size)])
-        rx, ry, rfirst = _greedy_cluster(xs[rest], ys[rest], tol, cell)
-        mx, my = np.concatenate([mx, rx]), np.concatenate([my, ry])
-        rank = np.concatenate([rank, rest[rfirst]])
-    created = rank.argsort()
-    return mx[created], my[created]
+    drop = np.repeat(span <= tol / 2.0, np.diff(bounds))
+    drop[starts] = False
+    keep = np.ones(len(x), dtype=bool)
+    keep[members[drop]] = False
+    return x[keep], y[keep]
 
 
 def _offset_blocks(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray):
@@ -1046,13 +953,13 @@ def _triple_point_hits(
     """Mask of the points at which three or more circles meet, or None when
     such a meet point lies off the points; the keywords are tol_record()'s.
 
-    Meet points are clustered within the cluster tolerance, and a cluster
-    counts when more than two circles pass within max(incidence, cluster).
-    Every circle is counted, not only the two that made a meet point: a
-    near-tangent circle can pass that close to a meet point without one of
-    its own there.
+    A meet point counts when more than two circles pass within
+    max(incidence, cluster) of it: every circle, as a near-tangent one can
+    pass that close without a meet point of its own there. The k circles
+    through a point make C(k, 2) meet points a few ulps apart, so _thin
+    first takes each tight bunch of them once. No test depends on cell width.
     """
-    mx, my = _cluster(*_meet_points(cx, cy, r, cluster), cluster)
+    mx, my = _thin(*_meet_points(cx, cy, r, cluster), cluster)
     through = _through_counts(mx, my, cx, cy, r, max(incidence, cluster))
     tx, ty = mx[through > 2], my[through > 2]
     matched = np.zeros(len(pts), dtype=bool)
@@ -1068,20 +975,19 @@ def _triple_point_hits(
 def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
     """Evaluate proper / isometric / lineal / determining / perfect.
 
-    determining follows the meet-point definition: cluster all pairwise
-    circle intersections, keep the clusters where more than two circles
-    pass, and demand that set to coincide with the configuration points.
+    determining follows the meet-point definition: keep the pairwise circle
+    intersections where more than two circles pass, and demand that set to
+    coincide with the configuration points.
 
     Cost, for C circles, n points and M <= C(C-1) meet points: array
     passes over the C(C-1)/2 circle pairs and the (C, n) incidence matrix,
     whose pair counts are one float64 matrix product (exact below 2**53);
-    the clustering of the meet points (see _cluster), array passes
-    wherever each bunch of meet points is cut off from the others; and the
-    through-count of every cluster centroid against every circle, O(M C),
-    in row blocks of _RESIDUAL_BLOCK = 16384 entries, so that no (M, C)
-    matrix is held, where a squared-distance screen leaves the exact test
-    to the pairs near a circle. Hypercube(7), 128 circles and 11,082 meet
-    points, takes about 0.02 s on a 2-CPU container.
+    one grid pass over the meet points, O(M log M), that takes each tight
+    bunch once; and the through-count of every point left against every
+    circle, O(M C), in row blocks of _RESIDUAL_BLOCK = 16384 entries, so
+    that no (M, C) matrix is held, where a squared-distance screen leaves
+    the exact test to the pairs near a circle. Hypercube(7), 128 circles
+    and 11,082 meet points, takes about 0.02 s on a 2-CPU container.
 
     Raises ParameterError for an empty configuration, or when the
     incidence, separation or cluster tolerance in tols is not a finite

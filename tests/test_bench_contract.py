@@ -22,6 +22,8 @@ import workloads  # noqa: E402
 SEED = 3
 ITEMS = [
     ("flags", "hypercube(3)"),
+    ("flags", "hypercube(6)"),
+    ("flags", "gen_cuboctahedron(6)"),
     ("flags", "project(cube)"),
     ("flags", "realize_n3(fano)"),
     ("flags", "invert(pappus)"),

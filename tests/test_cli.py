@@ -442,6 +442,15 @@ def _bad_pcc():
     return obj
 
 
+def _long_centre_pcc():
+    """A circle centre of four numbers, which a reader of its first two
+    would take as the circle (1, 0, 1)."""
+    pcc = confviz.circles_from_layout(confviz.layout_polygon(5), 1e-9, allow_degree_two=True)
+    obj = json.loads(jsonio.dumps(jsonio.pcc_to_obj(pcc)))
+    obj["circles"][0] = {"c": [1.0, 0.0, 7, 8], "r": 1.0}
+    return obj
+
+
 @pytest.mark.parametrize(
     "command, obj, message",
     [
@@ -450,6 +459,7 @@ def _bad_pcc():
         ("verify type", {"points": 3.9, "blocks": [[0, 1], [1, 2]]}, "malformed incidence object: expected an integer, found 3.9"),
         ("circles", _bad_layout(), "malformed layout object: expected a number, found '0.5'"),
         ("check", _bad_pcc(), "malformed point-circle object: expected a number, found '2.5'"),
+        ("check", _long_centre_pcc(), "malformed point-circle object: circles must be (cx, cy, r) rows"),
     ],
 )
 def test_non_integer_index_or_non_number_coordinate_is_usage_error(command, obj, message, tmp_path, capsys):

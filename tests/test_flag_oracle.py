@@ -30,11 +30,11 @@ from confviz import (
 from confviz import realization
 from confviz.pappus import derive_pappus_points
 from confviz.realization import (
-    _cell_width,
-    _cluster,
     _meet_points,
+    _thin,
     _through_counts,
     _triple_point_hits,
+    TOL_CLUSTER,
     tol_record,
 )
 
@@ -46,18 +46,13 @@ def columns(cfg):
     return cfg.circles["cx"], cfg.circles["cy"], cfg.circles["r"]
 
 
-def assert_same_as_oracle(cfg, compare_clusters=False):
-    """Equal flags and bit-equal meet points; optionally bit-equal cluster
-    centroids too, which costs a second scalar clustering."""
+def assert_same_as_oracle(cfg):
+    """Equal flags and bit-equal meet points."""
     assert check_flags(cfg).flags == oracles.check_flags(cfg).flags
     tol = cfg.tols.get("cluster", 1e-7)
     x, y = _meet_points(*columns(cfg), tol)
     meets = oracles.meet_points(oracles.circles_of(cfg), tol)
     assert np.array_equal(np.column_stack([x, y]), np.array(meets).reshape(-1, 2))
-    if compare_clusters:
-        mx, my = _cluster(x, y, tol)
-        want = np.array(oracles._cluster(meets, tol)).reshape(-1, 2)
-        assert np.array_equal(np.column_stack([mx, my]), want)
 
 
 def _projection(name):
@@ -113,86 +108,70 @@ _CUBE_FLAGS = {
     "degenerate": False,
 }
 _CO_FLAGS = {**_CUBE_FLAGS, "isometric": False}
-# The scalar oracle's flags and the SHA-256 of its meet-point bytes and of
-# its cluster centroids' bytes on the largest fixtures, captured from
-# oracles.check_flags, oracles.meet_points and oracles._cluster: the live
-# oracle takes 1-3 s on each of these, and the array path matched it bit for
-# bit on them before they were frozen.
+# The scalar oracle's flags and the SHA-256 of its meet-point bytes on the
+# largest fixtures, captured from oracles.check_flags and
+# oracles.meet_points: the live oracle takes 1-3 s on each of these, and the
+# array path matched it on them before they were frozen.
 FROZEN = {
     "hypercube(6)": (
         _CUBE_FLAGS,
         "5fa3aab6dda283768648bf9f2b6f115fee4a97167a0a521e1b0b145f82994017",
-        "6286e0be914a384960695275d02b8c8405c551cc943f84d7c7a33e5c054bf463",
     ),
     "CO(27)": (
         _CO_FLAGS,
         "08b7b9ea3e22cbc5bc72b5f5cf37b94c5408fafd484010c85974ba960e4bf7c8",
-        "2e39a55b4404838aff86141096a98742229e65cd95acdab4e1466d89ef03fed6",
     ),
     "CO(28)": (
         _CO_FLAGS,
         "c37a9c7bb1371550f4498fc87e193aec4d448d6b18a0c69bbfa227a2b78706d8",
-        "f0d6afc95af153d427e0f2ad303925b9da7af97bb7aa37bce2296add99fec56c",
     ),
     "CO(29)": (
         _CO_FLAGS,
         "2d33474988769c4ed42f21b7057727d93370e280c59aae4667244a88574aa07c",
-        "d3b477c47c90b754b817743b2ed4e2a3f49e97b44738d5fde2100567c8b9b7d2",
     ),
     "CO(30)": (
         _CO_FLAGS,
         "9cec8e9dbaf34da6f3f2383ed9048493bd378ba32216958a511ef299eeaba04e",
-        "017f3840644dfcbc7d9e5a4c26e15380424bf7c9459d9742936a1a80667a6ae3",
     ),
     "CO(31)": (
         _CO_FLAGS,
         "a14bb00b4940d674b054cb6a2196b43e3ad22ba22e07a6867cb180b54791122f",
-        "f8e009cac461faa47450721620f8d63e0e2aeb2d37f62eff5d70fb505b0ed049",
     ),
     "CO(32)": (
         _CO_FLAGS,
         "826ff748f275e947037cb892327e12018bc46c04c876bed4ea6810e5b0e67021",
-        "90a4a9013b93b4f90b90c34d48cdd8ef71b3eb7ea0e374f7a4c630253adbfe14",
     ),
     "CO(33)": (
         _CO_FLAGS,
         "5bd6951772bb68d1d694ae0dfa3288a0d5a8c9dda19e8245d93c465949df608d",
-        "297e9e1c8279288ec2fe73c56d7045489cf89d5c1e1cd5d2fd61587deea26389",
     ),
     "CO(34)": (
         _CO_FLAGS,
         "d4892a3e84e16985d267b68ce6acbea1a0ba9c349f56f5f3934bc5354661fe6c",
-        "5a932e061cc162b1edbbda1f18ce59f4cc1b4f427e65562093f63e2f97767066",
     ),
     "CO(35)": (
         _CO_FLAGS,
         "8b6fea7a4b8754d3bad74679cfc00430692b2e935c6d21903de0e93cd5d7ea74",
-        "3f7c21a127fca642b5398ad2d308ef8b2f41c51a75d6921d0d4c396dc4ea3226",
     ),
     "CO(36)": (
         _CO_FLAGS,
         "5e3be3cf6760e053c85e7e65d1b231b55438a827be0bd806c8f4140b4a81a259",
-        "172e06dff4f7790c83d85534693e6509edb3052db607347db41b4dc72b932e18",
     ),
     "CO(37)": (
         _CO_FLAGS,
         "61c42aa4b3ec6913ece0de6ac67c4b15460460ef9a128e13711d5c2d4d17e547",
-        "afea0c6e4a6bd6b4cf6d8d562de3212002aec6bb42af60672beb5089c8ecfee2",
     ),
     "CO(38)": (
         _CO_FLAGS,
         "71b97cc66f90bd907074babcd983cb0532085022d11ca5ac04d277a199267b6e",
-        "f1e38c939da0091e6b58589f2a78cca7ab85c905d8dcd0dcde89028a87c0aa7b",
     ),
     "CO(39)": (
         _CO_FLAGS,
         "16b3f318c2544474840b4c2ddd3668f239438ac014cf07f96a709058a34f99ac",
-        "d001e887f39692c0e30ff185a262372f9616d2d9e8ee34fc1315c022774e4cf5",
     ),
     "CO(40)": (
         _CO_FLAGS,
         "03aa6dfd8cf6e989c80bd2efbfff6d5f22cbdb3b9bf2505ef73fbc37457b56f0",
-        "094436a1bf72e39e3d4b1d935b286a65ae974ef74560a19a054112bb95068199",
     ),
 }
 
@@ -213,15 +192,14 @@ def _sha256(x, y):
 @pytest.mark.parametrize("name", list(FIXTURES))
 def test_flags_match_scalar_oracle(name):
     if name not in FROZEN:
-        assert_same_as_oracle(FIXTURES[name](), compare_clusters=True)
+        assert_same_as_oracle(FIXTURES[name]())
         return
-    flags, meet_digest, cluster_digest = FROZEN[name]
+    flags, meet_digest = FROZEN[name]
     cfg = oracles.circles_from_layout(FROZEN_LAYOUTS[name]())
     assert check_flags(cfg).flags == flags
     tol = cfg.tols.get("cluster", 1e-7)
     x, y = _meet_points(*columns(cfg), tol)
     assert _sha256(x, y) == meet_digest
-    assert _sha256(*_cluster(x, y, tol)) == cluster_digest
     assert check_flags(FIXTURES[name]()).flags == flags
 
 
@@ -279,56 +257,84 @@ def perturbed_configs(draw):
 @settings(max_examples=40, deadline=None)
 @given(perturbed_configs())
 def test_perturbed_layouts_match_scalar_oracle(cfg):
-    assert_same_as_oracle(cfg, compare_clusters=True)
+    assert_same_as_oracle(cfg)
+
+
+def nearly_meeting(rng, bunches, lone, spread, scale):
+    """(cx, cy, r, pts): bunches of 3 to 6 circles, of radius 0.5 to 2 times
+    the scale, that nearly meet at a point P drawn in a square of that
+    scale, with lone circles and points besides. The circles of a bunch
+    cross P at normal angles at least pi/(2k) apart. With spread > 0, circle
+    j passes a uniform distance from -spread to spread off P; with
+    spread < 0, each passes |spread| off P, so that the bunch's lines are
+    tangent to one small circle about P and no three of them meet. Most
+    points P are configuration points."""
+    rows, pts = [], []
+    for _ in range(bunches):
+        p = rng.uniform(-scale, scale, size=2)
+        k = int(rng.integers(3, 7))
+        theta = rng.uniform(0.0, 2.0 * math.pi) + math.pi * (np.arange(k) + rng.uniform(-0.25, 0.25, k)) / k
+        off = rng.uniform(-spread, spread, size=k) if spread > 0 else np.full(k, -spread)
+        rad = scale * rng.uniform(0.5, 2.0, size=k)
+        side = rad * rng.choice([-1.0, 1.0], size=k)
+        n = np.column_stack([np.cos(theta), np.sin(theta)])
+        rows.append(np.column_stack([p + (off + side)[:, None] * n, rad]))
+        if rng.uniform() < 0.8:
+            pts.append(p)
+    rows.append(np.column_stack([rng.uniform(-scale, scale, size=(lone, 2)), scale * rng.uniform(0.5, 2.0, lone)]))
+    pts.extend(rng.uniform(-scale, scale, size=(int(rng.integers(1, 3)), 2)))
+    cx, cy, r = np.concatenate(rows).T.copy()
+    return cx, cy, r, np.array(pts).reshape(-1, 2)
 
 
 @st.composite
-def crowded_points(draw):
-    """Bunches of points with a spread from 1e-9 tol to 3 tol, so that
-    merges happen at, just inside and just outside the tolerance; with lone
-    points, and points just inside and just outside R of a bunch, R being
-    the reach within which _cluster looks for other points before it settles
-    a bunch by array passes."""
-    tol = draw(st.sampled_from([1e-7, 1e-3, 0.5]))
-    # at 1e9 the cells widen past tol, to keep cell numbers below 2**30
-    scale = draw(st.sampled_from([1.0, 1e3, 1e9]))
+def crowded_near_meets(draw):
+    """nearly_meeting circles with the spread at most a tenth of the cluster
+    tolerance, where each bunch is one triple point, or at least ten times
+    it, where the bunch makes none; at scales where grid cells are as wide
+    as the tolerance and where they widen past it."""
+    tol = TOL_CLUSTER
+    small = draw(st.booleans())
+    spread = tol * 10.0 ** draw(st.floats(-6.0, -1.0) if small else st.floats(1.0, 4.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    centers = rng.uniform(-scale, scale, size=(draw(st.integers(1, 20)), 2))
-    spread = tol * draw(st.one_of(st.floats(0.2, 3.0), st.floats(-9.0, 0.0).map(lambda e: 10.0**e)))
-    pts = np.repeat(centers, draw(st.integers(1, 6)), axis=0)
-    pts = pts + rng.uniform(-spread, spread, size=pts.shape)
-    lone = rng.uniform(-scale, scale, size=(draw(st.integers(0, 8)), 2))
-    near = draw(st.integers(0, 8))
-    m = len(pts) + len(lone) + near
-    reach = scale * 1.01  # an upper bound, as R grows with it
-    R = 2.0 * max(_cell_width(tol, reach), tol * (2.0 + math.log(m)))
-    angle = rng.uniform(0.0, 2.0 * math.pi, size=near)
-    rim = R * (1.0 + rng.choice([-1e-3, 1e-3], size=near))
-    beside = centers[rng.integers(0, len(centers), size=near)] + rim[:, None] * np.column_stack(
-        [np.cos(angle), np.sin(angle)]
+    return nearly_meeting(
+        rng, draw(st.integers(1, 5)), draw(st.integers(0, 4)), spread if small else -spread,
+        draw(st.sampled_from([1.0, 1e2, 1e4])),
     )
-    return rng.permutation(np.concatenate([pts, lone, beside])), tol
 
 
 @settings(max_examples=150, deadline=None)
-@given(crowded_points())
-def test_grid_cluster_matches_scalar_cluster(data):
-    pts, tol = data
-    mx, my = _cluster(pts[:, 0], pts[:, 1], tol)
-    assert np.array_equal(np.column_stack([mx, my]), np.array(oracles._cluster(list(pts), tol)))
+@given(crowded_near_meets())
+def test_triple_points_match_the_clustering_oracle(case):
+    cx, cy, r, pts = case
+    tols = tol_record()
+    got = _triple_point_hits(cx, cy, r, pts, **tols)
+    want = oracles.triple_point_hits(cx, cy, r, pts, **tols)
+    assert (got is None) == (want is None)
+    assert want is None or np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-7])
-def test_copies_at_large_scale_cluster_as_the_loop(tol):
-    """At 1e9 the last bit of a coordinate is about 1.2e-7, so the running
-    sum of a few copies of one point rounds: the centroid can move by more
-    than tol, and the next copy then starts a cluster of its own."""
-    rng = np.random.default_rng(0)
-    pts = np.repeat(rng.uniform(-1e9, 1e9, size=(40, 2)), rng.integers(1, 7, size=40), axis=0)
-    want = np.array(oracles._cluster(list(pts), tol))
-    assert len(want) > 40
-    mx, my = _cluster(pts[:, 0], pts[:, 1], tol)
-    assert np.array_equal(np.column_stack([mx, my]), want)
+def test_thin_keeps_every_point_of_a_loose_cell():
+    """Three cells one tol wide: one spans 0.6 tol in x and one 0.7 tol in
+    y, so each keeps all of its points; the third spans 0.4 tol and keeps
+    only its first point."""
+    tol = 1e-7
+    x = np.array([0.3, 0.0, 0.6, 4.2, 4.6, 4.4, 7.1, 7.1]) * tol
+    y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.1, 7.8]) * tol
+    tx, ty = _thin(x, y, tol)
+    keep = [0, 1, 2, 3, 6, 7]
+    assert tx.tolist() == x[keep].tolist() and ty.tolist() == y[keep].tolist()
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e2, 1e4])
+@pytest.mark.parametrize("layout", [lambda: layout_hypercube(5, seed=0), lambda: layout_gen_cuboctahedron(9)],
+                         ids=["hypercube(5)", "CO(9)"])
+def test_scaled_layouts_match_scalar_oracle(layout, scale):
+    """At 1e4 the picture is wider than 2**30 cluster tolerances, so grid
+    cells widen past the tolerance."""
+    lay = layout()
+    cfg = circles_from_layout(Layout(lay.graph, scale * lay.pos, {}))
+    assert check_flags(cfg).flags == oracles.check_flags(cfg).flags
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import struct
 
@@ -345,6 +346,32 @@ COORDINATES = [
 def test_readers_take_only_numbers_as_coordinates(kind, path, bad):
     read, name = _READERS[kind]
     with pytest.raises(ParameterError, match=f"^malformed {name} object: expected a number, found {bad!r}$"):
+        read(_with(_artifact(kind), path, bad))
+
+
+# each label, provenance, flag, tolerance and meta table, and each circle
+# centre, a reader takes: kind, the path to it, a value of the wrong shape
+# and what the reader says of it
+SHAPES = [
+    ("graph", ("labels",), "abc", "expected a list of strings, found 'abc'"),
+    ("graph", ("labels",), [1.5, True, "c"], "expected a string, found 1.5"),
+    ("graph", ("labels",), ["a", True, "c"], "expected a string, found True"),
+    ("incidence", ("provenance",), {"a": 1}, "expected a string, found {'a': 1}"),
+    ("incidence", ("provenance",), 7, "expected a string, found 7"),
+    ("layout", ("meta",), [["method", "polygon"]], "expected an object, found [['method', 'polygon']]"),
+    ("pcc", ("flags",), [["proper", True]], "expected an object, found [['proper', True]]"),
+    ("pcc", ("tols",), [["incidence", 1e-9]], "expected an object, found [['incidence', 1e-09]]"),
+    ("pcc", ("tols",), "incidence", "expected an object, found 'incidence'"),
+    ("pcc", ("circles", 0, "c"), [1.0, 0.0, 7, 8], "circles must be (cx, cy, r) rows"),
+    ("pcc", ("circles", 0, "c"), [1.0], "circles must be (cx, cy, r) rows"),
+    ("pcc", ("circles", 0, "c"), {"x": 1.0, "y": 0.0}, "expected a number, found 'x'"),
+]
+
+
+@pytest.mark.parametrize("kind, path, bad, message", SHAPES, ids=lambda x: "/".join(map(str, x)) if isinstance(x, tuple) else None)
+def test_readers_take_only_the_json_type_written(kind, path, bad, message):
+    read, name = _READERS[kind]
+    with pytest.raises(ParameterError, match=f"^malformed {name} object: {re.escape(message)}$"):
         read(_with(_artifact(kind), path, bad))
 
 
