@@ -91,15 +91,18 @@ def _emit_config(cfg: realization.PointCircleConfig, out: str | None, head: str)
 
 
 def _seed_of(args) -> int:
+    """--seed, else CONFVIZ_SEED, else 0; a seed is an integer >= 0."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("CONFVIZ_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ParameterError(f"CONFVIZ_SEED must be an integer, got {env!r}")
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("CONFVIZ_SEED", "0")
+        try:
+            seed, source = int(env), "CONFVIZ_SEED"
+        except ValueError:
+            raise ParameterError(f"CONFVIZ_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ParameterError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------

@@ -699,8 +699,13 @@ def circles_from_layout(
         if deg[v] == 2:
             why = f"vertex {v} neighbours not equidistant; no canonical circle"
         raise ConcyclicityError(why, vertex=v, residual=res)
-    # centres within TOL_SEPARATION share a grid cell or lie in touching ones
-    members, bounds, a, b = _grid_cells(cx, cy, TOL_SEPARATION)
+    # centres within TOL_SEPARATION share a grid cell or lie in touching
+    # ones: occupied cells a[t] < b[t], each in the other's 3x3 block
+    members, bounds, cells = _grid_cells(cx, cy, TOL_SEPARATION)
+    probe = cells[:, None] + _AHEAD
+    at = cells.searchsorted(probe)
+    a, k = (cells[np.minimum(at, len(cells) - 1)] == probe).nonzero()
+    b = at[a, k]
 
     def cell(c):
         return members[bounds[c]:bounds[c + 1]].tolist()
@@ -857,26 +862,21 @@ def _grid_cells(x: np.ndarray, y: np.ndarray, width: float):
     from the lowest x and y: the fixed-radius near-neighbour grid of
     Bentley, Stanat and Williams (Inf. Process. Lett. 6, 1977).
 
-    Returns (members, bounds, a, b): the point indices grouped by cell,
+    Returns (members, bounds, cells): the point indices grouped by cell,
     ascending within a cell; the run of occupied cell c in members, from
-    bounds[c] to bounds[c + 1]; and the pairs a[t] < b[t] of occupied cells
-    that touch, each in the other's 3x3 block. Points within width of each
-    other share a cell or lie in touching cells.
+    bounds[c] to bounds[c + 1]; and the ascending numbers of the occupied
+    cells. Points within width of each other share a cell or lie in
+    touching cells, the higher one numbered the lower plus one of _AHEAD.
     """
     if len(x) == 0:
-        none = np.empty(0, dtype=np.intp)
-        return none, np.zeros(1, dtype=np.intp), none, none
+        return np.empty(0, dtype=np.intp), np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.int64)
     x, y = x - x.min(), y - y.min()
     cell = _cell_width(width, float(max(x.max(), y.max())))
     key = (x // cell).astype(np.int64) * _GRID_STRIDE + (y // cell).astype(np.int64)
     members = key.argsort(kind="stable")
     key = key[members]
     bounds = np.concatenate(([True], key[1:] != key[:-1], [True])).nonzero()[0]
-    cells = key[bounds[:-1]]
-    probe = cells[:, None] + _AHEAD
-    at = cells.searchsorted(probe)
-    a, k = (cells[np.minimum(at, len(cells) - 1)] == probe).nonzero()
-    return members, bounds, a, at[a, k]
+    return members, bounds, key[bounds[:-1]]
 
 
 def _thin(x: np.ndarray, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -884,7 +884,7 @@ def _thin(x: np.ndarray, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     once: a cell of _grid_cells(x, y, tol) whose points span at most tol/2
     in x and in y keeps only its first point, and any other cell keeps all
     of its points."""
-    members, bounds, _, _ = _grid_cells(x, y, tol)
+    members, bounds, _ = _grid_cells(x, y, tol)
     starts = bounds[:-1]
     xm, ym = x[members], y[members]
     span = np.maximum(

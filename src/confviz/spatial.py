@@ -7,6 +7,7 @@ rule rather than stored. A set of planes is one (k, 4) table of rows
 (nx, ny, nz, d), the plane n . x = d with unit n oriented by _plane_rows;
 all neighbourhood planes are fitted in one pass per vertex degree, and the
 sphere circles are such rows too, their centres and radii derived on use.
+Stereographic projection takes each row to its image circle in closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .graphs import POLYTOPE_NAMES, Graph, structure_report
 # RSS, as numpy's import no longer reuses the compiler's freed memory. With
 # cached bytecode the order makes no difference.
 from .realization import TOL_INCIDENCE, TOL_SEPARATION, PointCircleConfig, tol_record
-from .realization import _circle_table, _circumcircles, _pair_indices, _row_dots, _row_norms
+from .realization import _circle_table, _pair_indices, _row_dots, _row_norms, _tolerance
 
 import numpy as np
 
@@ -198,10 +199,13 @@ def _fit_planes(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def coplanarity(pts) -> tuple[np.ndarray, float]:
     """Best-fit plane row (nx, ny, nz, d) via the smallest singular direction,
-    and the largest distance of a point from it."""
+    and the largest distance of a point from it. Fewer than three points, or
+    a point that is not finite, raise ParameterError."""
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 3:
         raise ParameterError("plane fit needs at least three spatial points")
+    if not np.all(np.isfinite(pts)):
+        raise ParameterError("plane fit needs finite points")
     rows, residual, collinear = _fit_planes(pts[None])
     if collinear[0]:
         raise DegeneracyError(_COLLINEAR_FIT)
@@ -333,20 +337,24 @@ def _pole_clearance(cfg: SphericalCircleConfig, circles, pole: np.ndarray) -> fl
 def stereographic_project(
     cfg: SphericalCircleConfig, pole=None, seed: int = 0, tol: float = TOL_INCIDENCE
 ) -> tuple[PointCircleConfig, np.ndarray]:
-    """Project sphere circles to plane circles through a clear pole.
+    """Project sphere points and circles through a clear pole to the plane.
 
-    The image plane passes through the sphere center orthogonal to the pole
-    direction. Each image circle is the circumcircle of three projected
-    samples, cross-checked on eight more samples within tol; all circles,
-    cfg's plane rows with the centres and radii of _circle_cuts, are
-    sampled, projected, fitted and checked in one array pass. With pole=None
-    the antipode of the mean oriented plane pole is tried first, then up to
-    256 seeded random poles; an explicit pole must be a finite 3-vector on
-    the sphere that clears points and circles by the separation tolerance.
+    The image plane passes through the sphere centre orthogonal to the pole
+    direction u, in the frame (e1, e2) of _orthobasis(u). A circle that
+    misses the pole maps to a circle (Needham, Visual Complex Analysis,
+    1997). For the plane row n . x = d of a circle of radius rho, let
+    h = (n . pole - d) / R, the pole's height over the plane in units of the
+    sphere radius R: the image has centre -R (n . e1, n . e2) / h and radius
+    rho / |h|. With pole=None the antipode of the mean oriented plane pole is
+    tried first, then up to 256 seeded random poles; an explicit pole must
+    be a finite 3-vector on the sphere that clears points and circles by the
+    separation tolerance. The projected incidences must hold within tol, a
+    finite number >= 0.
     """
+    tol = _tolerance("incidence", tol)
     r = cfg.radius
     circles = (cfg.circles[:, :3], *_circle_cuts(cfg))
-    normals, centers, radii = circles
+    normals, _, radii = circles
     if pole is not None:
         try:
             pole = np.asarray(pole, dtype=float)
@@ -372,39 +380,13 @@ def stereographic_project(
 
     u = (pole - cfg.center) / r
     e1, e2 = _orthobasis(u)
-
-    def project(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Plane images of points (last axis) and which lie on the pole (their images are void)."""
-        pts = np.atleast_2d(pts)
-        denom = (pts - pole) @ u
-        hit = np.abs(denom) < 1e-12 * r
-        rel = pole + (-r / np.where(hit, 1.0, denom))[..., None] * (pts - pole) - cfg.center
-        return np.stack([rel @ e1, rel @ e2], axis=-1), hit
-
-    points2, hit = project(cfg.points)
-    if np.any(hit):
+    denom = (cfg.points - pole) @ u
+    if np.any(np.abs(denom) < 1e-12 * r):
         raise DegeneracyError("projected point coincides with the pole")
-    angles = [2.0 * math.pi * j / 3.0 for j in range(3)] + [math.pi / 6.0 + j * math.pi / 4.0 for j in range(8)]
-    cos = np.array([math.cos(a) for a in angles])[:, None]
-    sin = np.array([math.sin(a) for a in angles])[:, None]
-    f1, f2 = _orthobasis(normals)
-    samples = centers[:, None] + radii[:, None, None] * (cos * f1[:, None] + sin * f2[:, None])
-    # anchors and checks go in separate stacks: each row block is then the
-    # same matrix-vector product as a single circle's
-    tri, tri_hit = project(samples[:, :3])
-    checks, check_hit = project(samples[:, 3:])
-    hit = np.any(tri_hit, axis=1) | np.any(check_hit, axis=1)
-    cx, cy, rad = np.full((3, len(radii)), np.nan)
-    cx[~hit], cy[~hit], rad[~hit] = _circumcircles(*tri[~hit].transpose(1, 0, 2))
-    off = np.hypot(checks[..., 0] - cx[:, None], checks[..., 1] - cy[:, None]) - rad[:, None]
-    drift = np.max(np.abs(off), axis=1)
-    # the first circle that fails, in order, names the failure
-    failed = np.flatnonzero(hit | (drift > tol))
-    if len(failed) and hit[failed[0]]:
-        raise DegeneracyError("projected point coincides with the pole")
-    if len(failed):
-        raise DegeneracyError(f"image of circle {failed[0]} fails the sample check (drift {drift[failed[0]]:.3e})")
-    out = PointCircleConfig(points2, _circle_table(cx, cy, rad), cfg.incidence, flags={}, tols=tol_record(tol))
+    rel = pole + (-r / denom)[:, None] * (cfg.points - pole) - cfg.center
+    h = (normals @ pole - cfg.circles[:, 3]) / r
+    table = _circle_table(-r * (normals @ e1) / h, -r * (normals @ e2) / h, radii / np.abs(h))
+    out = PointCircleConfig(np.stack([rel @ e1, rel @ e2], axis=-1), table, cfg.incidence, tols=tol_record(tol))
     worst = out.max_incidence_residual()
     if worst > tol:
         raise DegeneracyError(f"projected incidences drift ({worst:.3e})")

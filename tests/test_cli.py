@@ -538,6 +538,28 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert open(a).read() != open(b).read()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spatial", "cube", "project", "--seed", "-1"],
+        ["n3realize", "fano", "--seed", "-1"],
+        ["realize", "petersen", "--seed", "-1"],
+        ["realize", "petersen", "--symmetry", "5", "--seed", "-1"],
+        ["realize", "--layout", "hypercube", "--n", "3", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_is_usage_error(argv, tmp_path, capsys):
+    out = str(tmp_path / "out.json")
+    assert run([*argv, "-o", out], capsys) == (2, "", "error: --seed must be a non-negative integer, got -1\n")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [["spatial", "cube", "project"], ["n3realize", "fano"], ["realize", "petersen"]])
+def test_negative_seed_from_the_environment_is_usage_error(argv, capsys, monkeypatch):
+    monkeypatch.setenv("CONFVIZ_SEED", "-3")
+    assert run(argv, capsys) == (2, "", "error: CONFVIZ_SEED must be a non-negative integer, got -3\n")
+
+
 def child_env():
     # the child imports the same confviz as this test, installed or not
     root = str(pathlib.Path(confviz.__file__).resolve().parent.parent)

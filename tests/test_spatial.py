@@ -99,6 +99,14 @@ def test_coplanarity_square():
     assert np.allclose(row, (0, 0, 1, 1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coplanarity_refuses_a_non_finite_point(bad):
+    pts = np.array([[0, 0, 1.0], [1, 0, 1.0], [1, 1, 1.0], [0, 1, 1.0]])
+    pts[2, 0] = bad
+    with pytest.raises(ParameterError, match="^plane fit needs finite points$"):
+        coplanarity(pts)
+
+
 def test_coplanarity_tetrahedron_vertices_far_from_flat():
     _, resid = coplanarity(reference_coordinates("tetrahedron"))
     assert resid > 0.1
@@ -255,6 +263,13 @@ def test_explicit_pole_must_be_a_finite_3_vector(pole):
         stereographic_project(sc, pole=pole)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1, -1e-300, True, "1e-9", None])
+def test_projection_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    sc = sphere_circles(polytope_data("cube"))
+    with pytest.raises(ParameterError, match=r"^incidence tolerance must be a finite number >= 0, got "):
+        stereographic_project(sc, tol=tol)
+
+
 # SHA-256 of the canonical JSON of each polytope's point-plane artifact, its
 # spherical artifact and its flag-checked projections at seeds 0, 1 and 2; the
 # octahedron's neighbourhood planes coincide, so its refusal text is pinned
@@ -262,28 +277,28 @@ SPATIAL_DIGESTS = {
     "tetrahedron": (
         "6b26f44c985f79197b8b0ed031e8e746d72bce87a15166098446ee5491ebf7ba",
         "999bcd6e0a1ec2fc227b01705a8ea4a57c6f7fd05b335e4dd49f40ce2a771979",
-        ("562a5575af1af656cf6d2cd66eafc25bb0005e6bcf7efca74d1884435cbe9a0b",) * 3,
+        ("5cf5e84e600258768b9d4b81b85699fd3d5ef3b7700aee9ee41c0a6cbed0a5ce",) * 3,
     ),
     "cube": (
         "ec6e3fd2082729f8618c5263d55403541deae5200b2e7e1f2b5ab07a11e5d3b7",
         "75aef7a3f84070ad7b5f293abaa287d7c31a6d77d58557c040ecfaf1d85d8d24",
-        ("32895898bd9aba71f07d1a323fa7c1a9fe7db6112d9d1941fa1e044732f87135",) * 3,
+        ("39cff2daf75e55b49a92d41a7d84fca11abe49516ff28777a45efbd9a02a8378",) * 3,
     ),
     "octahedron": "octahedron: not admissible: vertices 0 and 5 span the same plane",
     "dodecahedron": (
         "df6f3994dee0e893eed43d349f05a4df40e9cb6179259414998e09e8b14e74f6",
         "16e9ed1c74f149b07b652f02894575ec07c7f7d446e92de3b9e1f3be4c4dd841",
-        ("795e7afd98a13cd9a1ae7c7fbaa22c6c6c460ef792cf79b9d0ff1aba98f256dd",) * 3,
+        ("04908efa5401a8cd086b73bcce59b5008b154ea2ecb6d5c708aad62496c9ca79",) * 3,
     ),
     "icosahedron": (
         "2ecdb2fc802aec208ba447d4bc0b649a24167d0629ce8e7d63066f2c432ce02c",
         "5e5ba636b79d00fc4deed50333074b77d4ec05ba8f1e4bc88b02f9852f076a49",
-        ("fbe3c6e097cd8345d7822542b61c5911e409285e2b522b425d3d41e25f993069",) * 3,
+        ("428954667374554808d1ff9ba5a5d65580d9d350bc31c085e1adc9924bb710ef",) * 3,
     ),
     "cuboctahedron": (
         "d32e55d18e4ac94ab7a9cfcc10918831f0369bd57069d18739f53a33e1cacee4",
         "980a0ef92f9c0912a53f4b12887c8f41bab633319a367b3da7e8f2f0c762a603",
-        ("362462307bf1f15ea9603800b662ad3d948cefea6fe15117576274bdcec136d1",) * 3,
+        ("d4f42e86d916845fccfa23f3383c665b8964a1dd38c6f1ea7e7720a813b338b5",) * 3,
     ),
 }
 
