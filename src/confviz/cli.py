@@ -100,9 +100,9 @@ def _seed_of(args) -> int:
             seed, source = int(env), "CONFVIZ_SEED"
         except ValueError:
             raise ParameterError(f"CONFVIZ_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise ParameterError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
+    from .realization import _seed
+
+    return _seed(seed, source)
 
 
 # ---------------------------------------------------------------------------

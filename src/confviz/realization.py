@@ -131,6 +131,15 @@ def _tolerance(name: str, value) -> float:
     return float(value)
 
 
+def _seed(value, source: str = "seed") -> int:
+    """value as an int, when it is an integer >= 0; None reads as 0."""
+    if value is None:
+        return 0
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ParameterError(f"{source} must be a non-negative integer, got {value}")
+    return int(value)
+
+
 def tol_record(incidence: float = TOL_INCIDENCE) -> dict:
     """The tolerances a constructed configuration records in its tols."""
     return {"incidence": incidence, "separation": TOL_SEPARATION, "cluster": TOL_CLUSTER}
@@ -285,11 +294,13 @@ def layout_hypercube(d: int, seed: int | None = None) -> Layout:
     whose bit is set; every edge then has length exactly 1. The positions
     fold _product_positions, one unit segment per bit as the major factor.
     Seeded angle draws resample up to the budget while two vertices collapse.
+    A seed is an integer >= 0, and None reads as 0.
     """
     if d < 1:
         raise ParameterError("hypercube layout needs d >= 1")
+    seed = _seed(seed)
     g = build_family("hypercube", d)
-    rng = np.random.default_rng(0 if seed is None else seed)
+    rng = np.random.default_rng(seed)
     for attempt in range(_RESAMPLE_BUDGET):
         table = rng.uniform(0.0, 2.0 * math.pi, size=d)
         pos = np.zeros((1, 2))
@@ -303,7 +314,7 @@ def layout_hypercube(d: int, seed: int | None = None) -> Layout:
                     "generator": "hypercube",
                     "d": d,
                     "angles": table.tolist(),
-                    "seed": 0 if seed is None else seed,
+                    "seed": seed,
                     "attempt": attempt,
                 },
             )
@@ -543,7 +554,7 @@ def solve_unit_distance(
     rotational drawing. Raises ConvergenceError, carrying the best
     residual, the starts run and the orbit sets ruled out, when no start
     passes; with no start run and no residual when every orbit set is
-    ruled out.
+    ruled out. A seed is an integer >= 0, and None reads as 0.
     """
     from .graphs import structure_report
 
@@ -551,7 +562,7 @@ def solve_unit_distance(
         raise ParameterError("unit-distance solve needs at least one edge")
     if not structure_report(g).connected:
         raise ParameterError("unit-distance solve expects a connected graph")
-    base_seed = 0 if seed is None else int(seed)
+    base_seed = _seed(seed)
     rng = np.random.default_rng(base_seed)
     # a symmetric solve counts its orbit sets, and those ruled out, as they pass
     sets = skipped = None
@@ -640,19 +651,25 @@ def circles_from_layout(
 ) -> PointCircleConfig:
     """One circle per vertex through its neighbours (geometric V-construction).
 
-    A vertex of degree three or more takes the circumcircle (one call for
-    all) of three spread neighbours: the first, the farthest from it, and
-    the one spanning the largest triangle with those two. One residual pass
-    then gives each vertex its neighbours' largest distance from its circle.
-    With allow_degree_two, a degree-two vertex takes the circle about itself,
-    and its residual is the difference of its neighbours' distances. The
-    first failing vertex raises: ParameterError for another degree,
-    DegeneracyError for collinear neighbours, ConcyclicityError (with vertex
-    and residual) above tol, and ParameterError for a tol that is not a
-    finite number >= 0. Circles whose centres and radii both lie within
-    TOL_SEPARATION coincide and are refused, naming the first such pair in
-    combinations order; a grid of cells TOL_SEPARATION wide gives the
-    candidate pairs.
+    A unit-distance drawing takes the unit route: when every vertex has
+    degree three or more and every edge length is within tol of 1 (one pass
+    over the incidences), circle v is the unit circle about v. Block N(v)
+    then lies on it within tol by construction, and all radii are exactly
+    1.0, so the configuration is isometric. No circle is fitted.
+
+    Any other layout fits its circles. A vertex of degree three or more
+    takes the circumcircle (one call for all) of three spread neighbours:
+    the first, the farthest from it, and the one spanning the largest
+    triangle with those two. One residual pass then gives each vertex its
+    neighbours' largest distance from its circle. With allow_degree_two, a
+    degree-two vertex takes the circle about itself, and its residual is the
+    difference of its neighbours' distances. The first failing vertex
+    raises: ParameterError for another degree, DegeneracyError for collinear
+    neighbours, and ConcyclicityError (with vertex and residual) above tol.
+
+    On either route, circles whose centres and radii both lie within
+    TOL_SEPARATION coincide and are refused (_refuse_coinciding). A tol
+    that is not a finite number >= 0 is a ParameterError.
     """
     tol = _tolerance("incidence", tol)
     g = layout.graph
@@ -660,9 +677,35 @@ def circles_from_layout(
     deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.order)
     nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=int(deg.sum()))
     owner = np.repeat(np.arange(g.order), deg)
+    unit = g.order > 0 and deg.min() >= 3
+    if unit:
+        # edge lengths as unit_edge_residual measures them; take and repeat
+        # gather the incidences' ends several times faster than pos[nbr]
+        length = _row_norms(pos.take(nbr, axis=0) - np.repeat(pos, deg, axis=0))
+        unit = np.all(np.abs(length - 1.0) <= tol)
+    if unit:
+        cx, cy, r = pos[:, 0].copy(), pos[:, 1].copy(), np.ones(g.order)
+    else:
+        cx, cy, r = _fitted_circles(pos, deg, nbr, owner, tol, allow_degree_two)
+    _refuse_coinciding(cx, cy, r)
+    return PointCircleConfig(
+        points=pos.copy(),
+        circles=_circle_table(cx, cy, r),
+        incidence=tuple(zip(nbr.tolist(), owner.tolist())),
+        flags={},
+        tols=tol_record(tol),
+    )
+
+
+def _fitted_circles(
+    pos: np.ndarray, deg: np.ndarray, nbr: np.ndarray, owner: np.ndarray, tol: float, allow_degree_two: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cx, cy, r) fitted through each vertex's neighbours, as
+    circles_from_layout describes for layouts off its unit route."""
+    n = len(pos)
     start = np.cumsum(deg) - deg
     # a circle about each vertex until it has its own, and its residual
-    cx, cy, r, residual = pos[:, 0].copy(), pos[:, 1].copy(), np.zeros(g.order), np.zeros(g.order)
+    cx, cy, r, residual = pos[:, 0].copy(), pos[:, 1].copy(), np.zeros(n), np.zeros(n)
     two = np.flatnonzero((deg == 2) & allow_degree_two)
     d = _row_norms(pos[nbr[start[two, None] + np.arange(2)]] - pos[two, None])
     r[two] = (d[:, 0] + d[:, 1]) / 2.0
@@ -699,6 +742,13 @@ def circles_from_layout(
         if deg[v] == 2:
             why = f"vertex {v} neighbours not equidistant; no canonical circle"
         raise ConcyclicityError(why, vertex=v, residual=res)
+    return cx, cy, r
+
+
+def _refuse_coinciding(cx: np.ndarray, cy: np.ndarray, r: np.ndarray) -> None:
+    """Raise DistinctnessError for the first pair of circles, in combinations
+    order, whose centres and radii both lie within TOL_SEPARATION; a grid of
+    cells TOL_SEPARATION wide gives the candidate pairs."""
     # centres within TOL_SEPARATION share a grid cell or lie in touching
     # ones: occupied cells a[t] < b[t], each in the other's 3x3 block
     members, bounds, cells = _grid_cells(cx, cy, TOL_SEPARATION)
@@ -715,13 +765,6 @@ def circles_from_layout(
     for v, w in sorted(map(sorted, chain.from_iterable(near))):
         if np.hypot(cx[w] - cx[v], cy[w] - cy[v]) <= TOL_SEPARATION and abs(r[v] - r[w]) <= TOL_SEPARATION:
             raise DistinctnessError(f"circles of vertices {v} and {w} coincide")
-    return PointCircleConfig(
-        points=pos.copy(),
-        circles=_circle_table(cx, cy, r),
-        incidence=tuple(zip(nbr.tolist(), owner.tolist())),
-        flags={},
-        tols=tol_record(tol),
-    )
 
 
 def incidence_of(cfg: PointCircleConfig) -> IncidenceStructure:
@@ -756,11 +799,13 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
     reads the blocks back, and finds the result determining when every
     point lies on three blocks or more. Raises SamplingError, with the
     attempts made and the rejections per condition, when no draw passes.
+    The seed is an integer >= 0.
     """
     if any(len(b) != 3 for b in c.blocks):
         raise ParameterError("realize_n3 needs every block to have exactly 3 points")
     if c.points < 3:
         raise ParameterError("realize_n3 needs at least 3 points")
+    seed = _seed(seed)
     blocks = np.array(c.blocks, dtype=np.intp).reshape(-1, 3)
     incidence = tuple((p, k) for k, blk in enumerate(c.blocks) for p in blk)
     tols = tol_record()

@@ -23,7 +23,7 @@ from .graphs import POLYTOPE_NAMES, Graph, structure_report
 # RSS, as numpy's import no longer reuses the compiler's freed memory. With
 # cached bytecode the order makes no difference.
 from .realization import TOL_INCIDENCE, TOL_SEPARATION, PointCircleConfig, tol_record
-from .realization import _circle_table, _pair_indices, _row_dots, _row_norms, _tolerance
+from .realization import _circle_table, _pair_indices, _row_dots, _row_norms, _seed, _tolerance
 
 import numpy as np
 
@@ -348,10 +348,13 @@ def stereographic_project(
     rho / |h|. With pole=None the antipode of the mean oriented plane pole is
     tried first, then up to 256 seeded random poles; an explicit pole must
     be a finite 3-vector on the sphere that clears points and circles by the
-    separation tolerance. The projected incidences must hold within tol, a
-    finite number >= 0.
+    separation tolerance. Each projected incidence (q, k) must hold within
+    tol times the largest of 1, the image radius of circle k and the
+    projection's scale factor (R^2 + |q|^2) / (2 R^2) at q, for a tol that
+    is a finite number >= 0. The seed is an integer >= 0.
     """
     tol = _tolerance("incidence", tol)
+    seed = _seed(seed)
     r = cfg.radius
     circles = (cfg.circles[:, :3], *_circle_cuts(cfg))
     normals, _, radii = circles
@@ -387,7 +390,15 @@ def stereographic_project(
     h = (normals @ pole - cfg.circles[:, 3]) / r
     table = _circle_table(-r * (normals @ e1) / h, -r * (normals @ e2) / h, radii / np.abs(h))
     out = PointCircleConfig(np.stack([rel @ e1, rel @ e2], axis=-1), table, cfg.incidence, tols=tol_record(tol))
-    worst = out.max_incidence_residual()
+    p, k = np.array(out.incidence, dtype=np.intp).reshape(-1, 2).T
+    at, on = out.points[p], out.circles[k]
+    # a residual counts against its image's own scale: rounding grows with
+    # the circle's radius, and the input's own residual with the
+    # projection's scale factor (R^2 + |q|^2) / (2 R^2) at the point, so a
+    # pole near a circle is not refused for either
+    scale = np.maximum(np.maximum(1.0, on["r"]), (r * r + _row_dots(at, at)) / (2.0 * r * r))
+    off = np.abs(np.hypot(at[:, 0] - on["cx"], at[:, 1] - on["cy"]) - on["r"])
+    worst = float(np.max(off / scale, initial=0.0))
     if worst > tol:
         raise DegeneracyError(f"projected incidences drift ({worst:.3e})")
     return out, pole

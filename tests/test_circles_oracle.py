@@ -1,5 +1,5 @@
-"""circles_from_layout's circumcircle pass against the per-vertex
-least-squares fit it replaced (oracles.circles_from_layout)."""
+"""circles_from_layout's unit route and circumcircle pass against the
+per-vertex least-squares fit they replaced (oracles.circles_from_layout)."""
 
 import math
 from functools import lru_cache
@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from confviz import (
     TOL_INCIDENCE,
+    realization,
     TOL_SEPARATION,
     ConcyclicityError,
     DegeneracyError,
@@ -24,7 +25,7 @@ from confviz import (
     layout_polygon,
     solve_unit_distance,
 )
-from confviz.graphs import Graph, petersen_graph
+from confviz.graphs import Graph, build_family, petersen_graph
 
 REFUSALS = (ConcyclicityError, DegeneracyError, DistinctnessError, ParameterError)
 
@@ -243,3 +244,159 @@ def test_coinciding_circles_named_as_by_all_pairs(apart, seed):
 def test_empty_layout_has_no_circles():
     cfg = circles_from_layout(Layout(Graph(0, ()), np.zeros((0, 2)), {}))
     assert cfg.circles.shape == (0,) and cfg.incidence == ()
+
+
+# ---------------------------------------------------------------------------
+# the unit route: unit-distance drawings take the unit circles about their
+# vertices, and no circle is fitted
+
+
+@lru_cache(maxsize=None)
+def _solved(family, params, symmetry, seed=0):
+    return solve_unit_distance(build_family(family, *params), symmetry=symmetry, seed=seed)[0]
+
+
+UNIT_LADDER = {
+    "petersen symmetric": lambda: _solved("petersen", (), 5),
+    "desargues symmetric": lambda: _solved("desargues", (), 10),
+    **{f"GP({n},2) symmetric": lambda n=n: _solved("gen_petersen", (n, 2), n) for n in range(10, 51)},
+    **{f"prism({n}) product": lambda n=n: _solved("prism", (n,), None) for n in range(11, 19)},
+    **{f"GP({n},1) product": lambda n=n: _solved("gen_petersen", (n, 1), None) for n in range(11, 19)},
+    **{f"hypercube({d})": lambda d=d: layout_hypercube(d, seed=0) for d in range(3, 9)},
+}
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("a unit-distance drawing fitted a circumcircle")
+
+
+@pytest.mark.parametrize("name", list(UNIT_LADDER))
+def test_unit_drawings_fit_no_circle(name, monkeypatch):
+    layout = UNIT_LADDER[name]()
+    monkeypatch.setattr(realization, "_circumcircles", _no_fit)
+    cfg = circles_from_layout(layout)
+    assert np.array_equal(_table(cfg), np.column_stack([layout.pos, np.ones(layout.graph.order)]))
+
+
+@pytest.mark.parametrize("name", list(UNIT_LADDER))
+def test_unit_circles_match_least_squares_fit(name):
+    layout = UNIT_LADDER[name]()
+    cfg = check_flags(circles_from_layout(layout))
+    want = oracles.circles_from_layout(layout)
+    r = cfg.circles["r"]
+    assert np.all(r == 1.0) and r.max() - r.min() == 0.0
+    assert cfg.flags["isometric"]
+    assert _gap(cfg, want) <= 1e-12
+    assert cfg.incidence == want.incidence
+    assert cfg.flags == check_flags(want).flags
+
+
+@st.composite
+def placed_unit_drawings(draw):
+    """A unit drawing from a hypercube, symmetric or product solve, turned
+    by a random angle and moved by a random shift, at scale 1."""
+    kind = draw(st.sampled_from(["hypercube", "petersen", "GP(n,2)", "prism", "GP(n,1)"]))
+    if kind == "hypercube":
+        layout = layout_hypercube(draw(st.integers(3, 6)), seed=draw(st.integers(0, 50)))
+    elif kind == "petersen":
+        layout = _petersen(draw(st.integers(0, 2)))
+    elif kind == "GP(n,2)":
+        n = draw(st.integers(10, 20))
+        layout = _solved("gen_petersen", (n, 2), n)
+    else:
+        family, params = ("prism", ()) if kind == "prism" else ("gen_petersen", (1,))
+        layout = _solved(family, (draw(st.integers(11, 18)), *params), None)
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    shift = np.array([draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))])
+    c, s = math.cos(angle), math.sin(angle)
+    return Layout(layout.graph, layout.pos @ np.array([[c, -s], [s, c]]).T + shift, {"generator": kind})
+
+
+@settings(max_examples=60, deadline=None)
+@given(placed_unit_drawings())
+def test_placed_unit_drawings_take_the_unit_route(layout):
+    cfg = circles_from_layout(layout)
+    assert np.array_equal(_table(cfg), np.column_stack([layout.pos, np.ones(layout.graph.order)]))
+    want = oracles.circles_from_layout(layout)
+    assert cfg.incidence == want.incidence
+    assert check_flags(cfg).flags == check_flags(want).flags
+
+
+def _fit_calls(monkeypatch):
+    """A list that grows by one with every _circumcircles call."""
+    calls = []
+    fit = realization._circumcircles
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(realization, "_circumcircles", counted)
+    return calls
+
+
+EDGE_TOL = 1e-12
+EDGE_CASES = ["petersen symmetric", "GP(14,2) symmetric", "prism(12) product", "hypercube(4)", "hypercube(5)"]
+
+
+def _moved(layout, w, step):
+    """layout with vertex w moved by step."""
+    pos = layout.pos.copy()
+    pos[w] += step
+    return Layout(layout.graph, pos, {})
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+@pytest.mark.parametrize("w", [0, 3, 7])
+def test_an_edge_off_by_ten_tol_falls_to_the_fit(name, w, monkeypatch):
+    # w moves by 10 tol along its edge to its least neighbour v; only w's
+    # neighbours see their neighbourhoods change, so v fails first if any
+    layout = UNIT_LADDER[name]()
+    v = min(layout.graph.adjacency[w])
+    along = layout.pos[w] - layout.pos[v]
+    moved = _moved(layout, w, 10.0 * EDGE_TOL * along / np.linalg.norm(along))
+    calls = _fit_calls(monkeypatch)
+    got = _outcome(lambda lay, **kw: circles_from_layout(lay, EDGE_TOL, **kw), moved, False)
+    assert calls
+    want = _outcome(lambda lay, **kw: oracles.circles_from_layout(lay, EDGE_TOL, **kw), moved, False)
+    assert got == want
+    if got is not None:
+        assert got == (ConcyclicityError, v)
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+@pytest.mark.parametrize("angle", [0.0, 1.0, 2.5, 4.0])
+def test_a_move_within_a_tenth_of_tol_keeps_the_unit_route(name, angle, monkeypatch):
+    layout = UNIT_LADDER[name]()
+    moved = _moved(layout, 1, EDGE_TOL / 10.0 * np.array([math.cos(angle), math.sin(angle)]))
+    monkeypatch.setattr(realization, "_circumcircles", _no_fit)
+    cfg = circles_from_layout(moved, EDGE_TOL)
+    assert np.array_equal(_table(cfg), np.column_stack([moved.pos, np.ones(moved.graph.order)]))
+
+
+def test_degree_two_vertices_with_unit_edges_keep_the_fit(monkeypatch):
+    # a cube drawing with one more vertex x on unit edges to the ends a and
+    # b of a cube edge: x has degree two, and every edge has length 1
+    cube = layout_hypercube(3, seed=0)
+    a, b = 0, 1
+    mid = (cube.pos[a] + cube.pos[b]) / 2.0
+    half = np.linalg.norm(cube.pos[b] - cube.pos[a]) / 2.0
+    normal = np.array([[0.0, -1.0], [1.0, 0.0]]) @ (cube.pos[b] - cube.pos[a]) / (2.0 * half)
+    x = mid + math.sqrt(1.0 - half * half) * normal
+    g = Graph(9, cube.graph.edges + ((a, 8), (b, 8)))
+    layout = Layout(g, np.vstack([cube.pos, x]), {})
+    calls = _fit_calls(monkeypatch)
+    cfg = circles_from_layout(layout, allow_degree_two=True)
+    want = oracles.circles_from_layout(layout, allow_degree_two=True)
+    assert calls
+    assert np.array_equal(_table(cfg)[8], _table(want)[8])
+    assert _gap(cfg, want) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-6, 2.0])
+def test_scaled_unit_drawings_fit_their_circles(scale, monkeypatch):
+    layout = UNIT_LADDER["hypercube(4)"]()
+    calls = _fit_calls(monkeypatch)
+    cfg = circles_from_layout(Layout(layout.graph, scale * layout.pos, {}))
+    assert calls
+    assert np.max(np.abs(cfg.circles["r"] - scale)) <= 1e-12 * scale

@@ -462,8 +462,10 @@ def test_stereographic_explicit_poles_match_per_circle_loop(name):
                 if old[0] == "ok":
                     assert_close_projection(new[1], old[1], 1e-9)
             else:
-                # huge images see the points' own rounding at tight tols
-                assert tol < 1e-9 and new[1][1].startswith("projected incidences drift (")
+                # the drift check scales with the image radius and the
+                # projection's magnification, so only a tol below the
+                # points' own relative rounding refuses
+                assert tol < 1e-12 and new[1][1].startswith("projected incidences drift (")
             seen.add((old[0] if old[0] == "ok" else old[1][1].split(" (")[0], new[0]))
     assert {("ok", "ok"), (POLE_REFUSALS[0], "raised"), (POLE_REFUSALS[1], "raised")} <= seen
     if name != "dodecahedron":

@@ -16,11 +16,16 @@ from confviz import (
     PointCircleConfig,
     TOL_INCIDENCE,
     circles_from_layout,
+    fano_plane,
     incidence_of,
     layout_gen_cuboctahedron,
     layout_hypercube,
     layout_polygon,
+    polytope_data,
+    realize_n3,
     solve_unit_distance,
+    sphere_circles,
+    stereographic_project,
     unit_edge_residual,
     v_construct,
 )
@@ -236,6 +241,26 @@ def test_layout_hypercube_seed_reproducible():
     assert np.array_equal(a.pos, b.pos)
     c = layout_hypercube(3, seed=5)
     assert not np.allclose(a.pos, c.pos)
+
+
+SEEDED = {
+    "layout_hypercube": lambda seed: layout_hypercube(3, seed=seed),
+    "solve_unit_distance": lambda seed: solve_unit_distance(petersen_graph(), seed=seed),
+    "realize_n3": lambda seed: realize_n3(fano_plane(), seed=seed),
+    "stereographic_project": lambda seed: stereographic_project(sphere_circles(polytope_data("cube")), seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3"])
+def test_seeded_entry_points_refuse_a_seed_that_is_not_a_non_negative_integer(name, seed):
+    with pytest.raises(ParameterError, match=f"^seed must be a non-negative integer, got {re.escape(str(seed))}$"):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_seeded_entry_points_take_numpy_integers(name):
+    assert repr(SEEDED[name](np.int64(2))) == repr(SEEDED[name](2))
 
 
 def test_layout_gen_cuboctahedron_shape():
