@@ -7,12 +7,27 @@ derived artifacts stay byte-stable across runs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from typing import Iterator
 
 from .errors import ParameterError
+
+
+def _count(x, what: str) -> int:
+    """x as an int when it is a non-negative integer, numpy integers
+    included; a bool, a float or a string is a ParameterError."""
+    try:
+        if isinstance(x, bool):
+            raise TypeError
+        n = operator.index(x)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, not {type(x).__name__}") from None
+    if n < 0:
+        raise ParameterError(f"{what} must be non-negative")
+    return n
 
 
 @dataclass(frozen=True)
@@ -24,8 +39,7 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ParameterError("graph order must be non-negative")
+        object.__setattr__(self, "order", _count(self.order, "graph order"))
         seen = set()
         for e in self.edges:
             u, v = int(e[0]), int(e[1])
@@ -47,11 +61,14 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours in increasing order. The edges are sorted
+        with u < v, so v meets its lower neighbours (u, v) in increasing u
+        before its higher ones (v, w) in increasing w."""
         nbr: list[list[int]] = [[] for _ in range(self.order)]
         for u, v in self.edges:
             nbr[u].append(v)
             nbr[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbr)
+        return tuple(map(tuple, nbr))
 
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
@@ -572,13 +589,15 @@ class StructureReport:
 
 def pair_in_two(sets) -> bool:
     """True when some pair of elements lies together in two of the sorted
-    tuples of sets; stops at the first repeated pair."""
-    seen = set()
+    tuples of distinct elements; stops at the first set that repeats a pair,
+    which is one whose k(k-1)/2 pairs grow the pairs seen by fewer."""
+    seen: set[tuple[int, int]] = set()
     for s in sets:
-        for pair in combinations(s, 2):
-            if pair in seen:
-                return True
-            seen.add(pair)
+        before = len(seen)
+        seen.update(combinations(s, 2))
+        k = len(s)
+        if len(seen) - before < k * (k - 1) // 2:
+            return True
     return False
 
 

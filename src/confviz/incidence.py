@@ -5,13 +5,20 @@ neighbourhood N(v) of an admissible graph. The identity, point v -> (v,0)
 and block v -> (v,1), maps its Levi graph onto the canonical double cover
 of G, and point v <-> block v is a polarity; verify_kronecker_theorem and
 is_self_polar check these maps on the blocks and G's neighbourhoods, so
-neither the Levi graph nor the cover is built. A structure's Levi
+neither the Levi graph nor the cover is built, and the cover's components
+are counted by one breadth-first walk over G. A structure's Levi
 components are found once, by union-find over its incidences, and shared
 by classify and decompose.
+
+The public constructor checks and normalises its blocks, for files and
+hand-built structures alike. v_construct and decompose build blocks that
+are canonical already (sorted, non-empty, in range and distinct) and set
+them through IncidenceStructure._canonical without checking them again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +28,8 @@ from .graphs import (
     Graph,
     VertexMap,
     _class_roots,
+    _count,
+    bfs_layers,
     bipartite_swap_involution,
     is_admissible,
     pair_in_two,
@@ -41,8 +50,7 @@ class IncidenceStructure:
     provenance: str = ""
 
     def __post_init__(self):
-        if self.points < 0:
-            raise ParameterError("point count must be non-negative")
+        object.__setattr__(self, "points", _count(self.points, "point count"))
         norm = []
         for blk in self.blocks:
             b = tuple(sorted(map(int, blk)))
@@ -56,6 +64,18 @@ class IncidenceStructure:
         if len(set(norm)) != len(norm):
             raise ParameterError("blocks must be pairwise distinct as sets")
         object.__setattr__(self, "blocks", tuple(norm))
+
+    @classmethod
+    def _canonical(cls, points: int, blocks: tuple[tuple[int, ...], ...], provenance: str) -> IncidenceStructure:
+        """The structure with these fields, set as given and checked by no
+        one: for callers whose blocks are already non-empty sorted tuples of
+        distinct points in 0..points-1, pairwise distinct, so that the
+        public constructor would return the same structure."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "points", points)
+        object.__setattr__(c, "blocks", blocks)
+        object.__setattr__(c, "provenance", provenance)
+        return c
 
     @property
     def block_count(self) -> int:
@@ -119,7 +139,9 @@ def v_construct(g: Graph, collapse: bool = False) -> IncidenceStructure:
     Without collapse the graph must be admissible so that the block count
     equals the vertex count; with collapse duplicate neighbourhoods are
     merged, each kept where it first occurs, and the result may have fewer
-    blocks than points.
+    blocks than points. The blocks are g.adjacency's rows, sorted and
+    non-empty, and distinct by admissibility or by the merge, so the
+    structure is built without the constructor's checks.
     """
     if any(len(ns) == 0 for ns in g.neighbor_sets):
         raise ParameterError("v_construct needs a graph without isolated vertices")
@@ -131,10 +153,10 @@ def v_construct(g: Graph, collapse: bool = False) -> IncidenceStructure:
                 "pass collapse=True to merge duplicate blocks",
                 pair=pair,
             )
-    return IncidenceStructure(
-        points=g.order,
-        blocks=tuple(dict.fromkeys(g.adjacency)),
-        provenance=f"v_construct(order={g.order}, size={g.size}, collapse={collapse})",
+    return IncidenceStructure._canonical(
+        g.order,
+        tuple(dict.fromkeys(g.adjacency)) if collapse else g.adjacency,
+        f"v_construct(order={g.order}, size={g.size}, collapse={collapse})",
     )
 
 
@@ -211,27 +233,49 @@ def decompose(c: IncidenceStructure) -> list[IncidenceStructure]:
     """Connected components of the Levi graph as re-indexed structures.
 
     The components are c.levi_components, which classify shares; no Levi
-    graph is built. Components are ordered by
-    their smallest original point index, and each result records the
-    original indices in its provenance string.
+    graph is built. Components are ordered by their smallest original point
+    index, and each result records the original indices in its provenance
+    string. Points are renumbered in increasing order, which keeps every
+    block sorted and the blocks distinct, so the parts skip the
+    constructor's checks.
     """
+    n = c.points
     out = []
     for idx, comp in enumerate(c.levi_components):
-        pts = [v for v in comp if v < c.points]
-        blks = [v - c.points for v in comp if v >= c.points]
-        remap = {p: i for i, p in enumerate(pts)}
-        blocks = tuple(tuple(remap[p] for p in c.blocks[j]) for j in blks)
+        k = bisect_left(comp, n)  # points come before blocks in a sorted component
+        pts, blks = list(comp[:k]), [v - n for v in comp[k:]]
+        if k == n:  # every point, so every block, in order
+            blocks = c.blocks
+        else:
+            remap = dict(zip(pts, range(k)))
+            blocks = tuple(tuple(map(remap.__getitem__, c.blocks[j])) for j in blks)
         out.append(
-            IncidenceStructure(
-                points=len(pts),
-                blocks=blocks,
-                provenance=(
-                    f"{c.provenance} | component {idx}: points {pts}, "
-                    f"blocks {sorted(blks)}"
-                ),
+            IncidenceStructure._canonical(
+                k, blocks, f"{c.provenance} | component {idx}: points {pts}, blocks {blks}"
             )
         )
     return out
+
+
+def _cover_components(g: Graph) -> int:
+    """Components of g's Kronecker cover, from one BFS over g.
+
+    A connected graph's cover is connected when the graph has an odd cycle
+    and splits in two when it is bipartite (Weichsel), so each component of
+    g counts twice unless some edge joins two vertices of one BFS layer.
+    While layer d is yielded, only layers up to d are marked, so a marked
+    neighbour at depth d lies in the same layer.
+    """
+    depth = [-1] * g.order
+    adjacency = g.adjacency
+    count = 0
+    for root in range(g.order):
+        if depth[root] < 0:
+            odd = False
+            for d, layer in enumerate(bfs_layers(g, root, depth)):
+                odd = odd or any(depth[w] == d for v in layer for w in adjacency[v])
+            count += 1 if odd else 2
+    return count
 
 
 @dataclass(frozen=True)
@@ -272,13 +316,12 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
     points and blocks, holding exactly 2 * g.size incidences, and block j
     must lie inside N(j). A bijection that sends every Levi edge onto a
     cover edge, with equal edge counts, is an isomorphism. The cover's
-    components come from union-find over its edges. For non-admissible
+    components are counted on g (_cover_components). For non-admissible
     inputs the report instead documents how the collapsed structure falls
     short of the cover.
     """
     n = g.order
-    cover_edges = [(u, n + v) for u, v in g.edges] + [(v, n + u) for u, v in g.edges]
-    cover_components = len(set(_class_roots(2 * n, cover_edges)))
+    components = _cover_components(g)
     try:
         c = v_construct(g)
     except AdmissibilityError as exc:
@@ -290,7 +333,7 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
             witness=None,
             levi_order=c.points + c.block_count,
             cover_order=2 * n,
-            cover_components=cover_components,
+            cover_components=components,
             collapsed_block_count=c.block_count,
         )
     verified = (
@@ -305,7 +348,7 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
         witness=VertexMap(tuple(range(2 * n))) if verified else None,
         levi_order=c.points + c.block_count,
         cover_order=2 * n,
-        cover_components=cover_components,
+        cover_components=components,
         collapsed_block_count=None,
     )
 

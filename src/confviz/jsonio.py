@@ -24,6 +24,7 @@ import math
 import os
 import stat
 from contextlib import contextmanager
+from itertools import chain
 from operator import itemgetter
 from typing import Any
 
@@ -149,9 +150,15 @@ def incidence_to_obj(c: IncidenceStructure) -> dict:
 
 def incidence_from_obj(obj: dict) -> IncidenceStructure:
     with _malformed("incidence"):
+        points = _int(obj["points"])
+        blocks = tuple(map(tuple, obj["blocks"]))
+        # one pass over every entry's type; only a file that fails it pays
+        # for _int on each entry, which names the first bad one
+        if not {int}.issuperset(map(type, chain.from_iterable(blocks))):
+            blocks = tuple(tuple(map(_int, b)) for b in blocks)
         return IncidenceStructure(
-            points=_int(obj["points"]),
-            blocks=tuple(tuple(map(_int, b)) for b in obj["blocks"]),
+            points=points,
+            blocks=blocks,
             provenance=_json(obj.get("provenance", ""), str, "a string"),
         )
 

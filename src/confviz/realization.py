@@ -707,7 +707,7 @@ def _fitted_circles(
     # a circle about each vertex until it has its own, and its residual
     cx, cy, r, residual = pos[:, 0].copy(), pos[:, 1].copy(), np.zeros(n), np.zeros(n)
     two = np.flatnonzero((deg == 2) & allow_degree_two)
-    d = _row_norms(pos[nbr[start[two, None] + np.arange(2)]] - pos[two, None])
+    d = _row_norms(pos.take(nbr[start[two, None] + np.arange(2)], axis=0) - pos.take(two, axis=0)[:, None])
     r[two] = (d[:, 0] + d[:, 1]) / 2.0
     residual[two] = np.abs(d[:, 0] - d[:, 1])
     fit = np.flatnonzero(deg >= 3)
@@ -715,18 +715,20 @@ def _fitted_circles(
     for k in set(deg[fit].tolist()):
         at = np.flatnonzero(deg[fit] == k)
         ring = nbr[start[fit[at], None] + np.arange(k)]
-        off = pos[ring] - pos[ring[:, :1]]
+        around = pos.take(ring, axis=0)
+        off = around - around[:, :1]
         rows = np.arange(len(at))
         far = np.argmax(_row_dots(off, off), axis=1)
         u = off[rows, far]
         area = np.abs(u[:, None, 0] * off[:, :, 1] - u[:, None, 1] * off[:, :, 0])
         triples[at] = np.column_stack([ring[:, 0], ring[rows, far], ring[rows, np.argmax(area, axis=1)]])
-    p, q, s = pos[triples].transpose(1, 0, 2)
+    p, q, s = pos.take(triples, axis=0).transpose(1, 0, 2)
     flat = _collinear(p, q, s)
     cx[fit[~flat]], cy[fit[~flat]], r[fit[~flat]] = _circumcircles(p[~flat], q[~flat], s[~flat], screened=True)
     on = deg[owner] >= 3  # a collinear vertex's residual is moot: it fails first
     o, w = owner[on], nbr[on]
-    np.maximum.at(residual, o, np.abs(np.hypot(pos[w, 0] - cx[o], pos[w, 1] - cy[o]) - r[o]))
+    pw = pos.take(w, axis=0)
+    np.maximum.at(residual, o, np.abs(np.hypot(pw[:, 0] - cx[o], pw[:, 1] - cy[o]) - r[o]))
 
     refused = (deg < 3) & ((deg != 2) | (not allow_degree_two))
     failed = refused | (residual > tol)

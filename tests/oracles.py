@@ -16,8 +16,11 @@ split with a component walk per edge class is the version that its vertex
 union-find replaced. The incidence stages that built the Levi graph are kept
 as they were: its components by breadth-first walk, the pairing point i <->
 block i checked as a Levi automorphism before the involution search, and the
-identity witness checked as an isomorphism onto the cover. Tests hold each pair to the same
-answers.
+identity witness checked as an isomorphism onto the cover. The Kronecker
+report that counted the cover's components by union-find over its edges, and
+the lineality test that checked point pairs one at a time, are the versions
+that one BFS over the graph and one set update per block replaced. Tests hold
+each pair to the same answers.
 """
 
 import json
@@ -43,6 +46,7 @@ from confviz.errors import (
 from confviz.graphs import (
     Graph,
     VertexMap,
+    _class_roots,
     bipartite_swap_involution,
     cartesian_product,
     is_admissible,
@@ -1204,3 +1208,52 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
         cover_components=cover_components,
         collapsed_block_count=None,
     )
+
+
+def verify_kronecker_by_union_find(g: Graph) -> KroneckerReport:
+    """The O(E) report with the cover's components from union-find over its
+    2E edges (u,0)(v,1), instead of one BFS over g."""
+    n = g.order
+    cover_edges = [(u, n + v) for u, v in g.edges] + [(v, n + u) for u, v in g.edges]
+    cover_components = len(set(_class_roots(2 * n, cover_edges)))
+    try:
+        c = v_construct(g)
+    except AdmissibilityError as exc:
+        c = v_construct(g, collapse=True)
+        return KroneckerReport(
+            admissible=False,
+            offending_pair=exc.pair,
+            verified=False,
+            witness=None,
+            levi_order=c.points + c.block_count,
+            cover_order=2 * n,
+            cover_components=cover_components,
+            collapsed_block_count=c.block_count,
+        )
+    verified = (
+        c.points == c.block_count == n
+        and sum(map(len, c.blocks)) == 2 * g.size
+        and all(map(frozenset.issuperset, g.neighbor_sets, c.blocks))
+    )
+    return KroneckerReport(
+        admissible=True,
+        offending_pair=None,
+        verified=verified,
+        witness=VertexMap(tuple(range(2 * n))) if verified else None,
+        levi_order=c.points + c.block_count,
+        cover_order=2 * n,
+        cover_components=cover_components,
+        collapsed_block_count=None,
+    )
+
+
+def pair_in_two(sets) -> bool:
+    """Whether some pair lies together in two of the sorted tuples, checked
+    pair by pair."""
+    seen = set()
+    for s in sets:
+        for pair in combinations(s, 2):
+            if pair in seen:
+                return True
+            seen.add(pair)
+    return False

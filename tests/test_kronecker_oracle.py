@@ -213,3 +213,66 @@ def test_cover_components_follow_weichsel(g):
         bipartite += structure_report(sub).bipartite
     assert rep.cover_order == 2 * g.order
     assert rep.cover_components == len(comps) + bipartite
+
+
+# ---------------------------------------------------------------------------
+# the cover's components by one BFS over g, against union-find over the cover
+
+
+def component_kinds(g):
+    """(bipartite, not bipartite) counts over g's components."""
+    comps = structure_report(g).components
+    bipartite = 0
+    for comp in comps:
+        index = {v: i for i, v in enumerate(comp)}
+        sub = Graph(len(comp), tuple((index[u], index[v]) for u, v in g.edges if u in index))
+        bipartite += structure_report(sub).bipartite
+    return bipartite, len(comps) - bipartite
+
+
+@settings(max_examples=400, deadline=None)
+@given(kronecker_inputs())
+def test_report_matches_the_union_find_oracle(g):
+    assert outcome(verify_kronecker_theorem, g) == outcome(oracles.verify_kronecker_by_union_find, g)
+
+
+@pytest.mark.parametrize("family,params", FIXTURES + [("hypercube", (8,)), ("odd", (6,)), ("cycle", (4,))],
+                         ids=lambda x: str(x))
+def test_ladder_reports_match_the_union_find_oracle(family, params):
+    g = build_family(family, *params)
+    assert verify_kronecker_theorem(g) == oracles.verify_kronecker_by_union_find(g)
+
+
+def test_union_find_oracle_inputs_reach_every_case():
+    seen = set()
+
+    @settings(max_examples=400, database=None, derandomize=True)
+    @given(kronecker_inputs())
+    def collect(g):
+        rep = outcome(oracles.verify_kronecker_by_union_find, g)
+        if isinstance(rep, str):
+            seen.add("isolated vertex")
+            return
+        seen.add("admissible" if rep.admissible else "not admissible")
+        bipartite, odd = component_kinds(g)
+        if bipartite and odd:
+            seen.add("mixed components")
+        if bipartite > 1 or odd > 1:
+            seen.add("two of a kind")
+
+    collect()
+    assert seen == {"isolated vertex", "admissible", "not admissible", "mixed components",
+                    "two of a kind"}
+
+
+def test_mixed_components_by_hand():
+    # a triangle, a square and an edge: 1 + 2 + 2 cover components; the
+    # square and the edge share neighbourhoods, so g is not admissible
+    g = Graph(9, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6), (7, 8)))
+    rep = verify_kronecker_theorem(g)
+    assert rep == oracles.verify_kronecker_by_union_find(g)
+    assert not rep.admissible and rep.cover_components == 5
+    with pytest.raises(ParameterError):
+        verify_kronecker_theorem(Graph(3, ((0, 1),)))
+    with pytest.raises(ParameterError):
+        oracles.verify_kronecker_by_union_find(Graph(3, ((0, 1),)))
