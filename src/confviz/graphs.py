@@ -2,6 +2,13 @@
 
 Vertices are 0..order-1 throughout. Families emit deterministic labels so
 derived artifacts stay byte-stable across runs.
+
+The public constructor checks and normalises its edges, for files and
+hand-built graphs alike. The named families, line_graph, cartesian_product,
+the factors of cartesian_factors, kronecker_cover and incidence.levi_graph
+build edges that are canonical already (distinct, in range, u < v, sorted,
+Python ints) and set them through Graph._canonical without checking them
+again.
 """
 
 from __future__ import annotations
@@ -10,29 +17,48 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterator
 
 from .errors import ParameterError
 
 
-def _count(x, what: str) -> int:
-    """x as an int when it is a non-negative integer, numpy integers
-    included; a bool, a float or a string is a ParameterError."""
+def _integer(x, what: str) -> int:
+    """x as an int when it is an integer, numpy integers included; a bool,
+    a float or a string is a ParameterError."""
     try:
         if isinstance(x, bool):
             raise TypeError
-        n = operator.index(x)
+        return operator.index(x)
     except TypeError:
         raise ParameterError(f"{what} must be an integer, not {type(x).__name__}") from None
+
+
+def _count(x, what: str) -> int:
+    """x as an int when it is a non-negative integer (see _integer)."""
+    n = _integer(x, what)
     if n < 0:
         raise ParameterError(f"{what} must be non-negative")
     return n
 
 
+def _int_rows(rows: tuple, what: str) -> tuple:
+    """rows unchanged when every entry is an int; otherwise each row as a
+    tuple of _integer entries, so that the first entry that is no integer
+    is named. One pass over the entries' types decides."""
+    if {int}.issuperset(map(type, chain.from_iterable(rows))):
+        return rows
+    return tuple(tuple(_integer(x, f"{what} {x!r}") for x in row) for row in rows)
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph. Edges are normalized to sorted (u, v) with u < v."""
+    """Immutable simple graph. Edges are normalized to sorted (u, v) with u < v.
+
+    The constructor refuses entries that are not integers, loops and edges
+    outside 0..order-1. The library's own builders (see the module
+    docstring) skip those checks through _canonical.
+    """
 
     order: int
     edges: tuple[tuple[int, int], ...]
@@ -41,8 +67,8 @@ class Graph:
     def __post_init__(self):
         object.__setattr__(self, "order", _count(self.order, "graph order"))
         seen = set()
-        for e in self.edges:
-            u, v = int(e[0]), int(e[1])
+        for e in _int_rows(tuple(self.edges), "edge entry"):
+            u, v = e[0], e[1]
             if u == v:
                 raise ParameterError(f"loop at vertex {u}")
             if not (0 <= u < self.order and 0 <= v < self.order):
@@ -54,6 +80,18 @@ class Graph:
             if len(labels) != self.order:
                 raise ParameterError("label count must match order")
             object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _canonical(cls, order: int, edges: tuple[tuple[int, int], ...], labels: tuple[str, ...] | None) -> Graph:
+        """The graph with these fields, set as given and checked by no one:
+        for callers whose edges are distinct pairs u < v of Python ints in
+        0..order-1, in increasing order, and whose labels are order strings
+        or None, so that the public constructor would return the same graph."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "order", order)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "labels", labels)
+        return g
 
     @property
     def size(self) -> int:
@@ -159,44 +197,60 @@ class VertexMap:
 # families
 
 
+def _ring_edges(n: int, r: int, base: int) -> tuple[tuple[int, int], ...]:
+    """Sorted edges joining base + i to base + (i + r) % n, for 1 <= r < n/2:
+    vertex i's neighbours above it are i + r and, when i < r, i + n - r."""
+    return tuple((base + i, base + j) for i in range(n) for j in (i + r, i + n - r) if j < n)
+
+
+def _spoked_rings(n: int, r: int) -> tuple[tuple[int, int], ...]:
+    """Sorted edges of the n-cycle on 0..n-1 and the step-r ring on n..2n-1,
+    joined by the spokes (i, n + i)."""
+    edges = [(0, 1), (0, n - 1), (0, n)]
+    for i in range(1, n - 1):
+        edges += ((i, i + 1), (i, n + i))
+    edges.append((n - 1, 2 * n - 1))
+    return tuple(edges) + _ring_edges(n, r, n)
+
+
 def cycle_graph(n: int) -> Graph:
+    n = _integer(n, "n")
     if n < 3:
         raise ParameterError("cycle needs n >= 3")
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)), tuple(str(i) for i in range(n)))
+    return Graph._canonical(n, _ring_edges(n, 1, 0), tuple(str(i) for i in range(n)))
 
 
 def path_graph(n: int) -> Graph:
+    n = _integer(n, "n")
     if n < 1:
         raise ParameterError("path needs n >= 1")
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)), tuple(str(i) for i in range(n)))
+    return Graph._canonical(n, tuple((i, i + 1) for i in range(n - 1)), tuple(str(i) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
+    n = _integer(n, "n")
     if n < 1:
         raise ParameterError("complete graph needs n >= 1")
-    return Graph(n, tuple(combinations(range(n), 2)), tuple(str(i) for i in range(n)))
+    return Graph._canonical(n, tuple(combinations(range(n), 2)), tuple(str(i) for i in range(n)))
 
 
 def prism_graph(n: int) -> Graph:
     """Two concentric n-cycles joined by rungs; labels record (ring, index)."""
+    n = _integer(n, "n")
     if n < 3:
         raise ParameterError("prism needs n >= 3")
-    edges = []
-    for i in range(n):
-        edges.append((i, (i + 1) % n))
-        edges.append((n + i, n + (i + 1) % n))
-        edges.append((i, n + i))
     labels = tuple(f"(0,{i})" for i in range(n)) + tuple(f"(1,{i})" for i in range(n))
-    return Graph(2 * n, tuple(edges), labels)
+    return Graph._canonical(2 * n, _spoked_rings(n, 1), labels)
 
 
 def hypercube_graph(d: int) -> Graph:
     """d-cube on bitmask vertices; labels are the d-bit strings."""
+    d = _integer(d, "d")
     if d < 1:
         raise ParameterError("hypercube needs d >= 1")
     n = 1 << d
-    edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b)]
-    return Graph(n, tuple(edges), tuple(format(v, f"0{d}b") for v in range(n)))
+    edges = tuple((v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b))
+    return Graph._canonical(n, edges, tuple(format(v, f"0{d}b") for v in range(n)))
 
 
 def _subset_label(s: tuple[int, ...]) -> str:
@@ -205,7 +259,9 @@ def _subset_label(s: tuple[int, ...]) -> str:
 
 def kneser_graph(n: int, k: int) -> Graph:
     """K(n,k): k-subsets of an n-set, adjacent when disjoint. A subset's
-    neighbours are the k-subsets of its complement, so the cost is O(E)."""
+    neighbours are the k-subsets of its complement, in increasing index, so
+    the cost is O(E)."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     if k < 1 or n < 2 * k:
         raise ParameterError("kneser needs 1 <= k and n >= 2k")
     verts = list(combinations(range(n), k))
@@ -216,7 +272,7 @@ def kneser_graph(n: int, k: int) -> Graph:
         for t in combinations([x for x in range(n) if x not in s], k)
         if index[t] > i
     )
-    return Graph(len(verts), edges, tuple(_subset_label(s) for s in verts))
+    return Graph._canonical(len(verts), edges, tuple(_subset_label(s) for s in verts))
 
 
 def bipartite_kneser_graph(n: int, k: int) -> Graph:
@@ -224,8 +280,10 @@ def bipartite_kneser_graph(n: int, k: int) -> Graph:
 
     The supersets of a k-subset are the complements of the k-subsets of its
     complement, and complementing reverses lexicographic order, so the
-    (n-k)-subset large[j] is the complement of small[ns - 1 - j]. The cost
-    is O(E)."""
+    (n-k)-subset large[j] is the complement of small[ns - 1 - j]. Walking
+    those k-subsets backwards lists the supersets in increasing index. The
+    cost is O(E)."""
+    n, k = _integer(n, "n"), _integer(k, "k")
     if k < 1 or n <= 2 * k:
         raise ParameterError("bipartite kneser needs 1 <= k and n > 2k")
     small = list(combinations(range(n), k))
@@ -235,14 +293,15 @@ def bipartite_kneser_graph(n: int, k: int) -> Graph:
     edges = tuple(
         (i, 2 * ns - 1 - index[u])
         for i, s in enumerate(small)
-        for u in combinations([x for x in range(n) if x not in s], k)
+        for u in reversed(list(combinations([x for x in range(n) if x not in s], k)))
     )
     labels = tuple(_subset_label(s) for s in small) + tuple(_subset_label(t) for t in large)
-    return Graph(ns + len(large), edges, labels)
+    return Graph._canonical(ns + len(large), edges, labels)
 
 
 def odd_graph(m: int) -> Graph:
     """O_m = K(2m-1, m-1); O_3 is the Petersen graph."""
+    m = _integer(m, "m")
     if m < 2:
         raise ParameterError("odd graph needs m >= 2")
     return kneser_graph(2 * m - 1, m - 1)
@@ -258,15 +317,11 @@ def desargues_graph() -> Graph:
 
 def generalized_petersen_graph(n: int, r: int) -> Graph:
     """GP(n,r): outer n-cycle, inner star polygon with step r, spokes."""
+    n, r = _integer(n, "n"), _integer(r, "r")
     if n < 3 or r < 1 or 2 * r >= n:
         raise ParameterError("generalized petersen needs n >= 3 and 1 <= r < n/2")
-    edges = []
-    for i in range(n):
-        edges.append((i, (i + 1) % n))
-        edges.append((n + i, n + (i + r) % n))
-        edges.append((i, n + i))
     labels = tuple(f"o{i}" for i in range(n)) + tuple(f"i{i}" for i in range(n))
-    return Graph(2 * n, tuple(edges), labels)
+    return Graph._canonical(2 * n, _spoked_rings(n, r), labels)
 
 
 def dodecahedron_graph() -> Graph:
@@ -339,22 +394,34 @@ def build_family(name: str, *params: int) -> Graph:
 # constructions
 
 
+def _upper_neighbours(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbours above it, in increasing order."""
+    up: list[list[int]] = [[] for _ in range(g.order)]
+    for u, v in g.edges:
+        up[u].append(v)
+    return up
+
+
 def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Box product; vertex (a, x) sits at index a * h.order + x."""
+    """Box product; vertex (a, x) sits at index a * h.order + x.
+
+    Above (a, x) lie (a, y) for h's neighbours y above x, then (b, x) for
+    g's neighbours b above a, so the edges come out sorted."""
     if g.order == 0 or h.order == 0:
         raise ParameterError("product factors must be non-empty")
+    m = h.order
+    gu, hu = _upper_neighbours(g), _upper_neighbours(h)
     edges = []
     for a in range(g.order):
-        base = a * h.order
-        for x, y in h.edges:
-            edges.append((base + x, base + y))
-    for a, b in g.edges:
-        for x in range(h.order):
-            edges.append((a * h.order + x, b * h.order + x))
+        base = a * m
+        for x in range(m):
+            v = base + x
+            edges += [(v, base + y) for y in hu[x]]
+            edges += [(v, b * m + x) for b in gu[a]]
     labels = tuple(
         f"({g.label(a)},{h.label(x)})" for a in range(g.order) for x in range(h.order)
     )
-    return Graph(g.order * h.order, tuple(edges), labels)
+    return Graph._canonical(g.order * m, tuple(edges), labels)
 
 
 def _class_roots(n: int, pairs) -> list[int]:
@@ -422,8 +489,9 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
         along = _class_roots(g.order, mine)
         layer = [v for v in range(g.order) if along[v] == 0]
         at = {v: i for i, v in enumerate(layer)}
+        # at is increasing, so the layer's edges keep g's order
         edges = tuple((at[u], at[v]) for u, v in mine if u in at)
-        factors.append(Graph(len(layer), edges, tuple(g.label(v) for v in layer)))
+        factors.append(Graph._canonical(len(layer), edges, tuple(g.label(v) for v in layer)))
         # each component without class-c edges meets the layer once, there
         # at the vertex's coordinate
         across = _class_roots(g.order, (e for e, k in zip(g.edges, colour) if k != c))
@@ -445,30 +513,29 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
 
 
 def line_graph(g: Graph) -> Graph:
-    """L(g): one vertex per edge of g, adjacent when the edges share an endpoint."""
+    """L(g): one vertex per edge of g, adjacent when the edges share an endpoint.
+
+    Two edges of a simple graph share at most one endpoint, so pairing the
+    edges at each vertex gives every edge of L(g) once."""
     if g.size == 0:
         raise ParameterError("line graph of an edgeless graph is empty")
-    index = {e: i for i, e in enumerate(g.edges)}
-    edges = set()
-    for v in range(g.order):
-        inc = [index[(min(v, w), max(v, w))] for w in g.adjacency[v]]
-        for i, j in combinations(sorted(inc), 2):
-            edges.add((i, j))
+    inc: list[list[int]] = [[] for _ in range(g.order)]
+    for i, (u, v) in enumerate(g.edges):
+        inc[u].append(i)
+        inc[v].append(i)
+    edges = sorted(chain.from_iterable(map(combinations, inc, repeat(2))))
     labels = tuple(f"{g.label(u)}~{g.label(v)}" for u, v in g.edges)
-    return Graph(g.size, tuple(sorted(edges)), labels)
+    return Graph._canonical(g.size, tuple(edges), labels)
 
 
 def kronecker_cover(g: Graph) -> tuple[Graph, Bipartition]:
     """Canonical double cover: fibers (v,0) -> v and (v,1) -> order + v."""
     n = g.order
-    edges = []
-    for u, v in g.edges:
-        edges.append((u, n + v))
-        edges.append((v, n + u))
+    edges = tuple((u, n + v) for u, row in enumerate(g.adjacency) for v in row)
     labels = tuple(f"({g.label(v)},0)" for v in range(n)) + tuple(
         f"({g.label(v)},1)" for v in range(n)
     )
-    cover = Graph(2 * n, tuple(edges), labels)
+    cover = Graph._canonical(2 * n, edges, labels)
     return cover, Bipartition((0,) * n + (1,) * n)
 
 

@@ -7,13 +7,14 @@ of G, and point v <-> block v is a polarity; verify_kronecker_theorem and
 is_self_polar check these maps on the blocks and G's neighbourhoods, so
 neither the Levi graph nor the cover is built, and the cover's components
 are counted by one breadth-first walk over G. A structure's Levi
-components are found once, by union-find over its incidences, and shared
-by classify and decompose.
+components are found once, by one breadth-first walk from points to the
+blocks through them and back, and shared by classify and decompose.
 
 The public constructor checks and normalises its blocks, for files and
 hand-built structures alike. v_construct and decompose build blocks that
 are canonical already (sorted, non-empty, in range and distinct) and set
-them through IncidenceStructure._canonical without checking them again.
+them through IncidenceStructure._canonical without checking them again;
+levi_graph builds its graph through Graph._canonical.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .graphs import (
     Bipartition,
     Graph,
     VertexMap,
-    _class_roots,
     _count,
+    _int_rows,
     bfs_layers,
     bipartite_swap_involution,
     is_admissible,
@@ -52,8 +53,8 @@ class IncidenceStructure:
     def __post_init__(self):
         object.__setattr__(self, "points", _count(self.points, "point count"))
         norm = []
-        for blk in self.blocks:
-            b = tuple(sorted(map(int, blk)))
+        for blk in _int_rows(tuple(self.blocks), "block entry"):
+            b = tuple(sorted(blk))
             if len(b) == 0:
                 raise ParameterError("empty block")
             if len(set(b)) != len(b):
@@ -91,13 +92,44 @@ class IncidenceStructure:
     @cached_property
     def levi_components(self) -> tuple[tuple[int, ...], ...]:
         """Components of the Levi graph, each sorted, in order of least vertex,
-        by union-find over the incidences; no Levi graph is built. Computed
-        once per structure and kept outside the dataclass fields."""
-        comps: dict[int, list[int]] = {}
-        # a class is named by its least member, which comes first in this loop
-        for v, root in enumerate(_class_roots(self.points + self.block_count, levi_edges(self))):
-            comps.setdefault(root, []).append(v)
-        return tuple(map(tuple, comps.values()))
+        by one breadth-first walk from points to the blocks through them and
+        on to those blocks' points; no Levi graph is built. Computed once per
+        structure and kept outside the dataclass fields."""
+        n, blocks = self.points, self.blocks
+        through = _blocks_through(self)
+        point_seen = [False] * n
+        block_seen = [False] * len(blocks)
+        comps = []
+        # every block holds a point, so a component's least vertex is a point
+        for root in range(n):
+            if point_seen[root]:
+                continue
+            point_seen[root] = True
+            pts, blks = [root], []
+            for p in pts:
+                for j in through[p]:
+                    if not block_seen[j]:
+                        block_seen[j] = True
+                        blks.append(n + j)
+                        for q in blocks[j]:
+                            if not point_seen[q]:
+                                point_seen[q] = True
+                                pts.append(q)
+            if len(pts) == n:  # every point, so every block
+                return (tuple(range(n + len(blocks))),)
+            pts.sort()
+            blks.sort()
+            comps.append(tuple(pts + blks))
+        return tuple(comps)
+
+
+def _blocks_through(c: IncidenceStructure) -> list[list[int]]:
+    """For each point, the indices of the blocks holding it, in increasing order."""
+    through: list[list[int]] = [[] for _ in range(c.points)]
+    for j, blk in enumerate(c.blocks):
+        for p in blk:
+            through[p].append(j)
+    return through
 
 
 @dataclass(frozen=True)
@@ -160,17 +192,13 @@ def v_construct(g: Graph, collapse: bool = False) -> IncidenceStructure:
     )
 
 
-def levi_edges(c: IncidenceStructure) -> list[tuple[int, int]]:
-    """Levi graph edges (p, n + j), block by block: point p lies in block j."""
-    n = c.points
-    return [(p, n + j) for j, blk in enumerate(c.blocks) for p in blk]
-
-
 def levi_graph(c: IncidenceStructure) -> tuple[Graph, Bipartition]:
-    """Bipartite incidence graph: points 0..n-1, block j at index n + j."""
+    """Bipartite incidence graph: points 0..n-1, block j at index n + j.
+    Point p's edges (p, n + j) come in increasing j, so they are sorted."""
     n = c.points
     labels = tuple(f"p{i}" for i in range(n)) + tuple(f"b{j}" for j in range(c.block_count))
-    g = Graph(n + c.block_count, tuple(levi_edges(c)), labels)
+    edges = tuple((p, n + j) for p, js in enumerate(_blocks_through(c)) for j in js)
+    g = Graph._canonical(n + c.block_count, edges, labels)
     return g, Bipartition((0,) * n + (1,) * c.block_count)
 
 

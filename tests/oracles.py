@@ -13,7 +13,9 @@ per-circle loops with the per-vertex coplanarity fit and the Plane and
 SphereCircle objects they built, and the per-vertex least-squares circle
 fit that circles_from_layout ran before its circumcircle pass. The Cartesian factor
 split with a component walk per edge class is the version that its vertex
-union-find replaced. The incidence stages that built the Levi graph are kept
+union-find replaced, and the line graph that looked up each incident edge by
+its endpoints and sorted twice is the version that one pairing pass replaced.
+The incidence stages that built the Levi graph are kept
 as they were: its components by breadth-first walk, the pairing point i <->
 block i checked as a Levi automorphism before the involution search, and the
 identity witness checked as an isomorphism onto the cover. The Kronecker
@@ -459,6 +461,21 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
     if not witness.is_isomorphism(g, reduce(cartesian_product, factors)):
         return prime
     return tuple(factors), witness
+
+
+def line_graph(g: Graph) -> Graph:
+    """L(g) with each incident edge's index looked up by its endpoints, the
+    pairs sorted per vertex and again by the checking constructor."""
+    if g.size == 0:
+        raise ParameterError("line graph of an edgeless graph is empty")
+    index = {e: i for i, e in enumerate(g.edges)}
+    edges = set()
+    for v in range(g.order):
+        inc = [index[(min(v, w), max(v, w))] for w in g.adjacency[v]]
+        for i, j in combinations(sorted(inc), 2):
+            edges.add((i, j))
+    labels = tuple(f"{g.label(u)}~{g.label(v)}" for u, v in g.edges)
+    return Graph(g.size, tuple(sorted(edges)), labels)
 
 
 # ---------------------------------------------------------------------------

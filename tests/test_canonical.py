@@ -1,6 +1,8 @@
 """Structures and graphs that the library builds in canonical form without
 re-checking them, held to what the checking constructors give, and the
-counts those constructors take."""
+counts and entries those constructors take."""
+
+import re
 
 import numpy as np
 import pytest
@@ -11,13 +13,18 @@ from confviz import (
     IncidenceStructure,
     ParameterError,
     build_family,
+    cartesian_factors,
+    cartesian_product,
     classify,
     decompose,
     is_admissible,
+    kronecker_cover,
+    levi_graph,
+    line_graph,
     v_construct,
 )
 from confviz import jsonio
-from confviz.graphs import has_four_cycle, pair_in_two
+from confviz.graphs import _FAMILIES, has_four_cycle, pair_in_two
 
 import oracles
 
@@ -38,6 +45,96 @@ def shuffled_graphs(draw, max_order=9):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     return Graph(n, tuple((v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)))
+
+
+def assert_trusted(g):
+    """g, built without the constructor's checks, is the graph the checking
+    constructor makes of its fields, with tuples of int entries."""
+    assert Graph(g.order, g.edges, g.labels) == g
+    assert type(g.order) is int and type(g.edges) is tuple
+    assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is int for e in g.edges)
+    assert g.labels is None or (type(g.labels) is tuple and all(type(s) is str for s in g.labels))
+
+
+def assert_derived_graphs_trusted(g):
+    """The graphs built from g without the constructor's checks, and the
+    line graph against the version that sorted and checked its edges."""
+    assert_trusted(kronecker_cover(g)[0])
+    for factor in cartesian_factors(g)[0]:
+        assert_trusted(factor)
+    if g.size:
+        lg = line_graph(g)
+        assert_trusted(lg)
+        assert lg == oracles.line_graph(g)
+    if all(g.neighbor_sets):
+        assert_trusted(levi_graph(v_construct(g, collapse=True))[0])
+
+
+# each family with parameters, beside those on the ladder
+FAMILY_CASES = LADDER + [
+    ("cycle", (3,)), ("cycle", (4,)), ("path", (1,)), ("path", (5,)), ("complete", (1,)),
+    ("complete", (6,)), ("prism", (3,)), ("prism", (7,)), ("hypercube", (1,)), ("kneser", (2, 1)),
+    ("kneser", (8, 3)), ("bipartite_kneser", (3, 1)), ("bipartite_kneser", (7, 3)), ("odd", (2,)),
+    ("gen_petersen", (3, 1)), ("gen_petersen", (12, 5)), ("gen_cuboctahedron", (3,)),
+]
+
+
+def test_every_family_is_built_in_the_cases():
+    assert {family for family, _ in FAMILY_CASES} == set(_FAMILIES)
+
+
+@pytest.mark.parametrize("family,params", FAMILY_CASES, ids=lambda x: str(x))
+def test_family_graphs_and_their_derived_graphs_equal_the_checked_ones(family, params):
+    g = build_family(family, *params)
+    assert_trusted(g)
+    assert_derived_graphs_trusted(g)
+
+
+@st.composite
+def family_members(draw):
+    """A cycle, prism, GP(n,r), Kneser or bipartite Kneser graph with drawn
+    parameters."""
+    family = draw(st.sampled_from(["cycle", "prism", "gen_petersen", "kneser", "bipartite_kneser"]))
+    if family in ("cycle", "prism"):
+        return family, (draw(st.integers(3, 40)),)
+    if family == "gen_petersen":
+        n = draw(st.integers(3, 40))
+        return family, (n, draw(st.integers(1, (n - 1) // 2)))
+    if family == "kneser":
+        n = draw(st.integers(2, 9))
+        return family, (n, draw(st.integers(1, n // 2)))
+    n = draw(st.integers(3, 9))
+    return family, (n, draw(st.integers(1, (n - 1) // 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_members())
+def test_drawn_family_members_equal_the_checked_ones(member):
+    family, params = member
+    g = build_family(family, *params)
+    assert_trusted(g)
+    assert_trusted(kronecker_cover(g)[0])
+    assert line_graph(g) == oracles.line_graph(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_graphs())
+def test_graphs_derived_from_any_graph_equal_the_checked_ones(g):
+    assert_derived_graphs_trusted(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_graphs(max_order=5), shuffled_graphs(max_order=5))
+def test_products_equal_the_checked_ones(g, h):
+    gh = cartesian_product(g, h)
+    assert_trusted(gh)
+    assert gh.size == g.order * h.size + h.order * g.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(structures())
+def test_levi_graphs_of_any_structure_equal_the_checked_ones(c):
+    assert_trusted(levi_graph(c)[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -122,3 +219,29 @@ def test_incidence_reader_names_the_first_bad_block_entry():
         jsonio.incidence_from_obj(obj)
     good = {"points": 3, "blocks": [[2, 1], [0, 1]], "provenance": "by hand"}
     assert jsonio.incidence_from_obj(good) == IncidenceStructure(3, ((1, 2), (0, 1)), "by hand")
+
+
+@pytest.mark.parametrize("entry", [1.0, 1.9, "1", True, False, None, np.float64(1.0), np.bool_(True)])
+def test_entries_other_than_integers_are_refused(entry):
+    named = re.escape(repr(entry))
+    with pytest.raises(ParameterError, match=rf"^edge entry {named} must be an integer, not "):
+        Graph(3, [(0, 1), (2, entry)])
+    with pytest.raises(ParameterError, match=rf"^block entry {named} must be an integer, not "):
+        IncidenceStructure(3, [(0, 1), (entry, 2)])
+
+
+def test_numpy_integer_entries_become_ints():
+    g = Graph(3, [(np.int64(2), np.int32(0)), (1, np.uint8(2))])
+    c = IncidenceStructure(3, [(np.int64(2), np.uint8(0)), (1, np.int16(2))])
+    assert g == Graph(3, [(0, 2), (1, 2)]) and c == IncidenceStructure(3, [(0, 2), (1, 2)])
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert all(type(x) is int for b in c.blocks for x in b)
+
+
+@pytest.mark.parametrize("entry,shown", [(1.0, "1.0"), (True, "True"), ("1", "'1'")])
+def test_readers_keep_their_message_for_bad_entries(entry, shown):
+    found = f"expected an integer, found {re.escape(shown)}$"
+    with pytest.raises(ParameterError, match=rf"^malformed graph object: {found}"):
+        jsonio.graph_from_obj({"order": 3, "edges": [[0, 1], [2, entry]]})
+    with pytest.raises(ParameterError, match=rf"^malformed incidence object: {found}"):
+        jsonio.incidence_from_obj({"points": 3, "blocks": [[0, 1], [2, entry]]})

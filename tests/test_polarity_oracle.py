@@ -4,6 +4,7 @@ block-pair lineality against the Levi girth, and the incidence stages that
 use neither the Levi graph nor its walk against the ones that did."""
 
 from dataclasses import replace
+from functools import cached_property
 from itertools import combinations, permutations
 
 import pytest
@@ -23,7 +24,7 @@ from confviz import (
     verify_kronecker_theorem,
 )
 from confviz import incidence, iso
-from confviz.graphs import StructureReport, _class_roots
+from confviz.graphs import StructureReport
 from confviz.iso import MAX_VERTICES
 
 import oracles
@@ -198,21 +199,23 @@ def no_levi_graph(monkeypatch):
 def test_ladder_stages_build_no_levi_graph(family, params, no_levi_graph, monkeypatch):
     g = build_family(family, *params)  # the Pappus graph is itself a Levi graph
     no_levi_graph()
-    union_finds = []
+    walks = []
+    walk = IncidenceStructure.levi_components.func
 
-    def counted(n, pairs):
-        union_finds.append(n)
-        return _class_roots(n, pairs)
+    def counted(c):
+        walks.append(c.points + c.block_count)
+        return walk(c)
 
-    monkeypatch.setattr(incidence, "_class_roots", counted)
+    components = cached_property(counted)
+    components.__set_name__(IncidenceStructure, "levi_components")
+    monkeypatch.setattr(IncidenceStructure, "levi_components", components)
     rep = verify_kronecker_theorem(g)
     assert rep.admissible and rep.verified and rep.levi_order == 2 * g.order
-    assert union_finds == []  # the cover's components come from a BFS over g
+    assert walks == []  # the cover's components come from a BFS over g
     c = v_construct(g)
-    union_finds.clear()
     cls = classify(c, with_self_polar=True)
     parts = decompose(c)
-    assert union_finds == [c.points + c.block_count]  # one per structure, shared
+    assert walks == [c.points + c.block_count]  # one components walk per structure, shared
     assert cls.self_polar and cls.connected == (len(parts) == 1)
     assert len(parts) in (1, 2) and sum(part.points for part in parts) == c.points
     assert is_self_polar(c) == identity_pairing(g.order)
