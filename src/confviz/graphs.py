@@ -51,6 +51,11 @@ def _int_rows(rows: tuple, what: str) -> tuple:
     return tuple(tuple(_integer(x, f"{what} {x!r}") for x in row) for row in rows)
 
 
+def _int_row(row, what: str) -> tuple:
+    """row as a tuple of ints, by the rule of _int_rows."""
+    return _int_rows((tuple(row),), what)[0]
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph. Edges are normalized to sorted (u, v) with u < v.
@@ -129,7 +134,7 @@ class Bipartition:
     sides: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sides", tuple(int(s) for s in self.sides))
+        object.__setattr__(self, "sides", _int_row(self.sides, "bipartition side"))
         if any(s not in (0, 1) for s in self.sides):
             raise ParameterError("bipartition sides must be 0 or 1")
 
@@ -151,7 +156,7 @@ class VertexMap:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "image", tuple(int(x) for x in self.image))
+        object.__setattr__(self, "image", _int_row(self.image, "vertex image"))
 
     def __call__(self, v: int) -> int:
         return self.image[v]
@@ -331,6 +336,7 @@ def dodecahedron_graph() -> Graph:
 
 def gen_cuboctahedron_graph(n: int) -> Graph:
     """CO(n): line graph of the n-prism, a 4-regular graph on 3n vertices."""
+    n = _integer(n, "n")
     if n < 3:
         raise ParameterError("generalized cuboctahedron needs n >= 3")
     return line_graph(prism_graph(n))
@@ -387,7 +393,7 @@ def build_family(name: str, *params: int) -> Graph:
     fn, arity, signature = _FAMILIES[name]
     if len(params) != arity:
         raise ParameterError(f"family {name} expects {signature}")
-    return fn(*(int(p) for p in params))
+    return fn(*params)
 
 
 # ---------------------------------------------------------------------------

@@ -344,40 +344,27 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
     points and blocks, holding exactly 2 * g.size incidences, and block j
     must lie inside N(j). A bijection that sends every Levi edge onto a
     cover edge, with equal edge counts, is an isomorphism. The cover's
-    components are counted on g (_cover_components). For non-admissible
-    inputs the report instead documents how the collapsed structure falls
-    short of the cover.
+    components are counted on g (_cover_components). N(g) is built once,
+    with shared neighbourhoods merged, so for a non-admissible g the report
+    instead documents how the collapsed structure falls short of the cover.
     """
     n = g.order
-    components = _cover_components(g)
-    try:
-        c = v_construct(g)
-    except AdmissibilityError as exc:
-        c = v_construct(g, collapse=True)
-        return KroneckerReport(
-            admissible=False,
-            offending_pair=exc.pair,
-            verified=False,
-            witness=None,
-            levi_order=c.points + c.block_count,
-            cover_order=2 * n,
-            cover_components=components,
-            collapsed_block_count=c.block_count,
-        )
-    verified = (
+    c = v_construct(g, collapse=True)  # N(g) itself when g is admissible
+    admissible, pair = is_admissible(g)
+    verified = admissible and (
         c.points == c.block_count == n
         and sum(map(len, c.blocks)) == 2 * g.size
         and all(map(frozenset.issuperset, g.neighbor_sets, c.blocks))
     )
     return KroneckerReport(
-        admissible=True,
-        offending_pair=None,
+        admissible=admissible,
+        offending_pair=pair,
         verified=verified,
         witness=VertexMap(tuple(range(2 * n))) if verified else None,
         levi_order=c.points + c.block_count,
         cover_order=2 * n,
-        cover_components=components,
-        collapsed_block_count=None,
+        cover_components=_cover_components(g),
+        collapsed_block_count=None if admissible else c.block_count,
     )
 
 

@@ -168,11 +168,13 @@ def layout_to_obj(layout) -> dict:
 
 
 def layout_from_obj(obj: dict):
+    import numpy as np
+
     from .realization import Layout
 
     with _malformed("layout"):
         g = graph_from_obj(obj["graph"])
-        pos = [[_num(x) for x in row] for row in obj["pos"]]
+        pos = [[_num(x) for x in row] for row in obj["pos"]] or np.empty((0, 2))
         return Layout(graph=g, pos=pos, meta=dict(_json(obj.get("meta", {}), dict, "an object")))
 
 
@@ -187,11 +189,13 @@ def pcc_to_obj(cfg) -> dict:
 
 
 def pcc_from_obj(obj: dict):
+    import numpy as np
+
     from .realization import PointCircleConfig
 
     with _malformed("point-circle"):
         return PointCircleConfig(
-            points=[[_num(x) for x in row] for row in obj["points"]],
+            points=[[_num(x) for x in row] for row in obj["points"]] or np.empty((0, 2)),
             # a centre of other than two numbers makes a row the table refuses
             circles=[(*map(_num, c["c"]), _num(c["r"])) for c in obj["circles"]],
             incidence=tuple((_int(p), _int(k)) for p, k in obj["incidence"]),

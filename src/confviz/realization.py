@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
     SamplingError,
 )
-from .graphs import Graph, build_family, cartesian_factors
+from .graphs import Graph, _int_rows, build_family, cartesian_factors
 from .incidence import IncidenceStructure
 
 TOL_INCIDENCE = 1e-9
@@ -68,7 +68,8 @@ class PointCircleConfig:
     circles is one read-only (C,) table of finite (cx, cy, r) rows, r > 0:
     circles["r"] is a column, circles[k].cx a field of one row and
     circles.view(float).reshape(-1, 3) the (C, 3) float table. It is built
-    from such a table or from a sequence of rows.
+    from such a table or from a sequence of rows. incidence is a sequence of
+    (point, circle) pairs of integers, kept sorted and distinct.
     """
 
     points: np.ndarray
@@ -101,10 +102,14 @@ class PointCircleConfig:
             raise ParameterError("points must be an (n, 2) table")
         if not np.all(np.isfinite(self.points)):
             raise ParameterError("points must be finite")
+        pairs = _int_rows(tuple(self.incidence), "incidence entry")
+        if not {2}.issuperset(map(len, pairs)):
+            bad = next(pair for pair in pairs if len(pair) != 2)
+            raise ParameterError(f"incidence {tuple(bad)} is not a (point, circle) pair")
         try:
-            pk = np.fromiter(chain.from_iterable(self.incidence), dtype=np.intp)
+            pk = np.fromiter(chain.from_iterable(pairs), dtype=np.intp)
         except OverflowError:  # an index past intp is out of range; the check below names it
-            pk = np.array(list(chain.from_iterable(self.incidence)), dtype=object)
+            pk = np.array(list(chain.from_iterable(pairs)), dtype=object)
         p, k = pk.reshape(-1, 2).T
         c = len(self.circles)
         out = np.flatnonzero((p < 0) | (p >= len(self.points)) | (k < 0) | (k >= c))
@@ -355,7 +360,8 @@ def layout_gen_cuboctahedron(n: int, r_outer: float = 2.0, r_inner: float = 1.0)
     outer = r_outer * np.column_stack([np.cos(ang), np.sin(ang)])
     inner = r_inner * np.column_stack([np.cos(ang), np.sin(ang)])
     vpos = np.vstack([outer, inner])
-    pos = np.array([(vpos[u] + vpos[v]) / 2.0 for u, v in base.edges])
+    u, v = _edge_arrays(base)
+    pos = (vpos.take(u, axis=0) + vpos.take(v, axis=0)) / 2.0
     return Layout(
         g,
         pos,
@@ -1094,7 +1100,8 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
 
     Every line misses the center, so its image is a circle through the
     center; the output is therefore never proper, which is the point of the
-    construction. Incidences carry over verbatim.
+    construction. Incidences carry over verbatim. Each line is a sequence
+    of at least two distinct integer point indices.
     """
     pts = np.asarray(points, dtype=float)
     ctr = np.asarray(center, dtype=float)
@@ -1113,8 +1120,7 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
         raise ParameterError("inversion radius must be positive")
     scale = max(1.0, float(np.max(np.abs(pts))))
     lines_norm: list[tuple[int, ...]] = []
-    for line in lines:
-        idx = tuple(int(p) for p in line)
+    for idx in map(tuple, _int_rows(tuple(lines), "line entry")):
         if len(idx) < 2 or len(set(idx)) != len(idx):
             raise ParameterError(f"line {idx} needs at least two distinct points")
         if any(p < 0 or p >= len(pts) for p in idx):

@@ -2,12 +2,17 @@
 
 A render is a pure function of the artifact: floats are written with a
 fixed format and elements in a fixed order, so rerunning on the same
-input yields byte-identical files.
+input yields byte-identical files. Each kind of element is written from
+one pass over its table (y negated, as SVG's y axis points down), and the
+viewBox is the min/max over (x, y, pad) rows: circles padded by radius
+and stroke, dots by their radius, labels by their text box.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -15,6 +20,7 @@ _EDGE_COLOR = "#555555"
 _CIRCLE_COLOR = "#1f77b4"
 _POINT_COLOR = "#d62728"
 _LABEL_COLOR = "#222222"
+_DOT = '<circle cx="{:.6f}" cy="{:.6f}" r="{:.6f}" />\n'
 
 
 def _fmt(v: float) -> str:
@@ -24,100 +30,87 @@ def _fmt(v: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-class _Canvas:
-    def __init__(self):
-        self.parts: list[str] = []
-        self.lo = [math.inf, math.inf]
-        self.hi = [-math.inf, -math.inf]
-
-    def grow(self, x: float, y: float, pad: float = 0.0):
-        self.lo[0] = min(self.lo[0], x - pad)
-        self.lo[1] = min(self.lo[1], y - pad)
-        self.hi[0] = max(self.hi[0], x + pad)
-        self.hi[1] = max(self.hi[1], y + pad)
-
-    def finish(self) -> str:
-        if not self.parts or self.lo[0] > self.hi[0]:
-            raise ParameterError("nothing to render")
-        w = max(self.hi[0] - self.lo[0], 1e-9)
-        h = max(self.hi[1] - self.lo[1], 1e-9)
-        margin = 0.05 * max(w, h)
-        box = (self.lo[0] - margin, self.lo[1] - margin, w + 2 * margin, h + 2 * margin)
-        head = (
-            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'viewBox="{_fmt(box[0])} {_fmt(box[1])} {_fmt(box[2])} {_fmt(box[3])}">'
-        )
-        return "\n".join([head, *self.parts, "</svg>"]) + "\n"
+def _group(head: str, element: str, table: np.ndarray) -> str:
+    """head, element filled in with each row of table, and </g>, a line each.
+    Every field of element is a quoted {:.6f}, written as _fmt writes it."""
+    if not np.isfinite(table).all():
+        raise ParameterError("cannot render non-finite coordinate")
+    body = (element * len(table)).format(*table.ravel().tolist())
+    return f"{head}\n{body}</g>".replace('"-0.000000"', '"0.000000"')
 
 
-def _scale_of(points) -> float:
+def _flipped(table) -> np.ndarray:
+    """A float copy of table with column 1 negated."""
+    out = np.array(table, dtype=float)
+    out[:, 1] = -out[:, 1]
+    return out
+
+
+def _scale_of(pts: np.ndarray) -> float:
     # reference length for strokes and dot radii
-    xs = [p[0] for p in points]
-    ys = [-p[1] for p in points]
-    return max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    if not len(pts):
+        raise ParameterError("nothing to render")
+    span = (pts.max(axis=0) - pts.min(axis=0)).tolist()
+    return max(span[0], span[1], 1e-9)
 
 
 def render_layout(layout, labels: bool = False) -> str:
     """Graph drawing: line per edge, dot per vertex, optional vertex labels."""
-    pts = [(float(x), -float(y)) for x, y in layout.pos]
-    ref = _scale_of(layout.pos)
-    lw = 0.004 * ref
-    dot = 0.012 * ref
-    cv = _Canvas()
-    cv.parts.append(f'<g stroke="{_EDGE_COLOR}" stroke-width="{_fmt(lw)}">')
-    for u, v in layout.graph.edges:
-        (x1, y1), (x2, y2) = pts[u], pts[v]
-        cv.parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" />'
-        )
-    cv.parts.append("</g>")
-    _draw_points(cv, pts, dot)
-    if labels:
-        _draw_labels(cv, pts, [layout.graph.label(v) for v in range(layout.graph.order)], ref)
-    for x, y in pts:
-        cv.grow(x, y, dot)
-    return cv.finish()
+    pts = _flipped(layout.pos)
+    ref = _scale_of(pts)
+    ends = np.array(layout.graph.edges, dtype=np.intp).reshape(-1, 2)
+    lines = _group(
+        f'<g stroke="{_EDGE_COLOR}" stroke-width="{_fmt(0.004 * ref)}">',
+        '<line x1="{:.6f}" y1="{:.6f}" x2="{:.6f}" y2="{:.6f}" />\n',
+        pts.take(ends, axis=0).reshape(-1, 4),
+    )
+    texts = [layout.graph.label(v) for v in range(layout.graph.order)] if labels else None
+    marks, boxes = _marks(pts, ref, texts)
+    return _document([lines, *marks], boxes)
 
 
 def render_config(cfg, labels: bool = False) -> str:
     """Point-circle drawing: stroked circles plus configuration points."""
     if len(cfg.circles) == 0:
         raise ParameterError("nothing to render")
-    circles = cfg.circles.view(float).reshape(-1, 3).tolist()
-    pts = [(float(x), -float(y)) for x, y in cfg.points]
-    ref = _scale_of(cfg.points)
-    ref = max(ref, 2.0 * max(r for _, _, r in circles))
+    circles = _flipped(cfg.circles.view(float).reshape(-1, 3))
+    pts = _flipped(cfg.points)
+    ref = max(_scale_of(pts), 2.0 * float(circles[:, 2].max()))
     lw = 0.004 * ref
-    dot = 0.012 * ref
-    cv = _Canvas()
-    cv.parts.append(f'<g fill="none" stroke="{_CIRCLE_COLOR}" stroke-width="{_fmt(lw)}">')
-    for cx, cy, r in circles:
-        cv.parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(-cy)}" r="{_fmt(r)}" />')
-        cv.grow(cx, -cy, r + lw)
-    cv.parts.append("</g>")
-    _draw_points(cv, pts, dot)
-    if labels:
-        _draw_labels(cv, pts, [str(i) for i in range(len(pts))], ref)
-    for x, y in pts:
-        cv.grow(x, y, dot)
-    return cv.finish()
+    rings = _group(f'<g fill="none" stroke="{_CIRCLE_COLOR}" stroke-width="{_fmt(lw)}">', _DOT, circles)
+    marks, boxes = _marks(pts, ref, [str(i) for i in range(len(pts))] if labels else None)
+    circles[:, 2] += lw
+    return _document([rings, *marks], [circles, *boxes])
 
 
-def _draw_points(cv: _Canvas, pts, dot: float):
-    cv.parts.append(f'<g fill="{_POINT_COLOR}">')
-    for x, y in pts:
-        cv.parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(dot)}" />')
-    cv.parts.append("</g>")
-
-
-def _draw_labels(cv: _Canvas, pts, texts, ref: float):
+def _marks(pts: np.ndarray, ref: float, texts) -> tuple[list[str], list[np.ndarray]]:
+    """A dot at each point and, unless texts is None, each text beside it:
+    their elements and their (x, y, pad) rows."""
+    dots = np.column_stack([pts, np.full(len(pts), 0.012 * ref)])
+    parts = [_group(f'<g fill="{_POINT_COLOR}">', _DOT, dots)]
+    if texts is None:
+        return parts, [dots]
     size = 0.03 * ref
     off = 0.018 * ref
-    cv.parts.append(
-        f'<g fill="{_LABEL_COLOR}" font-family="sans-serif" font-size="{_fmt(size)}">'
-    )
-    for (x, y), text in zip(pts, texts):
+    at = np.column_stack([pts[:, 0] + off, pts[:, 1] - off])
+    parts.append(f'<g fill="{_LABEL_COLOR}" font-family="sans-serif" font-size="{_fmt(size)}">')
+    for (x, y), text in zip(at.tolist(), texts):
         safe = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        cv.parts.append(f'<text x="{_fmt(x + off)}" y="{_fmt(y - off)}">{safe}</text>')
-        cv.grow(x + off + size * len(text) * 0.6, y - off, size)
-    cv.parts.append("</g>")
+        parts.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}">{safe}</text>')
+    parts.append("</g>")
+    width = size * np.array([len(t) for t in texts], dtype=float) * 0.6
+    return parts, [dots, np.column_stack([at[:, 0] + width, at[:, 1], np.full(len(at), size)])]
+
+
+def _document(parts: list[str], boxes: list[np.ndarray]) -> str:
+    """The SVG of parts, its viewBox holding every (x, y, pad) row of boxes
+    with a 5 % margin."""
+    rows = np.vstack(boxes)
+    lo = (rows[:, :2] - rows[:, 2:]).min(axis=0).tolist()
+    hi = (rows[:, :2] + rows[:, 2:]).max(axis=0).tolist()
+    w = max(hi[0] - lo[0], 1e-9)
+    h = max(hi[1] - lo[1], 1e-9)
+    margin = 0.05 * max(w, h)
+    box = " ".join(map(_fmt, (lo[0] - margin, lo[1] - margin, w + 2 * margin, h + 2 * margin)))
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="{box}">'
+    return "\n".join([head, *parts, "</svg>"]) + "\n"

@@ -24,7 +24,14 @@ from confviz import (
     v_construct,
 )
 from confviz import jsonio
-from confviz.graphs import _FAMILIES, has_four_cycle, pair_in_two
+from confviz.graphs import _FAMILIES, Bipartition, VertexMap, has_four_cycle, pair_in_two
+from confviz.realization import (
+    PointCircleConfig,
+    invert_pointline,
+    layout_gen_cuboctahedron,
+    layout_hypercube,
+    layout_polygon,
+)
 
 import oracles
 
@@ -228,6 +235,35 @@ def test_entries_other_than_integers_are_refused(entry):
         Graph(3, [(0, 1), (2, entry)])
     with pytest.raises(ParameterError, match=rf"^block entry {named} must be an integer, not "):
         IncidenceStructure(3, [(0, 1), (entry, 2)])
+    with pytest.raises(ParameterError, match=rf"^incidence entry {named} must be an integer, not "):
+        PointCircleConfig(np.zeros((3, 2)), [(0.0, 0.0, 1.0)], [(0, 0), (entry, 0)])
+    with pytest.raises(ParameterError, match=rf"^line entry {named} must be an integer, not "):
+        invert_pointline([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [(0, 2, entry)], center=(0.5, 1.0))
+    with pytest.raises(ParameterError, match=rf"^vertex image {named} must be an integer, not "):
+        VertexMap((0, entry))
+    with pytest.raises(ParameterError, match=rf"^bipartition side {named} must be an integer, not "):
+        Bipartition((entry, 1))
+
+
+@pytest.mark.parametrize("incidence", [((0, 1, 2), (3,)), ((0, 1, 2),), ((0,),), ((0, 0), ())])
+def test_incidences_are_pairs(incidence):
+    # ragged rows were once re-paired: ((0, 1, 2), (3,)) read as ((0, 1), (2, 3))
+    with pytest.raises(ParameterError, match=r"^incidence \(.*\) is not a \(point, circle\) pair$"):
+        PointCircleConfig(np.zeros((4, 2)), [(0.0, 0.0, 1.0)] * 4, incidence)
+
+
+def test_family_parameters_and_layout_sizes_must_be_integers():
+    # build_family once applied int(): ("cycle", 5.7) built cycle(5)
+    cases = [
+        (lambda: build_family("cycle", 5.7), "n"),
+        (lambda: layout_polygon(5.5), "n"),
+        (lambda: layout_hypercube(3.5), "d"),
+        (lambda: layout_gen_cuboctahedron(5.5), "n"),
+        (lambda: build_family("gen_cuboctahedron", "5"), "n"),
+    ]
+    for make, what in cases:
+        with pytest.raises(ParameterError, match=rf"^{re.escape(what)} must be an integer, not (float|bool|str)$"):
+            make()
 
 
 def test_numpy_integer_entries_become_ints():
@@ -236,6 +272,13 @@ def test_numpy_integer_entries_become_ints():
     assert g == Graph(3, [(0, 2), (1, 2)]) and c == IncidenceStructure(3, [(0, 2), (1, 2)])
     assert all(type(x) is int for e in g.edges for x in e)
     assert all(type(x) is int for b in c.blocks for x in b)
+    cfg = PointCircleConfig(np.zeros((3, 2)), [(0.0, 0.0, 1.0)], [(np.int64(2), np.uint8(0)), (1, 0)])
+    assert cfg.incidence == ((1, 0), (2, 0)) and all(type(x) is int for pk in cfg.incidence for x in pk)
+    vm, sides = VertexMap((np.int64(1), np.int32(0))), Bipartition(np.array([0, 1]))
+    assert vm.image == (1, 0) and sides.sides == (0, 1)
+    assert all(type(x) is int for x in vm.image + sides.sides)
+    inverted = invert_pointline([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], np.array([[0, 1, 2]]), (0.5, 1.0))
+    assert inverted.incidence == ((0, 0), (1, 0), (2, 0))
 
 
 @pytest.mark.parametrize("entry,shown", [(1.0, "1.0"), (True, "True"), ("1", "'1'")])

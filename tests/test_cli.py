@@ -340,6 +340,18 @@ def test_render_config_without_circles_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "pic.svg").exists()
 
 
+@pytest.mark.parametrize("art", [
+    '{"graph": {"order": 0, "edges": []}, "pos": []}',
+    '{"points": [], "circles": [{"c": [0.0, 0.0], "r": 1.0}], "incidence": []}',
+])
+def test_render_without_points_is_usage_error(art, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(art)
+    code, _, err = run(["render", str(path), "-o", str(tmp_path / "pic.svg")], capsys)
+    assert (code, err) == (2, "error: nothing to render\n")
+    assert not (tmp_path / "pic.svg").exists()
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(["vconstruct", "/nonexistent/g.json"], capsys)[0] == 2
 

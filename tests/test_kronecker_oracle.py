@@ -243,6 +243,30 @@ def test_ladder_reports_match_the_union_find_oracle(family, params):
     assert verify_kronecker_theorem(g) == oracles.verify_kronecker_by_union_find(g)
 
 
+# K_{2,3}: the two vertices of one side, and the three of the other, share a neighbourhood
+K23 = Graph(5, tuple((u, v) for u in (0, 1) for v in (2, 3, 4)))
+
+
+@pytest.mark.parametrize("g", [build_family("cycle", 4), K23, build_family("petersen"), build_family("hypercube", 4)],
+                         ids=["cycle(4)", "K_{2,3}", "petersen", "hypercube(4)"])
+def test_one_construction_and_one_admissibility_check(g, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(incidence, "v_construct", counted(v_construct))
+    monkeypatch.setattr(incidence, "is_admissible", counted(is_admissible))
+    rep = verify_kronecker_theorem(g)
+    assert sorted(calls) == ["is_admissible", "v_construct"]
+    monkeypatch.undo()
+    assert rep == oracles.verify_kronecker_by_union_find(g) == oracles.verify_kronecker_theorem(g)
+    assert rep.admissible == (g.order > 5)
+
+
 def test_union_find_oracle_inputs_reach_every_case():
     seen = set()
 

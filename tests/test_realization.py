@@ -44,7 +44,7 @@ from confviz.graphs import (
 )
 from confviz.realization import _circumcircles, _product_positions, lm_least_squares
 
-from oracles import circle_residuals, fit_circle, hypercube_positions
+from oracles import circle_residuals, fit_circle, gen_cuboctahedron_positions, hypercube_positions
 
 
 def test_circle_validation():
@@ -233,6 +233,13 @@ def test_hypercube_positions_bit_equal_to_loop():
         for seed in range(5):
             lay = layout_hypercube(d, seed=seed)
             assert np.array_equal(lay.pos, hypercube_positions(d, np.array(lay.meta["angles"])))
+
+
+def test_gen_cuboctahedron_positions_bit_equal_to_loop():
+    for r_outer, r_inner in ((2.0, 1.0), (3.0, 0.5), (1.7, 1.3)):
+        for n in range(3, 61):
+            lay = layout_gen_cuboctahedron(n, r_outer, r_inner)
+            assert np.array_equal(lay.pos, gen_cuboctahedron_positions(n, r_outer, r_inner))
 
 
 def test_layout_hypercube_seed_reproducible():

@@ -11,9 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from confviz import ParameterError, jsonio, polytope_data, sphere_circles, stereographic_project
-from confviz.graphs import hypercube_graph, petersen_graph
+from confviz.graphs import Graph, hypercube_graph, petersen_graph
 from confviz.incidence import fano_plane
 from confviz.realization import (
+    Layout,
+    PointCircleConfig,
     check_flags,
     circles_from_layout,
     layout_gen_cuboctahedron,
@@ -185,6 +187,15 @@ def test_spherical_reader_takes_an_empty_point_table(tmp_path):
     path = str(tmp_path / "s.json")
     jsonio.save(path, obj)
     assert jsonio.read(path, "spherical").points.shape == (0, 3)
+
+
+def test_layout_and_pcc_readers_take_an_empty_point_table(tmp_path):
+    # an empty (0, 2) table is written as []
+    path = str(tmp_path / "a.json")
+    jsonio.save(path, jsonio.layout_to_obj(Layout(Graph(0, ()), np.empty((0, 2)))))
+    assert jsonio.read(path, "layout").pos.shape == (0, 2)
+    jsonio.save(path, jsonio.pcc_to_obj(PointCircleConfig(np.empty((0, 2)), [(0.0, 0.0, 1.0)], ())))
+    assert jsonio.read(path, "pcc").points.shape == (0, 2)
 
 
 @pytest.mark.parametrize("name", ADMISSIBLE)
