@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, repeat
-from typing import Iterator
 
 from .errors import ParameterError
 
@@ -45,15 +45,20 @@ def _count(x, what: str) -> int:
 def _int_rows(rows: tuple, what: str) -> tuple:
     """rows unchanged when every entry is an int; otherwise each row as a
     tuple of _integer entries, so that the first entry that is no integer
-    is named. One pass over the entries' types decides."""
-    if {int}.issuperset(map(type, chain.from_iterable(rows))):
-        return rows
+    is named. One pass over the entries' types decides. The first row that
+    is not a sequence is a ParameterError that names it."""
+    try:
+        if {int}.issuperset(map(type, chain.from_iterable(rows))):
+            return rows
+    except TypeError:
+        row = next(row for row in rows if not isinstance(row, Iterable))
+        raise ParameterError(f"{what.removesuffix(' entry')} {row!r} is not a sequence") from None
     return tuple(tuple(_integer(x, f"{what} {x!r}") for x in row) for row in rows)
 
 
 def _int_row(row, what: str) -> tuple:
     """row as a tuple of ints, by the rule of _int_rows."""
-    return _int_rows((tuple(row),), what)[0]
+    return _int_rows((tuple(row) if isinstance(row, Iterable) else row,), what)[0]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .errors import CapacityError
-from .graphs import Graph, VertexMap, bfs_layers
+from .graphs import Graph, VertexMap, _integer, bfs_layers
 
 MAX_VERTICES = 1024
 _NODE_BUDGET = 400_000
@@ -179,6 +179,7 @@ def find_free_cyclic_action(g: Graph, k: int) -> Iterator[VertexMap]:
     CapacityError at the call. Used to impose rotational symmetry on
     layouts.
     """
+    k = _integer(k, "k")
     if g.order > MAX_VERTICES:
         raise CapacityError(f"automorphism search limited to {MAX_VERTICES} vertices")
     if k < 2 or g.order % k != 0:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
     ParameterError,
     SamplingError,
 )
-from .graphs import Graph, _int_rows, build_family, cartesian_factors
+from .graphs import Graph, _count, _int_rows, _integer, build_family, cartesian_factors
 from .incidence import IncidenceStructure
 
 TOL_INCIDENCE = 1e-9
@@ -96,6 +97,9 @@ class PointCircleConfig:
                 "circle radius must be positive" if finite[np.argmin(ok)] else "circle parameters must be finite"
             )
         table.flags.writeable = False  # shared by the copies check_flags makes
+        for name in ("flags", "tols"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise ParameterError(f"{name} must be a mapping, not {type(getattr(self, name)).__name__}")
         self.circles = table
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
@@ -127,6 +131,14 @@ class PointCircleConfig:
         cx, cy, r = self.circles["cx"], self.circles["cy"], self.circles["r"]
         # the incident pairs' entries of _circle_residuals, element for element
         return float(np.max(np.abs(np.hypot(self.points[p, 0] - cx[k], self.points[p, 1] - cy[k]) - r[k])))
+
+
+def _finite(value, what: str) -> None:
+    """Refuse value unless it is a finite real number; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{what} must be a real number, not {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ParameterError(f"{what} must be finite")
 
 
 def _tolerance(name: str, value) -> float:
@@ -166,10 +178,20 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _small_pair_indices(n) if n <= 64 else np.triu_indices(n, k=1)
 
 
-def _pair_distances(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, |xy[i] - xy[j]|) over all pairs i < j, in combinations order."""
-    i, j = _pair_indices(len(xy))
-    return i, j, np.hypot(xy[j, 0] - xy[i, 0], xy[j, 1] - xy[i, 1])
+def _near_pairs(x: np.ndarray, y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) over every pair a < b with hypot(x[b] - x[a], y[b] - y[a]) <= t,
+    in combinations order: the projection sweep of Friedman, Baskett and
+    Shustek (IEEE Trans. Computers C-24, 1975), O(n log n) plus the pairs
+    within t in x. Candidates reach x + t widened by a relative 2**-20; as
+    rounding is monotone and hypot(dx, dy) >= |dx|, none is missed."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    count = xs.searchsorted(xs + t * (1.0 + 2.0**-20), side="right") - np.arange(1, len(xs) + 1)
+    # candidate k of sorted point i is sorted point i + 1 + k
+    i = np.repeat(np.arange(len(xs)), count)
+    a, b = order[i], order[i + np.arange(1, len(i) + 1) - np.repeat(np.cumsum(count) - count, count)]
+    near = np.hypot(x[b] - x[a], y[b] - y[a]) <= t
+    return np.divmod(np.sort(np.minimum(a, b)[near] * len(x) + np.maximum(a, b)[near]), len(x))
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +297,9 @@ def unit_edge_residual(layout: Layout) -> float:
     return float(np.max(np.abs(length - 1.0), initial=0.0))
 
 
-def _min_separation(pos: np.ndarray) -> float:
-    if len(pos) < 2:
-        return math.inf
-    return float(np.min(_pair_distances(pos)[2]))
-
-
 def layout_polygon(n: int) -> Layout:
     """Regular n-gon with unit sides."""
+    n = _integer(n, "n")
     if n < 3:
         raise ParameterError("polygon layout needs n >= 3")
     g = build_family("cycle", n)
@@ -301,6 +318,7 @@ def layout_hypercube(d: int, seed: int | None = None) -> Layout:
     Seeded angle draws resample up to the budget while two vertices collapse.
     A seed is an integer >= 0, and None reads as 0.
     """
+    d = _integer(d, "d")
     if d < 1:
         raise ParameterError("hypercube layout needs d >= 1")
     seed = _seed(seed)
@@ -311,7 +329,7 @@ def layout_hypercube(d: int, seed: int | None = None) -> Layout:
         pos = np.zeros((1, 2))
         for u in np.column_stack([np.cos(table), np.sin(table)]):
             pos = _product_positions(np.stack([np.zeros(2), u]), pos)
-        if _min_separation(pos) > TOL_SEPARATION:
+        if not _near_pairs(*pos.T, TOL_SEPARATION)[0].size:
             return Layout(
                 g,
                 pos,
@@ -344,8 +362,11 @@ def layout_gen_cuboctahedron(n: int, r_outer: float = 2.0, r_inner: float = 1.0)
     midpoints at r_inner*cos(pi/n). Every CO(n) neighbourhood is mirror
     symmetric about a ray, hence concyclic for any valid radius pair.
     """
+    n = _integer(n, "n")
     if n < 3:
         raise ParameterError("gen_cuboctahedron layout needs n >= 3")
+    _finite(r_outer, "r_outer")
+    _finite(r_inner, "r_inner")
     if not (r_outer > r_inner > 0.0):
         raise ParameterError("need r_outer > r_inner > 0")
     rings = [r_outer * math.cos(math.pi / n), (r_outer + r_inner) / 2.0, r_inner * math.cos(math.pi / n)]
@@ -522,7 +543,8 @@ def _product_start(g: Graph, seed: int, restarts: int):
         order *= lb.graph.order
         for angle in _PRODUCT_ANGLES:
             folded = _product_positions(pos, _rotated(lb.pos, angle))
-            dist = _pair_distances(folded)[2]
+            i, j = _pair_indices(len(folded))
+            dist = np.hypot(folded[j, 0] - folded[i, 0], folded[j, 1] - folded[i, 1])
             # the edges alone at unit distance
             if dist.min() > TOL_SEPARATION and np.count_nonzero(np.abs(dist - 1.0) <= 1e-6) == size:
                 break
@@ -560,7 +582,7 @@ def solve_unit_distance(
     rotational drawing. Raises ConvergenceError, carrying the best
     residual, the starts run and the orbit sets ruled out, when no start
     passes; with no start run and no residual when every orbit set is
-    ruled out. A seed is an integer >= 0, and None reads as 0.
+    ruled out. seed and restarts are integers >= 0, and seed None reads as 0.
     """
     from .graphs import structure_report
 
@@ -569,6 +591,7 @@ def solve_unit_distance(
     if not structure_report(g).connected:
         raise ParameterError("unit-distance solve expects a connected graph")
     base_seed = _seed(seed)
+    restarts = _count(restarts, "restarts")
     rng = np.random.default_rng(base_seed)
     # a symmetric solve counts its orbit sets, and those ruled out, as they pass
     sets = skipped = None
@@ -584,10 +607,10 @@ def solve_unit_distance(
         starts = chain(_product_start(g, base_seed, restarts), drawn)
         what = "unit-distance solve"
     else:
-        if isinstance(symmetry, int):
+        if isinstance(symmetry, str) or not isinstance(symmetry, Iterable):
             from . import iso
 
-            k = symmetry
+            k = _integer(symmetry, "symmetry")
             orbit_sets = map(iso.orbits_of, islice(iso.find_free_cyclic_action(g, k), 6))
         else:
             orbit_sets = [[list(o) for o in symmetry]]
@@ -631,7 +654,7 @@ def solve_unit_distance(
         layout = Layout(g, pos, {})
         residual = unit_edge_residual(layout)
         best = min(best, residual)
-        if residual <= TOL_INCIDENCE and _min_separation(pos) > TOL_SEPARATION:
+        if residual <= TOL_INCIDENCE and not _near_pairs(*pos.T, TOL_SEPARATION)[0].size:
             layout.meta.update(meta, seed=base_seed, residual=residual)
             return layout, residual
     summary = f"exhausted {runs} restart{'s' * (runs != 1)}"
@@ -674,8 +697,8 @@ def circles_from_layout(
     neighbours, and ConcyclicityError (with vertex and residual) above tol.
 
     On either route, circles whose centres and radii both lie within
-    TOL_SEPARATION coincide and are refused (_refuse_coinciding). A tol
-    that is not a finite number >= 0 is a ParameterError.
+    TOL_SEPARATION coincide and are refused, found by one O(n log n) sweep
+    (_near_pairs). A tol that is not a finite number >= 0 is a ParameterError.
     """
     tol = _tolerance("incidence", tol)
     g = layout.graph
@@ -755,24 +778,11 @@ def _fitted_circles(
 
 def _refuse_coinciding(cx: np.ndarray, cy: np.ndarray, r: np.ndarray) -> None:
     """Raise DistinctnessError for the first pair of circles, in combinations
-    order, whose centres and radii both lie within TOL_SEPARATION; a grid of
-    cells TOL_SEPARATION wide gives the candidate pairs."""
-    # centres within TOL_SEPARATION share a grid cell or lie in touching
-    # ones: occupied cells a[t] < b[t], each in the other's 3x3 block
-    members, bounds, cells = _grid_cells(cx, cy, TOL_SEPARATION)
-    probe = cells[:, None] + _AHEAD
-    at = cells.searchsorted(probe)
-    a, k = (cells[np.minimum(at, len(cells) - 1)] == probe).nonzero()
-    b = at[a, k]
-
-    def cell(c):
-        return members[bounds[c]:bounds[c + 1]].tolist()
-
-    near = [combinations(cell(c), 2) for c in ((bounds[1:] - bounds[:-1]) > 1).nonzero()[0]]
-    near += [product(cell(c), cell(e)) for c, e in zip(a, b)]
-    for v, w in sorted(map(sorted, chain.from_iterable(near))):
-        if np.hypot(cx[w] - cx[v], cy[w] - cy[v]) <= TOL_SEPARATION and abs(r[v] - r[w]) <= TOL_SEPARATION:
-            raise DistinctnessError(f"circles of vertices {v} and {w} coincide")
+    order, whose centres and radii both lie within TOL_SEPARATION."""
+    v, w = _near_pairs(cx, cy, TOL_SEPARATION)
+    same = np.flatnonzero(np.abs(r[v] - r[w]) <= TOL_SEPARATION)
+    if len(same):
+        raise DistinctnessError(f"circles of vertices {v[same[0]]} and {w[same[0]]} coincide")
 
 
 def incidence_of(cfg: PointCircleConfig) -> IncidenceStructure:
@@ -821,7 +831,7 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
     rng = np.random.default_rng(seed)
     for _ in range(_RESAMPLE_BUDGET):
         pts = rng.uniform(0.0, 1.0, size=(c.points, 2))
-        if _min_separation(pts) <= _SAMPLE_MARGIN:
+        if _near_pairs(*pts.T, _SAMPLE_MARGIN)[0].size:
             rejections["separation"] += 1
             continue
         p, q, s = pts[blocks].transpose(1, 0, 2)
@@ -899,45 +909,28 @@ def _meet_points(
 
 # grid cell (a, b) hashes to a * _GRID_STRIDE + b; cell numbers stay within 2**30 + 1
 _GRID_STRIDE = 1 << 32
-# the neighbours of a cell that hash above it: (0, 1), (1, -1), (1, 0), (1, 1)
-_AHEAD = np.array([a * _GRID_STRIDE + b for a, b in ((0, 1), (1, -1), (1, 0), (1, 1))])
-
-
-def _cell_width(width: float, reach: float) -> float:
-    """A grid cell a hair wider than width, against rounding in the division,
-    and wide enough that points within reach of the lowest corner get cell
-    numbers below 2**30: cells widen on pictures past 2**30 widths across."""
-    return max(width * (1.0 + 2.0**-20), reach * 2.0**-30) or 1.0
-
-
-def _grid_cells(x: np.ndarray, y: np.ndarray, width: float):
-    """Bin the points (x, y) into square cells at least width wide, counted
-    from the lowest x and y: the fixed-radius near-neighbour grid of
-    Bentley, Stanat and Williams (Inf. Process. Lett. 6, 1977).
-
-    Returns (members, bounds, cells): the point indices grouped by cell,
-    ascending within a cell; the run of occupied cell c in members, from
-    bounds[c] to bounds[c + 1]; and the ascending numbers of the occupied
-    cells. Points within width of each other share a cell or lie in
-    touching cells, the higher one numbered the lower plus one of _AHEAD.
-    """
-    if len(x) == 0:
-        return np.empty(0, dtype=np.intp), np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.int64)
-    x, y = x - x.min(), y - y.min()
-    cell = _cell_width(width, float(max(x.max(), y.max())))
-    key = (x // cell).astype(np.int64) * _GRID_STRIDE + (y // cell).astype(np.int64)
-    members = key.argsort(kind="stable")
-    key = key[members]
-    bounds = np.concatenate(([True], key[1:] != key[:-1], [True])).nonzero()[0]
-    return members, bounds, key[bounds[:-1]]
 
 
 def _thin(x: np.ndarray, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The points (x, y), in their order, with each tight grid cell taken
-    once: a cell of _grid_cells(x, y, tol) whose points span at most tol/2
-    in x and in y keeps only its first point, and any other cell keeps all
-    of its points."""
-    members, bounds, _ = _grid_cells(x, y, tol)
+    once: the points are binned into square cells at least tol wide,
+    counted from the lowest x and y (the fixed-radius near-neighbour grid of
+    Bentley, Stanat and Williams, Inf. Process. Lett. 6, 1977), and a cell
+    whose points span at most tol/2 in x and in y keeps only its first
+    point, while any other cell keeps all of its points."""
+    if len(x) == 0:
+        return x, y
+    gx, gy = x - x.min(), y - y.min()
+    # a hair wider than tol, against rounding in the division, and wide
+    # enough for cell numbers below 2**30: cells widen on pictures past 2**30
+    # tols across
+    cell = max(tol * (1.0 + 2.0**-20), float(max(gx.max(), gy.max())) * 2.0**-30) or 1.0
+    key = (gx // cell).astype(np.int64) * _GRID_STRIDE + (gy // cell).astype(np.int64)
+    # the point indices grouped by cell, ascending within a cell, and each
+    # occupied cell's run from bounds[c] to bounds[c + 1]
+    members = key.argsort(kind="stable")
+    key = key[members]
+    bounds = np.concatenate(([True], key[1:] != key[:-1], [True])).nonzero()[0]
     starts = bounds[:-1]
     xm, ym = x[members], y[members]
     span = np.maximum(
@@ -1032,15 +1025,16 @@ def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
     intersections where more than two circles pass, and demand that set to
     coincide with the configuration points.
 
-    Cost, for C circles, n points and M <= C(C-1) meet points: array
-    passes over the C(C-1)/2 circle pairs and the (C, n) incidence matrix,
-    whose pair counts are one float64 matrix product (exact below 2**53);
-    one grid pass over the meet points, O(M log M), that takes each tight
-    bunch once; and the through-count of every point left against every
-    circle, O(M C), in row blocks of _RESIDUAL_BLOCK = 16384 entries, so
-    that no (M, C) matrix is held, where a squared-distance screen leaves
-    the exact test to the pairs near a circle. Hypercube(7), 128 circles
-    and 11,082 meet points, takes about 0.02 s on a 2-CPU container.
+    Cost, for C circles, n points and M <= C(C-1) meet points: one
+    O(n log n) sweep for degenerate (_near_pairs); array passes over the
+    C(C-1)/2 circle pairs and the (C, n) incidence matrix, whose pair counts
+    are one float64 matrix product (exact below 2**53); one grid pass over
+    the meet points, O(M log M), that takes each tight bunch once; and the
+    through-count of every point left against every circle, O(M C), in row
+    blocks of _RESIDUAL_BLOCK = 16384 entries, so that no (M, C) matrix is
+    held, where a squared-distance screen leaves the exact test to the pairs
+    near a circle. Hypercube(7), 128 circles and 11,082 meet points, takes
+    about 0.02 s on a 2-CPU container.
 
     Raises ParameterError for an empty configuration, or when the
     incidence, separation or cluster tolerance in tols is not a finite
@@ -1056,7 +1050,7 @@ def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
     cx, cy, r = cfg.circles["cx"], cfg.circles["cy"], cfg.circles["r"]
     pts = cfg.points
 
-    degenerate = _min_separation(pts) <= tol_sep
+    degenerate = bool(_near_pairs(*pts.T, tol_sep)[0].size)
 
     isometric = bool(r.max() - r.min() <= tol_inc)
 
@@ -1114,8 +1108,7 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
         raise ParameterError("center must be a planar point")
     if not np.all(np.isfinite(ctr)):
         raise ParameterError("inversion center must be finite")
-    if not math.isfinite(radius):
-        raise ParameterError("inversion radius must be finite")
+    _finite(radius, "inversion radius")
     if radius <= 0:
         raise ParameterError("inversion radius must be positive")
     scale = max(1.0, float(np.max(np.abs(pts))))

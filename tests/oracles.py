@@ -652,6 +652,15 @@ def fit_circle(pts) -> tuple[Circle, float]:
     return circle, float(np.max(np.abs(circle.residual(pts))))
 
 
+def refuse_coinciding(circles) -> None:
+    """The first pair of circles, in combinations order, whose centres and
+    radii both lie within TOL_SEPARATION raises DistinctnessError."""
+    for i, j in combinations(range(len(circles)), 2):
+        a, b = circles[i], circles[j]
+        if math.hypot(a.cx - b.cx, a.cy - b.cy) <= TOL_SEPARATION and abs(a.r - b.r) <= TOL_SEPARATION:
+            raise DistinctnessError(f"circles of vertices {i} and {j} coincide")
+
+
 def circles_from_layout(
     layout: Layout, tol: float = TOL_INCIDENCE, allow_degree_two: bool = False
 ) -> PointCircleConfig:
@@ -686,10 +695,7 @@ def circles_from_layout(
             raise ParameterError(
                 f"vertex {v} has degree {len(nbrs)}; need >= 3 (or 2 with allow_degree_two)"
             )
-    for i, j in combinations(range(len(circles)), 2):
-        a, b = circles[i], circles[j]
-        if math.hypot(a.cx - b.cx, a.cy - b.cy) <= TOL_SEPARATION and abs(a.r - b.r) <= TOL_SEPARATION:
-            raise DistinctnessError(f"circles of vertices {i} and {j} coincide")
+    refuse_coinciding(circles)
     incidence = tuple((p, v) for v in range(g.order) for p in g.adjacency[v])
     return PointCircleConfig(
         points=layout.pos.copy(),
@@ -798,7 +804,7 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
     rng = np.random.default_rng(seed)
     for _ in range(_RESAMPLE_BUDGET):
         pts = rng.uniform(0.0, 1.0, size=(c.points, 2))
-        if realization._min_separation(pts) <= _SAMPLE_MARGIN:
+        if _min_separation(pts) <= _SAMPLE_MARGIN:
             rejections["separation"] += 1
             continue
         p, q, s = pts[blocks].transpose(1, 0, 2)

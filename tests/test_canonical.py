@@ -288,3 +288,69 @@ def test_readers_keep_their_message_for_bad_entries(entry, shown):
         jsonio.graph_from_obj({"order": 3, "edges": [[0, 1], [2, entry]]})
     with pytest.raises(ParameterError, match=rf"^malformed incidence object: {found}"):
         jsonio.incidence_from_obj({"points": 3, "blocks": [[0, 1], [2, entry]]})
+
+
+NOT_SEQUENCES = {
+    "PointCircleConfig": (lambda: PointCircleConfig(np.zeros((2, 2)), [(0.0, 0.0, 1.0)], (1, 0)), "incidence 1"),
+    "invert_pointline": (lambda: invert_pointline([[0.0, 0.0], [1.0, 0.0]], [5], (0.5, 1.0)), "line 5"),
+    "VertexMap": (lambda: VertexMap(3), "vertex image 3"),
+    "Bipartition": (lambda: Bipartition(1), "bipartition side 1"),
+    "IncidenceStructure": (lambda: IncidenceStructure(3, (1, 2)), "block 1"),
+    "Graph": (lambda: Graph(3, (0, 1)), "edge 0"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_SEQUENCES)
+def test_rows_that_are_not_sequences_are_named(name):
+    # each once raised TypeError: 'int' object is not iterable
+    make, row = NOT_SEQUENCES[name]
+    with pytest.raises(ParameterError, match=rf"^{row} is not a sequence$"):
+        make()
+
+
+def test_rows_taken_from_iterators_keep_their_entries():
+    assert VertexMap(iter((1, 0))).image == (1, 0)
+    assert Bipartition(x for x in (0, 1)).sides == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: layout_polygon("5"), "n must be an integer, not str"),
+        (lambda: layout_hypercube("3"), "d must be an integer, not str"),
+        (lambda: layout_gen_cuboctahedron("5"), "n must be an integer, not str"),
+        (lambda: layout_gen_cuboctahedron(5, "2", 1), "r_outer must be a real number, not str"),
+        (lambda: layout_gen_cuboctahedron(5, 2.0, None), "r_inner must be a real number, not NoneType"),
+        (lambda: layout_gen_cuboctahedron(5, True, 0.5), "r_outer must be a real number, not bool"),
+        (lambda: layout_gen_cuboctahedron(5, float("inf"), 1.0), "r_outer must be finite"),
+        (lambda: layout_gen_cuboctahedron(5, 2.0, float("nan")), "r_inner must be finite"),
+    ],
+)
+def test_layout_sizes_and_radii_are_checked_before_they_are_compared(make, message):
+    # a string size or radius once raised TypeError from < or >
+    with pytest.raises(ParameterError, match=rf"^{re.escape(message)}$"):
+        make()
+
+
+def test_layout_radii_keep_their_type_in_meta():
+    assert layout_gen_cuboctahedron(5, 2, np.float64(1.0)).meta == {
+        "generator": "gen_cuboctahedron", "n": 5, "r_outer": 2, "r_inner": 1.0,
+    }
+
+
+@pytest.mark.parametrize(
+    "radius, message",
+    [("2", "a real number, not str"), (None, "a real number, not NoneType"), (True, "a real number, not bool")],
+)
+def test_inversion_radius_is_checked_before_it_is_compared(radius, message):
+    # "2" and None once raised TypeError from math.isfinite
+    with pytest.raises(ParameterError, match=rf"^inversion radius must be {message}$"):
+        invert_pointline([[0.0, 0.0], [1.0, 0.0]], [(0, 1)], (0.5, 1.0), radius=radius)
+
+
+@pytest.mark.parametrize("name", ["flags", "tols"])
+@pytest.mark.parametrize("value", [[1], (("incidence", 1e-9),), "tols", None])
+def test_flags_and_tols_are_mappings(name, value):
+    # tols=[1] once built, and check_flags then raised TypeError from dict()
+    with pytest.raises(ParameterError, match=rf"^{name} must be a mapping, not {type(value).__name__}$"):
+        PointCircleConfig(np.zeros((2, 2)), [(0.0, 0.0, 1.0)], (), **{name: value})

@@ -335,6 +335,31 @@ def test_solver_polish_refuses_collapsed_start():
     assert str(exc.value) == "polish exhausted 1 restart (best residual 0.0e+00)"
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"restarts": 1.5}, "restarts must be an integer, not float"),
+        ({"restarts": "4"}, "restarts must be an integer, not str"),
+        ({"restarts": None}, "restarts must be an integer, not NoneType"),
+        ({"restarts": -3}, "restarts must be non-negative"),
+        ({"symmetry": 1.5}, "symmetry must be an integer, not float"),
+        ({"symmetry": True}, "symmetry must be an integer, not bool"),
+        ({"symmetry": "5"}, "symmetry must be an integer, not str"),
+    ],
+)
+def test_solver_refuses_restarts_and_symmetry_that_are_not_integers(kwargs, message):
+    # restarts=-3 once ran no start and reported "best residual inf"; the
+    # others raised TypeError, a bad restarts only once a start was drawn
+    with pytest.raises(ParameterError, match=rf"^{message}$"):
+        solve_unit_distance(petersen_graph(), seed=0, **kwargs)
+
+
+def test_free_cyclic_action_order_must_be_an_integer():
+    with pytest.raises(ParameterError, match="^k must be an integer, not str$"):
+        iso.find_free_cyclic_action(petersen_graph(), "5")
+    assert len(list(iso.find_free_cyclic_action(petersen_graph(), np.int64(5)))) > 0
+
+
 def test_solver_rejects_disconnected():
     g = Graph(4, ((0, 1), (2, 3)))
     with pytest.raises(ParameterError):
