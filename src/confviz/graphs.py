@@ -17,7 +17,7 @@ import math
 import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, combinations, repeat
 
 from .errors import ParameterError
@@ -42,11 +42,18 @@ def _count(x, what: str) -> int:
     return n
 
 
-def _int_rows(rows: tuple, what: str) -> tuple:
-    """rows unchanged when every entry is an int; otherwise each row as a
-    tuple of _integer entries, so that the first entry that is no integer
-    is named. One pass over the entries' types decides. The first row that
-    is not a sequence is a ParameterError that names it."""
+def _int_rows(rows, what: str, table: str = "table") -> tuple:
+    """rows as a tuple, unchanged when every entry is an int; otherwise each
+    row as a tuple of _integer entries, so that the first entry that is no
+    integer is named. One pass over the entries' types decides. A table that
+    is not a sequence, named table, or its first row that is not one, is a
+    ParameterError that names it."""
+    try:
+        rows = tuple(rows)
+    except TypeError:
+        if isinstance(rows, Iterable):  # an error while iterating is not ours to rename
+            raise
+        raise ParameterError(f"{table} must be a sequence, not {type(rows).__name__}") from None
     try:
         if {int}.issuperset(map(type, chain.from_iterable(rows))):
             return rows
@@ -77,7 +84,7 @@ class Graph:
     def __post_init__(self):
         object.__setattr__(self, "order", _count(self.order, "graph order"))
         seen = set()
-        for e in _int_rows(tuple(self.edges), "edge entry"):
+        for e in _int_rows(self.edges, "edge entry", "edges"):
             u, v = e[0], e[1]
             if u == v:
                 raise ParameterError(f"loop at vertex {u}")
@@ -465,8 +472,10 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
     order. A vertex's coordinate in that factor is the layer vertex it
     reaches without the class's edges. The map sends a vertex to its index in
     the product of the factors folded left with cartesian_product. It is kept
-    only when it is an isomorphism onto that product. Otherwise, and with
-    one class, g counts as prime and comes back alone with the identity map.
+    only when it is an isomorphism onto that product, which _product_map
+    checks on the coordinates, one lookup per edge, without building the
+    product. Otherwise, and with one class, g counts as prime and comes back
+    alone with the identity map.
     """
     prime = ((g,), VertexMap(tuple(range(g.order))))
     index = {e: i for i, e in enumerate(g.edges)}
@@ -511,16 +520,42 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
             return prime
         for xs, r in zip(coords, across):
             xs[c] = hit[r]
+    witness = _product_map(g, factors, colour, coords)
+    return prime if witness is None else (tuple(factors), witness)
+
+
+def _product_map(
+    g: Graph, factors: list[Graph], colour: list[int], coords: list[list[int]]
+) -> VertexMap | None:
+    """The map sending each vertex to its index in the product of factors
+    (its coordinates in mixed radix, the first factor's highest), when it is
+    an isomorphism onto that product; else None. No product is built.
+
+    The product has prod(order_c) vertices and sum(size_c * order / order_c)
+    edges, and the map must be a bijection with g's counts. An edge of class
+    c lies in one component of the other classes' edges, so with coordinates
+    read off those components, as cartesian_factors reads them, its ends
+    differ at most in coordinate c: the edge goes to a product edge exactly
+    when its two coordinates c are adjacent in factor c. A bijection that
+    sends every edge to a product edge, with as many edges as the product,
+    is an isomorphism.
+    """
+    order = math.prod(f.order for f in factors)
+    if order != g.order or sum(f.size * (order // f.order) for f in factors) != g.size:
+        return None
     image = []
     for xs in coords:
         i = 0
         for f, x in zip(factors, xs):
             i = i * f.order + x
         image.append(i)
-    witness = VertexMap(tuple(image))
-    if not witness.is_isomorphism(g, reduce(cartesian_product, factors)):
-        return prime
-    return tuple(factors), witness
+    # every index is below order, so distinct indices are all of range(order)
+    if len(set(image)) != order:
+        return None
+    nbrs = [f.neighbor_sets for f in factors]
+    if not all(coords[v][c] in nbrs[c][coords[u][c]] for (u, v), c in zip(g.edges, colour)):
+        return None
+    return VertexMap(tuple(image))
 
 
 def line_graph(g: Graph) -> Graph:

@@ -53,7 +53,7 @@ class IncidenceStructure:
     def __post_init__(self):
         object.__setattr__(self, "points", _count(self.points, "point count"))
         norm = []
-        for blk in _int_rows(tuple(self.blocks), "block entry"):
+        for blk in _int_rows(self.blocks, "block entry", "blocks"):
             b = tuple(sorted(blk))
             if len(b) == 0:
                 raise ParameterError("empty block")

@@ -12,7 +12,8 @@ not a polarity, as for decompose parts and many hand-built structures;
 and the symmetric unit-distance ansatz of
 realization.solve_unit_distance (orbits_of, and find_free_cyclic_action,
 whose actions are yielded one at a time, so the search goes only as far
-as the solve reads).
+as the solve reads). Each orbit step of that search scans one BFS layer,
+left by the seed tokens' BFS, for its candidates instead of every vertex.
 Block v of a V-construction is N(v), so verify_kronecker_theorem and
 is_self_polar check identity maps on it instead, in O(E), in process or
 read from a file, with `isomorphic` and find_swap_involution as oracles.
@@ -29,16 +30,23 @@ MAX_VERTICES = 1024
 _NODE_BUDGET = 400_000
 
 
-def _seed_tokens(g: Graph, dist: list[list[int]] | None = None) -> list[tuple]:
+def _seed_tokens(
+    g: Graph, dist: list[list[int]] | None = None, layers: list[list[list[int]]] | None = None
+) -> list[tuple]:
     """Degree and the sizes of successive BFS shells, a cheap start invariant.
 
-    Given dist, the BFS from v also leaves its distances in the row dist[v].
+    Given dist, the BFS from v also leaves its distances in the row dist[v];
+    given layers, its shells, nearest first and each in the order the BFS
+    found it, in layers[v].
     """
     rows = dist if dist is not None else ([-1] * g.order for _ in range(g.order))
-    return [
-        (len(g.adjacency[v]), tuple(len(layer) for layer in bfs_layers(g, v, row)))
-        for v, row in enumerate(rows)
-    ]
+    tokens = []
+    for v, row in enumerate(rows):
+        shells = list(bfs_layers(g, v, row))
+        if layers is not None:
+            layers[v] = shells
+        tokens.append((len(g.adjacency[v]), tuple(map(len, shells))))
+    return tokens
 
 
 def _assign_ids(tokens_g: list, tokens_h: list) -> tuple[list[int], list[int]] | None:
@@ -178,6 +186,11 @@ def find_free_cyclic_action(g: Graph, k: int) -> Iterator[VertexMap]:
     pass it raises CapacityError. More than MAX_VERTICES vertices raise
     CapacityError at the call. Used to impose rotational symmetry on
     layouts.
+
+    sigma(v) must lie as far from sigma(x0) as v lies from x0, the first
+    vertex mapped, so only that BFS layer of sigma(x0) is scanned, in
+    increasing order: the actions, their order and the node count are those
+    of a scan over all vertices.
     """
     k = _integer(k, "k")
     if g.order > MAX_VERTICES:
@@ -189,7 +202,8 @@ def find_free_cyclic_action(g: Graph, k: int) -> Iterator[VertexMap]:
 
 def _free_cyclic_actions(g: Graph, k: int) -> Iterator[VertexMap]:
     dist = [[-1] * g.order for _ in range(g.order)]
-    base = _seed_tokens(g, dist)
+    layers: list[list[list[int]]] = [[] for _ in range(g.order)]
+    base = _seed_tokens(g, dist, layers)
     ids = {t: i for i, t in enumerate(sorted(set(base)))}
     color = [ids[t] for t in base]
     sigma: list[int] = [-1] * g.order
@@ -228,7 +242,15 @@ def _free_cyclic_actions(g: Graph, k: int) -> Iterator[VertexMap]:
                 assigned.pop()
                 sigma[cur] = -1
             return
-        for cand in range(g.order):
+        # a layer is in BFS order until its first read sorts it in place
+        cands = range(g.order)
+        if assigned:
+            x0 = assigned[0]
+            d = dist[cur][x0]
+            if d >= 0:
+                cands = layers[sigma[x0]][d]
+                cands.sort()
+        for cand in cands:
             if sigma[cand] != -1 or cand in orbit or cand == start:
                 continue
             if not consistent(cur, cand):

@@ -71,6 +71,11 @@ class PointCircleConfig:
     circles.view(float).reshape(-1, 3) the (C, 3) float table. It is built
     from such a table or from a sequence of rows. incidence is a sequence of
     (point, circle) pairs of integers, kept sorted and distinct.
+
+    The constructor checks and normalises every field, for files and
+    hand-built configurations alike. circles_from_layout, whose fields come
+    out canonical already, sets them through _canonical without checking
+    them again.
     """
 
     points: np.ndarray
@@ -90,12 +95,7 @@ class PointCircleConfig:
             table = None
         if table is None or table.ndim != 1:
             raise ParameterError("circles must be (cx, cy, r) rows")
-        finite = np.all(np.isfinite(table.view(float).reshape(-1, 3)), axis=1)
-        ok = finite & (table["r"] > 0)
-        if not ok.all():  # the first bad circle names the failure
-            raise ParameterError(
-                "circle radius must be positive" if finite[np.argmin(ok)] else "circle parameters must be finite"
-            )
+        _refuse_bad_circles(table)
         table.flags.writeable = False  # shared by the copies check_flags makes
         for name in ("flags", "tols"):
             if not isinstance(getattr(self, name), Mapping):
@@ -106,7 +106,7 @@ class PointCircleConfig:
             raise ParameterError("points must be an (n, 2) table")
         if not np.all(np.isfinite(self.points)):
             raise ParameterError("points must be finite")
-        pairs = _int_rows(tuple(self.incidence), "incidence entry")
+        pairs = _int_rows(self.incidence, "incidence entry", "incidence")
         if not {2}.issuperset(map(len, pairs)):
             bad = next(pair for pair in pairs if len(pair) != 2)
             raise ParameterError(f"incidence {tuple(bad)} is not a (point, circle) pair")
@@ -124,6 +124,22 @@ class PointCircleConfig:
         p, k = np.divmod(key[np.diff(key, prepend=-1) != 0], c)
         self.incidence = tuple(zip(p.tolist(), k.tolist()))
 
+    @classmethod
+    def _canonical(
+        cls, points: np.ndarray, circles: np.ndarray, incidence: tuple[tuple[int, int], ...], tols: dict
+    ) -> PointCircleConfig:
+        """The configuration with these fields and no flags, set as given
+        and checked by no one: for callers whose points are a float (n, 2)
+        table of finite rows, whose circles are a fresh (C,) table of finite
+        rows with r > 0, marked read-only here, and whose incidence is a
+        tuple of distinct (point, circle) pairs of Python ints in range, in
+        increasing order, so that the public constructor would build the
+        same configuration."""
+        cfg = object.__new__(cls)
+        circles.flags.writeable = False
+        cfg.points, cfg.circles, cfg.incidence, cfg.flags, cfg.tols = points, circles, incidence, {}, tols
+        return cfg
+
     def max_incidence_residual(self) -> float:
         if not self.incidence:
             return 0.0
@@ -131,6 +147,17 @@ class PointCircleConfig:
         cx, cy, r = self.circles["cx"], self.circles["cy"], self.circles["r"]
         # the incident pairs' entries of _circle_residuals, element for element
         return float(np.max(np.abs(np.hypot(self.points[p, 0] - cx[k], self.points[p, 1] - cy[k]) - r[k])))
+
+
+def _refuse_bad_circles(table: np.ndarray) -> None:
+    """Raise ParameterError when a row of the circle table is not finite or
+    has r <= 0; the first such row names the failure."""
+    finite = np.all(np.isfinite(table.view(float).reshape(-1, 3)), axis=1)
+    ok = finite & (table["r"] > 0)
+    if not ok.all():
+        raise ParameterError(
+            "circle radius must be positive" if finite[np.argmin(ok)] else "circle parameters must be finite"
+        )
 
 
 def _finite(value, what: str) -> None:
@@ -420,6 +447,12 @@ def _solve_coordinates(g: Graph, pos0: np.ndarray, max_iter: int) -> np.ndarray:
         j[rows, 2 * ev + 1] = -d[:, 1] / dist
         return j
 
+    # each Jacobian entry is a component of a unit direction, so no gradient
+    # entry exceeds the largest degree times max|r|; under a quarter of LM's
+    # 1e-12 gradient stop, LM would return the start as it is
+    r = resid(pos0.ravel())
+    if max(map(len, g.adjacency)) * np.max(np.abs(r)) < 0.25e-12:
+        return np.array(pos0, dtype=float, order="C")
     x = lm_least_squares(resid, jacobian, pos0.ravel(), max_iter=max_iter)
     return x.reshape(-1, 2)
 
@@ -579,7 +612,9 @@ def solve_unit_distance(
     out unit edges (_rings_rule_out) runs no solve: its starts are drawn
     and dropped, so later sets keep theirs. Only a ring solution within
     TOL_INCIDENCE goes on to the polish, so a symmetric result is a
-    rotational drawing. Raises ConvergenceError, carrying the best
+    rotational drawing. A start exact enough that LM would return it
+    unchanged, as product starts and ring solutions mostly are, skips the
+    polish. Raises ConvergenceError, carrying the best
     residual, the starts run and the orbit sets ruled out, when no start
     passes; with no start run and no residual when every orbit set is
     ruled out. seed and restarts are integers >= 0, and seed None reads as 0.
@@ -597,6 +632,8 @@ def solve_unit_distance(
     sets = skipped = None
 
     if init is not None:
+        if not isinstance(init, Layout):
+            raise ParameterError(f"init must be a Layout, not {type(init).__name__}")
         if init.graph.edges != g.edges or init.graph.order != g.order:
             raise ParameterError("init layout belongs to a different graph")
         starts = [(init.pos, {"method": "polish"})]
@@ -613,7 +650,7 @@ def solve_unit_distance(
             k = _integer(symmetry, "symmetry")
             orbit_sets = map(iso.orbits_of, islice(iso.find_free_cyclic_action(g, k), 6))
         else:
-            orbit_sets = [[list(o) for o in symmetry]]
+            orbit_sets = [list(map(list, _int_rows(symmetry, "orbit entry", "symmetry")))]
             lengths = {len(o) for o in orbit_sets[0]}
             if len(lengths) != 1:
                 raise ParameterError("explicit orbits must share one length")
@@ -699,6 +736,8 @@ def circles_from_layout(
     On either route, circles whose centres and radii both lie within
     TOL_SEPARATION coincide and are refused, found by one O(n log n) sweep
     (_near_pairs). A tol that is not a finite number >= 0 is a ParameterError.
+    The result is built through PointCircleConfig._canonical; only fitted
+    circles are checked, as the constructor would, for finite rows and r > 0.
     """
     tol = _tolerance("incidence", tol)
     g = layout.graph
@@ -713,16 +752,17 @@ def circles_from_layout(
         length = _row_norms(pos.take(nbr, axis=0) - np.repeat(pos, deg, axis=0))
         unit = np.all(np.abs(length - 1.0) <= tol)
     if unit:
-        cx, cy, r = pos[:, 0].copy(), pos[:, 1].copy(), np.ones(g.order)
+        cx, cy, r = pos[:, 0], pos[:, 1], np.ones(g.order)
     else:
         cx, cy, r = _fitted_circles(pos, deg, nbr, owner, tol, allow_degree_two)
     _refuse_coinciding(cx, cy, r)
-    return PointCircleConfig(
-        points=pos.copy(),
-        circles=_circle_table(cx, cy, r),
-        incidence=tuple(zip(nbr.tolist(), owner.tolist())),
-        flags={},
-        tols=tol_record(tol),
+    table = _circle_table(cx, cy, r)
+    if not unit:  # unit circles are about validated positions
+        _refuse_bad_circles(table)
+    # point v lies on circle w exactly when w is a neighbour of v, so the
+    # pairs (v, w) of the adjacency lists are the incidences in order
+    return PointCircleConfig._canonical(
+        pos.copy(), table, tuple(zip(owner.tolist(), nbr.tolist())), tol_record(tol)
     )
 
 
@@ -1113,7 +1153,7 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
         raise ParameterError("inversion radius must be positive")
     scale = max(1.0, float(np.max(np.abs(pts))))
     lines_norm: list[tuple[int, ...]] = []
-    for idx in map(tuple, _int_rows(tuple(lines), "line entry")):
+    for idx in map(tuple, _int_rows(lines, "line entry", "lines")):
         if len(idx) < 2 or len(set(idx)) != len(idx):
             raise ParameterError(f"line {idx} needs at least two distinct points")
         if any(p < 0 or p >= len(pts) for p in idx):

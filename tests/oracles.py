@@ -21,7 +21,8 @@ block i checked as a Levi automorphism before the involution search, and the
 identity witness checked as an isomorphism onto the cover. The Kronecker
 report that counted the cover's components by union-find over its edges, and
 the lineality test that checked point pairs one at a time, are the versions
-that one BFS over the graph and one set update per block replaced. The SVG
+that one BFS over the graph and one set update per block replaced. The free cyclic action search that scanned every vertex for each
+orbit step is the version that the scan of one distance layer replaced. The SVG
 renderer that grew its viewBox one element at a time, and the CO(n) layout
 that took one prism edge midpoint at a time, are the versions that array
 passes replaced. Tests hold each pair to the same answers.
@@ -39,6 +40,7 @@ import numpy as np
 from confviz import iso, realization
 from confviz.errors import (
     AdmissibilityError,
+    CapacityError,
     ConcyclicityError,
     ConvergenceError,
     DegeneracyError,
@@ -479,6 +481,69 @@ def line_graph(g: Graph) -> Graph:
             edges.add((i, j))
     labels = tuple(f"{g.label(u)}~{g.label(v)}" for u, v in g.edges)
     return Graph(g.size, tuple(sorted(edges)), labels)
+
+
+# ---------------------------------------------------------------------------
+# free cyclic actions with every vertex scanned for each orbit step, kept as
+# the differential oracle for the one-layer scan of iso._free_cyclic_actions
+
+
+def free_cyclic_actions(g: Graph, k: int):
+    """The actions of iso.find_free_cyclic_action(g, k), in its order, with
+    the same node count read from iso._NODE_BUDGET."""
+    if k < 2 or g.order % k != 0:
+        return
+    dist = [[-1] * g.order for _ in range(g.order)]
+    base = iso._seed_tokens(g, dist)
+    ids = {t: i for i, t in enumerate(sorted(set(base)))}
+    color = [ids[t] for t in base]
+    sigma: list[int] = [-1] * g.order
+    assigned: list[int] = []
+    nodes = 0
+
+    def consistent(a: int, b: int) -> bool:
+        if color[a] != color[b]:
+            return False
+        da, db = dist[a], dist[b]
+        return all(da[x] == db[sigma[x]] for x in assigned)
+
+    def extend():
+        nonlocal nodes
+        nodes += 1
+        if nodes > iso._NODE_BUDGET:
+            raise CapacityError("cyclic action search budget exceeded")
+        if len(assigned) == g.order:
+            yield VertexMap(tuple(sigma))
+            return
+        start = next(v for v in range(g.order) if sigma[v] == -1)
+        yield from place(start, [start])
+
+    def place(start: int, orbit: list[int]):
+        cur = orbit[-1]
+        if len(orbit) == k:
+            if consistent(cur, start):
+                sigma[cur] = start
+                assigned.append(cur)
+                yield from extend()
+                assigned.pop()
+                sigma[cur] = -1
+            return
+        for cand in range(g.order):
+            if sigma[cand] != -1 or cand in orbit or cand == start:
+                continue
+            if not consistent(cur, cand):
+                continue
+            sigma[cur] = cand
+            assigned.append(cur)
+            orbit.append(cand)
+            yield from place(start, orbit)
+            orbit.pop()
+            assigned.pop()
+            sigma[cur] = -1
+
+    for vm in extend():
+        if vm.is_automorphism(g) and vm.permutation_order() == k:
+            yield vm
 
 
 # ---------------------------------------------------------------------------

@@ -139,3 +139,86 @@ def test_edge_residual_matches_per_edge_loop(family, params, k):
         assert unit_edge_residual(lay) == oracles.unit_edge_residual(lay)
     lay, _ = solve_unit_distance(g, seed=0, symmetry=k)
     assert unit_edge_residual(lay) == oracles.unit_edge_residual(lay)
+
+
+# ---------------------------------------------------------------------------
+# the polish that an exact start skips
+
+
+def _edge_lm(g, pos0):
+    """oracles.lm_least_squares over the edge residuals and Jacobian that
+    realization._solve_coordinates polishes with, from pos0."""
+    eu, ev = np.array(g.edges).T
+
+    def resid(x):
+        d = x.reshape(-1, 2)[eu] - x.reshape(-1, 2)[ev]
+        return np.hypot(d[:, 0], d[:, 1]) - 1.0
+
+    def jacobian(x):
+        d = x.reshape(-1, 2)[eu] - x.reshape(-1, 2)[ev]
+        dist = np.hypot(d[:, 0], d[:, 1])
+        dist = np.where(dist < 1e-300, 1.0, dist)
+        j = np.zeros((len(eu), x.size))
+        for row, (u, v) in enumerate(zip(eu, ev)):
+            j[row, 2 * u: 2 * u + 2] = d[row] / dist[row]
+            j[row, 2 * v: 2 * v + 2] = -d[row] / dist[row]
+        return j
+
+    return resid(pos0.ravel()), oracles.lm_least_squares(resid, jacobian, pos0.ravel()).reshape(-1, 2)
+
+
+def _polished_starts(monkeypatch, g, **kwargs):
+    """The starts a solve of g hands to its polish, in order."""
+    starts = []
+    polish = realization._solve_coordinates
+
+    def spy(g, pos0, max_iter):
+        starts.append(pos0.copy())
+        return polish(g, pos0, max_iter)
+
+    monkeypatch.setattr(realization, "_solve_coordinates", spy)
+    solve_unit_distance(g, **kwargs)
+    monkeypatch.undo()
+    return starts
+
+
+def _check_polish_skip(g, starts, seed):
+    """Wherever the skip's bound holds, the rebuilding LM returns the start
+    bit for bit, and so does the polish; elsewhere they agree bit for bit.
+    Returns how often the bound held and failed."""
+    rng = np.random.default_rng(seed)
+    maxdeg = max(map(len, g.adjacency))
+    sides = [0, 0]
+    for start in starts:
+        for eps in (0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+            pos = start + eps * rng.standard_normal(start.shape)
+            r, want = _edge_lm(g, pos)
+            got = realization._solve_coordinates(g, pos, realization._LM_MAX_ITER)
+            skips = bool(maxdeg * np.max(np.abs(r)) < 0.25e-12)
+            sides[skips] += 1
+            if skips:
+                assert want.tobytes() == pos.tobytes()
+            assert got.tobytes() == want.tobytes()
+    return sides
+
+
+PRODUCT_STARTS = [("prism", (n,)) for n in (3, 4, 5, 8, 11, 15, 18)]
+PRODUCT_STARTS += [("gen_petersen", (n, 1)) for n in (6, 12, 16)]
+PRODUCT_STARTS += [("hypercube", (d,)) for d in range(3, 9)]
+
+
+@pytest.mark.parametrize("family,params", PRODUCT_STARTS)
+def test_exact_product_starts_skip_the_polish(monkeypatch, family, params):
+    g = build_family(family, *params)
+    starts = _polished_starts(monkeypatch, g, seed=1, restarts=2)
+    assert starts  # the product start comes first
+    skipped, ran = _check_polish_skip(g, starts, seed=g.order)
+    assert skipped and ran
+
+
+@pytest.mark.parametrize("n", range(10, 51))
+def test_exact_ring_solutions_skip_the_polish(monkeypatch, n):
+    g = build_family("gen_petersen", n, 2)
+    starts = _polished_starts(monkeypatch, g, seed=0, symmetry=n)
+    skipped, ran = _check_polish_skip(g, starts, seed=n)
+    assert skipped and ran

@@ -308,6 +308,31 @@ def test_rows_that_are_not_sequences_are_named(name):
         make()
 
 
+NOT_TABLES = {
+    "Graph": (lambda: Graph(3, 5), "edges"),
+    "IncidenceStructure": (lambda: IncidenceStructure(3, 5), "blocks"),
+    "PointCircleConfig": (lambda: PointCircleConfig(np.zeros((2, 2)), [(0.0, 0.0, 1.0)], 5), "incidence"),
+    "invert_pointline": (lambda: invert_pointline([[0.0, 0.0], [1.0, 0.0]], 5, (0.5, 1.0)), "lines"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_TABLES)
+def test_tables_that_are_not_sequences_are_named(name):
+    # each once raised TypeError: 'int' object is not iterable
+    make, table = NOT_TABLES[name]
+    with pytest.raises(ParameterError, match=rf"^{table} must be a sequence, not int$"):
+        make()
+
+
+def test_an_error_raised_while_reading_a_table_is_not_renamed():
+    def rows():
+        yield (0, 1)
+        raise TypeError("from the caller's generator")
+
+    with pytest.raises(TypeError, match="caller's generator"):
+        Graph(3, rows())
+
+
 def test_rows_taken_from_iterators_keep_their_entries():
     assert VertexMap(iter((1, 0))).image == (1, 0)
     assert Bipartition(x for x in (0, 1)).sides == (0, 1)

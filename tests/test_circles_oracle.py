@@ -18,6 +18,7 @@ from confviz import (
     DistinctnessError,
     Layout,
     ParameterError,
+    PointCircleConfig,
     check_flags,
     circles_from_layout,
     layout_gen_cuboctahedron,
@@ -400,3 +401,42 @@ def test_scaled_unit_drawings_fit_their_circles(scale, monkeypatch):
     cfg = circles_from_layout(Layout(layout.graph, scale * layout.pos, {}))
     assert calls
     assert np.max(np.abs(cfg.circles["r"] - scale)) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# the configuration circles_from_layout sets up unchecked
+
+
+def _rebuilt(layout, cfg):
+    """cfg's fields through the public constructor, from fresh copies and
+    with the incidences reversed, so that the constructor must sort them."""
+    return PointCircleConfig(
+        layout.pos.tolist(), cfg.circles.view(float).reshape(-1, 3).tolist(), cfg.incidence[::-1],
+        flags={}, tols=dict(cfg.tols),
+    )
+
+
+CANONICAL_ROUTES = [
+    (lambda: solve_unit_distance(build_family("prism", 9), seed=0)[0], {}),
+    (lambda: _petersen(0), {"tol": 1e-10}),
+    (lambda: layout_hypercube(4, seed=2), {}),
+    (lambda: layout_gen_cuboctahedron(7), {}),
+    (lambda: layout_gen_cuboctahedron(12), {"tol": 1e-8}),
+    (lambda: Layout(build_family("hypercube", 3), 1.3 * layout_hypercube(3, seed=1).pos), {}),
+    (lambda: layout_polygon(3), {"allow_degree_two": True}),
+    (lambda: layout_polygon(8), {"allow_degree_two": True}),
+]
+
+
+@pytest.mark.parametrize("make,kwargs", CANONICAL_ROUTES)
+def test_built_configuration_equals_its_public_rebuild(make, kwargs):
+    layout = make()
+    cfg = circles_from_layout(layout, **kwargs)
+    want = _rebuilt(layout, cfg)
+    assert cfg.points.tobytes() == want.points.tobytes() and cfg.points.shape == want.points.shape
+    assert cfg.circles.dtype == want.circles.dtype and cfg.circles.tobytes() == want.circles.tobytes()
+    assert not cfg.circles.flags.writeable
+    assert cfg.incidence == want.incidence
+    assert all(type(x) is int for pair in cfg.incidence for x in pair)
+    assert (cfg.flags, cfg.tols) == (want.flags, want.tols)
+    assert check_flags(cfg).flags == check_flags(want).flags

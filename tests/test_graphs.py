@@ -259,15 +259,13 @@ def test_wrong_factor_map_falls_back_to_random_loop(monkeypatch, seed):
     solve runs the random loop alone, bit-equal to the loop it came from."""
     from confviz import ConvergenceError, graphs, solve_unit_distance
 
-    right = graphs.cartesian_product
+    right = graphs._product_map
 
-    def swapped(a, b):
-        # the product with its vertices 0 and 1 exchanged
-        swap = {0: 1, 1: 0}
-        h = right(a, b)
-        return Graph(h.order, tuple((swap.get(u, u), swap.get(v, v)) for u, v in h.edges))
+    def swapped(g, factors, colour, coords):
+        # the coordinates of vertices 0 and 1 exchanged
+        return right(g, factors, colour, [coords[1], coords[0], *coords[2:]])
 
-    monkeypatch.setattr(graphs, "cartesian_product", swapped)
+    monkeypatch.setattr(graphs, "_product_map", swapped)
     g = prism_graph(5)
     assert cartesian_factors(g) == ((g,), VertexMap(tuple(range(g.order))))
     try:
@@ -281,6 +279,19 @@ def test_wrong_factor_map_falls_back_to_random_loop(monkeypatch, seed):
     assert lay.meta["method"] == "lm"
     assert (lay.pos.tobytes(), list(lay.meta.items()), residual) == (
         want[0].pos.tobytes(), list(want[0].meta.items()), want[1])
+
+
+def test_product_map_refuses_coordinates_that_collide():
+    """Every edge of the 4-cycle moves its first coordinate along K2 when
+    vertices 0 and 2, and 1 and 3, share coordinates; only the bijection
+    test refuses that map."""
+    from confviz import graphs
+
+    k2 = complete_graph(2)
+    c4 = cycle_graph(4)
+    assert graphs._product_map(c4, [k2, k2], [0, 0, 0, 0], [[0, 0], [1, 0], [0, 0], [1, 0]]) is None
+    good = graphs._product_map(c4, [k2, k2], [0, 1, 1, 0], [[0, 0], [1, 0], [1, 1], [0, 1]])
+    assert good.is_isomorphism(c4, cartesian_product(k2, k2))
 
 
 def test_line_graph_k4():

@@ -2,13 +2,17 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from confviz import CapacityError, Graph, build_family, isomorphic
 from confviz.graphs import (
     bipartite_kneser_graph,
+    cartesian_product,
     complete_graph,
     cycle_graph,
     desargues_graph,
+    dodecahedron_graph,
     generalized_petersen_graph,
     hypercube_graph,
     kneser_graph,
@@ -235,3 +239,77 @@ def test_desargues_free_action_of_order_ten():
 def test_complete_graph_everything_is_automorphic():
     k5 = complete_graph(5)
     assert next(find_free_cyclic_action(k5, 5)).permutation_order() == 5
+
+
+# ---------------------------------------------------------------------------
+# the one-layer scan against the full scan it replaced
+
+
+def _circulant(n: int, steps) -> Graph:
+    return Graph(n, tuple({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps if s % n}))
+
+
+def _same_reads(g: Graph, k: int):
+    """Read both searches to the end, or to the CapacityError that ends
+    them; each side's images in order, and whether it raised."""
+    sides = []
+    for search in (find_free_cyclic_action(g, k), oracles.free_cyclic_actions(g, k)):
+        images = []
+        try:
+            for vm in search:
+                images.append(vm.image)
+        except CapacityError:
+            sides.append((images, True))
+        else:
+            sides.append((images, False))
+    return sides
+
+
+SCAN_LADDER = (
+    [(generalized_petersen_graph(n, r), n) for n in range(5, 31) for r in range(1, (n + 1) // 2)]
+    + [(prism_graph(n), n) for n in range(3, 21)]
+    + [(hypercube_graph(d), 4) for d in range(2, 6)]
+    + [(cycle_graph(n), k) for n in range(3, 13) for k in range(2, n + 1) if n % k == 0]
+    + [(dodecahedron_graph(), 5), (dodecahedron_graph(), 10), (desargues_graph(), 10)]
+    # two or four components: a vertex the first mapped one does not reach
+    # is looked for among all vertices
+    + [(_circulant(8, {2}), k) for k in (2, 4, 8)] + [(_circulant(12, {4}), 6)]
+)
+
+
+@pytest.mark.parametrize("g,k", SCAN_LADDER)
+def test_layer_scan_yields_the_full_scans_actions(g, k):
+    mine, full = _same_reads(g, k)
+    assert mine == full
+    assert not mine[1]
+
+
+@st.composite
+def circulants_and_torus_grids(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=3, max_value=16))
+        steps = draw(st.sets(st.integers(min_value=1, max_value=n // 2), min_size=1, max_size=3))
+        g = _circulant(n, steps)
+    else:
+        a, b = draw(st.integers(min_value=3, max_value=5)), draw(st.integers(min_value=3, max_value=5))
+        g = cartesian_product(cycle_graph(a), cycle_graph(b))
+    k = draw(st.sampled_from([d for d in range(2, g.order + 1) if g.order % d == 0]))
+    return g, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(circulants_and_torus_grids())
+def test_layer_scan_matches_full_scan_on_circulants_and_torus_grids(case):
+    g, k = case
+    mine, full = _same_reads(g, k)
+    assert mine == full
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40, 150, 400, 1500])
+@pytest.mark.parametrize("family,params,k", [("desargues", (), 10), ("dodecahedron", (), 5), ("gen_petersen", (12, 2), 12)])
+def test_layer_scan_runs_out_of_budget_at_the_same_read(monkeypatch, budget, family, params, k):
+    import confviz.iso as iso_module
+
+    monkeypatch.setattr(iso_module, "_NODE_BUDGET", budget)
+    mine, full = _same_reads(build_family(family, *params), k)
+    assert mine == full

@@ -523,6 +523,29 @@ def test_solver_explicit_orbits():
         solve_unit_distance(cycle_graph(8), symmetry=[[0, 1, 2], [3, 4, 5]], seed=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"symmetry": [5, 6]}, "orbit 5 is not a sequence"),
+        ({"symmetry": [[0, 1, 2, 3, "a"], [5, 6, 7, 8, 9]]}, "orbit entry 'a' must be an integer, not str"),
+        ({"symmetry": 5.0}, "symmetry must be an integer, not float"),
+        ({"init": 5}, "init must be a Layout, not int"),
+        ({"init": [[0.0, 0.0]] * 10}, "init must be a Layout, not list"),
+    ],
+)
+def test_solver_orbit_lists_and_init_are_checked(kwargs, message):
+    # the first three once raised TypeError, init=5 AttributeError
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        solve_unit_distance(petersen_graph(), seed=0, **kwargs)
+
+
+def test_solver_takes_orbit_entries_as_integers():
+    orbits = [[np.int64(v) for v in o] for o in ([0, 2, 4, 6], [1, 3, 5, 7])]
+    lay, _ = solve_unit_distance(cycle_graph(8), symmetry=orbits, seed=1)
+    want, _ = solve_unit_distance(cycle_graph(8), symmetry=[[0, 2, 4, 6], [1, 3, 5, 7]], seed=1)
+    assert lay.pos.tobytes() == want.pos.tobytes()
+
+
 def test_solver_random_restarts_mode():
     lay, res = solve_unit_distance(cycle_graph(5), seed=3)
     assert res < 1e-9
