@@ -14,6 +14,7 @@ again.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -68,6 +69,36 @@ def _int_row(row, what: str) -> tuple:
     return _int_rows((tuple(row) if isinstance(row, Iterable) else row,), what)[0]
 
 
+def _real(x, what: str) -> float:
+    """x as a float when it is a real number, numpy numbers included; a bool,
+    a string, None, a list or an int too large for a float is refused."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ParameterError(f"{what} must be a number, not {type(x).__name__}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ParameterError(f"{what} is too large for a float") from None
+
+
+def _real_rows(rows, what: str, shape: str):
+    """rows unchanged when they are an array of integer or float dtype (told
+    by duck typing: graphs imports no numpy) or lists or tuples of floats;
+    otherwise each row as a tuple of _real entries, so that the first entry
+    that is no real number is named. A table or a row that is not a
+    sequence, and rows of unequal length, raise ParameterError(shape)."""
+    if getattr(getattr(rows, "dtype", None), "kind", None) in ("i", "u", "f"):
+        return rows
+    try:
+        rows = tuple(rows)
+        if not ({list, tuple}.issuperset(map(type, rows)) and {float}.issuperset(map(type, chain.from_iterable(rows)))):
+            rows = tuple(tuple(_real(x, f"{what} {x!r}") for x in row) for row in rows)
+    except TypeError:  # a table or a row that is not iterable
+        raise ParameterError(shape) from None
+    if len(set(map(len, rows))) > 1:
+        raise ParameterError(shape)
+    return rows
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph. Edges are normalized to sorted (u, v) with u < v.
@@ -85,7 +116,10 @@ class Graph:
         object.__setattr__(self, "order", _count(self.order, "graph order"))
         seen = set()
         for e in _int_rows(self.edges, "edge entry", "edges"):
-            u, v = e[0], e[1]
+            try:
+                u, v = e
+            except ValueError:
+                raise ParameterError(f"edge {tuple(e)} is not a pair of vertices") from None
             if u == v:
                 raise ParameterError(f"loop at vertex {u}")
             if not (0 <= u < self.order and 0 <= v < self.order):

@@ -5,9 +5,11 @@ keys in construction order, so the same in-memory value always serializes
 to the same bytes, and every value reads back bit for bit. Writers hand
 numpy tables and scalars to the encoder as they are. `read` is the one
 entry point that loads an artifact file, checks its kind and converts it.
-Readers take an index or a count only as a JSON integer (not 1.0, true or
-"1"), a coordinate or a radius only as a JSON number (not true or "1"), a
-label or provenance only as a string, and flags, tols or meta as an object.
+Readers only map an artifact's fields onto the constructor of its class,
+which checks them as it checks a hand-built one: an index or a count only
+as an integer (not 1.0, true or "1"), a coordinate or a radius only as a
+number within float's range (not true or "1"). Readers themselves check
+only what no class does: a label or provenance is a string, meta an object.
 
 Every output file, JSON or SVG, goes through `write_text`. It encodes the
 whole text first, so an encoding error leaves an existing file as it was.
@@ -20,16 +22,14 @@ auto_da_alloc rule), which makes a small rewrite 20 to 40 times slower.
 from __future__ import annotations
 
 import json
-import math
 import os
 import stat
 from contextlib import contextmanager
-from itertools import chain
 from operator import itemgetter
 from typing import Any
 
 from .errors import ParameterError
-from .graphs import Graph
+from .graphs import Graph, _int_rows
 from .incidence import IncidenceStructure
 
 
@@ -94,7 +94,7 @@ def load(path: str) -> Any:
 @contextmanager
 def _malformed(kind: str):
     """Report a missing key, a wrong type, an unparsable value or a table the
-    artifact's dataclass rejects as one ParameterError naming the kind; the
+    artifact's class refuses as one ParameterError naming the kind; the
     report of a nested artifact (a layout's graph) passes unchanged."""
     try:
         yield
@@ -102,20 +102,6 @@ def _malformed(kind: str):
         if isinstance(exc, ParameterError) and str(exc).startswith("malformed "):
             raise
         raise ParameterError(f"malformed {kind} object: {exc}") from exc
-
-
-def _int(x: Any) -> int:
-    """x when it is a JSON integer; a float, a bool or a string is malformed."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"expected an integer, found {x!r}")
-    return x
-
-
-def _num(x: Any) -> float:
-    """x as a float when it is a JSON number; a bool or a string is malformed."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"expected a number, found {x!r}")
-    return float(x)
 
 
 def _json(x: Any, kind: type | tuple, what: str) -> Any:
@@ -137,11 +123,7 @@ def graph_from_obj(obj: dict) -> Graph:
         labels = obj.get("labels")
         if labels is not None:
             labels = tuple(_json(s, str, "a string") for s in _json(labels, (list, tuple), "a list of strings"))
-        return Graph(
-            order=_int(obj["order"]),
-            edges=tuple((_int(u), _int(v)) for u, v in obj["edges"]),
-            labels=labels,
-        )
+        return Graph(order=obj["order"], edges=obj["edges"], labels=labels)
 
 
 def incidence_to_obj(c: IncidenceStructure) -> dict:
@@ -150,17 +132,8 @@ def incidence_to_obj(c: IncidenceStructure) -> dict:
 
 def incidence_from_obj(obj: dict) -> IncidenceStructure:
     with _malformed("incidence"):
-        points = _int(obj["points"])
-        blocks = tuple(map(tuple, obj["blocks"]))
-        # one pass over every entry's type; only a file that fails it pays
-        # for _int on each entry, which names the first bad one
-        if not {int}.issuperset(map(type, chain.from_iterable(blocks))):
-            blocks = tuple(tuple(map(_int, b)) for b in blocks)
-        return IncidenceStructure(
-            points=points,
-            blocks=blocks,
-            provenance=_json(obj.get("provenance", ""), str, "a string"),
-        )
+        provenance = _json(obj.get("provenance", ""), str, "a string")
+        return IncidenceStructure(points=obj["points"], blocks=obj["blocks"], provenance=provenance)
 
 
 def layout_to_obj(layout) -> dict:
@@ -168,14 +141,11 @@ def layout_to_obj(layout) -> dict:
 
 
 def layout_from_obj(obj: dict):
-    import numpy as np
-
     from .realization import Layout
 
     with _malformed("layout"):
         g = graph_from_obj(obj["graph"])
-        pos = [[_num(x) for x in row] for row in obj["pos"]] or np.empty((0, 2))
-        return Layout(graph=g, pos=pos, meta=dict(_json(obj.get("meta", {}), dict, "an object")))
+        return Layout(graph=g, pos=obj["pos"], meta=dict(_json(obj.get("meta", {}), dict, "an object")))
 
 
 def pcc_to_obj(cfg) -> dict:
@@ -189,19 +159,12 @@ def pcc_to_obj(cfg) -> dict:
 
 
 def pcc_from_obj(obj: dict):
-    import numpy as np
-
     from .realization import PointCircleConfig
 
     with _malformed("point-circle"):
-        return PointCircleConfig(
-            points=[[_num(x) for x in row] for row in obj["points"]] or np.empty((0, 2)),
-            # a centre of other than two numbers makes a row the table refuses
-            circles=[(*map(_num, c["c"]), _num(c["r"])) for c in obj["circles"]],
-            incidence=tuple((_int(p), _int(k)) for p, k in obj["incidence"]),
-            flags=dict(_json(obj.get("flags", {}), dict, "an object")),
-            tols=dict(_json(obj.get("tols", {}), dict, "an object")),
-        )
+        # a centre of other than two numbers makes a row the table refuses
+        circles = [(*c["c"], c["r"]) for c in obj["circles"]]
+        return PointCircleConfig(obj["points"], circles, obj["incidence"], obj.get("flags", {}), obj.get("tols", {}))
 
 
 def pointplane_to_obj(cfg) -> dict:
@@ -229,49 +192,22 @@ def spherical_to_obj(cfg) -> dict:
 
 
 def spherical_from_obj(obj: dict):
-    """The plane rows of the circles, normalised and oriented as the writer's;
-    each circle's centre and radius follow from its row and the sphere, but
-    are still required keys. Points must be a finite (n, 3) table, the
-    sphere a finite 3-vector centre with a finite positive radius, and each
-    incidence (point, circle) must name a point and a circle that exist."""
-    import numpy as np
-
-    from .spatial import SphericalCircleConfig, _plane_rows
+    """Circles from their plane rows; each one's centre and radius follow
+    from its row and the sphere, but are still required keys."""
+    from .spatial import SphericalCircleConfig
 
     with _malformed("spherical"):
-        circles = obj["circles"]
-        fields = map(itemgetter("n", "d", "center", "radius"), circles)
-        table = np.array([[*map(_num, n), _num(d)] for n, d, _, _ in fields], dtype=float).reshape(len(circles), 4)
-        rows = [[_num(x) for x in row] for row in obj["points"]]
-        points = np.array(rows, dtype=float) if rows else np.empty((0, 3))
-        center = np.array([_num(x) for x in obj["sphere"]["c"]])
-        radius = _num(obj["sphere"]["r"])
-        incidence = tuple((_int(p), _int(j)) for p, j in obj["incidence"])
-        if points.shape != (len(rows), 3) or not np.all(np.isfinite(points)):
-            raise ValueError("points must be a finite (n, 3) table")
-        if center.shape != (3,) or not np.all(np.isfinite(center)):
-            raise ValueError("sphere centre must be a finite 3-vector")
-        if not (math.isfinite(radius) and radius > 0):
-            raise ValueError(f"sphere radius must be finite and positive, not {radius!r}")
-        for p, j in incidence:
-            if not (0 <= p < len(points) and 0 <= j < len(circles)):
-                raise ValueError(f"incidence ({p}, {j}) outside {len(points)} points and {len(circles)} circles")
-        return SphericalCircleConfig(
-            center=center,
-            radius=radius,
-            points=points,
-            circles=_plane_rows(table[:, :3], table[:, 3]),
-            incidence=incidence,
-        )
+        rows = [(*n, d) for n, d, _, _ in map(itemgetter("n", "d", "center", "radius"), obj["circles"])]
+        return SphericalCircleConfig(obj["sphere"]["c"], obj["sphere"]["r"], obj["points"], rows, obj["incidence"])
 
 
 def pointline_from_obj(obj: dict):
-    import numpy as np
+    """Points as a float (n, 2) table and lines as tuples of integers."""
+    from .realization import _float_table
 
     with _malformed("point-line"):
-        points = np.array([[_num(x), _num(y)] for x, y in obj["points"]], dtype=float)
-        lines = tuple(tuple(map(_int, line)) for line in obj["lines"])
-    return points, lines
+        points = _float_table(obj["points"], "point entry", "points must be an (n, 2) table", 2)
+        return points, tuple(map(tuple, _int_rows(obj["lines"], "line entry", "lines")))
 
 
 # Each kind once: the keys that identify it, tried in this order, and the
@@ -308,7 +244,7 @@ def read(path: str, *kinds: str):
         raise ParameterError(f"no such file: {path}")
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc.strerror or exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or an integer past int's digit limit
         raise ParameterError(f"{path} is not valid JSON: {exc}")
     kind = detect_kind(obj)
     if kind not in kinds:

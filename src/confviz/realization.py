@@ -26,7 +26,8 @@ from .errors import (
     ParameterError,
     SamplingError,
 )
-from .graphs import Graph, _count, _int_rows, _integer, build_family, cartesian_factors
+from .graphs import Graph, _count, _int_rows, _integer, _real_rows, build_family, cartesian_factors
+from .graphs import prism_graph, structure_report
 from .incidence import IncidenceStructure
 
 TOL_INCIDENCE = 1e-9
@@ -55,11 +56,10 @@ class Layout:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.pos = np.asarray(self.pos, dtype=float)
-        if self.pos.shape != (self.graph.order, 2):
-            raise ParameterError("position table must be (order, 2)")
-        if not np.all(np.isfinite(self.pos)):
-            raise ParameterError("positions must be finite")
+        shape = "position table must be (order, 2)"
+        self.pos = _float_table(self.pos, "position entry", shape, 2, "positions must be finite")
+        if len(self.pos) != self.graph.order:
+            raise ParameterError(shape)
 
 
 @dataclass(eq=False)
@@ -69,8 +69,9 @@ class PointCircleConfig:
     circles is one read-only (C,) table of finite (cx, cy, r) rows, r > 0:
     circles["r"] is a column, circles[k].cx a field of one row and
     circles.view(float).reshape(-1, 3) the (C, 3) float table. It is built
-    from such a table or from a sequence of rows. incidence is a sequence of
-    (point, circle) pairs of integers, kept sorted and distinct.
+    from such a table, from a (C, 3) table or from a sequence of rows.
+    incidence is a sequence of (point, circle) pairs of integers, kept
+    sorted and distinct.
 
     The constructor checks and normalises every field, for files and
     hand-built configurations alike. circles_from_layout, whose fields come
@@ -86,26 +87,17 @@ class PointCircleConfig:
 
     def __post_init__(self):
         rows = self.circles
-        try:
-            if not isinstance(rows, np.ndarray):
-                rows = np.array([tuple(row) for row in rows], dtype=_CIRCLE_ROW)
-            # numpy would copy each float of a plain float table into every field
-            table = np.array(rows, dtype=_CIRCLE_ROW) if rows.dtype.names else None
-        except (TypeError, ValueError):
-            table = None
-        if table is None or table.ndim != 1:
-            raise ParameterError("circles must be (cx, cy, r) rows")
+        if getattr(rows, "dtype", None) == _CIRCLE_ROW:  # a record table, as its float (C, 3) table
+            rows = np.ascontiguousarray(rows).view(float).reshape(*rows.shape, 3)
+        table = _circle_table(*_float_table(rows, "circle entry", "circles must be (cx, cy, r) rows", 3).T)
         _refuse_bad_circles(table)
         table.flags.writeable = False  # shared by the copies check_flags makes
         for name in ("flags", "tols"):
             if not isinstance(getattr(self, name), Mapping):
                 raise ParameterError(f"{name} must be a mapping, not {type(getattr(self, name)).__name__}")
         self.circles = table
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != 2:
-            raise ParameterError("points must be an (n, 2) table")
-        if not np.all(np.isfinite(self.points)):
-            raise ParameterError("points must be finite")
+        shape, finite = "points must be an (n, 2) table", "points must be finite"
+        self.points = _float_table(self.points, "point entry", shape, 2, finite)
         pairs = _int_rows(self.incidence, "incidence entry", "incidence")
         if not {2}.issuperset(map(len, pairs)):
             bad = next(pair for pair in pairs if len(pair) != 2)
@@ -147,6 +139,19 @@ class PointCircleConfig:
         cx, cy, r = self.circles["cx"], self.circles["cy"], self.circles["r"]
         # the incident pairs' entries of _circle_residuals, element for element
         return float(np.max(np.abs(np.hypot(self.points[p, 0] - cx[k], self.points[p, 1] - cy[k]) - r[k])))
+
+
+def _float_table(rows, what: str, shape: str, width: int, finite: str | None = None) -> np.ndarray:
+    """rows, checked by _real_rows, as a float (n, width) array, the array
+    itself when it is one; another shape raises ParameterError(shape), and
+    an entry that is not finite ParameterError(finite) when finite is given."""
+    table = np.asarray(_real_rows(rows, what, shape), dtype=float)
+    table = table.reshape(0, width) if table.shape == (0,) else table
+    if table.ndim != 2 or table.shape[1] != width:
+        raise ParameterError(shape)
+    if finite is not None and not np.all(np.isfinite(table)):
+        raise ParameterError(finite)
+    return table
 
 
 def _refuse_bad_circles(table: np.ndarray) -> None:
@@ -400,8 +405,6 @@ def layout_gen_cuboctahedron(n: int, r_outer: float = 2.0, r_inner: float = 1.0)
     for a, b in combinations(rings, 2):
         if abs(a - b) <= TOL_SEPARATION:
             raise ParameterError("ring radii collide; circles would coincide")
-    from .graphs import prism_graph  # local: only this layout needs the base graph
-
     base = prism_graph(n)
     g = build_family("gen_cuboctahedron", n)
     ang = 2.0 * math.pi * np.arange(n) / n
@@ -619,8 +622,6 @@ def solve_unit_distance(
     passes; with no start run and no residual when every orbit set is
     ruled out. seed and restarts are integers >= 0, and seed None reads as 0.
     """
-    from .graphs import structure_report
-
     if g.size == 0:
         raise ParameterError("unit-distance solve needs at least one edge")
     if not structure_report(g).connected:
@@ -1137,17 +1138,12 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
     construction. Incidences carry over verbatim. Each line is a sequence
     of at least two distinct integer point indices.
     """
-    pts = np.asarray(points, dtype=float)
-    ctr = np.asarray(center, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ParameterError("points must be an (n, 2) table")
+    pts = _float_table(points, "point entry", "points must be an (n, 2) table", 2)
     bad = np.flatnonzero(~np.all(np.isfinite(pts), axis=1))
     if len(bad):
         raise ParameterError(f"point {bad[0]} of the point-line input is not finite")
-    if ctr.shape != (2,):
-        raise ParameterError("center must be a planar point")
-    if not np.all(np.isfinite(ctr)):
-        raise ParameterError("inversion center must be finite")
+    shape, finite = "center must be a planar point", "inversion center must be finite"
+    ctr = _float_table((center,), "center entry", shape, 2, finite)[0]
     _finite(radius, "inversion radius")
     if radius <= 0:
         raise ParameterError("inversion radius must be positive")

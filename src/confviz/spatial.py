@@ -16,14 +16,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError, DegeneracyError, ParameterError, PolePlacementError
-from .graphs import POLYTOPE_NAMES, Graph, structure_report
+from .graphs import POLYTOPE_NAMES, Graph, _int_rows, _real, structure_report
 
 # realization before numpy, which it imports itself: compiling realization.py
 # from source after numpy has loaded leaves a process about 2 MB larger in
 # RSS, as numpy's import no longer reuses the compiler's freed memory. With
 # cached bytecode the order makes no difference.
 from .realization import TOL_INCIDENCE, TOL_SEPARATION, PointCircleConfig, tol_record
-from .realization import _circle_table, _pair_indices, _row_dots, _row_norms, _seed, _tolerance
+from .realization import _circle_table, _float_table, _pair_indices, _row_dots, _row_norms, _seed, _tolerance
 
 import numpy as np
 
@@ -48,9 +48,10 @@ class PolytopeSkeleton:
     coords: np.ndarray
 
     def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
-        if self.coords.shape != (self.graph.order, 3) or not np.all(np.isfinite(self.coords)):
-            raise ParameterError("coordinate table must be a finite (order, 3) array")
+        shape = "coordinate table must be a finite (order, 3) array"
+        self.coords = _float_table(self.coords, "coordinate entry", shape, 3, shape)
+        if len(self.coords) != self.graph.order:
+            raise ParameterError(shape)
 
 
 @dataclass(eq=False)
@@ -69,13 +70,42 @@ class PointPlaneConfig:
 class SphericalCircleConfig:
     """Points on the sphere (center, radius) and the circles the plane rows
     of circles, a (C, 4) table as in PointPlaneConfig, cut out of it;
-    _circle_cuts gives their centres and radii."""
+    _circle_cuts gives their centres and radii. The constructor checks every
+    field, for files and hand-built configurations alike, and passes the
+    circles through _plane_rows; sphere_circles, whose rows come out of it
+    already, skips that through _canonical, as a second pass can move a bit."""
 
     center: np.ndarray
     radius: float
     points: np.ndarray
     circles: np.ndarray
     incidence: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        shape = "points must be a finite (n, 3) table"
+        points = _float_table(self.points, "point entry", shape, 3, shape)
+        shape = "sphere centre must be a finite 3-vector"
+        center = _float_table((self.center,), "sphere centre entry", shape, 3, shape)[0]
+        radius = _real(self.radius, "sphere radius")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ParameterError(f"sphere radius must be finite and positive, not {radius!r}")
+        shape = "circles must be finite (nx, ny, nz, d) rows"
+        table = _float_table(self.circles, "plane entry", shape, 4, shape)
+        incidence = tuple(map(tuple, _int_rows(self.incidence, "incidence entry", "incidence")))
+        for pair in incidence:
+            if len(pair) != 2:
+                raise ParameterError(f"incidence {pair} is not a (point, circle) pair")
+            if not (0 <= pair[0] < len(points) and 0 <= pair[1] < len(table)):
+                raise ParameterError(f"incidence {pair} outside {len(points)} points and {len(table)} circles")
+        self.points, self.center, self.radius, self.incidence = points, center, radius, incidence
+        self.circles = _plane_rows(table[:, :3], table[:, 3])
+
+    @classmethod
+    def _canonical(cls, center, radius, points, circles, incidence) -> SphericalCircleConfig:
+        """The configuration with these fields, set as given and checked by no one."""
+        cfg = object.__new__(cls)
+        cfg.center, cfg.radius, cfg.points, cfg.circles, cfg.incidence = center, radius, points, circles, incidence
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -201,11 +231,10 @@ def coplanarity(pts) -> tuple[np.ndarray, float]:
     """Best-fit plane row (nx, ny, nz, d) via the smallest singular direction,
     and the largest distance of a point from it. Fewer than three points, or
     a point that is not finite, raise ParameterError."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 3:
-        raise ParameterError("plane fit needs at least three spatial points")
-    if not np.all(np.isfinite(pts)):
-        raise ParameterError("plane fit needs finite points")
+    shape = "plane fit needs at least three spatial points"
+    pts = _float_table(pts, "point entry", shape, 3, "plane fit needs finite points")
+    if len(pts) < 3:
+        raise ParameterError(shape)
     rows, residual, collinear = _fit_planes(pts[None])
     if collinear[0]:
         raise DegeneracyError(_COLLINEAR_FIT)
@@ -293,7 +322,7 @@ def sphere_circles(p: PolytopeSkeleton) -> SphericalCircleConfig:
     if off:
         v, d = off[0], dist[off[0]]
         raise DegeneracyError(f"vertex {v} misses the circumsphere ({d:.6g} from the centre, radius {radius:.6g})")
-    cfg = SphericalCircleConfig(center, radius, ppc.points, ppc.planes, ppc.incidence)
+    cfg = SphericalCircleConfig._canonical(center, radius, ppc.points, ppc.planes, ppc.incidence)
     _circle_cuts(cfg)  # refuses a plane that misses the sphere
     return cfg
 

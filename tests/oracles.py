@@ -72,7 +72,7 @@ from confviz.realization import (
     _edge_arrays,
     _solve_coordinates,
 )
-from confviz.spatial import AdmissibilityReport, PointPlaneConfig, PolytopeSkeleton, SphericalCircleConfig
+from confviz.spatial import AdmissibilityReport, PointPlaneConfig, PolytopeSkeleton
 
 
 @dataclass(frozen=True)
@@ -184,10 +184,6 @@ def has_four_cycle_brute(order, edges):
             if adj(a, b) and adj(b, c) and adj(c, d) and adj(d, a):
                 return True
     return False
-
-
-def four_subsets(n):
-    return list(combinations(range(n), 4))
 
 
 def circle_residuals(cx, cy, r, pts):
@@ -1002,6 +998,18 @@ class SphereCircle:
     radius: float
 
 
+@dataclass(eq=False)
+class SphereCircles:
+    """Points on a sphere and its circles, one SphereCircle each, with the
+    fields of spatial.SphericalCircleConfig, which holds plane rows instead."""
+
+    center: np.ndarray
+    radius: float
+    points: np.ndarray
+    circles: tuple[SphereCircle, ...]
+    incidence: tuple[tuple[int, int], ...]
+
+
 def coplanarity(pts) -> tuple[Plane, float]:
     """Best-fit plane via the smallest singular direction + max residual."""
     pts = np.asarray(pts, dtype=float)
@@ -1096,7 +1104,7 @@ def point_plane_vconstruct(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> P
     )
 
 
-def sphere_circles(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE, center=None) -> SphericalCircleConfig:
+def sphere_circles(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE, center=None) -> SphereCircles:
     """Cut each neighbourhood plane with the circumsphere about center, the
     vertex mean unless given.
 
@@ -1124,7 +1132,7 @@ def sphere_circles(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE, center=None)
     incidence = tuple(
         sorted((u, v) for v in range(p.graph.order) for u in p.graph.adjacency[v])
     )
-    return SphericalCircleConfig(
+    return SphereCircles(
         center=center,
         radius=radius,
         points=p.coords.copy(),
@@ -1141,7 +1149,7 @@ def _orthobasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(u, e1)
 
 
-def _pole_clearance(cfg: SphericalCircleConfig, pole: np.ndarray) -> float:
+def _pole_clearance(cfg: SphereCircles, pole: np.ndarray) -> float:
     """Distance from the pole to the nearest configuration point or circle."""
     clearance = float(np.min(np.linalg.norm(cfg.points - pole, axis=1)))
     for sc in cfg.circles:
@@ -1154,7 +1162,7 @@ def _pole_clearance(cfg: SphericalCircleConfig, pole: np.ndarray) -> float:
 
 
 def stereographic_project(
-    cfg: SphericalCircleConfig,
+    cfg: SphereCircles,
     pole=None,
     seed: int = 0,
     tol: float = TOL_INCIDENCE,

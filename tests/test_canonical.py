@@ -222,7 +222,7 @@ def test_negative_counts_keep_their_message():
 
 def test_incidence_reader_names_the_first_bad_block_entry():
     obj = {"points": 3, "blocks": [[0, 1], [1, 2.0], [True, 2]]}
-    with pytest.raises(ParameterError, match=r"^malformed incidence object: expected an integer, found 2\.0$"):
+    with pytest.raises(ParameterError, match=r"^malformed incidence object: block entry 2\.0 must be an integer, not float$"):
         jsonio.incidence_from_obj(obj)
     good = {"points": 3, "blocks": [[2, 1], [0, 1]], "provenance": "by hand"}
     assert jsonio.incidence_from_obj(good) == IncidenceStructure(3, ((1, 2), (0, 1)), "by hand")
@@ -283,10 +283,10 @@ def test_numpy_integer_entries_become_ints():
 
 @pytest.mark.parametrize("entry,shown", [(1.0, "1.0"), (True, "True"), ("1", "'1'")])
 def test_readers_keep_their_message_for_bad_entries(entry, shown):
-    found = f"expected an integer, found {re.escape(shown)}$"
-    with pytest.raises(ParameterError, match=rf"^malformed graph object: {found}"):
+    found = f"entry {re.escape(shown)} must be an integer, not {type(entry).__name__}$"
+    with pytest.raises(ParameterError, match=rf"^malformed graph object: edge {found}"):
         jsonio.graph_from_obj({"order": 3, "edges": [[0, 1], [2, entry]]})
-    with pytest.raises(ParameterError, match=rf"^malformed incidence object: {found}"):
+    with pytest.raises(ParameterError, match=rf"^malformed incidence object: block {found}"):
         jsonio.incidence_from_obj({"points": 3, "blocks": [[0, 1], [2, entry]]})
 
 

@@ -466,11 +466,11 @@ def _long_centre_pcc():
 @pytest.mark.parametrize(
     "command, obj, message",
     [
-        ("vconstruct", {"order": 3, "edges": [[0, 1.5], [1, 2]]}, "malformed graph object: expected an integer, found 1.5"),
-        ("verify type", {"points": 3, "blocks": [[0, 1.7], [1, 2]]}, "malformed incidence object: expected an integer, found 1.7"),
-        ("verify type", {"points": 3.9, "blocks": [[0, 1], [1, 2]]}, "malformed incidence object: expected an integer, found 3.9"),
-        ("circles", _bad_layout(), "malformed layout object: expected a number, found '0.5'"),
-        ("check", _bad_pcc(), "malformed point-circle object: expected a number, found '2.5'"),
+        ("vconstruct", {"order": 3, "edges": [[0, 1.5], [1, 2]]}, "malformed graph object: edge entry 1.5 must be an integer, not float"),
+        ("verify type", {"points": 3, "blocks": [[0, 1.7], [1, 2]]}, "malformed incidence object: block entry 1.7 must be an integer, not float"),
+        ("verify type", {"points": 3.9, "blocks": [[0, 1], [1, 2]]}, "malformed incidence object: point count must be an integer, not float"),
+        ("circles", _bad_layout(), "malformed layout object: position entry '0.5' must be a number, not str"),
+        ("check", _bad_pcc(), "malformed point-circle object: circle entry '2.5' must be a number, not str"),
         ("check", _long_centre_pcc(), "malformed point-circle object: circles must be (cx, cy, r) rows"),
     ],
 )

@@ -66,12 +66,14 @@ def test_circle_validation():
 
 def test_circle_table_refuses_what_is_not_rows():
     pts = np.zeros((1, 2))
-    # numpy would copy each float of a plain table into all three fields
-    plain = [np.array([[0.0, 0.0, 1.0]]), np.array([1.0, 2.0]), [1.0, 2.0]]
-    for bad in [*plain, [(0.0, 1.0)], [(0.0, 0.0, 1.0, 2.0)], [(0.0, "one", 1.0)]]:
+    for bad in [np.array([1.0, 2.0]), [1.0, 2.0], [(0.0, 1.0)], [(0.0, 0.0, 1.0, 2.0)], [(0.0, 0.0, 1.0), (1.0, 2.0)]]:
         with pytest.raises(ParameterError, match=re.escape("circles must be (cx, cy, r) rows")):
             PointCircleConfig(pts, bad, ())
+    with pytest.raises(ParameterError, match=re.escape("circle entry 'one' must be a number, not str")):
+        PointCircleConfig(pts, [(0.0, "one", 1.0)], ())
     table = PointCircleConfig(pts, [(0.0, 0.0, 1.0), (1.0, 0.0, 2.0)], ()).circles
+    # a plain (C, 3) float table is read row by row, as the same rows in a list
+    assert PointCircleConfig(pts, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 2.0]]), ()).circles.tobytes() == table.tobytes()
     with pytest.raises(ParameterError, match=re.escape("circles must be (cx, cy, r) rows")):
         PointCircleConfig(pts, np.stack([table, table]), ())
     # a table, a tuple of its rows and an empty sequence are all circle sets

@@ -153,7 +153,8 @@ SPHERICAL_BREAKS = {
     "planar points": ("points", lambda o: [row[:2] for row in o["points"]],
                       r"points must be a finite \(n, 3\) table"),
     "4-d points": ("points", lambda o: [row + [0.0] for row in o["points"]], "points must be a finite"),
-    "ragged points": ("points", lambda o: _with_first(o["points"], [0.0, 1.0]), "inhomogeneous"),
+    "ragged points": ("points", lambda o: _with_first(o["points"], [0.0, 1.0]),
+                      r"points must be a finite \(n, 3\) table"),
     "nan point": ("points", lambda o: _with_first(o["points"], [math.nan, 0.0, 0.0]), "points must be a finite"),
     "2-d centre": ("sphere", lambda o: {"c": [0.0, 0.0], "r": 1.0}, "centre must be a finite 3-vector"),
     "infinite centre": ("sphere", lambda o: {"c": [0.0, math.inf, 0.0], "r": 1.0}, "centre must be a finite"),
@@ -323,6 +324,30 @@ def _with(obj, path, value):
     return obj
 
 
+# how the class behind a reader names each index, count, coordinate and
+# radius: by kind and the keys on the path to it; {!r} is the entry
+NAMES = {
+    ("graph", "order"): "graph order", ("graph", "edges"): "edge entry {!r}",
+    ("incidence", "points"): "point count", ("incidence", "blocks"): "block entry {!r}",
+    ("pcc", "incidence"): "incidence entry {!r}", ("spherical", "incidence"): "incidence entry {!r}",
+    ("pointline", "lines"): "line entry {!r}",
+    ("layout", "pos"): "position entry {!r}",
+    ("pcc", "points"): "point entry {!r}", ("pcc", "circles", "c"): "circle entry {!r}",
+    ("pcc", "circles", "r"): "circle entry {!r}",
+    ("spherical", "points"): "point entry {!r}", ("spherical", "sphere", "c"): "sphere centre entry {!r}",
+    ("spherical", "sphere", "r"): "sphere radius", ("spherical", "circles", "n"): "plane entry {!r}",
+    ("spherical", "circles", "d"): "plane entry {!r}",
+    ("pointline", "points"): "point entry {!r}",
+}
+
+
+def _refusal(kind, path, bad, want):
+    """The whole message a reader gives for bad at path: its class's words
+    for an entry that is not want, after the reader's prefix."""
+    named = NAMES[(kind, *(key for key in path if isinstance(key, str)))].format(bad)
+    return f"^malformed {_READERS[kind][1]} object: {re.escape(named)} must be {want}, not {type(bad).__name__}$"
+
+
 # each index and count a reader takes: kind and the path to it
 INDICES = [
     ("graph", ("order",)), ("graph", ("edges", 0, 1)),
@@ -336,9 +361,9 @@ INDICES = [
 @pytest.mark.parametrize("kind, path", INDICES, ids=lambda x: "/".join(map(str, x)) if isinstance(x, tuple) else x)
 @pytest.mark.parametrize("bad", [1.7, 1.0, True, "1"], ids=repr)
 def test_readers_take_only_integers_as_indices(kind, path, bad):
-    read, name = _READERS[kind]
+    read = _READERS[kind][0]
     read(_artifact(kind))
-    with pytest.raises(ParameterError, match=f"^malformed {name} object: expected an integer, found {bad!r}$"):
+    with pytest.raises(ParameterError, match=_refusal(kind, path, bad, "an integer")):
         read(_with(_artifact(kind), path, bad))
 
 
@@ -355,8 +380,8 @@ COORDINATES = [
 @pytest.mark.parametrize("kind, path", COORDINATES, ids=lambda x: "/".join(map(str, x)) if isinstance(x, tuple) else x)
 @pytest.mark.parametrize("bad", [True, "2.5"], ids=repr)
 def test_readers_take_only_numbers_as_coordinates(kind, path, bad):
-    read, name = _READERS[kind]
-    with pytest.raises(ParameterError, match=f"^malformed {name} object: expected a number, found {bad!r}$"):
+    read = _READERS[kind][0]
+    with pytest.raises(ParameterError, match=_refusal(kind, path, bad, "a number")):
         read(_with(_artifact(kind), path, bad))
 
 
@@ -370,12 +395,12 @@ SHAPES = [
     ("incidence", ("provenance",), {"a": 1}, "expected a string, found {'a': 1}"),
     ("incidence", ("provenance",), 7, "expected a string, found 7"),
     ("layout", ("meta",), [["method", "polygon"]], "expected an object, found [['method', 'polygon']]"),
-    ("pcc", ("flags",), [["proper", True]], "expected an object, found [['proper', True]]"),
-    ("pcc", ("tols",), [["incidence", 1e-9]], "expected an object, found [['incidence', 1e-09]]"),
-    ("pcc", ("tols",), "incidence", "expected an object, found 'incidence'"),
+    ("pcc", ("flags",), [["proper", True]], "flags must be a mapping, not list"),
+    ("pcc", ("tols",), [["incidence", 1e-9]], "tols must be a mapping, not list"),
+    ("pcc", ("tols",), "incidence", "tols must be a mapping, not str"),
     ("pcc", ("circles", 0, "c"), [1.0, 0.0, 7, 8], "circles must be (cx, cy, r) rows"),
     ("pcc", ("circles", 0, "c"), [1.0], "circles must be (cx, cy, r) rows"),
-    ("pcc", ("circles", 0, "c"), {"x": 1.0, "y": 0.0}, "expected a number, found 'x'"),
+    ("pcc", ("circles", 0, "c"), {"x": 1.0, "y": 0.0}, "circle entry 'x' must be a number, not str"),
 ]
 
 
