@@ -26,8 +26,8 @@ from .errors import (
     ParameterError,
     SamplingError,
 )
-from .graphs import Graph, _count, _int_rows, _integer, _real_rows, build_family, cartesian_factors
-from .graphs import prism_graph, structure_report
+from .graphs import Graph, _count, _int_rows, _integer, _real, _real_rows, build_family
+from .graphs import cartesian_factors, pair_in_two, prism_graph, structure_report
 from .incidence import IncidenceStructure
 
 TOL_INCIDENCE = 1e-9
@@ -137,7 +137,7 @@ class PointCircleConfig:
             return 0.0
         p, k = np.array(self.incidence).T
         cx, cy, r = self.circles["cx"], self.circles["cy"], self.circles["r"]
-        # the incident pairs' entries of _circle_residuals, element for element
+        # the residual _on_circles tests, element for element, on the incident pairs alone
         return float(np.max(np.abs(np.hypot(self.points[p, 0] - cx[k], self.points[p, 1] - cy[k]) - r[k])))
 
 
@@ -166,10 +166,8 @@ def _refuse_bad_circles(table: np.ndarray) -> None:
 
 
 def _finite(value, what: str) -> None:
-    """Refuse value unless it is a finite real number; a bool is none."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ParameterError(f"{what} must be a real number, not {type(value).__name__}")
-    if not math.isfinite(value):
+    """Refuse value unless it is a finite number, by the rule of _real."""
+    if not math.isfinite(_real(value, what)):
         raise ParameterError(f"{what} must be finite")
 
 
@@ -177,7 +175,7 @@ def _tolerance(name: str, value) -> float:
     """value as a float, when it is a finite number >= 0."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
         raise ParameterError(f"{name} tolerance must be a finite number >= 0, got {value!r}")
-    return float(value)
+    return _real(value, f"{name} tolerance")
 
 
 def _seed(value, source: str = "seed") -> int:
@@ -882,7 +880,7 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
             continue
         cx, cy, r = _circumcircles(p, q, s)
         # each circle has its own three points on it, so a fourth is foreign
-        if np.any(np.count_nonzero(_circle_residuals(cx, cy, r, pts) <= _SAMPLE_MARGIN, axis=1) > 3):
+        if np.any(np.bincount(_on_circles(*pts.T, cx, cy, r, _SAMPLE_MARGIN)[1], minlength=len(cx)) > 3):
             rejections["foreign_point"] += 1
             continue
         if _triple_point_hits(cx, cy, r, pts, **tols) is None:
@@ -1001,36 +999,33 @@ def _offset_blocks(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarra
         yield rows, dx[:m], dy[:m]
 
 
-def _circle_residuals(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(C, n) matrix of |distance from circle k's center to point p - r_k|."""
-    return np.abs(np.hypot(pts[:, 0] - cx[:, None], pts[:, 1] - cy[:, None]) - r[:, None])
-
-
-def _through_counts(
-    mx: np.ndarray, my: np.ndarray, cx: np.ndarray, cy: np.ndarray, r: np.ndarray, t: float
-) -> np.ndarray:
-    """How many circles pass within t of each point (mx, my): the circles k
-    with |hypot(m - c_k) - r_k| <= t.
+def _on_circles(
+    px: np.ndarray, py: np.ndarray, cx: np.ndarray, cy: np.ndarray, r: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (point, circle) pairs (i, k) with |hypot(p_i - c_k) - r_k| <= t,
+    as two index arrays in increasing point order and, per point, in
+    increasing circle order.
 
     A squared-distance screen, wider than any rounding by a relative 1e-9
-    (and by the smallest normal float), keeps the (point, circle) pairs that
-    can pass, and only those take that exact test.
+    (and by the smallest normal float), keeps the pairs that can pass, and
+    only those take that exact test.
     """
     wide = 1e-9 * (r + t)
     lo = np.maximum(r - t - wide, 0.0) ** 2 - 2.0**-1022
     hi = (r + t + wide) ** 2 + 2.0**-1022
-    through = np.empty(len(mx), dtype=np.int64)
-    for rows, dx, dy in _offset_blocks(mx, my, cx, cy):
+    found = [(np.empty(0, dtype=np.intp),) * 2]
+    for rows, dx, dy in _offset_blocks(px, py, cx, cy):
         dx *= dx
         dx += np.multiply(dy, dy, out=dy)
-        # (d2 - lo) * (hi - d2) keeps its sign, or underflows to a zero that keeps the pair
+        # (d2 - lo) * (hi - d2) keeps its sign, or underflows to a zero, or
+        # overflows to a nan (inf - inf past 1e154): the screen keeps those pairs
         np.subtract(hi, dx, out=dy)
         dx -= lo
-        row, k = (np.multiply(dx, dy, out=dx) >= 0.0).nonzero()
-        px, py = mx[rows][row], my[rows][row]
-        on = np.abs(np.hypot(px - cx[k], py - cy[k]) - r[k]) <= t
-        through[rows] = np.bincount(row[on], minlength=len(dx))
-    return through
+        row, k = np.logical_not(np.multiply(dx, dy, out=dx) < 0.0).nonzero()
+        row += rows.start
+        on = np.abs(np.hypot(px[row] - cx[k], py[row] - cy[k]) - r[k]) <= t
+        found.append((row[on], k[on]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _triple_point_hits(
@@ -1047,7 +1042,7 @@ def _triple_point_hits(
     first takes each tight bunch of them once. No test depends on cell width.
     """
     mx, my = _thin(*_meet_points(cx, cy, r, cluster), cluster)
-    through = _through_counts(mx, my, cx, cy, r, max(incidence, cluster))
+    through = np.bincount(_on_circles(mx, my, cx, cy, r, max(incidence, cluster))[0], minlength=len(mx))
     tx, ty = mx[through > 2], my[through > 2]
     matched = np.zeros(len(pts), dtype=bool)
     for _, dx, dy in _offset_blocks(tx, ty, pts[:, 0], pts[:, 1]):
@@ -1068,14 +1063,15 @@ def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
 
     Cost, for C circles, n points and M <= C(C-1) meet points: one
     O(n log n) sweep for degenerate (_near_pairs); array passes over the
-    C(C-1)/2 circle pairs and the (C, n) incidence matrix, whose pair counts
-    are one float64 matrix product (exact below 2**53); one grid pass over
-    the meet points, O(M log M), that takes each tight bunch once; and the
-    through-count of every point left against every circle, O(M C), in row
-    blocks of _RESIDUAL_BLOCK = 16384 entries, so that no (M, C) matrix is
-    held, where a squared-distance screen leaves the exact test to the pairs
-    near a circle. Hypercube(7), 128 circles and 11,082 meet points, takes
-    about 0.02 s on a 2-CPU container.
+    C(C-1)/2 circle pairs; one grid pass over the meet points, O(M log M),
+    that takes each tight bunch once; and one point-on-circle query
+    (_on_circles) each for the n points, the meet points left and the first
+    two circles' meet points, O((n + M) C) in row blocks of _RESIDUAL_BLOCK
+    = 16384 entries, so that no (M, C) or (C, n) matrix is held, where a
+    squared-distance screen leaves the exact test to the pairs near a
+    circle. lineal then costs one pass over the m_k points on each circle k
+    and sum(m_k**2) set updates in pair_in_two. Hypercube(7), 128 circles
+    and 11,082 meet points, takes about 0.02 s on a 2-CPU container.
 
     Raises ParameterError for an empty configuration, or when the
     incidence, separation or cluster tolerance in tols is not a finite
@@ -1087,7 +1083,6 @@ def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
     tol_inc = _tolerance("incidence", t.get("incidence", TOL_INCIDENCE))
     tol_sep = _tolerance("separation", t.get("separation", TOL_SEPARATION))
     tol_clu = _tolerance("cluster", t.get("cluster", TOL_CLUSTER))
-    tol_through = max(tol_inc, tol_clu)
     cx, cy, r = cfg.circles["cx"], cfg.circles["cy"], cfg.circles["r"]
     pts = cfg.points
 
@@ -1097,15 +1092,14 @@ def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
 
     # proper: some point on every circle exists iff it lies on the first two
     qx, qy = _meet_points(cx[:2], cy[:2], r[:2], tol_clu)
-    on_all = _circle_residuals(cx, cy, r, np.column_stack([qx, qy])) <= tol_through
-    proper = len(cfg.circles) > 1 and not np.any(np.all(on_all, axis=0))
+    through = np.bincount(_on_circles(qx, qy, cx, cy, r, max(tol_inc, tol_clu))[0], minlength=len(qx))
+    proper = len(cfg.circles) > 1 and not np.any(through == len(cfg.circles))
 
-    # geometric incidence of config points on circles
-    on_circle = (_circle_residuals(cx, cy, r, pts) <= tol_inc).astype(float)
-    # float64 counts are exact up to 2**53 and take the BLAS product
-    shared = on_circle @ on_circle.T
-    np.fill_diagonal(shared, 0)
-    lineal = bool(shared.max() <= 1)
+    # lineal: no two circles share two points, by the rule classify applies
+    # to blocks, the blocks here being the points on each circle
+    p, k = _on_circles(*pts.T, cx, cy, r, tol_inc)
+    members = iter(p[np.argsort(k, kind="stable")].tolist())
+    lineal = not pair_in_two(tuple(islice(members, m)) for m in np.bincount(k, minlength=len(cx)).tolist())
 
     hits = None
     if not degenerate:

@@ -388,12 +388,8 @@ def stereographic_project(
     circles = (cfg.circles[:, :3], *_circle_cuts(cfg))
     normals, _, radii = circles
     if pole is not None:
-        try:
-            pole = np.asarray(pole, dtype=float)
-        except (TypeError, ValueError):
-            pole = None
-        if pole is None or pole.shape != (3,) or not np.all(np.isfinite(pole)):
-            raise ParameterError("explicit pole must be a finite 3-vector")
+        shape = "explicit pole must be a finite 3-vector"
+        pole = _float_table((pole,), "pole entry", shape, 3, shape)[0]
         if abs(float(np.linalg.norm(pole - cfg.center)) - r) > TOL_SEPARATION * r:
             raise ParameterError("explicit pole must lie on the sphere")
         if _pole_clearance(cfg, circles, pole) <= TOL_SEPARATION * r:

@@ -25,7 +25,9 @@ that one BFS over the graph and one set update per block replaced. The free cycl
 orbit step is the version that the scan of one distance layer replaced. The SVG
 renderer that grew its viewBox one element at a time, and the CO(n) layout
 that took one prism edge midpoint at a time, are the versions that array
-passes replaced. Tests hold each pair to the same answers.
+passes replaced. The dense (C, n) residual matrix is the version that one
+sparse point-on-circle query replaced in the flag check and the sampler.
+Tests hold each pair to the same answers.
 """
 
 import json
@@ -251,10 +253,17 @@ def _cluster(points: list[np.ndarray], tol: float) -> list[np.ndarray]:
     return [np.array([r[0] / r[2], r[1] / r[2]]) for r in reps]
 
 
+def residual_matrix(cx, cy, r, pts):
+    """(C, n) matrix of |distance from circle k's center to point p - r_k|:
+    the dense matrix that check_flags and realize_n3 read before one sparse
+    point-on-circle query replaced it."""
+    return np.abs(np.hypot(pts[:, 0] - cx[:, None], pts[:, 1] - cy[:, None]) - r[:, None])
+
+
 def through_counts(mx, my, cx, cy, r, t):
     """How many circles pass within t of each point, from the whole
-    (points, circles) residual matrix."""
-    return np.count_nonzero(np.abs(np.hypot(mx[:, None] - cx, my[:, None] - cy) - r) <= t, axis=1)
+    residual matrix."""
+    return np.count_nonzero(residual_matrix(cx, cy, r, np.column_stack([mx, my])) <= t, axis=0)
 
 
 def triple_point_hits(cx, cy, r, pts, *, incidence, separation, cluster):
@@ -876,7 +885,7 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
         circles = tuple(circumcircle(pts[b[0]], pts[b[1]], pts[b[2]]) for b in c.blocks)
         cx, cy, r = circle_arrays(circles)
         # each circle has its own three points on it, so a fourth is foreign
-        if np.any(np.count_nonzero(realization._circle_residuals(cx, cy, r, pts) <= _SAMPLE_MARGIN, axis=1) > 3):
+        if np.any(np.count_nonzero(residual_matrix(cx, cy, r, pts) <= _SAMPLE_MARGIN, axis=1) > 3):
             rejections["foreign_point"] += 1
             continue
         if realization._triple_point_hits(cx, cy, r, pts, **tols) is None:

@@ -24,12 +24,15 @@ ITEMS = [
     ("flags", "hypercube(3)"),
     ("flags", "hypercube(6)"),
     ("flags", "gen_cuboctahedron(6)"),
+    ("flags", "gen_cuboctahedron(40)"),
+    ("flags", "polygon(64)"),
     ("flags", "project(tetrahedron)"),
     ("flags", "project(cube)"),
     ("flags", "project(dodecahedron)"),
     ("flags", "project(icosahedron)"),
     ("flags", "project(cuboctahedron)"),
     ("flags", "realize_n3(fano)"),
+    ("flags", "realize_n3(pappus)"),
     ("flags", "invert(pappus)"),
     ("solver", "petersen() symmetry=5"),
 ]

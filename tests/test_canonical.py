@@ -27,6 +27,8 @@ from confviz import jsonio
 from confviz.graphs import _FAMILIES, Bipartition, VertexMap, has_four_cycle, pair_in_two
 from confviz.realization import (
     PointCircleConfig,
+    check_flags,
+    circles_from_layout,
     invert_pointline,
     layout_gen_cuboctahedron,
     layout_hypercube,
@@ -344,11 +346,12 @@ def test_rows_taken_from_iterators_keep_their_entries():
         (lambda: layout_polygon("5"), "n must be an integer, not str"),
         (lambda: layout_hypercube("3"), "d must be an integer, not str"),
         (lambda: layout_gen_cuboctahedron("5"), "n must be an integer, not str"),
-        (lambda: layout_gen_cuboctahedron(5, "2", 1), "r_outer must be a real number, not str"),
-        (lambda: layout_gen_cuboctahedron(5, 2.0, None), "r_inner must be a real number, not NoneType"),
-        (lambda: layout_gen_cuboctahedron(5, True, 0.5), "r_outer must be a real number, not bool"),
+        (lambda: layout_gen_cuboctahedron(5, "2", 1), "r_outer must be a number, not str"),
+        (lambda: layout_gen_cuboctahedron(5, 2.0, None), "r_inner must be a number, not NoneType"),
+        (lambda: layout_gen_cuboctahedron(5, True, 0.5), "r_outer must be a number, not bool"),
         (lambda: layout_gen_cuboctahedron(5, float("inf"), 1.0), "r_outer must be finite"),
         (lambda: layout_gen_cuboctahedron(5, 2.0, float("nan")), "r_inner must be finite"),
+        (lambda: layout_gen_cuboctahedron(5, 10**400, 1), "r_outer is too large for a float"),
     ],
 )
 def test_layout_sizes_and_radii_are_checked_before_they_are_compared(make, message):
@@ -365,12 +368,30 @@ def test_layout_radii_keep_their_type_in_meta():
 
 @pytest.mark.parametrize(
     "radius, message",
-    [("2", "a real number, not str"), (None, "a real number, not NoneType"), (True, "a real number, not bool")],
+    [
+        ("2", "must be a number, not str"),
+        (None, "must be a number, not NoneType"),
+        (True, "must be a number, not bool"),
+        (10**400, "is too large for a float"),
+    ],
 )
 def test_inversion_radius_is_checked_before_it_is_compared(radius, message):
-    # "2" and None once raised TypeError from math.isfinite
-    with pytest.raises(ParameterError, match=rf"^inversion radius must be {message}$"):
+    # "2" and None once raised TypeError, and 10**400 OverflowError, from math.isfinite
+    with pytest.raises(ParameterError, match=rf"^inversion radius {message}$"):
         invert_pointline([[0.0, 0.0], [1.0, 0.0]], [(0, 1)], (0.5, 1.0), radius=radius)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: circles_from_layout(layout_polygon(5), tol=10**400, allow_degree_two=True),
+        lambda: check_flags(PointCircleConfig(np.zeros((1, 2)), [(0.0, 0.0, 1.0)], (), tols={"incidence": 10**400})),
+    ],
+)
+def test_a_tolerance_too_large_for_a_float_is_refused(make):
+    # 10**400 passes 0 <= tol < inf and once raised OverflowError from float()
+    with pytest.raises(ParameterError, match=r"^incidence tolerance is too large for a float$"):
+        make()
 
 
 @pytest.mark.parametrize("name", ["flags", "tols"])

@@ -210,6 +210,16 @@ def test_check_refuses_a_tolerance_that_is_not_finite_and_non_negative(key, valu
     assert err == f"error: {key} tolerance must be a finite number >= 0, got {value!r}\n"
 
 
+def test_check_refuses_a_tolerance_too_large_for_a_float(tmp_path, capsys):
+    # 10**400 once escaped float() as OverflowError and exited 1
+    pcc = tmp_path / "fano.json"
+    assert run(["n3realize", "fano", "--seed", "0", "-o", str(pcc)], capsys)[0] == 0
+    obj = json.loads(pcc.read_text())
+    obj["tols"]["incidence"] = 10**400
+    pcc.write_text(json.dumps(obj))
+    assert run(["check", str(pcc)], capsys) == (2, "", "error: incidence tolerance is too large for a float\n")
+
+
 def test_symmetric_realize_of_gp13_2_is_rotational(tmp_path, capsys):
     # the first two free order-13 orbit sets of GP(13,2) are ruled out by
     # their ring radii; the solve lands on a two-ring drawing

@@ -31,10 +31,11 @@ from confviz import realization
 from confviz.pappus import derive_pappus_points
 from confviz.realization import (
     _meet_points,
+    _on_circles,
     _thin,
-    _through_counts,
     _triple_point_hits,
     TOL_CLUSTER,
+    TOL_INCIDENCE,
     tol_record,
 )
 
@@ -342,10 +343,11 @@ def points_by_circles(draw):
     """(points, circles, t, block): circles with radii from 1e-8 to 2 times
     the scale, some below t, and points r + u t from a circle's centre with
     u at, or a relative 1e-12 to 1e-6 off, -1, 0 and 1, where the exact test
-    decides; block is the residual block size to count them in."""
+    decides; block is the residual block size to find them in."""
     t = draw(st.sampled_from([0.0, 1e-9, 1e-7, 1e-3, 0.5]))
-    # squared distances of 1e-157 fall to subnormal numbers
-    scale = draw(st.sampled_from([1e-157, 1e-6, 1.0, 1e3, 1e9]))
+    # squared distances of 1e-157 fall to subnormal numbers, and those of
+    # 1e160 overflow to inf
+    scale = draw(st.sampled_from([1e-157, 1e-6, 1.0, 1e3, 1e9, 1e160]))
     t *= min(scale, 1.0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = draw(st.integers(1, 30))
@@ -364,11 +366,35 @@ def points_by_circles(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(points_by_circles())
-def test_through_counts_match_all_pairs(case):
+def test_on_circle_pairs_match_all_pairs(case):
+    """The pairs come point-major, as nonzero reads the (n, C) matrix, so
+    the through counts of the flag check follow from them."""
     (px, py), (cx, cy, r), t, block = case
-    with mock.patch.object(realization, "_RESIDUAL_BLOCK", block):
-        got = _through_counts(px, py, cx, cy, r, t)
-    assert np.array_equal(got, oracles.through_counts(px, py, cx, cy, r, t))
+    with mock.patch.object(realization, "_RESIDUAL_BLOCK", block), np.errstate(over="ignore", invalid="ignore"):
+        p, k = _on_circles(px, py, cx, cy, r, t)
+    want = np.nonzero(oracles.residual_matrix(cx, cy, r, np.column_stack([px, py])).T <= t)
+    assert np.array_equal(p, want[0]) and np.array_equal(k, want[1])
+    assert np.array_equal(np.bincount(p, minlength=len(px)), oracles.through_counts(px, py, cx, cy, r, t))
+
+
+def _two_circles_through(q):
+    """Circles A, centre (0, 0), and B, centre (-1, 7), both of radius 5,
+    cross at right angles at P = (3, 4) and (-4, 3); the points are P and q,
+    and the incidence puts q on A only."""
+    return PointCircleConfig([(3.0, 4.0), q], [(0.0, 0.0, 5.0), (-1.0, 7.0, 5.0)],
+                             ((0, 0), (0, 1), (1, 0)), {}, tol_record())
+
+
+@pytest.mark.parametrize("off, lineal", [(0.0, False), (2.0, True)])
+def test_lineal_reads_points_off_the_incidence(off, lineal):
+    """At (-4, 3) the second point lies on B though the incidence leaves it
+    off, so A and B share two points. Moved off * tol_inc along A's tangent
+    there, which is B's radius, it stays on A and leaves B."""
+    step = off * TOL_INCIDENCE / 5.0
+    cfg = _two_circles_through((-4.0 + 3.0 * step, 3.0 + 4.0 * step))
+    flags = check_flags(cfg).flags
+    assert flags["lineal"] is lineal
+    assert flags == oracles.check_flags(cfg).flags
 
 
 def _meets(a, b, tol):
@@ -426,5 +452,5 @@ def test_incidence_residual_reads_the_matrix_entries():
     for name, make in FIXTURES.items():
         cfg = make()
         p, k = np.array(cfg.incidence).T
-        full = realization._circle_residuals(*columns(cfg), cfg.points)
+        full = oracles.residual_matrix(*columns(cfg), cfg.points)
         assert np.float64(cfg.max_incidence_residual()).tobytes() == np.max(full[k, p]).tobytes(), name

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
@@ -254,12 +256,31 @@ def test_explicit_pole_validation():
     assert np.allclose(pole, (r, 0.0, 0.0))
 
 
-@pytest.mark.parametrize(
-    "pole", [(1.0, 0.0), (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), ((1.0, 0.0, 0.0),), "pole", (1.0, "x", 0.0)]
-)
+@pytest.mark.parametrize("pole", [(1.0, 0.0), (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), 5])
 def test_explicit_pole_must_be_a_finite_3_vector(pole):
     sc = sphere_circles(polytope_data("cube"))
     with pytest.raises(ParameterError, match=r"^explicit pole must be a finite 3-vector$"):
+        stereographic_project(sc, pole=pole)
+
+
+@pytest.mark.parametrize(
+    "pole, entry",
+    [
+        (((1.0, 0.0, 0.0),), "(1.0, 0.0, 0.0) must be a number, not tuple"),
+        ("pole", "'p' must be a number, not str"),
+        ((1.0, "x", 0.0), "'x' must be a number, not str"),
+        # points of the cube's sphere, spelled by entries no table takes
+        (("1.7320508075688772", 0, 0), "'1.7320508075688772' must be a number, not str"),
+        ((math.sqrt(3), False, 0), "False must be a number, not bool"),
+        ((10**400, 0, 0), f"1{'0' * 400} is too large for a float"),
+    ],
+    ids=["row", "str", "str entry", "numeric str entry", "bool entry", "huge int entry"],
+)
+def test_explicit_pole_entries_are_read_by_the_table_rule(pole, entry):
+    """An explicit pole is read as the sphere's centre is, so the first
+    entry that is no number is named."""
+    sc = sphere_circles(polytope_data("cube"))
+    with pytest.raises(ParameterError, match=rf"^pole entry {re.escape(entry)}$"):
         stereographic_project(sc, pole=pole)
 
 
