@@ -100,9 +100,7 @@ def _seed_of(args) -> int:
             seed, source = int(env), "CONFVIZ_SEED"
         except ValueError:
             raise ParameterError(f"CONFVIZ_SEED must be an integer, got {env!r}") from None
-    from .realization import _seed
-
-    return _seed(seed, source)
+    return graphs._count(seed, source)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
@@ -103,9 +103,9 @@ def _real_rows(rows, what: str, shape: str):
 class Graph:
     """Immutable simple graph. Edges are normalized to sorted (u, v) with u < v.
 
-    The constructor refuses entries that are not integers, loops and edges
-    outside 0..order-1. The library's own builders (see the module
-    docstring) skip those checks through _canonical.
+    The constructor refuses non-integer entries, loops, edges outside
+    0..order-1 and labels other than a sequence of order strings. The
+    library's own builders (see the module docstring) skip it by _canonical.
     """
 
     order: int
@@ -127,7 +127,12 @@ class Graph:
             seen.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", tuple(sorted(seen)))
         if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
+            if isinstance(self.labels, str) or not isinstance(self.labels, Sequence):
+                raise ParameterError(f"labels must be a sequence, not {type(self.labels).__name__}")
+            labels = tuple(self.labels)
+            for x in labels:
+                if not isinstance(x, str):
+                    raise ParameterError(f"label {x!r} must be a string, not {type(x).__name__}")
             if len(labels) != self.order:
                 raise ParameterError("label count must match order")
             object.__setattr__(self, "labels", labels)
@@ -226,22 +231,28 @@ class VertexMap:
             inv[w] = v
         return VertexMap(tuple(inv))
 
-    def permutation_order(self) -> int:
-        if not self.is_bijection():
-            raise ParameterError("permutation order undefined for non-bijections")
-        seen = [False] * len(self.image)
-        result = 1
-        for v in range(len(self.image)):
+    def cycles(self) -> list[list[int]]:
+        """The cycles, each from its least element, in increasing order of it,
+        by one walk; a walk that ends anywhere but at its start met a second
+        preimage or an image out of range, and raises ParameterError."""
+        n = len(self.image)
+        seen = [False] * n
+        out = []
+        for v in range(n):
             if seen[v]:
                 continue
-            length = 0
-            w = v
-            while not seen[w]:
+            cycle, w = [], v
+            while 0 <= w < n and not seen[w]:
                 seen[w] = True
+                cycle.append(w)
                 w = self.image[w]
-                length += 1
-            result = math.lcm(result, length)
-        return result
+            if w != v:
+                raise ParameterError("vertex map is not a bijection")
+            out.append(cycle)
+        return out
+
+    def permutation_order(self) -> int:
+        return math.lcm(*map(len, self.cycles()))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .graphs import (
     _count,
     _int_rows,
     bfs_layers,
-    bipartite_swap_involution,
     is_admissible,
     pair_in_two,
 )
@@ -42,8 +41,8 @@ class IncidenceStructure:
     """Points 0..points-1 plus a tuple of distinct blocks, each sorted.
 
     Blocks keep the order they are given in, so block j of a V-construction
-    is N(j). The cached levi_components takes no part in equality, hashing,
-    repr or the JSON form.
+    is N(j), and provenance is a string. The cached levi_components takes no
+    part in equality, hashing, repr or the JSON form.
     """
 
     points: int
@@ -52,6 +51,8 @@ class IncidenceStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "points", _count(self.points, "point count"))
+        if not isinstance(self.provenance, str):
+            raise ParameterError(f"provenance must be a string, not {type(self.provenance).__name__}")
         norm = []
         for blk in _int_rows(self.blocks, "block entry", "blocks"):
             b = tuple(sorted(blk))
@@ -205,19 +206,23 @@ def levi_graph(c: IncidenceStructure) -> tuple[Graph, Bipartition]:
 def is_self_polar(c: IncidenceStructure) -> VertexMap | None:
     """Order-two Levi automorphism exchanging points and blocks, or None.
 
-    When there are as many points as blocks, the pairing point i <-> block i
-    is checked on the blocks in O(E): it is a Levi automorphism exactly when
-    i lies in block j whenever j lies in block i, and then it is returned.
-    Every V-construction and fano_plane() pass this check, whether built in
-    process or read from a file. Any other structure builds the Levi graph
-    for the generic bipartite_swap_involution search.
+    Unless there are as many points as blocks there is none. Otherwise the
+    pairing point i <-> block i is checked on the blocks in O(E): it is a
+    Levi automorphism exactly when i lies in block j whenever j lies in
+    block i, and then it is returned. Every V-construction and fano_plane()
+    pass this check, whether built in process or read from a file. Any other
+    structure builds the Levi graph for iso.find_swap_involution.
     """
+    from . import iso
+
     n = c.points
-    if n == c.block_count:
-        members = [set(blk) for blk in c.blocks]
-        if all(i in members[j] for i, blk in enumerate(c.blocks) for j in blk):
-            return VertexMap(tuple(range(n, 2 * n)) + tuple(range(n)))
-    return bipartite_swap_involution(*levi_graph(c))
+    if n != c.block_count:
+        return None
+    members = [set(blk) for blk in c.blocks]
+    if all(i in members[j] for i, blk in enumerate(c.blocks) for j in blk):
+        return VertexMap(tuple(range(n, 2 * n)) + tuple(range(n)))
+    g, parts = levi_graph(c)
+    return iso.find_swap_involution(g, parts.sides)
 
 
 def _lineal(c: IncidenceStructure) -> bool:

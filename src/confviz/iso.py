@@ -6,13 +6,12 @@ first non-singleton class. Candidates are tried in (color, index) order, so
 results are deterministic. Graphs above MAX_VERTICES (enough for the
 924-vertex Levi graph of odd(6)) and searches past the node budget raise
 CapacityError rather than running open-ended. Callers: `confviz iso`
-(isomorphic); graphs.bipartite_swap_involution (find_swap_involution),
-which incidence.is_self_polar reaches only when point i <-> block i is
-not a polarity, as for decompose parts and many hand-built structures;
-and the symmetric unit-distance ansatz of
-realization.solve_unit_distance (orbits_of, and find_free_cyclic_action,
-whose actions are yielded one at a time, so the search goes only as far
-as the solve reads). Each orbit step of that search scans one BFS layer,
+(isomorphic); graphs.bipartite_swap_involution and incidence.is_self_polar
+(find_swap_involution), the latter only when point i <-> block i is not a
+polarity, as for decompose parts and many hand-built structures; and the
+symmetric unit-distance ansatz of realization.solve_unit_distance
+(orbits_of, and find_free_cyclic_action, whose actions are yielded one at
+a time, so the search goes only as far as the solve reads). Each orbit step of that search scans one BFS layer,
 left by the seed tokens' BFS, for its candidates instead of every vertex.
 Block v of a V-construction is N(v), so verify_kronecker_theorem and
 is_self_polar check identity maps on it instead, in O(E), in process or
@@ -269,19 +268,6 @@ def _free_cyclic_actions(g: Graph, k: int) -> Iterator[VertexMap]:
 
 
 def orbits_of(vm: VertexMap) -> list[list[int]]:
-    """Cycles of a permutation, each listed from its smallest element."""
-    n = len(vm.image)
-    seen = [False] * n
-    orbits = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        orbit = [v]
-        seen[v] = True
-        w = vm.image[v]
-        while w != v:
-            orbit.append(w)
-            seen[w] = True
-            w = vm.image[w]
-        orbits.append(orbit)
-    return orbits
+    """Cycles of a permutation, each listed from its smallest element
+    (VertexMap.cycles); a map that is not a bijection is a ParameterError."""
+    return vm.cycles()

@@ -8,8 +8,8 @@ entry point that loads an artifact file, checks its kind and converts it.
 Readers only map an artifact's fields onto the constructor of its class,
 which checks them as it checks a hand-built one: an index or a count only
 as an integer (not 1.0, true or "1"), a coordinate or a radius only as a
-number within float's range (not true or "1"). Readers themselves check
-only what no class does: a label or provenance is a string, meta an object.
+number within float's range (not true or "1"), a label or provenance only
+as a string, and meta, flags or tols only as an object.
 
 Every output file, JSON or SVG, goes through `write_text`. It encodes the
 whole text first, so an encoding error leaves an existing file as it was.
@@ -104,13 +104,6 @@ def _malformed(kind: str):
         raise ParameterError(f"malformed {kind} object: {exc}") from exc
 
 
-def _json(x: Any, kind: type | tuple, what: str) -> Any:
-    """x when it has the type json.load gives `what`; anything else is malformed."""
-    if not isinstance(x, kind):
-        raise ValueError(f"expected {what}, found {x!r}")
-    return x
-
-
 def graph_to_obj(g: Graph) -> dict:
     obj: dict[str, Any] = {"order": g.order, "edges": g.edges}
     if g.labels is not None:
@@ -120,10 +113,7 @@ def graph_to_obj(g: Graph) -> dict:
 
 def graph_from_obj(obj: dict) -> Graph:
     with _malformed("graph"):
-        labels = obj.get("labels")
-        if labels is not None:
-            labels = tuple(_json(s, str, "a string") for s in _json(labels, (list, tuple), "a list of strings"))
-        return Graph(order=obj["order"], edges=obj["edges"], labels=labels)
+        return Graph(order=obj["order"], edges=obj["edges"], labels=obj.get("labels"))
 
 
 def incidence_to_obj(c: IncidenceStructure) -> dict:
@@ -132,8 +122,7 @@ def incidence_to_obj(c: IncidenceStructure) -> dict:
 
 def incidence_from_obj(obj: dict) -> IncidenceStructure:
     with _malformed("incidence"):
-        provenance = _json(obj.get("provenance", ""), str, "a string")
-        return IncidenceStructure(points=obj["points"], blocks=obj["blocks"], provenance=provenance)
+        return IncidenceStructure(points=obj["points"], blocks=obj["blocks"], provenance=obj.get("provenance", ""))
 
 
 def layout_to_obj(layout) -> dict:
@@ -144,8 +133,7 @@ def layout_from_obj(obj: dict):
     from .realization import Layout
 
     with _malformed("layout"):
-        g = graph_from_obj(obj["graph"])
-        return Layout(graph=g, pos=obj["pos"], meta=dict(_json(obj.get("meta", {}), dict, "an object")))
+        return Layout(graph=graph_from_obj(obj["graph"]), pos=obj["pos"], meta=obj.get("meta", {}))
 
 
 def pcc_to_obj(cfg) -> dict:

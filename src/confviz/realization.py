@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -49,13 +48,14 @@ _CIRCLE_ROW = np.dtype((np.record, [("cx", float), ("cy", float), ("r", float)])
 
 @dataclass(eq=False)
 class Layout:
-    """Vertex positions for a graph; meta records how they were produced."""
+    """Vertex positions for a graph; the mapping meta records how they were produced."""
 
     graph: Graph
     pos: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _mapping(self.meta, "meta")
         shape = "position table must be (order, 2)"
         self.pos = _float_table(self.pos, "position entry", shape, 2, "positions must be finite")
         if len(self.pos) != self.graph.order:
@@ -92,25 +92,13 @@ class PointCircleConfig:
         table = _circle_table(*_float_table(rows, "circle entry", "circles must be (cx, cy, r) rows", 3).T)
         _refuse_bad_circles(table)
         table.flags.writeable = False  # shared by the copies check_flags makes
-        for name in ("flags", "tols"):
-            if not isinstance(getattr(self, name), Mapping):
-                raise ParameterError(f"{name} must be a mapping, not {type(getattr(self, name)).__name__}")
+        _mapping(self.flags, "flags")
+        _mapping(self.tols, "tols")
         self.circles = table
         shape, finite = "points must be an (n, 2) table", "points must be finite"
         self.points = _float_table(self.points, "point entry", shape, 2, finite)
-        pairs = _int_rows(self.incidence, "incidence entry", "incidence")
-        if not {2}.issuperset(map(len, pairs)):
-            bad = next(pair for pair in pairs if len(pair) != 2)
-            raise ParameterError(f"incidence {tuple(bad)} is not a (point, circle) pair")
-        try:
-            pk = np.fromiter(chain.from_iterable(pairs), dtype=np.intp)
-        except OverflowError:  # an index past intp is out of range; the check below names it
-            pk = np.array(list(chain.from_iterable(pairs)), dtype=object)
-        p, k = pk.reshape(-1, 2).T
         c = len(self.circles)
-        out = np.flatnonzero((p < 0) | (p >= len(self.points)) | (k < 0) | (k >= c))
-        if len(out):
-            raise ParameterError(f"incidence ({p[out[0]]},{k[out[0]]}) out of range")
+        p, k = _incidence_pairs(self.incidence, len(self.points), c)
         # sorted, distinct pairs as sorted, distinct keys p * c + k >= 0
         key = np.sort(p * c + k)
         p, k = np.divmod(key[np.diff(key, prepend=-1) != 0], c)
@@ -154,6 +142,30 @@ def _float_table(rows, what: str, shape: str, width: int, finite: str | None = N
     return table
 
 
+def _mapping(value, name: str) -> None:
+    """Refuse value unless it is a mapping."""
+    if not isinstance(value, Mapping):
+        raise ParameterError(f"{name} must be a mapping, not {type(value).__name__}")
+
+
+def _incidence_pairs(incidence, points: int, circles: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of incidence, a table of (point, circle) pairs, as two arrays
+    in its order; ParameterError names a row not a pair or the first out of range."""
+    pairs = _int_rows(incidence, "incidence entry", "incidence")
+    if not {2}.issuperset(map(len, pairs)):
+        bad = next(pair for pair in pairs if len(pair) != 2)
+        raise ParameterError(f"incidence {tuple(bad)} is not a (point, circle) pair")
+    try:
+        pk = np.fromiter(chain.from_iterable(pairs), dtype=np.intp)
+    except OverflowError:  # an index past intp is out of range; the check below names it
+        pk = np.array(list(chain.from_iterable(pairs)), dtype=object)
+    p, k = pk.reshape(-1, 2).T
+    out = np.flatnonzero((p < 0) | (p >= points) | (k < 0) | (k >= circles))
+    if len(out):
+        raise ParameterError(f"incidence ({p[out[0]]}, {k[out[0]]}) outside {points} points and {circles} circles")
+    return p, k
+
+
 def _refuse_bad_circles(table: np.ndarray) -> None:
     """Raise ParameterError when a row of the circle table is not finite or
     has r <= 0; the first such row names the failure."""
@@ -172,19 +184,16 @@ def _finite(value, what: str) -> None:
 
 
 def _tolerance(name: str, value) -> float:
-    """value as a float, when it is a finite number >= 0."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
-        raise ParameterError(f"{name} tolerance must be a finite number >= 0, got {value!r}")
-    return _real(value, f"{name} tolerance")
+    """value as a float, when it is a finite number >= 0 (see _real)."""
+    x = _real(value, f"{name} tolerance")
+    if not 0 <= x < math.inf:
+        raise ParameterError(f"{name} tolerance must be a finite number >= 0, got {x!r}")
+    return x
 
 
-def _seed(value, source: str = "seed") -> int:
-    """value as an int, when it is an integer >= 0; None reads as 0."""
-    if value is None:
-        return 0
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ParameterError(f"{source} must be a non-negative integer, got {value}")
-    return int(value)
+def _seed(value) -> int:
+    """value as an int, when it is an integer >= 0 (see _count); None reads as 0."""
+    return 0 if value is None else _count(value, "seed")
 
 
 def tol_record(incidence: float = TOL_INCIDENCE) -> dict:
@@ -1080,11 +1089,16 @@ def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
     if len(cfg.circles) == 0 or len(cfg.points) == 0:
         raise ParameterError("flag check needs a non-empty configuration")
     t = dict(cfg.tols)
-    tol_inc = _tolerance("incidence", t.get("incidence", TOL_INCIDENCE))
-    tol_sep = _tolerance("separation", t.get("separation", TOL_SEPARATION))
-    tol_clu = _tolerance("cluster", t.get("cluster", TOL_CLUSTER))
+    tol_inc, tol_sep, tol_clu = (_tolerance(name, t.get(name, d)) for name, d in tol_record().items())
     cx, cy, r = cfg.circles["cx"], cfg.circles["cy"], cfg.circles["r"]
     pts = cfg.points
+    # past about 1e77 a product of squared distances overflows: a picture past
+    # 2**100 is decided on a copy scaled by a power of two, which moves no bit
+    big = max(np.abs(pts).max(), np.abs(cfg.circles.view(float)).max())
+    if big > 2.0**100:
+        e = -math.frexp(big)[1]
+        cx, cy, r, pts = (np.ldexp(a, e) for a in (cx, cy, r, pts))
+        tol_inc, tol_sep, tol_clu = (math.ldexp(x, e) for x in (tol_inc, tol_sep, tol_clu))
 
     degenerate = bool(_near_pairs(*pts.T, tol_sep)[0].size)
 

@@ -16,14 +16,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError, DegeneracyError, ParameterError, PolePlacementError
-from .graphs import POLYTOPE_NAMES, Graph, _int_rows, _real, structure_report
+from .graphs import POLYTOPE_NAMES, Graph, _real, structure_report
 
 # realization before numpy, which it imports itself: compiling realization.py
 # from source after numpy has loaded leaves a process about 2 MB larger in
 # RSS, as numpy's import no longer reuses the compiler's freed memory. With
 # cached bytecode the order makes no difference.
-from .realization import TOL_INCIDENCE, TOL_SEPARATION, PointCircleConfig, tol_record
-from .realization import _circle_table, _float_table, _pair_indices, _row_dots, _row_norms, _seed, _tolerance
+from .realization import TOL_INCIDENCE, TOL_SEPARATION, PointCircleConfig, _seed, _tolerance, tol_record
+from .realization import _circle_table, _float_table, _incidence_pairs, _pair_indices, _row_dots, _row_norms
 
 import numpy as np
 
@@ -91,12 +91,9 @@ class SphericalCircleConfig:
             raise ParameterError(f"sphere radius must be finite and positive, not {radius!r}")
         shape = "circles must be finite (nx, ny, nz, d) rows"
         table = _float_table(self.circles, "plane entry", shape, 4, shape)
-        incidence = tuple(map(tuple, _int_rows(self.incidence, "incidence entry", "incidence")))
-        for pair in incidence:
-            if len(pair) != 2:
-                raise ParameterError(f"incidence {pair} is not a (point, circle) pair")
-            if not (0 <= pair[0] < len(points) and 0 <= pair[1] < len(table)):
-                raise ParameterError(f"incidence {pair} outside {len(points)} points and {len(table)} circles")
+        # pairs keep their given order, and with it the artifact's bytes
+        p, k = _incidence_pairs(self.incidence, len(points), len(table))
+        incidence = tuple(zip(p.tolist(), k.tolist()))
         self.points, self.center, self.radius, self.incidence = points, center, radius, incidence
         self.circles = _plane_rows(table[:, :3], table[:, 3])
 

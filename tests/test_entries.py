@@ -9,7 +9,9 @@ only puts "malformed <kind> object: " in front.
 
 import json
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from hypothesis import strategies as st
 from confviz import jsonio
 from confviz.cli import main
 from confviz.errors import ParameterError
-from confviz.graphs import Graph
+from confviz.graphs import Graph, _count, _real
 from confviz.incidence import IncidenceStructure
 from confviz.realization import Layout, PointCircleConfig, circles_from_layout, invert_pointline, layout_polygon
+from confviz.realization import _seed, _tolerance
 from confviz.spatial import PolytopeSkeleton, SphericalCircleConfig, coplanarity, polytope_data, sphere_circles
 
 CENTER = (0.5, 1.0)
@@ -46,7 +49,8 @@ def _artifact(kind):
 KINDS = {
     "graph": ("graph", jsonio.graph_from_obj, lambda o: Graph(o["order"], o["edges"], o.get("labels")),
               lambda g: jsonio.dumps(jsonio.graph_to_obj(g))),
-    "incidence": ("incidence", jsonio.incidence_from_obj, lambda o: IncidenceStructure(o["points"], o["blocks"]),
+    "incidence": ("incidence", jsonio.incidence_from_obj,
+                  lambda o: IncidenceStructure(o["points"], o["blocks"], o.get("provenance", "")),
                   lambda c: jsonio.dumps(jsonio.incidence_to_obj(c))),
     "layout": ("layout", jsonio.layout_from_obj,
                lambda o: Layout(KINDS["graph"][2](o["graph"]), o["pos"], o["meta"]),
@@ -298,3 +302,102 @@ def test_a_file_with_an_integer_past_the_digit_limit_is_a_usage_error(tmp_path, 
     (tmp_path / "g.json").write_text('{"order": ' + "1" * 5000 + ', "edges": []}')
     assert main(["vconstruct", str(tmp_path / "g.json")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'g.json'} is not valid JSON: Exceeds the limit")
+
+
+# ---------------------------------------------------------------------------
+# labels, provenance and meta: checked by their classes, like every table
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# each field: the kind that holds it, its writer, and values as json.load
+# gives them, some that its class takes and some that it refuses
+FIELDS = {
+    "labels": ("graph", jsonio.graph_to_obj, st.lists(st.text(max_size=3), min_size=3, max_size=3)
+               | st.lists(st.text(max_size=3) | _JSON, min_size=3, max_size=3) | _JSON),
+    "provenance": ("incidence", jsonio.incidence_to_obj, st.text(max_size=5) | _JSON),
+    "meta": ("layout", jsonio.layout_to_obj, st.dictionaries(st.text(max_size=3), _JSON, max_size=3) | _JSON),
+}
+
+
+def _compared(x):
+    """What equality means for an artifact: a layout's graph, positions and
+    meta, any other artifact itself."""
+    return (x.graph, x.pos.tolist(), x.meta) if isinstance(x, Layout) else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_labels_provenance_and_meta_get_one_verdict_and_read_back_as_built(field, data):
+    kind, to_obj, values = FIELDS[field]
+    obj = _artifact(kind)
+    obj[field] = data.draw(values)
+    read, built = _both(kind, obj)
+    assert read == built
+    try:
+        made = KINDS[kind][2](obj)
+    except ParameterError as exc:
+        refusal = exc
+    else:
+        refusal = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.json")
+        if refusal is None:
+            jsonio.save(path, to_obj(made))
+            assert _compared(jsonio.read(path, kind)) == _compared(made)
+        else:
+            jsonio.save(path, obj)
+            prefix = f"malformed {KINDS[kind][0]} object: "
+            with pytest.raises(ParameterError, match=f"^{re.escape(prefix + str(refusal))}$"):
+                jsonio.read(path, kind)
+
+
+@pytest.mark.parametrize("build, refusal", [
+    (lambda: IncidenceStructure(3, ((0, 1, 2),), provenance=5), "provenance must be a string, not int"),
+    (lambda: IncidenceStructure(3, ((0, 1, 2),), provenance=None), "provenance must be a string, not NoneType"),
+    (lambda: Layout(_square(), layout_polygon(4).pos, meta=[1, 2]), "meta must be a mapping, not list"),
+    (lambda: Layout(_square(), layout_polygon(4).pos, meta=None), "meta must be a mapping, not NoneType"),
+    (lambda: Graph(3, [(0, 1)], "abc"), "labels must be a sequence, not str"),
+    (lambda: Graph(3, [(0, 1)], {"a": 0, "b": 1, "c": 2}), "labels must be a sequence, not dict"),
+    (lambda: Graph(3, [(0, 1)], [1, 2, 3]), "label 1 must be a string, not int"),
+    (lambda: Graph(2, [(0, 1)], [None, True]), "label None must be a string, not NoneType"),
+])
+def test_a_field_no_reader_would_take_is_refused_when_built(build, refusal):
+    # each of these once saved without error, into a file that read refused
+    with pytest.raises(ParameterError, match=f"^{re.escape(refusal)}$"):
+        build()
+
+
+def _refusal(fn, value):
+    with pytest.raises(ParameterError) as caught:
+        fn(value)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("value", [3.0, True, "3", None, -1, -(2**70)])
+def test_a_seed_follows_the_count_rule(value):
+    if value is None:
+        assert _seed(value) == 0
+    else:
+        assert _refusal(_seed, value) == _refusal(lambda v: _count(v, "seed"), value)
+
+
+@pytest.mark.parametrize("value", [True, "1e-9", None, [1e-9], 10**400])
+def test_a_tolerance_follows_the_number_rule(value):
+    refusal = _refusal(lambda v: _tolerance("cluster", v), value)
+    assert refusal == _refusal(lambda v: _real(v, "cluster tolerance"), value)
+
+
+@pytest.mark.parametrize("pair", [(8, 0), (0, 8), (-1, 3), (10**20, 0), (0, -(10**20))])
+def test_an_incidence_pair_out_of_range_gets_one_text_in_the_plane_and_on_the_sphere(pair):
+    cfg = sphere_circles(polytope_data("cube"))
+    assert (len(cfg.points), len(cfg.circles)) == (8, 8)
+    circles = [(float(k), 0.0, 1.0) for k in range(8)]
+    refusal = f"^incidence {re.escape(str(pair))} outside 8 points and 8 circles$"
+    with pytest.raises(ParameterError, match=refusal):
+        PointCircleConfig(cfg.points[:, :2], circles, cfg.incidence + (pair,))
+    with pytest.raises(ParameterError, match=refusal):
+        _spherical(incidence=cfg.incidence + (pair,))

@@ -54,6 +54,17 @@ def test_hypercube7_is_proper_and_determining():
     assert flags["proper"] and flags["determining"]
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_flags_of_a_picture_too_large_to_square_are_those_at_scale_one(scale):
+    # a distance past about 1e154 overflows when squared; check_flags scales
+    # such a picture down exactly, so it reads the flags of the unit picture
+    cfg = circles_from_layout(layout_hypercube(3), TOL_INCIDENCE)
+    large = PointCircleConfig(cfg.points * scale, cfg.circles.view(float).reshape(-1, 3) * scale, cfg.incidence,
+                              tols={k: v * scale for k, v in cfg.tols.items()})
+    assert check_flags(cfg).flags["determining"]
+    assert check_flags(large).flags == check_flags(cfg).flags
+
+
 def test_co6_is_not_determining():
     # the six inner-vertex circles all pass through the centre, a meet
     # point that is not a configuration point

@@ -2,6 +2,8 @@ from itertools import combinations
 
 import pytest
 
+import oracles
+from confviz import incidence
 from confviz import (
     AdmissibilityError,
     IncidenceStructure,
@@ -19,6 +21,7 @@ from confviz import (
 )
 from confviz.graphs import (
     Graph,
+    VertexMap,
     bipartite_kneser_graph,
     cycle_graph,
     gen_cuboctahedron_graph,
@@ -136,6 +139,30 @@ def test_self_polar_witnesses():
 def test_self_polar_negative():
     lopsided = IncidenceStructure(4, ((0, 1), (0, 2), (0, 3), (1, 2)))
     assert is_self_polar(lopsided) is None
+
+
+def test_self_polar_with_unequal_counts_builds_no_levi_graph(monkeypatch):
+    def refuse(c):
+        raise AssertionError("levi_graph called")
+
+    monkeypatch.setattr(incidence, "levi_graph", refuse)
+    assert is_self_polar(IncidenceStructure(4, ((0, 1), (2, 3), (1, 2)))) is None
+    assert is_self_polar(IncidenceStructure(2, ((0,), (1,), (0, 1)))) is None
+
+
+def test_self_polar_search_does_not_try_the_refuted_pairing_again(monkeypatch):
+    # the Fano plane with its blocks rotated: point i <-> block i is no
+    # polarity, but the plane is self-dual
+    blocks = fano_plane().blocks
+    rotated = IncidenceStructure(7, blocks[1:] + blocks[:1])
+
+    def refuse(vm, g):
+        raise AssertionError("a candidate map was tested")
+
+    expected = oracles.self_polar(rotated)
+    assert expected is not None
+    monkeypatch.setattr(VertexMap, "is_automorphism", refuse)
+    assert is_self_polar(rotated) == expected
 
 
 def test_self_polar_witness_is_levi_involution():

@@ -225,6 +225,17 @@ def test_orbits_of_explicit():
 
     vm = VertexMap((1, 0, 3, 2))
     assert orbits_of(vm) == [[0, 1], [2, 3]]
+    vm = VertexMap((3, 2, 4, 0, 1))
+    assert orbits_of(vm) == [[0, 3], [1, 2, 4]] and vm.permutation_order() == 6
+
+
+@pytest.mark.parametrize("image", [(1, 1), (0, 2), (-1, 0), (1, 2, 1), (0, 0, 1)])
+def test_a_map_that_is_no_bijection_has_no_cycles(image):
+    from confviz import ParameterError, VertexMap
+
+    for walk in (orbits_of, VertexMap.permutation_order):
+        with pytest.raises(ParameterError, match="^vertex map is not a bijection$"):
+            walk(VertexMap(image))
 
 
 def test_desargues_free_action_of_order_ten():

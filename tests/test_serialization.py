@@ -389,12 +389,12 @@ def test_readers_take_only_numbers_as_coordinates(kind, path, bad):
 # centre, a reader takes: kind, the path to it, a value of the wrong shape
 # and what the reader says of it
 SHAPES = [
-    ("graph", ("labels",), "abc", "expected a list of strings, found 'abc'"),
-    ("graph", ("labels",), [1.5, True, "c"], "expected a string, found 1.5"),
-    ("graph", ("labels",), ["a", True, "c"], "expected a string, found True"),
-    ("incidence", ("provenance",), {"a": 1}, "expected a string, found {'a': 1}"),
-    ("incidence", ("provenance",), 7, "expected a string, found 7"),
-    ("layout", ("meta",), [["method", "polygon"]], "expected an object, found [['method', 'polygon']]"),
+    ("graph", ("labels",), "abc", "labels must be a sequence, not str"),
+    ("graph", ("labels",), [1.5, True, "c"], "label 1.5 must be a string, not float"),
+    ("graph", ("labels",), ["a", True, "c"], "label True must be a string, not bool"),
+    ("incidence", ("provenance",), {"a": 1}, "provenance must be a string, not dict"),
+    ("incidence", ("provenance",), 7, "provenance must be a string, not int"),
+    ("layout", ("meta",), [["method", "polygon"]], "meta must be a mapping, not list"),
     ("pcc", ("flags",), [["proper", True]], "flags must be a mapping, not list"),
     ("pcc", ("tols",), [["incidence", 1e-9]], "tols must be a mapping, not list"),
     ("pcc", ("tols",), "incidence", "tols must be a mapping, not str"),

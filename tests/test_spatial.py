@@ -287,7 +287,9 @@ def test_explicit_pole_entries_are_read_by_the_table_rule(pole, entry):
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1, -1e-300, True, "1e-9", None])
 def test_projection_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
     sc = sphere_circles(polytope_data("cube"))
-    with pytest.raises(ParameterError, match=r"^incidence tolerance must be a finite number >= 0, got "):
+    number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+    refusal = "a finite number >= 0, got " if number else f"a number, not {type(tol).__name__}$"
+    with pytest.raises(ParameterError, match=f"^incidence tolerance must be {refusal}"):
         stereographic_project(sc, tol=tol)
 
 
