@@ -523,34 +523,43 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
     alone with the identity map.
     """
     prime = ((g,), VertexMap(tuple(range(g.order))))
-    index = {e: i for i, e in enumerate(g.edges)}
-    index.update({(v, u): i for (u, v), i in list(index.items())})
     nbrs = g.neighbor_sets
-
-    def related() -> Iterator[tuple[int, int]]:
-        for u in range(g.order):
-            for v, w in combinations(g.adjacency[u], 2):
-                corners = (nbrs[v] & nbrs[w]) - {u}
-                chordless = [] if w in nbrs[v] else [x for x in corners if x not in nbrs[u]]
-                if len(corners) != 1 or len(chordless) != 1:
-                    yield index[u, v], index[u, w]
-                # a square is related once, from its least corner
-                for x in chordless:
-                    if u < v and u < x:
-                        yield index[u, v], index[w, x]
-                        yield index[u, w], index[v, x]
-
-    edge_roots = _class_roots(g.size, related())
+    # each vertex's edge indices, by neighbour
+    index: list[dict[int, int]] = [{} for _ in range(g.order)]
+    for i, (u, v) in enumerate(g.edges):
+        index[u][v] = index[v][u] = i
+    # pairs of related edges, by index
+    related: list[tuple[int, int]] = []
+    for u, (at_u, around, nu) in enumerate(zip(index, g.adjacency, nbrs)):
+        for v, w in combinations(around, 2):
+            nv = nbrs[v]
+            # u and the other corners of the squares on u, v and w
+            corners = nv & nbrs[w]
+            if len(corners) == 1 or w in nv:  # no square, or a chord
+                related.append((at_u[v], at_u[w]))
+                continue
+            # u and the corners x that close a chordless square u, v, x, w
+            free = corners - nu
+            if len(corners) != 2 or len(free) != 2:
+                related.append((at_u[v], at_u[w]))
+            # a square is related once, from its least corner
+            if u < v:
+                for x in free:
+                    if u < x:
+                        related += ((at_u[v], index[w][x]), (at_u[w], index[v][x]))
+    parent = _class_roots(g.size, related)
     # classes in the order of their least edge, which is their root
-    roots = sorted(set(edge_roots))
+    roots = sorted(set(parent))
     if len(roots) < 2:
         return prime
     cls = {r: c for c, r in enumerate(roots)}
-    colour = [cls[r] for r in edge_roots]
-    coords = [[0] * len(roots) for _ in range(g.order)]
+    by_class: list[list[tuple[int, int]]] = [[] for _ in roots]
+    for e, r in zip(g.edges, parent):
+        by_class[cls[r]].append(e)
+    # each factor's coordinate of every vertex
+    coords = []
     factors = []
-    for c in range(len(roots)):
-        mine = [e for e, k in zip(g.edges, colour) if k == c]
+    for c, mine in enumerate(by_class):
         along = _class_roots(g.order, mine)
         layer = [v for v in range(g.order) if along[v] == 0]
         at = {v: i for i, v in enumerate(layer)}
@@ -559,22 +568,22 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
         factors.append(Graph._canonical(len(layer), edges, tuple(g.label(v) for v in layer)))
         # each component without class-c edges meets the layer once, there
         # at the vertex's coordinate
-        across = _class_roots(g.order, (e for e, k in zip(g.edges, colour) if k != c))
+        across = _class_roots(g.order, chain.from_iterable(by_class[:c] + by_class[c + 1:]))
         hit = {across[v]: i for i, v in enumerate(layer)}
-        if len(hit) < len(layer) or any(r not in hit for r in across):
+        if len(hit) < len(layer) or len(hit) < len(set(across)):
             return prime
-        for xs, r in zip(coords, across):
-            xs[c] = hit[r]
-    witness = _product_map(g, factors, colour, coords)
+        coords.append([hit[r] for r in across])
+    witness = _product_map(g, factors, by_class, coords)
     return prime if witness is None else (tuple(factors), witness)
 
 
 def _product_map(
-    g: Graph, factors: list[Graph], colour: list[int], coords: list[list[int]]
+    g: Graph, factors: list[Graph], by_class: list[list[tuple[int, int]]], coords: list[list[int]]
 ) -> VertexMap | None:
     """The map sending each vertex to its index in the product of factors
     (its coordinates in mixed radix, the first factor's highest), when it is
     an isomorphism onto that product; else None. No product is built.
+    Factor c has the edges by_class[c] and the coordinates coords[c].
 
     The product has prod(order_c) vertices and sum(size_c * order / order_c)
     edges, and the map must be a bijection with g's counts. An edge of class
@@ -588,18 +597,16 @@ def _product_map(
     order = math.prod(f.order for f in factors)
     if order != g.order or sum(f.size * (order // f.order) for f in factors) != g.size:
         return None
-    image = []
-    for xs in coords:
-        i = 0
-        for f, x in zip(factors, xs):
-            i = i * f.order + x
-        image.append(i)
+    image = [0] * order
+    for f, xs in zip(factors, coords):
+        image = [i * f.order + x for i, x in zip(image, xs)]
     # every index is below order, so distinct indices are all of range(order)
     if len(set(image)) != order:
         return None
-    nbrs = [f.neighbor_sets for f in factors]
-    if not all(coords[v][c] in nbrs[c][coords[u][c]] for (u, v), c in zip(g.edges, colour)):
-        return None
+    for f, mine, xs in zip(factors, by_class, coords):
+        nbrs = f.neighbor_sets
+        if not all(xs[v] in nbrs[xs[u]] for u, v in mine):
+            return None
     return VertexMap(tuple(image))
 
 

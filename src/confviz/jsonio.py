@@ -9,7 +9,7 @@ Readers only map an artifact's fields onto the constructor of its class,
 which checks them as it checks a hand-built one: an index or a count only
 as an integer (not 1.0, true or "1"), a coordinate or a radius only as a
 number within float's range (not true or "1"), a label or provenance only
-as a string, and meta, flags or tols only as an object.
+as a string, and meta, flags or tols only as an object with string keys.
 
 Every output file, JSON or SVG, goes through `write_text`. It encodes the
 whole text first, so an encoding error leaves an existing file as it was.

@@ -143,9 +143,25 @@ def _float_table(rows, what: str, shape: str, width: int, finite: str | None = N
 
 
 def _mapping(value, name: str) -> None:
-    """Refuse value unless it is a mapping."""
+    """Refuse value unless it is a mapping whose keys are strings, as are
+    those of every mapping within it, in lists and tuples too: a file
+    keeps any other key only as its text."""
     if not isinstance(value, Mapping):
         raise ParameterError(f"{name} must be a mapping, not {type(value).__name__}")
+    # grows as it is walked, so each nesting level is walked in turn; a
+    # container met again, as in a table that holds itself, is walked once
+    items, seen = [value], set()
+    for item in items:
+        if not isinstance(item, (Mapping, list, tuple)) or id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, Mapping):
+            for key in item:
+                if not isinstance(key, str):
+                    raise ParameterError(f"{name} key {key!r} must be a string, not {type(key).__name__}")
+            items.extend(item.values())
+        else:
+            items.extend(item)
 
 
 def _incidence_pairs(incidence, points: int, circles: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,6 +197,14 @@ def _finite(value, what: str) -> None:
     """Refuse value unless it is a finite number, by the rule of _real."""
     if not math.isfinite(_real(value, what)):
         raise ParameterError(f"{what} must be finite")
+
+
+def _radius(value, what: str) -> float:
+    """value as a float, when it is a finite number > 0 (see _real)."""
+    x = _real(value, what)
+    if not 0 < x < math.inf:
+        raise ParameterError(f"{what} must be finite and positive, not {x!r}")
+    return x
 
 
 def _tolerance(name: str, value) -> float:
@@ -226,6 +250,8 @@ def _near_pairs(x: np.ndarray, y: np.ndarray, t: float) -> tuple[np.ndarray, np.
     order = np.argsort(x, kind="stable")
     xs = x[order]
     count = xs.searchsorted(xs + t * (1.0 + 2.0**-20), side="right") - np.arange(1, len(xs) + 1)
+    if not count.any():  # no candidate, so no pair
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     # candidate k of sorted point i is sorted point i + 1 + k
     i = np.repeat(np.arange(len(xs)), count)
     a, b = order[i], order[i + np.arange(1, len(i) + 1) - np.repeat(np.cumsum(count) - count, count)]
@@ -331,9 +357,20 @@ def _circle_table(cx: np.ndarray, cy: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def unit_edge_residual(layout: Layout) -> float:
     """Largest deviation of an edge length from 1; 0.0 without edges."""
-    eu, ev = _edge_arrays(layout.graph)
-    length = _row_norms(layout.pos[eu] - layout.pos[ev])
+    return _edge_residual(layout.pos, *_edge_arrays(layout.graph))
+
+
+def _edge_residual(pos: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> float:
+    """unit_edge_residual of positions pos on the edges (eu[i], ev[i])."""
+    length = _row_norms(pos[eu] - pos[ev])
     return float(np.max(np.abs(length - 1.0), initial=0.0))
+
+
+def _polygon_positions(n: int) -> np.ndarray:
+    """The regular n-gon with unit sides, vertex t at angle 2*pi*t/n."""
+    radius = 0.5 / math.sin(math.pi / n)
+    ang = 2.0 * math.pi * np.arange(n) / n
+    return radius * np.column_stack([np.cos(ang), np.sin(ang)])
 
 
 def layout_polygon(n: int) -> Layout:
@@ -341,11 +378,7 @@ def layout_polygon(n: int) -> Layout:
     n = _integer(n, "n")
     if n < 3:
         raise ParameterError("polygon layout needs n >= 3")
-    g = build_family("cycle", n)
-    radius = 0.5 / math.sin(math.pi / n)
-    ang = 2.0 * math.pi * np.arange(n) / n
-    pos = radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    return Layout(g, pos, {"generator": "polygon", "n": n})
+    return Layout(build_family("cycle", n), _polygon_positions(n), {"generator": "polygon", "n": n})
 
 
 def layout_hypercube(d: int, seed: int | None = None) -> Layout:
@@ -432,12 +465,16 @@ def layout_gen_cuboctahedron(n: int, r_outer: float = 2.0, r_inner: float = 1.0)
 
 
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    e = np.array(g.edges, dtype=int).reshape(-1, 2)
+    e = np.fromiter(chain.from_iterable(g.edges), dtype=int, count=2 * g.size).reshape(-1, 2)
     return e[:, 0], e[:, 1]
 
 
-def _solve_coordinates(g: Graph, pos0: np.ndarray, max_iter: int) -> np.ndarray:
-    eu, ev = _edge_arrays(g)
+def _solve_coordinates(
+    g: Graph, pos0: np.ndarray, max_iter: int, edges: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """pos0 polished by LM towards unit edges; edges is g's (eu, ev) table
+    from _edge_arrays, built here when the caller passes none."""
+    eu, ev = _edge_arrays(g) if edges is None else edges
 
     def resid(x):
         p = x.reshape(-1, 2)
@@ -448,13 +485,9 @@ def _solve_coordinates(g: Graph, pos0: np.ndarray, max_iter: int) -> np.ndarray:
         p = x.reshape(-1, 2)
         d = p[eu] - p[ev]
         dist = np.hypot(d[:, 0], d[:, 1])
-        dist = np.where(dist < 1e-300, 1.0, dist)
+        unit = d / np.where(dist < 1e-300, 1.0, dist)[:, None]
         j = np.zeros((len(eu), x.size))
-        rows = np.arange(len(eu))
-        j[rows, 2 * eu] = d[:, 0] / dist
-        j[rows, 2 * eu + 1] = d[:, 1] / dist
-        j[rows, 2 * ev] = -d[:, 0] / dist
-        j[rows, 2 * ev + 1] = -d[:, 1] / dist
+        np.put(j, cells, np.hstack([unit, -unit]))
         return j
 
     # each Jacobian entry is a component of a unit direction, so no gradient
@@ -463,6 +496,8 @@ def _solve_coordinates(g: Graph, pos0: np.ndarray, max_iter: int) -> np.ndarray:
     r = resid(pos0.ravel())
     if max(map(len, g.adjacency)) * np.max(np.abs(r)) < 0.25e-12:
         return np.array(pos0, dtype=float, order="C")
+    # each edge row's cells (u's x and y, then v's) in the flat Jacobian
+    cells = np.column_stack([2 * eu, 2 * eu + 1, 2 * ev, 2 * ev + 1]) + pos0.size * np.arange(len(eu))[:, None]
     x = lm_least_squares(resid, jacobian, pos0.ravel(), max_iter=max_iter)
     return x.reshape(-1, 2)
 
@@ -514,10 +549,18 @@ def _rings_rule_out(g: Graph, orbits: list[list[int]], k: int) -> bool:
 
 
 def _solve_orbits(
-    g: Graph, ring: np.ndarray, offset: np.ndarray, x0: np.ndarray, max_iter: int
+    edges: tuple[np.ndarray, np.ndarray], ring: np.ndarray, offset: np.ndarray, x0: np.ndarray, max_iter: int
 ) -> np.ndarray:
-    eu, ev = _edge_arrays(g)
-    rows = np.arange(len(eu))
+    """LM over the ring variables x0 towards unit edges (eu, ev) = edges."""
+    eu, ev = edges
+    m = len(eu)
+    # each edge's u end, then its v end: their rows, the radius cells of
+    # their rings in the flat Jacobian (the phase cells follow them) and signs
+    rows = np.concatenate([np.arange(m), np.arange(m)])
+    ends = np.concatenate([eu, ev])
+    cells = rows * x0.size + 2 * ring[ends]
+    cells = np.concatenate([cells, cells + 1])
+    sign = np.repeat([1.0, -1.0], m)
 
     def resid(x):
         p = _ring_positions(x, ring, offset)
@@ -530,15 +573,13 @@ def _solve_orbits(
         d = p[eu] - p[ev]
         # math.hypot keeps the solve bit-equal to the per-edge loop it
         # replaced: np.hypot differs from it in the last bit on some inputs
-        dist = np.fromiter(map(math.hypot, d[:, 0], d[:, 1]), dtype=float, count=len(d))
-        gx, gy = (d / np.where(dist < 1e-300, 1.0, dist)[:, None]).T
-        j = np.zeros((len(eu), x.size))
-        for ends, sign in ((eu, 1.0), (ev, -1.0)):
-            col = 2 * ring[ends]
-            c, s = cos[ends], sin[ends]
-            j[rows, col] += sign * (gx * c + gy * s)
-            j[rows, col + 1] += sign * r[ends] * (-gx * s + gy * c)
-        return j
+        dist = np.fromiter(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()), dtype=float, count=m)
+        gx, gy = (d / np.where(dist < 1e-300, 1.0, dist)[:, None])[rows].T
+        c, s = cos[ends], sin[ends]
+        j = np.zeros(m * x.size)
+        # one scatter, u ends first: a cell both ends share gets 0 + a_u + a_v
+        np.add.at(j, cells, np.concatenate([sign * (gx * c + gy * s), sign * r[ends] * (-gx * s + gy * c)]))
+        return j.reshape(m, x.size)
 
     return lm_least_squares(resid, jacobian, x0, max_iter=max_iter)
 
@@ -548,21 +589,21 @@ def _solve_orbits(
 _PRODUCT_ANGLES = tuple(math.pi * (3.0 - math.sqrt(5.0)) * t for t in range(1, 13))
 
 
-def _factor_layout(f: Graph, seed: int, restarts: int) -> Layout:
-    """Unit-distance drawing of a Cartesian factor: K_2 as a unit segment, a
-    cycle as the unit-sided polygon in its vertex order, and any other
+def _factor_positions(f: Graph, seed: int, restarts: int) -> np.ndarray:
+    """Unit-distance positions of a Cartesian factor: K_2 as a unit segment,
+    a cycle as the unit-sided polygon in its vertex order, and any other
     factor by the plain solve."""
     if f.order == 2:
-        return Layout(f, [[0.0, 0.0], [1.0, 0.0]])
+        return np.array([[0.0, 0.0], [1.0, 0.0]])
     if all(len(a) == 2 for a in f.adjacency):  # connected and 2-regular: a cycle
         walk = [0, f.adjacency[0][0]]
         while len(walk) < f.order:
             a, b = f.adjacency[walk[-1]]
             walk.append(b if a == walk[-2] else a)
         pos = np.empty((f.order, 2))
-        pos[walk] = layout_polygon(f.order).pos
-        return Layout(f, pos)
-    return solve_unit_distance(f, seed=seed, restarts=restarts)[0]
+        pos[walk] = _polygon_positions(f.order)
+        return pos
+    return solve_unit_distance(f, seed=seed, restarts=restarts)[0].pos
 
 
 def _product_start(g: Graph, seed: int, restarts: int):
@@ -577,15 +618,15 @@ def _product_start(g: Graph, seed: int, restarts: int):
     if len(factors) < 2:
         return
     try:
-        first, *rest = (_factor_layout(f, seed, restarts) for f in factors)
+        pos, *rest = (_factor_positions(f, seed, restarts) for f in factors)
     except ConvergenceError:
         return
-    pos, order, size = first.pos, first.graph.order, first.graph.size
-    for lb in rest:
-        size = size * lb.graph.order + order * lb.graph.size
-        order *= lb.graph.order
+    order, size = factors[0].order, factors[0].size
+    for f, fpos in zip(factors[1:], rest):
+        size = size * f.order + order * f.size
+        order *= f.order
         for angle in _PRODUCT_ANGLES:
-            folded = _product_positions(pos, _rotated(lb.pos, angle))
+            folded = _product_positions(pos, _rotated(fpos, angle))
             i, j = _pair_indices(len(folded))
             dist = np.hypot(folded[j, 0] - folded[i, 0], folded[j, 1] - folded[i, 1])
             # the edges alone at unit distance
@@ -608,10 +649,13 @@ def solve_unit_distance(
     """Minimize edge-length deviation from 1; returns (layout, max deviation).
 
     One loop polishes start layouts until the residual clears TOL_INCIDENCE
-    with no two vertices collapsed. With `init` its positions are the only
-    start. A plain solve draws `restarts` seeded random starts; when g is a
-    Cartesian product (graphs.cartesian_factors), the product of its
-    factors' drawings goes first, as one more start. An integer
+    with no two vertices collapsed. g's edge table is built once, and every
+    start is measured on it; only the start returned becomes a Layout. With
+    `init` its positions are the only start. A plain solve draws `restarts`
+    seeded random starts; when g is a Cartesian product
+    (graphs.cartesian_factors), the product of its factors' drawings goes
+    first, as one more start, and the generator is seeded only when a random
+    start is due. An integer
     `symmetry` k asks for a rotational ansatz: free order-k automorphisms
     are taken from the search one at a time, up to six, and each one's
     orbits become (radius, phase) ring variables; explicit orbit lists are
@@ -619,8 +663,9 @@ def solve_unit_distance(
     offset 2*pi*t/k) gives positions, residual and Jacobian as array passes,
     and `restarts` ring solves from random ring variables are the starts.
     An orbit set whose ring radii, forced by edges within an orbit, rule
-    out unit edges (_rings_rule_out) runs no solve: its starts are drawn
-    and dropped, so later sets keep theirs. Only a ring solution within
+    out unit edges (_rings_rule_out) runs no solve: one draw of as many
+    doubles as its starts would take advances the generator past them, so
+    later sets keep theirs. Only a ring solution within
     TOL_INCIDENCE goes on to the polish, so a symmetric result is a
     rotational drawing. A start exact enough that LM would return it
     unchanged, as product starts and ring solutions mostly are, skips the
@@ -635,7 +680,7 @@ def solve_unit_distance(
         raise ParameterError("unit-distance solve expects a connected graph")
     base_seed = _seed(seed)
     restarts = _count(restarts, "restarts")
-    rng = np.random.default_rng(base_seed)
+    edges = _edge_arrays(g)
     # a symmetric solve counts its orbit sets, and those ruled out, as they pass
     sets = skipped = None
 
@@ -647,9 +692,14 @@ def solve_unit_distance(
         starts = [(init.pos, {"method": "polish"})]
         what = "polish"
     elif symmetry is None:
-        span = 1.0 + 0.25 * math.sqrt(g.order)
-        drawn = ((rng.uniform(-span, span, size=(g.order, 2)), {"method": "lm"}) for _ in range(restarts))
-        starts = chain(_product_start(g, base_seed, restarts), drawn)
+
+        def drawn():
+            rng = np.random.default_rng(base_seed)
+            span = 1.0 + 0.25 * math.sqrt(g.order)
+            for _ in range(restarts):
+                yield rng.uniform(-span, span, size=(g.order, 2)), {"method": "lm"}
+
+        starts = chain(_product_start(g, base_seed, restarts), drawn())
         what = "unit-distance solve"
     else:
         if isinstance(symmetry, str) or not isinstance(symmetry, Iterable):
@@ -670,21 +720,25 @@ def solve_unit_distance(
 
         def ring_starts():
             nonlocal sets, skipped
+            rng = np.random.default_rng(base_seed)
             for orbits in orbit_sets:
-                out = _rings_rule_out(g, orbits, k)
+                m = len(orbits)
                 sets += 1
-                skipped += out
+                if _rings_rule_out(g, orbits, k):
+                    skipped += 1
+                    # the doubles its restarts' uniform draws would take, so
+                    # later sets keep their starts
+                    rng.random(2 * m * restarts)
+                    continue
                 ring, offset = _ring_table(orbits, k)
                 for _ in range(restarts):
-                    x0 = np.empty(2 * len(orbits))
-                    x0[0::2] = rng.uniform(0.25, 2.2, size=len(orbits))
-                    x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=len(orbits))
-                    if out:  # drawn all the same, so later sets keep their starts
-                        continue
-                    pos = _ring_positions(_solve_orbits(g, ring, offset, x0, _LM_MAX_ITER), ring, offset)
+                    x0 = np.empty(2 * m)
+                    x0[0::2] = rng.uniform(0.25, 2.2, size=m)
+                    x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=m)
+                    pos = _ring_positions(_solve_orbits(edges, ring, offset, x0, _LM_MAX_ITER), ring, offset)
                     # a ring solution above tolerance fails here: a polish
                     # from it would leave the rotational drawing
-                    ok = unit_edge_residual(Layout(g, pos)) <= TOL_INCIDENCE
+                    ok = _edge_residual(pos, *edges) <= TOL_INCIDENCE
                     yield pos, {"method": "orbit-lm", "symmetry": k} if ok else None
 
         starts = ring_starts()
@@ -695,13 +749,11 @@ def solve_unit_distance(
     # a start with meta None has failed already and is counted as it stands
     for runs, (pos, meta) in enumerate(starts, 1):
         if meta is not None:
-            pos = _solve_coordinates(g, pos, _LM_MAX_ITER)
-        layout = Layout(g, pos, {})
-        residual = unit_edge_residual(layout)
+            pos = _solve_coordinates(g, pos, _LM_MAX_ITER, edges)
+        residual = _edge_residual(pos, *edges)
         best = min(best, residual)
         if residual <= TOL_INCIDENCE and not _near_pairs(*pos.T, TOL_SEPARATION)[0].size:
-            layout.meta.update(meta, seed=base_seed, residual=residual)
-            return layout, residual
+            return Layout(g, pos, dict(meta, seed=base_seed, residual=residual)), residual
     summary = f"exhausted {runs} restart{'s' * (runs != 1)}"
     if sets is not None:
         if not sets:
@@ -1152,9 +1204,7 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
         raise ParameterError(f"point {bad[0]} of the point-line input is not finite")
     shape, finite = "center must be a planar point", "inversion center must be finite"
     ctr = _float_table((center,), "center entry", shape, 2, finite)[0]
-    _finite(radius, "inversion radius")
-    if radius <= 0:
-        raise ParameterError("inversion radius must be positive")
+    radius = _radius(radius, "inversion radius")
     scale = max(1.0, float(np.max(np.abs(pts))))
     lines_norm: list[tuple[int, ...]] = []
     for idx in map(tuple, _int_rows(lines, "line entry", "lines")):

@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError, DegeneracyError, ParameterError, PolePlacementError
-from .graphs import POLYTOPE_NAMES, Graph, _real, structure_report
+from .graphs import POLYTOPE_NAMES, Graph, structure_report
 
 # realization before numpy, which it imports itself: compiling realization.py
 # from source after numpy has loaded leaves a process about 2 MB larger in
 # RSS, as numpy's import no longer reuses the compiler's freed memory. With
 # cached bytecode the order makes no difference.
-from .realization import TOL_INCIDENCE, TOL_SEPARATION, PointCircleConfig, _seed, _tolerance, tol_record
+from .realization import TOL_INCIDENCE, TOL_SEPARATION, PointCircleConfig, _radius, _seed, _tolerance, tol_record
 from .realization import _circle_table, _float_table, _incidence_pairs, _pair_indices, _row_dots, _row_norms
 
 import numpy as np
@@ -86,9 +86,7 @@ class SphericalCircleConfig:
         points = _float_table(self.points, "point entry", shape, 3, shape)
         shape = "sphere centre must be a finite 3-vector"
         center = _float_table((self.center,), "sphere centre entry", shape, 3, shape)[0]
-        radius = _real(self.radius, "sphere radius")
-        if not (math.isfinite(radius) and radius > 0):
-            raise ParameterError(f"sphere radius must be finite and positive, not {radius!r}")
+        radius = _radius(self.radius, "sphere radius")
         shape = "circles must be finite (nx, ny, nz, d) rows"
         table = _float_table(self.circles, "plane entry", shape, 4, shape)
         # pairs keep their given order, and with it the artifact's bytes

@@ -913,7 +913,7 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
     if ctr.shape != (2,):
         raise ParameterError("center must be a planar point")
     if radius <= 0:
-        raise ParameterError("inversion radius must be positive")
+        raise ParameterError(f"inversion radius must be finite and positive, not {float(radius)!r}")
     scale = max(1.0, float(np.max(np.abs(pts))))
     lines_norm: list[tuple[int, ...]] = []
     for line in lines:

@@ -17,13 +17,14 @@ from confviz import (
     unit_edge_residual,
 )
 from confviz.graphs import complete_graph, cycle_graph
-from confviz.realization import _ring_positions, _ring_table, _solve_orbits
+from confviz.realization import _edge_arrays, _ring_positions, _ring_table, _solve_orbits
 
 import oracles
 
 SYMMETRIC = [("petersen", (), 5), ("desargues", (), 10), ("pappus", (), 3), ("dodecahedron", (), 5)]
-# GP(14,2): its first and last orbit sets are ruled out by their ring radii
-SYMMETRIC += [("gen_petersen", (n, 2), n) for n in (10, 11, 12, 14)]
+# GP(14,2), GP(16,2) and GP(18,2): their first orbit sets are ruled out by
+# their ring radii, and GP(14,2)'s last one too
+SYMMETRIC += [("gen_petersen", (n, 2), n) for n in (10, 11, 12, 14, 16, 18)]
 C8_ORBITS = [[0, 2, 4, 6], [1, 3, 5, 7]]
 
 
@@ -70,6 +71,19 @@ def test_explicit_orbit_and_plain_solves_match_oracle(seed):
         )
 
 
+@pytest.mark.parametrize("m, restarts", [(1, 1), (2, 40), (3, 7), (4, 0)])
+def test_one_draw_leaves_the_generator_where_the_ruled_out_starts_would(m, restarts):
+    """A ruled-out orbit set draws rng.random(2 * m * restarts) in place of
+    its restarts' radius and phase draws: both take one double an entry."""
+    drawn, skipped = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(restarts):
+        drawn.uniform(0.25, 2.2, size=m)
+        drawn.uniform(0.0, 2.0 * math.pi, size=m)
+    skipped.random(2 * m * restarts)
+    assert skipped.bit_generator.state == drawn.bit_generator.state
+    assert skipped.random(3).tobytes() == drawn.random(3).tobytes()
+
+
 def _orbits(family, params, k):
     return iso.orbits_of(next(iso.find_free_cyclic_action(build_family(family, *params), k)))
 
@@ -102,7 +116,7 @@ def test_ring_solve_matches_per_edge_loop(problem):
     ring, offset = _ring_table(orbits, k)
     want = oracles._orbit_positions(x0, orbits, k, g.order)
     assert _ring_positions(x0, ring, offset).tobytes() == want.tobytes()
-    got = _solve_orbits(g, ring, offset, x0, max_iter)
+    got = _solve_orbits(_edge_arrays(g), ring, offset, x0, max_iter)
     want = oracles._solve_orbits(g, orbits, k, x0, max_iter)
     assert got.tobytes() == want.tobytes()
 
@@ -172,9 +186,9 @@ def _polished_starts(monkeypatch, g, **kwargs):
     starts = []
     polish = realization._solve_coordinates
 
-    def spy(g, pos0, max_iter):
-        starts.append(pos0.copy())
-        return polish(g, pos0, max_iter)
+    def spy(*args, **kwargs):
+        starts.append(args[1].copy())  # polish(g, pos0, ...)
+        return polish(*args, **kwargs)
 
     monkeypatch.setattr(realization, "_solve_coordinates", spy)
     solve_unit_distance(g, **kwargs)

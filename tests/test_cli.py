@@ -312,8 +312,8 @@ def test_invert_names_a_non_finite_point(tmp_path, capsys):
     "flags, message",
     [
         (["--center", "nan", "0.37"], "inversion center must be finite"),
-        (["--center", "0.4", "0.37", "--radius", "inf"], "inversion radius must be finite"),
-        (["--center", "0.4", "0.37", "--radius", "nan"], "inversion radius must be finite"),
+        (["--center", "0.4", "0.37", "--radius", "inf"], "inversion radius must be finite and positive, not inf"),
+        (["--center", "0.4", "0.37", "--radius", "nan"], "inversion radius must be finite and positive, not nan"),
     ],
 )
 def test_invert_names_a_non_finite_center_or_radius(flags, message, capsys):

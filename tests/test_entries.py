@@ -371,6 +371,55 @@ def test_a_field_no_reader_would_take_is_refused_when_built(build, refusal):
         build()
 
 
+@pytest.mark.parametrize("field", ["meta", "flags", "tols"])
+@pytest.mark.parametrize("table, key", [
+    ({1: ("a", "b")}, "1 must be a string, not int"),
+    ({"a": {4: 1}}, "4 must be a string, not int"),
+    ({"a": [{"b": 0}, {2.5: 0}]}, "2.5 must be a string, not float"),
+    ({"a": ({None: 0},)}, "None must be a string, not NoneType"),
+])
+def test_a_key_that_would_read_back_changed_is_refused_built_and_read(field, table, key):
+    # JSON keeps only string keys: {1: ...} once saved and read back as {"1": ...}
+    lay = layout_polygon(4)
+    kind = "layout" if field == "meta" else "pcc"
+    name, read, build, _ = KINDS[kind]
+    obj = jsonio.layout_to_obj(lay) if kind == "layout" else _artifact("pcc")
+    refusal = f"{field} key {key}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(refusal)}$"):
+        build({**obj, field: table})
+    # the same table as a reader meets it, had the file's parser kept other keys
+    with pytest.raises(ParameterError, match=f"^malformed {name} object: {re.escape(refusal)}$"):
+        read({**obj, field: table})
+    # with string keys the table is taken, and a file gives it back unchanged
+    text = json.loads(json.dumps(table))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.json")
+        jsonio.save(path, {**obj, field: text})
+        assert getattr(jsonio.read(path, kind), field) == text == getattr(build({**obj, field: text}), field)
+
+
+def test_a_table_that_holds_itself_is_walked_once():
+    lay = layout_polygon(4)
+    meta = {"a": [1]}
+    meta["a"].append(meta)
+    assert Layout(lay.graph, lay.pos, meta).meta is meta
+    meta["a"].append({3: 0})
+    with pytest.raises(ParameterError, match="^meta key 3 must be a string, not int$"):
+        Layout(lay.graph, lay.pos, meta)
+
+
+@pytest.mark.parametrize("radius, text", [(0, "0.0"), (-1, "-1.0"), (math.inf, "inf"), (math.nan, "nan")])
+def test_a_radius_is_finite_and_positive_by_one_rule_on_the_sphere_and_in_inversion(radius, text, capsys):
+    with pytest.raises(ParameterError, match=rf"^sphere radius must be finite and positive, not {text}$"):
+        _spherical(radius=radius)
+    refusal = f"inversion radius must be finite and positive, not {text}"
+    with pytest.raises(ParameterError, match=f"^{refusal}$"):
+        invert_pointline([[0.0, 0.0], [1.0, 0.0]], [(0, 1)], CENTER, radius=radius)
+    capsys.readouterr()
+    assert main(["invert", "pappus", "--center", "0.4", "0.37", "--radius", str(radius)]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+
+
 def _refusal(fn, value):
     with pytest.raises(ParameterError) as caught:
         fn(value)

@@ -289,8 +289,10 @@ def test_product_map_refuses_coordinates_that_collide():
 
     k2 = complete_graph(2)
     c4 = cycle_graph(4)
-    assert graphs._product_map(c4, [k2, k2], [0, 0, 0, 0], [[0, 0], [1, 0], [0, 0], [1, 0]]) is None
-    good = graphs._product_map(c4, [k2, k2], [0, 1, 1, 0], [[0, 0], [1, 0], [1, 1], [0, 1]])
+    assert c4.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+    # the edge classes, then each factor's coordinate of vertices 0..3
+    assert graphs._product_map(c4, [k2, k2], [list(c4.edges), []], [[0, 1, 0, 1], [0, 0, 0, 0]]) is None
+    good = graphs._product_map(c4, [k2, k2], [[(0, 1), (2, 3)], [(0, 3), (1, 2)]], [[0, 1, 1, 0], [0, 0, 1, 1]])
     assert good.is_isomorphism(c4, cartesian_product(k2, k2))
 
 

@@ -408,7 +408,9 @@ def test_solver_reports_orbit_sets_ruled_out():
 def test_symmetric_solve_polishes_only_ring_solutions(monkeypatch):
     """A ring start above TOL_INCIDENCE fails as it stands: a polish from it
     may reach a unit-distance drawing that is not rotational."""
-    monkeypatch.setattr(realization, "_solve_orbits", lambda g, ring, offset, x0, max_iter: x0)
+    solve = realization._solve_orbits
+    # every ring solution scaled by 1.1, so its edges within an orbit grow to 1.1
+    monkeypatch.setattr(realization, "_solve_orbits", lambda *args, **kwargs: 1.1 * solve(*args, **kwargs))
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(petersen_graph(), seed=0, symmetry=5, restarts=4)
     assert (exc.value.restarts, exc.value.skipped) == (24, 0)
@@ -563,7 +565,7 @@ def test_solver_product_start():
     # a cycle is drawn in its walk order, whatever the vertex numbering
     perm = np.random.default_rng(0).permutation(7)
     c7 = Graph(7, tuple((perm[u], perm[v]) for u, v in cycle_graph(7).edges))
-    assert unit_edge_residual(realization._factor_layout(c7, 0, 1)) < 1e-15
+    assert unit_edge_residual(Layout(c7, realization._factor_positions(c7, 0, 1))) < 1e-15
     perm = np.random.default_rng(0).permutation(18)
     g = Graph(18, tuple((perm[u], perm[v]) for u, v in prism_graph(9).edges))
     lay, res = solve_unit_distance(g, seed=0)
