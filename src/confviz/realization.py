@@ -250,8 +250,6 @@ def _near_pairs(x: np.ndarray, y: np.ndarray, t: float) -> tuple[np.ndarray, np.
     order = np.argsort(x, kind="stable")
     xs = x[order]
     count = xs.searchsorted(xs + t * (1.0 + 2.0**-20), side="right") - np.arange(1, len(xs) + 1)
-    if not count.any():  # no candidate, so no pair
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     # candidate k of sorted point i is sorted point i + 1 + k
     i = np.repeat(np.arange(len(xs)), count)
     a, b = order[i], order[i + np.arange(1, len(i) + 1) - np.repeat(np.cumsum(count) - count, count)]
@@ -470,11 +468,11 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_coordinates(
-    g: Graph, pos0: np.ndarray, max_iter: int, edges: tuple[np.ndarray, np.ndarray] | None = None
+    g: Graph, pos0: np.ndarray, max_iter: int, edges: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """pos0 polished by LM towards unit edges; edges is g's (eu, ev) table
-    from _edge_arrays, built here when the caller passes none."""
-    eu, ev = _edge_arrays(g) if edges is None else edges
+    from _edge_arrays."""
+    eu, ev = edges
 
     def resid(x):
         p = x.reshape(-1, 2)

@@ -632,7 +632,7 @@ def solve_unit_distance(g, *, seed=None, symmetry=None, tol=TOL_INCIDENCE, max_i
                 x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=m)
                 x = _solve_orbits(g, orbits, k, x0, max_iter)
                 pos = _orbit_positions(x, orbits, k, g.order)
-                pos = _solve_coordinates(g, pos, max_iter)  # polish off the ansatz
+                pos = _solve_coordinates(g, pos, max_iter, _edge_arrays(g))  # polish off the ansatz
                 layout = Layout(g, pos, {})
                 residual = unit_edge_residual(layout)
                 best = min(best, residual)
@@ -651,7 +651,7 @@ def solve_unit_distance(g, *, seed=None, symmetry=None, tol=TOL_INCIDENCE, max_i
     span = 1.0 + 0.25 * math.sqrt(g.order)
     for _ in range(restarts):
         pos0 = rng.uniform(-span, span, size=(g.order, 2))
-        pos = _solve_coordinates(g, pos0, max_iter)
+        pos = _solve_coordinates(g, pos0, max_iter, _edge_arrays(g))
         layout = Layout(g, pos, {})
         residual = unit_edge_residual(layout)
         best = min(best, residual)

@@ -207,7 +207,7 @@ def _check_polish_skip(g, starts, seed):
         for eps in (0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
             pos = start + eps * rng.standard_normal(start.shape)
             r, want = _edge_lm(g, pos)
-            got = realization._solve_coordinates(g, pos, realization._LM_MAX_ITER)
+            got = realization._solve_coordinates(g, pos, realization._LM_MAX_ITER, _edge_arrays(g))
             skips = bool(maxdeg * np.max(np.abs(r)) < 0.25e-12)
             sides[skips] += 1
             if skips:
