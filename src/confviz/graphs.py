@@ -7,8 +7,7 @@ The public constructor checks and normalises its edges, for files and
 hand-built graphs alike. The named families, line_graph, cartesian_product,
 the factors of cartesian_factors, kronecker_cover and incidence.levi_graph
 build edges that are canonical already (distinct, in range, u < v, sorted,
-Python ints) and set them through Graph._canonical without checking them
-again.
+Python ints) and set them through _unchecked without checking them again.
 """
 
 from __future__ import annotations
@@ -22,6 +21,10 @@ from functools import cached_property
 from itertools import chain, combinations, repeat
 
 from .errors import ParameterError
+
+# the most vertices a graph, or points a structure, may have: far above the
+# ladder's 1,024, so that a file naming 2**31 of them is refused at once
+MAX_ORDER = 1 << 20
 
 
 def _integer(x, what: str) -> int:
@@ -41,6 +44,24 @@ def _count(x, what: str) -> int:
     if n < 0:
         raise ParameterError(f"{what} must be non-negative")
     return n
+
+
+def _size(x, what: str) -> int:
+    """x as an int when it is a non-negative integer no larger than MAX_ORDER."""
+    n = _count(x, what)
+    if n > MAX_ORDER:
+        raise ParameterError(f"{what} {n} is above the limit of {MAX_ORDER}")
+    return n
+
+
+def _unchecked(cls, **fields):
+    """An instance of the dataclass cls with these fields, set as given and
+    checked by no one: for the library's builders, whose fields come out as
+    the constructor would leave them, so that cls(**fields) would build an
+    equal object."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _int_rows(rows, what: str, table: str = "table") -> tuple:
@@ -105,7 +126,7 @@ class Graph:
 
     The constructor refuses non-integer entries, loops, edges outside
     0..order-1 and labels other than a sequence of order strings. The
-    library's own builders (see the module docstring) skip it by _canonical.
+    library's own builders (see the module docstring) skip it by _unchecked.
     """
 
     order: int
@@ -113,7 +134,7 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "order", _count(self.order, "graph order"))
+        object.__setattr__(self, "order", _size(self.order, "graph order"))
         seen = set()
         for e in _int_rows(self.edges, "edge entry", "edges"):
             try:
@@ -136,18 +157,6 @@ class Graph:
             if len(labels) != self.order:
                 raise ParameterError("label count must match order")
             object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def _canonical(cls, order: int, edges: tuple[tuple[int, int], ...], labels: tuple[str, ...] | None) -> Graph:
-        """The graph with these fields, set as given and checked by no one:
-        for callers whose edges are distinct pairs u < v of Python ints in
-        0..order-1, in increasing order, and whose labels are order strings
-        or None, so that the public constructor would return the same graph."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "order", order)
-        object.__setattr__(g, "edges", edges)
-        object.__setattr__(g, "labels", labels)
-        return g
 
     @property
     def size(self) -> int:
@@ -279,21 +288,22 @@ def cycle_graph(n: int) -> Graph:
     n = _integer(n, "n")
     if n < 3:
         raise ParameterError("cycle needs n >= 3")
-    return Graph._canonical(n, _ring_edges(n, 1, 0), tuple(str(i) for i in range(n)))
+    return _unchecked(Graph, order=n, edges=_ring_edges(n, 1, 0), labels=tuple(str(i) for i in range(n)))
 
 
 def path_graph(n: int) -> Graph:
     n = _integer(n, "n")
     if n < 1:
         raise ParameterError("path needs n >= 1")
-    return Graph._canonical(n, tuple((i, i + 1) for i in range(n - 1)), tuple(str(i) for i in range(n)))
+    edges = tuple((i, i + 1) for i in range(n - 1))
+    return _unchecked(Graph, order=n, edges=edges, labels=tuple(str(i) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
     n = _integer(n, "n")
     if n < 1:
         raise ParameterError("complete graph needs n >= 1")
-    return Graph._canonical(n, tuple(combinations(range(n), 2)), tuple(str(i) for i in range(n)))
+    return _unchecked(Graph, order=n, edges=tuple(combinations(range(n), 2)), labels=tuple(str(i) for i in range(n)))
 
 
 def prism_graph(n: int) -> Graph:
@@ -302,7 +312,7 @@ def prism_graph(n: int) -> Graph:
     if n < 3:
         raise ParameterError("prism needs n >= 3")
     labels = tuple(f"(0,{i})" for i in range(n)) + tuple(f"(1,{i})" for i in range(n))
-    return Graph._canonical(2 * n, _spoked_rings(n, 1), labels)
+    return _unchecked(Graph, order=2 * n, edges=_spoked_rings(n, 1), labels=labels)
 
 
 def hypercube_graph(d: int) -> Graph:
@@ -312,7 +322,7 @@ def hypercube_graph(d: int) -> Graph:
         raise ParameterError("hypercube needs d >= 1")
     n = 1 << d
     edges = tuple((v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b))
-    return Graph._canonical(n, edges, tuple(format(v, f"0{d}b") for v in range(n)))
+    return _unchecked(Graph, order=n, edges=edges, labels=tuple(format(v, f"0{d}b") for v in range(n)))
 
 
 def _subset_label(s: tuple[int, ...]) -> str:
@@ -334,7 +344,7 @@ def kneser_graph(n: int, k: int) -> Graph:
         for t in combinations([x for x in range(n) if x not in s], k)
         if index[t] > i
     )
-    return Graph._canonical(len(verts), edges, tuple(_subset_label(s) for s in verts))
+    return _unchecked(Graph, order=len(verts), edges=edges, labels=tuple(_subset_label(s) for s in verts))
 
 
 def bipartite_kneser_graph(n: int, k: int) -> Graph:
@@ -358,7 +368,7 @@ def bipartite_kneser_graph(n: int, k: int) -> Graph:
         for u in reversed(list(combinations([x for x in range(n) if x not in s], k)))
     )
     labels = tuple(_subset_label(s) for s in small) + tuple(_subset_label(t) for t in large)
-    return Graph._canonical(ns + len(large), edges, labels)
+    return _unchecked(Graph, order=ns + len(large), edges=edges, labels=labels)
 
 
 def odd_graph(m: int) -> Graph:
@@ -383,7 +393,7 @@ def generalized_petersen_graph(n: int, r: int) -> Graph:
     if n < 3 or r < 1 or 2 * r >= n:
         raise ParameterError("generalized petersen needs n >= 3 and 1 <= r < n/2")
     labels = tuple(f"o{i}" for i in range(n)) + tuple(f"i{i}" for i in range(n))
-    return Graph._canonical(2 * n, _spoked_rings(n, r), labels)
+    return _unchecked(Graph, order=2 * n, edges=_spoked_rings(n, r), labels=labels)
 
 
 def dodecahedron_graph() -> Graph:
@@ -484,7 +494,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     labels = tuple(
         f"({g.label(a)},{h.label(x)})" for a in range(g.order) for x in range(h.order)
     )
-    return Graph._canonical(g.order * m, tuple(edges), labels)
+    return _unchecked(Graph, order=g.order * m, edges=tuple(edges), labels=labels)
 
 
 def _class_roots(n: int, pairs) -> list[int]:
@@ -565,7 +575,7 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
         at = {v: i for i, v in enumerate(layer)}
         # at is increasing, so the layer's edges keep g's order
         edges = tuple((at[u], at[v]) for u, v in mine if u in at)
-        factors.append(Graph._canonical(len(layer), edges, tuple(g.label(v) for v in layer)))
+        factors.append(_unchecked(Graph, order=len(layer), edges=edges, labels=tuple(g.label(v) for v in layer)))
         # each component without class-c edges meets the layer once, there
         # at the vertex's coordinate
         across = _class_roots(g.order, chain.from_iterable(by_class[:c] + by_class[c + 1:]))
@@ -623,7 +633,7 @@ def line_graph(g: Graph) -> Graph:
         inc[v].append(i)
     edges = sorted(chain.from_iterable(map(combinations, inc, repeat(2))))
     labels = tuple(f"{g.label(u)}~{g.label(v)}" for u, v in g.edges)
-    return Graph._canonical(g.size, tuple(edges), labels)
+    return _unchecked(Graph, order=g.size, edges=tuple(edges), labels=labels)
 
 
 def kronecker_cover(g: Graph) -> tuple[Graph, Bipartition]:
@@ -633,7 +643,7 @@ def kronecker_cover(g: Graph) -> tuple[Graph, Bipartition]:
     labels = tuple(f"({g.label(v)},0)" for v in range(n)) + tuple(
         f"({g.label(v)},1)" for v in range(n)
     )
-    cover = Graph._canonical(2 * n, edges, labels)
+    cover = _unchecked(Graph, order=2 * n, edges=edges, labels=labels)
     return cover, Bipartition((0,) * n + (1,) * n)
 
 

@@ -12,9 +12,9 @@ blocks through them and back, and shared by classify and decompose.
 
 The public constructor checks and normalises its blocks, for files and
 hand-built structures alike. v_construct and decompose build blocks that
-are canonical already (sorted, non-empty, in range and distinct) and set
-them through IncidenceStructure._canonical without checking them again;
-levi_graph builds its graph through Graph._canonical.
+are canonical already (sorted, non-empty, in range and distinct), as
+levi_graph builds canonical edges, and all three set their fields through
+graphs._unchecked without checking them again.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from .graphs import (
     Bipartition,
     Graph,
     VertexMap,
-    _count,
     _int_rows,
+    _size,
+    _unchecked,
     bfs_layers,
     is_admissible,
     pair_in_two,
@@ -50,7 +51,7 @@ class IncidenceStructure:
     provenance: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _count(self.points, "point count"))
+        object.__setattr__(self, "points", _size(self.points, "point count"))
         if not isinstance(self.provenance, str):
             raise ParameterError(f"provenance must be a string, not {type(self.provenance).__name__}")
         norm = []
@@ -66,18 +67,6 @@ class IncidenceStructure:
         if len(set(norm)) != len(norm):
             raise ParameterError("blocks must be pairwise distinct as sets")
         object.__setattr__(self, "blocks", tuple(norm))
-
-    @classmethod
-    def _canonical(cls, points: int, blocks: tuple[tuple[int, ...], ...], provenance: str) -> IncidenceStructure:
-        """The structure with these fields, set as given and checked by no
-        one: for callers whose blocks are already non-empty sorted tuples of
-        distinct points in 0..points-1, pairwise distinct, so that the
-        public constructor would return the same structure."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "points", points)
-        object.__setattr__(c, "blocks", blocks)
-        object.__setattr__(c, "provenance", provenance)
-        return c
 
     @property
     def block_count(self) -> int:
@@ -186,11 +175,9 @@ def v_construct(g: Graph, collapse: bool = False) -> IncidenceStructure:
                 "pass collapse=True to merge duplicate blocks",
                 pair=pair,
             )
-    return IncidenceStructure._canonical(
-        g.order,
-        tuple(dict.fromkeys(g.adjacency)) if collapse else g.adjacency,
-        f"v_construct(order={g.order}, size={g.size}, collapse={collapse})",
-    )
+    blocks = tuple(dict.fromkeys(g.adjacency)) if collapse else g.adjacency
+    provenance = f"v_construct(order={g.order}, size={g.size}, collapse={collapse})"
+    return _unchecked(IncidenceStructure, points=g.order, blocks=blocks, provenance=provenance)
 
 
 def levi_graph(c: IncidenceStructure) -> tuple[Graph, Bipartition]:
@@ -199,7 +186,7 @@ def levi_graph(c: IncidenceStructure) -> tuple[Graph, Bipartition]:
     n = c.points
     labels = tuple(f"p{i}" for i in range(n)) + tuple(f"b{j}" for j in range(c.block_count))
     edges = tuple((p, n + j) for p, js in enumerate(_blocks_through(c)) for j in js)
-    g = Graph._canonical(n + c.block_count, edges, labels)
+    g = _unchecked(Graph, order=n + c.block_count, edges=edges, labels=labels)
     return g, Bipartition((0,) * n + (1,) * c.block_count)
 
 
@@ -282,11 +269,8 @@ def decompose(c: IncidenceStructure) -> list[IncidenceStructure]:
         else:
             remap = dict(zip(pts, range(k)))
             blocks = tuple(tuple(map(remap.__getitem__, c.blocks[j])) for j in blks)
-        out.append(
-            IncidenceStructure._canonical(
-                k, blocks, f"{c.provenance} | component {idx}: points {pts}, blocks {blks}"
-            )
-        )
+        provenance = f"{c.provenance} | component {idx}: points {pts}, blocks {blks}"
+        out.append(_unchecked(IncidenceStructure, points=k, blocks=blocks, provenance=provenance))
     return out
 
 

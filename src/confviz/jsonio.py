@@ -9,7 +9,8 @@ Readers only map an artifact's fields onto the constructor of its class,
 which checks them as it checks a hand-built one: an index or a count only
 as an integer (not 1.0, true or "1"), a coordinate or a radius only as a
 number within float's range (not true or "1"), a label or provenance only
-as a string, and meta, flags or tols only as an object with string keys.
+as a string, and meta, flags or tols only as a table that a file gives
+back equal to itself.
 
 Every output file, JSON or SVG, goes through `write_text`. It encodes the
 whole text first, so an encoding error leaves an existing file as it was.
@@ -41,12 +42,16 @@ def _tolist(value: Any) -> Any:
 
 
 def dumps(obj: Any) -> str:
+    """obj as canonical JSON text. A value that cannot be written is a
+    ParameterError with the encoder's reason, save that a NaN or an
+    infinity is named a non-finite number."""
     try:
         return json.dumps(obj, allow_nan=False, default=_tolist)
-    except ValueError as exc:
-        raise ParameterError("non-finite number in artifact") from exc
-    except TypeError as exc:
-        raise ParameterError(str(exc)) from exc
+    except (ValueError, TypeError, RecursionError) as exc:
+        reason = str(exc)
+        if reason.startswith("Out of range float values"):
+            reason = "non-finite number in artifact"
+        raise ParameterError(reason) from exc
 
 
 def write_text(path: str, text: str) -> None:

@@ -8,8 +8,9 @@ its recorded parameters.
 
 from __future__ import annotations
 
-import copy
+import json
 import math
+import reprlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -25,9 +26,10 @@ from .errors import (
     ParameterError,
     SamplingError,
 )
-from .graphs import Graph, _count, _int_rows, _integer, _real, _real_rows, build_family
+from .graphs import Graph, _count, _int_rows, _integer, _real, _real_rows, _unchecked, build_family
 from .graphs import cartesian_factors, pair_in_two, prism_graph, structure_report
 from .incidence import IncidenceStructure
+from .jsonio import dumps
 
 TOL_INCIDENCE = 1e-9
 TOL_SEPARATION = 1e-6
@@ -55,7 +57,9 @@ class Layout:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _mapping(self.meta, "meta")
+        if not isinstance(self.graph, Graph):
+            raise ParameterError(f"graph must be a Graph, not {type(self.graph).__name__}")
+        _round_trip(self.meta, "meta")
         shape = "position table must be (order, 2)"
         self.pos = _float_table(self.pos, "position entry", shape, 2, "positions must be finite")
         if len(self.pos) != self.graph.order:
@@ -75,8 +79,8 @@ class PointCircleConfig:
 
     The constructor checks and normalises every field, for files and
     hand-built configurations alike. circles_from_layout, whose fields come
-    out canonical already, sets them through _canonical without checking
-    them again.
+    out canonical already, sets them through graphs._unchecked without
+    checking them again.
     """
 
     points: np.ndarray
@@ -92,8 +96,8 @@ class PointCircleConfig:
         table = _circle_table(*_float_table(rows, "circle entry", "circles must be (cx, cy, r) rows", 3).T)
         _refuse_bad_circles(table)
         table.flags.writeable = False  # shared by the copies check_flags makes
-        _mapping(self.flags, "flags")
-        _mapping(self.tols, "tols")
+        _round_trip(self.flags, "flags")
+        _round_trip(self.tols, "tols")
         self.circles = table
         shape, finite = "points must be an (n, 2) table", "points must be finite"
         self.points = _float_table(self.points, "point entry", shape, 2, finite)
@@ -103,22 +107,6 @@ class PointCircleConfig:
         key = np.sort(p * c + k)
         p, k = np.divmod(key[np.diff(key, prepend=-1) != 0], c)
         self.incidence = tuple(zip(p.tolist(), k.tolist()))
-
-    @classmethod
-    def _canonical(
-        cls, points: np.ndarray, circles: np.ndarray, incidence: tuple[tuple[int, int], ...], tols: dict
-    ) -> PointCircleConfig:
-        """The configuration with these fields and no flags, set as given
-        and checked by no one: for callers whose points are a float (n, 2)
-        table of finite rows, whose circles are a fresh (C,) table of finite
-        rows with r > 0, marked read-only here, and whose incidence is a
-        tuple of distinct (point, circle) pairs of Python ints in range, in
-        increasing order, so that the public constructor would build the
-        same configuration."""
-        cfg = object.__new__(cls)
-        circles.flags.writeable = False
-        cfg.points, cfg.circles, cfg.incidence, cfg.flags, cfg.tols = points, circles, incidence, {}, tols
-        return cfg
 
     def max_incidence_residual(self) -> float:
         if not self.incidence:
@@ -142,26 +130,23 @@ def _float_table(rows, what: str, shape: str, width: int, finite: str | None = N
     return table
 
 
-def _mapping(value, name: str) -> None:
-    """Refuse value unless it is a mapping whose keys are strings, as are
-    those of every mapping within it, in lists and tuples too: a file
-    keeps any other key only as its text."""
+def _round_trip(value, name: str) -> None:
+    """Refuse value unless it is a mapping that a file gives back: its text,
+    written by jsonio.dumps and read back by json.loads, compares equal to
+    it. So a tuple, a non-string key, a NaN, a table that holds itself or a
+    Fraction is refused, each with what a file would do to it."""
     if not isinstance(value, Mapping):
         raise ParameterError(f"{name} must be a mapping, not {type(value).__name__}")
-    # grows as it is walked, so each nesting level is walked in turn; a
-    # container met again, as in a table that holds itself, is walked once
-    items, seen = [value], set()
-    for item in items:
-        if not isinstance(item, (Mapping, list, tuple)) or id(item) in seen:
-            continue
-        seen.add(id(item))
-        if isinstance(item, Mapping):
-            for key in item:
-                if not isinstance(key, str):
-                    raise ParameterError(f"{name} key {key!r} must be a string, not {type(key).__name__}")
-            items.extend(item.values())
-        else:
-            items.extend(item)
+    try:
+        back = json.loads(dumps(value))
+    except ParameterError as exc:
+        raise ParameterError(f"{name} cannot be written to a file: {exc}") from None
+    try:
+        same = back == value
+    except ValueError:  # a numpy array of several entries, compared with its list
+        same = False
+    if not same:
+        raise ParameterError(f"{name} {reprlib.repr(value)} reads back from a file as {reprlib.repr(back)}")
 
 
 def _incidence_pairs(incidence, points: int, circles: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,10 +178,12 @@ def _refuse_bad_circles(table: np.ndarray) -> None:
         )
 
 
-def _finite(value, what: str) -> None:
-    """Refuse value unless it is a finite number, by the rule of _real."""
-    if not math.isfinite(_real(value, what)):
+def _finite(value, what: str) -> float:
+    """value as a float when it is a finite number, by the rule of _real."""
+    x = _real(value, what)
+    if not math.isfinite(x):
         raise ParameterError(f"{what} must be finite")
+    return x
 
 
 def _radius(value, what: str) -> float:
@@ -435,8 +422,7 @@ def layout_gen_cuboctahedron(n: int, r_outer: float = 2.0, r_inner: float = 1.0)
     n = _integer(n, "n")
     if n < 3:
         raise ParameterError("gen_cuboctahedron layout needs n >= 3")
-    _finite(r_outer, "r_outer")
-    _finite(r_inner, "r_inner")
+    r_outer, r_inner = _finite(r_outer, "r_outer"), _finite(r_inner, "r_inner")
     if not (r_outer > r_inner > 0.0):
         raise ParameterError("need r_outer > r_inner > 0")
     rings = [r_outer * math.cos(math.pi / n), (r_outer + r_inner) / 2.0, r_inner * math.cos(math.pi / n)]
@@ -794,8 +780,8 @@ def circles_from_layout(
     On either route, circles whose centres and radii both lie within
     TOL_SEPARATION coincide and are refused, found by one O(n log n) sweep
     (_near_pairs). A tol that is not a finite number >= 0 is a ParameterError.
-    The result is built through PointCircleConfig._canonical; only fitted
-    circles are checked, as the constructor would, for finite rows and r > 0.
+    The result is built through graphs._unchecked; only fitted circles are
+    checked, as the constructor would, for finite rows and r > 0.
     """
     tol = _tolerance("incidence", tol)
     g = layout.graph
@@ -817,10 +803,12 @@ def circles_from_layout(
     table = _circle_table(cx, cy, r)
     if not unit:  # unit circles are about validated positions
         _refuse_bad_circles(table)
+    table.flags.writeable = False
     # point v lies on circle w exactly when w is a neighbour of v, so the
     # pairs (v, w) of the adjacency lists are the incidences in order
-    return PointCircleConfig._canonical(
-        pos.copy(), table, tuple(zip(owner.tolist(), nbr.tolist())), tol_record(tol)
+    incidence = tuple(zip(owner.tolist(), nbr.tolist()))
+    return _unchecked(
+        PointCircleConfig, points=pos.copy(), circles=table, incidence=incidence, flags={}, tols=tol_record(tol)
     )
 
 
@@ -1179,9 +1167,9 @@ def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
         "degenerate": degenerate,
     }
     # cfg was validated when it was built: copy it rather than build it anew
-    out = copy.copy(cfg)
-    out.points, out.flags, out.tols = cfg.points.copy(), flags, t
-    return out
+    return _unchecked(
+        PointCircleConfig, points=cfg.points.copy(), circles=cfg.circles, incidence=cfg.incidence, flags=flags, tols=t
+    )
 
 
 # ---------------------------------------------------------------------------

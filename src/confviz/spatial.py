@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError, DegeneracyError, ParameterError, PolePlacementError
-from .graphs import POLYTOPE_NAMES, Graph, structure_report
+from .graphs import POLYTOPE_NAMES, Graph, _unchecked, structure_report
 
 # realization before numpy, which it imports itself: compiling realization.py
 # from source after numpy has loaded leaves a process about 2 MB larger in
@@ -48,6 +48,8 @@ class PolytopeSkeleton:
     coords: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.graph, Graph):
+            raise ParameterError(f"graph must be a Graph, not {type(self.graph).__name__}")
         shape = "coordinate table must be a finite (order, 3) array"
         self.coords = _float_table(self.coords, "coordinate entry", shape, 3, shape)
         if len(self.coords) != self.graph.order:
@@ -73,7 +75,8 @@ class SphericalCircleConfig:
     _circle_cuts gives their centres and radii. The constructor checks every
     field, for files and hand-built configurations alike, and passes the
     circles through _plane_rows; sphere_circles, whose rows come out of it
-    already, skips that through _canonical, as a second pass can move a bit."""
+    already, skips that through graphs._unchecked, as a second pass can move
+    a bit."""
 
     center: np.ndarray
     radius: float
@@ -94,13 +97,6 @@ class SphericalCircleConfig:
         incidence = tuple(zip(p.tolist(), k.tolist()))
         self.points, self.center, self.radius, self.incidence = points, center, radius, incidence
         self.circles = _plane_rows(table[:, :3], table[:, 3])
-
-    @classmethod
-    def _canonical(cls, center, radius, points, circles, incidence) -> SphericalCircleConfig:
-        """The configuration with these fields, set as given and checked by no one."""
-        cfg = object.__new__(cls)
-        cfg.center, cfg.radius, cfg.points, cfg.circles, cfg.incidence = center, radius, points, circles, incidence
-        return cfg
 
 
 @dataclass(frozen=True)
@@ -317,7 +313,8 @@ def sphere_circles(p: PolytopeSkeleton) -> SphericalCircleConfig:
     if off:
         v, d = off[0], dist[off[0]]
         raise DegeneracyError(f"vertex {v} misses the circumsphere ({d:.6g} from the centre, radius {radius:.6g})")
-    cfg = SphericalCircleConfig._canonical(center, radius, ppc.points, ppc.planes, ppc.incidence)
+    fields = dict(center=center, radius=radius, points=ppc.points, circles=ppc.planes, incidence=ppc.incidence)
+    cfg = _unchecked(SphericalCircleConfig, **fields)
     _circle_cuts(cfg)  # refuses a plane that misses the sphere
     return cfg
 

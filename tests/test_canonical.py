@@ -3,6 +3,7 @@ re-checking them, held to what the checking constructors give, and the
 counts and entries those constructors take."""
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -360,10 +361,12 @@ def test_layout_sizes_and_radii_are_checked_before_they_are_compared(make, messa
         make()
 
 
-def test_layout_radii_keep_their_type_in_meta():
-    assert layout_gen_cuboctahedron(5, 2, np.float64(1.0)).meta == {
-        "generator": "gen_cuboctahedron", "n": 5, "r_outer": 2, "r_inner": 1.0,
-    }
+@pytest.mark.parametrize("r_outer, r_inner", [(2, np.float64(1.0)), (Fraction(2), Fraction(1)), (2.0, np.float32(1.0))])
+def test_layout_radii_are_recorded_as_the_floats_they_are_checked_as(r_outer, r_inner):
+    # a Fraction radius once built a layout that save refused ("cannot serialize Fraction")
+    meta = layout_gen_cuboctahedron(5, r_outer, r_inner).meta
+    assert meta == {"generator": "gen_cuboctahedron", "n": 5, "r_outer": 2.0, "r_inner": 1.0}
+    assert type(meta["r_outer"]) is float and type(meta["r_inner"]) is float
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,16 @@ def test_dumps_rejects_non_finite():
         jsonio.dumps({"v": [1 + 2j]})
 
 
+def test_dumps_gives_the_encoder_reason_for_anything_but_a_non_finite_number():
+    # both were once reported as "non-finite number in artifact"
+    table = {"a": []}
+    table["a"].append(table)
+    with pytest.raises(ParameterError, match="^Circular reference detected$"):
+        jsonio.dumps(table)
+    with pytest.raises(ParameterError, match=r"^Exceeds the limit \(4300 digits\) for integer string conversion"):
+        jsonio.dumps({"n": 10**5000})
+
+
 def test_dumps_preserves_key_order():
     assert jsonio.dumps({"b": 1, "a": 2}) == '{"b": 1, "a": 2}'
 
