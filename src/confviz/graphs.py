@@ -25,6 +25,9 @@ from .errors import ParameterError
 # the most vertices a graph, or points a structure, may have: far above the
 # ladder's 1,024, so that a file naming 2**31 of them is refused at once
 MAX_ORDER = 1 << 20
+# the most edges a family builder makes: far above the ladder's largest,
+# hypercube(10) with 5,120, and complete(2048) still builds
+_MAX_SIZE = 1 << 21
 
 
 def _integer(x, what: str) -> int:
@@ -52,6 +55,22 @@ def _size(x, what: str) -> int:
     if n > MAX_ORDER:
         raise ParameterError(f"{what} {n} is above the limit of {MAX_ORDER}")
     return n
+
+
+def _bounded(order: int, size: int) -> None:
+    """Refuse a family member of more than MAX_ORDER vertices or _MAX_SIZE
+    edges, from its closed-form counts, before its builder allocates."""
+    _size(order, "graph order")
+    if size > _MAX_SIZE:
+        raise ParameterError(f"graph size {size} is above the limit of {_MAX_SIZE}")
+
+
+def _subset_count(n: int, k: int) -> int:
+    """C(n, k) for 1 <= k <= n/2, refused before a huge binomial is formed:
+    C(n, k) >= n, and C(n, k) >= C(2k, k) >= 2**k."""
+    if n > MAX_ORDER or k >= MAX_ORDER.bit_length():
+        raise ParameterError(f"graph order at least C({n},{k}) is above the limit of {MAX_ORDER}")
+    return math.comb(n, k)
 
 
 def _unchecked(cls, **fields):
@@ -288,6 +307,7 @@ def cycle_graph(n: int) -> Graph:
     n = _integer(n, "n")
     if n < 3:
         raise ParameterError("cycle needs n >= 3")
+    _bounded(n, n)
     return _unchecked(Graph, order=n, edges=_ring_edges(n, 1, 0), labels=tuple(str(i) for i in range(n)))
 
 
@@ -295,6 +315,7 @@ def path_graph(n: int) -> Graph:
     n = _integer(n, "n")
     if n < 1:
         raise ParameterError("path needs n >= 1")
+    _bounded(n, n - 1)
     edges = tuple((i, i + 1) for i in range(n - 1))
     return _unchecked(Graph, order=n, edges=edges, labels=tuple(str(i) for i in range(n)))
 
@@ -303,6 +324,7 @@ def complete_graph(n: int) -> Graph:
     n = _integer(n, "n")
     if n < 1:
         raise ParameterError("complete graph needs n >= 1")
+    _bounded(n, n * (n - 1) // 2)
     return _unchecked(Graph, order=n, edges=tuple(combinations(range(n), 2)), labels=tuple(str(i) for i in range(n)))
 
 
@@ -311,6 +333,7 @@ def prism_graph(n: int) -> Graph:
     n = _integer(n, "n")
     if n < 3:
         raise ParameterError("prism needs n >= 3")
+    _bounded(2 * n, 3 * n)
     labels = tuple(f"(0,{i})" for i in range(n)) + tuple(f"(1,{i})" for i in range(n))
     return _unchecked(Graph, order=2 * n, edges=_spoked_rings(n, 1), labels=labels)
 
@@ -320,7 +343,10 @@ def hypercube_graph(d: int) -> Graph:
     d = _integer(d, "d")
     if d < 1:
         raise ParameterError("hypercube needs d >= 1")
+    if d >= MAX_ORDER.bit_length():  # 2**d is past the limit: not worth forming
+        raise ParameterError(f"graph order 2**{d} is above the limit of {MAX_ORDER}")
     n = 1 << d
+    _bounded(n, d * n // 2)
     edges = tuple((v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b))
     return _unchecked(Graph, order=n, edges=edges, labels=tuple(format(v, f"0{d}b") for v in range(n)))
 
@@ -336,6 +362,8 @@ def kneser_graph(n: int, k: int) -> Graph:
     n, k = _integer(n, "n"), _integer(k, "k")
     if k < 1 or n < 2 * k:
         raise ParameterError("kneser needs 1 <= k and n >= 2k")
+    order = _subset_count(n, k)
+    _bounded(order, order * math.comb(n - k, k) // 2)
     verts = list(combinations(range(n), k))
     index = {s: i for i, s in enumerate(verts)}
     edges = tuple(
@@ -358,6 +386,8 @@ def bipartite_kneser_graph(n: int, k: int) -> Graph:
     n, k = _integer(n, "n"), _integer(k, "k")
     if k < 1 or n <= 2 * k:
         raise ParameterError("bipartite kneser needs 1 <= k and n > 2k")
+    half = _subset_count(n, k)
+    _bounded(2 * half, half * math.comb(n - k, k))
     small = list(combinations(range(n), k))
     large = list(combinations(range(n), n - k))
     ns = len(small)
@@ -392,6 +422,7 @@ def generalized_petersen_graph(n: int, r: int) -> Graph:
     n, r = _integer(n, "n"), _integer(r, "r")
     if n < 3 or r < 1 or 2 * r >= n:
         raise ParameterError("generalized petersen needs n >= 3 and 1 <= r < n/2")
+    _bounded(2 * n, 3 * n)
     labels = tuple(f"o{i}" for i in range(n)) + tuple(f"i{i}" for i in range(n))
     return _unchecked(Graph, order=2 * n, edges=_spoked_rings(n, r), labels=labels)
 
@@ -406,6 +437,7 @@ def gen_cuboctahedron_graph(n: int) -> Graph:
     n = _integer(n, "n")
     if n < 3:
         raise ParameterError("generalized cuboctahedron needs n >= 3")
+    _bounded(3 * n, 6 * n)
     return line_graph(prism_graph(n))
 
 

@@ -237,7 +237,9 @@ def read(path: str, *kinds: str):
         raise ParameterError(f"no such file: {path}")
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc.strerror or exc}")
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or an integer past int's digit limit
+    # JSONDecodeError, UnicodeDecodeError, an integer past int's digit limit,
+    # or arrays and objects nested past the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParameterError(f"{path} is not valid JSON: {exc}")
     kind = detect_kind(obj)
     if kind not in kinds:

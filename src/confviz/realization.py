@@ -429,8 +429,8 @@ def layout_gen_cuboctahedron(n: int, r_outer: float = 2.0, r_inner: float = 1.0)
     for a, b in combinations(rings, 2):
         if abs(a - b) <= TOL_SEPARATION:
             raise ParameterError("ring radii collide; circles would coincide")
-    base = prism_graph(n)
     g = build_family("gen_cuboctahedron", n)
+    base = prism_graph(n)
     ang = 2.0 * math.pi * np.arange(n) / n
     outer = r_outer * np.column_stack([np.cos(ang), np.sin(ang)])
     inner = r_inner * np.column_stack([np.cos(ang), np.sin(ang)])
@@ -925,12 +925,15 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
         if np.any(np.abs(cross) <= _SAMPLE_MARGIN):
             rejections["collinear_block"] += 1
             continue
-        cx, cy, r = _circumcircles(p, q, s)
+        # the same cross product as _collinear's, whose bound, 1e-12 times the
+        # longest side squared, is at most 2e-12 in the unit square: every
+        # triple it would flag was rejected just above
+        cx, cy, r = _circumcircles(p, q, s, screened=True)
         # each circle has its own three points on it, so a fourth is foreign
         if np.any(np.bincount(_on_circles(*pts.T, cx, cy, r, _SAMPLE_MARGIN)[1], minlength=len(cx)) > 3):
             rejections["foreign_point"] += 1
             continue
-        if _triple_point_hits(cx, cy, r, pts, **tols) is None:
+        if _meet_census(cx, cy, r, pts, **tols)[1] is None:
             rejections["stray_meet_point"] += 1
             continue
         return PointCircleConfig(pts, _circle_table(cx, cy, r), incidence, flags={}, tols=tols)
@@ -947,12 +950,13 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
 
 def _meet_points(
     cx: np.ndarray, cy: np.ndarray, r: np.ndarray, cluster_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every pairwise circle intersection in one array pass.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(x, y, lead): every pairwise circle intersection in one array pass.
 
     Pairs come in combinations(range(C), 2) order: per pair base+off, then
     base-off, and the base alone for a pair tangent within cluster_tol; a
-    concentric or disjoint pair gives nothing.
+    concentric or disjoint pair gives nothing. So the first lead points are
+    circles 0 and 1's.
 
     The exact test below keeps a pair when h2 >= -cluster_tol**2, and
     -h2 >= (d - r_i - r_j)**2 / 4 once d > r_i + r_j, so no pair farther
@@ -966,7 +970,7 @@ def _meet_points(
     ri, rj = r[i], r[j]
     reach = (ri + rj + 2.0 * cluster_tol) * (1.0 + 1e-6)
     near = dx * dx + dy * dy <= reach * reach
-    i, dx, dy, ri, rj = i[near], dx[near], dy[near], ri[near], rj[near]
+    i, j, dx, dy, ri, rj = i[near], j[near], dx[near], dy[near], ri[near], rj[near]
     # math.hypot as in the scalar per-pair oracle: np.hypot differs from it
     # in the last bit on some inputs
     d = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=float, count=len(dx))
@@ -977,7 +981,7 @@ def _meet_points(
     h2 = ri2 - alpha * alpha
     eps = cluster_tol * cluster_tol
     meet = apart & (h2 >= -eps)
-    i, dx, dy, d, alpha, h2 = i[meet], dx[meet], dy[meet], d[meet], alpha[meet], h2[meet]
+    i, j, dx, dy, d, alpha, h2 = i[meet], j[meet], dx[meet], dy[meet], d[meet], alpha[meet], h2[meet]
     ux, uy = dx / d, dy / d
     bx, by = cx[i] + alpha * ux, cy[i] + alpha * uy
     two = h2 > eps
@@ -990,22 +994,22 @@ def _meet_points(
     y[:, 1] = by - offy
     keep = np.ones((len(h), 2), dtype=bool)
     keep[:, 1] = two
-    return x[keep], y[keep]
+    return x[keep], y[keep], int(np.count_nonzero(keep[j == 1]))  # j == 1 on (0, 1) alone
 
 
 # grid cell (a, b) hashes to a * _GRID_STRIDE + b; cell numbers stay within 2**30 + 1
 _GRID_STRIDE = 1 << 32
 
 
-def _thin(x: np.ndarray, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The points (x, y), in their order, with each tight grid cell taken
+def _thin(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the points (x, y) kept when each tight grid cell is taken
     once: the points are binned into square cells at least tol wide,
     counted from the lowest x and y (the fixed-radius near-neighbour grid of
     Bentley, Stanat and Williams, Inf. Process. Lett. 6, 1977), and a cell
     whose points span at most tol/2 in x and in y keeps only its first
     point, while any other cell keeps all of its points."""
     if len(x) == 0:
-        return x, y
+        return np.ones(0, dtype=bool)
     gx, gy = x - x.min(), y - y.min()
     # a hair wider than tol, against rounding in the division, and wide
     # enough for cell numbers below 2**30: cells widen on pictures past 2**30
@@ -1027,7 +1031,7 @@ def _thin(x: np.ndarray, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     drop[starts] = False
     keep = np.ones(len(x), dtype=bool)
     keep[members[drop]] = False
-    return x[keep], y[keep]
+    return keep
 
 
 def _offset_blocks(px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray):
@@ -1075,12 +1079,13 @@ def _on_circles(
     return tuple(map(np.concatenate, zip(*found)))
 
 
-def _triple_point_hits(
+def _meet_census(
     cx: np.ndarray, cy: np.ndarray, r: np.ndarray, pts: np.ndarray,
-    *, incidence: float, separation: float, cluster: float,
-) -> np.ndarray | None:
-    """Mask of the points at which three or more circles meet, or None when
-    such a meet point lies off the points; the keywords are tol_record()'s.
+    incidence: float, separation: float, cluster: float,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(lead, hits): the through-counts of circles 0 and 1's meet points,
+    and the mask of the points where three or more circles meet, or None
+    when one lies off the points. The tolerances are tol_record()'s.
 
     A meet point counts when more than two circles pass within
     max(incidence, cluster) of it: every circle, as a near-tangent one can
@@ -1088,17 +1093,21 @@ def _triple_point_hits(
     through a point make C(k, 2) meet points a few ulps apart, so _thin
     first takes each tight bunch of them once. No test depends on cell width.
     """
-    mx, my = _thin(*_meet_points(cx, cy, r, cluster), cluster)
+    mx, my, lead = _meet_points(cx, cy, r, cluster)
+    keep = _thin(mx, my, cluster)
+    # both of circles 0 and 1's points are counted, also where _thin drops one
+    counted = keep | (np.arange(len(mx)) < lead)
+    mx, my, keep = mx[counted], my[counted], keep[counted]
     through = np.bincount(_on_circles(mx, my, cx, cy, r, max(incidence, cluster))[0], minlength=len(mx))
-    tx, ty = mx[through > 2], my[through > 2]
+    tx, ty = mx[keep & (through > 2)], my[keep & (through > 2)]
     matched = np.zeros(len(pts), dtype=bool)
     for _, dx, dy in _offset_blocks(tx, ty, pts[:, 0], pts[:, 1]):
         dist = np.hypot(dx, dy, out=dx)
         hit = np.argmin(dist, axis=1)
         if np.any(dist[np.arange(len(hit)), hit] > max(cluster, separation)):
-            return None  # a triple point off the configuration
+            return through[:lead], None  # a triple point off the configuration
         matched[hit] = True
-    return matched
+    return through[:lead], matched
 
 
 def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
@@ -1109,16 +1118,18 @@ def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
     coincide with the configuration points.
 
     Cost, for C circles, n points and M <= C(C-1) meet points: one
-    O(n log n) sweep for degenerate (_near_pairs); array passes over the
-    C(C-1)/2 circle pairs; one grid pass over the meet points, O(M log M),
-    that takes each tight bunch once; and one point-on-circle query
-    (_on_circles) each for the n points, the meet points left and the first
-    two circles' meet points, O((n + M) C) in row blocks of _RESIDUAL_BLOCK
-    = 16384 entries, so that no (M, C) or (C, n) matrix is held, where a
-    squared-distance screen leaves the exact test to the pairs near a
-    circle. lineal then costs one pass over the m_k points on each circle k
-    and sum(m_k**2) set updates in pair_in_two. Hypercube(7), 128 circles
-    and 11,082 meet points, takes about 0.02 s on a 2-CPU container.
+    O(n log n) sweep for degenerate (_near_pairs), and one meet-point census
+    (_meet_census) that proper and determining both read: array passes over
+    the C(C-1)/2 circle pairs, one grid pass over the meet points,
+    O(M log M), that takes each tight bunch once, and one point-on-circle
+    query (_on_circles) for the meet points left. lineal makes the only
+    other query, for the n points. The two queries cost O((n + M) C) in row
+    blocks of _RESIDUAL_BLOCK = 16384 entries, so that no (M, C) or (C, n)
+    matrix is held, where a squared-distance screen leaves the exact test to
+    the pairs near a circle. lineal then costs one pass over the m_k points
+    on each circle k and sum(m_k**2) set updates in pair_in_two.
+    Hypercube(7), 128 circles and 11,082 meet points, takes about 0.013 s
+    on a 2-CPU container.
 
     Raises ParameterError for an empty configuration, or when the
     incidence, separation or cluster tolerance in tols is not a finite
@@ -1143,20 +1154,15 @@ def check_flags(cfg: PointCircleConfig) -> PointCircleConfig:
     isometric = bool(r.max() - r.min() <= tol_inc)
 
     # proper: some point on every circle exists iff it lies on the first two
-    qx, qy = _meet_points(cx[:2], cy[:2], r[:2], tol_clu)
-    through = np.bincount(_on_circles(qx, qy, cx, cy, r, max(tol_inc, tol_clu))[0], minlength=len(qx))
-    proper = len(cfg.circles) > 1 and not np.any(through == len(cfg.circles))
+    lead, hits = _meet_census(cx, cy, r, pts, tol_inc, tol_sep, tol_clu)
+    proper = len(cfg.circles) > 1 and not np.any(lead == len(cfg.circles))
+    determining = not degenerate and hits is not None and bool(hits.all())
 
     # lineal: no two circles share two points, by the rule classify applies
     # to blocks, the blocks here being the points on each circle
     p, k = _on_circles(*pts.T, cx, cy, r, tol_inc)
     members = iter(p[np.argsort(k, kind="stable")].tolist())
     lineal = not pair_in_two(tuple(islice(members, m)) for m in np.bincount(k, minlength=len(cx)).tolist())
-
-    hits = None
-    if not degenerate:
-        hits = _triple_point_hits(cx, cy, r, pts, incidence=tol_inc, separation=tol_sep, cluster=tol_clu)
-    determining = hits is not None and bool(hits.all())
 
     flags = {
         "proper": proper,

@@ -267,7 +267,7 @@ def through_counts(mx, my, cx, cy, r, t):
 
 
 def triple_point_hits(cx, cy, r, pts, *, incidence, separation, cluster):
-    """realization._triple_point_hits with every cluster's through-count
+    """realization._meet_census's hits with every cluster's through-count
     taken against every circle in one (clusters, C) matrix: the plain
     all-pairs count."""
     circles = [Circle(*c) for c in zip(cx.tolist(), cy.tolist(), r.tolist())]
@@ -888,7 +888,7 @@ def realize_n3(c: IncidenceStructure, seed: int = 0) -> PointCircleConfig:
         if np.any(np.count_nonzero(residual_matrix(cx, cy, r, pts) <= _SAMPLE_MARGIN, axis=1) > 3):
             rejections["foreign_point"] += 1
             continue
-        if realization._triple_point_hits(cx, cy, r, pts, **tols) is None:
+        if realization._meet_census(cx, cy, r, pts, **tols)[1] is None:
             rejections["stray_meet_point"] += 1
             continue
         return PointCircleConfig(points=pts, circles=circles, incidence=incidence, flags={}, tols=tols)

@@ -443,6 +443,15 @@ def test_unreadable_input_is_usage_error(tmp_path, capsys):
     assert "is not valid JSON" in err
 
 
+def test_json_nested_past_the_recursion_limit_is_usage_error(tmp_path, capsys):
+    # json.load raises RecursionError on it, which once exited 1 as "failed: ..."
+    path = tmp_path / "deep.json"
+    path.write_text('{"points": 3, "blocks": [[0, 1, 2]], "provenance": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, _, err = run(["verify", "type", str(path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {path} is not valid JSON: maximum recursion depth exceeded")
+
+
 def test_decompose_parts_keep_a_dotted_directory(tmp_path, capsys):
     c = str(tmp_path / "qc.json")
     assert run(["vconstruct", "hypercube(3)", "-o", c], capsys)[0] == 0

@@ -32,8 +32,8 @@ from confviz.pappus import derive_pappus_points
 from confviz.realization import (
     _meet_points,
     _on_circles,
+    _meet_census,
     _thin,
-    _triple_point_hits,
     TOL_CLUSTER,
     TOL_INCIDENCE,
     tol_record,
@@ -51,7 +51,7 @@ def assert_same_as_oracle(cfg):
     """Equal flags and bit-equal meet points."""
     assert check_flags(cfg).flags == oracles.check_flags(cfg).flags
     tol = cfg.tols.get("cluster", 1e-7)
-    x, y = _meet_points(*columns(cfg), tol)
+    x, y, _ = _meet_points(*columns(cfg), tol)
     meets = oracles.meet_points(oracles.circles_of(cfg), tol)
     assert np.array_equal(np.column_stack([x, y]), np.array(meets).reshape(-1, 2))
 
@@ -199,7 +199,7 @@ def test_flags_match_scalar_oracle(name):
     cfg = oracles.circles_from_layout(FROZEN_LAYOUTS[name]())
     assert check_flags(cfg).flags == flags
     tol = cfg.tols.get("cluster", 1e-7)
-    x, y = _meet_points(*columns(cfg), tol)
+    x, y, _ = _meet_points(*columns(cfg), tol)
     assert _sha256(x, y) == meet_digest
     assert check_flags(FIXTURES[name]()).flags == flags
 
@@ -216,7 +216,7 @@ def test_near_tangent_circle_counts_through_a_meet_point():
     for other in circles[:2]:
         for meet in oracles.circle_pair_intersections(circles[2], other):
             assert math.hypot(*meet) > 4.0 * tols["cluster"]
-    got = _triple_point_hits(cx, cy, r, cfg.points, **tols)
+    got = _meet_census(cx, cy, r, cfg.points, **tols)[1]
     assert got is not None and got.tolist() == [True]
     assert np.array_equal(got, oracles.triple_point_hits(cx, cy, r, cfg.points, **tols))
     assert check_flags(cfg).flags["determining"]
@@ -309,7 +309,7 @@ def crowded_near_meets(draw):
 def test_triple_points_match_the_clustering_oracle(case):
     cx, cy, r, pts = case
     tols = tol_record()
-    got = _triple_point_hits(cx, cy, r, pts, **tols)
+    got = _meet_census(cx, cy, r, pts, **tols)[1]
     want = oracles.triple_point_hits(cx, cy, r, pts, **tols)
     assert (got is None) == (want is None)
     assert want is None or np.array_equal(got, want)
@@ -322,9 +322,7 @@ def test_thin_keeps_every_point_of_a_loose_cell():
     tol = 1e-7
     x = np.array([0.3, 0.0, 0.6, 4.2, 4.6, 4.4, 7.1, 7.1]) * tol
     y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.1, 7.8]) * tol
-    tx, ty = _thin(x, y, tol)
-    keep = [0, 1, 2, 3, 6, 7]
-    assert tx.tolist() == x[keep].tolist() and ty.tolist() == y[keep].tolist()
+    assert np.flatnonzero(_thin(x, y, tol)).tolist() == [0, 1, 2, 3, 6, 7]
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e2, 1e4])
@@ -441,7 +439,7 @@ def pairs_at_the_meeting_edge(draw):
 @given(pairs_at_the_meeting_edge())
 def test_meet_points_keep_every_pair_at_the_meeting_edge(case):
     circles, tol = case
-    x, y = _meet_points(*oracles.circle_arrays(circles), tol)
+    x, y, _ = _meet_points(*oracles.circle_arrays(circles), tol)
     meets = oracles.meet_points(circles, tol)
     assert np.array_equal(np.column_stack([x, y]), np.array(meets).reshape(-1, 2))
 
@@ -454,3 +452,121 @@ def test_incidence_residual_reads_the_matrix_entries():
         p, k = np.array(cfg.incidence).T
         full = oracles.residual_matrix(*columns(cfg), cfg.points)
         assert np.float64(cfg.max_incidence_residual()).tobytes() == np.max(full[k, p]).tobytes(), name
+
+
+def test_check_flags_makes_one_meet_point_census():
+    """One _meet_points pass over every circle, and two point-on-circle
+    queries: the census's and lineal's. realize_n3 decides its draws by the
+    same census."""
+    cfg = FIXTURES["hypercube(3)"]()
+    with mock.patch.object(realization, "_meet_points", wraps=realization._meet_points) as meets, \
+            mock.patch.object(realization, "_on_circles", wraps=realization._on_circles) as queries:
+        check_flags(cfg)
+    assert meets.call_count == 1 and len(meets.call_args.args[0]) == len(cfg.circles)
+    assert queries.call_count == 2
+    with mock.patch.object(realization, "_meet_census", wraps=realization._meet_census) as census:
+        check_flags(realize_n3(fano_plane(), seed=0))
+    assert census.call_count >= 2
+
+
+def _recording(name, calls):
+    """Patch realization's name with a wrapper that appends (args, result)
+    of each call to calls[name]."""
+    real = getattr(realization, name)
+
+    def record(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.setdefault(name, []).append((args, out))
+        return out
+
+    return mock.patch.object(realization, name, record)
+
+
+@st.composite
+def rounded_meets(draw):
+    """(cx, cy, r, pts) with circles 0 and 1 centred at (X, -1) and (X + k
+    ulps, 1), meeting h either side of x = X, where h < ulp(X)/2: their two
+    meet points round to one float when k = 0, and for k > 0 often differ
+    in y alone by less than cluster/2, so that _thin drops the second.
+    Circle 2 passes about max(incidence, cluster) from both points, and
+    lone circles lie about them."""
+    x = draw(st.sampled_from([1e10, 3e10, 1e11]))
+    ulp = math.ulp(x)
+    cx = [x, x + draw(st.integers(0, 4)) * ulp]
+    d = math.hypot(cx[1] - cx[0], 2.0)
+    h = draw(st.floats(1.5 * TOL_CLUSTER, 0.45 * ulp))
+    rows = [(cx[0], -1.0, math.hypot(d / 2.0, h)), (cx[1], 1.0, math.hypot(d / 2.0, h))]
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    rows.append((x, 5.0 * side, 5.0 - TOL_CLUSTER * (1.0 + draw(st.floats(-1e-4, 1e-4)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append((x + rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.5, 3.0)))
+    cx, cy, r = np.array(rows).T.copy()
+    return cx, cy, r, np.array([[x, 0.0], [x + 3.0, 7.0]])
+
+
+@st.composite
+def census_cases(draw):
+    """A fixture, a crowded near-meet case or a rounded_meets case as a
+    configuration with no incidences, scaled with its tolerances by 10**e
+    for e from -6 to 160 (check_flags scales pictures past 2**100 back)."""
+    kind = draw(st.sampled_from(["fixture", "crowded", "rounded"]))
+    if kind == "fixture":
+        cfg = FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))]()
+        cx, cy, r, pts = (*columns(cfg), cfg.points)
+    else:
+        cx, cy, r, pts = draw(crowded_near_meets() if kind == "crowded" else rounded_meets())
+    scale = 10.0 ** draw(st.one_of(st.just(0), st.integers(-6, 160)))
+    circles = np.column_stack([cx, cy, r]) * scale
+    tols = {name: tol * scale for name, tol in tol_record().items()}
+    return PointCircleConfig(pts * scale, circles, (), {}, tols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(census_cases())
+def test_census_counts_both_meet_points_of_the_first_two_circles(cfg):
+    """The points the census attributes to circles 0 and 1 are their own
+    meet points bit for bit, even where _thin drops one as a duplicate, and
+    proper reads their through-counts as the all-pairs count does."""
+    calls = {}
+    with _recording("_meet_census", calls), _recording("_on_circles", calls):
+        proper = check_flags(cfg).flags["proper"]
+    (cx, cy, r, _, incidence, _, cluster), (lead, _) = calls["_meet_census"][0]
+    px, py = calls["_on_circles"][0][0][:2]
+    qx, qy, count = _meet_points(cx[:2], cy[:2], r[:2], cluster)
+    assert len(lead) == count == len(qx)
+    assert np.column_stack([px[:count], py[:count]]).tobytes() == np.column_stack([qx, qy]).tobytes()
+    through = oracles.through_counts(qx, qy, cx, cy, r, max(incidence, cluster))
+    assert lead.tolist() == through.tolist()
+    assert proper == (len(cx) > 1 and not np.any(through == len(cx)))
+
+
+def test_proper_counts_the_second_meet_point_where_thin_drops_it():
+    """An ulp at x = 1e10 is 1.9e-6, so the meet points of circles 0 and 1,
+    3e-7 either side of x = 1e10 + 4e-6, round to one x and lie 1.7e-12
+    apart in y: _thin keeps only the first. Circle 2 passes within
+    max(incidence, cluster) = 1e-7 of the second alone, which so lies on
+    every circle. Read off the first alone, proper came out True."""
+    x1, r01 = 10000000000.000006, 1.0000000000041376
+    circles = ((1e10, -1.0, r01), (x1, 1.0, r01), (10000000000.000004, -5.000000000000857, 4.9999999000000015))
+    cx, cy, r = np.array(circles).T.copy()
+    qx, qy, count = _meet_points(cx[:2], cy[:2], r[:2], TOL_CLUSTER)
+    assert count == 2 and qx[0] == qx[1] and qy[0] != qy[1]
+    assert _thin(*_meet_points(cx, cy, r, TOL_CLUSTER)[:2], TOL_CLUSTER).tolist()[:2] == [True, False]
+    assert oracles.through_counts(qx, qy, cx, cy, r, 1e-7).tolist() == [2, 3]
+    cfg = PointCircleConfig(np.array([[qx[0], qy[0]], [1e10 + 3.0, 7.0]]), circles, ((0, 0), (0, 1)), {}, tol_record())
+    assert check_flags(cfg).flags == oracles.check_flags(cfg).flags
+    assert not check_flags(cfg).flags["proper"]
+
+
+@pytest.mark.parametrize("name", ["hypercube(3)", "invert(pappus)", "realize_n3(fano, seed=0)"])
+def test_a_degenerate_configuration_reads_proper_as_the_oracle_does(name):
+    """A point 1e-8 from another makes the configuration degenerate; the
+    census still runs for proper, which is True on two of these and False
+    on the inversion."""
+    cfg = FIXTURES[name]()
+    pts = np.vstack([cfg.points, cfg.points[:1] + 1e-8])
+    cfg = PointCircleConfig(pts, cfg.circles, cfg.incidence, {}, cfg.tols)
+    flags = check_flags(cfg).flags
+    assert flags["degenerate"] and not flags["determining"]
+    assert flags == oracles.check_flags(cfg).flags

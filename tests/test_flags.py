@@ -152,8 +152,8 @@ def test_degenerate_coincident_points():
 )
 def test_meet_points_of_one_pair(b, count):
     a = Circle(0.0, 0.0, 1.0)
-    x, y = _meet_points(np.array([a.cx, b.cx]), np.array([a.cy, b.cy]), np.array([a.r, b.r]), 1e-7)
-    assert len(x) == count
+    x, y, lead = _meet_points(np.array([a.cx, b.cx]), np.array([a.cy, b.cy]), np.array([a.r, b.r]), 1e-7)
+    assert len(x) == lead == count
     scalar = circle_pair_intersections(a, b, 1e-7)
     assert np.column_stack([x, y]).tobytes() == np.array(scalar).reshape(-1, 2).tobytes()
     if count == 1:
@@ -235,7 +235,7 @@ def test_realize_n3_counts_stray_meet_points(monkeypatch):
     # random draws put three circles through a point off the configuration
     # with probability zero, so the meet-point test is made to report one
     monkeypatch.setattr(realization, "_RESAMPLE_BUDGET", 1)
-    monkeypatch.setattr(realization, "_triple_point_hits", lambda *args, **tols: None)
+    monkeypatch.setattr(realization, "_meet_census", lambda *args, **tols: (None, None))
     with pytest.raises(SamplingError) as info:
         realize_n3(fano_plane(), seed=0)
     assert info.value.rejections["stray_meet_point"] == 1

@@ -11,13 +11,14 @@ import re
 import reprlib
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confviz import jsonio
+from confviz import graphs, jsonio
 from confviz.cli import main
 from confviz.errors import ParameterError
 from confviz.graphs import MAX_ORDER, Graph, build_family, cartesian_factors, cartesian_product, kronecker_cover
@@ -309,6 +310,59 @@ def test_the_command_line_refuses_a_count_above_the_limit_at_once(argv, obj, ref
     assert time.perf_counter() - start < 0.1
     assert code == 2
     assert capsys.readouterr().err == f"error: {refusal} is above the limit of {MAX_ORDER}\n"
+
+
+_OVERSIZED_FAMILIES = [
+    (("cycle", 2**40), f"graph order {2**40}"),
+    (("path", MAX_ORDER + 1), f"graph order {MAX_ORDER + 1}"),
+    (("complete", 2049), "graph size 2098176"),
+    (("prism", 2**19 + 1), f"graph order {2**20 + 2}"),
+    (("hypercube", 40), "graph order 2**40"),
+    (("hypercube", 10**12), f"graph order 2**{10**12}"),
+    (("hypercube", 18), f"graph size {18 * 2**17}"),
+    (("kneser", 10**14, 50), f"graph order at least C({10**14},50)"),
+    (("kneser", 40, 4), "graph size 2691663975"),
+    (("bipartite_kneser", 10**6, 2), "graph order 999999000000"),
+    (("odd", 30), "graph order at least C(59,29)"),
+    (("gen_petersen", 2**40, 2), f"graph order {2**41}"),
+    (("gen_cuboctahedron", 2**19), f"graph order {3 * 2**19}"),
+]
+
+
+@pytest.mark.parametrize("family, refusal", _OVERSIZED_FAMILIES, ids=[str(f) for f, _ in _OVERSIZED_FAMILIES])
+def test_a_family_too_large_is_refused_before_it_is_built(family, refusal):
+    # cycle(2**40) and hypercube(40) once ran on past 6 s under a 1.5 GB cap
+    start = time.perf_counter()
+    with pytest.raises(ParameterError) as info:
+        build_family(*family)
+    assert time.perf_counter() - start < 0.1
+    limit = MAX_ORDER if refusal.startswith("graph order") else graphs._MAX_SIZE
+    assert str(info.value) == f"{refusal} is above the limit of {limit}"
+
+
+@pytest.mark.parametrize("family", [
+    ("cycle", 7), ("path", 5), ("complete", 6), ("prism", 5), ("hypercube", 10), ("kneser", 7, 3),
+    ("bipartite_kneser", 7, 2), ("odd", 6), ("gen_petersen", 50, 2), ("gen_cuboctahedron", 40),
+], ids=str)
+def test_a_family_is_bounded_by_its_own_counts(family):
+    # the closed-form counts each builder checks are those of the graph it builds
+    with mock.patch.object(graphs, "_bounded", wraps=graphs._bounded) as bounded:
+        g = build_family(*family)
+    assert bounded.call_args_list[0].args == (g.order, g.size)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "cycle", "1099511627776"],
+    ["gen", "hypercube", "40"],
+    ["realize", "--layout", "polygon", "--n", "1099511627776"],
+])
+def test_the_command_line_refuses_a_family_too_large_at_once(argv, tmp_path, capsys):
+    start = time.perf_counter()
+    code = main([*argv, "-o", str(tmp_path / "out.json")])
+    assert time.perf_counter() - start < 0.1
+    assert code == 2
+    assert capsys.readouterr().err.endswith(f" is above the limit of {MAX_ORDER}\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("make, name", [
