@@ -218,8 +218,8 @@ def _cmd_check(args) -> int:
     from . import realization
 
     cfg = realization.check_flags(jsonio.read(args.config, "pcc"))
-    for name in ("proper", "isometric", "lineal", "determining", "perfect", "degenerate"):
-        print(f"{name}: {'yes' if cfg.flags[name] else 'no'}")
+    for name, value in cfg.flags.items():
+        print(f"{name}: {'yes' if value else 'no'}")
     if args.output:
         jsonio.save(args.output, jsonio.pcc_to_obj(cfg))
     return 0

@@ -30,6 +30,18 @@ MAX_ORDER = 1 << 20
 _MAX_SIZE = 1 << 21
 
 
+def _shown(x) -> str:
+    """repr(x) for an error message, with an int that has more digits than
+    the interpreter writes out (sys.get_int_max_str_digits), alone or in a
+    tuple, shown by its bit length instead."""
+    if type(x) is tuple:
+        return f"({', '.join(map(_shown, x))}{',' * (len(x) == 1)})"
+    try:
+        return repr(x)
+    except ValueError:
+        return f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
+
+
 def _integer(x, what: str) -> int:
     """x as an int when it is an integer, numpy integers included; a bool,
     a float or a string is a ParameterError."""
@@ -53,7 +65,7 @@ def _size(x, what: str) -> int:
     """x as an int when it is a non-negative integer no larger than MAX_ORDER."""
     n = _count(x, what)
     if n > MAX_ORDER:
-        raise ParameterError(f"{what} {n} is above the limit of {MAX_ORDER}")
+        raise ParameterError(f"{what} {_shown(n)} is above the limit of {MAX_ORDER}")
     return n
 
 
@@ -69,7 +81,7 @@ def _subset_count(n: int, k: int) -> int:
     """C(n, k) for 1 <= k <= n/2, refused before a huge binomial is formed:
     C(n, k) >= n, and C(n, k) >= C(2k, k) >= 2**k."""
     if n > MAX_ORDER or k >= MAX_ORDER.bit_length():
-        raise ParameterError(f"graph order at least C({n},{k}) is above the limit of {MAX_ORDER}")
+        raise ParameterError(f"graph order at least C({_shown(n)},{_shown(k)}) is above the limit of {MAX_ORDER}")
     return math.comb(n, k)
 
 
@@ -100,8 +112,8 @@ def _int_rows(rows, what: str, table: str = "table") -> tuple:
             return rows
     except TypeError:
         row = next(row for row in rows if not isinstance(row, Iterable))
-        raise ParameterError(f"{what.removesuffix(' entry')} {row!r} is not a sequence") from None
-    return tuple(tuple(_integer(x, f"{what} {x!r}") for x in row) for row in rows)
+        raise ParameterError(f"{what.removesuffix(' entry')} {_shown(row)} is not a sequence") from None
+    return tuple(tuple(_integer(x, f"{what} {_shown(x)}") for x in row) for row in rows)
 
 
 def _int_row(row, what: str) -> tuple:
@@ -131,7 +143,7 @@ def _real_rows(rows, what: str, shape: str):
     try:
         rows = tuple(rows)
         if not ({list, tuple}.issuperset(map(type, rows)) and {float}.issuperset(map(type, chain.from_iterable(rows)))):
-            rows = tuple(tuple(_real(x, f"{what} {x!r}") for x in row) for row in rows)
+            rows = tuple(tuple(_real(x, f"{what} {_shown(x)}") for x in row) for row in rows)
     except TypeError:  # a table or a row that is not iterable
         raise ParameterError(shape) from None
     if len(set(map(len, rows))) > 1:
@@ -159,11 +171,11 @@ class Graph:
             try:
                 u, v = e
             except ValueError:
-                raise ParameterError(f"edge {tuple(e)} is not a pair of vertices") from None
+                raise ParameterError(f"edge {_shown(tuple(e))} is not a pair of vertices") from None
             if u == v:
-                raise ParameterError(f"loop at vertex {u}")
+                raise ParameterError(f"loop at vertex {_shown(u)}")
             if not (0 <= u < self.order and 0 <= v < self.order):
-                raise ParameterError(f"edge ({u},{v}) outside vertex range")
+                raise ParameterError(f"edge ({_shown(u)},{_shown(v)}) outside vertex range")
             seen.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", tuple(sorted(seen)))
         if self.labels is not None:
@@ -344,7 +356,7 @@ def hypercube_graph(d: int) -> Graph:
     if d < 1:
         raise ParameterError("hypercube needs d >= 1")
     if d >= MAX_ORDER.bit_length():  # 2**d is past the limit: not worth forming
-        raise ParameterError(f"graph order 2**{d} is above the limit of {MAX_ORDER}")
+        raise ParameterError(f"graph order 2**{_shown(d)} is above the limit of {MAX_ORDER}")
     n = 1 << d
     _bounded(n, d * n // 2)
     edges = tuple((v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b))

@@ -29,6 +29,7 @@ from .graphs import (
     Graph,
     VertexMap,
     _int_rows,
+    _shown,
     _size,
     _unchecked,
     bfs_layers,
@@ -60,9 +61,9 @@ class IncidenceStructure:
             if len(b) == 0:
                 raise ParameterError("empty block")
             if len(set(b)) != len(b):
-                raise ParameterError(f"repeated point in block {b}")
+                raise ParameterError(f"repeated point in block {_shown(b)}")
             if b[0] < 0 or b[-1] >= self.points:
-                raise ParameterError(f"block {b} outside point range")
+                raise ParameterError(f"block {_shown(b)} outside point range")
             norm.append(b)
         if len(set(norm)) != len(norm):
             raise ParameterError("blocks must be pairwise distinct as sets")

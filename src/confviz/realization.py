@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     SamplingError,
 )
-from .graphs import Graph, _count, _int_rows, _integer, _real, _real_rows, _unchecked, build_family
+from .graphs import Graph, _count, _int_rows, _integer, _real, _real_rows, _shown, _unchecked, build_family
 from .graphs import cartesian_factors, pair_in_two, prism_graph, structure_report
 from .incidence import IncidenceStructure
 from .jsonio import dumps
@@ -155,7 +155,7 @@ def _incidence_pairs(incidence, points: int, circles: int) -> tuple[np.ndarray, 
     pairs = _int_rows(incidence, "incidence entry", "incidence")
     if not {2}.issuperset(map(len, pairs)):
         bad = next(pair for pair in pairs if len(pair) != 2)
-        raise ParameterError(f"incidence {tuple(bad)} is not a (point, circle) pair")
+        raise ParameterError(f"incidence {_shown(tuple(bad))} is not a (point, circle) pair")
     try:
         pk = np.fromiter(chain.from_iterable(pairs), dtype=np.intp)
     except OverflowError:  # an index past intp is out of range; the check below names it
@@ -163,7 +163,8 @@ def _incidence_pairs(incidence, points: int, circles: int) -> tuple[np.ndarray, 
     p, k = pk.reshape(-1, 2).T
     out = np.flatnonzero((p < 0) | (p >= points) | (k < 0) | (k >= circles))
     if len(out):
-        raise ParameterError(f"incidence ({p[out[0]]}, {k[out[0]]}) outside {points} points and {circles} circles")
+        bad = int(p[out[0]]), int(k[out[0]])
+        raise ParameterError(f"incidence {_shown(bad)} outside {points} points and {circles} circles")
     return p, k
 
 
@@ -422,6 +423,7 @@ def layout_gen_cuboctahedron(n: int, r_outer: float = 2.0, r_inner: float = 1.0)
     n = _integer(n, "n")
     if n < 3:
         raise ParameterError("gen_cuboctahedron layout needs n >= 3")
+    g = build_family("gen_cuboctahedron", n)  # its size bound comes before any float of n
     r_outer, r_inner = _finite(r_outer, "r_outer"), _finite(r_inner, "r_inner")
     if not (r_outer > r_inner > 0.0):
         raise ParameterError("need r_outer > r_inner > 0")
@@ -429,7 +431,6 @@ def layout_gen_cuboctahedron(n: int, r_outer: float = 2.0, r_inner: float = 1.0)
     for a, b in combinations(rings, 2):
         if abs(a - b) <= TOL_SEPARATION:
             raise ParameterError("ring radii collide; circles would coincide")
-    g = build_family("gen_cuboctahedron", n)
     base = prism_graph(n)
     ang = 2.0 * math.pi * np.arange(n) / n
     outer = r_outer * np.column_stack([np.cos(ang), np.sin(ang)])
@@ -741,7 +742,7 @@ def solve_unit_distance(
     summary = f"exhausted {runs} restart{'s' * (runs != 1)}"
     if sets is not None:
         if not sets:
-            raise ParameterError(f"no free order-{k} symmetry available")
+            raise ParameterError(f"no free order-{_shown(k)} symmetry available")
         over = f"{sets} orbit set" + "s" * (sets != 1)
         if skipped == sets:  # no start ran, so there is no residual
             summary, best = f"ran 0 restarts: ring radii rule out {skipped} of {over}", None
@@ -1201,9 +1202,9 @@ def invert_pointline(points, lines, center, radius: float = 1.0) -> PointCircleC
     lines_norm: list[tuple[int, ...]] = []
     for idx in map(tuple, _int_rows(lines, "line entry", "lines")):
         if len(idx) < 2 or len(set(idx)) != len(idx):
-            raise ParameterError(f"line {idx} needs at least two distinct points")
+            raise ParameterError(f"line {_shown(idx)} needs at least two distinct points")
         if any(p < 0 or p >= len(pts) for p in idx):
-            raise ParameterError(f"line {idx} outside point range")
+            raise ParameterError(f"line {_shown(idx)} outside point range")
         a, b = pts[idx[0]], pts[idx[1]]
         direction = b - a
         norm = np.linalg.norm(direction)

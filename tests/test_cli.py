@@ -176,6 +176,10 @@ def test_realize_solve_circles_check(tmp_path, capsys):
     assert code == 0
     for line in ("proper: yes", "isometric: yes", "lineal: yes", "perfect: yes", "degenerate: no"):
         assert line in out
+    # the flags check_flags returns, in its order
+    flags = confviz.check_flags(jsonio.read(pcc, "pcc")).flags
+    assert list(flags) == ["proper", "isometric", "lineal", "determining", "perfect", "degenerate"]
+    assert out.splitlines() == [f"{name}: {'yes' if on else 'no'}" for name, on in flags.items()]
 
 
 @pytest.mark.parametrize("tol, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf")])

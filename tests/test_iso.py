@@ -285,6 +285,9 @@ SCAN_LADDER = (
     # two or four components: a vertex the first mapped one does not reach
     # is looked for among all vertices
     + [(_circulant(8, {2}), k) for k in (2, 4, 8)] + [(_circulant(12, {4}), 6)]
+    # no vertex, where the search completes the empty map at once and it is
+    # no action of order k, and isolated vertices, where every pairing is one
+    + [(Graph(0, ()), 2), (Graph(8, ()), 2), (Graph(8, ()), 4)]
 )
 
 

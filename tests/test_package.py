@@ -5,22 +5,20 @@ import pytest
 
 import confviz
 
-EAGER = ("errors", "graphs", "incidence")
 
-
-def test_every_public_name_resolves_to_its_module():
+def test_every_public_name_resolves_from_the_table_and_is_cached():
     for name in confviz.__all__:
+        vars(confviz).pop(name, None)  # an earlier lookup's cache would hide the table
         value = getattr(confviz, name)
-        module = confviz._LAZY.get(name)
-        if module is None:
-            module = next(m for m in EAGER if hasattr(getattr(confviz, m), name))
-        assert value is getattr(importlib.import_module(f"confviz.{module}"), name), name
-        assert vars(confviz)[name] is value, name  # a lazy name is cached after its first lookup
+        module = importlib.import_module(f"confviz.{confviz._MODULE_OF[name]}")
+        assert value is getattr(module, name), name
+        assert vars(confviz)[name] is value, name  # cached after its first lookup
 
 
-def test_lazy_table_names_are_public_once():
-    assert len(set(confviz.__all__)) == len(confviz.__all__)
-    assert set(confviz._LAZY) <= set(confviz.__all__)
+def test_public_names_are_sorted_and_listed_once():
+    assert confviz.__all__ == sorted(set(confviz.__all__))
+    # a name the table listed twice would keep only its last module
+    assert len(confviz.__all__) == sum(map(len, confviz._PUBLIC.values()))
 
 
 def test_dir_and_star_import_cover_the_public_names():

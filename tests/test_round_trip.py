@@ -365,6 +365,70 @@ def test_the_command_line_refuses_a_family_too_large_at_once(argv, tmp_path, cap
     assert not (tmp_path / "out.json").exists()
 
 
+# past the interpreter's 4,300-digit limit on writing an int in decimal, where
+# each of these messages once raised ValueError ("Exceeds the limit ...")
+_HUGE = 10**5000
+_HUGE_INTEGER_SITES = [
+    (lambda n: Graph(n, []), "graph order <16610-bit integer> is above the limit of 1048576"),
+    (lambda n: IncidenceStructure(n, ()), "point count <16610-bit integer> is above the limit of 1048576"),
+    (graphs.cycle_graph, "graph order <16610-bit integer> is above the limit of 1048576"),
+    (graphs.complete_graph, "graph order <16610-bit integer> is above the limit of 1048576"),
+    (lambda n: graphs.generalized_petersen_graph(n, 2), "graph order <16611-bit integer> is above the limit of 1048576"),
+    (graphs.hypercube_graph, "graph order 2**<16610-bit integer> is above the limit of 1048576"),
+    (lambda n: graphs.kneser_graph(n, 2), "graph order at least C(<16610-bit integer>,2) is above the limit of 1048576"),
+    (graphs.odd_graph, "graph order at least C(<16611-bit integer>,<16610-bit integer>) is above the limit of 1048576"),
+    (lambda n: Graph(3, ((0, n),)), "edge (0,<16610-bit integer>) outside vertex range"),
+    (lambda n: Graph(3, ((n, n),)), "loop at vertex <16610-bit integer>"),
+    (lambda n: Graph(3, ((0, 1, -n),)), "edge (0, 1, -<16610-bit integer>) is not a pair of vertices"),
+    (lambda n: Graph(3, (n,)), "edge <16610-bit integer> is not a sequence"),
+    (lambda n: IncidenceStructure(3, ((0, n),)), "block (0, <16610-bit integer>) outside point range"),
+    (lambda n: IncidenceStructure(3, ((n, n),)), "repeated point in block (<16610-bit integer>, <16610-bit integer>)"),
+    (layout_polygon, "graph order <16610-bit integer> is above the limit of 1048576"),
+    (layout_hypercube, "graph order 2**<16610-bit integer> is above the limit of 1048576"),
+    (layout_gen_cuboctahedron, "graph order <16612-bit integer> is above the limit of 1048576"),
+    (lambda n: PointCircleConfig([(0.0, 0.0)], [(0.0, 0.0, 1.0)], [(0, n)]),
+     "incidence (0, <16610-bit integer>) outside 1 points and 1 circles"),
+    (lambda n: PointCircleConfig([(0.0, 0.0)], [(0.0, 0.0, 1.0)], [(0, 0, n)]),
+     "incidence (0, 0, <16610-bit integer>) is not a (point, circle) pair"),
+    (lambda n: PointCircleConfig([(n, 0.0)], [(0.0, 0.0, 1.0)], []),
+     "point entry <16610-bit integer> is too large for a float"),
+    (lambda n: invert_pointline([(0.0, 0.0), (1.0, 0.0)], [(0, n)], (0.0, 5.0)),
+     "line (0, <16610-bit integer>) outside point range"),
+    (lambda n: invert_pointline([(0.0, 0.0), (1.0, 0.0)], [(n,)], (0.0, 5.0)),
+     "line (<16610-bit integer>,) needs at least two distinct points"),
+    (lambda n: solve_unit_distance(build_family("petersen"), symmetry=n),
+     "no free order-<16610-bit integer> symmetry available"),
+]
+
+
+@pytest.mark.parametrize("make, refusal", _HUGE_INTEGER_SITES, ids=[m for _, m in _HUGE_INTEGER_SITES])
+def test_an_integer_too_long_to_write_out_gets_its_parameter_error(make, refusal):
+    start = time.perf_counter()
+    with pytest.raises(ParameterError) as info:
+        make(_HUGE)
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == refusal
+
+
+def test_an_integer_is_shown_in_full_up_to_the_digit_limit():
+    assert graphs._shown(10**4299) == "1" + "0" * 4299
+    assert graphs._shown((-(10**4299), "a", 1.5)) == f"(-1{'0' * 4299}, 'a', 1.5)"
+    assert graphs._shown(10**4300) == "<14285-bit integer>"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "prism", "9" * 4300],
+    ["realize", "--layout", "gen_cuboctahedron", "--n", "9" * 4300],
+])
+def test_the_command_line_refuses_an_integer_too_long_to_write_out(argv, tmp_path, capsys):
+    # 4,300 nines parse, but twice or thrice them do not write out; gen exited 1
+    # on that, and realize on the float of its n
+    code = main([*argv, "-o", str(tmp_path / "out.json")])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(f"-bit integer> is above the limit of {MAX_ORDER}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("make, name", [
     (lambda: Layout("petersen", layout_polygon(4).pos), "str"),
     (lambda: Layout(None, layout_polygon(4).pos), "NoneType"),
