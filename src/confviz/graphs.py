@@ -8,6 +8,14 @@ hand-built graphs alike. The named families, line_graph, cartesian_product,
 the factors of cartesian_factors, kronecker_cover and incidence.levi_graph
 build edges that are canonical already (distinct, in range, u < v, sorted,
 Python ints) and set them through _unchecked without checking them again.
+
+prism_graph, generalized_petersen_graph(n, 1) and hypercube_graph also
+record, through _unchecked, how to form their Cartesian factorization in
+closed form, and cartesian_factors forms it from that record instead of
+recognizing it. A connected graph factors uniquely into primes (Sabidussi,
+Vizing), so the closed form names the factors the recognizer finds; the
+tests hold the two equal field for field. The factors are formed only when
+cartesian_factors asks, and a graph from the constructor records nothing.
 """
 
 from __future__ import annotations
@@ -42,14 +50,17 @@ def _shown(x) -> str:
         return f"{'-' * (x < 0)}<{x.bit_length()}-bit integer>"
 
 
-def _integer(x, what: str) -> int:
+def _integer(x, what: str, shown: bool = False) -> int:
     """x as an int when it is an integer, numpy integers included; a bool,
-    a float or a string is a ParameterError."""
+    a float or a string is a ParameterError, which names x after what when
+    shown (the text is formed only then)."""
     try:
         if isinstance(x, bool):
             raise TypeError
         return operator.index(x)
     except TypeError:
+        if shown:
+            what = f"{what} {_shown(x)}"
         raise ParameterError(f"{what} must be an integer, not {type(x).__name__}") from None
 
 
@@ -113,7 +124,7 @@ def _int_rows(rows, what: str, table: str = "table") -> tuple:
     except TypeError:
         row = next(row for row in rows if not isinstance(row, Iterable))
         raise ParameterError(f"{what.removesuffix(' entry')} {_shown(row)} is not a sequence") from None
-    return tuple(tuple(_integer(x, f"{what} {_shown(x)}") for x in row) for row in rows)
+    return tuple(tuple(_integer(x, what, True) for x in row) for row in rows)
 
 
 def _int_row(row, what: str) -> tuple:
@@ -121,15 +132,18 @@ def _int_row(row, what: str) -> tuple:
     return _int_rows((tuple(row) if isinstance(row, Iterable) else row,), what)[0]
 
 
-def _real(x, what: str) -> float:
+def _real(x, what: str, shown: bool = False) -> float:
     """x as a float when it is a real number, numpy numbers included; a bool,
-    a string, None, a list or an int too large for a float is refused."""
+    a string, None, a list or an int too large for a float is refused, with
+    x named after what when shown (see _integer)."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ParameterError(f"{what} must be a number, not {type(x).__name__}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise ParameterError(f"{what} is too large for a float") from None
+        why = f"must be a number, not {type(x).__name__}"
+    else:
+        try:
+            return float(x)
+        except OverflowError:
+            why = "is too large for a float"
+    raise ParameterError(f"{what} {_shown(x)} {why}" if shown else f"{what} {why}")
 
 
 def _real_rows(rows, what: str, shape: str):
@@ -143,7 +157,7 @@ def _real_rows(rows, what: str, shape: str):
     try:
         rows = tuple(rows)
         if not ({list, tuple}.issuperset(map(type, rows)) and {float}.issuperset(map(type, chain.from_iterable(rows)))):
-            rows = tuple(tuple(_real(x, f"{what} {_shown(x)}") for x in row) for row in rows)
+            rows = tuple(tuple(_real(x, what, True) for x in row) for row in rows)
     except TypeError:  # a table or a row that is not iterable
         raise ParameterError(shape) from None
     if len(set(map(len, rows))) > 1:
@@ -163,6 +177,11 @@ class Graph:
     order: int
     edges: tuple[tuple[int, int], ...]
     labels: tuple[str, ...] | None = None
+    # (function, args) when a family builder knows g's Cartesian
+    # factorization in closed form: function(g, *args) forms it. Only
+    # _unchecked sets it; it is no field, so equality, hashing, repr and
+    # files never see it.
+    _factored = None
 
     def __post_init__(self):
         object.__setattr__(self, "order", _size(self.order, "graph order"))
@@ -347,7 +366,9 @@ def prism_graph(n: int) -> Graph:
         raise ParameterError("prism needs n >= 3")
     _bounded(2 * n, 3 * n)
     labels = tuple(f"(0,{i})" for i in range(n)) + tuple(f"(1,{i})" for i in range(n))
-    return _unchecked(Graph, order=2 * n, edges=_spoked_rings(n, 1), labels=labels)
+    # prism(4) is the 3-cube, which has three factors
+    factored = (_prism_factors, (n,)) if n != 4 else None
+    return _unchecked(Graph, order=2 * n, edges=_spoked_rings(n, 1), labels=labels, _factored=factored)
 
 
 def hypercube_graph(d: int) -> Graph:
@@ -360,7 +381,10 @@ def hypercube_graph(d: int) -> Graph:
     n = 1 << d
     _bounded(n, d * n // 2)
     edges = tuple((v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b))
-    return _unchecked(Graph, order=n, edges=edges, labels=tuple(format(v, f"0{d}b") for v in range(n)))
+    labels = tuple(format(v, f"0{d}b") for v in range(n))
+    # the 1-cube is K_2, which is prime
+    factored = (_cube_factors, (d,)) if d >= 2 else None
+    return _unchecked(Graph, order=n, edges=edges, labels=labels, _factored=factored)
 
 
 def _subset_label(s: tuple[int, ...]) -> str:
@@ -436,7 +460,9 @@ def generalized_petersen_graph(n: int, r: int) -> Graph:
         raise ParameterError("generalized petersen needs n >= 3 and 1 <= r < n/2")
     _bounded(2 * n, 3 * n)
     labels = tuple(f"o{i}" for i in range(n)) + tuple(f"i{i}" for i in range(n))
-    return _unchecked(Graph, order=2 * n, edges=_spoked_rings(n, r), labels=labels)
+    # GP(n,1) is prism(n)
+    factored = (_prism_factors, (n,)) if r == 1 and n != 4 else None
+    return _unchecked(Graph, order=2 * n, edges=_spoked_rings(n, r), labels=labels, _factored=factored)
 
 
 def dodecahedron_graph() -> Graph:
@@ -563,19 +589,24 @@ def _class_roots(n: int, pairs) -> list[int]:
 def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
     """Cartesian factors of g and a map from g onto their product.
 
-    Edges are related by the delta rule: opposite edges of a chordless
-    square, and adjacent edges that do not span exactly one square, or span
-    one with a chord. Both hold only within a factor, so the closure (taken
-    by union-find) gives one class per factor, or finer classes. Each
-    class's layer through vertex 0 is a factor on its vertices in increasing
-    order. A vertex's coordinate in that factor is the layer vertex it
-    reaches without the class's edges. The map sends a vertex to its index in
-    the product of the factors folded left with cartesian_product. It is kept
-    only when it is an isomorphism onto that product, which _product_map
-    checks on the coordinates, one lookup per edge, without building the
-    product. Otherwise, and with one class, g counts as prime and comes back
-    alone with the identity map.
+    A family graph that records its factorization (see the module
+    docstring) gets it in closed form; every other graph is recognized as
+    follows. Edges are related by the delta rule: opposite edges of a
+    chordless square, and adjacent edges that do not span exactly one
+    square, or span one with a chord. Both hold only within a factor, so
+    the closure (taken by union-find) gives one class per factor, or finer
+    classes. Each class's layer through vertex 0 is a factor on its
+    vertices in increasing order. A vertex's coordinate in that factor is
+    the layer vertex it reaches without the class's edges. The map sends a
+    vertex to its index in the product of the factors folded left with
+    cartesian_product. It is kept only when it is an isomorphism onto that
+    product, which _product_map checks on the coordinates, one lookup per
+    edge, without building the product. Otherwise, and with one class, g
+    counts as prime and comes back alone with the identity map.
     """
+    if g._factored is not None:
+        form, args = g._factored
+        return form(g, *args)
     prime = ((g,), VertexMap(tuple(range(g.order))))
     nbrs = g.neighbor_sets
     # each vertex's edge indices, by neighbour
@@ -629,6 +660,32 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
         coords.append([hit[r] for r in across])
     witness = _product_map(g, factors, by_class, coords)
     return prime if witness is None else (tuple(factors), witness)
+
+
+def _prism_factors(g: Graph, n: int) -> tuple[tuple[Graph, ...], VertexMap]:
+    """cartesian_factors of prism(n) or GP(n,1), n != 4, in closed form: the
+    n-cycle on the first ring, then K_2 on a rung; vertex v sits at
+    (v % n, v // n) of C_n x K_2."""
+    labels = g.labels
+    cycle = _unchecked(Graph, order=n, edges=_ring_edges(n, 1, 0), labels=labels[:n])
+    rung = _unchecked(Graph, order=2, edges=((0, 1),), labels=(labels[0], labels[n]))
+    image = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    return (cycle, rung), _unchecked(VertexMap, image=image)
+
+
+def _cube_factors(g: Graph, d: int) -> tuple[tuple[Graph, ...], VertexMap]:
+    """cartesian_factors of hypercube(d), d >= 2, in closed form: one K_2 per
+    bit, in bit order; bit b of v is coordinate b, which the product reads
+    as bit d - 1 - b of the index, so v goes to its d bits reversed."""
+    labels = g.labels
+    factors = tuple(
+        _unchecked(Graph, order=2, edges=((0, 1),), labels=(labels[0], labels[1 << b])) for b in range(d)
+    )
+    image = [0]
+    for b in range(d):
+        # v + 2**b for the v below 2**b: bit b set, so image bit d - 1 - b
+        image += [i + (1 << (d - 1 - b)) for i in image]
+    return factors, _unchecked(VertexMap, image=tuple(image))
 
 
 def _product_map(
@@ -727,6 +784,12 @@ def bfs_layers(g: Graph, root: int, dist: list[int]) -> Iterator[list[int]]:
         layer = nxt
 
 
+def _connected(g: Graph) -> bool:
+    """True when one BFS from vertex 0 reaches every vertex; the empty
+    graph counts as connected."""
+    return g.order == 0 or sum(map(len, bfs_layers(g, 0, [-1] * g.order))) == g.order
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """Structure of a graph; each field is computed when first read."""
@@ -757,7 +820,7 @@ class StructureReport:
 
     @cached_property
     def connected(self) -> bool:
-        return len(self.components) <= 1
+        return _connected(self.graph)
 
     @cached_property
     def bipartition(self) -> Bipartition | None:

@@ -27,7 +27,7 @@ from .errors import (
     SamplingError,
 )
 from .graphs import Graph, _count, _int_rows, _integer, _real, _real_rows, _shown, _unchecked, build_family
-from .graphs import cartesian_factors, pair_in_two, prism_graph, structure_report
+from .graphs import _connected, cartesian_factors, pair_in_two, prism_graph
 from .incidence import IncidenceStructure
 from .jsonio import dumps
 
@@ -204,8 +204,17 @@ def _tolerance(name: str, value) -> float:
 
 
 def _seed(value) -> int:
-    """value as an int, when it is an integer >= 0 (see _count); None reads as 0."""
-    return 0 if value is None else _count(value, "seed")
+    """value as an int, when it is an integer >= 0 (see _count) that a file
+    can record: one past the interpreter's digit limit for int text is
+    refused before any work. None reads as 0."""
+    if value is None:
+        return 0
+    seed = _count(value, "seed")
+    try:
+        repr(seed)
+    except ValueError:
+        raise ParameterError(f"seed {_shown(seed)} has too many digits to record") from None
+    return seed
 
 
 def tol_record(incidence: float = TOL_INCIDENCE) -> dict:
@@ -638,9 +647,10 @@ def solve_unit_distance(
     start is measured on it; only the start returned becomes a Layout. With
     `init` its positions are the only start. A plain solve draws `restarts`
     seeded random starts; when g is a Cartesian product
-    (graphs.cartesian_factors), the product of its factors' drawings goes
-    first, as one more start, and the generator is seeded only when a random
-    start is due. An integer
+    (graphs.cartesian_factors: in closed form for a family-built prism,
+    GP(n,1) or hypercube, recognized otherwise, with the same result), the
+    product of its factors' drawings goes first, as one more start, and the
+    generator is seeded only when a random start is due. An integer
     `symmetry` k asks for a rotational ansatz: free order-k automorphisms
     are taken from the search one at a time, up to six, and each one's
     orbits become (radius, phase) ring variables; explicit orbit lists are
@@ -661,7 +671,7 @@ def solve_unit_distance(
     """
     if g.size == 0:
         raise ParameterError("unit-distance solve needs at least one edge")
-    if not structure_report(g).connected:
+    if not _connected(g):
         raise ParameterError("unit-distance solve expects a connected graph")
     base_seed = _seed(seed)
     restarts = _count(restarts, "restarts")

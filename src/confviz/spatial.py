@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError, DegeneracyError, ParameterError, PolePlacementError
-from .graphs import POLYTOPE_NAMES, Graph, _unchecked, structure_report
+from .graphs import POLYTOPE_NAMES, Graph, _connected, _unchecked
 
 # realization before numpy, which it imports itself: compiling realization.py
 # from source after numpy has loaded leaves a process about 2 MB larger in
@@ -184,7 +184,7 @@ def polytope_data(name: str) -> PolytopeSkeleton:
     radii = np.linalg.norm(coords - center, axis=1)
     if float(radii.max() - radii.min()) > 1e-9 * float(radii.max()):
         raise DegeneracyError(f"{name}: vertices miss a common circumsphere")
-    if not structure_report(g).connected:
+    if not _connected(g):
         raise DegeneracyError(f"{name}: skeleton is disconnected")
     return PolytopeSkeleton(name=name, graph=g, coords=coords)
 

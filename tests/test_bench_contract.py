@@ -35,6 +35,9 @@ ITEMS = [
     ("flags", "realize_n3(pappus)"),
     ("flags", "invert(pappus)"),
     ("solver", "petersen() symmetry=5"),
+    # plain product solves, whose family graphs carry their factorization
+    ("solver", "prism(14,) plain"),
+    ("solver", "gen_petersen(17, 1) plain"),
 ]
 
 

@@ -24,7 +24,7 @@ from confviz import (
     line_graph,
     v_construct,
 )
-from confviz import jsonio
+from confviz import graphs, jsonio
 from confviz.graphs import _FAMILIES, Bipartition, VertexMap, has_four_cycle, pair_in_two
 from confviz.realization import (
     PointCircleConfig,
@@ -282,6 +282,20 @@ def test_numpy_integer_entries_become_ints():
     assert all(type(x) is int for x in vm.image + sides.sides)
     inverted = invert_pointline([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], np.array([[0, 1, 2]]), (0.5, 1.0))
     assert inverted.incidence == ((0, 0), (1, 0), (2, 0))
+
+
+def test_accepted_entries_are_never_shown(monkeypatch):
+    """The slow paths for numpy entries form an entry's error text only for
+    the entry that fails."""
+
+    def shown(x):
+        raise AssertionError(f"{x!r} shown")
+
+    monkeypatch.setattr(graphs, "_shown", shown)
+    assert graphs._int_rows([(np.int64(2), np.int32(0))], "edge entry") == ((2, 0),)
+    assert graphs._real_rows([(np.float64(0.5), 1)], "point entry", "shape") == ((0.5, 1.0),)
+    with pytest.raises(AssertionError, match="^1.5 shown$"):
+        graphs._int_rows([(np.int64(2), 1.5)], "edge entry")
 
 
 @pytest.mark.parametrize("entry,shown", [(1.0, "1.0"), (True, "True"), ("1", "'1'")])

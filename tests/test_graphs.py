@@ -236,6 +236,27 @@ def test_cartesian_factors_of_families_match_oracle(g):
     assert cartesian_factors(g) == oracles.cartesian_factors(g)
 
 
+# every builder that records a closed-form factorization, over the members
+# it leaves to the recognizer too: prism(4) = GP(4,1) is the 3-cube, and the
+# 1-cube is K_2
+RECORDED = ([("prism", n) for n in range(3, 41)] + [("gen_petersen", n, 1) for n in range(3, 41)]
+            + [("hypercube", d) for d in range(1, 11)])
+UNRECORDED = [("prism", 4), ("gen_petersen", 4, 1), ("hypercube", 1)]
+
+
+@pytest.mark.parametrize("family", RECORDED, ids=lambda f: "-".join(map(str, f)))
+def test_recorded_factorizations_match_the_recognizer(family):
+    """A family member's closed-form factors and witness equal, field for
+    field, what the recognizer finds for a constructor-built copy, and what
+    the component-walk oracle finds."""
+    g = build_family(*family)
+    copy = Graph(g.order, g.edges, g.labels)
+    assert copy == g and hash(copy) == hash(g) and repr(copy) == repr(g)
+    assert copy._factored is None
+    assert (g._factored is None) == (family in UNRECORDED)
+    assert cartesian_factors(g) == cartesian_factors(copy) == oracles.cartesian_factors(g)
+
+
 @pytest.mark.parametrize("g", [petersen_graph(), complete_graph(4), cycle_graph(5),
                                generalized_petersen_graph(7, 2), dodecahedron_graph(),
                                desargues_graph()])
@@ -266,7 +287,9 @@ def test_wrong_factor_map_falls_back_to_random_loop(monkeypatch, seed):
         return right(g, factors, colour, [coords[1], coords[0], *coords[2:]])
 
     monkeypatch.setattr(graphs, "_product_map", swapped)
-    g = prism_graph(5)
+    # built by the constructor, so that no recorded factorization stands in
+    # for the recognizer
+    g = Graph(10, prism_graph(5).edges)
     assert cartesian_factors(g) == ((g,), VertexMap(tuple(range(g.order))))
     try:
         want = oracles.solve_unit_distance(g, seed=seed, restarts=8)
@@ -374,6 +397,18 @@ def test_structure_report_bipartition():
 def test_components_listed():
     g = Graph(6, ((0, 1), (1, 2), (3, 4)))
     assert structure_report(g).components == ((0, 1, 2), (3, 4), (5,))
+
+
+@pytest.mark.parametrize("g, connected", [
+    (Graph(0, ()), True), (Graph(1, ()), True), (Graph(2, ()), False),
+    (Graph(6, ((0, 1), (1, 2), (3, 4))), False), (Graph(3, ((1, 2),)), False),
+    (prism_graph(14), True), (hypercube_graph(4), True),
+])
+def test_connected_by_one_walk_from_vertex_0(g, connected):
+    """connected is read off one BFS count from vertex 0, and agrees with
+    the component walk; the empty graph counts as connected."""
+    assert structure_report(g).connected is connected
+    assert connected == (len(structure_report(g).components) <= 1)
 
 
 def test_vertex_map_basics():

@@ -29,9 +29,10 @@ from confviz import (
     unit_edge_residual,
     v_construct,
 )
-from confviz import iso, realization
+from confviz import iso, jsonio, realization
 from confviz.graphs import (
     Graph,
+    build_family,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -606,6 +607,23 @@ def test_solver_counts_the_product_start(monkeypatch):
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(cycle_graph(5), seed=0, restarts=2)
     assert exc.value.restarts == 2
+
+
+SOLVED_PRODUCTS = ([("prism", (n,), seed) for n in range(11, 19) for seed in range(4)]
+                   + [("gen_petersen", (n, 1), seed) for n in range(11, 19) for seed in range(4)]
+                   + [("hypercube", (d,), 0) for d in range(3, 7)])
+
+
+@pytest.mark.parametrize("family, params, seed", SOLVED_PRODUCTS)
+def test_recorded_factorization_solves_to_the_recognized_bytes(family, params, seed):
+    """A family-built product, whose factorization comes in closed form,
+    and its constructor-built copy, which the recognizer factors, solve to
+    the same layout file."""
+    g = build_family(family, *params)
+    copy = Graph(g.order, g.edges, g.labels)
+    texts = [jsonio.dumps(jsonio.layout_to_obj(solve_unit_distance(h, seed=seed)[0])) for h in (g, copy)]
+    assert texts[0] == texts[1]
+    assert '"method": "product"' in texts[0]
 
 
 def test_circles_from_layout_unit_identity():

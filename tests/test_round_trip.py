@@ -11,6 +11,7 @@ import re
 import reprlib
 import time
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -408,6 +409,26 @@ def test_an_integer_too_long_to_write_out_gets_its_parameter_error(make, refusal
         make(_HUGE)
     assert time.perf_counter() - start < 0.1
     assert str(info.value) == refusal
+
+
+_SEEDED = {
+    "solve_unit_distance": lambda: partial(solve_unit_distance, build_family("petersen")),
+    "layout_hypercube": lambda: partial(layout_hypercube, 3),
+    "realize_n3": lambda: partial(realize_n3, fano_plane()),
+    "stereographic_project": lambda: partial(stereographic_project, sphere_circles(polytope_data("cube"))),
+}
+
+
+@pytest.mark.parametrize("site", _SEEDED)
+def test_a_seed_too_long_to_write_out_is_refused_before_any_work(site):
+    # the solve and the cube layout once ran and then failed in their meta
+    # check, and realize_n3 returned its configuration
+    call = _SEEDED[site]()
+    start = time.perf_counter()
+    with pytest.raises(ParameterError) as info:
+        call(seed=_HUGE)
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == "seed <16610-bit integer> has too many digits to record"
 
 
 def test_an_integer_is_shown_in_full_up_to_the_digit_limit():
