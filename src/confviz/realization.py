@@ -463,55 +463,60 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return e[:, 0], e[:, 1]
 
 
-def _solve_coordinates(
-    g: Graph, pos0: np.ndarray, max_iter: int, edges: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """pos0 polished by LM towards unit edges; edges is g's (eu, ev) table
-    from _edge_arrays."""
+def _solve(edges: tuple[np.ndarray, np.ndarray], x0: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
+    """Positions polished by LM towards unit edges (eu, ev) = edges, from the
+    start x0: positions, or with a map P the variables z whose positions
+    are P @ z. The residual is the plain one at those positions, and the
+    Jacobian the plain one times P."""
     eu, ev = edges
 
+    def positions(x):
+        return (x if P is None else P @ x).reshape(-1, 2)
+
     def resid(x):
-        p = x.reshape(-1, 2)
+        p = positions(x)
         d = p[eu] - p[ev]
         return np.hypot(d[:, 0], d[:, 1]) - 1.0
 
     def jacobian(x):
-        p = x.reshape(-1, 2)
+        p = positions(x)
         d = p[eu] - p[ev]
         dist = np.hypot(d[:, 0], d[:, 1])
         unit = d / np.where(dist < 1e-300, 1.0, dist)[:, None]
-        j = np.zeros((len(eu), x.size))
+        j = np.zeros((len(eu), width))
         np.put(j, cells, np.hstack([unit, -unit]))
-        return j
+        return j if P is None else j @ P
 
-    # each Jacobian entry is a component of a unit direction, so no gradient
-    # entry exceeds the largest degree times max|r|; under a quarter of LM's
-    # 1e-12 gradient stop, LM would return the start as it is
-    r = resid(pos0.ravel())
-    if max(map(len, g.adjacency)) * np.max(np.abs(r)) < 0.25e-12:
-        return np.array(pos0, dtype=float, order="C")
-    # each edge row's cells (u's x and y, then v's) in the flat Jacobian
-    cells = np.column_stack([2 * eu, 2 * eu + 1, 2 * ev, 2 * ev + 1]) + pos0.size * np.arange(len(eu))[:, None]
-    x = lm_least_squares(resid, jacobian, pos0.ravel(), max_iter=max_iter)
-    return x.reshape(-1, 2)
+    x0 = np.array(x0, dtype=float).ravel()
+    width = x0.size if P is None else len(P)
+    # each Jacobian entry of a plain solve is a component of a unit
+    # direction, so no gradient entry exceeds the largest degree times
+    # max|r|; under a quarter of LM's 1e-12 gradient stop, LM would return
+    # the start as it is
+    if P is None and np.bincount(np.concatenate(edges)).max() * np.max(np.abs(resid(x0))) < 0.25e-12:
+        return x0.reshape(-1, 2)
+    # each edge row's cells (u's x and y, then v's) in the flat plain Jacobian
+    cells = np.column_stack([2 * eu, 2 * eu + 1, 2 * ev, 2 * ev + 1]) + width * np.arange(len(eu))[:, None]
+    return positions(lm_least_squares(resid, jacobian, x0, max_iter=_LM_MAX_ITER))
 
 
-def _ring_table(orbits: list[list[int]], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each vertex's ring j and angular offset 2*pi*t/k, where it is orbits[j][t]."""
+def _ring_map(orbits: list[list[int]], k: int) -> np.ndarray:
+    """The (2V, 2m) map P of the ring ansatz: P @ z, with z = (x_0, y_0,
+    x_1, y_1, ...), puts vertex orbits[j][t] at R(2*pi*t/k) (x_j, y_j)."""
     ring, t = np.divmod(np.argsort(np.array(orbits).ravel()), k)
-    return ring, 2.0 * math.pi * t / k
+    offset = 2.0 * math.pi * t / k
+    c, s = np.cos(offset), np.sin(offset)
+    P = np.zeros((len(ring), 2, len(orbits), 2))
+    # vertex v's rows and ring[v]'s columns hold the rotation block
+    P[np.arange(len(ring)), :, ring, :] = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+    return P.reshape(2 * len(ring), 2 * len(orbits))
 
 
-def _ring_polar(x: np.ndarray, ring: np.ndarray, offset: np.ndarray):
-    """Each vertex's radius and the cosine and sine of its angle, from the
-    ring variables x = (r_0, phi_0, r_1, phi_1, ...)."""
-    a = x[1::2][ring] + offset
-    return x[0::2][ring], np.cos(a), np.sin(a)
-
-
-def _ring_positions(x: np.ndarray, ring: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    r, cos, sin = _ring_polar(x, ring, offset)
-    return np.column_stack([r * cos, r * sin])
+def _ring_start(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m ring representatives drawn as radii, then phases, as (x, y) pairs."""
+    r = rng.uniform(0.25, 2.2, size=m)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=m)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
 def _rings_rule_out(g: Graph, orbits: list[list[int]], k: int) -> bool:
@@ -540,42 +545,6 @@ def _rings_rule_out(g: Graph, orbits: list[list[int]], k: int) -> bool:
         if ra is not None and rb is not None and abs(ra - rb) > 1.0 + _RADIUS_SLACK * (ra + rb):
             return True
     return False
-
-
-def _solve_orbits(
-    edges: tuple[np.ndarray, np.ndarray], ring: np.ndarray, offset: np.ndarray, x0: np.ndarray, max_iter: int
-) -> np.ndarray:
-    """LM over the ring variables x0 towards unit edges (eu, ev) = edges."""
-    eu, ev = edges
-    m = len(eu)
-    # each edge's u end, then its v end: their rows, the radius cells of
-    # their rings in the flat Jacobian (the phase cells follow them) and signs
-    rows = np.concatenate([np.arange(m), np.arange(m)])
-    ends = np.concatenate([eu, ev])
-    cells = rows * x0.size + 2 * ring[ends]
-    cells = np.concatenate([cells, cells + 1])
-    sign = np.repeat([1.0, -1.0], m)
-
-    def resid(x):
-        p = _ring_positions(x, ring, offset)
-        d = p[eu] - p[ev]
-        return np.hypot(d[:, 0], d[:, 1]) - 1.0
-
-    def jacobian(x):
-        r, cos, sin = _ring_polar(x, ring, offset)
-        p = np.column_stack([r * cos, r * sin])
-        d = p[eu] - p[ev]
-        # math.hypot keeps the solve bit-equal to the per-edge loop it
-        # replaced: np.hypot differs from it in the last bit on some inputs
-        dist = np.fromiter(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()), dtype=float, count=m)
-        gx, gy = (d / np.where(dist < 1e-300, 1.0, dist)[:, None])[rows].T
-        c, s = cos[ends], sin[ends]
-        j = np.zeros(m * x.size)
-        # one scatter, u ends first: a cell both ends share gets 0 + a_u + a_v
-        np.add.at(j, cells, np.concatenate([sign * (gx * c + gy * s), sign * r[ends] * (-gx * s + gy * c)]))
-        return j.reshape(m, x.size)
-
-    return lm_least_squares(resid, jacobian, x0, max_iter=max_iter)
 
 
 # Angles tried, in order, for the factor each product start composes in:
@@ -619,9 +588,9 @@ def _product_start(g: Graph, seed: int, restarts: int):
     for f, fpos in zip(factors[1:], rest):
         size = size * f.order + order * f.size
         order *= f.order
+        i, j = _pair_indices(order)
         for angle in _PRODUCT_ANGLES:
             folded = _product_positions(pos, _rotated(fpos, angle))
-            i, j = _pair_indices(len(folded))
             dist = np.hypot(folded[j, 0] - folded[i, 0], folded[j, 1] - folded[i, 1])
             # the edges alone at unit distance
             if dist.min() > TOL_SEPARATION and np.count_nonzero(np.abs(dist - 1.0) <= 1e-6) == size:
@@ -653,10 +622,16 @@ def solve_unit_distance(
     generator is seeded only when a random start is due. An integer
     `symmetry` k asks for a rotational ansatz: free order-k automorphisms
     are taken from the search one at a time, up to six, and each one's
-    orbits become (radius, phase) ring variables; explicit orbit lists are
-    also accepted. Each orbit set's ring table (every vertex's orbit and
-    offset 2*pi*t/k) gives positions, residual and Jacobian as array passes,
-    and `restarts` ring solves from random ring variables are the starts.
+    orbits become ring variables; explicit orbit lists are also accepted.
+    The ring variables are one Cartesian representative z_j per orbit, and
+    vertex orbits[j][t] sits at R(2*pi*t/k) z_j, so the positions are P @ z
+    for a fixed map P (_ring_map). A ring solve is the plain LM at P @ z,
+    its Jacobian the plain one times P, and `restarts` of them, each from
+    radii and then phases drawn at random, are the starts. LM steps
+    otherwise in z than in the polar (radius, phase) variables that z
+    replaced, so where the rings have several solutions (a free radius, as
+    for the dodecahedron at symmetry 5, or two phases between two rings) the
+    same draws can end on another drawing.
     An orbit set whose ring radii, forced by edges within an orbit, rule
     out unit edges (_rings_rule_out) runs no solve: one draw of as many
     doubles as its starts would take advances the generator past them, so
@@ -725,12 +700,9 @@ def solve_unit_distance(
                     # later sets keep their starts
                     rng.random(2 * m * restarts)
                     continue
-                ring, offset = _ring_table(orbits, k)
+                P = _ring_map(orbits, k)
                 for _ in range(restarts):
-                    x0 = np.empty(2 * m)
-                    x0[0::2] = rng.uniform(0.25, 2.2, size=m)
-                    x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=m)
-                    pos = _ring_positions(_solve_orbits(edges, ring, offset, x0, _LM_MAX_ITER), ring, offset)
+                    pos = _solve(edges, _ring_start(rng, m), P)
                     # a ring solution above tolerance fails here: a polish
                     # from it would leave the rotational drawing
                     ok = _edge_residual(pos, *edges) <= TOL_INCIDENCE
@@ -744,7 +716,7 @@ def solve_unit_distance(
     # a start with meta None has failed already and is counted as it stands
     for runs, (pos, meta) in enumerate(starts, 1):
         if meta is not None:
-            pos = _solve_coordinates(g, pos, _LM_MAX_ITER, edges)
+            pos = _solve(edges, pos)
         residual = _edge_residual(pos, *edges)
         best = min(best, residual)
         if residual <= TOL_INCIDENCE and not _near_pairs(*pos.T, TOL_SEPARATION)[0].size:

@@ -74,9 +74,10 @@ class SphericalCircleConfig:
     of circles, a (C, 4) table as in PointPlaneConfig, cut out of it;
     _circle_cuts gives their centres and radii. The constructor checks every
     field, for files and hand-built configurations alike, and passes the
-    circles through _plane_rows; sphere_circles, whose rows come out of it
-    already, skips that through graphs._unchecked, as a second pass can move
-    a bit."""
+    circles through _plane_rows. A second pass can move a bit, so a row that
+    it moves by rounding alone, as it does a row it gave, is kept as given:
+    a file reads back bit for bit. sphere_circles, whose rows come out of
+    _plane_rows already, skips the check through graphs._unchecked."""
 
     center: np.ndarray
     radius: float
@@ -96,7 +97,9 @@ class SphericalCircleConfig:
         p, k = _incidence_pairs(self.incidence, len(points), len(table))
         incidence = tuple(zip(p.tolist(), k.tolist()))
         self.points, self.center, self.radius, self.incidence = points, center, radius, incidence
-        self.circles = _plane_rows(table[:, :3], table[:, 3])
+        rows = _plane_rows(table[:, :3], table[:, 3])
+        kept = np.all(np.abs(rows - table) <= 4.0 * np.finfo(float).eps * np.abs(table), axis=1)
+        self.circles = np.where(kept[:, None], table, rows)
 
 
 @dataclass(frozen=True)

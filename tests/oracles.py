@@ -22,7 +22,9 @@ identity witness checked as an isomorphism onto the cover. The Kronecker
 report that counted the cover's components by union-find over its edges, and
 the lineality test that checked point pairs one at a time, are the versions
 that one BFS over the graph and one set update per block replaced. The free cyclic action search that scanned every vertex for each
-orbit step is the version that the scan of one distance layer replaced. The SVG
+orbit step is the version that the scan of one distance layer replaced. The ring solve in polar
+(radius, phase) variables is the version that the ring map in orbit
+representatives replaced; tests hold it to the same outcomes, not bits. The SVG
 renderer that grew its viewBox one element at a time, and the CO(n) layout
 that took one prism edge midpoint at a time, are the versions that array
 passes replaced. The dense (C, n) residual matrix is the version that one
@@ -72,7 +74,6 @@ from confviz.realization import (
     Layout,
     PointCircleConfig,
     _edge_arrays,
-    _solve_coordinates,
 )
 from confviz.spatial import AdmissibilityReport, PointPlaneConfig, PolytopeSkeleton
 
@@ -552,8 +553,57 @@ def free_cyclic_actions(g: Graph, k: int):
 
 
 # ---------------------------------------------------------------------------
-# rotational ansatz, per vertex and per edge, kept as the differential oracle
-# for the ring-table passes in confviz.realization
+# rotational ansatz, per vertex and per edge: in Cartesian orbit
+# representatives z, the differential oracle for realization._solve with a
+# ring map; and in polar ring variables (r, phi), the solve that the map
+# replaced, kept as the reference whose outcomes the new variables must keep
+
+
+def ring_map(orbits: list[list[int]], k: int, n: int) -> np.ndarray:
+    """The ring map one vertex at a time: rows 2v and 2v + 1 of vertex
+    v = orbits[j][t] hold R(2*pi*t/k) in columns 2j and 2j + 1."""
+    P = np.zeros((2 * n, 2 * len(orbits)))
+    for j, orbit in enumerate(orbits):
+        for t, v in enumerate(orbit):
+            a = 2.0 * math.pi * t / k
+            c, s = math.cos(a), math.sin(a)
+            P[2 * v: 2 * v + 2, 2 * j: 2 * j + 2] = [[c, -s], [s, c]]
+    return P
+
+
+def ring_start(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Orbit representatives z from radii and phases, one orbit at a time."""
+    z = np.empty(2 * len(r))
+    for j in range(len(r)):
+        z[2 * j], z[2 * j + 1] = r[j] * math.cos(phi[j]), r[j] * math.sin(phi[j])
+    return z
+
+
+def _solve_ring(g, P: np.ndarray, z0: np.ndarray, max_iter: int) -> np.ndarray:
+    """LM over z towards unit edges, with residual and plain Jacobian one
+    edge at a time; positions and the Jacobian take P through the same `@`
+    as the library, so no BLAS summation order comes between them."""
+
+    def positions(z):
+        return (P @ z).reshape(-1, 2)
+
+    def resid(z):
+        p = positions(z)
+        return np.array([np.hypot(*(p[u] - p[v])) - 1.0 for u, v in g.edges])
+
+    def jacobian(z):
+        p = positions(z)
+        j = np.zeros((g.size, len(P)))
+        for row, (u, v) in enumerate(g.edges):
+            d = p[u] - p[v]
+            dist = np.hypot(d[0], d[1])
+            if dist < 1e-300:
+                dist = 1.0
+            j[row, 2 * u: 2 * u + 2] = d / dist
+            j[row, 2 * v: 2 * v + 2] = -d / dist
+        return j @ P
+
+    return positions(lm_least_squares(resid, jacobian, z0, max_iter=max_iter))
 
 
 def _orbit_positions(x: np.ndarray, orbits: list[list[int]], k: int, n: int) -> np.ndarray:
@@ -567,6 +617,7 @@ def _orbit_positions(x: np.ndarray, orbits: list[list[int]], k: int, n: int) -> 
 
 
 def _solve_orbits(g, orbits: list[list[int]], k: int, x0: np.ndarray, max_iter: int) -> np.ndarray:
+    """LM over the polar ring variables x = (r_0, phi_0, r_1, phi_1, ...)."""
     eu, ev = _edge_arrays(g)
     slot = {}
     for j, orbit in enumerate(orbits):
@@ -601,12 +652,21 @@ def _solve_orbits(g, orbits: list[list[int]], k: int, x0: np.ndarray, max_iter: 
     return lm_least_squares(resid, jacobian, x0, max_iter=max_iter)
 
 
-def solve_unit_distance(g, *, seed=None, symmetry=None, tol=TOL_INCIDENCE, max_iter=500, restarts=40):
-    """The seeded restart loops of solve_unit_distance (no polish path), the
-    symmetric one over the per-vertex ansatz above."""
+def solve_unit_distance(
+    g, *, seed=None, symmetry=None, tol=TOL_INCIDENCE, max_iter=500, restarts=40, polar=False
+):
+    """The seeded restart loops of solve_unit_distance (no polish path and
+    no product start). The symmetric one runs each orbit set's ring solves
+    over the per-edge solve in z above, or with polar over the one in (r,
+    phi); a set that realization._rings_rule_out refuses draws its starts'
+    doubles in one go, and only a ring solution within tol is polished."""
     base_seed = 0 if seed is None else int(seed)
     rng = np.random.default_rng(base_seed)
+    edges = _edge_arrays(g)
     best = math.inf
+
+    def measured(pos):
+        return unit_edge_residual(Layout(g, pos, {}))
 
     if symmetry is not None:
         if isinstance(symmetry, int):
@@ -624,40 +684,43 @@ def solve_unit_distance(g, *, seed=None, symmetry=None, tol=TOL_INCIDENCE, max_i
             covered = sorted(v for o in orbit_sets[0] for v in o)
             if covered != list(range(g.order)):
                 raise ParameterError("orbits must partition the vertex set")
+        runs = skipped = 0
         for orbits in orbit_sets:
             m = len(orbits)
+            if realization._rings_rule_out(g, orbits, k):
+                skipped += 1
+                rng.random(2 * m * restarts)
+                continue
+            P = None if polar else ring_map(orbits, k, g.order)
             for _ in range(restarts):
-                x0 = np.empty(2 * m)
-                x0[0::2] = rng.uniform(0.25, 2.2, size=m)
-                x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=m)
-                x = _solve_orbits(g, orbits, k, x0, max_iter)
-                pos = _orbit_positions(x, orbits, k, g.order)
-                pos = _solve_coordinates(g, pos, max_iter, _edge_arrays(g))  # polish off the ansatz
-                layout = Layout(g, pos, {})
-                residual = unit_edge_residual(layout)
+                runs += 1
+                r = rng.uniform(0.25, 2.2, size=m)
+                phi = rng.uniform(0.0, 2.0 * math.pi, size=m)
+                if polar:
+                    x0 = np.empty(2 * m)
+                    x0[0::2], x0[1::2] = r, phi
+                    pos = _orbit_positions(_solve_orbits(g, orbits, k, x0, max_iter), orbits, k, g.order)
+                else:
+                    pos = _solve_ring(g, P, ring_start(r, phi), max_iter)
+                residual = measured(pos)
+                if residual <= tol:  # only a ring solution goes on to the polish
+                    pos = realization._solve(edges, pos)
+                    residual = measured(pos)
                 best = min(best, residual)
                 if residual <= tol and _min_separation(pos) > TOL_SEPARATION:
-                    layout.meta.update(
-                        {
-                            "method": "orbit-lm",
-                            "symmetry": k,
-                            "seed": base_seed,
-                            "residual": residual,
-                        }
-                    )
-                    return layout, residual
-        raise ConvergenceError("symmetric solve exhausted restarts", residual=best)
+                    meta = {"method": "orbit-lm", "symmetry": k, "seed": base_seed, "residual": residual}
+                    return Layout(g, pos, meta), residual
+        raise ConvergenceError(
+            "symmetric solve exhausted restarts", residual=best if runs else None, restarts=runs, skipped=skipped
+        )
 
     span = 1.0 + 0.25 * math.sqrt(g.order)
     for _ in range(restarts):
-        pos0 = rng.uniform(-span, span, size=(g.order, 2))
-        pos = _solve_coordinates(g, pos0, max_iter, _edge_arrays(g))
-        layout = Layout(g, pos, {})
-        residual = unit_edge_residual(layout)
+        pos = realization._solve(edges, rng.uniform(-span, span, size=(g.order, 2)))
+        residual = measured(pos)
         best = min(best, residual)
         if residual <= tol and _min_separation(pos) > TOL_SEPARATION:
-            layout.meta.update({"method": "lm", "seed": base_seed, "residual": residual})
-            return layout, residual
+            return Layout(g, pos, {"method": "lm", "seed": base_seed, "residual": residual}), residual
     raise ConvergenceError("unit-distance solve exhausted restarts", residual=best)
 
 

@@ -1,4 +1,5 @@
-"""The ring-table ansatz solve against the per-vertex, per-edge loops it replaced."""
+"""The ring-map ansatz solve against per-vertex, per-edge loops in the same
+variables, and against the polar ring solve that it replaced."""
 
 import math
 
@@ -17,7 +18,7 @@ from confviz import (
     unit_edge_residual,
 )
 from confviz.graphs import complete_graph, cycle_graph
-from confviz.realization import _edge_arrays, _ring_positions, _ring_table, _solve_orbits
+from confviz.realization import _edge_arrays, _ring_map, _ring_start, _solve
 
 import oracles
 
@@ -71,6 +72,27 @@ def test_explicit_orbit_and_plain_solves_match_oracle(seed):
         )
 
 
+def _outcome(run):
+    """('ok', None, None) for a solve, else ('fail', restarts, skipped)."""
+    try:
+        run()
+    except ConvergenceError as exc:
+        return "fail", exc.restarts, exc.skipped
+    return "ok", None, None
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("family,params,k", SYMMETRIC)
+def test_symmetric_solve_keeps_the_polar_outcome(family, params, k, seed):
+    """The drawing may differ where ring radii are free, but a solve in
+    orbit representatives succeeds where the polar ring solve did, and
+    fails after as many restarts and skipped orbit sets."""
+    g = build_family(family, *params)
+    assert _outcome(lambda: solve_unit_distance(g, seed=seed, symmetry=k)) == _outcome(
+        lambda: oracles.solve_unit_distance(g, seed=seed, symmetry=k, polar=True)
+    )
+
+
 @pytest.mark.parametrize("m, restarts", [(1, 1), (2, 40), (3, 7), (4, 0)])
 def test_one_draw_leaves_the_generator_where_the_ruled_out_starts_would(m, restarts):
     """A ruled-out orbit set draws rng.random(2 * m * restarts) in place of
@@ -101,24 +123,67 @@ ORBIT_GRAPHS = [
 def ring_problems(draw):
     g, orbits, k = draw(st.sampled_from(ORBIT_GRAPHS))
     m = len(orbits)
-    radius = st.floats(0.25, 2.2, allow_nan=False)
-    phase = st.floats(-4.0 * math.pi, 4.0 * math.pi, allow_nan=False)
-    x0 = np.empty(2 * m)
-    x0[0::2] = draw(st.lists(radius, min_size=m, max_size=m))
-    x0[1::2] = draw(st.lists(phase, min_size=m, max_size=m))
-    return g, orbits, k, x0, draw(st.integers(1, 40))
+    coordinate = st.floats(-2.2, 2.2, allow_nan=False)
+    z0 = np.array(draw(st.lists(coordinate, min_size=2 * m, max_size=2 * m)))
+    return g, orbits, k, z0, draw(st.integers(1, 40))
 
 
 @settings(max_examples=60, deadline=None)
 @given(ring_problems())
 def test_ring_solve_matches_per_edge_loop(problem):
-    g, orbits, k, x0, max_iter = problem
-    ring, offset = _ring_table(orbits, k)
-    want = oracles._orbit_positions(x0, orbits, k, g.order)
-    assert _ring_positions(x0, ring, offset).tobytes() == want.tobytes()
-    got = _solve_orbits(_edge_arrays(g), ring, offset, x0, max_iter)
-    want = oracles._solve_orbits(g, orbits, k, x0, max_iter)
-    assert got.tobytes() == want.tobytes()
+    g, orbits, k, z0, max_iter = problem
+    P = _ring_map(orbits, k)
+    assert P.tobytes() == oracles.ring_map(orbits, k, g.order).tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(realization, "_LM_MAX_ITER", max_iter)
+        got = _solve(_edge_arrays(g), z0, P)
+    assert got.tobytes() == oracles._solve_ring(g, P, z0, max_iter).tobytes()
+
+
+@st.composite
+def orbit_tables(draw):
+    """k in 2..12, an explicit table of m <= 4 orbits of k vertices, and
+    representatives z in [-3, 3]."""
+    k, m = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    vertices = draw(st.permutations(range(k * m)))
+    orbits = [list(vertices[j * k: (j + 1) * k]) for j in range(m)]
+    z = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=2 * m, max_size=2 * m))
+    return orbits, k, np.array(z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbit_tables())
+def test_ring_map_rotates_each_representative_onto_its_orbit(problem):
+    orbits, k, z = problem
+    pos = (_ring_map(orbits, k) @ z).reshape(-1, 2)
+    for j, orbit in enumerate(orbits):
+        x, y = z[2 * j], z[2 * j + 1]
+        slack = 4.0 * np.spacing(math.hypot(x, y))
+        for t, v in enumerate(orbit):
+            c, s = math.cos(2.0 * math.pi * t / k), math.sin(2.0 * math.pi * t / k)
+            assert abs(pos[v, 0] - (c * x - s * y)) <= slack
+            assert abs(pos[v, 1] - (s * x + c * y)) <= slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbit_tables(), st.integers(0, 2**32))
+def test_a_ring_start_lands_where_the_polar_start_does(problem, seed):
+    """The start drawn as radii then phases and taken to z sits, under the
+    ring map, where the polar oracle puts the same draws: within 8 eps of
+    the radius, as the oracle's angle phase + 2*pi*t/k, below 4*pi, rounds
+    by up to 4 eps."""
+    orbits, k, _ = problem
+    m = len(orbits)
+    z0 = _ring_start(np.random.default_rng(seed), m)
+    rng = np.random.default_rng(seed)
+    x0 = np.empty(2 * m)
+    x0[0::2] = rng.uniform(0.25, 2.2, size=m)
+    x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=m)
+    assert z0.tobytes() == oracles.ring_start(x0[0::2], x0[1::2]).tobytes()
+    got = (_ring_map(orbits, k) @ z0.ravel()).reshape(-1, 2)
+    want = oracles._orbit_positions(x0, orbits, k, k * m)
+    for j, orbit in enumerate(orbits):
+        assert np.all(np.abs(got[orbit] - want[orbit]) <= 8.0 * np.finfo(float).eps * x0[2 * j])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -161,7 +226,7 @@ def test_edge_residual_matches_per_edge_loop(family, params, k):
 
 def _edge_lm(g, pos0):
     """oracles.lm_least_squares over the edge residuals and Jacobian that
-    realization._solve_coordinates polishes with, from pos0."""
+    realization._solve polishes with, from pos0."""
     eu, ev = np.array(g.edges).T
 
     def resid(x):
@@ -184,13 +249,14 @@ def _edge_lm(g, pos0):
 def _polished_starts(monkeypatch, g, **kwargs):
     """The starts a solve of g hands to its polish, in order."""
     starts = []
-    polish = realization._solve_coordinates
+    solve = realization._solve
 
-    def spy(*args, **kwargs):
-        starts.append(args[1].copy())  # polish(g, pos0, ...)
-        return polish(*args, **kwargs)
+    def spy(edges, x0, P=None):
+        if P is None:  # a polish, not a ring solve
+            starts.append(x0.copy())
+        return solve(edges, x0, P)
 
-    monkeypatch.setattr(realization, "_solve_coordinates", spy)
+    monkeypatch.setattr(realization, "_solve", spy)
     solve_unit_distance(g, **kwargs)
     monkeypatch.undo()
     return starts
@@ -207,7 +273,7 @@ def _check_polish_skip(g, starts, seed):
         for eps in (0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
             pos = start + eps * rng.standard_normal(start.shape)
             r, want = _edge_lm(g, pos)
-            got = realization._solve_coordinates(g, pos, realization._LM_MAX_ITER, _edge_arrays(g))
+            got = realization._solve(_edge_arrays(g), pos)
             skips = bool(maxdeg * np.max(np.abs(r)) < 0.25e-12)
             sides[skips] += 1
             if skips:

@@ -3,7 +3,9 @@
 perfbench/ reads configurations through their public fields (for instance
 cfg.circles[k].cx and c.r over cfg.circles), so a change to how confviz
 holds a circle set must keep those reads working. This runs one repeat of a
-few flags and solver items and asks each item's own check for problems.
+few flags and solver items, at the benchmark's seed and at its confirming
+seed, and asks each item's own check for problems. Every symmetric solver
+item is among them, so a ring solve that stops converging fails here.
 perfbench/ is only read, never changed.
 """
 
@@ -19,7 +21,7 @@ if str(PERFBENCH) not in sys.path:
 import harness  # noqa: E402
 import workloads  # noqa: E402
 
-SEED = 3
+SEEDS = [3, workloads.CONFIRM_SEED]
 ITEMS = [
     ("flags", "hypercube(3)"),
     ("flags", "hypercube(6)"),
@@ -35,15 +37,18 @@ ITEMS = [
     ("flags", "realize_n3(pappus)"),
     ("flags", "invert(pappus)"),
     ("solver", "petersen() symmetry=5"),
+    ("solver", "desargues() symmetry=10"),
+    *[("solver", f"gen_petersen({n}, 2) symmetry={n}") for n in (10, 11, 12, 14, 16, 18)],
     # plain product solves, whose family graphs carry their factorization
     ("solver", "prism(14,) plain"),
     ("solver", "gen_petersen(17, 1) plain"),
 ]
 
 
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workload, key", ITEMS)
-def test_benchmark_check_accepts_the_output(workload, key, tmp_path):
-    items = {item.key: item for item in getattr(workloads, workload)(SEED, tmp_path)}
+def test_benchmark_check_accepts_the_output(workload, key, seed, tmp_path):
+    items = {item.key: item for item in getattr(workloads, workload)(seed, tmp_path)}
     item = items[key]
     out = item.run(harness.Tracer(False))
     assert item.check(out) == []

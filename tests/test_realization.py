@@ -409,9 +409,14 @@ def test_solver_reports_orbit_sets_ruled_out():
 def test_symmetric_solve_polishes_only_ring_solutions(monkeypatch):
     """A ring start above TOL_INCIDENCE fails as it stands: a polish from it
     may reach a unit-distance drawing that is not rotational."""
-    solve = realization._solve_orbits
-    # every ring solution scaled by 1.1, so its edges within an orbit grow to 1.1
-    monkeypatch.setattr(realization, "_solve_orbits", lambda *args, **kwargs: 1.1 * solve(*args, **kwargs))
+    solve = realization._solve
+
+    def scaled(edges, x0, P=None):
+        # every ring solution scaled by 1.1, so its edges within an orbit grow to 1.1
+        pos = solve(edges, x0, P)
+        return pos if P is None else 1.1 * pos
+
+    monkeypatch.setattr(realization, "_solve", scaled)
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(petersen_graph(), seed=0, symmetry=5, restarts=4)
     assert (exc.value.restarts, exc.value.skipped) == (24, 0)
@@ -510,7 +515,7 @@ def test_symmetric_solve_counts_sets_of_a_short_stream(monkeypatch):
     pulled = _count_pulls(monkeypatch)
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(prism_graph(5), seed=0, symmetry=5, restarts=1)
-    assert str(exc.value) == "symmetric solve exhausted 4 restarts over 4 orbit sets (best residual 2.2e-16)"
+    assert str(exc.value) == "symmetric solve exhausted 4 restarts over 4 orbit sets (best residual 1.1e-16)"
     assert (exc.value.restarts, exc.value.skipped, len(pulled)) == (4, 0, 4)
 
 
