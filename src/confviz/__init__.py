@@ -20,9 +20,9 @@ _PUBLIC = {
         "DistinctnessError", "ParameterError", "PolePlacementError", "SamplingError",
     ),
     "graphs": (
-        "Bipartition", "Graph", "POLYTOPE_NAMES", "StructureReport", "VertexMap", "bipartite_swap_involution",
-        "build_family", "cartesian_factors", "cartesian_product", "family_names", "is_admissible",
-        "kronecker_cover", "line_graph", "structure_report",
+        "Bipartition", "Graph", "POLYTOPE_NAMES", "StructureReport", "VertexMap", "build_family",
+        "cartesian_factors", "cartesian_product", "family_names", "is_admissible", "kronecker_cover", "line_graph",
+        "structure_report",
     ),
     "incidence": (
         "ConfigClass", "IncidenceStructure", "KroneckerReport", "classify", "decompose", "fano_plane",
@@ -35,8 +35,8 @@ _PUBLIC = {
     ),
     "iso": ("find_free_cyclic_action", "find_swap_involution", "isomorphic"),
     "spatial": (
-        "PointPlaneConfig", "PolytopeSkeleton", "SphericalCircleConfig", "admissible_polytope", "coplanarity",
-        "point_plane_vconstruct", "polytope_data", "sphere_circles", "stereographic_project",
+        "PointPlaneConfig", "PolytopeSkeleton", "SphericalCircleConfig", "point_plane_vconstruct", "polytope_data",
+        "sphere_circles", "stereographic_project",
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

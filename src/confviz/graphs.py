@@ -248,16 +248,6 @@ class Bipartition:
         if any(s not in (0, 1) for s in self.sides):
             raise ParameterError("bipartition sides must be 0 or 1")
 
-    def is_valid_for(self, g: Graph) -> bool:
-        if len(self.sides) != g.order:
-            return False
-        return all(self.sides[u] != self.sides[v] for u, v in g.edges)
-
-    def classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        zero = tuple(v for v, s in enumerate(self.sides) if s == 0)
-        one = tuple(v for v, s in enumerate(self.sides) if s == 1)
-        return zero, one
-
 
 @dataclass(frozen=True)
 class VertexMap:
@@ -284,12 +274,6 @@ class VertexMap:
     def is_automorphism(self, g: Graph) -> bool:
         return self.is_isomorphism(g, g)
 
-    def inverse(self) -> "VertexMap":
-        inv = [0] * len(self.image)
-        for v, w in enumerate(self.image):
-            inv[w] = v
-        return VertexMap(tuple(inv))
-
     def cycles(self) -> list[list[int]]:
         """The cycles, each from its least element, in increasing order of it,
         by one walk; a walk that ends anywhere but at its start met a second
@@ -309,9 +293,6 @@ class VertexMap:
                 raise ParameterError("vertex map is not a bijection")
             out.append(cycle)
         return out
-
-    def permutation_order(self) -> int:
-        return math.lcm(*map(len, self.cycles()))
 
 
 # ---------------------------------------------------------------------------
@@ -797,11 +778,6 @@ class StructureReport:
     graph: Graph
 
     @cached_property
-    def regular_degree(self) -> int | None:
-        degrees = {len(a) for a in self.graph.adjacency}
-        return degrees.pop() if len(degrees) == 1 else None
-
-    @cached_property
     def _component_walk(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
         # components in order of their least vertex, and every vertex's
         # depth below that vertex
@@ -893,23 +869,3 @@ def structure_report(g: Graph) -> StructureReport:
     """Lazy structure report of g; fields cost nothing until read."""
     return StructureReport(g)
 
-
-def bipartite_swap_involution(g: Graph, parts: Bipartition) -> VertexMap | None:
-    """Order-two automorphism exchanging the two sides of parts, if any.
-
-    The fiber candidate i <-> i + n/2 is tried first since covers are built
-    with that layout; otherwise a constrained backtracking search runs.
-    """
-    from . import iso
-
-    if not parts.is_valid_for(g):
-        raise ParameterError("parts is not a valid bipartition of g")
-    zero, one = parts.classes()
-    if len(zero) != len(one):
-        return None
-    half = g.order // 2
-    if g.order % 2 == 0 and zero == tuple(range(half)):
-        candidate = VertexMap(tuple((v + half) % g.order for v in range(g.order)))
-        if candidate.is_automorphism(g):
-            return candidate
-    return iso.find_swap_involution(g, parts.sides)

@@ -1,21 +1,27 @@
-"""Isomorphism testing and constrained automorphism search.
+"""Isomorphism and constrained automorphism search: one search for all three.
 
-The engine is iterated color refinement (degree and distance-profile seeds,
-then neighbour-multiset rounds) with individualisation backtracking on the
-first non-singleton class. Candidates are tried in (color, index) order, so
-results are deterministic. Graphs above MAX_VERTICES (enough for the
-924-vertex Levi graph of odd(6)) and searches past the node budget raise
-CapacityError rather than running open-ended. Callers: `confviz iso`
-(isomorphic); graphs.bipartite_swap_involution and incidence.is_self_polar
-(find_swap_involution), the latter only when point i <-> block i is not a
-polarity, as for decompose parts and many hand-built structures; and the
-symmetric unit-distance ansatz of realization.solve_unit_distance
-(orbits_of, and find_free_cyclic_action, whose actions are yielded one at
-a time, so the search goes only as far as the solve reads). Each orbit step of that search scans one BFS layer,
-left by the seed tokens' BFS, for its candidates instead of every vertex.
-Block v of a V-construction is N(v), so verify_kronecker_theorem and
-is_self_polar check identity maps on it instead, in O(E), in process or
-read from a file, with `isomorphic` and find_swap_involution as oracles.
+The paper asks three automorphism questions. Which free cyclic actions of
+order k give a symmetric drawing (find_free_cyclic_action, for the
+unit-distance ansatz of realization.solve_unit_distance)? Is a structure
+self-polar, that is, does its Levi graph have an involution that swaps
+points and blocks (find_swap_involution, for incidence.is_self_polar when
+point i <-> block i is not a polarity)? Is Levi(N(G)) the Kronecker cover
+(isomorphic, for `confviz iso` and as the tests' oracle)? Each answer is a
+free order-k action, so one distance-preserving depth-first search,
+_free_cyclic_actions, finds them all. A swap involution moves every vertex:
+it is a free action of order 2 that maps side s only onto side 1 - s. An
+isomorphism f of g onto h, together with its inverse, is such an involution
+of the disjoint union of g and h with g on side 0 and h on side 1.
+
+The search runs from an explicit stack, one frame per vertex being placed,
+so its depth is bounded by the order, not by Python's recursion limit.
+Candidates are tried in increasing order, so results are deterministic.
+Graphs above MAX_VERTICES (enough for hypercube(10) and for the 924-vertex
+Levi graph of odd(6)) and searches past the node budget raise CapacityError
+rather than running open-ended. Block v of a V-construction is N(v), so
+verify_kronecker_theorem and is_self_polar check identity maps on it
+instead, in O(E), and the tests hold them to `isomorphic` and
+find_swap_involution.
 """
 
 from __future__ import annotations
@@ -23,140 +29,39 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .errors import CapacityError
-from .graphs import Graph, VertexMap, _integer, bfs_layers
+from .graphs import Graph, VertexMap, _integer, _unchecked, bfs_layers
 
 MAX_VERTICES = 1024
 _NODE_BUDGET = 400_000
 
 
-def _seed_tokens(
-    g: Graph, dist: list[list[int]] | None = None, layers: list[list[list[int]]] | None = None
-) -> list[tuple]:
+def _seed_tokens(g: Graph, dist: list[list[int]], layers: list[list[list[int]]]) -> list[tuple]:
     """Degree and the sizes of successive BFS shells, a cheap start invariant.
 
-    Given dist, the BFS from v also leaves its distances in the row dist[v];
-    given layers, its shells, nearest first and each in the order the BFS
-    found it, in layers[v].
+    The BFS from v also leaves its distances in the row dist[v], and its
+    shells, nearest first and each in the order the BFS found it, in
+    layers[v].
     """
-    rows = dist if dist is not None else ([-1] * g.order for _ in range(g.order))
     tokens = []
-    for v, row in enumerate(rows):
-        shells = list(bfs_layers(g, v, row))
-        if layers is not None:
-            layers[v] = shells
+    for v, row in enumerate(dist):
+        shells = layers[v] = list(bfs_layers(g, v, row))
         tokens.append((len(g.adjacency[v]), tuple(map(len, shells))))
     return tokens
 
 
-def _assign_ids(tokens_g: list, tokens_h: list) -> tuple[list[int], list[int]] | None:
-    """Map arbitrary hashable tokens to joint integer ids; None on mismatch."""
-    universe = sorted(set(tokens_g) | set(tokens_h))
-    ids = {t: i for i, t in enumerate(universe)}
-    cg = [ids[t] for t in tokens_g]
-    ch = [ids[t] for t in tokens_h]
-    if sorted(cg) != sorted(ch):
-        return None
-    return cg, ch
-
-
-def _refine(adj_g, adj_h, cg: list[int], ch: list[int]) -> tuple[list[int], list[int]] | None:
-    """Joint 1-WL refinement until stable; None when class sizes diverge."""
-    while True:
-        tg = [(cg[v], tuple(sorted(cg[w] for w in adj_g[v]))) for v in range(len(cg))]
-        th = [(ch[v], tuple(sorted(ch[w] for w in adj_h[v]))) for v in range(len(ch))]
-        assigned = _assign_ids(tg, th)
-        if assigned is None:
-            return None
-        ng, nh = assigned
-        if ng == cg and nh == ch:
-            return cg, ch
-        cg, ch = ng, nh
-
-
-class _Search:
-    """Backtracking core shared by isomorphism and swap-involution search."""
-
-    def __init__(self, adj_g, adj_h, cg, ch, pairing: bool):
-        self.adj_g = adj_g
-        self.adj_h = adj_h
-        self.cg0 = cg
-        self.ch0 = ch
-        self.pairing = pairing  # h is g; assignments come in symmetric pairs
-        self.nodes = 0
-
-    def run(self) -> list[int] | None:
-        return self._rec(self.cg0, self.ch0)
-
-    def _rec(self, cg, ch) -> list[int] | None:
-        self.nodes += 1
-        if self.nodes > _NODE_BUDGET:
-            raise CapacityError("isomorphism search budget exceeded")
-        refined = _refine(self.adj_g, self.adj_h, cg, ch)
-        if refined is None:
-            return None
-        cg, ch = refined
-        target = self._first_split_class(cg)
-        if target is None:
-            return self._extract(cg, ch)
-        u = next(v for v in range(len(cg)) if cg[v] == target)
-        fresh = max(max(cg), max(ch)) + 1
-        for v in range(len(ch)):
-            if ch[v] != target:
-                continue
-            if self.pairing:
-                if v == u or ch[u] != cg[v]:
-                    continue
-                ng, nh = list(cg), list(ch)
-                ng[u] = fresh
-                nh[v] = fresh
-                ng[v] = fresh + 1
-                nh[u] = fresh + 1
-            else:
-                ng, nh = list(cg), list(ch)
-                ng[u] = fresh
-                nh[v] = fresh
-            result = self._rec(ng, nh)
-            if result is not None:
-                return result
-        return None
-
-    @staticmethod
-    def _first_split_class(cg) -> int | None:
-        counts: dict[int, int] = {}
-        for c in cg:
-            counts[c] = counts.get(c, 0) + 1
-        for c in sorted(counts):
-            if counts[c] > 1:
-                return c
-        return None
-
-    def _extract(self, cg, ch) -> list[int] | None:
-        where = {c: v for v, c in enumerate(ch)}
-        image = [where[c] for c in cg]
-        if sorted(image) != list(range(len(image))):
-            return None
-        for u in range(len(cg)):
-            nu = {image[w] for w in self.adj_g[u]}
-            if nu != set(self.adj_h[image[u]]):
-                return None
-        if self.pairing:
-            for u in range(len(image)):
-                if image[image[u]] != u:
-                    return None
-        return image
-
-
 def isomorphic(g: Graph, h: Graph) -> VertexMap | None:
-    """Isomorphism witness from g to h, or None. Deterministic."""
+    """Isomorphism witness from g to h, or None. Deterministic.
+
+    The first swap involution of the disjoint union of g and h, read on g.
+    """
     if g.order > MAX_VERTICES or h.order > MAX_VERTICES:
         raise CapacityError(f"isomorphism limited to {MAX_VERTICES} vertices")
-    if g.order != h.order or g.size != h.size:
+    n = g.order
+    if n != h.order or g.size != h.size:
         return None
-    seeded = _assign_ids(_seed_tokens(g), _seed_tokens(h))
-    if seeded is None:
-        return None
-    image = _Search(g.adjacency, h.adjacency, *seeded, pairing=False).run()
-    return VertexMap(tuple(image)) if image is not None else None
+    union = _unchecked(Graph, order=2 * n, edges=g.edges + tuple((u + n, v + n) for u, v in h.edges), labels=None)
+    swap = next(_free_cyclic_actions(union, 2, (0,) * n + (1,) * n), None)
+    return VertexMap(tuple(w - n for w in swap.image[:n])) if swap is not None else None
 
 
 def find_swap_involution(g: Graph, sides: tuple[int, ...]) -> VertexMap | None:
@@ -166,14 +71,7 @@ def find_swap_involution(g: Graph, sides: tuple[int, ...]) -> VertexMap | None:
     zero = sum(1 for s in sides if s == 0)
     if 2 * zero != g.order:
         return None
-    base = _seed_tokens(g)
-    tokens_g = [(base[v], sides[v]) for v in range(g.order)]
-    tokens_h = [(base[v], 1 - sides[v]) for v in range(g.order)]
-    seeded = _assign_ids(tokens_g, tokens_h)
-    if seeded is None:
-        return None
-    image = _Search(g.adjacency, g.adjacency, *seeded, pairing=True).run()
-    return VertexMap(tuple(image)) if image is not None else None
+    return next(_free_cyclic_actions(g, 2, sides), None)
 
 
 def find_free_cyclic_action(g: Graph, k: int) -> Iterator[VertexMap]:
@@ -185,18 +83,6 @@ def find_free_cyclic_action(g: Graph, k: int) -> Iterator[VertexMap]:
     pass it raises CapacityError. More than MAX_VERTICES vertices raise
     CapacityError at the call. Used to impose rotational symmetry on
     layouts.
-
-    sigma(v) must lie as far from sigma(x0) as v lies from x0, the first
-    vertex mapped, so only that BFS layer of sigma(x0) is scanned, in
-    increasing order: the actions, their order and the node count are those
-    of a scan over all vertices.
-
-    Every map the search completes is such an action, so none is checked
-    again. Each vertex placed keeps its distance to every vertex placed
-    before it, so the map preserves all distances, edges among them. Each
-    image is a vertex not yet placed, which joins the current orbit, and each
-    orbit closes at exactly k vertices: the map is a bijection whose cycles
-    all have length k. The empty graph has no such cycle, and no action.
     """
     k = _integer(k, "k")
     if g.order > MAX_VERTICES:
@@ -206,19 +92,44 @@ def find_free_cyclic_action(g: Graph, k: int) -> Iterator[VertexMap]:
     return _free_cyclic_actions(g, k)
 
 
-def _free_cyclic_actions(g: Graph, k: int) -> Iterator[VertexMap]:
-    dist = [[-1] * g.order for _ in range(g.order)]
-    layers: list[list[list[int]]] = [[] for _ in range(g.order)]
+def _free_cyclic_actions(g: Graph, k: int, sides: tuple[int, ...] | None = None) -> Iterator[VertexMap]:
+    """The free order-k actions of g, depth first; given sides, only those
+    that map each vertex onto the other side, so k is 2.
+
+    Orbits open at the least vertex not yet placed and grow one image at a
+    time. sigma(v) must lie as far from sigma(x0) as v lies from x0, the
+    first vertex mapped, so only that BFS layer of sigma(x0) is scanned, in
+    increasing order: the actions, their order and the node count are those
+    of a scan over all vertices.
+
+    Every map the search completes is such an action, so none is checked
+    again. Each vertex placed keeps its distance to every vertex placed
+    before it, so the map preserves all distances, edges among them. Each
+    image is a vertex not yet placed, which joins the current orbit, and each
+    orbit closes at exactly k vertices: the map is a bijection whose cycles
+    all have length k. The empty graph completes the empty map at once.
+    """
+    n = g.order
+    dist = [[-1] * n for _ in range(n)]
+    layers: list[list[list[int]]] = [[] for _ in range(n)]
     base = _seed_tokens(g, dist, layers)
-    ids = {t: i for i, t in enumerate(sorted(set(base)))}
-    color = [ids[t] for t in base]
-    sigma: list[int] = [-1] * g.order
+    ids: dict[tuple, int] = {}
+    if sides is None:
+        color = image_color = [ids.setdefault(t, len(ids)) for t in base]
+    else:
+        # v may map onto w only when (token, side) of v is (token, 1 - side) of w
+        keys = list(zip(base, sides))
+        image_keys = [(t, 1 - s) for t, s in keys]
+        if sorted(keys) != sorted(image_keys):
+            return
+        color = [ids.setdefault(t, len(ids)) for t in keys]
+        image_color = [ids[t] for t in image_keys]
+    sigma: list[int] = [-1] * n
     assigned: list[int] = []
-    nodes = 0
 
     def consistent(a: int, b: int) -> bool:
         # distance preservation prunes far harder than adjacency alone
-        if color[a] != color[b]:
+        if color[a] != image_color[b]:
             return False
         da, db = dist[a], dist[b]
         for x in assigned:
@@ -226,53 +137,62 @@ def _free_cyclic_actions(g: Graph, k: int) -> Iterator[VertexMap]:
                 return False
         return True
 
-    def extend():
-        nonlocal nodes
-        nodes += 1
-        if nodes > _NODE_BUDGET:
-            raise CapacityError("cyclic action search budget exceeded")
-        if len(assigned) == g.order:
-            yield VertexMap(tuple(sigma))
-            return
-        start = next(v for v in range(g.order) if sigma[v] == -1)
-        yield from place(start, [start])
-
-    def place(start: int, orbit: list[int]):
+    def candidates(orbit: list[int]) -> Iterator[int]:
         cur = orbit[-1]
         if len(orbit) == k:
-            # close the cycle
-            if consistent(cur, start):
-                sigma[cur] = start
-                assigned.append(cur)
-                yield from extend()
-                assigned.pop()
-                sigma[cur] = -1
-            return
+            # the closing step, tried once
+            return iter((orbit[0],) if consistent(cur, orbit[0]) else ())
         # a layer is in BFS order until its first read sorts it in place
-        cands = range(g.order)
         if assigned:
             x0 = assigned[0]
             d = dist[cur][x0]
             if d >= 0:
-                cands = layers[sigma[x0]][d]
-                cands.sort()
-        for cand in cands:
-            if sigma[cand] != -1 or cand in orbit or cand == start:
-                continue
-            if not consistent(cur, cand):
-                continue
-            sigma[cur] = cand
-            assigned.append(cur)
-            orbit.append(cand)
-            yield from place(start, orbit)
-            orbit.pop()
-            assigned.pop()
+                layer = layers[sigma[x0]][d]
+                layer.sort()
+                return iter(layer)
+        return iter(range(n))
+
+    # one frame per vertex being placed: its orbit, the orbit's length when
+    # the frame opened (the vertex is the last one then), and its candidates
+    frames: list[tuple[list[int], int, Iterator[int]]] = []
+    nodes = 0
+    closed = True  # the search starts, or an orbit has just closed
+    while True:
+        if closed:
+            closed = False
+            nodes += 1
+            if nodes > _NODE_BUDGET:
+                raise CapacityError("cyclic action search budget exceeded")
+            if len(assigned) == n:
+                yield VertexMap(tuple(sigma))
+            else:
+                orbit = [sigma.index(-1)]
+                frames.append((orbit, 1, candidates(orbit)))
+        if not frames:
+            return
+        orbit, length, cands = frames[-1]
+        cur = orbit[length - 1]
+        if sigma[cur] != -1:
+            # back at this frame: take its last placement back
             sigma[cur] = -1
-
-    yield from extend()
-
-
-def orbits_of(vm: VertexMap) -> list[list[int]]:
-    """Cycles of a permutation, each listed from its smallest element
-    (VertexMap.cycles); a map that is not a bijection is a ParameterError."""
-    return vm.cycles()
+            assigned.pop()
+            del orbit[length:]
+        if length == k:
+            cand = next(cands, -1)
+        else:
+            # every vertex in an orbit so far has an image, except cur
+            for cand in cands:
+                if sigma[cand] == -1 and cand != cur and consistent(cur, cand):
+                    break
+            else:
+                cand = -1
+        if cand < 0:
+            frames.pop()
+            continue
+        sigma[cur] = cand
+        assigned.append(cur)
+        if length == k:
+            closed = True
+        else:
+            orbit.append(cand)
+            frames.append((orbit, length + 1, candidates(orbit)))

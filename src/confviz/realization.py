@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     SamplingError,
 )
-from .graphs import Graph, _count, _int_rows, _integer, _real, _real_rows, _shown, _unchecked, build_family
+from .graphs import Graph, VertexMap, _count, _int_rows, _integer, _real, _real_rows, _shown, _unchecked, build_family
 from .graphs import _connected, cartesian_factors, pair_in_two, prism_graph
 from .incidence import IncidenceStructure
 from .jsonio import dumps
@@ -676,7 +676,7 @@ def solve_unit_distance(
             from . import iso
 
             k = _integer(symmetry, "symmetry")
-            orbit_sets = map(iso.orbits_of, islice(iso.find_free_cyclic_action(g, k), 6))
+            orbit_sets = map(VertexMap.cycles, islice(iso.find_free_cyclic_action(g, k), 6))
         else:
             orbit_sets = [list(map(list, _int_rows(symmetry, "orbit entry", "symmetry")))]
             lengths = {len(o) for o in orbit_sets[0]}

@@ -76,8 +76,10 @@ class SphericalCircleConfig:
     field, for files and hand-built configurations alike, and passes the
     circles through _plane_rows. A second pass can move a bit, so a row that
     it moves by rounding alone, as it does a row it gave, is kept as given:
-    a file reads back bit for bit. sphere_circles, whose rows come out of
-    _plane_rows already, skips the check through graphs._unchecked."""
+    a file reads back bit for bit. A plane as far from the centre as the
+    radius, or farther, cuts no circle and is refused by its circle's index.
+    sphere_circles, whose rows come out of _plane_rows already, skips the
+    check through graphs._unchecked."""
 
     center: np.ndarray
     radius: float
@@ -100,6 +102,11 @@ class SphericalCircleConfig:
         rows = _plane_rows(table[:, :3], table[:, 3])
         kept = np.all(np.abs(rows - table) <= 4.0 * np.finfo(float).eps * np.abs(table), axis=1)
         self.circles = np.where(kept[:, None], table, rows)
+        gap = np.abs(self.circles[:, 3] - _row_dots(self.circles[:, :3], center))
+        missed = np.flatnonzero(gap >= radius).tolist()
+        if missed:
+            c = missed[0]
+            raise ParameterError(f"circle {c} misses the sphere ({gap[c]:.6g} from the centre, radius {radius:.6g})")
 
 
 @dataclass(frozen=True)
@@ -221,24 +228,12 @@ def _fit_planes(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, residual, collinear
 
 
-def coplanarity(pts) -> tuple[np.ndarray, float]:
-    """Best-fit plane row (nx, ny, nz, d) via the smallest singular direction,
-    and the largest distance of a point from it. Fewer than three points, or
-    a point that is not finite, raise ParameterError."""
-    shape = "plane fit needs at least three spatial points"
-    pts = _float_table(pts, "point entry", shape, 3, "plane fit needs finite points")
-    if len(pts) < 3:
-        raise ParameterError(shape)
-    rows, residual, collinear = _fit_planes(pts[None])
-    if collinear[0]:
-        raise DegeneracyError(_COLLINEAR_FIT)
-    return rows[0], float(residual[0])
-
-
 def _neighbourhood_planes(p: PolytopeSkeleton) -> tuple[AdmissibilityReport, np.ndarray]:
-    """admissible_polytope's report and all neighbourhood plane rows, fitted in
-    one pass per degree. The first vertex that fails names the outcome: too
-    few or collinear neighbours raise, a non-coplanar neighbourhood fails."""
+    """The admissibility report and all neighbourhood plane rows, fitted in
+    one pass per degree: neighbourhoods must be coplanar within TOL_INCIDENCE
+    and span pairwise distinct planes. The first vertex that fails names the
+    outcome: too few or collinear neighbours raise, a non-coplanar
+    neighbourhood fails."""
     adjacency, n = p.graph.adjacency, p.graph.order
     degree = np.array([len(a) for a in adjacency], dtype=np.intp)
     rows, residual, collinear = np.zeros((n, 4)), np.zeros(n), np.zeros(n, dtype=bool)
@@ -259,12 +254,6 @@ def _neighbourhood_planes(p: PolytopeSkeleton) -> tuple[AdmissibilityReport, np.
     worst = float(np.max(residual[: failing + 1 if bad else n], initial=0.0))
     report = AdmissibilityReport(not bad and pair is None, not bad, worst, failing, pair is None, pair)
     return report, rows
-
-
-def admissible_polytope(p: PolytopeSkeleton) -> AdmissibilityReport:
-    """Neighbourhoods must be coplanar within TOL_INCIDENCE and span pairwise
-    distinct planes."""
-    return _neighbourhood_planes(p)[0]
 
 
 def point_plane_vconstruct(p: PolytopeSkeleton) -> PointPlaneConfig:

@@ -22,7 +22,9 @@ identity witness checked as an isomorphism onto the cover. The Kronecker
 report that counted the cover's components by union-find over its edges, and
 the lineality test that checked point pairs one at a time, are the versions
 that one BFS over the graph and one set update per block replaced. The free cyclic action search that scanned every vertex for each
-orbit step is the version that the scan of one distance layer replaced. The ring solve in polar
+orbit step is the version that the scan of one distance layer replaced. The 1-WL refinement with
+individualisation that isomorphic and find_swap_involution ran is the engine
+that their search as free order-2 actions replaced. The ring solve in polar
 (radius, phase) variables is the version that the ring map in orbit
 representatives replaced; tests hold it to the same outcomes, not bits. The SVG
 renderer that grew its viewBox one element at a time, and the CO(n) layout
@@ -54,10 +56,10 @@ from confviz.errors import (
     SamplingError,
 )
 from confviz.graphs import (
+    Bipartition,
     Graph,
     VertexMap,
     _class_roots,
-    bipartite_swap_involution,
     cartesian_product,
     is_admissible,
     kronecker_cover,
@@ -74,8 +76,9 @@ from confviz.realization import (
     Layout,
     PointCircleConfig,
     _edge_arrays,
+    _float_table,
 )
-from confviz.spatial import AdmissibilityReport, PointPlaneConfig, PolytopeSkeleton
+from confviz.spatial import _COLLINEAR_FIT, AdmissibilityReport, PointPlaneConfig, PolytopeSkeleton, _fit_planes
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,59 @@ def brute_swap_involutions(order, edges, sides):
         if is_automorphism(order, edges, perm):
             out.append(perm)
     return out
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers: a bipartition's checks and classes, the side swap with
+# the fibre candidate tried first, a map's inverse and order, and the common
+# degree of a regular graph. No library stage calls them.
+
+
+def bipartition_valid_for(parts: Bipartition, g: Graph) -> bool:
+    if len(parts.sides) != g.order:
+        return False
+    return all(parts.sides[u] != parts.sides[v] for u, v in g.edges)
+
+
+def bipartition_classes(parts: Bipartition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    zero = tuple(v for v, s in enumerate(parts.sides) if s == 0)
+    one = tuple(v for v, s in enumerate(parts.sides) if s == 1)
+    return zero, one
+
+
+def bipartite_swap_involution(g: Graph, parts: Bipartition) -> VertexMap | None:
+    """Order-two automorphism exchanging the two sides of parts, if any.
+
+    The fiber candidate i <-> i + n/2 is tried first since covers are built
+    with that layout; otherwise iso.find_swap_involution runs.
+    """
+    if not bipartition_valid_for(parts, g):
+        raise ParameterError("parts is not a valid bipartition of g")
+    zero, one = bipartition_classes(parts)
+    if len(zero) != len(one):
+        return None
+    half = g.order // 2
+    if g.order % 2 == 0 and zero == tuple(range(half)):
+        candidate = VertexMap(tuple((v + half) % g.order for v in range(g.order)))
+        if candidate.is_automorphism(g):
+            return candidate
+    return iso.find_swap_involution(g, parts.sides)
+
+
+def inverse(vm: VertexMap) -> VertexMap:
+    inv = [0] * len(vm.image)
+    for v, w in enumerate(vm.image):
+        inv[w] = v
+    return VertexMap(tuple(inv))
+
+
+def permutation_order(vm: VertexMap) -> int:
+    return math.lcm(*map(len, vm.cycles()))
+
+
+def regular_degree(g: Graph) -> int | None:
+    degrees = {len(a) for a in g.adjacency}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def has_four_cycle_brute(order, edges):
@@ -500,7 +556,7 @@ def free_cyclic_actions(g: Graph, k: int):
     if k < 2 or g.order % k != 0:
         return
     dist = [[-1] * g.order for _ in range(g.order)]
-    base = iso._seed_tokens(g, dist)
+    base = iso._seed_tokens(g, dist, [[] for _ in range(g.order)])
     ids = {t: i for i, t in enumerate(sorted(set(base)))}
     color = [ids[t] for t in base]
     sigma: list[int] = [-1] * g.order
@@ -548,8 +604,148 @@ def free_cyclic_actions(g: Graph, k: int):
             sigma[cur] = -1
 
     for vm in extend():
-        if vm.is_automorphism(g) and vm.permutation_order() == k:
+        if vm.is_automorphism(g) and permutation_order(vm) == k:
             yield vm
+
+
+# ---------------------------------------------------------------------------
+# 1-WL colour refinement with individualisation backtracking: the engine
+# that isomorphic and find_swap_involution ran before both became free
+# order-2 actions of iso._free_cyclic_actions, kept as their differential
+# oracle
+
+
+def _seed_tokens(g: Graph) -> list[tuple]:
+    n = g.order
+    return iso._seed_tokens(g, [[-1] * n for _ in range(n)], [[] for _ in range(n)])
+
+
+def _assign_ids(tokens_g: list, tokens_h: list) -> tuple[list[int], list[int]] | None:
+    """Map arbitrary hashable tokens to joint integer ids; None on mismatch."""
+    universe = sorted(set(tokens_g) | set(tokens_h))
+    ids = {t: i for i, t in enumerate(universe)}
+    cg = [ids[t] for t in tokens_g]
+    ch = [ids[t] for t in tokens_h]
+    if sorted(cg) != sorted(ch):
+        return None
+    return cg, ch
+
+
+def _refine(adj_g, adj_h, cg: list[int], ch: list[int]) -> tuple[list[int], list[int]] | None:
+    """Joint 1-WL refinement until stable; None when class sizes diverge."""
+    while True:
+        tg = [(cg[v], tuple(sorted(cg[w] for w in adj_g[v]))) for v in range(len(cg))]
+        th = [(ch[v], tuple(sorted(ch[w] for w in adj_h[v]))) for v in range(len(ch))]
+        assigned = _assign_ids(tg, th)
+        if assigned is None:
+            return None
+        ng, nh = assigned
+        if ng == cg and nh == ch:
+            return cg, ch
+        cg, ch = ng, nh
+
+
+class _Search:
+    """Backtracking core shared by isomorphism and swap-involution search."""
+
+    def __init__(self, adj_g, adj_h, cg, ch, pairing: bool):
+        self.adj_g = adj_g
+        self.adj_h = adj_h
+        self.cg0 = cg
+        self.ch0 = ch
+        self.pairing = pairing  # h is g; assignments come in symmetric pairs
+        self.nodes = 0
+
+    def run(self) -> list[int] | None:
+        return self._rec(self.cg0, self.ch0)
+
+    def _rec(self, cg, ch) -> list[int] | None:
+        self.nodes += 1
+        if self.nodes > iso._NODE_BUDGET:
+            raise CapacityError("isomorphism search budget exceeded")
+        refined = _refine(self.adj_g, self.adj_h, cg, ch)
+        if refined is None:
+            return None
+        cg, ch = refined
+        target = self._first_split_class(cg)
+        if target is None:
+            return self._extract(cg, ch)
+        u = next(v for v in range(len(cg)) if cg[v] == target)
+        fresh = max(max(cg), max(ch)) + 1
+        for v in range(len(ch)):
+            if ch[v] != target:
+                continue
+            if self.pairing:
+                if v == u or ch[u] != cg[v]:
+                    continue
+                ng, nh = list(cg), list(ch)
+                ng[u] = fresh
+                nh[v] = fresh
+                ng[v] = fresh + 1
+                nh[u] = fresh + 1
+            else:
+                ng, nh = list(cg), list(ch)
+                ng[u] = fresh
+                nh[v] = fresh
+            result = self._rec(ng, nh)
+            if result is not None:
+                return result
+        return None
+
+    @staticmethod
+    def _first_split_class(cg) -> int | None:
+        counts: dict[int, int] = {}
+        for c in cg:
+            counts[c] = counts.get(c, 0) + 1
+        for c in sorted(counts):
+            if counts[c] > 1:
+                return c
+        return None
+
+    def _extract(self, cg, ch) -> list[int] | None:
+        where = {c: v for v, c in enumerate(ch)}
+        image = [where[c] for c in cg]
+        if sorted(image) != list(range(len(image))):
+            return None
+        for u in range(len(cg)):
+            nu = {image[w] for w in self.adj_g[u]}
+            if nu != set(self.adj_h[image[u]]):
+                return None
+        if self.pairing:
+            for u in range(len(image)):
+                if image[image[u]] != u:
+                    return None
+        return image
+
+
+def refinement_isomorphic(g: Graph, h: Graph) -> VertexMap | None:
+    """Isomorphism witness from g to h, or None. Deterministic."""
+    if g.order > iso.MAX_VERTICES or h.order > iso.MAX_VERTICES:
+        raise CapacityError(f"isomorphism limited to {iso.MAX_VERTICES} vertices")
+    if g.order != h.order or g.size != h.size:
+        return None
+    seeded = _assign_ids(_seed_tokens(g), _seed_tokens(h))
+    if seeded is None:
+        return None
+    image = _Search(g.adjacency, h.adjacency, *seeded, pairing=False).run()
+    return VertexMap(tuple(image)) if image is not None else None
+
+
+def refinement_swap_involution(g: Graph, sides: tuple[int, ...]) -> VertexMap | None:
+    """Order-two automorphism of g mapping side 0 onto side 1, or None."""
+    if g.order > iso.MAX_VERTICES:
+        raise CapacityError(f"involution search limited to {iso.MAX_VERTICES} vertices")
+    zero = sum(1 for s in sides if s == 0)
+    if 2 * zero != g.order:
+        return None
+    base = _seed_tokens(g)
+    tokens_g = [(base[v], sides[v]) for v in range(g.order)]
+    tokens_h = [(base[v], 1 - sides[v]) for v in range(g.order)]
+    seeded = _assign_ids(tokens_g, tokens_h)
+    if seeded is None:
+        return None
+    image = _Search(g.adjacency, g.adjacency, *seeded, pairing=True).run()
+    return VertexMap(tuple(image)) if image is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +869,7 @@ def solve_unit_distance(
             actions = list(islice(iso.find_free_cyclic_action(g, symmetry), 6))
             if not actions:
                 raise ParameterError(f"no free order-{symmetry} symmetry available")
-            orbit_sets = [iso.orbits_of(a) for a in actions]
+            orbit_sets = [a.cycles() for a in actions]
             k = symmetry
         else:
             orbit_sets = [[list(o) for o in symmetry]]
@@ -1097,6 +1293,21 @@ def coplanarity(pts) -> tuple[Plane, float]:
     plane = Plane(tuple(normal), float(normal @ centroid))
     residual = float(np.max(np.abs(plane.signed_distance(pts))))
     return plane, residual
+
+
+def plane_row(pts) -> tuple[np.ndarray, float]:
+    """Best-fit plane row (nx, ny, nz, d) via the smallest singular direction,
+    and the largest distance of a point from it: the one-set call of
+    spatial._fit_planes with its input checks. Fewer than three points, or a
+    point that is not finite, raise ParameterError."""
+    shape = "plane fit needs at least three spatial points"
+    pts = _float_table(pts, "point entry", shape, 3, "plane fit needs finite points")
+    if len(pts) < 3:
+        raise ParameterError(shape)
+    rows, residual, collinear = _fit_planes(pts[None])
+    if collinear[0]:
+        raise DegeneracyError(_COLLINEAR_FIT)
+    return rows[0], float(residual[0])
 
 
 def _edges_by_min_distance(coords: np.ndarray) -> tuple[tuple[int, int], ...]:

@@ -50,7 +50,7 @@ from confviz.graphs import (
     prism_graph,
 )
 
-from oracles import circumcircle
+from oracles import bipartition_valid_for, circumcircle
 
 
 def sorted_center_distances(cfg):
@@ -216,7 +216,7 @@ def test_criterion_10_property_suite():
         c = v_construct(g)
         levi, parts = levi_graph(c)
         rep = structure_report(levi)
-        ok = ok and rep.bipartite and parts.is_valid_for(levi)
+        ok = ok and rep.bipartite and bipartition_valid_for(parts, levi)
         lineal = classify(c).lineal
         ok = ok and lineal == (rep.girth >= 6) == (not structure_report(g).has_four_cycle)
 

@@ -107,7 +107,7 @@ def test_one_draw_leaves_the_generator_where_the_ruled_out_starts_would(m, resta
 
 
 def _orbits(family, params, k):
-    return iso.orbits_of(next(iso.find_free_cyclic_action(build_family(family, *params), k)))
+    return next(iso.find_free_cyclic_action(build_family(family, *params), k)).cycles()
 
 
 ORBIT_GRAPHS = [

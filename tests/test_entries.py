@@ -25,7 +25,9 @@ from confviz.graphs import Graph, _count, _real
 from confviz.incidence import IncidenceStructure
 from confviz.realization import Layout, PointCircleConfig, circles_from_layout, invert_pointline, layout_polygon
 from confviz.realization import _seed, _tolerance
-from confviz.spatial import PolytopeSkeleton, SphericalCircleConfig, coplanarity, polytope_data, sphere_circles
+from confviz.spatial import PolytopeSkeleton, SphericalCircleConfig, polytope_data, sphere_circles
+
+import oracles
 
 CENTER = (0.5, 1.0)
 
@@ -227,7 +229,7 @@ def test_skeleton_coordinates_of_strings_are_refused():
 @pytest.mark.parametrize("entry, shown", [("1", "'1' must be a number, not str"), (True, "True must be a number, not bool")])
 def test_coplanarity_of_strings_or_bools_is_refused(entry, shown):
     with pytest.raises(ParameterError, match=rf"^point entry {re.escape(shown)}$"):
-        coplanarity([[entry, 0, 0], [0, 1, 0], [0, 0, 1]])
+        oracles.plane_row([[entry, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 @pytest.mark.parametrize("entry, shown", [("1", "'1' must be a number, not str"), (True, "True must be a number, not bool")])
@@ -269,6 +271,24 @@ def test_a_hand_built_spherical_configuration_is_checked():
     flipped = _spherical(circles=-2.0 * cfg.circles, incidence=cfg.incidence[::-1])
     assert flipped.incidence == cfg.incidence[::-1]
     assert np.allclose(flipped.circles, cfg.circles, rtol=0.0, atol=1e-15)
+
+
+def test_a_circle_plane_that_misses_the_sphere_is_refused():
+    """A plane as far from the centre as the radius, or farther, cuts out no
+    circle. The constructor refuses it by its circle's index, so a
+    hand-built configuration or a file fails where it is made, not when it
+    is written."""
+    with pytest.raises(ParameterError, match=r"^circle 0 misses the sphere \(5 from the centre, radius 1\)$"):
+        SphericalCircleConfig([0, 0, 0], 1.0, [[0, 0, 1]], [[0, 0, 1, 5.0]], [(0, 0)])
+    cfg = sphere_circles(polytope_data("cube"))
+    tangent = cfg.circles.copy()
+    tangent[3, 3] = -cfg.radius  # the plane touches the sphere at one point
+    with pytest.raises(ParameterError, match=r"^circle 3 misses the sphere \(1\.73205 from the centre, radius 1\.73205\)$"):
+        _spherical(circles=tangent)
+    obj = json.loads(jsonio.dumps(jsonio.spherical_to_obj(cfg)))
+    obj["circles"][3].update(d=2.0, center=None, radius=None)
+    with pytest.raises(ParameterError, match=r"^malformed spherical object: circle 3 misses the sphere \(2 from"):
+        jsonio.spherical_from_obj(obj)
 
 
 def test_an_integer_too_large_for_a_float_is_refused():

@@ -24,8 +24,6 @@ from confviz.spatial import (
     _neighbourhood_planes,
     _orthobasis,
     _pole_clearance,
-    admissible_polytope,
-    coplanarity,
     point_plane_vconstruct,
     polytope_data,
     reference_coordinates,
@@ -306,7 +304,7 @@ def assert_planes_match_per_vertex_fits(sk):
             if status == "ok":
                 assert_same_planes(rows[k : k + 1], [value[0]])
                 assert bits(residual[k]) == bits(value[1])
-                assert bits(coplanarity(sk.coords[list(adj[v])])[0]) == bits(rows[k])
+                assert bits(oracles.plane_row(sk.coords[list(adj[v])])[0]) == bits(rows[k])
     new = outcome(_neighbourhood_planes, sk)
     old = outcome(oracles._fit_neighbourhood_planes, sk, TOL_INCIDENCE)
     assert new[0] == old[0], (new, old)
@@ -336,7 +334,7 @@ def assert_same_spherical(a, b):
 
 def assert_same_plane_outcomes(sk):
     assert_planes_match_per_vertex_fits(sk)
-    assert outcome(admissible_polytope, sk) == outcome(oracles.admissible_polytope, sk)
+    assert outcome(lambda p: _neighbourhood_planes(p)[0], sk) == outcome(oracles.admissible_polytope, sk)
     assert_same_outcome(outcome(point_plane_vconstruct, sk), outcome(oracles.point_plane_vconstruct, sk), same_ppc)
 
 

@@ -92,7 +92,7 @@ def test_levi_graph_shape():
     c = v_construct(petersen_graph())
     levi, parts = levi_graph(c)
     assert levi.order == 20 and levi.size == 30
-    assert parts.is_valid_for(levi)
+    assert oracles.bipartition_valid_for(parts, levi)
     assert levi.label(0) == "p0" and levi.label(10) == "b0"
     rep = structure_report(levi)
     assert rep.bipartite
@@ -170,7 +170,7 @@ def test_self_polar_witness_is_levi_involution():
     vm = is_self_polar(c)
     levi, parts = levi_graph(c)
     assert vm.is_automorphism(levi)
-    assert vm.permutation_order() == 2
+    assert oracles.permutation_order(vm) == 2
     assert all(parts.sides[v] != parts.sides[vm(v)] for v in range(levi.order))
 
 

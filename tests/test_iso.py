@@ -19,7 +19,7 @@ from confviz.graphs import (
     petersen_graph,
     prism_graph,
 )
-from confviz.iso import MAX_VERTICES, find_free_cyclic_action, find_swap_involution, orbits_of
+from confviz.iso import MAX_VERTICES, find_free_cyclic_action, find_swap_involution
 
 
 def shuffled_copy(g: Graph, seed: int):
@@ -111,8 +111,26 @@ def test_swap_involution_found_and_verified():
     cover, parts = kronecker_cover(kneser_graph(6, 2))
     vm = find_swap_involution(cover, parts.sides)
     assert vm is not None
-    assert vm.is_automorphism(cover) and vm.permutation_order() == 2
+    assert vm.is_automorphism(cover) and oracles.permutation_order(vm) == 2
     assert all(parts.sides[v] != parts.sides[vm(v)] for v in range(cover.order))
+
+
+# hypercube(10) has MAX_VERTICES vertices: the search places them from an
+# explicit stack, so its depth is no matter for Python's recursion limit
+def test_free_involution_of_hypercube_10():
+    g = hypercube_graph(10)
+    assert g.order == MAX_VERTICES
+    vm = next(find_free_cyclic_action(g, 2))
+    assert vm.is_automorphism(g)
+    assert all(vm(v) != v and vm(vm(v)) == v for v in range(g.order))
+
+
+def test_isomorphic_to_shuffled_hypercube_10():
+    g = hypercube_graph(10)
+    h, _ = shuffled_copy(g, 0)
+    vm = isomorphic(g, h)
+    assert vm is not None
+    check_witness(g, h, vm)
 
 
 def test_swap_involution_absent():
@@ -127,8 +145,8 @@ def test_free_cyclic_actions_petersen():
     assert actions
     for vm in actions:
         assert vm.is_automorphism(g)
-        assert vm.permutation_order() == 5
-        orbs = orbits_of(vm)
+        assert oracles.permutation_order(vm) == 5
+        orbs = vm.cycles()
         assert sorted(len(o) for o in orbs) == [5, 5]
     # the Petersen graph has no free involution (every order-2 element
     # of S5 fixes a 2-subset)
@@ -140,7 +158,7 @@ def test_free_cyclic_actions_petersen():
 def test_free_cyclic_actions_cycle():
     c6 = cycle_graph(6)
     for k in (2, 3, 6):
-        assert next(find_free_cyclic_action(c6, k)).permutation_order() == k
+        assert oracles.permutation_order(next(find_free_cyclic_action(c6, k))) == k
     assert list(find_free_cyclic_action(c6, 4)) == []
 
 
@@ -204,7 +222,7 @@ def test_free_cyclic_actions_run_dry(g, k, count):
     actions = list(find_free_cyclic_action(g, k))
     assert len(actions) == count
     assert len({vm.image for vm in actions}) == count
-    assert all(vm.is_automorphism(g) and vm.permutation_order() == k for vm in actions)
+    assert all(vm.is_automorphism(g) and oracles.permutation_order(vm) == k for vm in actions)
 
 
 def test_free_cyclic_action_search_is_lazy(monkeypatch):
@@ -220,20 +238,20 @@ def test_free_cyclic_action_search_is_lazy(monkeypatch):
     assert calls == [1]
 
 
-def test_orbits_of_explicit():
+def test_cycles_explicit():
     from confviz import VertexMap
 
     vm = VertexMap((1, 0, 3, 2))
-    assert orbits_of(vm) == [[0, 1], [2, 3]]
+    assert vm.cycles() == [[0, 1], [2, 3]]
     vm = VertexMap((3, 2, 4, 0, 1))
-    assert orbits_of(vm) == [[0, 3], [1, 2, 4]] and vm.permutation_order() == 6
+    assert vm.cycles() == [[0, 3], [1, 2, 4]] and oracles.permutation_order(vm) == 6
 
 
 @pytest.mark.parametrize("image", [(1, 1), (0, 2), (-1, 0), (1, 2, 1), (0, 0, 1)])
 def test_a_map_that_is_no_bijection_has_no_cycles(image):
     from confviz import ParameterError, VertexMap
 
-    for walk in (orbits_of, VertexMap.permutation_order):
+    for walk in (VertexMap.cycles, oracles.permutation_order):
         with pytest.raises(ParameterError, match="^vertex map is not a bijection$"):
             walk(VertexMap(image))
 
@@ -243,13 +261,13 @@ def test_desargues_free_action_of_order_ten():
     actions = list(islice(find_free_cyclic_action(g, 10), 2))
     assert actions
     for vm in actions:
-        assert vm.permutation_order() == 10
-        assert all(len(o) == 10 for o in orbits_of(vm))
+        assert oracles.permutation_order(vm) == 10
+        assert all(len(o) == 10 for o in vm.cycles())
 
 
 def test_complete_graph_everything_is_automorphic():
     k5 = complete_graph(5)
-    assert next(find_free_cyclic_action(k5, 5)).permutation_order() == 5
+    assert oracles.permutation_order(next(find_free_cyclic_action(k5, 5))) == 5
 
 
 # ---------------------------------------------------------------------------

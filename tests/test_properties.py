@@ -23,7 +23,7 @@ from confviz.graphs import (
     pappus_graph,
     petersen_graph,
 )
-from oracles import adjacency, brute_girth, has_four_cycle_brute
+from oracles import adjacency, bipartition_valid_for, brute_girth, has_four_cycle_brute
 
 
 @st.composite
@@ -42,7 +42,7 @@ def test_cover_is_always_bipartite(g):
     assert cover.order == 2 * g.order
     rep = structure_report(cover)
     assert rep.bipartite
-    assert parts.is_valid_for(cover)
+    assert bipartition_valid_for(parts, cover)
     assert len(parts.sides) == cover.order
 
 
@@ -117,7 +117,7 @@ def test_levi_graph_is_bipartite():
         levi, parts = levi_graph(c)
         rep = structure_report(levi)
         assert rep.bipartite
-        assert parts.is_valid_for(levi)
+        assert bipartition_valid_for(parts, levi)
         assert parts.sides == (0,) * c.points + (1,) * c.block_count
 
 

@@ -386,6 +386,17 @@ def test_solver_k4_cannot_embed():
     assert str(exc.value).startswith("symmetric solve exhausted 6 restarts over 3 orbit sets (best ")
 
 
+def test_symmetric_solve_of_hypercube_10_reads_its_actions_without_recursion():
+    """hypercube(10) has MAX_VERTICES vertices; reading its six free
+    involutions must not exhaust Python's recursion limit."""
+    g = hypercube_graph(10)
+    assert g.order == iso.MAX_VERTICES
+    with pytest.raises(ConvergenceError) as exc:
+        solve_unit_distance(g, symmetry=2, restarts=0)
+    assert (exc.value.restarts, exc.value.skipped) == (0, 0)
+    assert str(exc.value).startswith("symmetric solve exhausted 0 restarts over 6 orbit sets")
+
+
 def test_solver_reports_orbit_sets_ruled_out():
     # each 4-cycle of K4 as one orbit has chords of one and two steps,
     # which force two radii on its ring
@@ -474,7 +485,7 @@ def test_ring_radius_check_is_sound(n, m):
     """The check rules out exactly the orbit sets that the cosine law shows
     infeasible, and the set a seed-0 solve lands on is never ruled out."""
     g = generalized_petersen_graph(n, m)
-    orbit_sets = [iso.orbits_of(a) for a in islice(iso.find_free_cyclic_action(g, n), 6)]
+    orbit_sets = [a.cycles() for a in islice(iso.find_free_cyclic_action(g, n), 6)]
     ruled_out = [realization._rings_rule_out(g, orbits, n) for orbits in orbit_sets]
     assert ruled_out == [_ruled_out_in_closed_form(g, orbits, n) for orbits in orbit_sets]
     lay, _ = solve_unit_distance(g, seed=0, symmetry=n)
@@ -499,12 +510,12 @@ def _count_pulls(monkeypatch) -> list:
 @pytest.mark.parametrize("g,k", [(petersen_graph(), 5), (generalized_petersen_graph(14, 2), 14)])
 def test_symmetric_solve_pulls_actions_on_demand(g, k, monkeypatch):
     """A solve that ends on orbit set j reads exactly j actions."""
-    orbit_sets = [iso.orbits_of(a) for a in islice(iso.find_free_cyclic_action(g, k), 6)]
+    orbit_sets = [a.cycles() for a in islice(iso.find_free_cyclic_action(g, k), 6)]
     pulled = _count_pulls(monkeypatch)
     lay, _ = solve_unit_distance(g, seed=0, symmetry=k)
     j = next(j for j, orbits in enumerate(orbit_sets, 1) if _rotational_under(lay.pos, orbits, k))
     assert len(pulled) == j
-    assert [iso.orbits_of(a) for a in pulled] == orbit_sets[:j]
+    assert [a.cycles() for a in pulled] == orbit_sets[:j]
     if k == 14:  # the plain rotation of GP(14,2) comes first and is ruled out
         assert j > 1 and realization._rings_rule_out(g, orbit_sets[0], k)
 

@@ -13,10 +13,8 @@ from confviz import (
     POLYTOPE_NAMES,
     ParameterError,
     PolePlacementError,
-    admissible_polytope,
     check_flags,
     classify,
-    coplanarity,
     decompose,
     incidence_of,
     isomorphic,
@@ -29,7 +27,7 @@ from confviz import (
     v_construct,
 )
 from confviz.graphs import Graph, complete_graph, gen_cuboctahedron_graph, generalized_petersen_graph
-from confviz.spatial import PolytopeSkeleton, _circle_cuts, _plane_rows, reference_coordinates
+from confviz.spatial import PolytopeSkeleton, _circle_cuts, _neighbourhood_planes, _plane_rows, reference_coordinates
 
 SHAPES = {
     "tetrahedron": (4, 6),
@@ -96,7 +94,7 @@ def test_plane_orientation_normalized():
 
 def test_coplanarity_square():
     pts = np.array([[0, 0, 1.0], [1, 0, 1.0], [1, 1, 1.0], [0, 1, 1.0]])
-    row, resid = coplanarity(pts)
+    row, resid = oracles.plane_row(pts)
     assert resid < 1e-12
     assert np.allclose(row, (0, 0, 1, 1))
 
@@ -106,22 +104,22 @@ def test_coplanarity_refuses_a_non_finite_point(bad):
     pts = np.array([[0, 0, 1.0], [1, 0, 1.0], [1, 1, 1.0], [0, 1, 1.0]])
     pts[2, 0] = bad
     with pytest.raises(ParameterError, match="^plane fit needs finite points$"):
-        coplanarity(pts)
+        oracles.plane_row(pts)
 
 
 def test_coplanarity_tetrahedron_vertices_far_from_flat():
-    _, resid = coplanarity(reference_coordinates("tetrahedron"))
+    _, resid = oracles.plane_row(reference_coordinates("tetrahedron"))
     assert resid > 0.1
 
 
 def test_coplanarity_rejects_collinear():
     pts = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2.0]])
     with pytest.raises(DegeneracyError):
-        coplanarity(pts)
+        oracles.plane_row(pts)
 
 
 def test_admissibility_reports():
-    rep = admissible_polytope(polytope_data("octahedron"))
+    rep = _neighbourhood_planes(polytope_data("octahedron"))[0]
     assert not rep.admissible
     assert rep.coplanar
     assert not rep.planes_distinct
@@ -129,7 +127,7 @@ def test_admissibility_reports():
     assert "span the same plane" in rep.describe()
 
     for name in ("tetrahedron", "cube", "dodecahedron", "icosahedron", "cuboctahedron"):
-        rep = admissible_polytope(polytope_data(name))
+        rep = _neighbourhood_planes(polytope_data(name))[0]
         assert rep.admissible, name
         assert rep.max_residual < 1e-9
 
