@@ -16,6 +16,8 @@ recognizing it. A connected graph factors uniquely into primes (Sabidussi,
 Vizing), so the closed form names the factors the recognizer finds; the
 tests hold the two equal field for field. The factors are formed only when
 cartesian_factors asks, and a graph from the constructor records nothing.
+generalized_petersen_graph likewise records, for iso, when its free actions
+of order three or more are its rotations.
 """
 
 from __future__ import annotations
@@ -182,6 +184,9 @@ class Graph:
     # _unchecked sets it; it is no field, so equality, hashing, repr and
     # files never see it.
     _factored = None
+    # n when a family builder knows that g's free actions of order k >= 3
+    # are the turns of its rings of n vertices (see iso); set like _factored
+    _rotations = None
 
     def __post_init__(self):
         object.__setattr__(self, "order", _size(self.order, "graph order"))
@@ -443,7 +448,10 @@ def generalized_petersen_graph(n: int, r: int) -> Graph:
     labels = tuple(f"o{i}" for i in range(n)) + tuple(f"i{i}" for i in range(n))
     # GP(n,1) is prism(n)
     factored = (_prism_factors, (n,)) if r == 1 and n != 4 else None
-    return _unchecked(Graph, order=2 * n, edges=_spoked_rings(n, r), labels=labels, _factored=factored)
+    # Aut GP(n,r) is the dihedral group of the rings (Frucht, Graver and Watkins)
+    rotations = n if (r * r + 1) % n and (r * r - 1) % n and (n, r) != (10, 2) else None
+    edges = _spoked_rings(n, r)
+    return _unchecked(Graph, order=2 * n, edges=edges, labels=labels, _factored=factored, _rotations=rotations)
 
 
 def dodecahedron_graph() -> Graph:

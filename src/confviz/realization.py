@@ -50,11 +50,17 @@ _CIRCLE_ROW = np.dtype((np.record, [("cx", float), ("cy", float), ("r", float)])
 
 @dataclass(eq=False)
 class Layout:
-    """Vertex positions for a graph; the mapping meta records how they were produced."""
+    """Vertex positions for a graph; the mapping meta records how they were produced.
+
+    solve_unit_distance builds its result through graphs._unchecked, with
+    what it verified recorded for circles_from_layout."""
 
     graph: Graph
     pos: np.ndarray
     meta: dict = field(default_factory=dict)
+    # (graph, pos.tobytes()) of a solve's result, whose edges it found unit
+    # and vertices apart; only _unchecked sets it, and it is no field
+    _verified = None
 
     def __post_init__(self):
         if not isinstance(self.graph, Graph):
@@ -621,8 +627,10 @@ def solve_unit_distance(
     product of its factors' drawings goes first, as one more start, and the
     generator is seeded only when a random start is due. An integer
     `symmetry` k asks for a rotational ansatz: free order-k automorphisms
-    are taken from the search one at a time, up to six, and each one's
-    orbits become ring variables; explicit orbit lists are also accepted.
+    are taken from iso.find_free_cyclic_action one at a time, up to six, and
+    each one's orbits become ring variables (for a family-built GP(n,r),
+    the rotations, with no search: see iso); explicit orbit lists are also
+    accepted.
     The ring variables are one Cartesian representative z_j per orbit, and
     vertex orbits[j][t] sits at R(2*pi*t/k) z_j, so the positions are P @ z
     for a fixed map P (_ring_map). A ring solve is the plain LM at P @ z,
@@ -641,12 +649,14 @@ def solve_unit_distance(
     unchanged, as product starts and ring solutions mostly are, skips the
     polish. Raises ConvergenceError, carrying the best
     residual, the starts run and the orbit sets ruled out, when no start
-    passes; with no start run and no residual when every orbit set is
-    ruled out. seed and restarts are integers >= 0, and seed None reads as 0.
+    passes; with no residual when no start ran ("ran 0 restarts"). seed and
+    restarts are integers >= 0, and seed None reads as 0. The result records
+    in Layout._verified the graph and the position bytes it was verified on.
+    A graph with a family's closed-form record is connected by construction.
     """
     if g.size == 0:
         raise ParameterError("unit-distance solve needs at least one edge")
-    if not _connected(g):
+    if g._factored is None and g._rotations is None and not _connected(g):
         raise ParameterError("unit-distance solve expects a connected graph")
     base_seed = _seed(seed)
     restarts = _count(restarts, "restarts")
@@ -720,14 +730,18 @@ def solve_unit_distance(
         residual = _edge_residual(pos, *edges)
         best = min(best, residual)
         if residual <= TOL_INCIDENCE and not _near_pairs(*pos.T, TOL_SEPARATION)[0].size:
-            return Layout(g, pos, dict(meta, seed=base_seed, residual=residual)), residual
-    summary = f"exhausted {runs} restart{'s' * (runs != 1)}"
+            # pos is _solve's own finite (V, 2) float array, and meta JSON-safe
+            meta = dict(meta, seed=base_seed, residual=residual)
+            return _unchecked(Layout, graph=g, pos=pos, meta=meta, _verified=(g, pos.tobytes())), residual
+    summary = f"exhausted {runs} restart{'s' * (runs != 1)}" if runs else "ran 0 restarts"
+    if not runs:  # no start ran, so there is no residual
+        best = None
     if sets is not None:
         if not sets:
             raise ParameterError(f"no free order-{_shown(k)} symmetry available")
         over = f"{sets} orbit set" + "s" * (sets != 1)
-        if skipped == sets:  # no start ran, so there is no residual
-            summary, best = f"ran 0 restarts: ring radii rule out {skipped} of {over}", None
+        if skipped == sets:
+            summary = f"ran 0 restarts: ring radii rule out {skipped} of {over}"
         else:
             summary += f" over {over}" + f", {skipped} ruled out by ring radii" * (skipped > 0)
     if best is not None:
@@ -763,6 +777,9 @@ def circles_from_layout(
     On either route, circles whose centres and radii both lie within
     TOL_SEPARATION coincide and are refused, found by one O(n log n) sweep
     (_near_pairs). A tol that is not a finite number >= 0 is a ParameterError.
+    A solve's result at tol >= TOL_INCIDENCE skips the length pass and the
+    sweep, which it passed already, while it holds the graph object and
+    position bytes of its Layout._verified record.
     The result is built through graphs._unchecked; only fitted circles are
     checked, as the constructor would, for finite rows and r > 0.
     """
@@ -773,7 +790,10 @@ def circles_from_layout(
     nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=int(deg.sum()))
     owner = np.repeat(np.arange(g.order), deg)
     unit = g.order > 0 and deg.min() >= 3
-    if unit:
+    record = layout._verified
+    proved = unit and tol >= TOL_INCIDENCE and record is not None and record[0] is g
+    proved = proved and pos.shape == (g.order, 2) and pos.dtype == float and pos.tobytes() == record[1]
+    if unit and not proved:
         # edge lengths as unit_edge_residual measures them; take and repeat
         # gather the incidences' ends several times faster than pos[nbr]
         length = _row_norms(pos.take(nbr, axis=0) - np.repeat(pos, deg, axis=0))
@@ -782,7 +802,8 @@ def circles_from_layout(
         cx, cy, r = pos[:, 0], pos[:, 1], np.ones(g.order)
     else:
         cx, cy, r = _fitted_circles(pos, deg, nbr, owner, tol, allow_degree_two)
-    _refuse_coinciding(cx, cy, r)
+    if not proved:
+        _refuse_coinciding(cx, cy, r)
     table = _circle_table(cx, cy, r)
     if not unit:  # unit circles are about validated positions
         _refuse_bad_circles(table)

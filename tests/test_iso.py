@@ -1,11 +1,12 @@
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from confviz import CapacityError, Graph, build_family, isomorphic
+from confviz import CapacityError, Graph, build_family, isomorphic, jsonio
 from confviz.graphs import (
     bipartite_kneser_graph,
     cartesian_product,
@@ -19,6 +20,7 @@ from confviz.graphs import (
     petersen_graph,
     prism_graph,
 )
+import confviz.iso as iso_module
 from confviz.iso import MAX_VERTICES, find_free_cyclic_action, find_swap_involution
 
 
@@ -162,6 +164,12 @@ def test_free_cyclic_actions_cycle():
     assert list(find_free_cyclic_action(c6, 4)) == []
 
 
+def _bare(g: Graph) -> Graph:
+    """g built by the constructor, which records no rotations: the search
+    runs on it where the family build would list its rotations."""
+    return Graph(g.order, g.edges)
+
+
 # the search's first actions, in order; pinned here because the ansatz oracle
 # calls the same search and so cannot catch a change in it
 PINNED_ACTIONS = {
@@ -201,8 +209,9 @@ PINNED_ACTIONS = {
 @pytest.mark.parametrize("family,params,k", list(PINNED_ACTIONS))
 def test_free_cyclic_actions_pinned(family, params, k):
     g = build_family(family, *params)
-    got = [list(vm.image) for vm in islice(find_free_cyclic_action(g, k), 6)]
-    assert got == PINNED_ACTIONS[family, params, k]
+    for h in (g, _bare(g)):
+        got = [list(vm.image) for vm in islice(find_free_cyclic_action(h, k), 6)]
+        assert got == PINNED_ACTIONS[family, params, k]
 
 
 # every free order-k action: the 5-cycles of S5 for the Petersen graph, 24
@@ -219,16 +228,15 @@ def test_free_cyclic_actions_pinned(family, params, k):
     ],
 )
 def test_free_cyclic_actions_run_dry(g, k, count):
-    actions = list(find_free_cyclic_action(g, k))
-    assert len(actions) == count
-    assert len({vm.image for vm in actions}) == count
-    assert all(vm.is_automorphism(g) and oracles.permutation_order(vm) == k for vm in actions)
+    for h in (g, _bare(g)):
+        actions = list(find_free_cyclic_action(h, k))
+        assert len(actions) == count
+        assert len({vm.image for vm in actions}) == count
+        assert all(vm.is_automorphism(h) and oracles.permutation_order(vm) == k for vm in actions)
 
 
 def test_free_cyclic_action_search_is_lazy(monkeypatch):
     """The search starts at the first read, not at the call."""
-    import confviz.iso as iso_module
-
     calls = []
     seed_tokens = iso_module._seed_tokens
     monkeypatch.setattr(iso_module, "_seed_tokens", lambda *a: calls.append(1) or seed_tokens(*a))
@@ -295,7 +303,7 @@ def _same_reads(g: Graph, k: int):
 
 
 SCAN_LADDER = (
-    [(generalized_petersen_graph(n, r), n) for n in range(5, 31) for r in range(1, (n + 1) // 2)]
+    [(_bare(generalized_petersen_graph(n, r)), n) for n in range(5, 31) for r in range(1, (n + 1) // 2)]
     + [(prism_graph(n), n) for n in range(3, 21)]
     + [(hypercube_graph(d), 4) for d in range(2, 6)]
     + [(cycle_graph(n), k) for n in range(3, 13) for k in range(2, n + 1) if n % k == 0]
@@ -340,8 +348,69 @@ def test_layer_scan_matches_full_scan_on_circulants_and_torus_grids(case):
 @pytest.mark.parametrize("budget", [1, 7, 40, 150, 400, 1500])
 @pytest.mark.parametrize("family,params,k", [("desargues", (), 10), ("dodecahedron", (), 5), ("gen_petersen", (12, 2), 12)])
 def test_layer_scan_runs_out_of_budget_at_the_same_read(monkeypatch, budget, family, params, k):
-    import confviz.iso as iso_module
-
     monkeypatch.setattr(iso_module, "_NODE_BUDGET", budget)
-    mine, full = _same_reads(build_family(family, *params), k)
+    mine, full = _same_reads(_bare(build_family(family, *params)), k)
     assert mine == full
+
+
+# ---------------------------------------------------------------------------
+# a family GP(n,r)'s recorded rotations against the search they replace
+
+
+def _dihedral(n: int, r: int) -> bool:
+    """Whether Aut GP(n,r) is the dihedral group of its rings (Frucht,
+    Graver and Watkins 1971): r*r is not +-1 (mod n) and (n, r) is not
+    (10, 2)."""
+    return (r * r + 1) % n != 0 and (r * r - 1) % n != 0 and (n, r) != (10, 2)
+
+
+def _rotation_cases(n: int):
+    """(r, k) for GP(n,r): every r and every k >= 3 dividing n up to n = 20;
+    above, r = 2 and the largest r with k = n and k the least such divisor."""
+    ks = [k for k in range(3, n + 1) if n % k == 0]
+    if n <= 20:
+        return [(r, k) for r in range(1, (n + 1) // 2) for k in ks]
+    return [(r, k) for r in sorted({2, (n - 1) // 2}) for k in sorted({ks[0], n})]
+
+
+@pytest.mark.parametrize("n", range(5, 61))
+def test_recorded_rotations_are_the_searchs_actions(n):
+    """In full up to n = 20, and in the first 8 actions above; a GP(n,r)
+    outside the condition records nothing and is searched."""
+    read = None if n <= 20 else 8
+    for r, k in _rotation_cases(n):
+        g = generalized_petersen_graph(n, r)
+        assert g._rotations == (n if _dihedral(n, r) else None)
+        with mock.patch.object(iso_module, "_free_cyclic_actions", wraps=iso_module._free_cyclic_actions) as search:
+            got = list(islice(find_free_cyclic_action(g, k), read))
+        assert search.call_count == (g._rotations is None)
+        assert got == list(islice(iso_module._free_cyclic_actions(g, k), read))
+
+
+@pytest.mark.parametrize(
+    "g,k",
+    [
+        (generalized_petersen_graph(5, 2), 5),  # the Petersen graph: 4 = -1 (mod 5)
+        (generalized_petersen_graph(10, 3), 10),  # the Desargues graph: 9 = -1 (mod 10)
+        (generalized_petersen_graph(8, 3), 4),  # the Moebius-Kantor graph: 9 = 1 (mod 8)
+        (dodecahedron_graph(), 5),
+        (petersen_graph(), 5),
+        (desargues_graph(), 10),
+        (_bare(generalized_petersen_graph(12, 2)), 12),
+        (jsonio.graph_from_obj(jsonio.graph_to_obj(generalized_petersen_graph(12, 2))), 12),
+        (generalized_petersen_graph(12, 2), 2),  # its free involutions include reflections
+    ],
+    ids=["GP(5,2)", "GP(10,3)", "GP(8,3)", "dodecahedron", "petersen", "desargues", "Graph(...)", "file", "k=2"],
+)
+def test_graphs_without_the_record_and_involutions_are_searched(g, k):
+    with mock.patch.object(iso_module, "_free_cyclic_actions", wraps=iso_module._free_cyclic_actions) as search:
+        first = next(find_free_cyclic_action(g, k))
+    assert search.call_count == 1
+    assert first.is_automorphism(g) and oracles.permutation_order(first) == k
+
+
+def test_recorded_rotations_keep_the_size_check():
+    g = generalized_petersen_graph(MAX_VERTICES // 2 + 1, 2)
+    assert g._rotations is not None
+    with pytest.raises(CapacityError, match="automorphism search limited to"):
+        find_free_cyclic_action(g, g.order // 2)

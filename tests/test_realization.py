@@ -2,6 +2,7 @@ import math
 import re
 from dataclasses import replace
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -393,8 +394,8 @@ def test_symmetric_solve_of_hypercube_10_reads_its_actions_without_recursion():
     assert g.order == iso.MAX_VERTICES
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(g, symmetry=2, restarts=0)
-    assert (exc.value.restarts, exc.value.skipped) == (0, 0)
-    assert str(exc.value).startswith("symmetric solve exhausted 0 restarts over 6 orbit sets")
+    assert (exc.value.restarts, exc.value.skipped, exc.value.residual) == (0, 0, None)
+    assert str(exc.value) == "symmetric solve ran 0 restarts over 6 orbit sets"
 
 
 def test_solver_reports_orbit_sets_ruled_out():
@@ -415,6 +416,21 @@ def test_solver_reports_orbit_sets_ruled_out():
     assert str(exc.value).startswith(
         "symmetric solve exhausted 4 restarts over 6 orbit sets, 4 ruled out by ring radii (best "
     )
+
+
+def test_a_solve_that_runs_no_start_reports_no_residual():
+    # Petersen is prime, so restarts=0 leaves no start at all
+    for kwargs, text, skipped in [
+        ({}, "unit-distance solve ran 0 restarts", None),
+        ({"symmetry": 5}, "symmetric solve ran 0 restarts over 6 orbit sets", 0),
+    ]:
+        with pytest.raises(ConvergenceError) as exc:
+            solve_unit_distance(petersen_graph(), seed=0, restarts=0, **kwargs)
+        assert str(exc.value) == text
+        assert (exc.value.residual, exc.value.restarts, exc.value.skipped) == (None, 0, skipped)
+    # a product's own start is no restart, and still runs
+    lay, residual = solve_unit_distance(prism_graph(7), seed=0, restarts=0)
+    assert lay.meta["method"] == "product" and residual <= TOL_INCIDENCE
 
 
 def test_symmetric_solve_polishes_only_ring_solutions(monkeypatch):
@@ -705,3 +721,101 @@ def test_layout_validation():
         Layout(cycle_graph(3), np.zeros((4, 2)), {})
     with pytest.raises(ParameterError):
         Layout(cycle_graph(3), np.array([[0, 0], [1, 0], [math.inf, 0]]), {})
+
+
+# ---------------------------------------------------------------------------
+# what a solve hands on: its layout, built unchecked with a record of what
+# the solve measured, and a family GP(n,r)'s rotations in place of a search
+
+
+def _hand_built(lay: Layout) -> Layout:
+    """lay rebuilt by the constructor, which records nothing."""
+    return Layout(lay.graph, lay.pos.copy(), dict(lay.meta))
+
+
+def _circles_text(lay: Layout, **kwargs):
+    """circles_from_layout(lay) as the text a file holds, or its error's
+    type and text, with the number of _near_pairs sweeps it made."""
+    with mock.patch.object(realization, "_near_pairs", wraps=realization._near_pairs) as sweeps:
+        try:
+            out = jsonio.dumps(jsonio.pcc_to_obj(circles_from_layout(lay, **kwargs)))
+        except ValueError as exc:
+            out = type(exc), str(exc)
+    return out, sweeps.call_count
+
+
+def _polish_petersen():
+    lay, _ = solve_unit_distance(petersen_graph(), seed=0, symmetry=5)
+    noisy = Layout(lay.graph, lay.pos + np.random.default_rng(1).uniform(-0.01, 0.01, lay.pos.shape), {})
+    return solve_unit_distance(lay.graph, init=noisy)
+
+
+HANDED_ON = {
+    "plain": lambda: solve_unit_distance(petersen_graph(), seed=1),
+    "product": lambda: solve_unit_distance(prism_graph(7), seed=0),
+    "symmetric": lambda: solve_unit_distance(generalized_petersen_graph(14, 2), seed=0, symmetry=14),
+    "init": _polish_petersen,
+}
+
+
+@pytest.mark.parametrize("kind", list(HANDED_ON))
+def test_a_solved_layout_saves_as_its_hand_built_copy(kind):
+    lay, residual = HANDED_ON[kind]()
+    copy = _hand_built(lay)
+    assert lay._verified is not None and copy._verified is None
+    assert lay.meta["method"] == {"plain": "lm", "product": "product", "symmetric": "orbit-lm"}.get(kind, "polish")
+    assert jsonio.dumps(jsonio.layout_to_obj(lay)) == jsonio.dumps(jsonio.layout_to_obj(copy))
+    (mine, sweeps), (theirs, copy_sweeps) = _circles_text(lay), _circles_text(copy)
+    assert mine == theirs and (sweeps, copy_sweeps) == (0, 1)
+
+
+def _reassigned(lay):
+    lay.pos = lay.pos + 0.25
+
+
+def _edited(lay):
+    lay.pos[3] += 1e-3
+
+
+def _swapped(lay):
+    lay.graph = Graph(lay.graph.order, lay.graph.edges, lay.graph.labels)
+
+
+# each case's sweep count, and whether it raises: at tol 0 no edge length
+# is exactly 1, so the circles are fitted, and a fit fails before the sweep
+@pytest.mark.parametrize(
+    "change, kwargs, sweeps, fails",
+    [
+        (_reassigned, {}, 1, False),
+        (_edited, {}, 1, False),
+        (_swapped, {}, 1, False),
+        (None, {"tol": 1e-12}, 1, False),
+        (None, {"tol": 0.0}, 0, True),
+    ],
+    ids=["reassigned", "edited", "swapped", "tol 1e-12", "tol 0"],
+)
+def test_a_changed_layout_or_a_smaller_tol_voids_the_record(change, kwargs, sweeps, fails):
+    lay, _ = solve_unit_distance(petersen_graph(), seed=0, symmetry=5)
+    if change is not None:
+        change(lay)
+    mine = _circles_text(lay, **kwargs)
+    assert mine == _circles_text(_hand_built(lay), **kwargs)
+    assert mine[1] == sweeps and isinstance(mine[0], tuple) == fails
+
+
+def test_family_built_solves_neither_search_nor_walk_nor_sweep():
+    """A family GP(14,2) solve at symmetry 14 reads its rotations without
+    entering the search, is not walked for connectivity, and its circles
+    take no sweep; the same graph built by the constructor runs all three
+    and ends on the same bytes."""
+    g = generalized_petersen_graph(14, 2)
+    runs = []
+    for h in (g, Graph(g.order, g.edges, g.labels)):
+        with mock.patch.object(iso, "_free_cyclic_actions", wraps=iso._free_cyclic_actions) as search, \
+                mock.patch.object(realization, "_connected", wraps=realization._connected) as walk:
+            lay, _ = solve_unit_distance(h, seed=0, symmetry=14)
+        with mock.patch.object(realization, "_near_pairs", wraps=realization._near_pairs) as sweeps:
+            circles_from_layout(lay)
+        runs.append((search.call_count, walk.call_count, sweeps.call_count, lay.pos.tobytes()))
+    assert runs[0][:3] == (0, 0, 0) and runs[1][:3] == (1, 1, 0)
+    assert runs[0][3] == runs[1][3]
