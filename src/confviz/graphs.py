@@ -9,15 +9,16 @@ the factors of cartesian_factors, kronecker_cover and incidence.levi_graph
 build edges that are canonical already (distinct, in range, u < v, sorted,
 Python ints) and set them through _unchecked without checking them again.
 
-prism_graph, generalized_petersen_graph(n, 1) and hypercube_graph also
-record, through _unchecked, how to form their Cartesian factorization in
-closed form, and cartesian_factors forms it from that record instead of
-recognizing it. A connected graph factors uniquely into primes (Sabidussi,
-Vizing), so the closed form names the factors the recognizer finds; the
-tests hold the two equal field for field. The factors are formed only when
-cartesian_factors asks, and a graph from the constructor records nothing.
-generalized_petersen_graph likewise records, for iso, when its free actions
-of order three or more are its rotations.
+prism_graph, generalized_petersen_graph and hypercube_graph also record,
+through _unchecked, which family member they built: Graph._family. Only
+this module reads it, and a graph from the constructor or a file records
+nothing. From the record, cartesian_factors forms the factorization of
+prism(n) and GP(n,1), n != 4, and of hypercube(d), d >= 2, in closed form
+instead of recognizing it. A connected graph factors uniquely into primes
+(Sabidussi, Vizing), so the closed form names the factors the recognizer
+finds; the tests hold the two equal field for field. _free_turns lists a
+GP(n,r)'s free actions for iso when they are its rotations, and _connected
+answers for a recorded graph, connected by construction, without a walk.
 """
 
 from __future__ import annotations
@@ -179,14 +180,10 @@ class Graph:
     order: int
     edges: tuple[tuple[int, int], ...]
     labels: tuple[str, ...] | None = None
-    # (function, args) when a family builder knows g's Cartesian
-    # factorization in closed form: function(g, *args) forms it. Only
-    # _unchecked sets it; it is no field, so equality, hashing, repr and
-    # files never see it.
-    _factored = None
-    # n when a family builder knows that g's free actions of order k >= 3
-    # are the turns of its rings of n vertices (see iso); set like _factored
-    _rotations = None
+    # the family member a builder made: ("prism", n), ("gen_petersen", n, r)
+    # or ("hypercube", d) (see the module docstring). Only _unchecked sets
+    # it; it is no field, so equality, hashing, repr and files never see it.
+    _family = None
 
     def __post_init__(self):
         object.__setattr__(self, "order", _size(self.order, "graph order"))
@@ -352,9 +349,7 @@ def prism_graph(n: int) -> Graph:
         raise ParameterError("prism needs n >= 3")
     _bounded(2 * n, 3 * n)
     labels = tuple(f"(0,{i})" for i in range(n)) + tuple(f"(1,{i})" for i in range(n))
-    # prism(4) is the 3-cube, which has three factors
-    factored = (_prism_factors, (n,)) if n != 4 else None
-    return _unchecked(Graph, order=2 * n, edges=_spoked_rings(n, 1), labels=labels, _factored=factored)
+    return _unchecked(Graph, order=2 * n, edges=_spoked_rings(n, 1), labels=labels, _family=("prism", n))
 
 
 def hypercube_graph(d: int) -> Graph:
@@ -368,9 +363,7 @@ def hypercube_graph(d: int) -> Graph:
     _bounded(n, d * n // 2)
     edges = tuple((v, v ^ (1 << b)) for v in range(n) for b in range(d) if v < v ^ (1 << b))
     labels = tuple(format(v, f"0{d}b") for v in range(n))
-    # the 1-cube is K_2, which is prime
-    factored = (_cube_factors, (d,)) if d >= 2 else None
-    return _unchecked(Graph, order=n, edges=edges, labels=labels, _factored=factored)
+    return _unchecked(Graph, order=n, edges=edges, labels=labels, _family=("hypercube", d))
 
 
 def _subset_label(s: tuple[int, ...]) -> str:
@@ -446,12 +439,8 @@ def generalized_petersen_graph(n: int, r: int) -> Graph:
         raise ParameterError("generalized petersen needs n >= 3 and 1 <= r < n/2")
     _bounded(2 * n, 3 * n)
     labels = tuple(f"o{i}" for i in range(n)) + tuple(f"i{i}" for i in range(n))
-    # GP(n,1) is prism(n)
-    factored = (_prism_factors, (n,)) if r == 1 and n != 4 else None
-    # Aut GP(n,r) is the dihedral group of the rings (Frucht, Graver and Watkins)
-    rotations = n if (r * r + 1) % n and (r * r - 1) % n and (n, r) != (10, 2) else None
     edges = _spoked_rings(n, r)
-    return _unchecked(Graph, order=2 * n, edges=edges, labels=labels, _factored=factored, _rotations=rotations)
+    return _unchecked(Graph, order=2 * n, edges=edges, labels=labels, _family=("gen_petersen", n, r))
 
 
 def dodecahedron_graph() -> Graph:
@@ -578,24 +567,28 @@ def _class_roots(n: int, pairs) -> list[int]:
 def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
     """Cartesian factors of g and a map from g onto their product.
 
-    A family graph that records its factorization (see the module
-    docstring) gets it in closed form; every other graph is recognized as
-    follows. Edges are related by the delta rule: opposite edges of a
-    chordless square, and adjacent edges that do not span exactly one
-    square, or span one with a chord. Both hold only within a factor, so
-    the closure (taken by union-find) gives one class per factor, or finer
-    classes. Each class's layer through vertex 0 is a factor on its
-    vertices in increasing order. A vertex's coordinate in that factor is
-    the layer vertex it reaches without the class's edges. The map sends a
-    vertex to its index in the product of the factors folded left with
-    cartesian_product. It is kept only when it is an isomorphism onto that
-    product, which _product_map checks on the coordinates, one lookup per
-    edge, without building the product. Otherwise, and with one class, g
-    counts as prime and comes back alone with the identity map.
+    A family graph whose factorization is known (see the module docstring)
+    gets it in closed form; every other graph is recognized as follows.
+    Edges are related by the delta rule: opposite edges of a chordless
+    square, and adjacent edges that do not span exactly one square, or span
+    one with a chord. Both hold only within a factor, so the closure (taken
+    by union-find) gives one class per factor, or finer classes. Each
+    class's layer through vertex 0 is a factor on its vertices in increasing
+    order. A vertex's coordinate in that factor is the layer vertex it
+    reaches without the class's edges. The map sends a vertex to its index
+    in the product of the factors folded left with cartesian_product. It is
+    kept only when it is an isomorphism onto that product, which
+    _product_map checks on the coordinates, one lookup per edge, without
+    building the product. Otherwise, and with one class, g counts as prime
+    and comes back alone with the identity map.
     """
-    if g._factored is not None:
-        form, args = g._factored
-        return form(g, *args)
+    match g._family:
+        # prism(4) = GP(4,1) is the 3-cube, with three factors
+        case ("prism", n) | ("gen_petersen", n, 1) if n != 4:
+            return _prism_factors(g, n)
+        # the 1-cube is K_2, which is prime
+        case ("hypercube", d) if d >= 2:
+            return _cube_factors(g, d)
     prime = ((g,), VertexMap(tuple(range(g.order))))
     nbrs = g.neighbor_sets
     # each vertex's edge indices, by neighbour
@@ -775,8 +768,26 @@ def bfs_layers(g: Graph, root: int, dist: list[int]) -> Iterator[list[int]]:
 
 def _connected(g: Graph) -> bool:
     """True when one BFS from vertex 0 reaches every vertex; the empty
-    graph counts as connected."""
-    return g.order == 0 or sum(map(len, bfs_layers(g, 0, [-1] * g.order))) == g.order
+    graph, and a family member that records itself, connected by
+    construction, count as connected without a walk."""
+    return g._family is not None or g.order == 0 or sum(map(len, bfs_layers(g, 0, [-1] * g.order))) == g.order
+
+
+def _free_turns(g: Graph, k: int) -> Iterator[VertexMap] | None:
+    """The free actions of order k of a recorded GP(n,r) when they are its
+    rotations, or None. Aut GP(n,r) is the dihedral group of its rings
+    unless r*r = +-1 (mod n) or (n, r) = (10, 2) (Frucht, Graver and
+    Watkins, Proc. Cambridge Philos. Soc. 70, 1971), so for k >= 3 (k = 2
+    adds reflections) those are the turns i -> i + s (mod n) of both rings
+    with n / gcd(s, n) = k, listed in increasing s: iso's search order."""
+    match g._family:
+        case ("gen_petersen", n, r) if k >= 3 and (r * r + 1) % n and (r * r - 1) % n and (n, r) != (10, 2):
+            return (
+                _unchecked(VertexMap, image=(*range(s, n), *range(s), *range(n + s, 2 * n), *range(n, n + s)))
+                for s in range(1, n)
+                if n // math.gcd(s, n) == k
+            )
+    return None
 
 
 @dataclass(frozen=True)

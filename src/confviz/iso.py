@@ -18,24 +18,21 @@ so its depth is bounded by the order, not by Python's recursion limit.
 Candidates are tried in increasing order, so results are deterministic.
 Graphs above MAX_VERTICES (enough for hypercube(10) and for the 924-vertex
 Levi graph of odd(6)) and searches past the node budget raise CapacityError
-rather than running open-ended. Aut GP(n,r) is the dihedral group of its
-rings unless r*r = +-1 (mod n) or (n, r) = (10, 2) (Frucht, Graver and
-Watkins, Proc. Cambridge Philos. Soc. 70, 1971), so its free actions of
-order k >= 3 are its rotations of order k: for a GP(n,r) built by its family
-find_free_cyclic_action lists them, in the search's order, with no search.
-Block v of a V-construction is N(v), so
-verify_kronecker_theorem and is_self_polar check identity maps on it
-instead, in O(E), and the tests hold them to `isomorphic` and
+rather than running open-ended. Where graphs knows a family member's free
+actions in closed form (graphs._free_turns: the rotations of a GP(n,r)
+whose automorphisms are those of its rings), find_free_cyclic_action lists
+them, in the search's order, with no search. Block v of a V-construction
+is N(v), so verify_kronecker_theorem and is_self_polar check identity maps
+on it instead, in O(E), and the tests hold them to `isomorphic` and
 find_swap_involution.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 
 from .errors import CapacityError
-from .graphs import Graph, VertexMap, _integer, _unchecked, bfs_layers
+from .graphs import Graph, VertexMap, _free_turns, _integer, _unchecked, bfs_layers
 
 MAX_VERTICES = 1024
 _NODE_BUDGET = 400_000
@@ -88,27 +85,16 @@ def find_free_cyclic_action(g: Graph, k: int) -> Iterator[VertexMap]:
     its node budget covers everything searched so far: a read that would
     pass it raises CapacityError. More than MAX_VERTICES vertices raise
     CapacityError at the call. Used to impose rotational symmetry on
-    layouts. A family-built GP(n,r) that records its rotations (see the
-    module docstring) yields them for k >= 3 and spends no search node.
+    layouts. A family member whose actions graphs._free_turns knows (see
+    the module docstring) yields them and spends no search node.
     """
     k = _integer(k, "k")
     if g.order > MAX_VERTICES:
         raise CapacityError(f"automorphism search limited to {MAX_VERTICES} vertices")
     if k < 2 or g.order % k != 0 or not g.order:
         return iter(())
-    if k >= 3 and g._rotations is not None:
-        return _rotations(g._rotations, g.order, k)
-    return _free_cyclic_actions(g, k)
-
-
-def _rotations(n: int, order: int, k: int) -> Iterator[VertexMap]:
-    """The turns i -> i + s (mod n) of all rings of n vertices at once, for
-    the steps s of order n / gcd(s, n) = k in increasing order: the search's
-    order, as it tries the images s of vertex 0 in increasing order."""
-    for s in range(1, n):
-        if n // math.gcd(s, n) == k:
-            turn = (*range(s, n), *range(s))
-            yield _unchecked(VertexMap, image=tuple(base + i for base in range(0, order, n) for i in turn))
+    turns = _free_turns(g, k)
+    return _free_cyclic_actions(g, k) if turns is None else turns
 
 
 def _free_cyclic_actions(g: Graph, k: int, sides: tuple[int, ...] | None = None) -> Iterator[VertexMap]:

@@ -264,9 +264,10 @@ def _near_pairs(x: np.ndarray, y: np.ndarray, t: float) -> tuple[np.ndarray, np.
 # damped least squares
 
 
-def lm_least_squares(fun, jac, x0, *, max_iter: int = _LM_MAX_ITER) -> np.ndarray:
+def lm_least_squares(fun, jac, x0) -> np.ndarray:
     """Levenberg-Marquardt with the fixed x10 / /10 damping schedule from
-    1e-3; stops when the gradient falls below 1e-12 or the step below 1e-14.
+    1e-3; stops when the gradient falls below 1e-12, the step below 1e-14,
+    or after _LM_MAX_ITER iterations.
 
     The damping term keeps rank-deficient Jacobians (translation and rotation
     gauge freedom) solvable, so the routine never crashes on those inputs.
@@ -284,7 +285,7 @@ def lm_least_squares(fun, jac, x0, *, max_iter: int = _LM_MAX_ITER) -> np.ndarra
         return j.T @ r, j.T @ j
 
     grad, a = linearize(x, r)
-    for _ in range(max_iter):
+    for _ in range(_LM_MAX_ITER):
         if np.max(np.abs(grad)) < 1e-12:
             break
         try:
@@ -503,7 +504,7 @@ def _solve(edges: tuple[np.ndarray, np.ndarray], x0: np.ndarray, P: np.ndarray |
         return x0.reshape(-1, 2)
     # each edge row's cells (u's x and y, then v's) in the flat plain Jacobian
     cells = np.column_stack([2 * eu, 2 * eu + 1, 2 * ev, 2 * ev + 1]) + width * np.arange(len(eu))[:, None]
-    return positions(lm_least_squares(resid, jacobian, x0, max_iter=_LM_MAX_ITER))
+    return positions(lm_least_squares(resid, jacobian, x0))
 
 
 def _ring_map(orbits: list[list[int]], k: int) -> np.ndarray:
@@ -652,11 +653,10 @@ def solve_unit_distance(
     passes; with no residual when no start ran ("ran 0 restarts"). seed and
     restarts are integers >= 0, and seed None reads as 0. The result records
     in Layout._verified the graph and the position bytes it was verified on.
-    A graph with a family's closed-form record is connected by construction.
     """
     if g.size == 0:
         raise ParameterError("unit-distance solve needs at least one edge")
-    if g._factored is None and g._rotations is None and not _connected(g):
+    if not _connected(g):
         raise ParameterError("unit-distance solve expects a connected graph")
     base_seed = _seed(seed)
     restarts = _count(restarts, "restarts")

@@ -109,27 +109,6 @@ class SphericalCircleConfig:
             raise ParameterError(f"circle {c} misses the sphere ({gap[c]:.6g} from the centre, radius {radius:.6g})")
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    coplanar: bool
-    max_residual: float
-    failing_vertex: int | None
-    planes_distinct: bool
-    coincident_pair: tuple[int, int] | None
-
-    def describe(self) -> str:
-        if self.admissible:
-            return f"admissible (max coplanarity residual {self.max_residual:.3e})"
-        if not self.coplanar:
-            return (
-                f"not admissible: neighbourhood of vertex {self.failing_vertex} "
-                f"is not coplanar (residual {self.max_residual:.3e})"
-            )
-        u, v = self.coincident_pair
-        return f"not admissible: vertices {u} and {v} span the same plane"
-
-
 # ---------------------------------------------------------------------------
 # coordinates
 
@@ -228,12 +207,15 @@ def _fit_planes(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, residual, collinear
 
 
-def _neighbourhood_planes(p: PolytopeSkeleton) -> tuple[AdmissibilityReport, np.ndarray]:
-    """The admissibility report and all neighbourhood plane rows, fitted in
-    one pass per degree: neighbourhoods must be coplanar within TOL_INCIDENCE
-    and span pairwise distinct planes. The first vertex that fails names the
-    outcome: too few or collinear neighbours raise, a non-coplanar
-    neighbourhood fails."""
+def _neighbourhood_planes(p: PolytopeSkeleton) -> np.ndarray:
+    """All neighbourhood plane rows, fitted in one pass per degree.
+
+    Neighbourhoods must be coplanar within TOL_INCIDENCE and span pairwise
+    distinct planes. The first vertex that fails names the refusal: too few
+    neighbours raise ParameterError, collinear ones DegeneracyError, and a
+    neighbourhood off its plane AdmissibilityError with its residual. With
+    every neighbourhood coplanar, the first two equal planes raise
+    AdmissibilityError with their vertices as its pair."""
     adjacency, n = p.graph.adjacency, p.graph.order
     degree = np.array([len(a) for a in adjacency], dtype=np.intp)
     rows, residual, collinear = np.zeros((n, 4)), np.zeros(n), np.zeros(n, dtype=bool)
@@ -242,25 +224,26 @@ def _neighbourhood_planes(p: PolytopeSkeleton) -> tuple[AdmissibilityReport, np.
         nbrs = np.array([adjacency[v] for v in vs.tolist()], dtype=np.intp)
         rows[vs], residual[vs], collinear[vs] = _fit_planes(p.coords[nbrs])
     bad = np.flatnonzero((degree < 3) | collinear | (residual > TOL_INCIDENCE)).tolist()
-    failing, pair = (bad[0] if bad else None), None
-    if bad and degree[failing] < 3:
-        raise ParameterError(f"vertex {failing} has fewer than 3 neighbours")
-    if bad and collinear[failing]:
-        raise DegeneracyError(_COLLINEAR_FIT)
-    if not bad:
-        i, j = _pair_indices(n)
-        close = np.flatnonzero(np.max(np.abs(rows[i] - rows[j]), axis=1, initial=0.0) <= _PLANE_MATCH_TOL)
-        pair = (int(i[close[0]]), int(j[close[0]])) if len(close) else None
-    worst = float(np.max(residual[: failing + 1 if bad else n], initial=0.0))
-    report = AdmissibilityReport(not bad and pair is None, not bad, worst, failing, pair is None, pair)
-    return report, rows
+    if bad:
+        v = bad[0]
+        if degree[v] < 3:
+            raise ParameterError(f"vertex {v} has fewer than 3 neighbours")
+        if collinear[v]:
+            raise DegeneracyError(_COLLINEAR_FIT)
+        raise AdmissibilityError(
+            f"{p.name}: not admissible: neighbourhood of vertex {v} is not coplanar (residual {residual[v]:.3e})"
+        )
+    i, j = _pair_indices(n)
+    close = np.flatnonzero(np.max(np.abs(rows[i] - rows[j]), axis=1, initial=0.0) <= _PLANE_MATCH_TOL)
+    if len(close):
+        u, v = int(i[close[0]]), int(j[close[0]])
+        raise AdmissibilityError(f"{p.name}: not admissible: vertices {u} and {v} span the same plane", pair=(u, v))
+    return rows
 
 
 def point_plane_vconstruct(p: PolytopeSkeleton) -> PointPlaneConfig:
     """Spatial V-construction: one neighbourhood plane row per vertex."""
-    report, planes = _neighbourhood_planes(p)
-    if not report.admissible:
-        raise AdmissibilityError(f"{p.name}: {report.describe()}", pair=report.coincident_pair)
+    planes = _neighbourhood_planes(p)
     incidence = sorted((u, v) for v in range(p.graph.order) for u in p.graph.adjacency[v])
     u, v = np.array(incidence, dtype=np.intp).reshape(-1, 2).T
     residual = np.abs(_row_dots(p.coords[u], planes[v, :3]) - planes[v, 3])

@@ -78,7 +78,7 @@ from confviz.realization import (
     _edge_arrays,
     _float_table,
 )
-from confviz.spatial import _COLLINEAR_FIT, AdmissibilityReport, PointPlaneConfig, PolytopeSkeleton, _fit_planes
+from confviz.spatial import _COLLINEAR_FIT, PointPlaneConfig, PolytopeSkeleton, _fit_planes
 
 
 @dataclass(frozen=True)
@@ -1319,54 +1319,23 @@ def _edges_by_min_distance(coords: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(e for e, d in dists.items() if d <= shortest * (1.0 + 1e-9)))
 
 
-def _fit_neighbourhood_planes(
-    p: PolytopeSkeleton, tol: float
-) -> tuple[AdmissibilityReport, list[Plane]]:
-    """admissible_polytope's report, plus the neighbourhood planes it fitted."""
+def _neighbourhood_planes(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> list[Plane]:
+    """The neighbourhood planes, one vertex at a time; neighbourhoods must
+    be coplanar and span pairwise distinct planes."""
     planes = []
-    worst = 0.0
     for v in range(p.graph.order):
         nbrs = list(p.graph.adjacency[v])
         if len(nbrs) < 3:
             raise ParameterError(f"vertex {v} has fewer than 3 neighbours")
         plane, res = coplanarity(p.coords[nbrs])
-        worst = max(worst, res)
         if res > tol:
-            report = AdmissibilityReport(
-                admissible=False,
-                coplanar=False,
-                max_residual=res,
-                failing_vertex=v,
-                planes_distinct=True,
-                coincident_pair=None,
+            raise AdmissibilityError(
+                f"{p.name}: not admissible: neighbourhood of vertex {v} is not coplanar (residual {res:.3e})"
             )
-            return report, planes
         planes.append(plane)
-    pairs = combinations(range(len(planes)), 2)
-    pair = next(((i, j) for i, j in pairs if planes[i].close_to(planes[j])), None)
-    report = AdmissibilityReport(
-        admissible=pair is None,
-        coplanar=True,
-        max_residual=worst,
-        failing_vertex=None,
-        planes_distinct=pair is None,
-        coincident_pair=pair,
-    )
-    return report, planes
-
-
-def admissible_polytope(p: PolytopeSkeleton, tol: float = TOL_INCIDENCE) -> AdmissibilityReport:
-    """Neighbourhoods must be coplanar and span pairwise distinct planes."""
-    return _fit_neighbourhood_planes(p, tol)[0]
-
-
-def _neighbourhood_planes(p: PolytopeSkeleton, tol: float) -> list[Plane]:
-    report, planes = _fit_neighbourhood_planes(p, tol)
-    if not report.admissible:
-        raise AdmissibilityError(
-            f"{p.name}: {report.describe()}",
-            pair=report.coincident_pair,
-        )
+    for u, v in combinations(range(len(planes)), 2):
+        if planes[u].close_to(planes[v]):
+            raise AdmissibilityError(f"{p.name}: not admissible: vertices {u} and {v} span the same plane", pair=(u, v))
     return planes
 
 

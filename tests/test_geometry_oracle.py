@@ -14,7 +14,7 @@ from confviz.errors import DegeneracyError
 from confviz.graphs import Graph, generalized_petersen_graph
 from confviz.incidence import IncidenceStructure
 from confviz.pappus import derive_pappus_points
-from confviz.realization import TOL_INCIDENCE, _circumcircles, check_flags, invert_pointline, realize_n3
+from confviz.realization import _circumcircles, check_flags, invert_pointline, realize_n3
 from confviz.spatial import (
     POLYTOPE_NAMES,
     PolytopeSkeleton,
@@ -305,14 +305,9 @@ def assert_planes_match_per_vertex_fits(sk):
                 assert_same_planes(rows[k : k + 1], [value[0]])
                 assert bits(residual[k]) == bits(value[1])
                 assert bits(oracles.plane_row(sk.coords[list(adj[v])])[0]) == bits(rows[k])
-    new = outcome(_neighbourhood_planes, sk)
-    old = outcome(oracles._fit_neighbourhood_planes, sk, TOL_INCIDENCE)
-    assert new[0] == old[0], (new, old)
-    if new[0] == "raised":
-        assert new[1] == old[1]
-    else:
-        assert new[1][0] == old[1][0]
-        assert_same_planes(new[1][1][: len(old[1][1])], old[1][1])
+    # a refusal by type, text and pair, the non-coplanar residual in the text
+    assert_same_outcome(outcome(_neighbourhood_planes, sk), outcome(oracles._neighbourhood_planes, sk),
+                        assert_same_planes)
 
 
 def same_ppc(a, b):
@@ -334,7 +329,6 @@ def assert_same_spherical(a, b):
 
 def assert_same_plane_outcomes(sk):
     assert_planes_match_per_vertex_fits(sk)
-    assert outcome(lambda p: _neighbourhood_planes(p)[0], sk) == outcome(oracles.admissible_polytope, sk)
     assert_same_outcome(outcome(point_plane_vconstruct, sk), outcome(oracles.point_plane_vconstruct, sk), same_ppc)
 
 

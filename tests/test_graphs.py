@@ -1,7 +1,10 @@
 import math
+import pathlib
 import random
+import re
 from functools import reduce
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from confviz import (
     family_names,
     is_admissible,
     isomorphic,
+    jsonio,
     kronecker_cover,
     line_graph,
     structure_report,
@@ -37,6 +41,7 @@ from confviz.graphs import (
     prism_graph,
 )
 
+import confviz.graphs as graphs
 import oracles
 from oracles import brute_girth, has_four_cycle_brute, tensor_double_cover
 
@@ -245,15 +250,57 @@ UNRECORDED = [("prism", 4), ("gen_petersen", 4, 1), ("hypercube", 1)]
 
 @pytest.mark.parametrize("family", RECORDED, ids=lambda f: "-".join(map(str, f)))
 def test_recorded_factorizations_match_the_recognizer(family):
-    """A family member's closed-form factors and witness equal, field for
-    field, what the recognizer finds for a constructor-built copy, and what
-    the component-walk oracle finds."""
+    """A family member records itself, and its closed-form factors and
+    witness equal, field for field, what the recognizer finds for a
+    constructor-built copy, and what the component-walk oracle finds; the
+    members left to the recognizer never form the closed form. A copy and
+    a file record nothing."""
     g = build_family(*family)
     copy = Graph(g.order, g.edges, g.labels)
     assert copy == g and hash(copy) == hash(g) and repr(copy) == repr(g)
-    assert copy._factored is None
-    assert (g._factored is None) == (family in UNRECORDED)
-    assert cartesian_factors(g) == cartesian_factors(copy) == oracles.cartesian_factors(g)
+    assert g._family == family
+    assert copy._family is None and jsonio.graph_from_obj(jsonio.graph_to_obj(g))._family is None
+    form = "_cube_factors" if family[0] == "hypercube" else "_prism_factors"
+    with mock.patch.object(graphs, form, wraps=getattr(graphs, form)) as closed:
+        got = cartesian_factors(g)
+    assert closed.call_count == (family not in UNRECORDED)
+    assert got == cartesian_factors(copy) == oracles.cartesian_factors(g)
+
+
+# family builders, with the record each leaves: the dodecahedron is built
+# as GP(10,2), and line graphs, products, covers and factors record nothing
+BUILT = {
+    "prism(4)": (lambda: prism_graph(4), ("prism", 4)),
+    "GP(12,5)": (lambda: generalized_petersen_graph(12, 5), ("gen_petersen", 12, 5)),
+    "dodecahedron": (dodecahedron_graph, ("gen_petersen", 10, 2)),
+    "hypercube(1)": (lambda: hypercube_graph(1), ("hypercube", 1)),
+    "petersen": (petersen_graph, None),
+    "desargues": (desargues_graph, None),
+    "pappus": (pappus_graph, None),
+    "cycle(6)": (lambda: cycle_graph(6), None),
+    "path(4)": (lambda: path_graph(4), None),
+    "complete(4)": (lambda: complete_graph(4), None),
+    "kneser(6,2)": (lambda: kneser_graph(6, 2), None),
+    "bipartite_kneser(5,1)": (lambda: bipartite_kneser_graph(5, 1), None),
+    "odd(4)": (lambda: odd_graph(4), None),
+    "CO(5)": (lambda: gen_cuboctahedron_graph(5), None),
+    "line graph": (lambda: line_graph(hypercube_graph(3)), None),
+    "product": (lambda: cartesian_product(cycle_graph(5), path_graph(2)), None),
+    "cover": (lambda: kronecker_cover(prism_graph(5))[0], None),
+    "factor": (lambda: cartesian_factors(prism_graph(5))[0][0], None),
+}
+
+
+@pytest.mark.parametrize("build,record", BUILT.values(), ids=BUILT)
+def test_the_record_names_the_member_built(build, record):
+    assert build()._family == record
+
+
+def test_only_graphs_reads_the_family_record():
+    """The record, and the two it replaced, are named in graphs.py alone."""
+    src = pathlib.Path(graphs.__file__).parent
+    named = sorted(p.name for p in src.glob("*.py") if re.search(r"\b_(family|factored|rotations)\b", p.read_text()))
+    assert named == ["graphs.py"]
 
 
 @pytest.mark.parametrize("g", [petersen_graph(), complete_graph(4), cycle_graph(5),
@@ -402,10 +449,13 @@ def test_components_listed():
     (Graph(0, ()), True), (Graph(1, ()), True), (Graph(2, ()), False),
     (Graph(6, ((0, 1), (1, 2), (3, 4))), False), (Graph(3, ((1, 2),)), False),
     (prism_graph(14), True), (hypercube_graph(4), True),
+    # the same graphs without their family record, which answers unwalked
+    (Graph(28, prism_graph(14).edges), True), (Graph(16, hypercube_graph(4).edges), True),
 ])
 def test_connected_by_one_walk_from_vertex_0(g, connected):
-    """connected is read off one BFS count from vertex 0, and agrees with
-    the component walk; the empty graph counts as connected."""
+    """connected is read off one BFS count from vertex 0, or a family
+    record, and agrees with the component walk; the empty graph counts as
+    connected."""
     assert structure_report(g).connected is connected
     assert connected == (len(structure_report(g).components) <= 1)
 

@@ -30,7 +30,7 @@ from confviz import (
     unit_edge_residual,
     v_construct,
 )
-from confviz import iso, jsonio, realization
+from confviz import graphs, iso, jsonio, realization
 from confviz.graphs import (
     Graph,
     build_family,
@@ -805,14 +805,14 @@ def test_a_changed_layout_or_a_smaller_tol_voids_the_record(change, kwargs, swee
 
 def test_family_built_solves_neither_search_nor_walk_nor_sweep():
     """A family GP(14,2) solve at symmetry 14 reads its rotations without
-    entering the search, is not walked for connectivity, and its circles
-    take no sweep; the same graph built by the constructor runs all three
-    and ends on the same bytes."""
+    entering the search, takes no connectivity walk, and its circles take
+    no sweep; the same graph built by the constructor runs all three and
+    ends on the same bytes."""
     g = generalized_petersen_graph(14, 2)
     runs = []
     for h in (g, Graph(g.order, g.edges, g.labels)):
         with mock.patch.object(iso, "_free_cyclic_actions", wraps=iso._free_cyclic_actions) as search, \
-                mock.patch.object(realization, "_connected", wraps=realization._connected) as walk:
+                mock.patch.object(graphs, "bfs_layers", wraps=graphs.bfs_layers) as walk:
             lay, _ = solve_unit_distance(h, seed=0, symmetry=14)
         with mock.patch.object(realization, "_near_pairs", wraps=realization._near_pairs) as sweeps:
             circles_from_layout(lay)

@@ -119,17 +119,18 @@ def test_coplanarity_rejects_collinear():
 
 
 def test_admissibility_reports():
-    rep = _neighbourhood_planes(polytope_data("octahedron"))[0]
-    assert not rep.admissible
-    assert rep.coplanar
-    assert not rep.planes_distinct
-    assert rep.coincident_pair == (0, 5)
-    assert "span the same plane" in rep.describe()
+    """The octahedron's neighbourhoods are coplanar but two span one plane,
+    which the refusal names; every other polytope gives one plane row per
+    vertex, its neighbourhood on it."""
+    text = "octahedron: not admissible: vertices 0 and 5 span the same plane"
+    with pytest.raises(AdmissibilityError, match=f"^{text}$") as exc:
+        _neighbourhood_planes(polytope_data("octahedron"))
+    assert exc.value.pair == (0, 5)
 
     for name in ("tetrahedron", "cube", "dodecahedron", "icosahedron", "cuboctahedron"):
-        rep = _neighbourhood_planes(polytope_data(name))[0]
-        assert rep.admissible, name
-        assert rep.max_residual < 1e-9
+        p = polytope_data(name)
+        assert _neighbourhood_planes(p).shape == (p.graph.order, 4), name
+        assert point_plane_vconstruct(p).max_residual < 1e-9
 
 
 def test_point_plane_vconstruct_dodecahedron():
