@@ -335,14 +335,16 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
     must lie inside N(j). A bijection that sends every Levi edge onto a
     cover edge, with equal edge counts, is an isomorphism. The cover's
     components are counted on g (_cover_components). N(g) is built once,
-    with shared neighbourhoods merged, so for a non-admissible g the report
-    instead documents how the collapsed structure falls short of the cover.
+    with shared neighbourhoods merged, and g is admissible when no block
+    merged; otherwise is_admissible names the first clash, and the report
+    documents how the collapsed structure falls short of the cover.
     """
     n = g.order
     c = v_construct(g, collapse=True)  # N(g) itself when g is admissible
-    admissible, pair = is_admissible(g)
+    admissible = c.block_count == n
+    pair = None if admissible else is_admissible(g)[1]
     verified = admissible and (
-        c.points == c.block_count == n
+        c.points == n
         and sum(map(len, c.blocks)) == 2 * g.size
         and all(map(frozenset.issuperset, g.neighbor_sets, c.blocks))
     )

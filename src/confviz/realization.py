@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, islice
@@ -610,37 +610,30 @@ def _product_start(g: Graph, seed: int, restarts: int):
 
 def solve_unit_distance(
     g: Graph,
-    init: Layout | None = None,
     *,
     seed: int | None = None,
-    symmetry: int | list[list[int]] | None = None,
+    symmetry: int | None = None,
     restarts: int = 40,
 ) -> tuple[Layout, float]:
     """Minimize edge-length deviation from 1; returns (layout, max deviation).
 
     One loop polishes start layouts until the residual clears TOL_INCIDENCE
     with no two vertices collapsed. g's edge table is built once, and every
-    start is measured on it; only the start returned becomes a Layout. With
-    `init` its positions are the only start. A plain solve draws `restarts`
-    seeded random starts; when g is a Cartesian product
-    (graphs.cartesian_factors: in closed form for a family-built prism,
-    GP(n,1) or hypercube, recognized otherwise, with the same result), the
-    product of its factors' drawings goes first, as one more start, and the
-    generator is seeded only when a random start is due. An integer
-    `symmetry` k asks for a rotational ansatz: free order-k automorphisms
-    are taken from iso.find_free_cyclic_action one at a time, up to six, and
+    start is measured on it; only the start returned becomes a Layout. A
+    plain solve draws `restarts` seeded random starts; when g is a Cartesian
+    product (graphs.cartesian_factors: in closed form for a family-built
+    prism, GP(n,1) or hypercube, recognized otherwise, with the same
+    result), the product of its factors' drawings goes first, as one more
+    start, and the generator is seeded only when a random start is due. `symmetry`, an
+    integer k, asks for a rotational ansatz: free order-k automorphisms are
+    taken from iso.find_free_cyclic_action one at a time, up to six, and
     each one's orbits become ring variables (for a family-built GP(n,r),
-    the rotations, with no search: see iso); explicit orbit lists are also
-    accepted.
+    the rotations, with no search: see iso).
     The ring variables are one Cartesian representative z_j per orbit, and
     vertex orbits[j][t] sits at R(2*pi*t/k) z_j, so the positions are P @ z
     for a fixed map P (_ring_map). A ring solve is the plain LM at P @ z,
     its Jacobian the plain one times P, and `restarts` of them, each from
-    radii and then phases drawn at random, are the starts. LM steps
-    otherwise in z than in the polar (radius, phase) variables that z
-    replaced, so where the rings have several solutions (a free radius, as
-    for the dodecahedron at symmetry 5, or two phases between two rings) the
-    same draws can end on another drawing.
+    radii and then phases drawn at random, are the starts.
     An orbit set whose ring radii, forced by edges within an orbit, rule
     out unit edges (_rings_rule_out) runs no solve: one draw of as many
     doubles as its starts would take advances the generator past them, so
@@ -664,14 +657,7 @@ def solve_unit_distance(
     # a symmetric solve counts its orbit sets, and those ruled out, as they pass
     sets = skipped = None
 
-    if init is not None:
-        if not isinstance(init, Layout):
-            raise ParameterError(f"init must be a Layout, not {type(init).__name__}")
-        if init.graph.edges != g.edges or init.graph.order != g.order:
-            raise ParameterError("init layout belongs to a different graph")
-        starts = [(init.pos, {"method": "polish"})]
-        what = "polish"
-    elif symmetry is None:
+    if symmetry is None:
 
         def drawn():
             rng = np.random.default_rng(base_seed)
@@ -682,20 +668,10 @@ def solve_unit_distance(
         starts = chain(_product_start(g, base_seed, restarts), drawn())
         what = "unit-distance solve"
     else:
-        if isinstance(symmetry, str) or not isinstance(symmetry, Iterable):
-            from . import iso
+        from . import iso
 
-            k = _integer(symmetry, "symmetry")
-            orbit_sets = map(VertexMap.cycles, islice(iso.find_free_cyclic_action(g, k), 6))
-        else:
-            orbit_sets = [list(map(list, _int_rows(symmetry, "orbit entry", "symmetry")))]
-            lengths = {len(o) for o in orbit_sets[0]}
-            if len(lengths) != 1:
-                raise ParameterError("explicit orbits must share one length")
-            k = lengths.pop()
-            covered = sorted(v for o in orbit_sets[0] for v in o)
-            if covered != list(range(g.order)):
-                raise ParameterError("orbits must partition the vertex set")
+        k = _integer(symmetry, "symmetry")
+        orbit_sets = map(VertexMap.cycles, islice(iso.find_free_cyclic_action(g, k), 6))
         sets = skipped = 0
 
         def ring_starts():

@@ -22,7 +22,7 @@ from .graphs import POLYTOPE_NAMES, Graph, _connected, _unchecked
 # from source after numpy has loaded leaves a process about 2 MB larger in
 # RSS, as numpy's import no longer reuses the compiler's freed memory. With
 # cached bytecode the order makes no difference.
-from .realization import TOL_INCIDENCE, TOL_SEPARATION, PointCircleConfig, _radius, _seed, _tolerance, tol_record
+from .realization import TOL_INCIDENCE, TOL_SEPARATION, PointCircleConfig, _radius, _seed, tol_record
 from .realization import _circle_table, _float_table, _incidence_pairs, _pair_indices, _row_dots, _row_norms
 
 import numpy as np
@@ -330,9 +330,7 @@ def _pole_clearance(cfg: SphericalCircleConfig, circles, pole: np.ndarray) -> fl
     return min(float(np.min(np.linalg.norm(cfg.points - pole, axis=1))), ring)
 
 
-def stereographic_project(
-    cfg: SphericalCircleConfig, pole=None, seed: int = 0, tol: float = TOL_INCIDENCE
-) -> tuple[PointCircleConfig, np.ndarray]:
+def stereographic_project(cfg: SphericalCircleConfig, pole=None, seed: int = 0) -> tuple[PointCircleConfig, np.ndarray]:
     """Project sphere points and circles through a clear pole to the plane.
 
     The image plane passes through the sphere centre orthogonal to the pole
@@ -345,11 +343,10 @@ def stereographic_project(
     tried first, then up to 256 seeded random poles; an explicit pole must
     be a finite 3-vector on the sphere that clears points and circles by the
     separation tolerance. Each projected incidence (q, k) must hold within
-    tol times the largest of 1, the image radius of circle k and the
-    projection's scale factor (R^2 + |q|^2) / (2 R^2) at q, for a tol that
-    is a finite number >= 0. The seed is an integer >= 0.
+    TOL_INCIDENCE times the largest of 1, the image radius of circle k and
+    the projection's scale factor (R^2 + |q|^2) / (2 R^2) at q. The seed is
+    an integer >= 0.
     """
-    tol = _tolerance("incidence", tol)
     seed = _seed(seed)
     r = cfg.radius
     circles = (cfg.circles[:, :3], *_circle_cuts(cfg))
@@ -381,7 +378,7 @@ def stereographic_project(
     rel = pole + (-r / denom)[:, None] * (cfg.points - pole) - cfg.center
     h = (normals @ pole - cfg.circles[:, 3]) / r
     table = _circle_table(-r * (normals @ e1) / h, -r * (normals @ e2) / h, radii / np.abs(h))
-    out = PointCircleConfig(np.stack([rel @ e1, rel @ e2], axis=-1), table, cfg.incidence, tols=tol_record(tol))
+    out = PointCircleConfig(np.stack([rel @ e1, rel @ e2], axis=-1), table, cfg.incidence, tols=tol_record())
     p, k = np.array(out.incidence, dtype=np.intp).reshape(-1, 2).T
     at, on = out.points[p], out.circles[k]
     # a residual counts against its image's own scale: rounding grows with
@@ -391,6 +388,6 @@ def stereographic_project(
     scale = np.maximum(np.maximum(1.0, on["r"]), (r * r + _row_dots(at, at)) / (2.0 * r * r))
     off = np.abs(np.hypot(at[:, 0] - on["cx"], at[:, 1] - on["cy"]) - on["r"])
     worst = float(np.max(off / scale, initial=0.0))
-    if worst > tol:
+    if worst > TOL_INCIDENCE:
         raise DegeneracyError(f"projected incidences drift ({worst:.3e})")
     return out, pole

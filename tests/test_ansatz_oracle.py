@@ -58,8 +58,10 @@ def test_symmetric_solve_matches_oracle(family, params, k, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_explicit_orbit_and_plain_solves_match_oracle(seed):
     g = cycle_graph(8)
+    # C8's first free order-4 action has the oracle's explicit orbits
+    assert next(iso.find_free_cyclic_action(g, 4)).cycles() == C8_ORBITS
     assert_same_solve(
-        lambda: solve_unit_distance(g, seed=seed, symmetry=C8_ORBITS),
+        lambda: solve_unit_distance(g, seed=seed, symmetry=4),
         lambda: oracles.solve_unit_distance(g, seed=seed, symmetry=C8_ORBITS),
     )
     # prime graphs: no product start, so the random loop alone, as before

@@ -245,11 +245,16 @@ def test_ladder_reports_match_the_union_find_oracle(family, params):
 
 # K_{2,3}: the two vertices of one side, and the three of the other, share a neighbourhood
 K23 = Graph(5, tuple((u, v) for u in (0, 1) for v in (2, 3, 4)))
+# K_{1,4}: the four leaves share the centre as their one neighbour
+K14 = Graph(5, tuple((0, v) for v in (1, 2, 3, 4)))
 
 
-@pytest.mark.parametrize("g", [build_family("cycle", 4), K23, build_family("petersen"), build_family("hypercube", 4)],
-                         ids=["cycle(4)", "K_{2,3}", "petersen", "hypercube(4)"])
-def test_one_construction_and_one_admissibility_check(g, monkeypatch):
+@pytest.mark.parametrize("g", [build_family("cycle", 4), K23, build_family("petersen"), build_family("hypercube", 4),
+                               K14, build_family("cycle", 6)],
+                         ids=["cycle(4)", "K_{2,3}", "petersen", "hypercube(4)", "K_{1,4}", "cycle(6)"])
+def test_one_construction_and_an_admissibility_check_only_on_a_clash(g, monkeypatch):
+    """The collapsed N(g) decides admissibility; is_admissible runs only to
+    name the clash pair of a graph whose shared neighbourhoods merged."""
     calls = []
 
     def counted(fn):
@@ -261,7 +266,7 @@ def test_one_construction_and_one_admissibility_check(g, monkeypatch):
     monkeypatch.setattr(incidence, "v_construct", counted(v_construct))
     monkeypatch.setattr(incidence, "is_admissible", counted(is_admissible))
     rep = verify_kronecker_theorem(g)
-    assert sorted(calls) == ["is_admissible", "v_construct"]
+    assert calls == ["v_construct"] + ["is_admissible"] * (not rep.admissible)
     monkeypatch.undo()
     assert rep == oracles.verify_kronecker_by_union_find(g) == oracles.verify_kronecker_theorem(g)
     assert rep.admissible == (g.order > 5)

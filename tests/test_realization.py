@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from dataclasses import replace
@@ -321,25 +322,6 @@ def test_solver_pappus():
     assert lay.meta["method"] == "orbit-lm" and lay.meta["symmetry"] == 3
 
 
-def test_solver_polish_recovers_perturbed_pentagon():
-    base = layout_polygon(5)
-    rng = np.random.default_rng(2)
-    noisy = Layout(base.graph, base.pos + rng.uniform(-0.05, 0.05, base.pos.shape), {})
-    lay, res = solve_unit_distance(base.graph, init=noisy)
-    assert res < 1e-10
-    assert list(lay.meta) == ["method", "seed", "residual"] and lay.meta["method"] == "polish"
-
-
-def test_solver_polish_refuses_collapsed_start():
-    # the start has unit edges already, but vertices 0 and 2 coincide
-    g = Graph(3, ((0, 1), (1, 2)))
-    start = Layout(g, [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], {})
-    with pytest.raises(ConvergenceError) as exc:
-        solve_unit_distance(g, init=start)
-    assert exc.value.restarts == 1
-    assert str(exc.value) == "polish exhausted 1 restart (best residual 0.0e+00)"
-
-
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -405,9 +387,12 @@ def test_solver_reports_orbit_sets_ruled_out():
         solve_unit_distance(complete_graph(4), seed=0, symmetry=4)
     assert (exc.value.restarts, exc.value.skipped, exc.value.residual) == (0, 6, None)
     assert str(exc.value) == "symmetric solve ran 0 restarts: ring radii rule out 6 of 6 orbit sets"
+    # no order reaches "1 of 1 orbit set": for k >= 3 a free action's
+    # inverse is a second one, and at k = 2 every chord forces radius 1/2;
+    # K2, whose swap is its one free involution, names a single set
     with pytest.raises(ConvergenceError) as exc:
-        solve_unit_distance(complete_graph(4), seed=0, symmetry=[[0, 1, 2, 3]])
-    assert str(exc.value) == "symmetric solve ran 0 restarts: ring radii rule out 1 of 1 orbit set"
+        solve_unit_distance(Graph(2, ((0, 1),)), seed=0, symmetry=2, restarts=0)
+    assert str(exc.value) == "symmetric solve ran 0 restarts over 1 orbit set"
     # K4 x K2 under order 4: the two sets left run their starts and fail
     g = cartesian_product(complete_graph(4), complete_graph(2))
     with pytest.raises(ConvergenceError) as exc:
@@ -553,34 +538,44 @@ def test_symmetric_solve_without_free_action(k):
         solve_unit_distance(petersen_graph(), seed=0, symmetry=k)
 
 
-def test_solver_explicit_orbits():
-    orbits = [[0, 2, 4, 6], [1, 3, 5, 7]]
-    lay, res = solve_unit_distance(cycle_graph(8), symmetry=orbits, seed=1)
-    assert res < 1e-9
-    with pytest.raises(ParameterError):
-        solve_unit_distance(cycle_graph(8), symmetry=[[0, 1, 2], [3, 4, 5]], seed=0)
+@pytest.mark.parametrize(
+    "symmetry, kind",
+    [
+        (5.0, "float"),
+        ([[0, 1], [2, 3]], "list"),
+        ([5, 6], "list"),
+        ([[0, 1, 2, 3, "a"], [5, 6, 7, 8, 9]], "list"),
+        (((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)), "tuple"),
+        (True, "bool"),
+        ("5", "str"),
+    ],
+)
+def test_solver_symmetry_must_be_an_integer(symmetry, kind):
+    # symmetry is an order only: an orbit list or tuple is refused as no
+    # integer, as are a bool and a string
+    with pytest.raises(ParameterError, match=f"^symmetry must be an integer, not {kind}$"):
+        solve_unit_distance(petersen_graph(), seed=0, symmetry=symmetry)
 
 
 @pytest.mark.parametrize(
-    "kwargs, message",
+    "entry, signature, removed",
     [
-        ({"symmetry": [5, 6]}, "orbit 5 is not a sequence"),
-        ({"symmetry": [[0, 1, 2, 3, "a"], [5, 6, 7, 8, 9]]}, "orbit entry 'a' must be an integer, not str"),
-        ({"symmetry": 5.0}, "symmetry must be an integer, not float"),
-        ({"init": 5}, "init must be a Layout, not int"),
-        ({"init": [[0.0, 0.0]] * 10}, "init must be a Layout, not list"),
+        (solve_unit_distance, "(g, *, seed=None, symmetry=None, restarts=40)", "init"),
+        (stereographic_project, "(cfg, pole=None, seed=0)", "tol"),
     ],
+    ids=["solve_unit_distance", "stereographic_project"],
 )
-def test_solver_orbit_lists_and_init_are_checked(kwargs, message):
-    # the first three once raised TypeError, init=5 AttributeError
-    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-        solve_unit_distance(petersen_graph(), seed=0, **kwargs)
+def test_solve_and_projection_take_only_their_callers_inputs(entry, signature, removed):
+    sig = inspect.signature(entry)
+    bare = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+    assert str(sig.replace(parameters=bare, return_annotation=sig.empty)) == signature
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{removed}'"):
+        entry(None, **{removed: None})
 
 
-def test_solver_takes_orbit_entries_as_integers():
-    orbits = [[np.int64(v) for v in o] for o in ([0, 2, 4, 6], [1, 3, 5, 7])]
-    lay, _ = solve_unit_distance(cycle_graph(8), symmetry=orbits, seed=1)
-    want, _ = solve_unit_distance(cycle_graph(8), symmetry=[[0, 2, 4, 6], [1, 3, 5, 7]], seed=1)
+def test_solver_takes_a_numpy_integer_symmetry():
+    lay, _ = solve_unit_distance(cycle_graph(8), symmetry=np.int64(4), seed=1)
+    want, _ = solve_unit_distance(cycle_graph(8), symmetry=4, seed=1)
     assert lay.pos.tobytes() == want.pos.tobytes()
 
 
@@ -744,17 +739,10 @@ def _circles_text(lay: Layout, **kwargs):
     return out, sweeps.call_count
 
 
-def _polish_petersen():
-    lay, _ = solve_unit_distance(petersen_graph(), seed=0, symmetry=5)
-    noisy = Layout(lay.graph, lay.pos + np.random.default_rng(1).uniform(-0.01, 0.01, lay.pos.shape), {})
-    return solve_unit_distance(lay.graph, init=noisy)
-
-
 HANDED_ON = {
     "plain": lambda: solve_unit_distance(petersen_graph(), seed=1),
     "product": lambda: solve_unit_distance(prism_graph(7), seed=0),
     "symmetric": lambda: solve_unit_distance(generalized_petersen_graph(14, 2), seed=0, symmetry=14),
-    "init": _polish_petersen,
 }
 
 
@@ -763,7 +751,7 @@ def test_a_solved_layout_saves_as_its_hand_built_copy(kind):
     lay, residual = HANDED_ON[kind]()
     copy = _hand_built(lay)
     assert lay._verified is not None and copy._verified is None
-    assert lay.meta["method"] == {"plain": "lm", "product": "product", "symmetric": "orbit-lm"}.get(kind, "polish")
+    assert lay.meta["method"] == {"plain": "lm", "product": "product", "symmetric": "orbit-lm"}[kind]
     assert jsonio.dumps(jsonio.layout_to_obj(lay)) == jsonio.dumps(jsonio.layout_to_obj(copy))
     (mine, sweeps), (theirs, copy_sweeps) = _circles_text(lay), _circles_text(copy)
     assert mine == theirs and (sweeps, copy_sweeps) == (0, 1)

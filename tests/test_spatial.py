@@ -13,6 +13,8 @@ from confviz import (
     POLYTOPE_NAMES,
     ParameterError,
     PolePlacementError,
+    SphericalCircleConfig,
+    TOL_INCIDENCE,
     check_flags,
     classify,
     decompose,
@@ -283,13 +285,27 @@ def test_explicit_pole_entries_are_read_by_the_table_rule(pole, entry):
         stereographic_project(sc, pole=pole)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1, -1e-300, True, "1e-9", None])
-def test_projection_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
+@pytest.mark.parametrize(
+    "turn, refused",
+    [(1e-8, True), (1e-10, False), (1e-6, True), (1e-9, True), (5e-10, False), (0.0, False)],
+)
+def test_projection_holds_incidences_to_the_incidence_tolerance(turn, refused):
+    """A hand-built cube with vertex 0 turned off its circles about the z
+    axis, still on the sphere: the drift reads about 1.225 times the turn,
+    so against TOL_INCIDENCE = 1e-9 a turn of 1e-9 or more is refused and
+    one of 5e-10 or less is kept."""
     sc = sphere_circles(polytope_data("cube"))
-    number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
-    refusal = "a finite number >= 0, got " if number else f"a number, not {type(tol).__name__}$"
-    with pytest.raises(ParameterError, match=f"^incidence tolerance must be {refusal}"):
-        stereographic_project(sc, tol=tol)
+    c, s = math.cos(turn), math.sin(turn)
+    points = sc.points.copy()
+    points[0] = points[0] @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    moved = SphericalCircleConfig(sc.center, sc.radius, points, sc.circles, sc.incidence)
+    if refused:
+        with pytest.raises(DegeneracyError, match=r"^projected incidences drift \(\S+\)$") as exc:
+            stereographic_project(moved, seed=0)
+        drift = float(str(exc.value)[len("projected incidences drift ("):-1])
+        assert 1.2 * turn < drift < 1.25 * turn
+    else:
+        assert stereographic_project(moved, seed=0)[0].tols["incidence"] == TOL_INCIDENCE
 
 
 # SHA-256 of the canonical JSON of each polytope's point-plane artifact, its
