@@ -20,9 +20,8 @@ _PUBLIC = {
         "DistinctnessError", "ParameterError", "PolePlacementError", "SamplingError",
     ),
     "graphs": (
-        "Bipartition", "Graph", "POLYTOPE_NAMES", "StructureReport", "VertexMap", "build_family",
-        "cartesian_factors", "cartesian_product", "family_names", "is_admissible", "kronecker_cover", "line_graph",
-        "structure_report",
+        "Bipartition", "Graph", "POLYTOPE_NAMES", "VertexMap", "build_family", "cartesian_factors",
+        "cartesian_product", "family_names", "girth", "is_admissible", "kronecker_cover", "line_graph",
     ),
     "incidence": (
         "ConfigClass", "IncidenceStructure", "KroneckerReport", "classify", "decompose", "fano_plane",

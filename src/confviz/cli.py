@@ -112,7 +112,7 @@ def _cmd_gen(args) -> int:
         g = graphs.build_family(args.family, *args.params)
     else:
         g = _graph_from(args.family)
-    return _emit_graph(g, args.output, "graph", f", girth {graphs.structure_report(g).girth}")
+    return _emit_graph(g, args.output, "graph", f", girth {graphs.girth(g)}")
 
 
 def _cmd_product(args) -> int:

@@ -1,4 +1,4 @@
-"""Finite simple graphs: families, products, covers, and structure reports.
+"""Finite simple graphs: families, products, factors, covers, and girth.
 
 Vertices are 0..order-1 throughout. Families emit deterministic labels so
 derived artifacts stay byte-stable across runs.
@@ -229,14 +229,8 @@ class Graph:
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(a) for a in self.adjacency)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets[u]
 
 
 @dataclass(frozen=True)
@@ -262,19 +256,6 @@ class VertexMap:
 
     def __call__(self, v: int) -> int:
         return self.image[v]
-
-    def is_bijection(self) -> bool:
-        return sorted(self.image) == list(range(len(self.image)))
-
-    def is_isomorphism(self, g: Graph, h: Graph) -> bool:
-        if g.order != h.order or g.size != h.size or len(self.image) != g.order:
-            return False
-        if not self.is_bijection():
-            return False
-        return all(h.has_edge(self.image[u], self.image[v]) for u, v in g.edges)
-
-    def is_automorphism(self, g: Graph) -> bool:
-        return self.is_isomorphism(g, g)
 
     def cycles(self) -> list[list[int]]:
         """The cycles, each from its least element, in increasing order of it,
@@ -741,7 +722,7 @@ def is_admissible(g: Graph) -> tuple[bool, tuple[int, int] | None]:
 
 
 # ---------------------------------------------------------------------------
-# structure report
+# breadth-first walks, girth and repeated pairs
 
 
 def bfs_layers(g: Graph, root: int, dist: list[int]) -> Iterator[list[int]]:
@@ -790,78 +771,33 @@ def _free_turns(g: Graph, k: int) -> Iterator[VertexMap] | None:
     return None
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    """Structure of a graph; each field is computed when first read."""
+def girth(g: Graph) -> int | float:
+    """Shortest cycle length via BFS from every vertex; inf for forests.
 
-    graph: Graph
-
-    @cached_property
-    def _component_walk(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-        # components in order of their least vertex, and every vertex's
-        # depth below that vertex
-        g = self.graph
-        depth = [-1] * g.order
-        comps = []
-        for root in range(g.order):
-            if depth[root] < 0:
-                layers = bfs_layers(g, root, depth)
-                comps.append(tuple(sorted(v for layer in layers for v in layer)))
-        return tuple(comps), depth
-
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return self._component_walk[0]
-
-    @cached_property
-    def connected(self) -> bool:
-        return _connected(self.graph)
-
-    @cached_property
-    def bipartition(self) -> Bipartition | None:
-        """Depth parity below each component's least vertex, when every edge crosses it."""
-        depth = self._component_walk[1]
-        if any(depth[u] % 2 == depth[v] % 2 for u, v in self.graph.edges):
-            return None
-        return Bipartition(tuple(d % 2 for d in depth))
-
-    @cached_property
-    def bipartite(self) -> bool:
-        return self.bipartition is not None
-
-    @cached_property
-    def girth(self) -> int | float:
-        """Shortest cycle length via BFS from every vertex; inf for forests.
-
-        Layer d closes a (2d+1)-cycle at an edge inside it and a 2d-cycle at
-        a vertex with two neighbours in layer d-1. Each BFS stops at the
-        first layer that can only close cycles no shorter than the best.
-        """
-        g = self.graph
-        best: int | float = math.inf
-        for root in range(g.order):
-            dist = [-1] * g.order
-            for layer in bfs_layers(g, root, dist):
-                d = dist[layer[0]]
-                if 2 * d >= best:
-                    break
-                # layer d+1 is not built yet, so a seen neighbour of a
-                # layer-d vertex lies in layer d or d-1
-                for v in layer:
-                    up = 0
-                    for w in g.adjacency[v]:
-                        dw = dist[w]
-                        if dw == d:
-                            best = min(best, 2 * d + 1)
-                        elif dw >= 0:
-                            up += 1
-                    if up >= 2:
-                        best = min(best, 2 * d)
-        return best
-
-    @cached_property
-    def has_four_cycle(self) -> bool:
-        return has_four_cycle(self.graph)
+    Layer d closes a (2d+1)-cycle at an edge inside it and a 2d-cycle at a
+    vertex with two neighbours in layer d-1. Each BFS stops at the first
+    layer that can only close cycles no shorter than the best.
+    """
+    best: int | float = math.inf
+    for root in range(g.order):
+        dist = [-1] * g.order
+        for layer in bfs_layers(g, root, dist):
+            d = dist[layer[0]]
+            if 2 * d >= best:
+                break
+            # layer d+1 is not built yet, so a seen neighbour of a
+            # layer-d vertex lies in layer d or d-1
+            for v in layer:
+                up = 0
+                for w in g.adjacency[v]:
+                    dw = dist[w]
+                    if dw == d:
+                        best = min(best, 2 * d + 1)
+                    elif dw >= 0:
+                        up += 1
+                if up >= 2:
+                    best = min(best, 2 * d)
+    return best
 
 
 def pair_in_two(sets) -> bool:
@@ -876,15 +812,3 @@ def pair_in_two(sets) -> bool:
         if len(seen) - before < k * (k - 1) // 2:
             return True
     return False
-
-
-def has_four_cycle(g: Graph) -> bool:
-    """True when some vertex pair has two common neighbours, that is when
-    two neighbourhoods share a pair."""
-    return pair_in_two(g.adjacency)
-
-
-def structure_report(g: Graph) -> StructureReport:
-    """Lazy structure report of g; fields cost nothing until read."""
-    return StructureReport(g)
-

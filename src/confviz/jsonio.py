@@ -228,9 +228,15 @@ def detect_kind(obj: Any) -> str:
 
 def read(path: str, *kinds: str):
     """Load the artifact at path, which must be of one of the given kinds,
-    and convert it with that kind's reader. A missing file, invalid JSON, an
-    unreadable path, an unrecognized shape or another kind is a
-    ParameterError."""
+    and convert it with that kind's reader. No kind, or a kind with no
+    reader, is a ParameterError before the file is opened; so are a missing
+    file, invalid JSON, an unreadable path, an unrecognized shape and another
+    kind."""
+    if not kinds:
+        raise ParameterError("read needs at least one artifact kind")
+    for kind in kinds:
+        if _KINDS.get(kind, (None, None))[1] is None:
+            raise ParameterError(f"no reader for artifact kind {kind!r}")
     try:
         obj = load(path)
     except FileNotFoundError:

@@ -64,7 +64,6 @@ from confviz.graphs import (
     is_admissible,
     kronecker_cover,
     prism_graph,
-    structure_report,
 )
 from confviz.incidence import IncidenceStructure, KroneckerReport, levi_graph, v_construct
 from confviz.realization import (
@@ -165,6 +164,46 @@ def is_automorphism(order, edges, perm):
     return all(tuple(sorted((perm[u], perm[v]))) in es for u, v in es)
 
 
+def _component_walk(order, edges):
+    """Components in order of their least vertex, each sorted, and every
+    vertex's depth below that vertex, by breadth-first walks over a queue."""
+    adj = adjacency(order, edges)
+    depth = [-1] * order
+    comps = []
+    for root in range(order):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for v in queue:  # the queue grows as it is read
+            for w in adj[v]:
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
+        comps.append(tuple(sorted(queue)))
+    return tuple(comps), depth
+
+
+def components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    return _component_walk(g.order, g.edges)[0]
+
+
+def bipartition(g: Graph) -> Bipartition | None:
+    """Depth parity below each component's least vertex, when every edge crosses it."""
+    depth = _component_walk(g.order, g.edges)[1]
+    if any(depth[u] % 2 == depth[v] % 2 for u, v in g.edges):
+        return None
+    return Bipartition(tuple(d % 2 for d in depth))
+
+
+def is_isomorphism(vm: VertexMap, g: Graph, h: Graph) -> bool:
+    """True when vm maps g's vertices one to one onto h's, and g's edges onto h's."""
+    if g.order != h.order or len(g.edges) != len(h.edges) or sorted(vm.image) != list(range(g.order)):
+        return False
+    es = {tuple(sorted(e)) for e in h.edges}
+    return all(tuple(sorted((vm.image[u], vm.image[v]))) in es for u, v in g.edges)
+
+
 def brute_swap_involutions(order, edges, sides):
     """All order-2 automorphisms exchanging the two sides; factorial cost."""
     out = []
@@ -210,7 +249,7 @@ def bipartite_swap_involution(g: Graph, parts: Bipartition) -> VertexMap | None:
     half = g.order // 2
     if g.order % 2 == 0 and zero == tuple(range(half)):
         candidate = VertexMap(tuple((v + half) % g.order for v in range(g.order)))
-        if candidate.is_automorphism(g):
+        if is_isomorphism(candidate, g, g):
             return candidate
     return iso.find_swap_involution(g, parts.sides)
 
@@ -508,11 +547,11 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
     for c in range(len(roots)):
         mine = Graph(g.order, tuple(e for e, k in zip(g.edges, colour) if k == c))
         rest = Graph(g.order, tuple(e for e, k in zip(g.edges, colour) if k != c))
-        layer = structure_report(mine).components[0]
+        layer = components(mine)[0]
         at = {v: i for i, v in enumerate(layer)}
         edges = tuple((at[u], at[v]) for u, v in mine.edges if u in at)
         factors.append(Graph(len(layer), edges, tuple(g.label(v) for v in layer)))
-        for comp in structure_report(rest).components:
+        for comp in components(rest):
             hits = [at[v] for v in comp if v in at]
             if len(hits) != 1:
                 return prime
@@ -525,7 +564,7 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
             i = i * f.order + x
         image.append(i)
     witness = VertexMap(tuple(image))
-    if not witness.is_isomorphism(g, reduce(cartesian_product, factors)):
+    if not is_isomorphism(witness, g, reduce(cartesian_product, factors)):
         return prime
     return tuple(factors), witness
 
@@ -604,7 +643,7 @@ def free_cyclic_actions(g: Graph, k: int):
             sigma[cur] = -1
 
     for vm in extend():
-        if vm.is_automorphism(g) and permutation_order(vm) == k:
+        if is_isomorphism(vm, g, g) and permutation_order(vm) == k:
             yield vm
 
 
@@ -1505,7 +1544,7 @@ def stereographic_project(
 
 
 def levi_components(c: IncidenceStructure) -> tuple[tuple[int, ...], ...]:
-    return structure_report(levi_graph(c)[0]).components
+    return components(levi_graph(c)[0])
 
 
 def decompose(c: IncidenceStructure) -> list[IncidenceStructure]:
@@ -1533,14 +1572,14 @@ def self_polar(c: IncidenceStructure) -> VertexMap | None:
     n = c.points
     if n == c.block_count:
         candidate = VertexMap(tuple(range(n, 2 * n)) + tuple(range(n)))
-        if candidate.is_automorphism(levi):
+        if is_isomorphism(candidate, levi, levi):
             return candidate
     return bipartite_swap_involution(levi, parts)
 
 
 def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
     cover, _ = kronecker_cover(g)
-    cover_components = len(structure_report(cover).components)
+    cover_components = len(components(cover))
     ok, pair = is_admissible(g)
     if not ok:
         c = v_construct(g, collapse=True)
@@ -1557,7 +1596,7 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
     c = v_construct(g)
     levi, _ = levi_graph(c)
     witness = VertexMap(tuple(range(2 * g.order)))
-    verified = witness.is_isomorphism(levi, cover)
+    verified = is_isomorphism(witness, levi, cover)
     return KroneckerReport(
         admissible=True,
         offending_pair=None,

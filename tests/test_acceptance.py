@@ -30,7 +30,6 @@ from confviz import (
     solve_unit_distance,
     sphere_circles,
     stereographic_project,
-    structure_report,
     unit_edge_residual,
     v_construct,
     verify_kronecker_theorem,
@@ -50,7 +49,7 @@ from confviz.graphs import (
     prism_graph,
 )
 
-from oracles import bipartition_valid_for, circumcircle
+from oracles import bipartition, bipartition_valid_for, brute_girth, circumcircle, pair_in_two
 
 
 def sorted_center_distances(cfg):
@@ -215,10 +214,9 @@ def test_criterion_10_property_suite():
     for g in sources:
         c = v_construct(g)
         levi, parts = levi_graph(c)
-        rep = structure_report(levi)
-        ok = ok and rep.bipartite and bipartition_valid_for(parts, levi)
+        ok = ok and bipartition(levi) is not None and bipartition_valid_for(parts, levi)
         lineal = classify(c).lineal
-        ok = ok and lineal == (rep.girth >= 6) == (not structure_report(g).has_four_cycle)
+        ok = ok and lineal == (brute_girth(levi.order, levi.edges) >= 6) == (not pair_in_two(g.adjacency))
 
     from confviz.pappus import derive_pappus_points
 

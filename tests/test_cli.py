@@ -44,6 +44,14 @@ def test_gen_token_form_matches_params(tmp_path, capsys):
     assert open(a).read() == open(b).read()
 
 
+def test_gen_reports_the_girth_of_a_forest_and_of_disjoint_cycles(tmp_path, capsys):
+    out = str(tmp_path / "out.json")
+    assert run(["gen", "path", "5", "-o", out], capsys)[:2] == (0, "graph on 5 vertices, 4 edges, girth inf\n")
+    triangles = str(tmp_path / "triangles.json")
+    jsonio.save(triangles, {"order": 6, "edges": [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]})
+    assert run(["gen", triangles, "-o", out], capsys)[:2] == (0, "graph on 6 vertices, 6 edges, girth 3\n")
+
+
 def test_gen_rejects_bad_parameters(capsys):
     code, _, err = run(["gen", "kneser", "3", "2"], capsys)
     assert code == 2

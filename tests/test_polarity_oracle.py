@@ -14,17 +14,17 @@ from confviz import (
     IncidenceStructure,
     VertexMap,
     build_family,
+    cartesian_factors,
     classify,
     decompose,
+    girth,
     is_admissible,
     is_self_polar,
     levi_graph,
-    structure_report,
     v_construct,
     verify_kronecker_theorem,
 )
 from confviz import incidence, iso
-from confviz.graphs import StructureReport
 from confviz.iso import MAX_VERTICES
 
 import oracles
@@ -40,14 +40,14 @@ ALL_FIXTURES = FIXTURES + LARGE
 def side_swapping_involution(vm, c) -> bool:
     levi, parts = levi_graph(c)
     return (
-        vm.is_automorphism(levi)
+        oracles.is_isomorphism(vm, levi, levi)
         and all(vm(vm(v)) == v for v in range(levi.order))
         and all(parts.sides[v] != parts.sides[vm(v)] for v in range(levi.order))
     )
 
 
 def girth_lineal(c) -> bool:
-    return structure_report(levi_graph(c)[0]).girth >= 6
+    return girth(levi_graph(c)[0]) >= 6
 
 
 def assert_matches_oracles(c):
@@ -132,7 +132,8 @@ def test_polarity_matches_search_on_random_admissible_graphs(g):
 )
 def test_swapped_blocks_return_the_search_answer(family, params):
     c = with_blocks_swapped(v_construct(build_family(family, *params)))
-    assert not identity_pairing(c.points).is_automorphism(levi_graph(c)[0])  # a bijection that fails the check
+    levi = levi_graph(c)[0]
+    assert not oracles.is_isomorphism(identity_pairing(c.points), levi, levi)  # a bijection that fails the check
     answer = search(c)
     assert answer is not None
     assert is_self_polar(c) == answer
@@ -175,8 +176,8 @@ LADDER = (
 
 @pytest.fixture
 def no_levi_graph(monkeypatch):
-    """Call to make building a Levi graph or a Kronecker cover, walking a
-    graph's components and the involution search raise from then on."""
+    """Call to make building a Levi graph or a Kronecker cover, and the
+    involution search, raise from then on."""
 
     def refuse(what):
         def fail(*args, **kwargs):
@@ -189,7 +190,6 @@ def no_levi_graph(monkeypatch):
         monkeypatch.setattr("confviz.graphs.kronecker_cover", refuse("kronecker_cover"))
         # and under that name in incidence, should it be imported there again
         monkeypatch.setattr(incidence, "kronecker_cover", refuse("kronecker_cover"), raising=False)
-        monkeypatch.setattr(StructureReport, "_component_walk", property(refuse("the component walk")))
         monkeypatch.setattr(iso, "find_swap_involution", refuse("the involution search"))
 
     return forbid
@@ -230,6 +230,24 @@ def test_non_admissible_report_builds_no_levi_graph(no_levi_graph):
     assert [(part.points, part.blocks) for part in parts] == [(2, ((0, 1),)), (2, ((0, 1),))]
 
 
+@pytest.mark.parametrize("family,params", [("hypercube", (4,)), ("odd", (3,)), ("gen_petersen", (10, 2)),
+                                           ("gen_cuboctahedron", (5,))], ids=lambda x: str(x))
+def test_oracles_walk_graphs_on_their_own(family, params, monkeypatch):
+    """The Levi-graph oracles take no walk from the library: with
+    graphs.bfs_layers refused, they still give the library's answers."""
+    g = build_family(family, *params)
+    c = v_construct(g)
+    want = (c.levi_components, verify_kronecker_theorem(g), cartesian_factors(g), is_self_polar(c))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graphs.bfs_layers ran")
+
+    monkeypatch.setattr("confviz.graphs.bfs_layers", refuse)
+    got = (oracles.levi_components(c), oracles.verify_kronecker_theorem(g), oracles.cartesian_factors(g),
+           oracles.self_polar(c))
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # random structures, held to the Levi-graph oracles
 
@@ -261,7 +279,8 @@ def _pairing_is_automorphism(c):
     point and block counts differ."""
     if c.points != c.block_count:
         return None
-    return identity_pairing(c.points).is_automorphism(levi_graph(c)[0])
+    levi = levi_graph(c)[0]
+    return oracles.is_isomorphism(identity_pairing(c.points), levi, levi)
 
 
 REACH = {

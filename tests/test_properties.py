@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 from confviz import (
     Graph,
     classify,
+    girth,
     kronecker_cover,
     levi_graph,
-    structure_report,
     v_construct,
 )
 from confviz.graphs import (
+    _connected,
     cartesian_product,
     cycle_graph,
     desargues_graph,
@@ -20,10 +21,11 @@ from confviz.graphs import (
     hypercube_graph,
     is_admissible,
     odd_graph,
+    pair_in_two,
     pappus_graph,
     petersen_graph,
 )
-from oracles import adjacency, bipartition_valid_for, brute_girth, has_four_cycle_brute
+from oracles import adjacency, bipartition, bipartition_valid_for, brute_girth, components, has_four_cycle_brute
 
 
 @st.composite
@@ -40,8 +42,7 @@ def graphs(draw, max_order=8):
 def test_cover_is_always_bipartite(g):
     cover, parts = kronecker_cover(g)
     assert cover.order == 2 * g.order
-    rep = structure_report(cover)
-    assert rep.bipartite
+    assert bipartition(cover) is not None
     assert bipartition_valid_for(parts, cover)
     assert len(parts.sides) == cover.order
 
@@ -72,22 +73,22 @@ def test_product_degree_sum(g, h):
 @settings(max_examples=80, deadline=None)
 @given(graphs())
 def test_girth_and_four_cycles_match_oracles(g):
-    rep = structure_report(g)
-    assert rep.girth == brute_girth(g.order, g.edges)
-    assert rep.has_four_cycle == has_four_cycle_brute(g.order, g.edges)
-    if rep.girth == 4:
-        assert rep.has_four_cycle
-    if rep.girth != math.inf and rep.girth > 4:
-        assert not rep.has_four_cycle
+    shortest, four_cycle = girth(g), pair_in_two(g.adjacency)
+    assert shortest == brute_girth(g.order, g.edges)
+    assert four_cycle == has_four_cycle_brute(g.order, g.edges)
+    if shortest == 4:
+        assert four_cycle
+    if shortest != math.inf and shortest > 4:
+        assert not four_cycle
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_components_partition_vertices(g):
-    rep = structure_report(g)
-    seen = sorted(v for comp in rep.components for v in comp)
+    comps = components(g)
+    seen = sorted(v for comp in comps for v in comp)
     assert seen == list(range(g.order))
-    assert rep.connected == (len(rep.components) == 1)
+    assert _connected(g) == (len(comps) == 1)
 
 
 ADMISSIBLE_POOL = [
@@ -115,8 +116,7 @@ def test_levi_graph_is_bipartite():
     for g in ADMISSIBLE_POOL:
         c = v_construct(g)
         levi, parts = levi_graph(c)
-        rep = structure_report(levi)
-        assert rep.bipartite
+        assert bipartition(levi) is not None
         assert bipartition_valid_for(parts, levi)
         assert parts.sides == (0,) * c.points + (1,) * c.block_count
 
@@ -137,6 +137,6 @@ def test_lineal_iff_levi_girth_iff_no_four_cycle():
         c = v_construct(g)
         lineal = classify(c).lineal
         levi, _ = levi_graph(c)
-        girth6 = structure_report(levi).girth >= 6
-        four_free = not structure_report(g).has_four_cycle
+        girth6 = girth(levi) >= 6
+        four_free = not pair_in_two(g.adjacency)
         assert lineal == girth6 == four_free, (g.order, lineal, girth6, four_free)

@@ -595,6 +595,22 @@ def test_read_checks_kind_and_converts(tmp_path):
         jsonio.read(str(path), "graph")
 
 
+def test_read_refuses_a_kind_with_no_reader_before_opening(tmp_path):
+    """No kind, an unknown kind, or the point-plane kind, which is written
+    and never read, is refused before the file is opened; a point-plane
+    file where a layout is expected names what it found."""
+    path = tmp_path / "pp.json"
+    jsonio.save(str(path), _artifacts()["pointplane"])
+    for name in (str(tmp_path / "missing.json"), str(path)):
+        with pytest.raises(ParameterError, match="^read needs at least one artifact kind$"):
+            jsonio.read(name)
+        for kinds in (("pointplane",), ("layout", "pointplane"), ("nosuch",)):
+            with pytest.raises(ParameterError, match="^no reader for artifact kind '(pointplane|nosuch)'$"):
+                jsonio.read(name, *kinds)
+    with pytest.raises(ParameterError, match="expected a layout artifact, found pointplane$"):
+        jsonio.read(str(path), "layout")
+
+
 # ---------------------------------------------------------------------------
 # the one writer every artifact and SVG goes through
 
