@@ -272,7 +272,10 @@ def lm_least_squares(fun, jac, x0) -> np.ndarray:
     The damping term keeps rank-deficient Jacobians (translation and rotation
     gauge freedom) solvable, so the routine never crashes on those inputs.
     The Jacobian, gradient and J^T J are built only when x moves; a rejected
-    step only raises the damping.
+    step only raises the damping. Each array jac is asked for is the one fun
+    was last called on: x0's copy, then each accepted x + step, formed once
+    and measured before it is taken. So a jac may reuse what fun computed
+    at that same array object.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = fun(x)
@@ -295,11 +298,11 @@ def lm_least_squares(fun, jac, x0) -> np.ndarray:
             continue
         if np.linalg.norm(step) < 1e-14:
             break
-        r_new = fun(x + step)
+        x_new = x + step
+        r_new = fun(x_new)
         cost_new = float(r_new @ r_new)
         if cost_new < cost:
-            x = x + step
-            r, cost = r_new, cost_new
+            x, r, cost = x_new, r_new, cost_new
             lam = max(lam / 10.0, 1e-15)
             grad, a = linearize(x, r)
         else:
@@ -363,8 +366,9 @@ def unit_edge_residual(layout: Layout) -> float:
 
 
 def _edge_residual(pos: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> float:
-    """unit_edge_residual of positions pos on the edges (eu[i], ev[i])."""
-    length = _row_norms(pos[eu] - pos[ev])
+    """unit_edge_residual of positions pos on the edges (eu[i], ev[i]);
+    take gathers the edges' ends several times faster than pos[eu]."""
+    length = _row_norms(pos.take(eu, axis=0) - pos.take(ev, axis=0))
     return float(np.max(np.abs(length - 1.0), initial=0.0))
 
 
@@ -472,39 +476,54 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve(edges: tuple[np.ndarray, np.ndarray], x0: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
     """Positions polished by LM towards unit edges (eu, ev) = edges, from the
-    start x0: positions, or with a map P the variables z whose positions
-    are P @ z. The residual is the plain one at those positions, and the
-    Jacobian the plain one times P."""
+    start x0: a (V, 2) float array of positions, or with a map P the
+    variables z whose positions are P @ z. The residual is the plain one at
+    those positions, and the Jacobian the plain one times P.
+
+    The residual pass keeps the edge differences and lengths of the array
+    it measured last, and the Jacobian reads them when it is asked for at
+    that same array object, as lm_least_squares asks for it. The Jacobian's
+    nonzero cells are fixed, so its buffer is allocated once per call. A
+    plain start exact enough that LM would return it unchanged comes back
+    as the object x0 itself: the caller can tell that no position moved.
+    """
     eu, ev = edges
+    # the array the residual pass measured last, its edge differences and lengths
+    seen = [None, None, None]
 
     def positions(x):
         return (x if P is None else P @ x).reshape(-1, 2)
 
+    def measured(x):
+        if seen[0] is not x:
+            p = positions(x)
+            d = p.take(eu, axis=0) - p.take(ev, axis=0)
+            seen[:] = x, d, np.hypot(d[:, 0], d[:, 1])
+        return seen[1], seen[2]
+
     def resid(x):
-        p = positions(x)
-        d = p[eu] - p[ev]
-        return np.hypot(d[:, 0], d[:, 1]) - 1.0
+        return measured(x)[1] - 1.0
 
     def jacobian(x):
-        p = positions(x)
-        d = p[eu] - p[ev]
-        dist = np.hypot(d[:, 0], d[:, 1])
+        d, dist = measured(x)
         unit = d / np.where(dist < 1e-300, 1.0, dist)[:, None]
-        j = np.zeros((len(eu), width))
-        np.put(j, cells, np.hstack([unit, -unit]))
+        np.put(j, u_cells, unit)
+        np.put(j, v_cells, np.negative(unit, out=unit))
         return j if P is None else j @ P
 
-    x0 = np.array(x0, dtype=float).ravel()
-    width = x0.size if P is None else len(P)
+    x = np.asarray(x0, dtype=float).ravel()
+    width = x.size if P is None else len(P)
     # each Jacobian entry of a plain solve is a component of a unit
     # direction, so no gradient entry exceeds the largest degree times
     # max|r|; under a quarter of LM's 1e-12 gradient stop, LM would return
     # the start as it is
-    if P is None and np.bincount(np.concatenate(edges)).max() * np.max(np.abs(resid(x0))) < 0.25e-12:
-        return x0.reshape(-1, 2)
-    # each edge row's cells (u's x and y, then v's) in the flat plain Jacobian
-    cells = np.column_stack([2 * eu, 2 * eu + 1, 2 * ev, 2 * ev + 1]) + width * np.arange(len(eu))[:, None]
-    return positions(lm_least_squares(resid, jacobian, x0))
+    if P is None and np.bincount(np.concatenate(edges)).max() * np.max(np.abs(resid(x))) < 0.25e-12:
+        return x0
+    # each edge row's cells for u's x and y, and for v's, in the flat plain Jacobian
+    row = width * np.arange(len(eu))[:, None]
+    u_cells, v_cells = row + 2 * eu[:, None] + [0, 1], row + 2 * ev[:, None] + [0, 1]
+    j = np.zeros((len(eu), width))
+    return positions(lm_least_squares(resid, jacobian, x))
 
 
 def _ring_map(orbits: list[list[int]], k: int) -> np.ndarray:
@@ -578,11 +597,15 @@ def _factor_positions(f: Graph, seed: int, restarts: int) -> np.ndarray:
 
 def _product_start(g: Graph, seed: int, restarts: int):
     """Yield the drawing of g as the product of its factors' drawings, with
-    its meta, when g factors and the drawing is clean; else yield nothing.
+    its meta and True, when g factors and the drawing is clean; else yield
+    nothing.
 
     Each factor joins at the first of _PRODUCT_ANGLES that keeps every two
     vertices apart and puts no non-adjacent pair within 1e-6 of unit
     distance, so that no circle of the drawing carries a foreign point.
+    The True says that the drawing is separated: the last fold tested every
+    pair with the hypot that _near_pairs applies, and the drawing is a row
+    permutation of that fold, so a sweep would find no pair either.
     """
     factors, witness = cartesian_factors(g)
     if len(factors) < 2:
@@ -605,7 +628,7 @@ def _product_start(g: Graph, seed: int, restarts: int):
         else:
             return
         pos = folded
-    yield pos[list(witness.image)], {"method": "product", "factors": [f.order for f in factors]}
+    yield pos[list(witness.image)], {"method": "product", "factors": [f.order for f in factors]}, True
 
 
 def solve_unit_distance(
@@ -641,7 +664,10 @@ def solve_unit_distance(
     TOL_INCIDENCE goes on to the polish, so a symmetric result is a
     rotational drawing. A start exact enough that LM would return it
     unchanged, as product starts and ring solutions mostly are, skips the
-    polish. Raises ConvergenceError, carrying the best
+    polish: _solve hands back the start object itself. A product start that
+    comes back so also skips the _near_pairs sweep, as its last fold tested
+    every pair already; a polish that moves it voids that test, and a start
+    of any other kind is swept. Raises ConvergenceError, carrying the best
     residual, the starts run and the orbit sets ruled out, when no start
     passes; with no residual when no start ran ("ran 0 restarts"). seed and
     restarts are integers >= 0, and seed None reads as 0. The result records
@@ -663,7 +689,7 @@ def solve_unit_distance(
             rng = np.random.default_rng(base_seed)
             span = 1.0 + 0.25 * math.sqrt(g.order)
             for _ in range(restarts):
-                yield rng.uniform(-span, span, size=(g.order, 2)), {"method": "lm"}
+                yield rng.uniform(-span, span, size=(g.order, 2)), {"method": "lm"}, False
 
         starts = chain(_product_start(g, base_seed, restarts), drawn())
         what = "unit-distance solve"
@@ -692,21 +718,24 @@ def solve_unit_distance(
                     # a ring solution above tolerance fails here: a polish
                     # from it would leave the rotational drawing
                     ok = _edge_residual(pos, *edges) <= TOL_INCIDENCE
-                    yield pos, {"method": "orbit-lm", "symmetry": k} if ok else None
+                    yield pos, {"method": "orbit-lm", "symmetry": k} if ok else None, False
 
         starts = ring_starts()
         what = "symmetric solve"
 
     best = math.inf
     runs = 0
-    # a start with meta None has failed already and is counted as it stands
-    for runs, (pos, meta) in enumerate(starts, 1):
-        if meta is not None:
-            pos = _solve(edges, pos)
+    # a start with meta None has failed already and is counted as it stands;
+    # a separated one has passed the separation test, which holds while the
+    # polish returns the start itself
+    for runs, (start, meta, separated) in enumerate(starts, 1):
+        pos = start if meta is None else _solve(edges, start)
+        separated = separated and pos is start
         residual = _edge_residual(pos, *edges)
         best = min(best, residual)
-        if residual <= TOL_INCIDENCE and not _near_pairs(*pos.T, TOL_SEPARATION)[0].size:
-            # pos is _solve's own finite (V, 2) float array, and meta JSON-safe
+        if residual <= TOL_INCIDENCE and (separated or not _near_pairs(*pos.T, TOL_SEPARATION)[0].size):
+            # pos is a finite (V, 2) float array that only this solve holds,
+            # and meta JSON-safe
             meta = dict(meta, seed=base_seed, residual=residual)
             return _unchecked(Layout, graph=g, pos=pos, meta=meta, _verified=(g, pos.tobytes())), residual
     summary = f"exhausted {runs} restart{'s' * (runs != 1)}" if runs else "ran 0 restarts"

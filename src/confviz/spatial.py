@@ -340,9 +340,9 @@ def stereographic_project(cfg: SphericalCircleConfig, pole=None, seed: int = 0) 
     h = (n . pole - d) / R, the pole's height over the plane in units of the
     sphere radius R: the image has centre -R (n . e1, n . e2) / h and radius
     rho / |h|. With pole=None the antipode of the mean oriented plane pole is
-    tried first, then up to 256 seeded random poles; an explicit pole must
-    be a finite 3-vector on the sphere that clears points and circles by the
-    separation tolerance. Each projected incidence (q, k) must hold within
+    tried first, then up to 256 seeded random poles, drawn only when the
+    antipode fails; an explicit pole must be a finite 3-vector on the sphere
+    that clears points and circles by the separation tolerance. Each projected incidence (q, k) must hold within
     TOL_INCIDENCE times the largest of 1, the image radius of circle k and
     the projection's scale factor (R^2 + |q|^2) / (2 R^2) at q. The seed is
     an integer >= 0.
@@ -359,14 +359,16 @@ def stereographic_project(cfg: SphericalCircleConfig, pole=None, seed: int = 0) 
         if _pole_clearance(cfg, circles, pole) <= TOL_SEPARATION * r:
             raise PolePlacementError("pole touches a configuration point or circle")
     else:
-        candidates = []
-        mean = (cfg.center + r * normals).mean(axis=0) - cfg.center
-        if np.linalg.norm(mean) > 1e-9 * r:
-            candidates.append(cfg.center - r * mean / np.linalg.norm(mean))
-        draws = np.random.default_rng(seed).normal(size=(256, 3))
-        candidates.extend(cfg.center + r * draws / _row_norms(draws)[:, None])
+
+        def candidates():
+            mean = (cfg.center + r * normals).mean(axis=0) - cfg.center
+            if np.linalg.norm(mean) > 1e-9 * r:
+                yield cfg.center - r * mean / np.linalg.norm(mean)
+            draws = np.random.default_rng(seed).normal(size=(256, 3))
+            yield from cfg.center + r * draws / _row_norms(draws)[:, None]
+
         # the search stops at the first clear candidate, so it stays a loop
-        pole = next((c for c in candidates if _pole_clearance(cfg, circles, c) > 1e-3 * r), None)
+        pole = next((c for c in candidates() if _pole_clearance(cfg, circles, c) > 1e-3 * r), None)
         if pole is None:
             raise PolePlacementError("no pole cleared all points and circles")
 

@@ -2,12 +2,14 @@
 variables, and against the polar ring solve that it replaced."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from confviz import (
+    TOL_SEPARATION,
     ConvergenceError,
     Layout,
     build_family,
@@ -17,7 +19,7 @@ from confviz import (
     solve_unit_distance,
     unit_edge_residual,
 )
-from confviz.graphs import complete_graph, cycle_graph
+from confviz.graphs import Graph, complete_graph, cycle_graph
 from confviz.realization import _edge_arrays, _ring_map, _ring_start, _solve
 
 import oracles
@@ -304,3 +306,79 @@ def test_exact_ring_solutions_skip_the_polish(monkeypatch, n):
     starts = _polished_starts(monkeypatch, g, seed=0, symmetry=n)
     skipped, ran = _check_polish_skip(g, starts, seed=n)
     assert skipped and ran
+
+
+# ---------------------------------------------------------------------------
+# the shared residual and Jacobian pass against the rebuilding LM
+
+
+@st.composite
+def plain_problems(draw):
+    """A connected graph of 2 to 12 vertices, a random spanning tree and up
+    to 2n more edges, with a normal start at a scale from 0.3 to 3."""
+    n = draw(st.integers(2, 12))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    g = Graph(n, tree + draw(st.lists(pair, max_size=2 * n)))
+    scale, seed = draw(st.floats(0.3, 3.0)), draw(st.integers(0, 2**32 - 1))
+    return g, scale * np.random.default_rng(seed).standard_normal((n, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plain_problems())
+def test_plain_solve_matches_the_rebuilding_lm(problem):
+    g, pos0 = problem
+    assert _solve(_edge_arrays(g), pos0).tobytes() == _edge_lm(g, pos0)[1].tobytes()
+
+
+@st.composite
+def circulant_rings(draw):
+    """A circulant C_n(S), n from 3 to 16 and S of up to three steps, the
+    orbits of its rotation by n/k steps (a free order-k automorphism, k > 1
+    dividing n), a start z0 and an iteration budget."""
+    n = draw(st.integers(3, 16))
+    steps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3))
+    g = Graph(n, [(v, (v + s) % n) for v in range(n) for s in steps])
+    k = draw(st.sampled_from([k for k in range(2, n + 1) if n % k == 0]))
+    orbits = [[j + t * (n // k) for t in range(k)] for j in range(n // k)]
+    z0 = np.array(draw(st.lists(st.floats(-2.2, 2.2), min_size=2 * len(orbits), max_size=2 * len(orbits))))
+    return g, orbits, k, z0, draw(st.sampled_from([1, 5, 40, 500]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(circulant_rings())
+def test_circulant_ring_solve_matches_the_rebuilding_lm(problem):
+    g, orbits, k, z0, max_iter = problem
+    P = _ring_map(orbits, k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(realization, "_LM_MAX_ITER", max_iter)
+        got = _solve(_edge_arrays(g), z0, P)
+    assert got.tobytes() == oracles._solve_ring(g, P, z0, max_iter).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the separation sweep that a product start, tested by its fold, skips
+
+
+def _solve_sweeps(g):
+    """solve_unit_distance(g)'s layout and the _near_pairs sweeps it made."""
+    with mock.patch.object(realization, "_near_pairs", wraps=realization._near_pairs) as sweeps:
+        lay, _ = solve_unit_distance(g, seed=1, restarts=2)
+    return lay, sweeps.call_count
+
+
+@pytest.mark.parametrize("family,params", PRODUCT_STARTS)
+def test_a_product_start_that_passes_takes_no_sweep(monkeypatch, family, params):
+    g = build_family(family, *params)
+    for h in (g, Graph(g.order, g.edges, g.labels)):
+        lay, sweeps = _solve_sweeps(h)
+        assert lay.meta["method"] == "product" and sweeps == 0
+        (start, _, separated), = realization._product_start(h, 1, 2)
+        assert separated and lay.pos.tobytes() == start.tobytes()
+        # the all-pairs oracle finds every pair of the fold's drawing apart
+        assert oracles._min_separation(start) > TOL_SEPARATION
+    # a polish that moves the start voids the fold's test
+    solve = realization._solve
+    monkeypatch.setattr(realization, "_solve", lambda edges, x0, P=None: solve(edges, x0, P) + 1e-13)
+    lay, sweeps = _solve_sweeps(g)
+    assert lay.meta["method"] == "product" and sweeps == 1

@@ -5,7 +5,8 @@ cfg.circles[k].cx and c.r over cfg.circles), so a change to how confviz
 holds a circle set must keep those reads working. This runs one repeat of a
 few flags and solver items, at the benchmark's seed and at its confirming
 seed, and asks each item's own check for problems. Every symmetric solver
-item is among them, so a ring solve that stops converging fails here.
+item is among them, so a ring solve that stops converging fails here, and
+so is every plain product item.
 perfbench/ is only read, never changed.
 """
 
@@ -39,9 +40,11 @@ ITEMS = [
     ("solver", "petersen() symmetry=5"),
     ("solver", "desargues() symmetry=10"),
     *[("solver", f"gen_petersen({n}, 2) symmetry={n}") for n in (10, 11, 12, 14, 16, 18)],
-    # plain product solves, whose family graphs carry their factorization
-    ("solver", "prism(14,) plain"),
-    ("solver", "gen_petersen(17, 1) plain"),
+    # every plain product solve, whose family graph carries its
+    # factorization: the check's all-pairs separation test reads each drawing
+    # the product fold accepted
+    *[("solver", f"prism({n},) plain") for n in range(11, 19)],
+    *[("solver", f"gen_petersen({n}, 1) plain") for n in range(11, 19)],
 ]
 
 

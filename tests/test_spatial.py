@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from confviz import (
     stereographic_project,
     v_construct,
 )
+from confviz import spatial
 from confviz.graphs import Graph, complete_graph, gen_cuboctahedron_graph, generalized_petersen_graph
+from confviz.realization import _row_norms
 from confviz.spatial import PolytopeSkeleton, _circle_cuts, _neighbourhood_planes, _plane_rows, reference_coordinates
 
 SHAPES = {
@@ -243,6 +246,35 @@ def test_projection_pole_determinism():
     _, p0 = stereographic_project(sc, seed=0)
     _, p1 = stereographic_project(sc, seed=0)
     assert np.array_equal(p0, p1)
+
+
+ADMISSIBLE = [name for name in POLYTOPE_NAMES if name != "octahedron"]
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("name", ADMISSIBLE)
+def test_random_poles_are_drawn_only_past_a_blocked_antipode(monkeypatch, name, seed):
+    """The antipode clears every admissible polytope, so no normal is drawn;
+    with the antipode blocked, the lazy draw picks the pole that the eager
+    draw of all 256 seeded normals, made before any candidate, picks."""
+    sc = sphere_circles(polytope_data(name))
+    with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rngs:
+        _, antipode = stereographic_project(sc, seed=seed)
+    assert rngs.call_count == 0
+    with pytest.raises(ParameterError):  # read before any candidate, though none is drawn
+        stereographic_project(sc, seed=-1)
+    clearance = spatial._pole_clearance
+
+    def blocked(cfg, circles, pole):
+        return 0.0 if np.array_equal(pole, antipode) else clearance(cfg, circles, pole)
+
+    monkeypatch.setattr(spatial, "_pole_clearance", blocked)
+    _, pole = stereographic_project(sc, seed=seed)
+    draws = np.random.default_rng(seed).normal(size=(256, 3))
+    eager = sc.center + sc.radius * draws / _row_norms(draws)[:, None]
+    circles = (sc.circles[:, :3], *_circle_cuts(sc))
+    want = next(c for c in eager if clearance(sc, circles, c) > 1e-3 * sc.radius)
+    assert pole.tobytes() == want.tobytes()
 
 
 def test_explicit_pole_validation():
