@@ -261,58 +261,6 @@ def _near_pairs(x: np.ndarray, y: np.ndarray, t: float) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# damped least squares
-
-
-def lm_least_squares(fun, jac, x0) -> np.ndarray:
-    """Levenberg-Marquardt with the fixed x10 / /10 damping schedule from
-    1e-3; stops when the gradient falls below 1e-12, the step below 1e-14,
-    or after _LM_MAX_ITER iterations.
-
-    The damping term keeps rank-deficient Jacobians (translation and rotation
-    gauge freedom) solvable, so the routine never crashes on those inputs.
-    The Jacobian, gradient and J^T J are built only when x moves; a rejected
-    step only raises the damping. Each array jac is asked for is the one fun
-    was last called on: x0's copy, then each accepted x + step, formed once
-    and measured before it is taken. So a jac may reuse what fun computed
-    at that same array object.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    r = fun(x)
-    cost = float(r @ r)
-    lam = 1e-3
-    eye = np.eye(len(x))
-
-    def linearize(x, r):
-        j = jac(x)
-        return j.T @ r, j.T @ j
-
-    grad, a = linearize(x, r)
-    for _ in range(_LM_MAX_ITER):
-        if np.max(np.abs(grad)) < 1e-12:
-            break
-        try:
-            step = np.linalg.solve(a + lam * eye, -grad)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        if np.linalg.norm(step) < 1e-14:
-            break
-        x_new = x + step
-        r_new = fun(x_new)
-        cost_new = float(r_new @ r_new)
-        if cost_new < cost:
-            x, r, cost = x_new, r_new, cost_new
-            lam = max(lam / 10.0, 1e-15)
-            grad, a = linearize(x, r)
-        else:
-            lam *= 10.0
-            if lam > 1e18:
-                break
-    return x
-
-
-# ---------------------------------------------------------------------------
 # circles through points
 
 
@@ -475,55 +423,76 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve(edges: tuple[np.ndarray, np.ndarray], x0: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
-    """Positions polished by LM towards unit edges (eu, ev) = edges, from the
-    start x0: a (V, 2) float array of positions, or with a map P the
-    variables z whose positions are P @ z. The residual is the plain one at
-    those positions, and the Jacobian the plain one times P.
+    """Positions polished by Levenberg-Marquardt towards unit edges (eu, ev)
+    = edges, from the start x0: a (V, 2) float array of positions, or with a
+    map P the variables z whose positions are P @ z. The residual is the
+    plain one at those positions, and the Jacobian the plain one times P.
 
-    The residual pass keeps the edge differences and lengths of the array
-    it measured last, and the Jacobian reads them when it is asked for at
-    that same array object, as lm_least_squares asks for it. The Jacobian's
+    The damping follows the fixed x10 / /10 schedule from 1e-3, and keeps
+    rank-deficient Jacobians (translation and rotation gauge freedom)
+    solvable; the loop stops when the gradient falls below 1e-12, the step
+    below 1e-14, or after _LM_MAX_ITER iterations. Each point is measured
+    once, as edge differences, lengths and residual, and the Jacobian,
+    gradient and J^T J are built from that measurement only when the point
+    is accepted; a rejected step only raises the damping. The Jacobian's
     nonzero cells are fixed, so its buffer is allocated once per call. A
     plain start exact enough that LM would return it unchanged comes back
     as the object x0 itself: the caller can tell that no position moved.
     """
     eu, ev = edges
-    # the array the residual pass measured last, its edge differences and lengths
-    seen = [None, None, None]
 
-    def positions(x):
-        return (x if P is None else P @ x).reshape(-1, 2)
+    def measure(x):
+        p = (x if P is None else P @ x).reshape(-1, 2)
+        d = p.take(eu, axis=0) - p.take(ev, axis=0)
+        dist = np.hypot(d[:, 0], d[:, 1])
+        return d, dist, dist - 1.0
 
-    def measured(x):
-        if seen[0] is not x:
-            p = positions(x)
-            d = p.take(eu, axis=0) - p.take(ev, axis=0)
-            seen[:] = x, d, np.hypot(d[:, 0], d[:, 1])
-        return seen[1], seen[2]
-
-    def resid(x):
-        return measured(x)[1] - 1.0
-
-    def jacobian(x):
-        d, dist = measured(x)
+    def linearize(d, dist, r):
         unit = d / np.where(dist < 1e-300, 1.0, dist)[:, None]
         np.put(j, u_cells, unit)
         np.put(j, v_cells, np.negative(unit, out=unit))
-        return j if P is None else j @ P
+        jp = j if P is None else j @ P
+        return jp.T @ r, jp.T @ jp
 
-    x = np.asarray(x0, dtype=float).ravel()
-    width = x.size if P is None else len(P)
+    x = np.array(x0, dtype=float).ravel()
+    d, dist, r = measure(x)
     # each Jacobian entry of a plain solve is a component of a unit
     # direction, so no gradient entry exceeds the largest degree times
-    # max|r|; under a quarter of LM's 1e-12 gradient stop, LM would return
+    # max|r|; under a quarter of the 1e-12 gradient stop, LM would return
     # the start as it is
-    if P is None and np.bincount(np.concatenate(edges)).max() * np.max(np.abs(resid(x))) < 0.25e-12:
+    if P is None and np.bincount(np.concatenate(edges)).max() * np.max(np.abs(r)) < 0.25e-12:
         return x0
+    width = x.size if P is None else len(P)
     # each edge row's cells for u's x and y, and for v's, in the flat plain Jacobian
     row = width * np.arange(len(eu))[:, None]
     u_cells, v_cells = row + 2 * eu[:, None] + [0, 1], row + 2 * ev[:, None] + [0, 1]
     j = np.zeros((len(eu), width))
-    return positions(lm_least_squares(resid, jacobian, x))
+    cost = float(r @ r)
+    lam = 1e-3
+    eye = np.eye(x.size)
+    grad, a = linearize(d, dist, r)
+    for _ in range(_LM_MAX_ITER):
+        if np.max(np.abs(grad)) < 1e-12:
+            break
+        try:
+            step = np.linalg.solve(a + lam * eye, -grad)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            continue
+        if np.linalg.norm(step) < 1e-14:
+            break
+        x_new = x + step
+        d, dist, r = measure(x_new)
+        cost_new = float(r @ r)
+        if cost_new < cost:
+            x, cost = x_new, cost_new
+            lam = max(lam / 10.0, 1e-15)
+            grad, a = linearize(d, dist, r)
+        else:
+            lam *= 10.0
+            if lam > 1e18:
+                break
+    return (x if P is None else P @ x).reshape(-1, 2)
 
 
 def _ring_map(orbits: list[list[int]], k: int) -> np.ndarray:

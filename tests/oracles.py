@@ -462,7 +462,7 @@ def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircle
 
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt that rebuilds the Jacobian on every iteration, and the
-# per-edge residual loop: the versions that lm_least_squares and
+# per-edge residual loop: the versions that the LM loop of _solve and
 # unit_edge_residual in confviz.realization replaced
 
 
@@ -839,6 +839,38 @@ def _solve_ring(g, P: np.ndarray, z0: np.ndarray, max_iter: int) -> np.ndarray:
         return j @ P
 
     return positions(lm_least_squares(resid, jacobian, z0, max_iter=max_iter))
+
+
+def rebuilding_solve(edges, x0: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
+    """The unit-edge solve over the LM above, which rebuilds the Jacobian on
+    every iteration: residual and plain Jacobian from the positions each
+    time, one edge row at a time, the Jacobian times P for a ring map, and
+    an exact plain start handed back as the object itself."""
+    eu, ev = edges
+
+    def positions(x):
+        return (x if P is None else P @ x).reshape(-1, 2)
+
+    def resid(x):
+        p = positions(x)
+        d = p[eu] - p[ev]
+        return np.hypot(d[:, 0], d[:, 1]) - 1.0
+
+    def jacobian(x):
+        p = positions(x)
+        d = p[eu] - p[ev]
+        dist = np.hypot(d[:, 0], d[:, 1])
+        dist = np.where(dist < 1e-300, 1.0, dist)
+        j = np.zeros((len(eu), p.size))
+        for row, (u, v) in enumerate(zip(eu, ev)):
+            j[row, 2 * u: 2 * u + 2] = d[row] / dist[row]
+            j[row, 2 * v: 2 * v + 2] = -d[row] / dist[row]
+        return j if P is None else j @ P
+
+    x = np.asarray(x0, dtype=float).ravel()
+    if P is None and np.bincount(np.concatenate(edges)).max() * np.max(np.abs(resid(x))) < 0.25e-12:
+        return x0
+    return positions(lm_least_squares(resid, jacobian, x))
 
 
 def _orbit_positions(x: np.ndarray, orbits: list[list[int]], k: int, n: int) -> np.ndarray:

@@ -209,8 +209,10 @@ def test_lm_matches_rebuilding_oracle(monkeypatch, family, params, symmetry, see
         return lay.pos.tobytes(), list(lay.meta.items()), residual, circles
 
     new = run()
-    monkeypatch.setattr(realization, "lm_least_squares", oracles.lm_least_squares)
+    calls = []
+    monkeypatch.setattr(realization, "_solve", lambda *args: calls.append(1) or oracles.rebuilding_solve(*args))
     assert run() == new
+    assert calls  # the solve called the oracle
 
 
 @pytest.mark.parametrize("family,params,k", SYMMETRIC)

@@ -45,7 +45,7 @@ from confviz.graphs import (
     petersen_graph,
     prism_graph,
 )
-from confviz.realization import _circumcircles, _product_positions, lm_least_squares
+from confviz.realization import _circumcircles, _product_positions
 
 from oracles import circle_residuals, fit_circle, gen_cuboctahedron_positions, hypercube_positions
 
@@ -169,24 +169,6 @@ def test_fit_circle_rejects_non_concyclic():
 def test_fit_circle_collinear_raises():
     with pytest.raises(DegeneracyError):
         fit_circle([(0, 0), (1, 0), (2, 0), (3, 0)])
-
-
-def test_lm_recovers_circle_from_noisy_start():
-    # fit x^2 + y^2 = 4 from 12 exact samples, starting far away
-    angles = np.linspace(0, 2 * np.pi, 12, endpoint=False)
-    pts = 2.0 * np.column_stack([np.cos(angles), np.sin(angles)]) + np.array([3.0, -1.0])
-
-    def resid(x):
-        return np.hypot(pts[:, 0] - x[0], pts[:, 1] - x[1]) - x[2]
-
-    def jac(x):
-        dx = x[0] - pts[:, 0]
-        dy = x[1] - pts[:, 1]
-        d = np.hypot(dx, dy)
-        return np.column_stack([dx / d, dy / d, -np.ones(len(pts))])
-
-    x = lm_least_squares(resid, jac, np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(x, [3.0, -1.0, 2.0], atol=1e-10)
 
 
 def test_unit_edge_residual_edgeless():
