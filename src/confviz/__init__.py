@@ -29,8 +29,10 @@ _PUBLIC = {
     ),
     "realization": (
         "Layout", "PointCircleConfig", "TOL_CLUSTER", "TOL_INCIDENCE", "TOL_SEPARATION", "check_flags",
-        "circles_from_layout", "incidence_of", "invert_pointline", "layout_gen_cuboctahedron",
-        "layout_hypercube", "layout_polygon", "realize_n3", "solve_unit_distance", "unit_edge_residual",
+        "circles_from_layout", "incidence_of", "invert_pointline", "realize_n3",
+    ),
+    "layouts": (
+        "layout_gen_cuboctahedron", "layout_hypercube", "layout_polygon", "solve_unit_distance", "unit_edge_residual",
     ),
     "iso": ("find_free_cyclic_action", "find_swap_involution", "isomorphic"),
     "spatial": (

@@ -162,7 +162,7 @@ def _cmd_verify(args) -> int:
 def _cmd_realize(args) -> int:
     if args.layout is None and args.graph is None:
         raise ParameterError("realize needs a graph or --layout")
-    from . import realization
+    from . import layouts
 
     seed = _seed_of(args)
     if args.layout is not None:
@@ -182,19 +182,19 @@ def _cmd_realize(args) -> int:
                     raise ParameterError("gen_cuboctahedron layout needs a graph on 3n vertices")
                 n = g.order // 3
         if args.layout == "polygon":
-            lay = realization.layout_polygon(n)
+            lay = layouts.layout_polygon(n)
         elif args.layout == "hypercube":
-            lay = realization.layout_hypercube(n, seed=seed)
+            lay = layouts.layout_hypercube(n, seed=seed)
         else:
-            lay = realization.layout_gen_cuboctahedron(n, args.r1, args.r2)
+            lay = layouts.layout_gen_cuboctahedron(n, args.r1, args.r2)
         if g is not None and (g.order, g.edges) != (lay.graph.order, lay.graph.edges):
             raise ParameterError(
                 "graph does not match the parametric layout; build it with gen first"
             )
-        residual = realization.unit_edge_residual(lay)
+        residual = layouts.unit_edge_residual(lay)
     else:
         g = _graph_from(args.graph)
-        lay, residual = realization.solve_unit_distance(
+        lay, residual = layouts.solve_unit_distance(
             g, seed=seed, symmetry=args.symmetry
         )
     _emit_artifact(

@@ -43,7 +43,7 @@ from typing import Any
 
 import numpy as np
 
-from confviz import iso, realization
+from confviz import iso, layouts, realization
 from confviz.errors import (
     AdmissibilityError,
     CapacityError,
@@ -66,6 +66,7 @@ from confviz.graphs import (
     prism_graph,
 )
 from confviz.incidence import IncidenceStructure, KroneckerReport, levi_graph, v_construct
+from confviz.layouts import _edge_arrays
 from confviz.realization import (
     _RESAMPLE_BUDGET,
     _SAMPLE_MARGIN,
@@ -74,7 +75,6 @@ from confviz.realization import (
     TOL_SEPARATION,
     Layout,
     PointCircleConfig,
-    _edge_arrays,
     _float_table,
 )
 from confviz.spatial import _COLLINEAR_FIT, PointPlaneConfig, PolytopeSkeleton, _fit_planes
@@ -463,7 +463,7 @@ def check_flags(cfg: PointCircleConfig, tols: dict | None = None) -> PointCircle
 # ---------------------------------------------------------------------------
 # Levenberg-Marquardt that rebuilds the Jacobian on every iteration, and the
 # per-edge residual loop: the versions that the LM loop of _solve and
-# unit_edge_residual in confviz.realization replaced
+# unit_edge_residual in confviz.layouts replaced
 
 
 def lm_least_squares(fun, jac, x0, *, max_iter=500, lam0=1e-3, grad_tol=1e-12, step_tol=1e-14):
@@ -789,7 +789,7 @@ def refinement_swap_involution(g: Graph, sides: tuple[int, ...]) -> VertexMap | 
 
 # ---------------------------------------------------------------------------
 # rotational ansatz, per vertex and per edge: in Cartesian orbit
-# representatives z, the differential oracle for realization._solve with a
+# representatives z, the differential oracle for layouts._solve with a
 # ring map; and in polar ring variables (r, phi), the solve that the map
 # replaced, kept as the reference whose outcomes the new variables must keep
 
@@ -925,7 +925,7 @@ def solve_unit_distance(
     """The seeded restart loops of solve_unit_distance (no polish path and
     no product start). The symmetric one runs each orbit set's ring solves
     over the per-edge solve in z above, or with polar over the one in (r,
-    phi); a set that realization._rings_rule_out refuses draws its starts'
+    phi); a set that layouts._rings_rule_out refuses draws its starts'
     doubles in one go, and only a ring solution within tol is polished."""
     base_seed = 0 if seed is None else int(seed)
     rng = np.random.default_rng(base_seed)
@@ -954,7 +954,7 @@ def solve_unit_distance(
         runs = skipped = 0
         for orbits in orbit_sets:
             m = len(orbits)
-            if realization._rings_rule_out(g, orbits, k):
+            if layouts._rings_rule_out(g, orbits, k):
                 skipped += 1
                 rng.random(2 * m * restarts)
                 continue
@@ -971,7 +971,7 @@ def solve_unit_distance(
                     pos = _solve_ring(g, P, ring_start(r, phi), max_iter)
                 residual = measured(pos)
                 if residual <= tol:  # only a ring solution goes on to the polish
-                    pos = realization._solve(edges, pos)
+                    pos = layouts._solve(edges, pos)
                     residual = measured(pos)
                 best = min(best, residual)
                 if residual <= tol and _min_separation(pos) > TOL_SEPARATION:
@@ -983,7 +983,7 @@ def solve_unit_distance(
 
     span = 1.0 + 0.25 * math.sqrt(g.order)
     for _ in range(restarts):
-        pos = realization._solve(edges, rng.uniform(-span, span, size=(g.order, 2)))
+        pos = layouts._solve(edges, rng.uniform(-span, span, size=(g.order, 2)))
         residual = measured(pos)
         best = min(best, residual)
         if residual <= tol and _min_separation(pos) > TOL_SEPARATION:

@@ -15,12 +15,12 @@ from confviz import (
     build_family,
     circles_from_layout,
     iso,
-    realization,
+    layouts,
     solve_unit_distance,
     unit_edge_residual,
 )
 from confviz.graphs import Graph, complete_graph, cycle_graph
-from confviz.realization import _edge_arrays, _ring_map, _ring_start, _solve
+from confviz.layouts import _edge_arrays, _ring_map, _ring_start, _solve
 
 import oracles
 
@@ -139,7 +139,8 @@ def test_ring_solve_matches_per_edge_loop(problem):
     P = _ring_map(orbits, k)
     assert P.tobytes() == oracles.ring_map(orbits, k, g.order).tobytes()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(realization, "_LM_MAX_ITER", max_iter)
+        patch.setattr(layouts, "_LM_MAX_ITER", max_iter)
+        assert _solve.__globals__["_LM_MAX_ITER"] == max_iter  # where _solve reads it
         got = _solve(_edge_arrays(g), z0, P)
     assert got.tobytes() == oracles._solve_ring(g, P, z0, max_iter).tobytes()
 
@@ -210,7 +211,7 @@ def test_lm_matches_rebuilding_oracle(monkeypatch, family, params, symmetry, see
 
     new = run()
     calls = []
-    monkeypatch.setattr(realization, "_solve", lambda *args: calls.append(1) or oracles.rebuilding_solve(*args))
+    monkeypatch.setattr(layouts, "_solve", lambda *args: calls.append(1) or oracles.rebuilding_solve(*args))
     assert run() == new
     assert calls  # the solve called the oracle
 
@@ -232,7 +233,7 @@ def test_edge_residual_matches_per_edge_loop(family, params, k):
 
 def _edge_lm(g, pos0):
     """oracles.lm_least_squares over the edge residuals and Jacobian that
-    realization._solve polishes with, from pos0."""
+    layouts._solve polishes with, from pos0."""
     eu, ev = np.array(g.edges).T
 
     def resid(x):
@@ -255,14 +256,14 @@ def _edge_lm(g, pos0):
 def _polished_starts(monkeypatch, g, **kwargs):
     """The starts a solve of g hands to its polish, in order."""
     starts = []
-    solve = realization._solve
+    solve = layouts._solve
 
     def spy(edges, x0, P=None):
         if P is None:  # a polish, not a ring solve
             starts.append(x0.copy())
         return solve(edges, x0, P)
 
-    monkeypatch.setattr(realization, "_solve", spy)
+    monkeypatch.setattr(layouts, "_solve", spy)
     solve_unit_distance(g, **kwargs)
     monkeypatch.undo()
     return starts
@@ -279,7 +280,7 @@ def _check_polish_skip(g, starts, seed):
         for eps in (0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
             pos = start + eps * rng.standard_normal(start.shape)
             r, want = _edge_lm(g, pos)
-            got = realization._solve(_edge_arrays(g), pos)
+            got = _solve(_edge_arrays(g), pos)
             skips = bool(maxdeg * np.max(np.abs(r)) < 0.25e-12)
             sides[skips] += 1
             if skips:
@@ -353,7 +354,8 @@ def test_circulant_ring_solve_matches_the_rebuilding_lm(problem):
     g, orbits, k, z0, max_iter = problem
     P = _ring_map(orbits, k)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(realization, "_LM_MAX_ITER", max_iter)
+        patch.setattr(layouts, "_LM_MAX_ITER", max_iter)
+        assert _solve.__globals__["_LM_MAX_ITER"] == max_iter  # where _solve reads it
         got = _solve(_edge_arrays(g), z0, P)
     assert got.tobytes() == oracles._solve_ring(g, P, z0, max_iter).tobytes()
 
@@ -364,7 +366,8 @@ def test_circulant_ring_solve_matches_the_rebuilding_lm(problem):
 
 def _solve_sweeps(g):
     """solve_unit_distance(g)'s layout and the _near_pairs sweeps it made."""
-    with mock.patch.object(realization, "_near_pairs", wraps=realization._near_pairs) as sweeps:
+    with mock.patch.object(layouts, "_near_pairs", wraps=layouts._near_pairs) as sweeps:
+        assert solve_unit_distance.__globals__["_near_pairs"] is sweeps  # where the solve looks it up
         lay, _ = solve_unit_distance(g, seed=1, restarts=2)
     return lay, sweeps.call_count
 
@@ -375,12 +378,12 @@ def test_a_product_start_that_passes_takes_no_sweep(monkeypatch, family, params)
     for h in (g, Graph(g.order, g.edges, g.labels)):
         lay, sweeps = _solve_sweeps(h)
         assert lay.meta["method"] == "product" and sweeps == 0
-        (start, _, separated), = realization._product_start(h, 1, 2)
+        (start, _, separated), = layouts._product_start(h, 1, 2)
         assert separated and lay.pos.tobytes() == start.tobytes()
         # the all-pairs oracle finds every pair of the fold's drawing apart
         assert oracles._min_separation(start) > TOL_SEPARATION
     # a polish that moves the start voids the fold's test
-    solve = realization._solve
-    monkeypatch.setattr(realization, "_solve", lambda edges, x0, P=None: solve(edges, x0, P) + 1e-13)
+    solve = layouts._solve
+    monkeypatch.setattr(layouts, "_solve", lambda edges, x0, P=None: solve(edges, x0, P) + 1e-13)
     lay, sweeps = _solve_sweeps(g)
     assert lay.meta["method"] == "product" and sweeps == 1

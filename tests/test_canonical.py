@@ -26,15 +26,8 @@ from confviz import (
 )
 from confviz import graphs, jsonio
 from confviz.graphs import _FAMILIES, Bipartition, VertexMap, pair_in_two
-from confviz.realization import (
-    PointCircleConfig,
-    check_flags,
-    circles_from_layout,
-    invert_pointline,
-    layout_gen_cuboctahedron,
-    layout_hypercube,
-    layout_polygon,
-)
+from confviz.layouts import layout_gen_cuboctahedron, layout_hypercube, layout_polygon
+from confviz.realization import PointCircleConfig, check_flags, circles_from_layout, invert_pointline
 
 import oracles
 

@@ -23,7 +23,8 @@ from confviz.cli import main
 from confviz.errors import ParameterError
 from confviz.graphs import Graph, _count, _real
 from confviz.incidence import IncidenceStructure
-from confviz.realization import Layout, PointCircleConfig, circles_from_layout, invert_pointline, layout_polygon
+from confviz.layouts import layout_polygon
+from confviz.realization import Layout, PointCircleConfig, circles_from_layout, invert_pointline
 from confviz.realization import _seed, _tolerance
 from confviz.spatial import PolytopeSkeleton, SphericalCircleConfig, polytope_data, sphere_circles
 

@@ -31,7 +31,7 @@ from confviz import (
     unit_edge_residual,
     v_construct,
 )
-from confviz import graphs, iso, jsonio, realization
+from confviz import graphs, iso, jsonio, layouts, realization
 from confviz.graphs import (
     Graph,
     build_family,
@@ -45,7 +45,8 @@ from confviz.graphs import (
     petersen_graph,
     prism_graph,
 )
-from confviz.realization import _circumcircles, _product_positions
+from confviz.layouts import _product_positions
+from confviz.realization import _circumcircles
 
 from oracles import circle_residuals, fit_circle, gen_cuboctahedron_positions, hypercube_positions
 
@@ -403,17 +404,20 @@ def test_a_solve_that_runs_no_start_reports_no_residual():
 def test_symmetric_solve_polishes_only_ring_solutions(monkeypatch):
     """A ring start above TOL_INCIDENCE fails as it stands: a polish from it
     may reach a unit-distance drawing that is not rotational."""
-    solve = realization._solve
+    solve = layouts._solve
+    rings = []
 
     def scaled(edges, x0, P=None):
         # every ring solution scaled by 1.1, so its edges within an orbit grow to 1.1
         pos = solve(edges, x0, P)
+        rings.append(P is not None)
         return pos if P is None else 1.1 * pos
 
-    monkeypatch.setattr(realization, "_solve", scaled)
+    monkeypatch.setattr(layouts, "_solve", scaled)
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(petersen_graph(), seed=0, symmetry=5, restarts=4)
     assert (exc.value.restarts, exc.value.skipped) == (24, 0)
+    assert rings == [True] * 24  # every ring solve went through the patch, and no polish ran
 
 
 def _distinct_radii(pos: np.ndarray) -> int:
@@ -469,7 +473,7 @@ def test_ring_radius_check_is_sound(n, m):
     infeasible, and the set a seed-0 solve lands on is never ruled out."""
     g = generalized_petersen_graph(n, m)
     orbit_sets = [a.cycles() for a in islice(iso.find_free_cyclic_action(g, n), 6)]
-    ruled_out = [realization._rings_rule_out(g, orbits, n) for orbits in orbit_sets]
+    ruled_out = [layouts._rings_rule_out(g, orbits, n) for orbits in orbit_sets]
     assert ruled_out == [_ruled_out_in_closed_form(g, orbits, n) for orbits in orbit_sets]
     lay, _ = solve_unit_distance(g, seed=0, symmetry=n)
     landed = [out for orbits, out in zip(orbit_sets, ruled_out) if _rotational_under(lay.pos, orbits, n)]
@@ -500,7 +504,7 @@ def test_symmetric_solve_pulls_actions_on_demand(g, k, monkeypatch):
     assert len(pulled) == j
     assert [a.cycles() for a in pulled] == orbit_sets[:j]
     if k == 14:  # the plain rotation of GP(14,2) comes first and is ruled out
-        assert j > 1 and realization._rings_rule_out(g, orbit_sets[0], k)
+        assert j > 1 and layouts._rings_rule_out(g, orbit_sets[0], k)
 
 
 def test_symmetric_solve_counts_sets_of_a_short_stream(monkeypatch):
@@ -575,7 +579,7 @@ def test_solver_product_start():
     # a cycle is drawn in its walk order, whatever the vertex numbering
     perm = np.random.default_rng(0).permutation(7)
     c7 = Graph(7, tuple((perm[u], perm[v]) for u, v in cycle_graph(7).edges))
-    assert unit_edge_residual(Layout(c7, realization._factor_positions(c7, 0, 1))) < 1e-15
+    assert unit_edge_residual(Layout(c7, layouts._factor_positions(c7, 0, 1))) < 1e-15
     perm = np.random.default_rng(0).permutation(18)
     g = Graph(18, tuple((perm[u], perm[v]) for u, v in prism_graph(9).edges))
     lay, res = solve_unit_distance(g, seed=0)
@@ -588,27 +592,30 @@ def test_solver_product_start():
 
 def test_solver_product_start_skips_bad_angles(monkeypatch):
     # at angle pi the square K_2 x K_2 folds onto a segment
-    monkeypatch.setattr(realization, "_PRODUCT_ANGLES", (math.pi, 1.0))
+    monkeypatch.setattr(layouts, "_PRODUCT_ANGLES", (math.pi, 1.0))
     lay, _ = solve_unit_distance(cycle_graph(4), seed=0)
     assert lay.meta == {"method": "product", "factors": [2, 2], "seed": 0, "residual": 0.0}
+    # the second factor joined at angle 1.0, the patched angles' second
+    turned = [np.abs(lay.pos[u] - lay.pos[v]) for u, v in cycle_graph(4).edges]
+    assert any(np.allclose(d, [math.cos(1.0), math.sin(1.0)]) for d in turned)
     # at this angle the rung at pentagon vertex 0 ends at unit distance
     # from pentagon vertex 1, so the circle of vertex 1 would carry it
     q = layout_polygon(5).pos
     d = q[1] - q[0]
     bad = math.atan2(d[1], d[0]) + math.pi / 3.0
     g = prism_graph(5)
-    monkeypatch.setattr(realization, "_PRODUCT_ANGLES", (bad, 1.0))
+    monkeypatch.setattr(layouts, "_PRODUCT_ANGLES", (bad, 1.0))
     lay, _ = solve_unit_distance(g, seed=0)
     assert lay.meta["method"] == "product"
     assert np.allclose(lay.pos[5] - lay.pos[0], [math.cos(1.0), math.sin(1.0)])
-    monkeypatch.setattr(realization, "_PRODUCT_ANGLES", (bad,))
+    monkeypatch.setattr(layouts, "_PRODUCT_ANGLES", (bad,))
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(g, seed=1, restarts=1)
     assert exc.value.restarts == 1  # no product start, one random one
 
 
 def test_solver_counts_the_product_start(monkeypatch):
-    monkeypatch.setattr(realization, "TOL_INCIDENCE", -1.0)  # no start passes
+    monkeypatch.setattr(layouts, "TOL_INCIDENCE", -1.0)  # no start passes
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(prism_graph(5), seed=0, restarts=2)
     assert exc.value.restarts == 3

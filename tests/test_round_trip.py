@@ -26,6 +26,7 @@ from confviz.graphs import MAX_ORDER, Graph, build_family, cartesian_factors, ca
 from confviz.graphs import line_graph
 from confviz.incidence import IncidenceStructure, decompose, fano_plane, levi_graph, pappus_structure, v_construct
 from confviz.pappus import derive_pappus_points
+from confviz.layouts import layout_gen_cuboctahedron, layout_hypercube, layout_polygon, solve_unit_distance
 from confviz.realization import (
     Layout,
     PointCircleConfig,
@@ -33,11 +34,7 @@ from confviz.realization import (
     circles_from_layout,
     incidence_of,
     invert_pointline,
-    layout_gen_cuboctahedron,
-    layout_hypercube,
-    layout_polygon,
     realize_n3,
-    solve_unit_distance,
 )
 from confviz.spatial import PolytopeSkeleton, polytope_data, sphere_circles, stereographic_project
 

@@ -13,15 +13,8 @@ import oracles
 from confviz import ParameterError, jsonio, polytope_data, sphere_circles, stereographic_project
 from confviz.graphs import Graph, hypercube_graph, petersen_graph
 from confviz.incidence import fano_plane
-from confviz.realization import (
-    Layout,
-    PointCircleConfig,
-    check_flags,
-    circles_from_layout,
-    layout_gen_cuboctahedron,
-    layout_polygon,
-    solve_unit_distance,
-)
+from confviz.layouts import layout_gen_cuboctahedron, layout_polygon, solve_unit_distance
+from confviz.realization import Layout, PointCircleConfig, check_flags, circles_from_layout
 from confviz.spatial import POLYTOPE_NAMES, SphericalCircleConfig, point_plane_vconstruct
 
 ADMISSIBLE = tuple(name for name in POLYTOPE_NAMES if name != "octahedron")
