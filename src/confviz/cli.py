@@ -6,7 +6,7 @@ stderr. Exit codes: 0 success / property holds, 1 domain failure / property
 fails, 2 usage or parameter problems. CONFVIZ_SEED supplies the default
 seed when a command takes one and --seed is absent.
 
-Commands import realization, spatial and render (and with them numpy) only
+Commands import realization, layouts, spatial and render (and numpy) only
 when they run, so the combinatorial commands start without numpy.
 """
 

@@ -2,7 +2,7 @@
 
 The paper asks three automorphism questions. Which free cyclic actions of
 order k give a symmetric drawing (find_free_cyclic_action, for the
-unit-distance ansatz of realization.solve_unit_distance)? Is a structure
+unit-distance ansatz of layouts.solve_unit_distance)? Is a structure
 self-polar, that is, does its Levi graph have an involution that swaps
 points and blocks (find_swap_involution, for incidence.is_self_polar when
 point i <-> block i is not a polarity)? Is Levi(N(G)) the Kronecker cover

@@ -335,8 +335,9 @@ def solve_unit_distance(
 ) -> tuple[Layout, float]:
     """Minimize edge-length deviation from 1; returns (layout, max deviation).
 
-    One loop polishes start layouts until the residual clears TOL_INCIDENCE
-    with no two vertices collapsed. g's edge table is built once, and every
+    One loop hands start layouts to _solve, the one Levenberg-Marquardt
+    loop for plain positions and ring variables alike, until a result
+    clears TOL_INCIDENCE with no two vertices collapsed. g's edge table is built once, and every
     start is measured on it; only the start returned becomes a Layout. A
     plain solve draws `restarts` seeded random starts; when g is a Cartesian
     product (graphs.cartesian_factors: in closed form for a family-built
@@ -349,8 +350,8 @@ def solve_unit_distance(
     the rotations, with no search: see iso).
     The ring variables are one Cartesian representative z_j per orbit, and
     vertex orbits[j][t] sits at R(2*pi*t/k) z_j, so the positions are P @ z
-    for a fixed map P (_ring_map). A ring solve is the plain LM at P @ z,
-    its Jacobian the plain one times P, and `restarts` of them, each from
+    for a fixed map P (_ring_map). A ring solve is _solve at P @ z, its
+    Jacobian the plain one times P, and `restarts` of them, each from
     radii and then phases drawn at random, are the starts.
     An orbit set whose ring radii, forced by edges within an orbit, rule
     out unit edges (_rings_rule_out) runs no solve: one draw of as many

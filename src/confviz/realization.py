@@ -1,9 +1,9 @@
-"""Planar realizations: unit-distance layouts and point-circle configurations.
+"""Planar realizations: point-circle configurations, their artifacts and flags.
 
-Distances are Euclidean, a configuration's circles are one read-only table
-of (cx, cy, r) rows, and all randomness flows through numpy Generators
-seeded by the caller, so every construction replays byte-identically from
-its recorded parameters.
+The second stage, after a drawing from layouts. Distances are Euclidean, a
+configuration's circles are one read-only table of (cx, cy, r) rows, and all
+randomness flows through numpy Generators seeded by the caller, so every
+construction replays byte-identically from its recorded parameters.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ _CIRCLE_ROW = np.dtype((np.record, [("cx", float), ("cy", float), ("r", float)])
 class Layout:
     """Vertex positions for a graph; the mapping meta records how they were produced.
 
-    solve_unit_distance builds its result through graphs._unchecked, with
-    what it verified recorded for circles_from_layout."""
+    layouts.solve_unit_distance builds its result through graphs._unchecked,
+    with what it verified recorded for circles_from_layout."""
 
     graph: Graph
     pos: np.ndarray
@@ -425,15 +425,18 @@ def _refuse_coinciding(cx: np.ndarray, cy: np.ndarray, r: np.ndarray) -> None:
 
 
 def incidence_of(cfg: PointCircleConfig) -> IncidenceStructure:
-    """Combinatorial structure read off a configuration's incidence list."""
-    blocks: dict[int, list[int]] = {k: [] for k in range(len(cfg.circles))}
+    """Combinatorial structure read off a configuration's incidence list,
+    block k the points on circle k; ParameterError names the first circle
+    that holds no point, or the points of an earlier one."""
+    blocks: list[list[int]] = [[] for _ in cfg.circles]
     for p, k in cfg.incidence:
         blocks[k].append(p)
-    return IncidenceStructure(
-        points=len(cfg.points),
-        blocks=tuple(tuple(sorted(b)) for b in blocks.values()),
-        provenance="read off point-circle configuration",
-    )
+    first: dict[tuple[int, ...], int] = {}  # each block's first circle: the blocks in circle order
+    for k, b in enumerate(blocks):
+        j = first.setdefault(tuple(sorted(b)), k)
+        if not b or j != k:
+            raise ParameterError(f"circles {j} and {k} hold the same points" if b else f"circle {k} holds no point")
+    return IncidenceStructure(len(cfg.points), tuple(first), "read off point-circle configuration")
 
 
 # ---------------------------------------------------------------------------

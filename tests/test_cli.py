@@ -472,6 +472,18 @@ def test_decompose_parts_keep_a_dotted_directory(tmp_path, capsys):
     assert sorted(p.name for p in (tmp_path / "run.d").iterdir()) == ["parts.0", "parts.1"]
 
 
+@pytest.mark.parametrize(
+    "incidence, message",
+    [([[0, 0], [1, 1]], "circle 2 holds no point"), ([[0, 0], [0, 1], [1, 2]], "circles 0 and 1 hold the same points")],
+)
+def test_a_configuration_with_an_unreadable_circle_is_usage_error(incidence, message, tmp_path, capsys):
+    cfg = confviz.PointCircleConfig([(0.0, 0.0), (1.0, 0.0)], [(0, 0, 1), (0, 0, 2), (5, 5, 1)], incidence)
+    path = str(tmp_path / "cfg.json")
+    jsonio.save(path, jsonio.pcc_to_obj(cfg))
+    for argv in (["verify", "type", path], ["verify", "decompose", path]):
+        assert run(argv, capsys) == (2, "", f"error: {message}\n")
+
+
 def test_malformed_artifact_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"order": "ten", "edges": []}')
@@ -657,8 +669,9 @@ def test_package_and_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == str([f"confviz.{m}" for m in loaded])
 
 
-def test_realization_import_leaves_the_isomorphism_search_unloaded():
-    probe = "import sys, confviz.realization; print('confviz.iso' in sys.modules)"
+@pytest.mark.parametrize("module", ["realization", "layouts"])
+def test_numeric_import_leaves_the_isomorphism_search_unloaded(module):
+    probe = f"import sys, confviz.{module}; print('confviz.iso' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
     assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
 
@@ -697,9 +710,10 @@ def walkthrough_inputs(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("argv, code, head", NUMPY_FREE_COMMANDS)
-def test_combinatorial_command_starts_without_numpy(argv, code, head, walkthrough_inputs, tmp_path):
-    for f in walkthrough_inputs.iterdir():
+def _imported(argv: str, inputs, tmp_path) -> tuple[int, str, set]:
+    """Exit code, stdout and the modules imported, from `-X importtime`, of
+    `python -m confviz argv` run on a copy of inputs."""
+    for f in inputs.iterdir():
         (tmp_path / f.name).write_bytes(f.read_bytes())
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "confviz", *argv.split()],
@@ -708,12 +722,50 @@ def test_combinatorial_command_starts_without_numpy(argv, code, head, walkthroug
         env=child_env(),
         cwd=tmp_path,
     )
-    assert (proc.returncode, proc.stdout[: len(head)]) == (code, head)
     imported = {
         line.split("|")[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")
     }
+    return proc.returncode, proc.stdout, imported
+
+
+@pytest.mark.parametrize("argv, code, head", NUMPY_FREE_COMMANDS)
+def test_combinatorial_command_starts_without_numpy(argv, code, head, walkthrough_inputs, tmp_path):
+    returncode, out, imported = _imported(argv, walkthrough_inputs, tmp_path)
+    assert (returncode, out[: len(head)]) == (code, head)
     assert "confviz.cli" in imported
     assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+
+@pytest.fixture(scope="module")
+def numeric_inputs(walkthrough_inputs, tmp_path_factory):
+    """The walk-through inputs with a hypercube(3) layout and its circles."""
+    root = tmp_path_factory.mktemp("numeric")
+    for f in walkthrough_inputs.iterdir():
+        (root / f.name).write_bytes(f.read_bytes())
+    lay = confviz.layout_hypercube(3)
+    jsonio.save(str(root / "lay.json"), jsonio.layout_to_obj(lay))
+    jsonio.save(str(root / "cfg.json"), jsonio.pcc_to_obj(confviz.circles_from_layout(lay)))
+    return root
+
+
+# each numeric command, and whether it loads the unit-distance layouts
+NUMERIC_COMMANDS = [
+    ("circles lay.json -o out.json", False),
+    ("check cfg.json", False),
+    ("n3realize fano -o out.json", False),
+    ("invert pappus --center 0.4 0.37 -o out.json", False),
+    ("spatial cube project -o out.json", False),
+    ("render cfg.json -o picture.svg", False),
+    ("realize g.json -o out.json", True),
+    ("realize --layout hypercube q.json -o out.json", True),
+]
+
+
+@pytest.mark.parametrize("argv, loads", NUMERIC_COMMANDS)
+def test_only_realize_loads_the_layouts(argv, loads, numeric_inputs, tmp_path):
+    returncode, _, imported = _imported(argv, numeric_inputs, tmp_path)
+    assert returncode == 0 and "confviz.realization" in imported
+    assert ("confviz.layouts" in imported) == loads
 
 
 # argparse words its help differently before 3.11 and from 3.13 on

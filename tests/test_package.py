@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pathlib
 
@@ -63,3 +64,22 @@ def test_readme_library_block_runs(capsys):
     block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == "(10_3), lineal, connected, self-polar"
+
+
+def test_only_the_cli_imports_the_layouts():
+    """The unit-distance layouts stay a stage of their own: no module of the
+    package but cli.py imports them (the lazy name table in __init__ names
+    the module as a string)."""
+    package = pathlib.Path(confviz.__file__).resolve().parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names] + [node.module or ""]
+            else:
+                continue
+            if any("layouts" in name.split(".") for name in names):
+                importers.add(path.name)
+    assert importers == {"cli.py"}

@@ -700,6 +700,27 @@ def test_circles_from_layout_duplicate_circles_rejected():
         circles_from_layout(Layout(complete_graph(4), pos, {}), TOL_INCIDENCE)
 
 
+# three points on a line and three circles; each case's incidences and the
+# refusal incidence_of names, the first failing circle in circle order
+UNREADABLE = [
+    ([(0, 0), (1, 1)], "circle 2 holds no point"),
+    ([(0, 0), (1, 0), (0, 2), (1, 2), (2, 1)], "circles 0 and 2 hold the same points"),
+    ([(0, 1), (1, 1), (2, 2)], "circle 0 holds no point"),
+    ([(0, 0), (0, 1)], "circles 0 and 1 hold the same points"),
+]
+
+
+@pytest.mark.parametrize("incidence, message", UNREADABLE)
+def test_incidence_of_names_a_circle_it_cannot_read_as_a_block(incidence, message):
+    cfg = PointCircleConfig([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0, 0, 1), (0, 0, 2), (5, 5, 1)], incidence)
+    with pytest.raises(ParameterError) as exc:
+        incidence_of(cfg)
+    assert str(exc.value) == message
+    # one incidence per circle, on its own point, reads back
+    cfg = PointCircleConfig(cfg.points, cfg.circles, [(0, 0), (1, 1), (2, 2)])
+    assert incidence_of(cfg).blocks == ((0,), (1,), (2,))
+
+
 def test_layout_validation():
     with pytest.raises(ParameterError):
         Layout(cycle_graph(3), np.zeros((4, 2)), {})
