@@ -37,14 +37,15 @@ class ConcyclicityError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Iterative solve stopped above tolerance; carries the best residual (None
-    when no start ran), for a restarted solve the number of restarts run,
-    and for a symmetric solve the number of orbit sets ruled out unsolved."""
+    when no start ran), for a restarted solve the restarts run and the failed
+    starts counted by class, and for a symmetric solve the orbit sets ruled out."""
 
-    def __init__(self, message: str, residual=None, restarts=None, skipped=None):
+    def __init__(self, message: str, residual=None, restarts=None, skipped=None, failed=None):
         super().__init__(message)
         self.residual = residual
         self.restarts = restarts
         self.skipped = skipped
+        self.failed = failed
 
 
 class SamplingError(RuntimeError):

@@ -5,8 +5,9 @@ through its neighbours.
 The polygon and hypercube drawings have unit edges in closed form, and the
 gen_cuboctahedron midpoint drawing has concyclic neighbourhoods.
 solve_unit_distance draws any connected graph with unit edges, from seeded
-starts that one Levenberg-Marquardt loop (_solve) polishes. Of the CLI
-commands only realize loads this module.
+starts that one Levenberg-Marquardt loop (_solve) polishes: on the edges, or
+for a rotational ansatz on one weighted row per edge orbit (_quotient). Of
+the CLI commands only realize loads this module.
 """
 
 from __future__ import annotations
@@ -82,17 +83,8 @@ def layout_hypercube(d: int, seed: int | None = None) -> Layout:
         for u in np.column_stack([np.cos(table), np.sin(table)]):
             pos = _product_positions(np.stack([np.zeros(2), u]), pos)
         if not _near_pairs(*pos.T, TOL_SEPARATION)[0].size:
-            return Layout(
-                g,
-                pos,
-                {
-                    "generator": "hypercube",
-                    "d": d,
-                    "angles": table.tolist(),
-                    "seed": seed,
-                    "attempt": attempt,
-                },
-            )
+            meta = {"generator": "hypercube", "d": d, "angles": table.tolist(), "seed": seed, "attempt": attempt}
+            return Layout(g, pos, meta)
     raise SamplingError("no generic angle set found within budget", seed=seed)
 
 
@@ -127,16 +119,11 @@ def layout_gen_cuboctahedron(n: int, r_outer: float = 2.0, r_inner: float = 1.0)
             raise ParameterError("ring radii collide; circles would coincide")
     base = prism_graph(n)
     ang = 2.0 * math.pi * np.arange(n) / n
-    outer = r_outer * np.column_stack([np.cos(ang), np.sin(ang)])
-    inner = r_inner * np.column_stack([np.cos(ang), np.sin(ang)])
-    vpos = np.vstack([outer, inner])
+    unit = np.column_stack([np.cos(ang), np.sin(ang)])
+    vpos = np.vstack([r_outer * unit, r_inner * unit])
     u, v = _edge_arrays(base)
     pos = (vpos.take(u, axis=0) + vpos.take(v, axis=0)) / 2.0
-    return Layout(
-        g,
-        pos,
-        {"generator": "gen_cuboctahedron", "n": n, "r_outer": r_outer, "r_inner": r_inner},
-    )
+    return Layout(g, pos, {"generator": "gen_cuboctahedron", "n": n, "r_outer": r_outer, "r_inner": r_inner})
 
 
 # ---------------------------------------------------------------------------
@@ -148,60 +135,77 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return e[:, 0], e[:, 1]
 
 
-def _solve(edges: tuple[np.ndarray, np.ndarray], x0: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
-    """Positions polished by Levenberg-Marquardt towards unit edges (eu, ev)
-    = edges, from the start x0: a (V, 2) float array of positions, or with a
-    map P the variables z whose positions are P @ z. The residual is the
-    plain one at those positions, and the Jacobian the plain one times P.
+def _quotient(edges: tuple[np.ndarray, np.ndarray], orbits, k: int) -> tuple[np.ndarray, ...]:
+    """The rows (a, b, s, w) of the ring ansatz that puts vertex orbits[j][t]
+    at R(2*pi*t/k) z_j: the voltage graph of the orbits with Z_k offsets
+    (Gross and Tucker, Topological Graph Theory, 1987). Row i is the edge
+    from orbits[a][0] to orbits[b][s], which the rotation turns into w edges
+    of one length: k of them, or k/2 for a chord (a = b) of k/2 steps. Of
+    each edge orbit the row keeps the edge whose lower-ring end sits at step
+    0, and of a chord's the one whose other end sits at step 1..k/2, so the
+    edges need no grouping.
+    """
+    slot = np.argsort(np.ravel(orbits))  # vertex v is step slot[v] % k of orbit slot[v] // k
+    fu, fv = slot.take(edges[0]), slot.take(edges[1])
+    (a, ta), (b, s) = np.divmod(np.minimum(fu, fv), k), np.divmod(np.maximum(fu, fv), k)
+    keep = (ta == 0) & ((a < b) | (2 * s <= k))
+    a, b, s = a[keep], b[keep], s[keep]
+    return a, b, s, np.where((a == b) & (2 * s == k), k // 2, k)
+
+
+def _solve(rows: tuple[np.ndarray, ...], k: int, x0: np.ndarray) -> np.ndarray:
+    """Variables polished by Levenberg-Marquardt towards unit edges, from
+    the start x0, an (m, 2) float array: the ring representatives z_j of
+    the rows (a, b, s, w) of _quotient, or with k = 1 and the edges as rows
+    (s = 0, w = 1) the positions. Row i's residual is sqrt(w) (|z_a -
+    R(2*pi*s/k) z_b| - 1), so the cost, gradient and J^T J are those of
+    every edge at the positions the rings give. With k = 1 the turn is
+    1 + 0j and the weight 1, which keeps every bit of the plain solve.
 
     The damping follows the fixed x10 / /10 schedule from 1e-3, and keeps
     rank-deficient Jacobians (translation and rotation gauge freedom)
     solvable; the loop stops when the gradient falls below 1e-12, the step
     below 1e-14, or after _LM_MAX_ITER iterations. Each point is measured
-    once, as edge differences, lengths and residual, and the Jacobian,
-    gradient and J^T J are built from that measurement only when the point
-    is accepted; a rejected step only raises the damping. The Jacobian's
-    nonzero cells are fixed, so its buffer is allocated once per call. A
-    plain start exact enough that LM would return it unchanged comes back
-    as the object x0 itself: the caller can tell that no position moved.
+    once, and the Jacobian, gradient and J^T J are built from that
+    measurement only when the point is accepted. The Jacobian's nonzero
+    cells are fixed, so its buffer is allocated once per call.
     """
-    eu, ev = edges
+    a, b, s, w = rows
+    turn = np.exp(2j * math.pi / k * s)
+    root = np.sqrt(w)
+    # row i's gradient in z_a and in z_b, as complex numbers, is the unit
+    # direction u times these; a chord's two ends share one cell
+    back = root * turn.conj()
+    at_a, at_b = np.where(a == b, root - back, root), -back
+    x = np.array(x0, dtype=float).ravel()
+    row = x.size // 2 * np.arange(len(a))
+    a_cells, b_cells = row + a, row + b
+    j = np.zeros((len(a), x.size))
+    cells = j.view(complex)
 
     def measure(x):
-        p = (x if P is None else P @ x).reshape(-1, 2)
-        d = p.take(eu, axis=0) - p.take(ev, axis=0)
+        z = x.view(complex)
+        d = (z.take(a) - turn * z.take(b)).view(float).reshape(-1, 2)
         dist = np.hypot(d[:, 0], d[:, 1])
-        return d, dist, dist - 1.0
+        return d, dist, root * (dist - 1.0)
 
     def linearize(d, dist, r):
-        unit = d / np.where(dist < 1e-300, 1.0, dist)[:, None]
-        np.put(j, u_cells, unit)
-        np.put(j, v_cells, np.negative(unit, out=unit))
-        jp = j if P is None else j @ P
-        return jp.T @ r, jp.T @ jp
+        unit = (d / np.where(dist < 1e-300, 1.0, dist)[:, None]).view(complex).ravel()
+        # b first, so that a chord's a cell holds both ends' sum
+        np.put(cells, b_cells, at_b * unit)
+        np.put(cells, a_cells, at_a * unit)
+        return j.T @ r, j.T @ j
 
-    x = np.array(x0, dtype=float).ravel()
     d, dist, r = measure(x)
-    # each Jacobian entry of a plain solve is a component of a unit
-    # direction, so no gradient entry exceeds the largest degree times
-    # max|r|; under a quarter of the 1e-12 gradient stop, LM would return
-    # the start as it is
-    if P is None and np.bincount(np.concatenate(edges)).max() * np.max(np.abs(r)) < 0.25e-12:
-        return x0
-    width = x.size if P is None else len(P)
-    # each edge row's cells for u's x and y, and for v's, in the flat plain Jacobian
-    row = width * np.arange(len(eu))[:, None]
-    u_cells, v_cells = row + 2 * eu[:, None] + [0, 1], row + 2 * ev[:, None] + [0, 1]
-    j = np.zeros((len(eu), width))
     cost = float(r @ r)
     lam = 1e-3
     eye = np.eye(x.size)
-    grad, a = linearize(d, dist, r)
+    grad, h = linearize(d, dist, r)
     for _ in range(_LM_MAX_ITER):
         if np.max(np.abs(grad)) < 1e-12:
             break
         try:
-            step = np.linalg.solve(a + lam * eye, -grad)
+            step = np.linalg.solve(h + lam * eye, -grad)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
@@ -213,24 +217,12 @@ def _solve(edges: tuple[np.ndarray, np.ndarray], x0: np.ndarray, P: np.ndarray |
         if cost_new < cost:
             x, cost = x_new, cost_new
             lam = max(lam / 10.0, 1e-15)
-            grad, a = linearize(d, dist, r)
+            grad, h = linearize(d, dist, r)
         else:
             lam *= 10.0
             if lam > 1e18:
                 break
-    return (x if P is None else P @ x).reshape(-1, 2)
-
-
-def _ring_map(orbits: list[list[int]], k: int) -> np.ndarray:
-    """The (2V, 2m) map P of the ring ansatz: P @ z, with z = (x_0, y_0,
-    x_1, y_1, ...), puts vertex orbits[j][t] at R(2*pi*t/k) (x_j, y_j)."""
-    ring, t = np.divmod(np.argsort(np.array(orbits).ravel()), k)
-    offset = 2.0 * math.pi * t / k
-    c, s = np.cos(offset), np.sin(offset)
-    P = np.zeros((len(ring), 2, len(orbits), 2))
-    # vertex v's rows and ring[v]'s columns hold the rotation block
-    P[np.arange(len(ring)), :, ring, :] = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
-    return P.reshape(2 * len(ring), 2 * len(orbits))
+    return x.reshape(-1, 2)
 
 
 def _ring_start(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -240,32 +232,27 @@ def _ring_start(rng: np.random.Generator, m: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
-def _rings_rule_out(g: Graph, orbits: list[list[int]], k: int) -> bool:
-    """True when no unit-distance drawing puts each orbit on a ring, vertex
-    orbit[t] at angle phase + 2*pi*t/k.
-
-    An edge between two vertices of one orbit, s steps apart, is a chord of
-    that ring and forces its radius to 1 / (2 sin(pi s / k)), at least 1/2.
-    The orbits are ruled out when one orbit's chords force two radii, or
-    when an edge joins rings of forced radii r_a and r_b that no unit
-    segment joins: |r_a - r_b| > 1 (r_a + r_b < 1 cannot happen).
-    Comparisons allow _RADIUS_SLACK relative, so boundary cases such as
-    GP(10,3), whose rings differ by exactly 1, are kept. A necessary
+def _rings_rule_out(rows: tuple[np.ndarray, ...], k: int) -> bool:
+    """True when no unit-distance drawing puts each orbit on a ring, read off
+    the rows (a, b, s, w) of _quotient. A chord row (a = b) forces ring a's
+    radius to 1 / (2 sin(pi s / k)), at least 1/2. The orbits are ruled out
+    when one ring's chords force two radii, or when a row joins rings of
+    forced radii r_a and r_b with |r_a - r_b| > 1 (r_a + r_b < 1 cannot
+    happen). Comparisons allow _RADIUS_SLACK relative, so boundary cases
+    such as GP(10,3), whose rings differ by exactly 1, are kept. A necessary
     condition only: orbits that pass may still have no drawing.
     """
-    where = {v: (j, t) for j, orbit in enumerate(orbits) for t, v in enumerate(orbit)}
+    a, b, s, _ = rows
     forced = {}
-    for u, v in g.edges:
-        (a, s), (b, t) = where[u], where[v]
-        if a == b:
-            r = 0.5 / math.sin(math.pi * ((t - s) % k) / k)
-            if abs(forced.setdefault(a, r) - r) > _RADIUS_SLACK * r:
-                return True
-    for u, v in g.edges:
-        ra, rb = forced.get(where[u][0]), forced.get(where[v][0])
-        if ra is not None and rb is not None and abs(ra - rb) > 1.0 + _RADIUS_SLACK * (ra + rb):
+    for ring, steps in zip(a[a == b].tolist(), s[a == b].tolist()):
+        r = 0.5 / math.sin(math.pi * steps / k)
+        if abs(forced.setdefault(ring, r) - r) > _RADIUS_SLACK * r:
             return True
-    return False
+    return any(
+        abs(forced[u] - forced[v]) > 1.0 + _RADIUS_SLACK * (forced[u] + forced[v])
+        for u, v in zip(a.tolist(), b.tolist())
+        if u in forced and v in forced
+    )
 
 
 # Angles tried, in order, for the factor each product start composes in:
@@ -290,10 +277,10 @@ def _factor_positions(f: Graph, seed: int, restarts: int) -> np.ndarray:
     return solve_unit_distance(f, seed=seed, restarts=restarts)[0].pos
 
 
-def _product_start(g: Graph, seed: int, restarts: int):
+def _product_start(g: Graph, edges: tuple[np.ndarray, np.ndarray], seed: int, restarts: int):
     """Yield the drawing of g as the product of its factors' drawings, with
-    its meta and True, when g factors and the drawing is clean; else yield
-    nothing.
+    its meta, True and its residual on g's edges, when g factors and the
+    drawing is clean; else yield nothing.
 
     Each factor joins at the first of _PRODUCT_ANGLES that keeps every two
     vertices apart and puts no non-adjacent pair within 1e-6 of unit
@@ -323,7 +310,8 @@ def _product_start(g: Graph, seed: int, restarts: int):
         else:
             return
         pos = folded
-    yield pos[list(witness.image)], {"method": "product", "factors": [f.order for f in factors]}, True
+    pos = pos[list(witness.image)]
+    yield pos, {"method": "product", "factors": [f.order for f in factors]}, True, _edge_residual(pos, *edges)
 
 
 def solve_unit_distance(
@@ -335,39 +323,31 @@ def solve_unit_distance(
 ) -> tuple[Layout, float]:
     """Minimize edge-length deviation from 1; returns (layout, max deviation).
 
-    One loop hands start layouts to _solve, the one Levenberg-Marquardt
-    loop for plain positions and ring variables alike, until a result
-    clears TOL_INCIDENCE with no two vertices collapsed. g's edge table is built once, and every
-    start is measured on it; only the start returned becomes a Layout. A
-    plain solve draws `restarts` seeded random starts; when g is a Cartesian
-    product (graphs.cartesian_factors: in closed form for a family-built
-    prism, GP(n,1) or hypercube, recognized otherwise, with the same
-    result), the product of its factors' drawings goes first, as one more
-    start, and the generator is seeded only when a random start is due. `symmetry`, an
-    integer k, asks for a rotational ansatz: free order-k automorphisms are
-    taken from iso.find_free_cyclic_action one at a time, up to six, and
-    each one's orbits become ring variables (for a family-built GP(n,r),
-    the rotations, with no search: see iso).
-    The ring variables are one Cartesian representative z_j per orbit, and
-    vertex orbits[j][t] sits at R(2*pi*t/k) z_j, so the positions are P @ z
-    for a fixed map P (_ring_map). A ring solve is _solve at P @ z, its
-    Jacobian the plain one times P, and `restarts` of them, each from
-    radii and then phases drawn at random, are the starts.
-    An orbit set whose ring radii, forced by edges within an orbit, rule
-    out unit edges (_rings_rule_out) runs no solve: one draw of as many
-    doubles as its starts would take advances the generator past them, so
-    later sets keep theirs. Only a ring solution within
-    TOL_INCIDENCE goes on to the polish, so a symmetric result is a
-    rotational drawing. A start exact enough that LM would return it
+    One loop hands starts to _solve until a result clears TOL_INCIDENCE with
+    no two vertices collapsed. Each drawing is measured once, by
+    _edge_residual on g's edge table, and only the one returned becomes a
+    Layout. A plain solve draws `restarts` seeded random starts, after the
+    product of its factors' drawings when g is a Cartesian product
+    (graphs.cartesian_factors); the generator is seeded only when a random
+    start is due. `symmetry`, an integer k, asks for a rotational ansatz:
+    for each of up to six free order-k automorphisms, taken one at a time
+    from iso.find_free_cyclic_action, `restarts` ring solves run _solve on
+    the rows of _quotient, from radii and then phases drawn at random. An
+    orbit set that _rings_rule_out refuses runs no solve, but draws as many
+    doubles as its starts would take, so later sets keep theirs. Only a
+    ring solution within TOL_INCIDENCE is polished, so a symmetric result is
+    a rotational drawing. A start exact enough that LM would return it
     unchanged, as product starts and ring solutions mostly are, skips the
-    polish: _solve hands back the start object itself. A product start that
-    comes back so also skips the _near_pairs sweep, as its last fold tested
-    every pair already; a polish that moves it voids that test, and a start
-    of any other kind is swept. Raises ConvergenceError, carrying the best
-    residual, the starts run and the orbit sets ruled out, when no start
-    passes; with no residual when no start ran ("ran 0 restarts"). seed and
-    restarts are integers >= 0, and seed None reads as 0. The result records
-    in Layout._verified the graph and the position bytes it was verified on.
+    polish, and a product start that does also skips the _near_pairs sweep,
+    as its last fold tested every pair already.
+    Raises ConvergenceError when no start passes, carrying the best residual
+    (None when no start ran), the starts run, the orbit sets ruled out and
+    the failed starts by class: collapsed (two vertices within
+    TOL_SEPARATION), above tolerance, or a ring solution above tolerance.
+    Its message names the classes and the best residual of the starts that
+    did not collapse. seed and restarts are integers >= 0, and seed None
+    reads as 0. The result records in Layout._verified the graph and the
+    position bytes it was verified on.
     """
     if g.size == 0:
         raise ParameterError("unit-distance solve needs at least one edge")
@@ -376,6 +356,7 @@ def solve_unit_distance(
     base_seed = _seed(seed)
     restarts = _count(restarts, "restarts")
     edges = _edge_arrays(g)
+    plain = (*edges, 0, 1)  # the edges as rows, with no turn and weight 1
     # a symmetric solve counts its orbit sets, and those ruled out, as they pass
     sets = skipped = None
 
@@ -385,9 +366,10 @@ def solve_unit_distance(
             rng = np.random.default_rng(base_seed)
             span = 1.0 + 0.25 * math.sqrt(g.order)
             for _ in range(restarts):
-                yield rng.uniform(-span, span, size=(g.order, 2)), {"method": "lm"}, False
+                # a random start is no exact one: its residual reads as inf
+                yield rng.uniform(-span, span, size=(g.order, 2)), {"method": "lm"}, False, math.inf
 
-        starts = chain(_product_start(g, base_seed, restarts), drawn())
+        starts = chain(_product_start(g, edges, base_seed, restarts), drawn())
         what = "unit-distance solve"
     else:
         from . import iso
@@ -402,41 +384,54 @@ def solve_unit_distance(
             for orbits in orbit_sets:
                 m = len(orbits)
                 sets += 1
-                if _rings_rule_out(g, orbits, k):
+                rows = _quotient(edges, orbits, k)
+                if _rings_rule_out(rows, k):
                     skipped += 1
                     # the doubles its restarts' uniform draws would take, so
                     # later sets keep their starts
                     rng.random(2 * m * restarts)
                     continue
-                P = _ring_map(orbits, k)
+                # per set, as only a k with an action is sure to fit a float
+                turns = np.exp(2j * math.pi / k * np.arange(k))
                 for _ in range(restarts):
-                    pos = _solve(edges, _ring_start(rng, m), P)
+                    z = _solve(rows, k, _ring_start(rng, m))
+                    pos = np.empty((g.order, 2))
+                    pos[np.ravel(orbits)] = (z.view(complex) * turns).view(float).reshape(-1, 2)
                     # a ring solution above tolerance fails here: a polish
                     # from it would leave the rotational drawing
-                    ok = _edge_residual(pos, *edges) <= TOL_INCIDENCE
-                    yield pos, {"method": "orbit-lm", "symmetry": k} if ok else None, False
+                    residual = _edge_residual(pos, *edges)
+                    meta = {"method": "orbit-lm", "symmetry": k} if residual <= TOL_INCIDENCE else None
+                    yield pos, meta, False, residual
 
         starts = ring_starts()
         what = "symmetric solve"
 
-    best = math.inf
+    # LM's first gradient entry is at most the largest degree times the
+    # largest residual, which _edge_residual gives within two ulps: under a
+    # quarter of the 1e-12 gradient stop, LM would return the start as it is
+    degree = np.bincount(np.concatenate(edges)).max()
+    failed = dict.fromkeys(("collapsed", "above tolerance", "above tolerance on the rings"), 0)
+    best = best_open = math.inf
     runs = 0
     # a start with meta None has failed already and is counted as it stands;
-    # a separated one has passed the separation test, which holds while the
-    # polish returns the start itself
-    for runs, (start, meta, separated) in enumerate(starts, 1):
-        pos = start if meta is None else _solve(edges, start)
-        separated = separated and pos is start
-        residual = _edge_residual(pos, *edges)
+    # a separated one has passed the separation test, which holds while no
+    # polish moves it
+    for runs, (pos, meta, separated, residual) in enumerate(starts, 1):
+        if meta is not None and degree * residual >= 0.25e-12:
+            pos = _solve(plain, 1, pos)
+            residual, separated = _edge_residual(pos, *edges), False
         best = min(best, residual)
-        if residual <= TOL_INCIDENCE and (separated or not _near_pairs(*pos.T, TOL_SEPARATION)[0].size):
+        if residual > TOL_INCIDENCE:
+            failed["above tolerance" if meta is not None else "above tolerance on the rings"] += 1
+            best_open = min(best_open, residual)
+        elif separated or not _near_pairs(*pos.T, TOL_SEPARATION)[0].size:
             # pos is a finite (V, 2) float array that only this solve holds,
             # and meta JSON-safe
             meta = dict(meta, seed=base_seed, residual=residual)
             return _unchecked(Layout, graph=g, pos=pos, meta=meta, _verified=(g, pos.tobytes())), residual
+        else:
+            failed["collapsed"] += 1
     summary = f"exhausted {runs} restart{'s' * (runs != 1)}" if runs else "ran 0 restarts"
-    if not runs:  # no start ran, so there is no residual
-        best = None
     if sets is not None:
         if not sets:
             raise ParameterError(f"no free order-{_shown(k)} symmetry available")
@@ -445,6 +440,9 @@ def solve_unit_distance(
             summary = f"ran 0 restarts: ring radii rule out {skipped} of {over}"
         else:
             summary += f" over {over}" + f", {skipped} ruled out by ring radii" * (skipped > 0)
-    if best is not None:
-        summary += f" (best residual {best:.1e})"
-    raise ConvergenceError(f"{what} {summary}", residual=best, restarts=runs, skipped=skipped)
+    if runs:
+        summary += ": " + ", ".join(f"{count} {name}" for name, count in failed.items() if count)
+    if best_open < math.inf:
+        summary += f" (best residual {best_open:.1e})"
+    best = best if runs else None  # with no start run there is no residual
+    raise ConvergenceError(f"{what} {summary}", residual=best, restarts=runs, skipped=skipped, failed=failed)

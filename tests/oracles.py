@@ -788,10 +788,13 @@ def refinement_swap_involution(g: Graph, sides: tuple[int, ...]) -> VertexMap | 
 
 
 # ---------------------------------------------------------------------------
-# rotational ansatz, per vertex and per edge: in Cartesian orbit
-# representatives z, the differential oracle for layouts._solve with a
-# ring map; and in polar ring variables (r, phi), the solve that the map
-# replaced, kept as the reference whose outcomes the new variables must keep
+# rotational ansatz, per vertex, per edge and per row: the ring map P in
+# Cartesian orbit representatives z, one vertex at a time and as the array
+# pass that layouts once solved through; the LM over all edges at P @ z,
+# kept as the outcome reference for the quotient solve of layouts._solve;
+# that solve one row at a time, its differential oracle; and in polar ring
+# variables (r, phi), the solve that the map replaced, kept as the reference
+# whose outcomes the new variables must keep
 
 
 def ring_map(orbits: list[list[int]], k: int, n: int) -> np.ndarray:
@@ -806,6 +809,18 @@ def ring_map(orbits: list[list[int]], k: int, n: int) -> np.ndarray:
     return P
 
 
+def _ring_map(orbits: list[list[int]], k: int) -> np.ndarray:
+    """The (2V, 2m) map P of the ring ansatz: P @ z, with z = (x_0, y_0,
+    x_1, y_1, ...), puts vertex orbits[j][t] at R(2*pi*t/k) (x_j, y_j)."""
+    ring, t = np.divmod(np.argsort(np.array(orbits).ravel()), k)
+    offset = 2.0 * math.pi * t / k
+    c, s = np.cos(offset), np.sin(offset)
+    P = np.zeros((len(ring), 2, len(orbits), 2))
+    # vertex v's rows and ring[v]'s columns hold the rotation block
+    P[np.arange(len(ring)), :, ring, :] = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+    return P.reshape(2 * len(ring), 2 * len(orbits))
+
+
 def ring_start(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Orbit representatives z from radii and phases, one orbit at a time."""
     z = np.empty(2 * len(r))
@@ -816,8 +831,7 @@ def ring_start(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def _solve_ring(g, P: np.ndarray, z0: np.ndarray, max_iter: int) -> np.ndarray:
     """LM over z towards unit edges, with residual and plain Jacobian one
-    edge at a time; positions and the Jacobian take P through the same `@`
-    as the library, so no BLAS summation order comes between them."""
+    edge at a time at the positions P @ z, and the Jacobian times P."""
 
     def positions(z):
         return (P @ z).reshape(-1, 2)
@@ -841,36 +855,79 @@ def _solve_ring(g, P: np.ndarray, z0: np.ndarray, max_iter: int) -> np.ndarray:
     return positions(lm_least_squares(resid, jacobian, z0, max_iter=max_iter))
 
 
-def rebuilding_solve(edges, x0: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
-    """The unit-edge solve over the LM above, which rebuilds the Jacobian on
-    every iteration: residual and plain Jacobian from the positions each
-    time, one edge row at a time, the Jacobian times P for a ring map, and
-    an exact plain start handed back as the object itself."""
-    eu, ev = edges
+def rings_rule_out(g, orbits: list[list[int]], k: int) -> bool:
+    """The ring-radius check of layouts._rings_rule_out over every edge of g,
+    each located through a vertex-to-(orbit, step) dict."""
+    where = {v: (j, t) for j, orbit in enumerate(orbits) for t, v in enumerate(orbit)}
+    forced = {}
+    for u, v in g.edges:
+        (a, s), (b, t) = where[u], where[v]
+        if a == b:
+            r = 0.5 / math.sin(math.pi * ((t - s) % k) / k)
+            if abs(forced.setdefault(a, r) - r) > layouts._RADIUS_SLACK * r:
+                return True
+    for u, v in g.edges:
+        ra, rb = forced.get(where[u][0]), forced.get(where[v][0])
+        if ra is not None and rb is not None and abs(ra - rb) > 1.0 + layouts._RADIUS_SLACK * (ra + rb):
+            return True
+    return False
 
-    def positions(x):
-        return (x if P is None else P @ x).reshape(-1, 2)
 
-    def resid(x):
-        p = positions(x)
-        d = p[eu] - p[ev]
-        return np.hypot(d[:, 0], d[:, 1]) - 1.0
+def _row_terms(rows, k: int):
+    """Each row's turn R(2*pi*s/k) as a unit complex number, sqrt(w), and
+    the complex factors of its unit direction in the z_a and z_b cells (a
+    chord's sum in its one cell), as layouts._solve takes them; a plain
+    solve's s = 0 and w = 1 stand for every row."""
+    a, b, s, w = (np.broadcast_to(x, np.shape(rows[0])) for x in rows)
+    turn = np.exp(2j * math.pi / k * s)
+    root = np.sqrt(w)
+    back = root * turn.conj()
+    return turn, root, np.where(a == b, root - back, root), -back
+
+
+def _times(c: complex, z: complex) -> complex:
+    """c * z as a numpy array product rounds it: it may fuse a multiply and
+    an add, where a scalar product does not."""
+    return (np.array([c]) * np.array([z]))[0]
+
+
+def row_residuals(rows, k: int, x: np.ndarray) -> np.ndarray:
+    """sqrt(w) (|z_a - R(2*pi*s/k) z_b| - 1) one row at a time."""
+    a, b = rows[0].tolist(), rows[1].tolist()
+    turn, root, _, _ = _row_terms(rows, k)
+    z = x.view(complex)
+    out = np.empty(len(a))
+    for i in range(len(a)):
+        d = z[a[i]] - _times(turn[i], z[b[i]])
+        out[i] = root[i] * (np.hypot(d.real, d.imag) - 1.0)
+    return out
+
+
+def rebuilding_solve(rows, k: int, x0: np.ndarray, max_iter: int = 500) -> np.ndarray:
+    """The quotient solve of layouts._solve over the LM above, which rebuilds
+    the Jacobian on every iteration: residual and Jacobian from the
+    variables each time, one row at a time."""
+    a, b = rows[0].tolist(), rows[1].tolist()
+    turn, _, at_a, at_b = _row_terms(rows, k)
 
     def jacobian(x):
-        p = positions(x)
-        d = p[eu] - p[ev]
-        dist = np.hypot(d[:, 0], d[:, 1])
-        dist = np.where(dist < 1e-300, 1.0, dist)
-        j = np.zeros((len(eu), p.size))
-        for row, (u, v) in enumerate(zip(eu, ev)):
-            j[row, 2 * u: 2 * u + 2] = d[row] / dist[row]
-            j[row, 2 * v: 2 * v + 2] = -d[row] / dist[row]
-        return j if P is None else j @ P
+        z = x.view(complex)
+        j = np.zeros((len(a), x.size))
+        for i in range(len(a)):
+            d = z[a[i]] - _times(turn[i], z[b[i]])
+            dist = np.hypot(d.real, d.imag)
+            if dist < 1e-300:
+                dist = 1.0
+            unit = complex(d.real / dist, d.imag / dist)
+            if a[i] != b[i]:
+                g_b = _times(at_b[i], unit)
+                j[i, 2 * b[i]: 2 * b[i] + 2] = g_b.real, g_b.imag
+            g_a = _times(at_a[i], unit)
+            j[i, 2 * a[i]: 2 * a[i] + 2] = g_a.real, g_a.imag
+        return j
 
-    x = np.asarray(x0, dtype=float).ravel()
-    if P is None and np.bincount(np.concatenate(edges)).max() * np.max(np.abs(resid(x))) < 0.25e-12:
-        return x0
-    return positions(lm_least_squares(resid, jacobian, x))
+    x = np.array(x0, dtype=float).ravel()
+    return lm_least_squares(lambda x: row_residuals(rows, k, x), jacobian, x, max_iter=max_iter).reshape(-1, 2)
 
 
 def _orbit_positions(x: np.ndarray, orbits: list[list[int]], k: int, n: int) -> np.ndarray:
@@ -925,11 +982,13 @@ def solve_unit_distance(
     """The seeded restart loops of solve_unit_distance (no polish path and
     no product start). The symmetric one runs each orbit set's ring solves
     over the per-edge solve in z above, or with polar over the one in (r,
-    phi); a set that layouts._rings_rule_out refuses draws its starts'
-    doubles in one go, and only a ring solution within tol is polished."""
+    phi); a set that rings_rule_out refuses draws its starts' doubles in
+    one go, and only a ring solution within tol is polished, by the plain
+    rebuilding solve."""
     base_seed = 0 if seed is None else int(seed)
     rng = np.random.default_rng(base_seed)
-    edges = _edge_arrays(g)
+    eu, ev = _edge_arrays(g)
+    edges = (eu, ev, np.zeros_like(eu), np.ones_like(eu))
     best = math.inf
 
     def measured(pos):
@@ -954,7 +1013,7 @@ def solve_unit_distance(
         runs = skipped = 0
         for orbits in orbit_sets:
             m = len(orbits)
-            if layouts._rings_rule_out(g, orbits, k):
+            if rings_rule_out(g, orbits, k):
                 skipped += 1
                 rng.random(2 * m * restarts)
                 continue
@@ -971,7 +1030,7 @@ def solve_unit_distance(
                     pos = _solve_ring(g, P, ring_start(r, phi), max_iter)
                 residual = measured(pos)
                 if residual <= tol:  # only a ring solution goes on to the polish
-                    pos = layouts._solve(edges, pos)
+                    pos = rebuilding_solve(edges, 1, pos, max_iter)
                     residual = measured(pos)
                 best = min(best, residual)
                 if residual <= tol and _min_separation(pos) > TOL_SEPARATION:
@@ -983,7 +1042,7 @@ def solve_unit_distance(
 
     span = 1.0 + 0.25 * math.sqrt(g.order)
     for _ in range(restarts):
-        pos = layouts._solve(edges, rng.uniform(-span, span, size=(g.order, 2)))
+        pos = rebuilding_solve(edges, 1, rng.uniform(-span, span, size=(g.order, 2)), max_iter)
         residual = measured(pos)
         best = min(best, residual)
         if residual <= tol and _min_separation(pos) > TOL_SEPARATION:

@@ -1,7 +1,9 @@
-"""The ring-map ansatz solve against per-vertex, per-edge loops in the same
-variables, and against the polar ring solve that it replaced."""
+"""The ring solve on the voltage quotient against a per-row loop in the same
+variables, and its outcomes against the per-edge solve at P @ z and the
+polar ring solve that came before it."""
 
 import math
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,7 @@ from confviz import (
     unit_edge_residual,
 )
 from confviz.graphs import Graph, complete_graph, cycle_graph
-from confviz.layouts import _edge_arrays, _ring_map, _ring_start, _solve
+from confviz.layouts import _edge_arrays, _quotient, _ring_start, _solve
 
 import oracles
 
@@ -47,24 +49,72 @@ def assert_same_solve(run_new, run_old):
     assert residual == old[1]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+def _tally(monkeypatch, module, name) -> list:
+    """Patch module.name to record each call's arguments and result."""
+    calls = []
+    f = getattr(module, name)
+
+    def recorded(*args):
+        calls.append((args, f(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def _symmetric_outcome(monkeypatch, run, module, ring_solve, rule_out):
+    """('ok', meta keys) or ('fail', None), with the ring solves run and the
+    orbit sets ruled out, counted at module.ring_solve and module.rule_out;
+    a failure's own counts must agree with them."""
+    with monkeypatch.context() as patch:
+        solves = _tally(patch, module, ring_solve)
+        checks = _tally(patch, module, rule_out)
+        try:
+            lay, _ = run()
+            outcome = "ok", list(lay.meta)
+        except ConvergenceError as exc:
+            outcome = "fail", None
+            counted = exc.restarts, exc.skipped
+    # a polish is a plain solve of layouts._solve, with k = 1
+    rings = sum(1 for args, _ in solves if module is not layouts or args[1] > 1)
+    ruled_out = sum(1 for _, out in checks if out)
+    if outcome[0] == "fail":
+        assert counted == (rings, ruled_out)
+    return outcome, rings, ruled_out
+
+
+@pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("family,params,k", SYMMETRIC)
-def test_symmetric_solve_matches_oracle(family, params, k, seed):
+def test_symmetric_solve_matches_oracle(monkeypatch, family, params, k, seed):
+    """The quotient solve sums each edge orbit's rows in another order than
+    the per-edge solve at P @ z, so the drawings differ in their last bits;
+    the outcome, the ring solves run, the orbit sets ruled out and the meta
+    keys are the same."""
     g = build_family(family, *params)
-    assert_same_solve(
-        lambda: solve_unit_distance(g, seed=seed, symmetry=k),
+    assert _symmetric_outcome(
+        monkeypatch, lambda: solve_unit_distance(g, seed=seed, symmetry=k), layouts, "_solve", "_rings_rule_out"
+    ) == _symmetric_outcome(
+        monkeypatch,
         lambda: oracles.solve_unit_distance(g, seed=seed, symmetry=k),
+        oracles,
+        "_solve_ring",
+        "rings_rule_out",
     )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_explicit_orbit_and_plain_solves_match_oracle(seed):
+def test_explicit_orbit_and_plain_solves_match_oracle(monkeypatch, seed):
     g = cycle_graph(8)
     # C8's first free order-4 action has the oracle's explicit orbits
     assert next(iso.find_free_cyclic_action(g, 4)).cycles() == C8_ORBITS
-    assert_same_solve(
-        lambda: solve_unit_distance(g, seed=seed, symmetry=4),
+    assert _symmetric_outcome(
+        monkeypatch, lambda: solve_unit_distance(g, seed=seed, symmetry=4), layouts, "_solve", "_rings_rule_out"
+    ) == _symmetric_outcome(
+        monkeypatch,
         lambda: oracles.solve_unit_distance(g, seed=seed, symmetry=C8_ORBITS),
+        oracles,
+        "_solve_ring",
+        "rings_rule_out",
     )
     # prime graphs: no product start, so the random loop alone, as before
     plain = [(cycle_graph(5), 40), (complete_graph(4), 4)]
@@ -134,15 +184,14 @@ def ring_problems(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(ring_problems())
-def test_ring_solve_matches_per_edge_loop(problem):
+def test_ring_solve_matches_per_row_loop(problem):
     g, orbits, k, z0, max_iter = problem
-    P = _ring_map(orbits, k)
-    assert P.tobytes() == oracles.ring_map(orbits, k, g.order).tobytes()
+    rows = _quotient(_edge_arrays(g), orbits, k)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(layouts, "_LM_MAX_ITER", max_iter)
         assert _solve.__globals__["_LM_MAX_ITER"] == max_iter  # where _solve reads it
-        got = _solve(_edge_arrays(g), z0, P)
-    assert got.tobytes() == oracles._solve_ring(g, P, z0, max_iter).tobytes()
+        got = _solve(rows, k, z0.reshape(-1, 2))
+    assert got.tobytes() == oracles.rebuilding_solve(rows, k, z0, max_iter).tobytes()
 
 
 @st.composite
@@ -160,7 +209,8 @@ def orbit_tables(draw):
 @given(orbit_tables())
 def test_ring_map_rotates_each_representative_onto_its_orbit(problem):
     orbits, k, z = problem
-    pos = (_ring_map(orbits, k) @ z).reshape(-1, 2)
+    assert oracles._ring_map(orbits, k).tobytes() == oracles.ring_map(orbits, k, k * len(orbits)).tobytes()
+    pos = (oracles._ring_map(orbits, k) @ z).reshape(-1, 2)
     for j, orbit in enumerate(orbits):
         x, y = z[2 * j], z[2 * j + 1]
         slack = 4.0 * np.spacing(math.hypot(x, y))
@@ -185,7 +235,7 @@ def test_a_ring_start_lands_where_the_polar_start_does(problem, seed):
     x0[0::2] = rng.uniform(0.25, 2.2, size=m)
     x0[1::2] = rng.uniform(0.0, 2.0 * math.pi, size=m)
     assert z0.tobytes() == oracles.ring_start(x0[0::2], x0[1::2]).tobytes()
-    got = (_ring_map(orbits, k) @ z0.ravel()).reshape(-1, 2)
+    got = (oracles._ring_map(orbits, k) @ z0.ravel()).reshape(-1, 2)
     want = oracles._orbit_positions(x0, orbits, k, k * m)
     for j, orbit in enumerate(orbits):
         assert np.all(np.abs(got[orbit] - want[orbit]) <= 8.0 * np.finfo(float).eps * x0[2 * j])
@@ -213,7 +263,8 @@ def test_lm_matches_rebuilding_oracle(monkeypatch, family, params, symmetry, see
     calls = []
     monkeypatch.setattr(layouts, "_solve", lambda *args: calls.append(1) or oracles.rebuilding_solve(*args))
     assert run() == new
-    assert calls  # the solve called the oracle
+    # the solve called the oracle, unless an exact product start skipped the polish
+    assert calls or dict(new[1])["method"] == "product"
 
 
 @pytest.mark.parametrize("family,params,k", SYMMETRIC)
@@ -253,35 +304,33 @@ def _edge_lm(g, pos0):
     return resid(pos0.ravel()), oracles.lm_least_squares(resid, jacobian, pos0.ravel()).reshape(-1, 2)
 
 
-def _polished_starts(monkeypatch, g, **kwargs):
-    """The starts a solve of g hands to its polish, in order."""
-    starts = []
-    solve = layouts._solve
+def _measured_starts(monkeypatch, g, **kwargs):
+    """Every drawing that a solve of g measures, in order: its product start
+    or ring solutions, and what its polish returns."""
+    with monkeypatch.context() as patch:
+        measured = _tally(patch, layouts, "_edge_residual")
+        solve_unit_distance(g, **kwargs)
+    return [args[0] for args, _ in measured]
 
-    def spy(edges, x0, P=None):
-        if P is None:  # a polish, not a ring solve
-            starts.append(x0.copy())
-        return solve(edges, x0, P)
 
-    monkeypatch.setattr(layouts, "_solve", spy)
-    solve_unit_distance(g, **kwargs)
-    monkeypatch.undo()
-    return starts
+def _plain_rows(g):
+    """The edges as rows of a plain solve, as solve_unit_distance hands them on."""
+    return (*_edge_arrays(g), 0, 1)
 
 
 def _check_polish_skip(g, starts, seed):
-    """Wherever the skip's bound holds, the rebuilding LM returns the start
-    bit for bit, and so does the polish; elsewhere they agree bit for bit.
-    Returns how often the bound held and failed."""
+    """Wherever the skip's bound on the measured residual holds, the
+    rebuilding LM returns the start bit for bit; everywhere the polish
+    agrees with it bit for bit. Returns how often the bound held and failed."""
     rng = np.random.default_rng(seed)
     maxdeg = max(map(len, g.adjacency))
     sides = [0, 0]
     for start in starts:
         for eps in (0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
             pos = start + eps * rng.standard_normal(start.shape)
-            r, want = _edge_lm(g, pos)
-            got = _solve(_edge_arrays(g), pos)
-            skips = bool(maxdeg * np.max(np.abs(r)) < 0.25e-12)
+            _, want = _edge_lm(g, pos)
+            got = _solve(_plain_rows(g), 1, pos)
+            skips = bool(maxdeg * layouts._edge_residual(pos, *_edge_arrays(g)) < 0.25e-12)
             sides[skips] += 1
             if skips:
                 assert want.tobytes() == pos.tobytes()
@@ -297,7 +346,7 @@ PRODUCT_STARTS += [("hypercube", (d,)) for d in range(3, 9)]
 @pytest.mark.parametrize("family,params", PRODUCT_STARTS)
 def test_exact_product_starts_skip_the_polish(monkeypatch, family, params):
     g = build_family(family, *params)
-    starts = _polished_starts(monkeypatch, g, seed=1, restarts=2)
+    starts = _measured_starts(monkeypatch, g, seed=1, restarts=2)
     assert starts  # the product start comes first
     skipped, ran = _check_polish_skip(g, starts, seed=g.order)
     assert skipped and ran
@@ -306,9 +355,31 @@ def test_exact_product_starts_skip_the_polish(monkeypatch, family, params):
 @pytest.mark.parametrize("n", range(10, 51))
 def test_exact_ring_solutions_skip_the_polish(monkeypatch, n):
     g = build_family("gen_petersen", n, 2)
-    starts = _polished_starts(monkeypatch, g, seed=0, symmetry=n)
+    starts = _measured_starts(monkeypatch, g, seed=0, symmetry=n)
     skipped, ran = _check_polish_skip(g, starts, seed=n)
     assert skipped and ran
+
+
+@pytest.mark.parametrize(
+    "family,params,kwargs",
+    [("gen_petersen", (n, 2), {"symmetry": n}) for n in (10, 13, 18, 30)]
+    + [("desargues", (), {"symmetry": 10}), ("prism", (8,), {}), ("hypercube", (6,), {}), ("petersen", (), {})],
+)
+def test_the_drawing_returned_is_measured_once(monkeypatch, family, params, kwargs):
+    """_edge_residual measures the drawing a solve returns once, and the
+    polish runs only on starts whose measured residual fails the skip's
+    bound."""
+    g = build_family(family, *params)
+    maxdeg = max(map(len, g.adjacency))
+    with monkeypatch.context() as patch:
+        measured = _tally(patch, layouts, "_edge_residual")
+        solves = _tally(patch, layouts, "_solve")
+        lay, residual = solve_unit_distance(g, seed=0, **kwargs)
+    assert [out for args, out in measured if args[0] is lay.pos] == [residual]
+    assert residual == unit_edge_residual(lay)
+    polished = [args[2] for args, _ in solves if args[1] == 1]
+    handed = {id(args[0]): out for args, out in measured}
+    assert all(maxdeg * handed.get(id(start), math.inf) >= 0.25e-12 for start in polished)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +402,7 @@ def plain_problems(draw):
 @given(plain_problems())
 def test_plain_solve_matches_the_rebuilding_lm(problem):
     g, pos0 = problem
-    assert _solve(_edge_arrays(g), pos0).tobytes() == _edge_lm(g, pos0)[1].tobytes()
+    assert _solve(_plain_rows(g), 1, pos0).tobytes() == _edge_lm(g, pos0)[1].tobytes()
 
 
 @st.composite
@@ -350,14 +421,58 @@ def circulant_rings(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(circulant_rings())
-def test_circulant_ring_solve_matches_the_rebuilding_lm(problem):
+def test_circulant_ring_solve_matches_per_row_loop(problem):
     g, orbits, k, z0, max_iter = problem
-    P = _ring_map(orbits, k)
+    rows = _quotient(_edge_arrays(g), orbits, k)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(layouts, "_LM_MAX_ITER", max_iter)
         assert _solve.__globals__["_LM_MAX_ITER"] == max_iter  # where _solve reads it
-        got = _solve(_edge_arrays(g), z0, P)
-    assert got.tobytes() == oracles._solve_ring(g, P, z0, max_iter).tobytes()
+        got = _solve(rows, k, z0.reshape(-1, 2))
+    assert got.tobytes() == oracles.rebuilding_solve(rows, k, z0, max_iter).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the rows of the voltage quotient against the edges they stand for
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(ring_problems(), circulant_rings()))
+def test_rows_partition_the_edges_into_orbits(problem):
+    """Row (a, b, s, w) is the edge from orbits[a][0] to orbits[b][s], and
+    the rotation turns it into w distinct edges; the rows' orbits partition
+    the edges, so their weights sum to E."""
+    g, orbits, k, _, _ = problem
+    a, b, s, w = (x.tolist() for x in _quotient(_edge_arrays(g), orbits, k))
+    edges = set(g.edges)
+    covered = set()
+    for i in range(len(a)):
+        u, v = orbits[a[i]][0], orbits[b[i]][s[i]]
+        assert (min(u, v), max(u, v)) in edges
+        orbit = {tuple(sorted((orbits[a[i]][t], orbits[b[i]][(s[i] + t) % k]))) for t in range(k)}
+        assert len(orbit) == w[i] and not orbit & covered
+        covered |= orbit
+    assert covered == edges and sum(w) == g.size
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(ring_problems(), circulant_rings()))
+def test_quotient_cost_is_the_cost_of_every_edge(problem):
+    """At any z, the rows' weighted cost is the cost of all E edges at the
+    positions P @ z."""
+    g, orbits, k, z, _ = problem
+    quotient = float(np.sum(oracles.row_residuals(_quotient(_edge_arrays(g), orbits, k), k, z) ** 2))
+    pos = (oracles.ring_map(orbits, k, g.order) @ z).reshape(-1, 2)
+    full = sum((float(np.hypot(*(pos[u] - pos[v]))) - 1.0) ** 2 for u, v in g.edges)
+    assert math.isclose(quotient, full, rel_tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ring_problems(), circulant_rings()))
+def test_rule_out_on_the_rows_matches_the_edge_walk(problem):
+    g, orbits, k, _, _ = problem
+    for orbit_set in [orbits] + [a.cycles() for a in islice(iso.find_free_cyclic_action(g, k), 6)]:
+        rows = _quotient(_edge_arrays(g), orbit_set, k)
+        assert layouts._rings_rule_out(rows, k) == oracles.rings_rule_out(g, orbit_set, k)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +493,16 @@ def test_a_product_start_that_passes_takes_no_sweep(monkeypatch, family, params)
     for h in (g, Graph(g.order, g.edges, g.labels)):
         lay, sweeps = _solve_sweeps(h)
         assert lay.meta["method"] == "product" and sweeps == 0
-        (start, _, separated), = layouts._product_start(h, 1, 2)
+        (start, _, separated, residual), = layouts._product_start(h, _edge_arrays(h), 1, 2)
         assert separated and lay.pos.tobytes() == start.tobytes()
+        assert residual == unit_edge_residual(lay)
         # the all-pairs oracle finds every pair of the fold's drawing apart
         assert oracles._min_separation(start) > TOL_SEPARATION
-    # a polish that moves the start voids the fold's test
-    solve = layouts._solve
-    monkeypatch.setattr(layouts, "_solve", lambda edges, x0, P=None: solve(edges, x0, P) + 1e-13)
+    # a polish voids the fold's test: handed on unmeasured, the start is
+    # polished, and what the polish returns is swept
+    product = layouts._product_start
+    monkeypatch.setattr(
+        layouts, "_product_start", lambda *args: ((p, meta, True, math.inf) for p, meta, _, _ in product(*args))
+    )
     lay, sweeps = _solve_sweeps(g)
     assert lay.meta["method"] == "product" and sweeps == 1

@@ -344,12 +344,15 @@ def test_solver_k4_cannot_embed():
     assert exc.value.residual > 1e-3
     assert exc.value.restarts == 4
     best = f"{exc.value.residual:.1e}"
-    assert str(exc.value) == f"unit-distance solve exhausted 4 restarts (best residual {best})"
+    assert str(exc.value) == f"unit-distance solve exhausted 4 restarts: 4 above tolerance (best residual {best})"
+    assert exc.value.failed == {"collapsed": 0, "above tolerance": 4, "above tolerance on the rings": 0}
     # K4 has three fixed-point-free involutions, each an orbit set
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(complete_graph(4), seed=0, symmetry=2, restarts=2)
     assert exc.value.restarts == 6 and exc.value.skipped == 0
-    assert str(exc.value).startswith("symmetric solve exhausted 6 restarts over 3 orbit sets (best ")
+    assert str(exc.value).startswith(
+        "symmetric solve exhausted 6 restarts over 3 orbit sets: 6 above tolerance on the rings (best "
+    )
 
 
 def test_symmetric_solve_of_hypercube_10_reads_its_actions_without_recursion():
@@ -382,7 +385,8 @@ def test_solver_reports_orbit_sets_ruled_out():
         solve_unit_distance(g, seed=0, symmetry=4, restarts=2)
     assert (exc.value.restarts, exc.value.skipped) == (4, 4)
     assert str(exc.value).startswith(
-        "symmetric solve exhausted 4 restarts over 6 orbit sets, 4 ruled out by ring radii (best "
+        "symmetric solve exhausted 4 restarts over 6 orbit sets, 4 ruled out by ring radii: "
+        "4 above tolerance on the rings (best "
     )
 
 
@@ -407,11 +411,11 @@ def test_symmetric_solve_polishes_only_ring_solutions(monkeypatch):
     solve = layouts._solve
     rings = []
 
-    def scaled(edges, x0, P=None):
+    def scaled(rows, k, x0):
         # every ring solution scaled by 1.1, so its edges within an orbit grow to 1.1
-        pos = solve(edges, x0, P)
-        rings.append(P is not None)
-        return pos if P is None else 1.1 * pos
+        z = solve(rows, k, x0)
+        rings.append(k > 1)
+        return z if k == 1 else 1.1 * z
 
     monkeypatch.setattr(layouts, "_solve", scaled)
     with pytest.raises(ConvergenceError) as exc:
@@ -467,13 +471,17 @@ def _ruled_out_in_closed_form(g, orbits, k: int) -> bool:
     return False
 
 
+def _rows(g, orbits, k: int):
+    return layouts._quotient(layouts._edge_arrays(g), orbits, k)
+
+
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(7, 26) for m in (2, 3, 4) if 2 * m < n])
 def test_ring_radius_check_is_sound(n, m):
     """The check rules out exactly the orbit sets that the cosine law shows
     infeasible, and the set a seed-0 solve lands on is never ruled out."""
     g = generalized_petersen_graph(n, m)
     orbit_sets = [a.cycles() for a in islice(iso.find_free_cyclic_action(g, n), 6)]
-    ruled_out = [layouts._rings_rule_out(g, orbits, n) for orbits in orbit_sets]
+    ruled_out = [layouts._rings_rule_out(_rows(g, orbits, n), n) for orbits in orbit_sets]
     assert ruled_out == [_ruled_out_in_closed_form(g, orbits, n) for orbits in orbit_sets]
     lay, _ = solve_unit_distance(g, seed=0, symmetry=n)
     landed = [out for orbits, out in zip(orbit_sets, ruled_out) if _rotational_under(lay.pos, orbits, n)]
@@ -504,7 +512,7 @@ def test_symmetric_solve_pulls_actions_on_demand(g, k, monkeypatch):
     assert len(pulled) == j
     assert [a.cycles() for a in pulled] == orbit_sets[:j]
     if k == 14:  # the plain rotation of GP(14,2) comes first and is ruled out
-        assert j > 1 and layouts._rings_rule_out(g, orbit_sets[0], k)
+        assert j > 1 and layouts._rings_rule_out(_rows(g, orbit_sets[0], k), k)
 
 
 def test_symmetric_solve_counts_sets_of_a_short_stream(monkeypatch):
@@ -513,7 +521,9 @@ def test_symmetric_solve_counts_sets_of_a_short_stream(monkeypatch):
     pulled = _count_pulls(monkeypatch)
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(prism_graph(5), seed=0, symmetry=5, restarts=1)
-    assert str(exc.value) == "symmetric solve exhausted 4 restarts over 4 orbit sets (best residual 1.1e-16)"
+    # every start ended collapsed, so the message gives no residual
+    assert str(exc.value) == "symmetric solve exhausted 4 restarts over 4 orbit sets: 4 collapsed"
+    assert exc.value.failed == {"collapsed": 4, "above tolerance": 0, "above tolerance on the rings": 0}
     assert (exc.value.restarts, exc.value.skipped, len(pulled)) == (4, 0, 4)
 
 
@@ -619,7 +629,7 @@ def test_solver_counts_the_product_start(monkeypatch):
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(prism_graph(5), seed=0, restarts=2)
     assert exc.value.restarts == 3
-    assert str(exc.value).startswith("unit-distance solve exhausted 3 restarts (best residual ")
+    assert str(exc.value).startswith("unit-distance solve exhausted 3 restarts: 3 above tolerance (best residual ")
     with pytest.raises(ConvergenceError) as exc:
         solve_unit_distance(cycle_graph(5), seed=0, restarts=2)
     assert exc.value.restarts == 2
