@@ -216,18 +216,16 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbours in increasing order. The edges are sorted
-        with u < v, so v meets its lower neighbours (u, v) in increasing u
-        before its higher ones (v, w) in increasing w."""
+        """Each vertex's neighbours in increasing order: the one form of a
+        neighbourhood the library reads. Two rows are equal exactly when the
+        neighbourhoods are. The edges are sorted with u < v, so v meets its
+        lower neighbours (u, v) in increasing u before its higher ones
+        (v, w) in increasing w."""
         nbr: list[list[int]] = [[] for _ in range(self.order)]
         for u, v in self.edges:
             nbr[u].append(v)
             nbr[v].append(u)
         return tuple(map(tuple, nbr))
-
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(a) for a in self.adjacency)
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -571,7 +569,7 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
         case ("hypercube", d) if d >= 2:
             return _cube_factors(g, d)
     prime = ((g,), VertexMap(tuple(range(g.order))))
-    nbrs = g.neighbor_sets
+    nbrs = tuple(map(frozenset, g.adjacency))
     # each vertex's edge indices, by neighbour
     index: list[dict[int, int]] = [{} for _ in range(g.order)]
     for i, (u, v) in enumerate(g.edges):
@@ -664,9 +662,9 @@ def _product_map(
     c lies in one component of the other classes' edges, so with coordinates
     read off those components, as cartesian_factors reads them, its ends
     differ at most in coordinate c: the edge goes to a product edge exactly
-    when its two coordinates c are adjacent in factor c. A bijection that
-    sends every edge to a product edge, with as many edges as the product,
-    is an isomorphism.
+    when one coordinate c lies in the other's row of factor c's adjacency.
+    A bijection that sends every edge to a product edge, with as many edges
+    as the product, is an isomorphism.
     """
     order = math.prod(f.order for f in factors)
     if order != g.order or sum(f.size * (order // f.order) for f in factors) != g.size:
@@ -678,8 +676,8 @@ def _product_map(
     if len(set(image)) != order:
         return None
     for f, mine, xs in zip(factors, by_class, coords):
-        nbrs = f.neighbor_sets
-        if not all(xs[v] in nbrs[xs[u]] for u, v in mine):
+        rows = f.adjacency
+        if not all(xs[v] in rows[xs[u]] for u, v in mine):
             return None
     return VertexMap(tuple(image))
 
@@ -712,12 +710,13 @@ def kronecker_cover(g: Graph) -> tuple[Graph, Bipartition]:
 
 
 def is_admissible(g: Graph) -> tuple[bool, tuple[int, int] | None]:
-    """No two vertices may share a neighbourhood; returns the first clash."""
-    seen: dict[frozenset[int], int] = {}
-    for v, ns in enumerate(g.neighbor_sets):
-        if ns in seen:
-            return False, (seen[ns], v)
-        seen[ns] = v
+    """No two vertices may share a neighbourhood; returns the first clash.
+    The rows of g.adjacency are sorted, so equal rows are equal sets."""
+    seen: dict[tuple[int, ...], int] = {}
+    for v, row in enumerate(g.adjacency):
+        if row in seen:
+            return False, (seen[row], v)
+        seen[row] = v
     return True, None
 
 

@@ -3,12 +3,14 @@
 The key object is the structure N(G) = (V(G), S(G)) whose block v is the
 neighbourhood N(v) of an admissible graph. The identity, point v -> (v,0)
 and block v -> (v,1), maps its Levi graph onto the canonical double cover
-of G, and point v <-> block v is a polarity; verify_kronecker_theorem and
-is_self_polar check these maps on the blocks and G's neighbourhoods, so
-neither the Levi graph nor the cover is built, and the cover's components
-are counted by one breadth-first walk over G. A structure's Levi
-components are found once, by one breadth-first walk from points to the
-blocks through them and back, and shared by classify and decompose.
+of G, and point v <-> block v is a polarity. Both say that block v is
+G's adjacency row v, so verify_kronecker_theorem compares the blocks with
+the rows and is_self_polar compares them with the blocks through each
+point; neither the Levi graph nor the cover is built, and the cover's
+components are counted by one breadth-first walk over G. A structure's
+blocks through each point are tabled once, and its Levi components found
+once from that table, by one breadth-first walk from points to blocks and
+back, and shared by classify and decompose.
 
 The public constructor checks and normalises its blocks, for files and
 hand-built structures alike. v_construct and decompose build blocks that
@@ -43,8 +45,8 @@ class IncidenceStructure:
     """Points 0..points-1 plus a tuple of distinct blocks, each sorted.
 
     Blocks keep the order they are given in, so block j of a V-construction
-    is N(j), and provenance is a string. The cached levi_components takes no
-    part in equality, hashing, repr or the JSON form.
+    is N(j), and provenance is a string. The cached _blocks_through and
+    levi_components take no part in equality, hashing, repr or the JSON form.
     """
 
     points: int
@@ -73,21 +75,26 @@ class IncidenceStructure:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def point_degrees(self) -> list[int]:
-        deg = [0] * self.points
-        for blk in self.blocks:
+    @cached_property
+    def _blocks_through(self) -> tuple[tuple[int, ...], ...]:
+        """For each point, the indices of the blocks holding it, in increasing
+        order: point p's row of the Levi graph. Computed once per structure
+        and read by levi_components, levi_graph, is_self_polar and classify."""
+        through: list[list[int]] = [[] for _ in range(self.points)]
+        for j, blk in enumerate(self.blocks):
             for p in blk:
-                deg[p] += 1
-        return deg
+                through[p].append(j)
+        return tuple(map(tuple, through))
 
     @cached_property
     def levi_components(self) -> tuple[tuple[int, ...], ...]:
         """Components of the Levi graph, each sorted, in order of least vertex,
-        by one breadth-first walk from points to the blocks through them and
-        on to those blocks' points; no Levi graph is built. Computed once per
-        structure and kept outside the dataclass fields."""
+        by one breadth-first walk from points to the blocks through them
+        (_blocks_through) and on to those blocks' points; no Levi graph is
+        built. Computed once per structure and kept outside the dataclass
+        fields."""
         n, blocks = self.points, self.blocks
-        through = _blocks_through(self)
+        through = self._blocks_through
         point_seen = [False] * n
         block_seen = [False] * len(blocks)
         comps = []
@@ -112,15 +119,6 @@ class IncidenceStructure:
             blks.sort()
             comps.append(tuple(pts + blks))
         return tuple(comps)
-
-
-def _blocks_through(c: IncidenceStructure) -> list[list[int]]:
-    """For each point, the indices of the blocks holding it, in increasing order."""
-    through: list[list[int]] = [[] for _ in range(c.points)]
-    for j, blk in enumerate(c.blocks):
-        for p in blk:
-            through[p].append(j)
-    return through
 
 
 @dataclass(frozen=True)
@@ -166,8 +164,9 @@ def v_construct(g: Graph, collapse: bool = False) -> IncidenceStructure:
     non-empty, and distinct by admissibility or by the merge, so the
     structure is built without the constructor's checks.
     """
-    if any(len(ns) == 0 for ns in g.neighbor_sets):
-        raise ParameterError("v_construct needs a graph without isolated vertices")
+    if () in g.adjacency:
+        v = g.adjacency.index(())
+        raise ParameterError(f"vertex {v} is isolated: its neighbourhood would be an empty block")
     if not collapse:
         ok, pair = is_admissible(g)
         if not ok:
@@ -186,7 +185,7 @@ def levi_graph(c: IncidenceStructure) -> tuple[Graph, Bipartition]:
     Point p's edges (p, n + j) come in increasing j, so they are sorted."""
     n = c.points
     labels = tuple(f"p{i}" for i in range(n)) + tuple(f"b{j}" for j in range(c.block_count))
-    edges = tuple((p, n + j) for p, js in enumerate(_blocks_through(c)) for j in js)
+    edges = tuple((p, n + j) for p, js in enumerate(c._blocks_through) for j in js)
     g = _unchecked(Graph, order=n + c.block_count, edges=edges, labels=labels)
     return g, Bipartition((0,) * n + (1,) * c.block_count)
 
@@ -195,9 +194,9 @@ def is_self_polar(c: IncidenceStructure) -> VertexMap | None:
     """Order-two Levi automorphism exchanging points and blocks, or None.
 
     Unless there are as many points as blocks there is none. Otherwise the
-    pairing point i <-> block i is checked on the blocks in O(E): it is a
-    Levi automorphism exactly when i lies in block j whenever j lies in
-    block i, and then it is returned. Every V-construction and fano_plane()
+    pairing point i <-> block i is checked in O(E): it is a Levi
+    automorphism exactly when each block i equals the blocks through point
+    i, and then it is returned. Every V-construction and fano_plane()
     pass this check, whether built in process or read from a file. Any other
     structure builds the Levi graph for iso.find_swap_involution.
     """
@@ -206,8 +205,7 @@ def is_self_polar(c: IncidenceStructure) -> VertexMap | None:
     n = c.points
     if n != c.block_count:
         return None
-    members = [set(blk) for blk in c.blocks]
-    if all(i in members[j] for i, blk in enumerate(c.blocks) for j in blk):
+    if c.blocks == c._blocks_through:
         return VertexMap(tuple(range(n, 2 * n)) + tuple(range(n)))
     g, parts = levi_graph(c)
     return iso.find_swap_involution(g, parts.sides)
@@ -227,7 +225,7 @@ def classify(c: IncidenceStructure, with_self_polar: bool = False) -> ConfigClas
     """
     if c.points == 0 or c.block_count == 0:
         raise ParameterError("classification needs at least one point and block")
-    degrees = c.point_degrees()
+    degrees = list(map(len, c._blocks_through))
     sizes = [len(b) for b in c.blocks]
     balanced = None
     if c.points == c.block_count and len(set(degrees)) == 1 and len(set(sizes)) == 1:
@@ -330,24 +328,19 @@ def verify_kronecker_theorem(g: Graph) -> KroneckerReport:
     The cover has vertices (v,0) -> v and (v,1) -> order + v and an edge
     (u,0)(v,1) for each ordered pair of adjacent u, v. Block v is N(v), so
     the witness is the identity, point i -> (i,0) and block j -> (j,1). It
-    is checked in O(E) without building either graph: there must be order
-    points and blocks, holding exactly 2 * g.size incidences, and block j
-    must lie inside N(j). A bijection that sends every Levi edge onto a
-    cover edge, with equal edge counts, is an isomorphism. The cover's
-    components are counted on g (_cover_components). N(g) is built once,
-    with shared neighbourhoods merged, and g is admissible when no block
-    merged; otherwise is_admissible names the first clash, and the report
-    documents how the collapsed structure falls short of the cover.
+    is checked in O(E) without building either graph: block j must equal
+    g's adjacency row j, as both are sorted, so the identity sends Levi
+    edges exactly onto cover edges. The cover's components are counted on
+    g (_cover_components). N(g) is built once, with shared neighbourhoods
+    merged, and g is admissible when no block merged; otherwise
+    is_admissible names the first clash, and the report documents how the
+    collapsed structure falls short of the cover.
     """
     n = g.order
     c = v_construct(g, collapse=True)  # N(g) itself when g is admissible
     admissible = c.block_count == n
     pair = None if admissible else is_admissible(g)[1]
-    verified = admissible and (
-        c.points == n
-        and sum(map(len, c.blocks)) == 2 * g.size
-        and all(map(frozenset.issuperset, g.neighbor_sets, c.blocks))
-    )
+    verified = admissible and c.blocks == g.adjacency
     return KroneckerReport(
         admissible=admissible,
         offending_pair=pair,

@@ -526,7 +526,7 @@ def cartesian_factors(g: Graph) -> tuple[tuple[Graph, ...], VertexMap]:
         a, b = find(index[e]), find(index[f])
         parent[max(a, b)] = min(a, b)
 
-    nbrs = g.neighbor_sets
+    nbrs = [frozenset(row) for row in g.adjacency]
     for u in range(g.order):
         for v, w in combinations(g.adjacency[u], 2):
             corners = (nbrs[v] & nbrs[w]) - {u}
@@ -1723,7 +1723,7 @@ def verify_kronecker_by_union_find(g: Graph) -> KroneckerReport:
     verified = (
         c.points == c.block_count == n
         and sum(map(len, c.blocks)) == 2 * g.size
-        and all(map(frozenset.issuperset, g.neighbor_sets, c.blocks))
+        and all(frozenset(row).issuperset(blk) for row, blk in zip(g.adjacency, c.blocks))
     )
     return KroneckerReport(
         admissible=True,

@@ -77,6 +77,16 @@ def test_vconstruct_inadmissible_graph_fails(tmp_path, capsys):
     assert "failed" in err
 
 
+@pytest.mark.parametrize("command", [["vconstruct"], ["verify", "kronecker"]])
+def test_isolated_vertex_is_named(command, tmp_path, capsys):
+    g = str(tmp_path / "g.json")
+    pet = confviz.build_family("petersen")
+    jsonio.save(g, {"order": pet.order + 2, "edges": [list(e) for e in pet.edges]})
+    code, out, err = run([*command, g], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: vertex 10 is isolated: its neighbourhood would be an empty block\n"
+
+
 def petersen_pipeline(tmp_path, capsys):
     g = str(tmp_path / "g.json")
     c = str(tmp_path / "c.json")

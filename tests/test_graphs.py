@@ -44,6 +44,7 @@ from confviz.graphs import (
 import confviz.graphs as graphs
 import oracles
 from oracles import brute_girth, has_four_cycle_brute, tensor_double_cover
+from test_properties import graphs as random_graphs
 
 
 def test_graph_normalizes_edges():
@@ -392,10 +393,62 @@ def test_admissibility():
     ok, pair = is_admissible(pet)
     assert ok and pair is None
     # brute force: all neighborhood pairs distinct
-    nbhd = pet.neighbor_sets
+    nbhd = list(map(frozenset, oracles.adjacency(pet.order, pet.edges)))
     assert len(set(nbhd)) == len(nbhd)
     ok, pair = is_admissible(cycle_graph(4))
     assert not ok and pair == (0, 2)
+
+
+@st.composite
+def graphs_with_twins(draw, max_order=7):
+    """Random graphs with up to three vertices given a twin, a new vertex
+    with the same neighbourhood, and up to two isolated vertices added (two
+    of them share the empty neighbourhood), then relabelled at random."""
+    g = draw(random_graphs(max_order=max_order))
+    nbrs = oracles.adjacency(g.order, g.edges)
+    for v in draw(st.lists(st.integers(0, g.order - 1), max_size=3)):
+        w = len(nbrs)
+        nbrs.append(set(nbrs[v]))
+        for u in nbrs[v]:
+            nbrs[u].add(w)
+    nbrs += [set() for _ in range(draw(st.integers(0, 2)))]
+    perm = draw(st.permutations(range(len(nbrs))))
+    return Graph(len(nbrs), tuple((perm[u], perm[v]) for u, ns in enumerate(nbrs) for v in ns if u < v))
+
+
+def first_shared_neighbourhood(g):
+    """The least v whose neighbourhood some u < v shares, with the least
+    such u, by comparing every pair of neighbour sets; None if there is none."""
+    nbrs = list(map(frozenset, oracles.adjacency(g.order, g.edges)))
+    return next(((u, v) for v in range(g.order) for u in range(v) if nbrs[u] == nbrs[v]), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_twins())
+def test_admissibility_names_the_first_shared_neighbourhood(g):
+    pair = first_shared_neighbourhood(g)
+    assert is_admissible(g) == (pair is None, pair)
+
+
+def test_graphs_with_twins_reach_every_case():
+    seen = set()
+
+    @settings(max_examples=200, database=None, derandomize=True)
+    @given(graphs_with_twins())
+    def collect(g):
+        pair = first_shared_neighbourhood(g)
+        if pair is None:
+            seen.add("admissible")
+        elif g.adjacency[pair[0]]:
+            seen.add("shared neighbourhood")
+        else:
+            seen.add("two isolated vertices")
+        if () in g.adjacency and pair is not None and g.adjacency[pair[0]]:
+            seen.add("isolated vertex beside a clash")
+
+    collect()
+    assert seen == {"admissible", "shared neighbourhood", "two isolated vertices",
+                    "isolated vertex beside a clash"}
 
 
 def test_girth_against_oracle():

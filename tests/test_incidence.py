@@ -33,7 +33,7 @@ from confviz.graphs import (
 def test_structure_canonical_form():
     c = IncidenceStructure(4, ((2, 1, 0), (3, 1, 0)))
     assert c.blocks == ((0, 1, 2), (0, 1, 3))
-    assert c.point_degrees() == [2, 2, 1, 1]
+    assert c._blocks_through == ((0, 1), (0, 1), (0,), (1,))
     assert c.block_count == 2
 
 
@@ -59,7 +59,8 @@ def test_v_construct_petersen():
     c = v_construct(petersen_graph())
     assert c.points == 10 and c.block_count == 10
     assert all(len(b) == 3 for b in c.blocks)
-    assert c.point_degrees() == [3] * 10
+    # v lies in N(u) exactly when u lies in N(v), so block v is the blocks through v
+    assert c._blocks_through == c.blocks
 
 
 def test_v_construct_rejects_duplicate_neighborhoods():
@@ -82,8 +83,8 @@ def test_v_construct_block_v_is_n_of_v():
 
 
 def test_v_construct_rejects_isolated_vertices():
-    with pytest.raises(ParameterError):
-        v_construct(Graph(3, ((0, 1),)))
+    with pytest.raises(ParameterError, match="^vertex 2 is isolated: its neighbourhood would be an empty block$"):
+        v_construct(Graph(5, ((0, 1), (3, 4))), collapse=True)
 
 
 def test_levi_graph_shape():

@@ -63,7 +63,7 @@ def test_witness_verifies_exactly_when_search_finds_one(family, params):
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_order=10))
 def test_witness_matches_search_on_random_admissible_graphs(g):
-    assume(all(g.neighbor_sets) and is_admissible(g)[0])
+    assume(all(g.adjacency) and is_admissible(g)[0])
     assert_witness_matches_search(g)
 
 
@@ -167,7 +167,7 @@ def swap_in_a_non_neighbour(g, block):
     # as many incidences as the cover has edges, one of them off the cover
     taken = set(g.adjacency)
     for w in range(g.order):
-        if w not in g.neighbor_sets[0] and tuple(sorted(block[1:] + [w])) not in taken:
+        if w not in g.adjacency[0] and tuple(sorted(block[1:] + [w])) not in taken:
             block[0] = w
             return
     raise AssertionError("no free non-neighbour")

@@ -115,7 +115,7 @@ def test_classify_matches_the_search_and_the_girth(family, params):
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_order=10))
 def test_polarity_matches_search_on_random_admissible_graphs(g):
-    assume(all(g.neighbor_sets) and is_admissible(g)[0])
+    assume(all(g.adjacency) and is_admissible(g)[0])
     c = v_construct(g)
     searched = search(c)
     assert searched is not None and side_swapping_involution(searched, c)
